@@ -38,8 +38,8 @@ func (b BatchResult) Route() Route {
 // runs and every duplicate receives a clone of its outcome, flagged
 // Coalesced on the Response. The remaining distinct requests are dispatched
 // grouped by source (then target), so requests sharing endpoints run close
-// together and reuse each other's sweeps through the engine's snapshot-
-// scoped shared sweep cache instead of merely running in parallel.
+// together and reuse each other's sweeps through the snapshot's oracle memo
+// instead of merely running in parallel.
 //
 // Cancelling ctx stops the batch early: requests already running abort via
 // their search loops' context polls, and requests not yet started fail

@@ -149,6 +149,57 @@ func TestDegradedSinceLifecycle(t *testing.T) {
 	}
 }
 
+// TestDegradedOracleIsByteBounded: the lazy oracle a disk-index engine falls
+// back to is sized exactly like one configured outright, on a graph large
+// enough that the byte budget — not the entry cap — is what binds. (The
+// fallback used to be built apart from buildOracle and missed its sizing.)
+func TestDegradedOracleIsByteBounded(t *testing.T) {
+	small := swapCity(t, 0.7)
+	eng, err := NewEngine(small, &EngineConfig{DistIndexPath: buildDistIndex(t, small)})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer eng.Close()
+
+	// A 120k-node ring: one sweep is ~2.4 MB.
+	b := NewBuilder()
+	const n = 120_000
+	for i := 0; i < n; i++ {
+		b.AddNode("stop")
+	}
+	for i := 0; i < n; i++ {
+		if err := b.AddEdge(NodeID(i), NodeID((i+1)%n), 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := b.MustBuild()
+	if _, err := eng.Swap(big); err != nil {
+		t.Fatalf("Swap: %v", err)
+	}
+	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 7, Keywords: []string{"view"}}}}); err != nil {
+		t.Fatalf("Patch: %v", err)
+	}
+	if ost := eng.OracleStatus(); !ost.Degraded || ost.Kind != OracleKindLazy {
+		t.Fatalf("OracleStatus = %+v, want the degraded lazy fallback", ost)
+	}
+
+	lazy, err := NewEngine(eng.Graph(), &EngineConfig{Oracle: OracleLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazySmall, err := NewEngine(small, &EngineConfig{Oracle: OracleLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, configured, unbound := eng.oracleMemo().Capacity, lazy.oracleMemo().Capacity, lazySmall.oracleMemo().Capacity
+	if degraded != configured {
+		t.Errorf("degraded fallback holds up to %d sweeps, a configured lazy oracle on the same graph %d", degraded, configured)
+	}
+	if configured >= unbound {
+		t.Errorf("capacity on %d nodes = %d, not below the small-graph %d: the byte budget never bound", n, configured, unbound)
+	}
+}
+
 func TestOracleStatusWithoutDistIndex(t *testing.T) {
 	eng, err := NewEngine(swapCity(t, 0.7), nil)
 	if err != nil {

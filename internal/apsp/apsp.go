@@ -14,11 +14,16 @@
 //     paper's Floyd-Warshall pre-processing. Tables are filled by repeated
 //     two-criteria Dijkstra, which yields identical scores in
 //     O(|V|·|E|·log|V|) instead of O(|V|³).
-//   - LazyOracle: memoized single-source/single-target Dijkstra with a
-//     bounded cache. Semantically identical, but scales to the 20k-node
-//     graphs of the paper's Figure 17 without |V|² memory.
+//   - LazyOracle: memoized single-source/single-target Dijkstra.
+//     Semantically identical, but scales to the 20k-node graphs of the
+//     paper's Figure 17 without |V|² memory.
 //   - PartitionedOracle (partition.go): the paper's §6 future-work design —
 //     graph partition, per-cell tables and a border overlay.
+//
+// Whatever an oracle computes on demand — the lazy oracle's sweeps (full, or
+// truncated at a query's Δ/U bound), the partitioned oracle's per-target
+// slices — lives in one keyed, single-flighted, byte-bounded store, the
+// oracle memo (memo.go); there is no other cache in this package.
 //
 // Ties between equal-score paths are broken by the secondary attribute
 // (τ prefers the cheaper-budget path among equal-objective paths, σ the
@@ -42,8 +47,8 @@ const (
 // return ok=false when no path exists; scores are then undefined.
 //
 // All package oracles are safe for concurrent readers: MatrixOracle and
-// PartitionedOracle are immutable after construction, and LazyOracle
-// synchronizes its sweep caches internally. Custom implementations must
+// PartitionedOracle's tables are immutable after construction, and the
+// oracle memo synchronizes itself. Custom implementations must
 // uphold the same contract — one oracle instance serves every concurrent
 // query of an engine.
 type Oracle interface {

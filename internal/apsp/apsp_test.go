@@ -189,7 +189,7 @@ func TestOraclesAgreeWithFloydWarshall(t *testing.T) {
 		fwSig := floydWarshall(g, ByBudget)
 		matrix := NewMatrixOracle(g)
 		lazy := NewLazyOracle(g)
-		lazy.SetCapacity(4) // force eviction churn
+		lazy.sweeps.cap = 4 // force eviction churn
 		part := NewPartitionedOracle(g, 5+rng.Intn(6))
 
 		for i := graph.NodeID(0); int(i) < n; i++ {
@@ -327,15 +327,15 @@ func TestLazyPrefetchHints(t *testing.T) {
 func TestLazyCacheEviction(t *testing.T) {
 	g := buildPaperGraph(t)
 	lazy := NewLazyOracle(g)
-	lazy.SetCapacity(4)
-	// Touch many targets; cache must stay bounded and answers stay correct.
+	lazy.sweeps.cap = 4
+	// Touch many targets; the memo must stay bounded and answers stay correct.
 	for round := 0; round < 3; round++ {
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			lazy.MinObjective(0, v)
 		}
 	}
-	if len(lazy.rev.entries) > 4 || len(lazy.fwd.entries) > 4 {
-		t.Errorf("cache exceeded capacity: rev=%d fwd=%d", len(lazy.rev.entries), len(lazy.fwd.entries))
+	if st := lazy.MemoStats(); st.Entries > 4 || st.Evictions == 0 {
+		t.Errorf("memo holds %d entries after %d evictions, want ≤ 4 entries and some evictions", st.Entries, st.Evictions)
 	}
 	if os, _, ok := lazy.MinObjective(0, 7); !ok || os != 4 {
 		t.Errorf("post-eviction τ(0,7) = %v,%v", os, ok)

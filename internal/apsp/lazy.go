@@ -1,8 +1,7 @@
 package apsp
 
 import (
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"kor/internal/graph"
 )
@@ -10,208 +9,94 @@ import (
 // LazyOracle serves τ/σ queries from memoized Dijkstra sweeps instead of
 // dense tables. A reverse sweep into a target answers every (·, target)
 // query; a forward sweep answers every (source, ·) query. The route-search
-// algorithms hint their access patterns through the Prefetcher interface:
-// OSScaling and BucketBound pin the query target (and the strategy-2
-// keyword nodes), Greedy pins its current route head.
+// algorithms hint their access patterns through the Prefetcher interface
+// (the query target, Greedy's current route head) and fetch truncated
+// sweeps into their candidate nodes through ReverseSweep.
 //
-// Sweeps are cached with FIFO eviction bounded by capacity, so memory stays
-// O(capacity·|V|) on the 20k-node scalability graphs.
-//
-// A LazyOracle is safe for concurrent use. Each direction's cache is
-// guarded by a mutex, and sweep computation is single-flighted: concurrent
-// queries needing the same missing sweep share one Dijkstra run instead of
-// racing to compute it redundantly. The sweeps themselves are immutable
-// once published.
+// All sweeps — forward, reverse, full and truncated — live in one oracle
+// memo (memo.go), so memory is bounded by sweepMemoBudget whatever mix of
+// queries runs, and concurrent queries needing the same missing sweep share
+// one Dijkstra run. A LazyOracle is safe for concurrent use; published
+// sweeps are immutable.
 type LazyOracle struct {
-	g *graph.Graph
-
-	fwd sweepCache
-	rev sweepCache
-
-	// sweeps counts Dijkstra runs, exposed for the ablation benchmarks.
-	sweeps atomic.Int64
+	g      *graph.Graph
+	sweeps *memo[*Sweep]
 }
 
-type sweepKey struct {
-	root   graph.NodeID
-	metric Metric
+// sweepBytes is the resident size of one sweep over an n-node graph: two
+// float64 score vectors and an int32 parent vector, truncated or not.
+func sweepBytes(n int) int64 { return int64(n)*(8+8+4) + 64 }
+
+// NewLazyOracle returns an oracle over g.
+func NewLazyOracle(g *graph.Graph) *LazyOracle {
+	return &LazyOracle{
+		g:      g,
+		sweeps: newMemo[*Sweep](sweepMemoEntries, sweepMemoBudget, sweepBytes(g.NumNodes())),
+	}
 }
 
-// sweepEntry is one cache slot. done is closed once s is published; waiters
-// that found the entry in flight block on it instead of recomputing.
-type sweepEntry struct {
-	done chan struct{}
-	s    *sweep // written under the cache mutex before done is closed
+// SweepCount reports how many Dijkstra sweeps the oracle has run. Every run
+// is a memo miss and every memo miss is a run.
+func (o *LazyOracle) SweepCount() int64 { return o.sweeps.misses.Load() }
+
+// MemoStats reports the sweep memo's counters and residency.
+func (o *LazyOracle) MemoStats() MemoStats { return o.sweeps.stats() }
+
+// sweep returns a sweep around key.node truncated no tighter than bound. By
+// the prefix property of the bounded Dijkstra (truncation only drops nodes
+// wholly past the bound; ties break by node ID) a wider or full sweep
+// answers every lookup inside bound with exactly the scores and parents a
+// sweep at bound would have produced, so a resident wider sweep is served
+// verbatim and a narrower one is replaced.
+func (o *LazyOracle) sweep(key memoKey, bound float64) (*Sweep, bool) {
+	return o.sweeps.get(key,
+		func(s *Sweep) bool { return s.bound >= bound },
+		func() *Sweep { return newSweep(o.g, key, bound) })
 }
 
-// sweepCache is one direction's bounded sweep cache with FIFO eviction and
-// single-flight computation. The steady-state read path (cache hits) takes
-// only the read lock; the write lock guards insertion and eviction.
-type sweepCache struct {
-	mu       sync.RWMutex
-	capacity int
-	entries  map[sweepKey]*sweepEntry
-	order    []sweepKey // FIFO eviction order
-}
-
-// peek returns the completed sweep for k, or nil when k is absent or still
-// in flight. It never blocks on a computation.
-func (c *sweepCache) peek(k sweepKey) *sweep {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if e, ok := c.entries[k]; ok {
-		return e.s // nil while in flight
+// full returns the resident full sweep under key, or nil; it never blocks.
+func (o *LazyOracle) full(key memoKey) *sweep {
+	if s, ok := o.sweeps.peek(key); ok && math.IsInf(s.bound, 1) {
+		return s.s
 	}
 	return nil
 }
 
-// wait blocks until e's sweep is published and returns it, falling back to
-// an uncached compute when the computing goroutine panicked.
-func (c *sweepCache) wait(e *sweepEntry, compute func() *sweep) *sweep {
-	<-e.done
-	if e.s == nil {
-		return compute()
-	}
-	return e.s
-}
-
-// get returns the sweep for k, computing it with compute if missing. When
-// several goroutines miss on the same key at once, exactly one runs compute
-// and the rest wait for its result.
-func (c *sweepCache) get(k sweepKey, compute func() *sweep) *sweep {
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	c.mu.RUnlock()
-	if ok {
-		return c.wait(e, compute)
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok { // lost the insert race
-		c.mu.Unlock()
-		return c.wait(e, compute)
-	}
-	e = &sweepEntry{done: make(chan struct{})}
-	c.insertLocked(k, e)
-	c.mu.Unlock()
-
-	// If compute panics, drop the placeholder and unblock waiters anyway;
-	// e.s stays nil and waiters fall back to computing their own sweep.
-	// Only our own entry is removed (a FIFO eviction during the compute may
-	// have replaced it with a newer one), together with its order slot so
-	// eviction accounting stays exact.
-	defer func() {
-		if e.s == nil {
-			c.mu.Lock()
-			if cur, ok := c.entries[k]; ok && cur == e {
-				delete(c.entries, k)
-				for i := range c.order {
-					if c.order[i] == k {
-						c.order = append(c.order[:i], c.order[i+1:]...)
-						break
-					}
-				}
-			}
-			c.mu.Unlock()
-			close(e.done)
-		}
-	}()
-
-	s := compute()
-
-	c.mu.Lock()
-	e.s = s
-	c.mu.Unlock()
-	close(e.done)
-	return s
-}
-
-// insertLocked records a new entry, evicting the oldest one when the cache
-// is full. Evicting an in-flight entry is harmless: its waiters hold the
-// entry pointer and still receive the result; it just is not cached.
-func (c *sweepCache) insertLocked(k sweepKey, e *sweepEntry) {
-	if len(c.order) >= c.capacity {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.entries[k] = e
-	c.order = append(c.order, k)
-}
-
-func (c *sweepCache) setCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = n
-	for len(c.order) > n {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-}
-
-// DefaultSweepCapacity bounds each direction's sweep cache.
-const DefaultSweepCapacity = 128
-
-// NewLazyOracle returns an oracle over g with the default cache capacity.
-func NewLazyOracle(g *graph.Graph) *LazyOracle {
-	return &LazyOracle{
-		g:   g,
-		fwd: sweepCache{capacity: DefaultSweepCapacity, entries: make(map[sweepKey]*sweepEntry)},
-		rev: sweepCache{capacity: DefaultSweepCapacity, entries: make(map[sweepKey]*sweepEntry)},
-	}
-}
-
-// SetCapacity adjusts the per-direction sweep cache bound (minimum 4).
-// Safe to call concurrently with queries; shrinking evicts oldest sweeps.
-func (o *LazyOracle) SetCapacity(n int) {
-	if n < 4 {
-		n = 4
-	}
-	o.fwd.setCapacity(n)
-	o.rev.setCapacity(n)
-}
-
-// SweepCount reports how many Dijkstra sweeps the oracle has run.
-func (o *LazyOracle) SweepCount() int64 { return o.sweeps.Load() }
-
 func (o *LazyOracle) forward(root graph.NodeID, m Metric) *sweep {
-	return o.fwd.get(sweepKey{root, m}, func() *sweep {
-		o.sweeps.Add(1)
-		return dijkstra(o.g, root, m, false)
-	})
+	s, _ := o.sweep(memoKey{root, m, true}, math.Inf(1))
+	return s.s
 }
 
 func (o *LazyOracle) reverse(root graph.NodeID, m Metric) *sweep {
-	return o.rev.get(sweepKey{root, m}, func() *sweep {
-		o.sweeps.Add(1)
-		return dijkstra(o.g, root, m, true)
-	})
+	s, _ := o.sweep(memoKey{root, m, false}, math.Inf(1))
+	return s.s
 }
 
-// lookup answers a pair query under metric m, preferring whichever sweep is
-// already cached and defaulting to a reverse sweep into the target — the
-// dominant access pattern of the label-search algorithms.
+// ReverseSweep returns a reverse sweep into root under m truncated at bound
+// or wider (see OnDemand). shared reports that the sweep was already
+// resident or computed by a concurrent caller.
+func (o *LazyOracle) ReverseSweep(root graph.NodeID, m Metric, bound float64) (sw *Sweep, shared bool) {
+	return o.sweep(memoKey{root, m, false}, bound)
+}
+
+// lookup answers a pair query under metric m, preferring whichever full
+// sweep is already resident and defaulting to a reverse sweep into the
+// target — the dominant access pattern of the label-search algorithms.
 func (o *LazyOracle) lookup(from, to graph.NodeID, m Metric) (float64, float64, bool) {
 	if from == to {
 		return 0, 0, true
 	}
-	if s := o.rev.peek(sweepKey{to, m}); s != nil {
-		if !s.reached(from) {
-			return 0, 0, false
-		}
-		os, bs := s.scores(from, m)
-		return os, bs, true
+	s, v := o.full(memoKey{to, m, false}), from
+	if s == nil {
+		s, v = o.full(memoKey{from, m, true}), to
 	}
-	if s := o.fwd.peek(sweepKey{from, m}); s != nil {
-		if !s.reached(to) {
-			return 0, 0, false
-		}
-		os, bs := s.scores(to, m)
-		return os, bs, true
+	if s == nil {
+		s, v = o.reverse(to, m), from
 	}
-	s := o.reverse(to, m)
-	if !s.reached(from) {
+	if !s.reached(v) {
 		return 0, 0, false
 	}
-	os, bs := s.scores(from, m)
+	os, bs := s.scores(v, m)
 	return os, bs, true
 }
 
@@ -252,7 +137,7 @@ func (o *LazyOracle) path(from, to graph.NodeID, m Metric) ([]graph.NodeID, bool
 	if from == to {
 		return []graph.NodeID{from}, true
 	}
-	if s := o.rev.peek(sweepKey{to, m}); s != nil {
+	if s := o.full(memoKey{to, m, false}); s != nil {
 		return s.walkReverse(to, from)
 	}
 	return o.forward(from, m).walkForward(from, to)

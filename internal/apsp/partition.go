@@ -51,8 +51,8 @@ type PartitionedOracle struct {
 	ovSigP, ovSigS     []float64
 	ovTauPar, ovSigPar []int32
 
-	// slices is the bounded per-target slice cache (slice.go).
-	slices sliceCache
+	// slices memoizes the per-target and per-source slices (slice.go).
+	slices *memo[*TargetSlice]
 
 	// Disk-load state (persist.go): the mapping backing the aliased tables,
 	// if any, and the source file size.
@@ -218,7 +218,7 @@ func NewPartitionedOracle(g *graph.Graph, cellSize int) *PartitionedOracle {
 
 	o.buildCellTables()
 	o.buildOverlay()
-	o.slices.init(g.NumNodes())
+	o.slices = newSliceMemo(g.NumNodes())
 	return o
 }
 

@@ -484,7 +484,7 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 			return nil, fmt.Errorf("%w: node %d maps outside its region", ErrIndexFormat, v)
 		}
 	}
-	o.slices.init(n)
+	o.slices = newSliceMemo(n)
 	return o, nil
 }
 

@@ -18,7 +18,7 @@ func TestLazyOracleConcurrent(t *testing.T) {
 	n := g.NumNodes()
 	dense := NewMatrixOracle(g)
 	lazy := NewLazyOracle(g)
-	lazy.SetCapacity(4) // eviction churn on every few sweeps
+	lazy.sweeps.cap = 4 // eviction churn on every few sweeps
 
 	const workers = 16
 	var wg sync.WaitGroup

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"math"
-	"sync"
 
 	"kor/internal/graph"
 )
@@ -14,9 +13,9 @@ import (
 // probes per lookup; amortizing it per target turns each lookup into two
 // array reads. A TargetSlice is that amortization: the full
 // all-sources-into-one-target score vectors, built in
-// O(|B|·|borders(j)| + Σ_cells k·|borders(cell)|) and cached on the oracle
-// under a byte-bounded FIFO, so a steady query stream over a stable keyword
-// universe builds each slice once.
+// O(|B|·|borders(j)| + Σ_cells k·|borders(cell)|) and kept in the oracle memo
+// (memo.go), so a steady query stream over a stable keyword universe builds
+// each slice once.
 
 // TargetSlice holds the scores of the metric-optimal paths from every node
 // into one fixed target: Prim[v] is the primary-metric score of the path
@@ -53,85 +52,31 @@ type SourceSliced interface {
 	SourceSlice(from graph.NodeID, m Metric) *TargetSlice
 }
 
-// sliceCacheBudget bounds the memory the cached slices may hold. At 16 bytes
-// per node per slice this is ~3,200 slices on a 5000-node graph. The sizing
-// matters: a label search resolves a slice per strategy-2 candidate node
-// (often ~100 per query), so the cache must hold the working set of a whole
-// query stream — a budget that only fits one query's candidates forces every
-// following query to rebuild its slices and costs more than it saves.
-const sliceCacheBudget = 256 << 20
+// sliceBytes is the resident size of one slice over an n-node graph.
+func sliceBytes(n int) int64 { return 16*int64(n) + 64 }
 
-type sliceKey struct {
-	node graph.NodeID
-	m    Metric
-	src  bool // true for source-oriented (outbound) slices
-}
-
-// sliceEntry single-flights one slice build: the first requester builds,
-// concurrent requesters block on done. An entry evicted mid-build completes
-// normally for whoever holds it; it just stops being findable.
-type sliceEntry struct {
-	done chan struct{}
-	ts   *TargetSlice
-}
-
-// sliceCache is the oracle's bounded per-target slice cache: FIFO eviction,
-// capacity derived from the graph size so the cache never exceeds
-// sliceCacheBudget bytes of slices.
-type sliceCache struct {
-	mu      sync.Mutex
-	entries map[sliceKey]*sliceEntry
-	order   []sliceKey
-	cap     int
-}
-
-// init sizes the cache for an n-node graph.
-func (c *sliceCache) init(n int) {
-	bytesPer := 16*n + 64
-	c.cap = sliceCacheBudget / bytesPer
-	if c.cap < 8 {
-		c.cap = 8
-	}
-	c.entries = make(map[sliceKey]*sliceEntry)
+// newSliceMemo sizes the oracle's slice store for an n-node graph: bounded
+// by sliceMemoBudget bytes alone (~3,200 slices on a 5000-node graph).
+func newSliceMemo(n int) *memo[*TargetSlice] {
+	return newMemo[*TargetSlice](math.MaxInt, sliceMemoBudget, sliceBytes(n))
 }
 
 // TargetSlice returns (building and caching on first use) the score vectors
 // into to under metric m.
 func (o *PartitionedOracle) TargetSlice(to graph.NodeID, m Metric) *TargetSlice {
-	return o.slice(sliceKey{node: to, m: m})
+	ts, _ := o.slices.get(memoKey{to, m, false}, nil, func() *TargetSlice { return o.buildSlice(to, m) })
+	return ts
 }
 
 // SourceSlice returns (building and caching on first use) the score vectors
 // out of from under metric m.
 func (o *PartitionedOracle) SourceSlice(from graph.NodeID, m Metric) *TargetSlice {
-	return o.slice(sliceKey{node: from, m: m, src: true})
+	ts, _ := o.slices.get(memoKey{from, m, true}, nil, func() *TargetSlice { return o.buildSourceSlice(from, m) })
+	return ts
 }
 
-func (o *PartitionedOracle) slice(key sliceKey) *TargetSlice {
-	c := &o.slices
-	c.mu.Lock()
-	if e := c.entries[key]; e != nil {
-		c.mu.Unlock()
-		<-e.done
-		return e.ts
-	}
-	e := &sliceEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	for len(c.order) > c.cap {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.mu.Unlock()
-
-	if key.src {
-		e.ts = o.buildSourceSlice(key.node, key.m)
-	} else {
-		e.ts = o.buildSlice(key.node, key.m)
-	}
-	close(e.done)
-	return e.ts
-}
+// MemoStats reports the slice memo's counters and residency.
+func (o *PartitionedOracle) MemoStats() MemoStats { return o.slices.stats() }
 
 // buildSlice assembles the slice into to: first the best overlay+tail
 // completion per border node (mid + tail), then per node the best head

@@ -91,12 +91,6 @@ type Searcher struct {
 	// tables) across searches; see arena.go. sync.Pool is safe for the
 	// Searcher's concurrent queries.
 	scratch sync.Pool
-
-	// sweeps is the cross-query shared sweep cache (sweepshare.go): plans
-	// resolve their candidate and reconstruction sweeps through it so
-	// concurrent and consecutive queries sharing a root compute each sweep
-	// once. Lifetime is the Searcher's, i.e. one graph snapshot.
-	sweeps sweepShare
 }
 
 // NewSearcher returns a Searcher over g. A nil oracle defaults to a lazy
@@ -109,15 +103,8 @@ func NewSearcher(g *graph.Graph, oracle RouteOracle, index graph.PostingSource) 
 	if index == nil {
 		index = graph.NewMemIndex(g)
 	}
-	return &Searcher{g: g, oracle: oracle, index: index, sweeps: sweepShare{cap: sweepShareCap}}
+	return &Searcher{g: g, oracle: oracle, index: index}
 }
-
-// SetSweepSharing toggles the cross-query shared sweep cache, dropping its
-// entries either way. Sharing is on by default; disabling reverts every plan
-// to private per-query sweeps. Used by the equivalence tests and the bench
-// harness to compare the two modes; concurrent use with running queries is
-// safe (in-flight waiters keep their entry pointers).
-func (s *Searcher) SetSweepSharing(enabled bool) { s.sweeps.setEnabled(enabled) }
 
 // Graph returns the underlying graph.
 func (s *Searcher) Graph() *graph.Graph { return s.g }

@@ -126,8 +126,8 @@ type Metrics struct {
 	ShortcutLabels  int // strategy-1 σ-jump labels
 	Feasible        int // feasible candidates encountered
 	PeakQueue       int // largest queue population
-	PlanSweeps      int // query-owned sweeps: Δ-bounded candidate lookups and path reconstruction
-	SharedSweeps    int // sweeps reused from the Searcher's cross-query shared cache instead of computed
+	PlanSweeps      int // bounded candidate sweeps (Δ for σ, U for τ) this query asked the oracle for and computed
+	SharedSweeps    int // bounded candidate sweeps the oracle already held, or another query was computing
 }
 
 // add accumulates counters from another run (used when averaging workloads).

@@ -51,20 +51,19 @@ type plan struct {
 	infreqBit int
 	infreq    []viaNode
 
-	// Candidate-subgraph sweeps: on sweep-backed (lazy) oracles the plan
-	// owns bounded reverse sweeps into its candidate nodes — the strategy-1
-	// jump nodes and strategy-2 keyword nodes — instead of forcing
-	// full-graph sweeps through the shared caches. σ sweeps are truncated at
-	// the query budget Δ, strategy-2 τ sweeps at the upper bound U; both
-	// truncations only drop nodes whose answers could never matter to this
-	// query.
-	useBounded bool
+	// Candidate-subgraph sweeps: on a sweep-backed (lazy) oracle the plan
+	// asks it for bounded reverse sweeps into its candidate nodes — the
+	// strategy-1 jump nodes and strategy-2 keyword nodes — instead of forcing
+	// full-graph sweeps. σ sweeps are truncated at the query budget Δ,
+	// strategy-2 τ sweeps at the upper bound U; both truncations only drop
+	// nodes whose answers could never matter to this query. The oracle may
+	// serve a wider sweep another query paid for, so every score read off one
+	// is re-checked against this query's own Δ or U. sweeper is nil on
+	// table-backed oracles; the maps pin resolved sweeps for the plan's life.
+	sweeper    apsp.OnDemand
 	boundedSig map[graph.NodeID]*apsp.Sweep
 	tauVia     map[graph.NodeID]*apsp.Sweep
 
-	// indexedPaths: the oracle materializes paths as table walks (dense
-	// matrix, partitioned), so reconstruction delegates to it directly.
-	indexedPaths bool
 	// sliced: the oracle serves per-target score vectors (apsp.SliceIndexed).
 	// The plan resolves the two target slices eagerly — every admission check
 	// reads them — and the per-candidate slices lazily on first touch, cached
@@ -74,12 +73,6 @@ type plan struct {
 	sliceOracle apsp.SliceIndexed
 	tailTau     *apsp.TargetSlice // τ(·, target) scores
 	tailSig     *apsp.TargetSlice // σ(·, target) scores
-	// Path-reconstruction sweeps for oracles that answer each path with a
-	// fresh full sweep: one reverse τ sweep into the target covers every
-	// tail path, one reverse σ sweep per shortcut node covers every σ
-	// segment.
-	tailPathSweep *apsp.Sweep
-	pathSweeps    map[graph.NodeID]*apsp.Sweep
 
 	// exact switches the label machinery to exact mode: the "scaled" slot
 	// carries an order-preserving encoding of the raw objective instead of
@@ -181,12 +174,11 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 	// validated positive, so θ > 0 whenever the graph has edges.
 	p.theta = opts.Epsilon * s.g.MinObjective() * s.g.MinBudget() / q.Budget
 
-	p.useBounded = apsp.IsOnDemand(s.oracle)
-	if p.useBounded {
+	if od, ok := s.oracle.(apsp.OnDemand); ok {
+		p.sweeper = od
 		p.boundedSig = make(map[graph.NodeID]*apsp.Sweep)
 		p.tauVia = make(map[graph.NodeID]*apsp.Sweep)
 	}
-	p.indexedPaths = apsp.HasIndexedPaths(s.oracle)
 	if so, ok := s.oracle.(apsp.SliceIndexed); ok {
 		p.sliced = true
 		p.sliceOracle = so
@@ -245,18 +237,6 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 			if len(p.infreq) == 0 {
 				p.infreqBit = -1 // every keyword node is unreachable within Δ
 			}
-		}
-	}
-
-	// On dense oracles the candidate lookups are O(1) table reads; hint the
-	// historical prefetches for lazy-style oracles that did not opt into
-	// plan-owned bounded sweeps.
-	if !p.useBounded {
-		for _, jn := range p.jumpNodes {
-			apsp.PrefetchTarget(s.oracle, jn.node)
-		}
-		for _, via := range p.infreq {
-			apsp.PrefetchTarget(s.oracle, via.node)
 		}
 	}
 	return p, nil
@@ -338,8 +318,8 @@ func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 // boundedSigSweep returns (resolving on first use) the plan's Δ-bounded
 // reverse σ sweep into candidate node to — the single source for both score
 // lookups and path reconstruction, so the two can never disagree on bound
-// or metric. Sweeps come from the Searcher's shared cache: the plan-local map
-// only pins the resolved pointer so later lookups skip the cache lock.
+// or metric. The plan-local map pins the resolved pointer, so later lookups
+// skip the oracle and an eviction mid-query cannot change the answer.
 func (p *plan) boundedSigSweep(to graph.NodeID) *apsp.Sweep {
 	sw := p.boundedSig[to]
 	if sw == nil {
@@ -349,11 +329,11 @@ func (p *plan) boundedSigSweep(to graph.NodeID) *apsp.Sweep {
 	return sw
 }
 
-// sharedSweep resolves one reverse sweep through the Searcher's shared cache,
-// attributing the work: a sweep this plan computed counts in PlanSweeps, one
-// reused from (or awaited in) the cache counts in SharedSweeps.
+// sharedSweep resolves one reverse sweep through the oracle, attributing the
+// work: a sweep this plan computed counts in PlanSweeps, one another query
+// left resident (or is computing right now) counts in SharedSweeps.
 func (p *plan) sharedSweep(root graph.NodeID, m apsp.Metric, bound float64) *apsp.Sweep {
-	sw, shared := p.s.sweeps.get(p.s.g, root, m, bound)
+	sw, shared := p.sweeper.ReverseSweep(root, m, bound)
 	if shared {
 		p.metrics.SharedSweeps++
 	} else {
@@ -365,9 +345,9 @@ func (p *plan) sharedSweep(root graph.NodeID, m apsp.Metric, bound float64) *aps
 // sigInto returns the scores of σ(from, to) for a candidate node to. On a
 // sliced oracle the answer comes from the candidate's σ slice (resolved on
 // first touch into *slot, so later labels pay two array reads). On a
-// sweep-backed oracle it is answered from a plan-owned reverse sweep
-// truncated at Δ: ok=false then means "no path within the query budget",
-// which every caller treats identically to unreachable.
+// sweep-backed oracle it is answered from a reverse sweep truncated at Δ or
+// wider: ok=false then means "no path within the query budget", which every
+// caller treats identically to unreachable.
 func (p *plan) sigInto(from, to graph.NodeID, slot **apsp.TargetSlice) (os, bs float64, ok bool) {
 	if p.sliced {
 		ts := *slot
@@ -381,51 +361,26 @@ func (p *plan) sigInto(from, to graph.NodeID, slot **apsp.TargetSlice) (os, bs f
 		}
 		return ts.Sec[from], bs, true
 	}
-	if !p.useBounded {
+	if p.sweeper == nil {
 		return p.s.oracle.MinBudget(from, to)
 	}
 	return p.boundedSigSweep(to).Scores(from)
 }
 
-// tailPath materializes τ(from, target). Indexed oracles walk their parent
-// tables, sweep-backed oracles walk their cached reverse sweep into the
-// target, and anything else gets one plan-owned reverse sweep that serves
-// every reconstruction of this query.
-func (p *plan) tailPath(from graph.NodeID) ([]graph.NodeID, bool) {
-	if p.indexedPaths || p.useBounded {
-		return p.s.oracle.MinObjectivePath(from, p.q.Target)
-	}
-	if p.tailPathSweep == nil {
-		p.tailPathSweep = p.sharedSweep(p.q.Target, apsp.ByObjective, math.Inf(1))
-	}
-	return p.tailPathSweep.WalkFrom(from)
-}
-
 // shortcutPath materializes σ(from, to) for a strategy-1 jump node to,
-// walking the oracle's tables (indexed), the plan's Δ-bounded candidate
-// sweep (sweep-backed) or a plan-owned reverse sweep (everything else).
+// walking the very sweep that scored the jump (sweep-backed) or the oracle's
+// tables (indexed).
 func (p *plan) shortcutPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
-	if p.indexedPaths {
-		return p.s.oracle.MinBudgetPath(from, to)
-	}
-	if p.useBounded {
+	if p.sweeper != nil {
 		return p.boundedSigSweep(to).WalkFrom(from)
 	}
-	if p.pathSweeps == nil {
-		p.pathSweeps = make(map[graph.NodeID]*apsp.Sweep)
-	}
-	sw := p.pathSweeps[to]
-	if sw == nil {
-		sw = p.sharedSweep(to, apsp.ByBudget, math.Inf(1))
-		p.pathSweeps[to] = sw
-	}
-	return sw.WalkFrom(from)
+	return p.s.oracle.MinBudgetPath(from, to)
 }
 
 // tauObjInto returns the objective score of τ(from, via.node) for a
 // strategy-2 keyword node, from the candidate's τ slice on sliced oracles.
-// On a sweep-backed oracle the plan-owned sweep is truncated at
-// U−OS(τ(via,t)) as of its first use: U only shrinks, so a node past the
+// On a sweep-backed oracle the sweep is truncated at U−OS(τ(via,t)) (or
+// wider) as of its first use: U only shrinks, so a node past the
 // truncation can never satisfy the objective condition later either.
 func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, bool) {
 	if p.sliced {
@@ -440,7 +395,7 @@ func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, 
 		}
 		return os, true
 	}
-	if !p.useBounded {
+	if p.sweeper == nil {
 		os, _, ok := p.s.oracle.MinObjective(from, via.node)
 		return os, ok
 	}

@@ -87,7 +87,7 @@ func (p *plan) reconstruct(last *label, tailOS, tailBS float64) (Route, uint64, 
 	chainLen := len(nodes)
 
 	if last.node != p.q.Target {
-		tail, ok := p.tailPath(last.node)
+		tail, ok := p.s.oracle.MinObjectivePath(last.node, p.q.Target)
 		if !ok {
 			return Route{}, 0, fmt.Errorf("kor: internal: lost τ(%d,%d) during reconstruction", last.node, p.q.Target)
 		}

@@ -10,11 +10,13 @@ import (
 	"kor/internal/graph"
 )
 
-// Tests for the cross-query shared sweep cache (sweepshare.go). The headline
-// property is bit-identical answers: a Searcher with sharing enabled —
-// hammered concurrently, so sweeps really are reused across plans — must
-// return exactly what a sharing-disabled Searcher returns query by query, on
-// both oracle flavours. Run with -race.
+// Tests for cross-query sweep sharing: plans fetch their bounded candidate
+// sweeps from the lazy oracle's memo (apsp/memo.go), so concurrent and
+// consecutive queries reuse each other's Dijkstra work. The headline property
+// is bit-identical answers: one Searcher hammered concurrently — so sweeps
+// really are reused across plans, at mixed bounds — must return exactly what
+// each query returns alone on a fresh oracle, where every sweep is its own.
+// Run with -race.
 
 // renderSweepOutcome flattens a search outcome to full precision: every
 // route's node sequence, objective and budget, plus the error. Two outcomes
@@ -32,8 +34,8 @@ func renderSweepOutcome(res Result, err error) string {
 
 // sweepShareQueries builds queries engineered to overlap: all of them drawn
 // from two endpoint pairs with per-pair budgets, random keyword sets. This is
-// the duplicate-heavy shape the shared cache exists for — σ sweeps into the
-// shared targets and tail sweeps out of them are reusable across the mix.
+// the duplicate-heavy shape sweep sharing exists for — the σ sweeps into the
+// shared targets and candidates are reusable across the mix.
 func sweepShareQueries(rng *rand.Rand, g *graph.Graph, n int) []Query {
 	base := []Query{randomQuery(rng, g, 1), randomQuery(rng, g, 1)}
 	queries := make([]Query, n)
@@ -74,27 +76,23 @@ func TestSweepShareEquivalence(t *testing.T) {
 			totalShared := 0
 			for trial := 0; trial < 5; trial++ {
 				g := randomKeywordGraph(rng, 10+rng.Intn(5), 4)
-				shared := searcherFor(t, g, dense)
-				private := searcherFor(t, g, dense)
-				private.SetSweepSharing(false)
 				queries := sweepShareQueries(rng, g, 8)
 
-				// Reference answers: sharing off, strictly sequential.
+				// Reference answers: strictly sequential, a fresh oracle per
+				// search, so nothing one search computed can serve another.
 				want := make([][]string, len(queries))
 				for qi, q := range queries {
 					want[qi] = make([]string, len(runners))
 					for ri, r := range runners {
-						res, err := r.run(private, q)
-						if res.Metrics.SharedSweeps != 0 {
-							t.Fatalf("sharing-disabled searcher reported %d shared sweeps", res.Metrics.SharedSweeps)
-						}
+						res, err := r.run(searcherFor(t, g, dense), q)
 						want[qi][ri] = renderSweepOutcome(res, err)
 					}
 				}
 
-				// Sharing on, every (query, algorithm) pair concurrent: plans
-				// contend on the one sweepShare and must still answer
+				// One Searcher, every (query, algorithm) pair concurrent: plans
+				// contend on the one oracle memo and must still answer
 				// bit-identically.
+				shared := searcherFor(t, g, dense)
 				var wg sync.WaitGroup
 				var mu sync.Mutex
 				for qi, q := range queries {
@@ -116,110 +114,46 @@ func TestSweepShareEquivalence(t *testing.T) {
 				}
 				wg.Wait()
 			}
-			// A dense oracle answers σ/τ from its slices and never sweeps at
-			// the plan layer, so only the lazy flavour can prove the cache
-			// engaged.
+			// A table-backed oracle never sweeps at the plan layer, so only
+			// the lazy flavour can prove sharing engaged.
 			if !dense && totalShared == 0 {
-				t.Fatal("no sweep was ever shared — the cache never engaged on a duplicate-heavy mix")
+				t.Fatal("no sweep was ever shared — the memo never engaged on a duplicate-heavy mix")
 			}
 		})
 	}
 }
 
-// TestSweepShareToggle: SetSweepSharing flips live. Disabling empties the
-// cache and stops sharing; re-enabling starts fresh and answers stay
-// identical throughout.
-func TestSweepShareToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(4411))
-	g := randomKeywordGraph(rng, 12, 4)
-	s := searcherFor(t, g, false)
-	queries := sweepShareQueries(rng, g, 6)
-
-	run := func() []string {
-		out := make([]string, len(queries))
-		for i, q := range queries {
-			res, err := s.BucketBound(q, DefaultOptions())
-			out[i] = renderSweepOutcome(res, err)
-		}
-		return out
-	}
-	first := run() // sharing on (default)
-	s.SetSweepSharing(false)
-	second := run()
-	s.SetSweepSharing(true)
-	third := run()
-	for i := range queries {
-		if first[i] != second[i] || second[i] != third[i] {
-			t.Fatalf("query %d answers differ across toggles:\n on   %s\n off  %s\n back %s",
-				i, first[i], second[i], third[i])
-		}
-	}
-	// Disabled really means private sweeps.
-	s.SetSweepSharing(false)
-	for _, q := range queries {
-		res, err := s.BucketBound(q, DefaultOptions())
-		if err == nil && res.Metrics.SharedSweeps != 0 {
-			t.Fatalf("disabled searcher shared %d sweeps", res.Metrics.SharedSweeps)
-		}
-	}
-}
-
-// TestSweepShareBoundUpgrade pins the bound semantics of the raw cache: a
-// wider cached sweep serves narrower requests verbatim; a request wider than
-// the cached bound recomputes and replaces the entry.
+// TestSweepShareBoundUpgrade pins, through the interface the plan consumes,
+// the contract its PlanSweeps/SharedSweeps attribution rests on: a resident
+// sweep serves the same root and metric at its bound or narrower
+// (shared=true, nothing computed); a wider request computes (shared=false)
+// and its sweep then serves both.
 func TestSweepShareBoundUpgrade(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	g := randomKeywordGraph(rng, 12, 4)
-	c := &sweepShare{cap: 8}
+	g := randomKeywordGraph(rand.New(rand.NewSource(99)), 12, 4)
+	oracle := apsp.NewLazyOracle(g)
+	var od apsp.OnDemand = oracle
 
-	sw1, shared := c.get(g, 0, apsp.ByBudget, 5)
+	sw1, shared := od.ReverseSweep(0, apsp.ByBudget, 5)
 	if shared {
-		t.Fatal("cold get claimed to share")
+		t.Fatal("cold request claimed to share")
 	}
-	sw2, shared := c.get(g, 0, apsp.ByBudget, 3)
-	if !shared || sw2 != sw1 {
-		t.Fatal("narrower request did not reuse the wider cached sweep")
+	if sw2, shared := od.ReverseSweep(0, apsp.ByBudget, 3); !shared || sw2 != sw1 {
+		t.Fatal("narrower request did not reuse the wider resident sweep")
 	}
-	sw3, shared := c.get(g, 0, apsp.ByBudget, 9)
+	sw3, shared := od.ReverseSweep(0, apsp.ByBudget, 9)
 	if shared || sw3 == sw1 {
-		t.Fatal("request wider than the cached bound must recompute")
+		t.Fatal("request wider than the resident bound must recompute")
 	}
-	if sw4, shared := c.get(g, 0, apsp.ByBudget, 9); !shared || sw4 != sw3 {
-		t.Fatal("replacement entry not served")
+	if sw4, shared := od.ReverseSweep(0, apsp.ByBudget, 5); !shared || sw4 != sw3 {
+		t.Fatal("replacement sweep not served to the narrower bound")
 	}
-	// A different metric is a different key.
-	if _, shared := c.get(g, 0, apsp.ByObjective, 1); shared {
+	if _, shared := od.ReverseSweep(0, apsp.ByObjective, 1); shared {
 		t.Fatal("metrics must not share sweeps")
 	}
-	// As is a different root.
-	if _, shared := c.get(g, 1, apsp.ByBudget, 1); shared {
+	if _, shared := od.ReverseSweep(1, apsp.ByBudget, 1); shared {
 		t.Fatal("roots must not share sweeps")
 	}
-}
-
-// TestSweepShareEviction: the FIFO evicts by the exact (key, entry) ref it
-// enqueued — evicting a ref whose key was since replaced must not drop the
-// replacement.
-func TestSweepShareEviction(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	g := randomKeywordGraph(rng, 12, 4)
-	c := &sweepShare{cap: 2}
-
-	c.get(g, 0, apsp.ByBudget, 2)          // ref A: key 0, soon replaced
-	sw, _ := c.get(g, 0, apsp.ByBudget, 6) // ref B: key 0, replacement
-	c.get(g, 1, apsp.ByBudget, 2)          // ref C — evicts ref A (stale: key 0 now holds B)
-	if got, shared := c.get(g, 0, apsp.ByBudget, 6); !shared || got != sw {
-		t.Fatal("evicting a stale ref dropped the live replacement entry")
-	}
-	// One more insert evicts ref B, the live key-0 entry.
-	c.get(g, 2, apsp.ByBudget, 2)
-	if _, shared := c.get(g, 0, apsp.ByBudget, 6); shared {
-		t.Fatal("key 0 should have been evicted")
-	}
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("cache holds %d entries, cap is 2 (plus bounded slack)", n)
+	if got := oracle.SweepCount(); got != 4 {
+		t.Fatalf("oracle ran %d sweeps, want 4 (one per shared=false)", got)
 	}
 }

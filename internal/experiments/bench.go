@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kor/internal/apsp"
 	"kor/internal/core"
 )
 
@@ -63,14 +64,14 @@ type BenchEntry struct {
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	LabelsPerOp float64 `json:"labels_per_op"`
-	// SweepsPerOp counts shared-oracle Dijkstra sweeps (lazy oracles);
-	// PlanSweepsPerOp counts query-owned sweeps (Δ-bounded candidate
-	// lookups and path reconstruction).
+	// SweepsPerOp counts every Dijkstra sweep the lazy oracle ran;
+	// PlanSweepsPerOp is the part of them query plans asked for and paid
+	// for (Δ/U-bounded candidate sweeps). Reports recorded before the
+	// oracle memo (BENCH_pr8.json and older) counted the two disjointly.
 	SweepsPerOp     float64 `json:"sweeps_per_op"`
 	PlanSweepsPerOp float64 `json:"plan_sweeps_per_op,omitempty"`
-	// SharedSweepsPerOp counts plan sweeps answered from the Searcher's
-	// cross-query shared sweep cache instead of computed (concurrent-mixed
-	// workload; zero when sharing is disabled).
+	// SharedSweepsPerOp counts plan sweeps another query had already left
+	// in the oracle memo, or was computing (concurrent-mixed workload).
 	SharedSweepsPerOp float64 `json:"shared_sweeps_per_op,omitempty"`
 	AllocsPerOp       float64 `json:"allocs_per_op"`
 	BytesPerOp        float64 `json:"bytes_per_op"`
@@ -108,8 +109,34 @@ type benchWorkload struct {
 	descrip string
 }
 
-// sweepCounter is the optional oracle capability the sweeps column reads.
-type sweepCounter interface{ SweepCount() int64 }
+// sweepCount reads the Dijkstra-run counter of a sweep-backed oracle; 0 for
+// the table-backed ones.
+func sweepCount(o core.RouteOracle) int64 {
+	if sc, ok := o.(interface{ SweepCount() int64 }); ok {
+		return sc.SweepCount()
+	}
+	return 0
+}
+
+// countFailure records a query that was not answered with a feasible route,
+// keeping the first one's reason.
+func (e *BenchEntry) countFailure(res core.Result, err error) {
+	if err == nil && len(res.Routes) > 0 && res.Routes[0].Feasible {
+		return
+	}
+	e.Failures++
+	if e.FailureReason != "" {
+		return
+	}
+	switch {
+	case err != nil:
+		e.FailureReason = err.Error()
+	case len(res.Routes) == 0:
+		e.FailureReason = "no route returned"
+	default:
+		e.FailureReason = "best route infeasible (budget violated)"
+	}
+}
 
 func benchLineup() []Algorithm {
 	oss := core.DefaultOptions()
@@ -191,7 +218,7 @@ func RunBench(o BenchOptions, log io.Writer) (*BenchReport, error) {
 			}
 			e.Workload = w.name
 			report.Entries = append(report.Entries, e)
-			logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f+%.2f sweeps/op  %8.0f allocs/op",
+			logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f sweeps/op (%.2f plan)  %8.0f allocs/op",
 				algo.Name, e.NsPerOp, e.LabelsPerOp, e.SweepsPerOp, e.PlanSweepsPerOp, e.AllocsPerOp)
 		}
 		if ds.Cleanup != nil {
@@ -217,11 +244,10 @@ type mixedOp struct {
 const concurrentMixWorkers = 8
 
 // runConcurrentMixed measures the duplicate-heavy concurrent serving shape
-// the cross-query sweep cache exists for: a worker pool draining a shuffled
+// cross-query sweep sharing exists for: a worker pool draining a shuffled
 // mix in which every query appears several times under rotating algorithms,
-// all against one lazy-oracle Searcher. Two cells are recorded — sharing
-// enabled and disabled on the same dataset — so the committed report itself
-// shows the per-query sweep and allocation drop sharing buys.
+// all against one lazy-oracle Searcher. (The private-sweeps twin of this
+// cell went with the switch it flipped; BENCH_pr8.json keeps the ablation.)
 func runConcurrentMixed(o BenchOptions, report *BenchReport, logf func(string, ...any)) error {
 	const name = "concurrent-mixed"
 	roadNodes := 5000
@@ -246,62 +272,31 @@ func runConcurrentMixed(o BenchOptions, report *BenchReport, logf func(string, .
 
 	logf("bench %s (duplicate-heavy worker-pool mix, lazy sweep oracle, %d workers): %d ops",
 		name, concurrentMixWorkers, len(mix))
-	for _, shared := range []bool{true, false} {
-		e, err := measureConcurrentMixed(ds, mix, shared, o.Iters)
-		if err != nil {
-			return fmt.Errorf("experiments: bench %s: %w", name, err)
-		}
-		e.Workload = name
-		report.Entries = append(report.Entries, e)
-		logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f+%.2f(+%.2f shared) sweeps/op  %8.0f allocs/op",
-			e.Algorithm, e.NsPerOp, e.LabelsPerOp, e.SweepsPerOp, e.PlanSweepsPerOp, e.SharedSweepsPerOp, e.AllocsPerOp)
+	e, err := measureConcurrentMixed(ds, mix, o.Iters)
+	if err != nil {
+		return fmt.Errorf("experiments: bench %s: %w", name, err)
 	}
+	e.Workload = name
+	report.Entries = append(report.Entries, e)
+	logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f sweeps/op (%.2f plan, %.2f shared)  %8.0f allocs/op",
+		e.Algorithm, e.NsPerOp, e.LabelsPerOp, e.SweepsPerOp, e.PlanSweepsPerOp, e.SharedSweepsPerOp, e.AllocsPerOp)
 	return nil
 }
 
-// measureConcurrentMixed times iters worker-pool passes over the mix with
-// sweep sharing toggled as requested. The sweep cache (when enabled) is
-// dropped before the measured region and kept across passes — its lifetime
-// under a real engine is the snapshot's, which outlives any one request.
-func measureConcurrentMixed(ds *Dataset, mix []mixedOp, shared bool, iters int) (BenchEntry, error) {
-	algoName := "MixedPrivate"
-	if shared {
-		algoName = "MixedShared"
-	}
-	e := BenchEntry{Algorithm: algoName, Queries: len(mix), Iters: iters}
+// measureConcurrentMixed times iters worker-pool passes over the mix. The
+// measured region starts on a cold oracle and keeps it across passes — under
+// a real engine the oracle memo lives as long as the snapshot, which outlives
+// any one request.
+func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, error) {
+	e := BenchEntry{Algorithm: "MixedShared", Queries: len(mix), Iters: iters}
 	if len(mix) == 0 {
 		return e, fmt.Errorf("no operations generated")
 	}
-	// SetSweepSharing drops all entries either way: each mode starts cold.
-	ds.Searcher.SetSweepSharing(shared)
-	defer ds.Searcher.SetSweepSharing(true)
-
-	for _, op := range mix { // warm pass, also counts failures
-		res, err := op.algo.invoke(ds.Searcher, op.q)
-		if err != nil || len(res.Routes) == 0 || !res.Routes[0].Feasible {
-			e.Failures++
-			if e.FailureReason == "" {
-				switch {
-				case err != nil:
-					e.FailureReason = err.Error()
-				case len(res.Routes) == 0:
-					e.FailureReason = "no route returned"
-				default:
-					e.FailureReason = "best route infeasible (budget violated)"
-				}
-			}
-		}
+	for _, op := range mix { // untimed pass: counts failures
+		e.countFailure(op.algo.invoke(ds.Searcher, op.q))
 	}
-	ds.Searcher.SetSweepSharing(shared) // drop warm-pass entries: measure cold
-
-	var counter sweepCounter
-	if sc, ok := ds.Searcher.Oracle().(sweepCounter); ok {
-		counter = sc
-	}
-	sweeps0 := int64(0)
-	if counter != nil {
-		sweeps0 = counter.SweepCount()
-	}
+	oracle := apsp.NewLazyOracle(ds.Graph)
+	searcher := core.NewSearcher(ds.Graph, oracle, ds.Index)
 
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -317,7 +312,7 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, shared bool, iters int) 
 				defer wg.Done()
 				var l, p, s int64
 				for i := range next {
-					res, _ := mix[i].algo.invoke(ds.Searcher, mix[i].q)
+					res, _ := mix[i].algo.invoke(searcher, mix[i].q)
 					l += int64(res.Metrics.LabelsCreated)
 					p += int64(res.Metrics.PlanSweeps)
 					s += int64(res.Metrics.SharedSweeps)
@@ -345,9 +340,7 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, shared bool, iters int) 
 	e.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / ops
 	e.HeapAllocDeltaBytes = int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	e.HeapSysDeltaBytes = int64(m1.HeapSys) - int64(m0.HeapSys)
-	if counter != nil {
-		e.SweepsPerOp = float64(counter.SweepCount()-sweeps0) / ops
-	}
+	e.SweepsPerOp = float64(oracle.SweepCount()) / ops
 	return e, nil
 }
 
@@ -360,30 +353,9 @@ func measureBench(ds *Dataset, queries []core.Query, algo Algorithm, iters int) 
 		return e, fmt.Errorf("no queries generated")
 	}
 	for _, q := range queries { // warm pass, also counts failures
-		res, err := algo.invoke(ds.Searcher, q)
-		if err != nil || len(res.Routes) == 0 || !res.Routes[0].Feasible {
-			e.Failures++
-			if e.FailureReason == "" {
-				switch {
-				case err != nil:
-					e.FailureReason = err.Error()
-				case len(res.Routes) == 0:
-					e.FailureReason = "no route returned"
-				default:
-					e.FailureReason = "best route infeasible (budget violated)"
-				}
-			}
-		}
+		e.countFailure(algo.invoke(ds.Searcher, q))
 	}
-
-	var counter sweepCounter
-	if sc, ok := ds.Searcher.Oracle().(sweepCounter); ok {
-		counter = sc
-	}
-	sweeps0 := int64(0)
-	if counter != nil {
-		sweeps0 = counter.SweepCount()
-	}
+	sweeps0 := sweepCount(ds.Searcher.Oracle())
 
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -408,9 +380,7 @@ func measureBench(ds *Dataset, queries []core.Query, algo Algorithm, iters int) 
 	e.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / ops
 	e.HeapAllocDeltaBytes = int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	e.HeapSysDeltaBytes = int64(m1.HeapSys) - int64(m0.HeapSys)
-	if counter != nil {
-		e.SweepsPerOp = float64(counter.SweepCount()-sweeps0) / ops
-	}
+	e.SweepsPerOp = float64(sweepCount(ds.Searcher.Oracle())-sweeps0) / ops
 	return e, nil
 }
 

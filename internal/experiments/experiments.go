@@ -104,13 +104,11 @@ func NewRoadDataset(cfg Config, nodes int) *Dataset {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: cfg.Seed, Nodes: nodes})
 	cfg.logf("road dataset %d nodes: %v", nodes, g.ComputeStats())
 	idx := graph.NewMemIndex(g)
-	oracle := apsp.NewLazyOracle(g)
-	oracle.SetCapacity(192)
 	return &Dataset{
 		Name:         fmt.Sprintf("road-%dk", nodes/1000),
 		Graph:        g,
 		Index:        idx,
-		Searcher:     core.NewSearcher(g, oracle, idx),
+		Searcher:     core.NewSearcher(g, apsp.NewLazyOracle(g), idx),
 		DeltaSweep:   []float64{3, 6, 9, 12, 15},
 		DefaultDelta: 6,
 		Planar:       true,
@@ -236,7 +234,7 @@ func (m Measurement) FailureFraction() float64 {
 }
 
 // Measure runs the algorithm over the query set. Each query is executed
-// once untimed to warm the oracle's sweep cache — the stand-in for the
+// once untimed to warm the oracle memo — the stand-in for the
 // paper's offline Floyd-Warshall tables — and once timed.
 func Measure(ds *Dataset, queries []core.Query, algo Algorithm) Measurement {
 	out := Measurement{Algorithm: algo.Name, Queries: len(queries)}

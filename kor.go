@@ -188,7 +188,7 @@ type EngineConfig struct {
 	CacheSize int
 	// Metrics, when non-nil, receives the engine's operational metrics
 	// (request totals by algorithm/outcome, latency histograms, cache
-	// hit/miss, snapshot generation, oracle sweeps; see metrics.go). The
+	// hit/miss, snapshot generation, oracle memo counters; see metrics.go). The
 	// registry must not already hold metrics with the kor_engine_ names —
 	// in particular, do not share one registry between two engines.
 	Metrics *metrics.Registry
@@ -200,8 +200,8 @@ type EngineConfig struct {
 // An Engine is safe for concurrent use: the shared substrates (graph,
 // oracle, keyword index) are immutable or internally synchronized, and all
 // per-query state lives on the query's own stack. Serve every request from
-// one Engine — the lazy oracle's sweep cache then amortizes across
-// concurrent queries, with duplicate sweeps single-flighted. Run answers
+// one Engine — the oracle memo then amortizes sweeps and slices across
+// concurrent queries, with duplicate computations single-flighted. Run answers
 // one Request with per-request deadlines and cancellation through its
 // context; SearchBatch runs a whole Request set on a worker pool.
 //
@@ -379,31 +379,6 @@ func WriteDistIndex(path string, g *Graph, cellSize int) (apsp.IndexInfo, error)
 	return info, nil
 }
 
-// lazySweepBudgetBytes bounds what each direction's sweep cache of the lazy
-// oracle may hold. The default 128-entry cap is tuned for benchmark-sized
-// graphs; at real-world scale a single sweep is tens of megabytes
-// (2×float64 + int32 per node), so an entry-count cap alone would let the
-// cache grow to gigabytes on a million-node graph.
-const lazySweepBudgetBytes = 256 << 20
-
-// lazySweepCapacity converts the byte budget into a sweep-entry count for an
-// n-node graph, clamped to [4, DefaultSweepCapacity] so small graphs keep
-// their current cache behaviour exactly.
-func lazySweepCapacity(n int) int {
-	if n <= 0 {
-		return apsp.DefaultSweepCapacity
-	}
-	const perNode = 2*8 + 4 // primary, secondary float64 + parent int32
-	c := int(lazySweepBudgetBytes / int64(n*perNode))
-	if c > apsp.DefaultSweepCapacity {
-		return apsp.DefaultSweepCapacity
-	}
-	if c < 4 {
-		return 4
-	}
-	return c
-}
-
 // buildOracle constructs the τ/σ oracle cfg selects for g, returning it with
 // its OracleStatus.Kind label.
 func buildOracle(g *Graph, cfg EngineConfig) (core.RouteOracle, string, error) {
@@ -419,9 +394,7 @@ func buildOracle(g *Graph, cfg EngineConfig) (core.RouteOracle, string, error) {
 	case OracleDense:
 		return apsp.NewMatrixOracle(g), OracleKindMatrix, nil
 	case OracleLazy:
-		o := apsp.NewLazyOracle(g)
-		o.SetCapacity(lazySweepCapacity(g.NumNodes()))
-		return o, OracleKindLazy, nil
+		return apsp.NewLazyOracle(g), OracleKindLazy, nil
 	case OraclePartitioned:
 		cell := cfg.PartitionCellSize
 		if cell <= 0 {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"kor/internal/apsp"
 )
 
 // tinyCity builds a hand-sized city for façade tests.
@@ -307,24 +305,6 @@ func TestSyntheticGridEngine(t *testing.T) {
 	_, err = eng.Search(Query{From: 0, To: 399, Keywords: []string{name}, Budget: 1e6}, DefaultOptions())
 	if err != nil && !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("grid search: %v", err)
-	}
-}
-
-func TestLazySweepCapacity(t *testing.T) {
-	if got := lazySweepCapacity(0); got != apsp.DefaultSweepCapacity {
-		t.Errorf("capacity(0) = %d", got)
-	}
-	if got := lazySweepCapacity(1000); got != apsp.DefaultSweepCapacity {
-		t.Errorf("small graph capacity = %d, want default %d", got, apsp.DefaultSweepCapacity)
-	}
-	// A million-node graph: 20 MB per sweep, 256 MiB budget → 13 entries.
-	got := lazySweepCapacity(1_000_000)
-	if got >= apsp.DefaultSweepCapacity || got < 4 {
-		t.Errorf("1M-node capacity = %d, want clamped inside [4, %d)", got, apsp.DefaultSweepCapacity)
-	}
-	// Absurdly large graphs floor at the oracle's minimum of 4.
-	if got := lazySweepCapacity(1 << 30); got != 4 {
-		t.Errorf("huge graph capacity = %d, want 4", got)
 	}
 }
 

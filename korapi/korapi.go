@@ -99,8 +99,8 @@ type Metrics struct {
 	ShortcutLabels  int `json:"shortcut_labels"`
 	Feasible        int `json:"feasible"`
 	PeakQueue       int `json:"peak_queue"`
-	// PlanSweeps counts the query-owned oracle sweeps: Δ-bounded
-	// candidate-subgraph lookups and route reconstruction.
+	// PlanSweeps counts the bounded candidate sweeps this query asked a
+	// lazy oracle for and had to compute (none were resident).
 	PlanSweeps int `json:"plan_sweeps,omitempty"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"kor/internal/apsp"
 	"kor/internal/metrics"
 )
 
@@ -17,7 +18,10 @@ import (
 //	kor_engine_cache_size                         gauge   (cache enabled)
 //	kor_engine_cache_evictions_total              counter (cache enabled)
 //	kor_engine_plan_sweeps_total                  counter
-//	kor_engine_oracle_sweeps                      gauge
+//	kor_engine_oracle_memo_hits_total             counter (current snapshot's oracle; resets on swap)
+//	kor_engine_oracle_memo_misses_total           counter (likewise; on a lazy oracle, its Dijkstra runs)
+//	kor_engine_oracle_memo_evictions_total        counter (likewise)
+//	kor_engine_oracle_memo_resident_bytes         gauge
 //	kor_engine_oracle_kind{kind}                  gauge (1 for the active kind)
 //	kor_engine_oracle_degraded                    gauge
 //	kor_engine_index_load_seconds                 gauge
@@ -48,7 +52,7 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		latency: reg.HistogramVec("kor_engine_request_seconds",
 			"Engine.Run wall time in seconds by algorithm.", nil, "algorithm"),
 		planSweeps: reg.Counter("kor_engine_plan_sweeps_total",
-			"Query-owned oracle sweeps (Δ-bounded candidate lookups and route reconstruction)."),
+			"Bounded candidate sweeps (Δ for σ, U for τ) that query plans asked the lazy oracle for and had to compute."),
 	}
 	m.oracleKind = reg.GaugeVec("kor_engine_oracle_kind",
 		"Active τ/σ oracle implementation: 1 on the serving kind's series, 0 elsewhere.", "kind")
@@ -75,14 +79,18 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("kor_engine_snapshot_generation",
 		"Generation of the graph snapshot currently serving queries.",
 		func() float64 { return float64(e.Snapshot().Generation) })
-	reg.GaugeFunc("kor_engine_oracle_sweeps",
-		"Dijkstra sweeps run by the current snapshot's oracle (0 for precomputed oracles; resets on swap).",
-		func() float64 {
-			if sc, ok := e.snap.Load().searcher.Oracle().(interface{ SweepCount() int64 }); ok {
-				return float64(sc.SweepCount())
-			}
-			return 0
-		})
+	reg.CounterFunc("kor_engine_oracle_memo_hits_total",
+		"Sweep or slice requests the current snapshot's oracle served from its memo (resets on swap; 0 for the matrix oracle, which has none).",
+		func() float64 { return float64(e.oracleMemo().Hits) })
+	reg.CounterFunc("kor_engine_oracle_memo_misses_total",
+		"Sweeps (lazy oracle: every Dijkstra run) or slices (partitioned oracle) the current snapshot's oracle had to compute.",
+		func() float64 { return float64(e.oracleMemo().Misses) })
+	reg.CounterFunc("kor_engine_oracle_memo_evictions_total",
+		"Entries the oracle memo dropped to stay inside its byte budget.",
+		func() float64 { return float64(e.oracleMemo().Evictions) })
+	reg.GaugeFunc("kor_engine_oracle_memo_resident_bytes",
+		"Bytes of sweeps or slices the oracle memo holds right now.",
+		func() float64 { return float64(e.oracleMemo().ResidentBytes) })
 	if e.cache != nil {
 		m.cacheReq = reg.CounterVec("kor_engine_cache_requests_total",
 			"Result-cache lookups by result (hit, miss, or coalesced onto an identical in-flight request).", "result")
@@ -94,6 +102,15 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 			func() float64 { return float64(e.cache.Stats().Evictions) })
 	}
 	e.met = m
+}
+
+// oracleMemo reads the serving oracle's memo counters; the matrix oracle
+// computes nothing on demand and reports zeros.
+func (e *Engine) oracleMemo() apsp.MemoStats {
+	if o, ok := e.snap.Load().searcher.Oracle().(interface{ MemoStats() apsp.MemoStats }); ok {
+		return o.MemoStats()
+	}
+	return apsp.MemoStats{}
 }
 
 // publishOracleStatus flips the oracle-kind gauge series to the snapshot's

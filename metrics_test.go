@@ -83,6 +83,11 @@ func TestEngineMetrics(t *testing.T) {
 		`kor_engine_cache_size 2`,
 		`kor_engine_snapshot_generation 1`,
 		`kor_engine_request_seconds_count{algorithm="bucketbound"} 4`,
+		// The auto-selected matrix oracle computes nothing on demand.
+		`kor_engine_oracle_memo_hits_total 0`,
+		`kor_engine_oracle_memo_misses_total 0`,
+		`kor_engine_oracle_memo_evictions_total 0`,
+		`kor_engine_oracle_memo_resident_bytes 0`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q", want)
@@ -119,6 +124,42 @@ func gaugeValue(t *testing.T, out, name string) float64 {
 	}
 	t.Fatalf("gauge %s missing from exposition:\n%s", name, out)
 	return 0
+}
+
+// TestEngineMetricsOracleMemo: on an oracle that does compute on demand the
+// memo families move with the work, and they describe the serving snapshot's
+// oracle — a swap starts them over.
+func TestEngineMetricsOracleMemo(t *testing.T) {
+	reg := metrics.NewRegistry()
+	eng, err := NewEngine(swapCity(t, 0.7), &EngineConfig{Oracle: OracleLazy, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // no result cache: the repeat searches again, on resident sweeps
+		if _, err := eng.Run(context.Background(), swapRequest()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := exposition(t, reg)
+	misses := gaugeValue(t, out, "kor_engine_oracle_memo_misses_total")
+	if misses < 2 { // at least the two full sweeps into the target
+		t.Errorf("memo misses = %v after a lazy-oracle search, want ≥ 2", misses)
+	}
+	if got := gaugeValue(t, out, "kor_engine_oracle_memo_hits_total"); got == 0 {
+		t.Errorf("memo hits = 0 after repeating a search")
+	}
+	if got := gaugeValue(t, out, "kor_engine_oracle_memo_resident_bytes"); got <= 0 {
+		t.Errorf("resident bytes = %v with %v sweeps held", got, misses)
+	}
+	if got := gaugeValue(t, out, "kor_engine_oracle_memo_evictions_total"); got != 0 {
+		t.Errorf("evictions = %v on a 4-node graph", got)
+	}
+	if _, err := eng.Swap(swapCity(t, 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := gaugeValue(t, exposition(t, reg), "kor_engine_oracle_memo_misses_total"); got != 0 {
+		t.Errorf("memo misses = %v right after a swap, want the new oracle's 0", got)
+	}
 }
 
 // TestOracleDegradedSecondsGauge: the episode-age gauge is 0 while the disk

@@ -332,9 +332,10 @@ func TestRunMultiTarget(t *testing.T) {
 	if sum != rep.Requests {
 		t.Errorf("per-target requests sum to %d, aggregate says %d", sum, rep.Requests)
 	}
-	// Round-robin keeps the split near even.
-	if a, b := rep.Targets[0].Requests, rep.Targets[1].Requests; a < b-1 || a > b+1 {
-		t.Errorf("round robin split %d/%d, want within 1", a, b)
+	// Round-robin assigns the targets within 1 of each other; the requests the
+	// deadline cut (at most one per worker) are missing from the report.
+	if a, b := rep.Targets[0].Requests, rep.Targets[1].Requests; a < b-5 || a > b+5 {
+		t.Errorf("round robin split %d/%d, want within Concurrency+1", a, b)
 	}
 	if !rep.Pass {
 		t.Errorf("violations with every gate off: %v", rep.SLOViolations)

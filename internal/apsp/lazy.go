@@ -40,7 +40,7 @@ func NewLazyOracle(g *graph.Graph) *LazyOracle {
 func (o *LazyOracle) SweepCount() int64 { return o.sweeps.misses.Load() }
 
 // MemoStats reports the sweep memo's counters and residency.
-func (o *LazyOracle) MemoStats() MemoStats { return o.sweeps.stats() }
+func (o *LazyOracle) MemoStats() MemoStats { return o.sweeps.stats(nil) }
 
 // sweep returns a sweep around key.node truncated no tighter than bound. By
 // the prefix property of the bounded Dijkstra (truncation only drops nodes

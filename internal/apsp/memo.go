@@ -12,9 +12,10 @@ import (
 // every score vector the oracles compute on demand — the lazy oracle's
 // forward, reverse and Δ/U-bounded Dijkstra sweeps, and the partitioned
 // oracle's per-target and per-source slices. Each entry is a score vector
-// into (or out of) one node, |V| long, so an entry's size is a function of
-// the graph alone and the byte budget turns into an entry cap once, at
-// construction.
+// into (or out of) one node, at most |V| long, so an entry's worst-case size
+// is a function of the graph alone and the byte budget turns into an entry
+// cap once, at construction. (A slice fills cell by cell and usually stays
+// far below that; the cap still charges it the worst case.)
 
 // Budgets of the two memo instances. Sweeps are additionally capped by entry
 // count so small graphs, whose sweeps are cheap to recompute, do not hold
@@ -171,9 +172,22 @@ func (c *memo[V]) dropLocked(e *memoEntry[V]) {
 	c.order = slices.DeleteFunc(c.order, func(o *memoEntry[V]) bool { return o == e })
 }
 
-func (c *memo[V]) stats() MemoStats {
+// stats snapshots the counters. size, when non-nil, reports what one published
+// value really holds and ResidentBytes sums it over the resident entries (an
+// entry still computing holds nothing yet); nil charges every entry the
+// construction-time bytesPerEntry.
+func (c *memo[V]) stats(size func(V) int64) MemoStats {
 	c.mu.RLock()
 	n := len(c.entries)
+	resident := int64(n) * c.bytesPerEntry
+	if size != nil {
+		resident = 0
+		for _, e := range c.entries {
+			if e.settled {
+				resident += size(e.v)
+			}
+		}
+	}
 	c.mu.RUnlock()
 	return MemoStats{
 		Hits:          c.hits.Load(),
@@ -181,6 +195,6 @@ func (c *memo[V]) stats() MemoStats {
 		Evictions:     c.evictions.Load(),
 		Entries:       n,
 		Capacity:      c.cap,
-		ResidentBytes: int64(n) * c.bytesPerEntry,
+		ResidentBytes: resident,
 	}
 }

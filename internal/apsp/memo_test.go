@@ -145,7 +145,7 @@ func TestMemoPanickingLeader(t *testing.T) {
 	if _, ok := c.peek(key); ok {
 		t.Fatal("dead entry still findable")
 	}
-	if st := c.stats(); st.Entries != 0 {
+	if st := c.stats(nil); st.Entries != 0 {
 		t.Fatalf("dead entry still resident: %+v", st)
 	}
 	if v, shared := c.get(key, nil, compute); v != 42 || shared {

@@ -69,12 +69,13 @@ func TestIndexRoundTrip(t *testing.T) {
 						trial, j, i, dOS, dBS, dOK, mOS, mBS, mOK)
 				}
 				// Slice lookups must reproduce the pair queries, both ends.
+				sliceM, _ := tauSliceM.Scores(j)
+				sliceD, _ := tauSliceD.Scores(j)
 				if mOK {
-					if tauSliceM.Prim[j] != mOS || tauSliceD.Prim[j] != mOS {
-						t.Fatalf("trial %d: τ slice primary (%v,%v) != query %v",
-							trial, tauSliceM.Prim[j], tauSliceD.Prim[j], mOS)
+					if sliceM != mOS || sliceD != mOS {
+						t.Fatalf("trial %d: τ slice primary (%v,%v) != query %v", trial, sliceM, sliceD, mOS)
 					}
-				} else if !math.IsInf(tauSliceD.Prim[j], 1) {
+				} else if !math.IsInf(sliceD, 1) {
 					t.Fatalf("trial %d: τ slice reaches unreachable pair (%d,%d)", trial, j, i)
 				}
 				// Lazy agreement: exact primary, secondary no worse.
@@ -93,9 +94,10 @@ func TestIndexRoundTrip(t *testing.T) {
 					t.Fatalf("trial %d: σ(%d,%d) disk (%v,%v,%v) != memory (%v,%v,%v)",
 						trial, j, i, dOS, dBS, dOK, mOS, mBS, mOK)
 				}
-				if mOK && (sigSliceM.Prim[j] != mBS || sigSliceD.Prim[j] != mBS) {
-					t.Fatalf("trial %d: σ slice primary (%v,%v) != query %v",
-						trial, sigSliceM.Prim[j], sigSliceD.Prim[j], mBS)
+				sliceM, _ = sigSliceM.Scores(j)
+				sliceD, _ = sigSliceD.Scores(j)
+				if mOK && (sliceM != mBS || sliceD != mBS) {
+					t.Fatalf("trial %d: σ slice primary (%v,%v) != query %v", trial, sliceM, sliceD, mBS)
 				}
 				lOS, lBS, lOK = lazy.MinBudget(j, i)
 				if mOK != lOK || (mOK && !feq(mBS, lBS)) {
@@ -165,15 +167,15 @@ func TestTargetSliceConcurrency(t *testing.T) {
 				ts := o.TargetSlice(to, m)
 				from := graph.NodeID(r.Intn(g.NumNodes()))
 				p, s, ok := o.query(from, to, m)
+				gotP, gotS := ts.Scores(from)
 				if !ok {
-					if !math.IsInf(ts.Prim[from], 1) {
+					if !math.IsInf(gotP, 1) {
 						t.Errorf("slice reaches unreachable pair (%d,%d)", from, to)
 					}
 					continue
 				}
-				if ts.Prim[from] != p || ts.Sec[from] != s {
-					t.Errorf("slice (%v,%v) != query (%v,%v) for (%d,%d,%v)",
-						ts.Prim[from], ts.Sec[from], p, s, from, to, m)
+				if gotP != p || gotS != s {
+					t.Errorf("slice (%v,%v) != query (%v,%v) for (%d,%d,%v)", gotP, gotS, p, s, from, to, m)
 				}
 			}
 		}(int64(w))
@@ -283,21 +285,21 @@ func TestSourceSliceAgreement(t *testing.T) {
 				sig := o.SourceSlice(graph.NodeID(from), ByBudget)
 				for to := 0; to < n; to++ {
 					os, bs, ok := o.MinObjective(graph.NodeID(from), graph.NodeID(to))
-					if sOK := !math.IsInf(tau.Prim[to], 1); sOK != ok {
+					prim, sec := tau.Scores(graph.NodeID(to))
+					if sOK := !math.IsInf(prim, 1); sOK != ok {
 						t.Fatalf("trial %d τ %d→%d: slice ok=%v, query ok=%v", trial, from, to, sOK, ok)
 					}
-					if ok && (!feq(tau.Prim[to], os) || !feq(tau.Sec[to], bs)) {
-						t.Fatalf("trial %d τ %d→%d: slice (%v,%v), query (%v,%v)",
-							trial, from, to, tau.Prim[to], tau.Sec[to], os, bs)
+					if ok && (!feq(prim, os) || !feq(sec, bs)) {
+						t.Fatalf("trial %d τ %d→%d: slice (%v,%v), query (%v,%v)", trial, from, to, prim, sec, os, bs)
 					}
 					os, bs, ok = o.MinBudget(graph.NodeID(from), graph.NodeID(to))
-					if sOK := !math.IsInf(sig.Prim[to], 1); sOK != ok {
+					prim, sec = sig.Scores(graph.NodeID(to))
+					if sOK := !math.IsInf(prim, 1); sOK != ok {
 						t.Fatalf("trial %d σ %d→%d: slice ok=%v, query ok=%v", trial, from, to, sOK, ok)
 					}
 					// MinBudget reports (os, bs) = (secondary, primary).
-					if ok && (!feq(sig.Prim[to], bs) || !feq(sig.Sec[to], os)) {
-						t.Fatalf("trial %d σ %d→%d: slice (%v,%v), query (%v,%v)",
-							trial, from, to, sig.Prim[to], sig.Sec[to], bs, os)
+					if ok && (!feq(prim, bs) || !feq(sec, os)) {
+						t.Fatalf("trial %d σ %d→%d: slice (%v,%v), query (%v,%v)", trial, from, to, prim, sec, bs, os)
 					}
 				}
 			}

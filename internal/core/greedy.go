@@ -151,12 +151,7 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 			srcTau = ss.SourceSlice(cur, apsp.ByObjective)
 		}
 	}
-	type scored struct {
-		node   graph.NodeID
-		score  float64
-		os, bs float64 // τ(cur, node) scores
-	}
-	var candidates []scored
+	var candidates []greedyCandidate
 	for _, m := range nodeSet {
 		if err := p.checkCtx(); err != nil {
 			return err
@@ -167,7 +162,7 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		var segOS, segBS float64
 		var ok bool
 		if srcTau != nil {
-			segOS, segBS = srcTau.Prim[m], srcTau.Sec[m]
+			segOS, segBS = srcTau.Scores(m)
 			ok = !math.IsInf(segOS, 1)
 		} else {
 			segOS, segBS, ok = oracle.MinObjective(cur, m)
@@ -188,7 +183,7 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 			}
 		}
 		s := p.opts.Alpha*(st.os+segOS+tailOS) + (1-p.opts.Alpha)*(st.bs+segBS+tailBS)
-		candidates = append(candidates, scored{node: m, score: s, os: segOS, bs: segBS})
+		candidates = append(candidates, greedyCandidate{node: m, score: s, os: segOS, bs: segBS})
 	}
 	if len(candidates) == 0 {
 		if p.opts.BudgetPriority {
@@ -199,18 +194,7 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		// Keyword mode: dead branch — some keyword is unreachable.
 		return nil
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].score != candidates[j].score {
-			return candidates[i].score < candidates[j].score
-		}
-		return candidates[i].node < candidates[j].node
-	})
-
-	width := p.opts.Width
-	if width > len(candidates) {
-		width = len(candidates)
-	}
-	for _, c := range candidates[:width] {
+	for _, c := range bestCandidates(candidates, p.opts.Width) {
 		next := greedyOutcome{
 			waypoints: append(append([]graph.NodeID(nil), st.waypoints...), c.node),
 			legMetric: append(append([]apsp.Metric(nil), st.legMetric...), apsp.ByObjective),
@@ -223,6 +207,33 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		}
 	}
 	return nil
+}
+
+// greedyCandidate is one scored next waypoint of a beam step.
+type greedyCandidate struct {
+	node   graph.NodeID
+	score  float64 // Equation 1
+	os, bs float64 // τ(cur, node) scores
+}
+
+// bestCandidates moves the width best candidates — lowest score, ties to the
+// lower node; nodes are distinct, so the order is total — to the front of c,
+// best first, and returns them: the prefix a full sort would produce, in one
+// pass over c per beam slot (width is 1 or 2 in practice).
+func bestCandidates(c []greedyCandidate, width int) []greedyCandidate {
+	if width > len(c) {
+		width = len(c)
+	}
+	for i := 0; i < width; i++ {
+		best := i
+		for j := i + 1; j < len(c); j++ {
+			if c[j].score < c[best].score || (c[j].score == c[best].score && c[j].node < c[best].node) {
+				best = j
+			}
+		}
+		c[i], c[best] = c[best], c[i]
+	}
+	return c[:width]
 }
 
 // finishGreedy appends the final leg to the target (lines 12–13) and keeps

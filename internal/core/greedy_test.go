@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"kor/internal/graph"
@@ -211,6 +213,34 @@ func TestGreedyAlphaExtremes(t *testing.T) {
 			}
 			if err == nil {
 				verifyRoute(t, g, q, res.Best(), fmt.Sprintf("α=%v trial %d", alpha, trial))
+			}
+		}
+	}
+}
+
+// TestBestCandidatesMatchesSortPrefix: for random candidate lists — scores
+// drawn from a handful of values, so ties abound — and any beam width, the
+// one-pass selection returns exactly the prefix of the full (score, node)
+// sort greedyStep used to run.
+func TestBestCandidatesMatchesSortPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		cands := make([]greedyCandidate, n)
+		for i, v := range rng.Perm(n) {
+			cands[i] = greedyCandidate{node: graph.NodeID(v), score: float64(rng.Intn(5)), os: rng.Float64(), bs: rng.Float64()}
+		}
+		sorted := append([]greedyCandidate(nil), cands...)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].score != sorted[j].score {
+				return sorted[i].score < sorted[j].score
+			}
+			return sorted[i].node < sorted[j].node
+		})
+		for _, width := range []int{1, 2, 3, n, n + 4} {
+			got := bestCandidates(append([]greedyCandidate(nil), cands...), width)
+			if want := sorted[:min(width, n)]; !slices.Equal(got, want) {
+				t.Fatalf("trial %d width %d: selected %v, sort prefix %v", trial, width, got, want)
 			}
 		}
 	}

@@ -64,11 +64,11 @@ type plan struct {
 	boundedSig map[graph.NodeID]*apsp.Sweep
 	tauVia     map[graph.NodeID]*apsp.Sweep
 
-	// sliced: the oracle serves per-target score vectors (apsp.SliceIndexed).
+	// sliced: the oracle serves per-target score views (apsp.SliceIndexed).
 	// The plan resolves the two target slices eagerly — every admission check
 	// reads them — and the per-candidate slices lazily on first touch, cached
-	// on the candidate structs, so the hot lookups are plain array reads
-	// instead of border×border table assemblies.
+	// on the candidate structs, so the hot lookups are array reads through
+	// TargetSlice.Scores instead of border×border table assemblies.
 	sliced      bool
 	sliceOracle apsp.SliceIndexed
 	tailTau     *apsp.TargetSlice // τ(·, target) scores
@@ -269,7 +269,7 @@ func (p *plan) tailEntryFor(v graph.NodeID) *tailEntry {
 // On sliced oracles it is an array read off the plan's target slice.
 func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
 	if p.sliced {
-		bs := p.tailSig.Prim[v]
+		bs, _ := p.tailSig.Scores(v)
 		if math.IsInf(bs, 1) {
 			return 0, false
 		}
@@ -291,14 +291,14 @@ func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
 }
 
 // tauTo returns the scores of τ(v, target), memoized per plan. On sliced
-// oracles it is two array reads off the plan's target slice.
+// oracles it is one array read off the plan's target slice.
 func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 	if p.sliced {
-		os := p.tailTau.Prim[v]
+		os, bs := p.tailTau.Scores(v)
 		if math.IsInf(os, 1) {
 			return 0, 0, false
 		}
-		return os, p.tailTau.Sec[v], true
+		return os, bs, true
 	}
 	e := p.tailEntryFor(v)
 	if e.flags&tailTauDone == 0 {
@@ -344,7 +344,7 @@ func (p *plan) sharedSweep(root graph.NodeID, m apsp.Metric, bound float64) *aps
 
 // sigInto returns the scores of σ(from, to) for a candidate node to. On a
 // sliced oracle the answer comes from the candidate's σ slice (resolved on
-// first touch into *slot, so later labels pay two array reads). On a
+// first touch into *slot, so later labels pay one array read). On a
 // sweep-backed oracle it is answered from a reverse sweep truncated at Δ or
 // wider: ok=false then means "no path within the query budget", which every
 // caller treats identically to unreachable.
@@ -355,11 +355,11 @@ func (p *plan) sigInto(from, to graph.NodeID, slot **apsp.TargetSlice) (os, bs f
 			ts = p.sliceOracle.TargetSlice(to, apsp.ByBudget)
 			*slot = ts
 		}
-		bs = ts.Prim[from]
+		bs, os = ts.Scores(from)
 		if math.IsInf(bs, 1) {
 			return 0, 0, false
 		}
-		return ts.Sec[from], bs, true
+		return os, bs, true
 	}
 	if p.sweeper == nil {
 		return p.s.oracle.MinBudget(from, to)
@@ -389,7 +389,7 @@ func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, 
 			ts = p.sliceOracle.TargetSlice(via.node, apsp.ByObjective)
 			via.tau = ts
 		}
-		os := ts.Prim[from]
+		os, _ := ts.Scores(from)
 		if math.IsInf(os, 1) {
 			return 0, false
 		}

@@ -2,6 +2,7 @@ package kor
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,6 +160,33 @@ func TestEngineMetricsOracleMemo(t *testing.T) {
 	}
 	if got := gaugeValue(t, exposition(t, reg), "kor_engine_oracle_memo_misses_total"); got != 0 {
 		t.Errorf("memo misses = %v right after a swap, want the new oracle's 0", got)
+	}
+}
+
+// TestEngineMetricsSliceMemoResidentBytes: on the partitioned oracle the
+// resident-bytes gauge counts what the slices have assembled — the cells one
+// query's lookups reached — not entries × the worst case the capacity is
+// derived from: it stays below even the 16 B per node a fully assembled slice
+// holds in scores alone.
+func TestEngineMetricsSliceMemoResidentBytes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := SyntheticRoadNetwork(2012, 600)
+	eng, err := NewEngine(g, &EngineConfig{Oracle: OraclePartitioned, PartitionCellSize: 24, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{From: 0, To: 1, Keywords: []string{g.Vocab().Name(0)}, Budget: 6}
+	if _, err := eng.Run(context.Background(), req); err != nil && !errors.Is(err, ErrNoRoute) {
+		t.Fatal(err)
+	}
+	out := exposition(t, reg)
+	entries := gaugeValue(t, out, "kor_engine_oracle_memo_misses_total")
+	if entries < 2 || gaugeValue(t, out, "kor_engine_oracle_memo_evictions_total") != 0 {
+		t.Fatalf("want ≥ 2 resident slices and no eviction after one query:\n%s", out)
+	}
+	resident := gaugeValue(t, out, "kor_engine_oracle_memo_resident_bytes")
+	if worst := entries * 16 * float64(g.NumNodes()); resident <= 0 || resident >= worst {
+		t.Errorf("resident bytes = %v over %v slices, want in (0, %v)", resident, entries, worst)
 	}
 }
 

@@ -2,35 +2,111 @@ package apsp
 
 import (
 	"math"
+	"sync"
 
 	"kor/internal/graph"
-	"kor/internal/pqueue"
 )
 
 // sweep holds the result of one two-criteria Dijkstra run. For a forward
-// sweep from source s, primary[v] is the minimum of the chosen metric over
-// paths s→v, secondary[v] the other attribute summed along that same path,
-// and parent[v] the predecessor of v on it. For a reverse sweep into target
-// t the roles flip: primary[v] covers paths v→t and parent[v] is the
-// successor of v on the optimal path.
+// sweep from source s, the primary score of v is the minimum of the chosen
+// metric over paths s→v, the secondary the other attribute summed along that
+// same path, and the parent the predecessor of v on it. For a reverse sweep
+// into target t the roles flip: the primary covers paths v→t and the parent
+// is the successor of v on the optimal path.
+//
+// A sweep comes in one of two forms, chosen by its bound alone. A full sweep
+// (bound +Inf) is dense: primary, secondary and parent are indexed by node
+// ID over the whole graph, unreached nodes carry +Inf — the table builders
+// copy these rows wholesale and Greedy reads them at every keyword node. A
+// truncated sweep is compact: nodes lists the settled nodes in settle order
+// (ascending primary), the three vectors run parallel to it, and slots is an
+// open-addressing index from node ID to position — compactNodeBytes per
+// settled node, whatever the graph's size. reached, scores and the walks are
+// the only readers and hide the form.
 type sweep struct {
 	primary   []float64
 	secondary []float64
 	parent    []int32
+
+	nodes []graph.NodeID // compact form only
+	slots []int32        // compact form only: position in nodes + 1, 0 = empty
 }
 
-const noParent = int32(-1)
+const (
+	noParent = int32(-1)
+
+	// compactNodeBytes is what a compact sweep holds per settled node: two
+	// scores, the parent, the node ID and two index slots (load factor ½).
+	compactNodeBytes = 8 + 8 + 4 + 4 + 2*4
+	// sweepBaseBytes covers the struct and its slice headers.
+	sweepBaseBytes = 64
+)
+
+// slotOf hashes v onto a table of size slots (multiplicative hash, then a
+// multiply-shift range reduction, so the table need not be a power of two).
+func slotOf(v graph.NodeID, size int) int {
+	return int(uint64(uint32(v)*2654435769) * uint64(size) >> 32)
+}
+
+// pos returns v's index into the score vectors, or -1 when the sweep did not
+// reach v.
+func (s *sweep) pos(v graph.NodeID) int {
+	if s.slots == nil {
+		if math.IsInf(s.primary[v], 1) {
+			return -1
+		}
+		return int(v)
+	}
+	for i := slotOf(v, len(s.slots)); ; i++ {
+		if i == len(s.slots) {
+			i = 0
+		}
+		p := s.slots[i]
+		if p == 0 {
+			return -1
+		}
+		if s.nodes[p-1] == v {
+			return int(p - 1)
+		}
+	}
+}
 
 // reached reports whether v was reached by the sweep.
-func (s *sweep) reached(v graph.NodeID) bool { return !math.IsInf(s.primary[v], 1) }
+func (s *sweep) reached(v graph.NodeID) bool { return s.pos(v) >= 0 }
+
+// count returns how many nodes the sweep reached.
+func (s *sweep) count() int {
+	if s.slots != nil {
+		return len(s.nodes)
+	}
+	n := 0
+	for _, p := range s.primary {
+		if !math.IsInf(p, 1) {
+			n++
+		}
+	}
+	return n
+}
+
+// bytes is the sweep's resident size.
+func (s *sweep) bytes() int64 {
+	if s.slots != nil {
+		return compactSweepBytes(len(s.nodes))
+	}
+	return sweepBytes(len(s.primary))
+}
 
 // scores returns (objective, budget) at v given the metric the sweep ran
-// under.
-func (s *sweep) scores(v graph.NodeID, m Metric) (os, bs float64) {
-	if m == ByObjective {
-		return s.primary[v], s.secondary[v]
+// under; ok is false when the sweep did not reach v.
+func (s *sweep) scores(v graph.NodeID, m Metric) (os, bs float64, ok bool) {
+	i := s.pos(v)
+	if i < 0 {
+		return 0, 0, false
 	}
-	return s.secondary[v], s.primary[v]
+	if m == ByObjective {
+		return s.primary[i], s.secondary[i], true
+	}
+	return s.secondary[i], s.primary[i], true
 }
 
 type dijkstraItem struct {
@@ -39,9 +115,15 @@ type dijkstraItem struct {
 	secondary float64
 }
 
-func lessItem(a, b dijkstraItem) bool {
-	if a.primary != b.primary {
-		return a.primary < b.primary
+// lessItem is the queue order: primary, then secondary, then node ID. It is
+// total over the items of one run, so the pop sequence — hence every settled
+// score and parent — does not depend on the heap's shape.
+func lessItem(a, b *dijkstraItem) bool {
+	if a.primary < b.primary {
+		return true
+	}
+	if a.primary > b.primary {
+		return false
 	}
 	if a.secondary != b.secondary {
 		return a.secondary < b.secondary
@@ -49,12 +131,103 @@ func lessItem(a, b dijkstraItem) bool {
 	return a.node < b.node
 }
 
-// dijkstra runs a two-criteria Dijkstra from root. With reverse=false edges
-// are traversed forward (single-source); with reverse=true the transpose
-// graph is used (single-target). Ties on the primary metric are broken by
-// the secondary, so results are unique and deterministic.
+// itemHeap is a 4-ary min-heap of dijkstraItem under lessItem: half the
+// levels of a binary heap, direct comparisons, and sift loops that move the
+// hole instead of swapping.
+type itemHeap []dijkstraItem
+
+func (h *itemHeap) push(it dijkstraItem) {
+	*h = append(*h, it)
+	a := *h
+	i := len(a) - 1
+	for i > 0 {
+		up := (i - 1) / 4
+		if !lessItem(&it, &a[up]) {
+			break
+		}
+		a[i] = a[up]
+		i = up
+	}
+	a[i] = it
+}
+
+func (h *itemHeap) pop() dijkstraItem {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	last := a[n]
+	a = a[:n]
+	*h = a
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 4*i + 1
+		if child >= n {
+			break
+		}
+		best := child
+		for j, end := child+1, min(child+4, n); j < end; j++ {
+			if lessItem(&a[j], &a[best]) {
+				best = j
+			}
+		}
+		if !lessItem(&a[best], &last) {
+			break
+		}
+		a[i] = a[best]
+		i = best
+	}
+	a[i] = last
+	return top
+}
+
+// sweepScratch is the working memory of one Dijkstra run: dense tentative
+// scores and parents, the queue, and the list of settled nodes. It is reused
+// across runs without clearing: primary[v] is +Inf for every node the current
+// run has not labelled, and a run starts by putting that back for the nodes
+// the previous one labelled — each of them is in settled or still has an item
+// queued — so a run costs what it and its predecessor reached, never |V|.
+// Scratches are pooled; a run checks one out, and its result is copied out
+// before the scratch goes back.
+type sweepScratch struct {
+	primary   []float64
+	secondary []float64
+	parent    []int32
+	settled   []graph.NodeID
+	heap      itemHeap
+}
+
+var scratchPool sync.Pool
+
+// getScratch checks out a scratch large enough for an n-node graph.
+func getScratch(n int) *sweepScratch {
+	sc, _ := scratchPool.Get().(*sweepScratch)
+	if sc == nil {
+		sc = &sweepScratch{}
+	}
+	if len(sc.primary) < n {
+		*sc = sweepScratch{
+			primary:   make([]float64, n),
+			secondary: make([]float64, n),
+			parent:    make([]int32, n),
+		}
+		for i := range sc.primary {
+			sc.primary[i] = math.Inf(1)
+		}
+	}
+	return sc
+}
+
+// dijkstra runs a full two-criteria Dijkstra from root. With reverse=false
+// edges are traversed forward (single-source); with reverse=true the
+// transpose graph is used (single-target). Ties on the primary metric are
+// broken by the secondary, so results are unique and deterministic. The
+// result is dense.
 func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep {
-	return dijkstraBounded(g, root, m, reverse, math.Inf(1))
+	s, _ := dijkstraBounded(g, root, m, reverse, math.Inf(1), nil)
+	return s
 }
 
 // dijkstraBounded is dijkstra truncated at a primary-metric bound: labels
@@ -62,8 +235,97 @@ func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep 
 // ball around the root. Settled scores are exact; unreached nodes are
 // indistinguishable from unreachable ones, which is precisely the contract
 // bounded callers want.
-func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) *sweep {
-	n := g.NumNodes()
+//
+// With a cover, bound is a floor: the run stops at the smallest radius, bound
+// or wider, whose ball contains every node cover reached (see
+// sweepScratch.run). The root always settles, so a bound below 0 (or NaN) is
+// radius 0. The radius the result is exact at is returned with it; the result
+// is dense when it is +Inf and compact otherwise.
+func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) (*sweep, float64) {
+	sc := getScratch(g.NumNodes())
+	defer scratchPool.Put(sc)
+	bound = sc.run(g, root, m, reverse, bound, cover)
+	if math.IsInf(bound, 1) {
+		return sc.dense(g.NumNodes()), bound
+	}
+	return sc.compact(), bound
+}
+
+// run settles, in sc, every node within bound of root and returns bound
+// (raised to 0 when below it: the root is always within).
+//
+// With a cover the run starts unbounded and fixes its bound itself, at the
+// primary score of the last cover node to settle or the bound passed in,
+// whichever is wider; it then drains the queue up to that radius (nodes tied
+// with it) and drops the labels past it. Nodes
+// settle in an order that does not depend on the bound, and a label past a
+// radius never feeds a node within it, so what is settled at the end is
+// exactly — scores, parents and reach — what a run bounded at the returned
+// radius settles. Should the queue drain with cover nodes still missing, the
+// returned radius is +Inf: the run was a full sweep.
+func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) float64 {
+	prim, secd, par := sc.primary, sc.secondary, sc.parent
+	for _, v := range sc.settled {
+		prim[v] = math.Inf(1)
+	}
+	for _, it := range sc.heap { // labels a covering run left past its radius
+		prim[it.node] = math.Inf(1)
+	}
+	sc.settled = sc.settled[:0]
+	sc.heap = sc.heap[:0]
+
+	if !(bound >= 0) {
+		bound = 0
+	}
+	floor, missing := bound, 0
+	if cover != nil {
+		bound = math.Inf(1)
+		missing = cover.count()
+	}
+	adj := g.Out
+	if reverse {
+		adj = g.In
+	}
+	prim[root], secd[root], par[root] = 0, 0, noParent
+	sc.heap.push(dijkstraItem{node: root})
+	// Only a covering run leaves labels past its radius; they stay queued,
+	// where the next run finds the nodes to reset.
+	for len(sc.heap) > 0 && sc.heap[0].primary <= bound {
+		it := sc.heap.pop()
+		// A node's labels are pushed best last and popped best first: the
+		// item that still matches the node's scores settles it, any other is
+		// a leftover of an improvement.
+		if it.primary != prim[it.node] || it.secondary != secd[it.node] {
+			continue
+		}
+		sc.settled = append(sc.settled, it.node)
+		if missing > 0 && cover.reached(it.node) {
+			if missing--; missing == 0 {
+				bound = max(it.primary, floor)
+			}
+		}
+		for _, e := range adj(it.node) {
+			var p, sec float64
+			if m == ByObjective {
+				p, sec = it.primary+e.Objective, it.secondary+e.Budget
+			} else {
+				p, sec = it.primary+e.Budget, it.secondary+e.Objective
+			}
+			if p > bound {
+				continue
+			}
+			v := e.To
+			if p < prim[v] || (p == prim[v] && sec < secd[v]) {
+				prim[v], secd[v], par[v] = p, sec, int32(it.node)
+				sc.heap.push(dijkstraItem{node: v, primary: p, secondary: sec})
+			}
+		}
+	}
+	return bound
+}
+
+// dense copies the run's settled nodes out as a dense sweep over n nodes.
+func (sc *sweepScratch) dense(n int) *sweep {
 	s := &sweep{
 		primary:   make([]float64, n),
 		secondary: make([]float64, n),
@@ -74,60 +336,55 @@ func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, 
 		s.secondary[i] = math.Inf(1)
 		s.parent[i] = noParent
 	}
-	s.primary[root] = 0
-	s.secondary[root] = 0
-
-	adj := g.Out
-	if reverse {
-		adj = g.In
-	}
-	h := pqueue.NewWithCapacity(n, lessItem)
-	h.Push(dijkstraItem{node: root})
-	done := make([]bool, n)
-	for !h.Empty() {
-		it := h.Pop()
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		for _, e := range adj(it.node) {
-			var p, sec float64
-			if m == ByObjective {
-				p, sec = it.primary+e.Objective, it.secondary+e.Budget
-			} else {
-				p, sec = it.primary+e.Budget, it.secondary+e.Objective
-			}
-			v := e.To
-			if p > bound {
-				continue
-			}
-			if p < s.primary[v] || (p == s.primary[v] && sec < s.secondary[v]) {
-				s.primary[v] = p
-				s.secondary[v] = sec
-				s.parent[v] = int32(it.node)
-				h.Push(dijkstraItem{node: v, primary: p, secondary: sec})
-			}
-		}
+	for _, v := range sc.settled {
+		s.primary[v] = sc.primary[v]
+		s.secondary[v] = sc.secondary[v]
+		s.parent[v] = sc.parent[v]
 	}
 	return s
 }
 
+// compact copies the run's settled nodes out as a compact sweep.
+func (sc *sweepScratch) compact() *sweep {
+	k := len(sc.settled)
+	s := &sweep{
+		primary:   make([]float64, k),
+		secondary: make([]float64, k),
+		parent:    make([]int32, k),
+		nodes:     make([]graph.NodeID, k),
+		slots:     make([]int32, 2*k),
+	}
+	copy(s.nodes, sc.settled)
+	for i, v := range sc.settled {
+		s.primary[i] = sc.primary[v]
+		s.secondary[i] = sc.secondary[v]
+		s.parent[i] = sc.parent[v]
+		j := slotOf(v, len(s.slots))
+		for s.slots[j] != 0 {
+			if j++; j == len(s.slots) {
+				j = 0
+			}
+		}
+		s.slots[j] = int32(i + 1)
+	}
+	return s
+}
+
+// parentOf returns the node after v on the walk towards the root, or false
+// when v is unreached or the root itself.
+func (s *sweep) parentOf(v graph.NodeID) (graph.NodeID, bool) {
+	i := s.pos(v)
+	if i < 0 || s.parent[i] == noParent {
+		return 0, false
+	}
+	return graph.NodeID(s.parent[i]), true
+}
+
 // walkForward reconstructs the path root→dst from a forward sweep.
 func (s *sweep) walkForward(root, dst graph.NodeID) ([]graph.NodeID, bool) {
-	if !s.reached(dst) {
+	rev, ok := s.walkReverse(root, dst)
+	if !ok {
 		return nil, false
-	}
-	var rev []graph.NodeID
-	for v := dst; ; {
-		rev = append(rev, v)
-		if v == root {
-			break
-		}
-		p := s.parent[v]
-		if p == noParent {
-			return nil, false
-		}
-		v = graph.NodeID(p)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -147,11 +404,11 @@ func (s *sweep) walkReverse(root, src graph.NodeID) ([]graph.NodeID, bool) {
 		if v == root {
 			break
 		}
-		p := s.parent[v]
-		if p == noParent {
+		next, ok := s.parentOf(v)
+		if !ok {
 			return nil, false
 		}
-		v = graph.NodeID(p)
+		v = next
 	}
 	return path, true
 }

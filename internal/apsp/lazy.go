@@ -9,29 +9,37 @@ import (
 // LazyOracle serves τ/σ queries from memoized Dijkstra sweeps instead of
 // dense tables. A reverse sweep into a target answers every (·, target)
 // query; a forward sweep answers every (source, ·) query. The route-search
-// algorithms hint their access patterns through the Prefetcher interface
-// (the query target, Greedy's current route head) and fetch truncated
-// sweeps into their candidate nodes through ReverseSweep.
+// algorithms fetch the sweeps they will hammer through the OnDemand methods
+// and hold on to them: truncated reverse sweeps into the query target and
+// into candidate nodes (ReverseSweep, CoveringSweep), and for Greedy, which
+// scores every keyword node, full ones (ForwardSweep from each waypoint). The
+// pair interface reads whichever full sweep is resident.
 //
 // All sweeps — forward, reverse, full and truncated — live in one oracle
-// memo (memo.go), so memory is bounded by sweepMemoBudget whatever mix of
-// queries runs, and concurrent queries needing the same missing sweep share
-// one Dijkstra run. A LazyOracle is safe for concurrent use; published
-// sweeps are immutable.
+// memo (memo.go), which charges each what it really holds (sweepBytes for a
+// full one, compactNodeBytes per settled node for a truncated one), so
+// memory is bounded by sweepMemoBudget whatever mix of queries runs, and
+// concurrent queries needing the same missing sweep share one Dijkstra run.
+// A LazyOracle is safe for concurrent use; published sweeps are immutable.
 type LazyOracle struct {
 	g      *graph.Graph
 	sweeps *memo[*Sweep]
 }
 
-// sweepBytes is the resident size of one sweep over an n-node graph: two
-// float64 score vectors and an int32 parent vector, truncated or not.
-func sweepBytes(n int) int64 { return int64(n)*(8+8+4) + 64 }
+// sweepBytes is the resident size of one full sweep over an n-node graph:
+// two float64 score vectors and an int32 parent vector.
+func sweepBytes(n int) int64 { return int64(n)*(8+8+4) + sweepBaseBytes }
+
+// compactSweepBytes is the resident size of a truncated sweep that settled k
+// nodes. With k = |V| — a bound that happens to reach every node — it is the
+// most any sweep over the graph holds.
+func compactSweepBytes(k int) int64 { return int64(k)*compactNodeBytes + sweepBaseBytes }
 
 // NewLazyOracle returns an oracle over g.
 func NewLazyOracle(g *graph.Graph) *LazyOracle {
 	return &LazyOracle{
 		g:      g,
-		sweeps: newMemo[*Sweep](sweepMemoEntries, sweepMemoBudget, sweepBytes(g.NumNodes())),
+		sweeps: newMemo(sweepMemoEntries, sweepMemoBudget, compactSweepBytes(g.NumNodes()), (*Sweep).bytes),
 	}
 }
 
@@ -51,7 +59,7 @@ func (o *LazyOracle) MemoStats() MemoStats { return o.sweeps.stats(nil) }
 func (o *LazyOracle) sweep(key memoKey, bound float64) (*Sweep, bool) {
 	return o.sweeps.get(key,
 		func(s *Sweep) bool { return s.bound >= bound },
-		func() *Sweep { return newSweep(o.g, key, bound) })
+		func() *Sweep { return newSweep(o.g, key, bound, nil) })
 }
 
 // full returns the resident full sweep under key, or nil; it never blocks.
@@ -62,9 +70,11 @@ func (o *LazyOracle) full(key memoKey) *sweep {
 	return nil
 }
 
-func (o *LazyOracle) forward(root graph.NodeID, m Metric) *sweep {
+// ForwardSweep returns the full forward sweep out of root under m (see
+// OnDemand).
+func (o *LazyOracle) ForwardSweep(root graph.NodeID, m Metric) *Sweep {
 	s, _ := o.sweep(memoKey{root, m, true}, math.Inf(1))
-	return s.s
+	return s
 }
 
 func (o *LazyOracle) reverse(root graph.NodeID, m Metric) *sweep {
@@ -77,6 +87,27 @@ func (o *LazyOracle) reverse(root graph.NodeID, m Metric) *sweep {
 // resident or computed by a concurrent caller.
 func (o *LazyOracle) ReverseSweep(root graph.NodeID, m Metric, bound float64) (sw *Sweep, shared bool) {
 	return o.sweep(memoKey{root, m, false}, bound)
+}
+
+// CoveringSweep returns a reverse sweep into root under m that reaches every
+// node cover reaches (see OnDemand). Whether a resident sweep does is read
+// off its tags, not probed node by node: a full sweep covers anything, and a
+// sweep run to contain the other metric's ball at some bound contains every
+// narrower one. A full cover — or one that is not the other metric's sweep
+// into root — gets the full sweep. Any other resident sweep is replaced, by
+// one no narrower than it: its bound is the floor of the covering run.
+func (o *LazyOracle) CoveringSweep(root graph.NodeID, m Metric, cover *Sweep) (sw *Sweep, shared bool) {
+	key := memoKey{root, m, false}
+	if math.IsInf(cover.bound, 1) || cover.root != root || cover.m == m {
+		return o.sweep(key, math.Inf(1))
+	}
+	floor := 0.0
+	if s, ok := o.sweeps.peek(key); ok {
+		floor = s.bound
+	}
+	return o.sweeps.get(key,
+		func(s *Sweep) bool { return math.IsInf(s.bound, 1) || s.covered >= cover.bound },
+		func() *Sweep { return newSweep(o.g, key, floor, cover) })
 }
 
 // lookup answers a pair query under metric m, preferring whichever full
@@ -93,11 +124,7 @@ func (o *LazyOracle) lookup(from, to graph.NodeID, m Metric) (float64, float64, 
 	if s == nil {
 		s, v = o.reverse(to, m), from
 	}
-	if !s.reached(v) {
-		return 0, 0, false
-	}
-	os, bs := s.scores(v, m)
-	return os, bs, true
+	return s.scores(v, m)
 }
 
 // MinObjective returns the scores of τ(from,to).
@@ -110,10 +137,11 @@ func (o *LazyOracle) MinBudget(from, to graph.NodeID) (float64, float64, bool) {
 	return o.lookup(from, to, ByBudget)
 }
 
-// PrefetchSource caches forward sweeps from this node under both metrics.
+// PrefetchSource caches the forward τ sweep from this node: what Greedy's
+// scan of (from, keyword node) pairs reads. Its σ lookups all point into the
+// query target and are answered by the target's reverse sweep.
 func (o *LazyOracle) PrefetchSource(from graph.NodeID) {
-	o.forward(from, ByObjective)
-	o.forward(from, ByBudget)
+	o.ForwardSweep(from, ByObjective)
 }
 
 // PrefetchTarget caches reverse sweeps into this node under both metrics.
@@ -140,5 +168,5 @@ func (o *LazyOracle) path(from, to graph.NodeID, m Metric) ([]graph.NodeID, bool
 	if s := o.full(memoKey{to, m, false}); s != nil {
 		return s.walkReverse(to, from)
 	}
-	return o.forward(from, m).walkForward(from, to)
+	return o.ForwardSweep(from, m).WalkTo(to)
 }

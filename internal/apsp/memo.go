@@ -11,11 +11,12 @@ import (
 // The oracle memo: the one keyed, single-flighted, FIFO-bounded store behind
 // every score vector the oracles compute on demand — the lazy oracle's
 // forward, reverse and Δ/U-bounded Dijkstra sweeps, and the partitioned
-// oracle's per-target and per-source slices. Each entry is a score vector
-// into (or out of) one node, at most |V| long, so an entry's worst-case size
-// is a function of the graph alone and the byte budget turns into an entry
-// cap once, at construction. (A slice fills cell by cell and usually stays
-// far below that; the cap still charges it the worst case.)
+// oracle's per-target and per-source slices. A store is bounded twice: by an
+// entry cap and by a byte budget, against which each entry is charged the
+// size its owner reports when the entry is published. Sweeps report what
+// they hold — a truncated sweep a fraction of a full one — so the budget
+// holds as many as really fit; slices, which keep growing after they are
+// published, are charged their worst case up front.
 
 // Budgets of the two memo instances. Sweeps are additionally capped by entry
 // count so small graphs, whose sweeps are cheap to recompute, do not hold
@@ -47,6 +48,7 @@ type memoEntry[V any] struct {
 	done    chan struct{}
 	v       V
 	settled bool
+	bytes   int64 // what v is charged; set when it is published
 }
 
 // MemoStats is the observable state of an oracle memo.
@@ -58,15 +60,18 @@ type MemoStats struct {
 	// Evictions counts entries dropped by the FIFO bound (not replacements).
 	Evictions int64
 	// Entries and ResidentBytes describe what the store holds right now;
-	// Capacity is the entry cap its budget came to for this graph.
+	// Capacity is how many entries it holds whatever their sizes: the entry
+	// cap, or fewer when the byte budget holds fewer worst-case entries.
 	Entries       int
 	Capacity      int
 	ResidentBytes int64
 }
 
 type memo[V any] struct {
-	cap           int
-	bytesPerEntry int64
+	cap    int   // entry cap
+	budget int64 // byte budget
+	worst  int64 // size of the largest entry the graph allows
+	size   func(V) int64
 
 	mu      sync.RWMutex
 	entries map[memoKey]*memoEntry[V]
@@ -75,20 +80,31 @@ type memo[V any] struct {
 	// (dropLocked), so evicting the head can never hit a newer entry that
 	// took over its key.
 	order []*memoEntry[V]
+	bytes int64 // sum of the resident entries' charges
 
 	hits, misses, evictions atomic.Int64
 }
 
-// newMemo sizes a store whose entries take bytesPerEntry each:
-// min(entryCap, byteBudget/bytesPerEntry), floored at memoMinEntries.
-func newMemo[V any](entryCap int, byteBudget, bytesPerEntry int64) *memo[V] {
-	if n := byteBudget / bytesPerEntry; n < int64(entryCap) {
-		entryCap = int(n)
+// newMemo returns a store of at most entryCap entries and byteBudget bytes;
+// size is evaluated once per entry, when it is published, and worstBytes is
+// the most it can return on this graph.
+func newMemo[V any](entryCap int, byteBudget, worstBytes int64, size func(V) int64) *memo[V] {
+	return &memo[V]{cap: entryCap, budget: byteBudget, worst: worstBytes, size: size, entries: make(map[memoKey]*memoEntry[V])}
+}
+
+// evictLocked drops the oldest entries while the store is over its entry cap
+// or its byte budget; the budget never takes it below memoMinEntries.
+// Evicting an in-flight entry is harmless: its leader and waiters hold the
+// pointer; the value just is not findable afterwards.
+func (c *memo[V]) evictLocked() {
+	for len(c.order) > c.cap || (c.bytes > c.budget && len(c.order) > memoMinEntries) {
+		e := c.order[0]
+		delete(c.entries, e.key)
+		c.bytes -= e.bytes
+		c.order[0] = nil // the backing array must not pin the evicted value
+		c.order = c.order[1:]
+		c.evictions.Add(1)
 	}
-	if entryCap < memoMinEntries {
-		entryCap = memoMinEntries
-	}
-	return &memo[V]{cap: entryCap, bytesPerEntry: bytesPerEntry, entries: make(map[memoKey]*memoEntry[V])}
 }
 
 // peek returns the published value under key without ever blocking: ok is
@@ -106,46 +122,47 @@ func (c *memo[V]) peek(key memoKey) (v V, ok bool) {
 // running compute when the store has none. Concurrent requests for a missing
 // key share one computation: the first becomes the leader, the rest wait.
 // shared reports that the value was somebody else's work. A resident value
-// that fails usable is replaced by the caller's. Two cases compute privately,
-// without caching: the awaited leader panicked (the panic propagates to the
-// leader's caller only), or the awaited value turned out not usable. usable
-// runs under the store's lock and must not block.
+// that fails usable is replaced by the caller's — also when the caller first
+// waited for it: a follower whose leader published something it cannot use
+// starts over and finds that value resident. Only a follower whose leader
+// panicked computes privately, without caching (the panic propagates to the
+// leader's caller only). usable runs under the store's lock and must not
+// block.
 func (c *memo[V]) get(key memoKey, usable func(V) bool, compute func() V) (v V, shared bool) {
 	if usable == nil {
 		usable = func(V) bool { return true }
 	}
-	c.mu.Lock()
-	e := c.entries[key]
-	if e != nil && e.settled && !usable(e.v) {
-		c.dropLocked(e)
-		e = nil
-	}
-	lead := e == nil
-	if lead {
-		e = &memoEntry[V]{key: key, done: make(chan struct{})}
-		c.entries[key] = e
-		c.order = append(c.order, e)
-		for len(c.order) > c.cap {
-			// Evicting an in-flight entry is harmless: its leader and waiters
-			// hold the pointer; the value just is not findable afterwards.
-			delete(c.entries, c.order[0].key)
-			c.order[0] = nil // the backing array must not pin the evicted value
-			c.order = c.order[1:]
-			c.evictions.Add(1)
+	for {
+		c.mu.Lock()
+		e := c.entries[key]
+		if e != nil && e.settled && !usable(e.v) {
+			c.dropLocked(e)
+			e = nil
 		}
-	}
-	c.mu.Unlock()
+		if e == nil {
+			e = &memoEntry[V]{key: key, done: make(chan struct{})}
+			c.entries[key] = e
+			c.order = append(c.order, e)
+			c.evictLocked()
+			c.mu.Unlock()
+			return c.lead(e, compute), false
+		}
+		c.mu.Unlock()
 
-	if !lead {
 		<-e.done
-		if e.settled && usable(e.v) {
+		if !e.settled {
+			c.misses.Add(1)
+			return compute(), false
+		}
+		if usable(e.v) {
 			c.hits.Add(1)
 			return e.v, true
 		}
-		c.misses.Add(1)
-		return compute(), false
 	}
+}
 
+// lead computes e's value and publishes it, charging the store its size.
+func (c *memo[V]) lead(e *memoEntry[V], compute func() V) V {
 	c.misses.Add(1)
 	defer func() {
 		if !e.settled { // compute panicked: unpublish, release the waiters
@@ -155,11 +172,16 @@ func (c *memo[V]) get(key memoKey, usable func(V) bool, compute func() V) (v V, 
 		}
 		close(e.done)
 	}()
-	v = compute()
+	v := compute()
+	bytes := c.size(v)
 	c.mu.Lock()
-	e.v, e.settled = v, true
+	e.v, e.settled, e.bytes = v, true, bytes
+	if c.entries[e.key] == e { // still resident: evicted entries are not charged
+		c.bytes += bytes
+		c.evictLocked()
+	}
 	c.mu.Unlock()
-	return v, false
+	return v
 }
 
 // dropLocked removes e — and only e: it may since have been evicted, and its
@@ -169,32 +191,37 @@ func (c *memo[V]) dropLocked(e *memoEntry[V]) {
 		return
 	}
 	delete(c.entries, e.key)
+	c.bytes -= e.bytes
 	c.order = slices.DeleteFunc(c.order, func(o *memoEntry[V]) bool { return o == e })
 }
 
-// stats snapshots the counters. size, when non-nil, reports what one published
-// value really holds and ResidentBytes sums it over the resident entries (an
-// entry still computing holds nothing yet); nil charges every entry the
-// construction-time bytesPerEntry.
-func (c *memo[V]) stats(size func(V) int64) MemoStats {
+// stats snapshots the counters. ResidentBytes is what the resident entries
+// were charged; live, when non-nil, replaces the charge of each published
+// entry by what the value holds right now (a slice is charged its worst case
+// and fills as it is read).
+func (c *memo[V]) stats(live func(V) int64) MemoStats {
 	c.mu.RLock()
 	n := len(c.entries)
-	resident := int64(n) * c.bytesPerEntry
-	if size != nil {
+	resident := c.bytes
+	if live != nil {
 		resident = 0
 		for _, e := range c.entries {
 			if e.settled {
-				resident += size(e.v)
+				resident += live(e.v)
 			}
 		}
 	}
 	c.mu.RUnlock()
+	capacity := c.cap
+	if n := c.budget / c.worst; n < int64(capacity) {
+		capacity = max(int(n), memoMinEntries)
+	}
 	return MemoStats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Entries:       n,
-		Capacity:      c.cap,
+		Capacity:      capacity,
 		ResidentBytes: resident,
 	}
 }

@@ -13,28 +13,64 @@ import (
 	"kor/internal/graph"
 )
 
-// TestMemoSizing pins the one sizing rule: min(entry cap, byte budget over
-// entry size), floored so a store stays useful on graphs where one entry
-// outweighs the budget.
+// TestMemoSizing pins the sizing rule. Capacity — what a store holds whatever
+// its entries' sizes — is min(entry cap, byte budget over the worst-case
+// entry), floored so a store stays useful on graphs where one entry outweighs
+// the budget; what it really holds is bounded by the bytes its entries are
+// charged, so entries smaller than the worst case fit in greater number.
 func TestMemoSizing(t *testing.T) {
+	sweepMemo := func(nodes int) *memo[*Sweep] {
+		return newMemo(sweepMemoEntries, sweepMemoBudget, compactSweepBytes(nodes), (*Sweep).bytes)
+	}
 	for _, tc := range []struct {
 		nodes int
 		want  int
 	}{
-		{8_000, sweepMemoEntries},                                 // bench-sized: the entry cap binds
-		{1_000_000, int(sweepMemoBudget / sweepBytes(1_000_000))}, // 1M nodes: the byte budget binds
-		{1 << 30, memoMinEntries},                                 // one sweep outweighs the budget
-		{1, sweepMemoEntries},                                     // degenerate graph
+		{8_000, sweepMemoEntries}, // bench-sized: the entry cap binds
+		{1_000_000, int(sweepMemoBudget / compactSweepBytes(1_000_000))}, // 1M nodes: the byte budget binds
+		{1 << 30, memoMinEntries}, // one sweep outweighs the budget
+		{1, sweepMemoEntries},     // degenerate graph
 	} {
-		if got := newMemo[*Sweep](sweepMemoEntries, sweepMemoBudget, sweepBytes(tc.nodes)).cap; got != tc.want {
-			t.Errorf("sweep memo cap on %d nodes = %d, want %d", tc.nodes, got, tc.want)
+		if got := sweepMemo(tc.nodes).stats(nil).Capacity; got != tc.want {
+			t.Errorf("sweep memo capacity on %d nodes = %d, want %d", tc.nodes, got, tc.want)
 		}
 	}
-	if c := newMemo[*Sweep](sweepMemoEntries, sweepMemoBudget, sweepBytes(1_000_000)).cap; c <= memoMinEntries || c >= sweepMemoEntries {
-		t.Errorf("1M-node cap %d is not strictly between the floor and the entry cap", c)
+	if c := sweepMemo(1_000_000).stats(nil).Capacity; c <= memoMinEntries || c >= sweepMemoEntries {
+		t.Errorf("1M-node capacity %d is not strictly between the floor and the entry cap", c)
 	}
-	if got, want := newSliceMemo(5000).cap, int(sliceMemoBudget/sliceBytes(5000)); got != want {
-		t.Errorf("slice memo cap on 5000 nodes = %d, want %d (bytes alone)", got, want)
+	if got, want := newSliceMemo(5000).stats(nil).Capacity, int(sliceMemoBudget/sliceBytes(5000)); got != want {
+		t.Errorf("slice memo capacity on 5000 nodes = %d, want %d (bytes alone)", got, want)
+	}
+
+	// Real bytes: a budget of four full sweeps — where the worst-case rule
+	// stopped at four entries — holds one full sweep and forty truncated ones
+	// of a twentieth its size, and starts evicting, oldest first, only when
+	// the bytes run out.
+	g := randomTestGraph(rand.New(rand.NewSource(23)), 400, false)
+	full := sweepBytes(g.NumNodes())
+	o := NewLazyOracle(g)
+	o.sweeps.budget = 4 * full
+	o.PrefetchSource(0)
+	var small int64
+	for root := graph.NodeID(0); root < 40; root++ {
+		sw, _ := o.ReverseSweep(root, ByBudget, 0.3)
+		if sw.bytes() > full/20 {
+			t.Fatalf("the bound-0.3 sweep into %d holds %d bytes, more than a twentieth of a full sweep's %d", root, sw.bytes(), full)
+		}
+		small += sw.bytes()
+	}
+	if st := o.MemoStats(); st.Entries != 41 || st.Evictions != 0 || st.ResidentBytes != full+small || st.Capacity != 4 {
+		t.Fatalf("one full and forty truncated sweeps: %+v, want 41 entries, no eviction, %d resident bytes, capacity 4", st, full+small)
+	}
+	for root := graph.NodeID(40); root < 44; root++ {
+		o.PrefetchTarget(root) // two full sweeps each
+	}
+	st := o.MemoStats()
+	if st.Evictions == 0 || st.ResidentBytes > 4*full {
+		t.Fatalf("eight more full sweeps: %+v, want evictions and at most %d resident bytes", st, 4*full)
+	}
+	if o.full(memoKey{node: 0, metric: ByObjective, outbound: true}) != nil {
+		t.Fatal("the oldest entry survived the byte-driven eviction")
 	}
 }
 
@@ -68,15 +104,17 @@ func TestMemoBoundAndEviction(t *testing.T) {
 	if sw, shared := o.ReverseSweep(0, ByBudget, 6); !shared || sw != b {
 		t.Fatal("replacement entry not served")
 	}
-	o.ReverseSweep(1, ByBudget, 2) // [τ0, 1@2]: evicts 0@6, the oldest
+	c, _ := o.ReverseSweep(1, ByBudget, 2) // [τ0, 1@2]: evicts 0@6, the oldest
 	if _, shared := o.ReverseSweep(0, ByObjective, 1); !shared {
 		t.Fatal("eviction dropped a younger entry")
 	}
-	if _, shared := o.ReverseSweep(0, ByBudget, 6); shared { // [1@2, 0@6]: evicts τ0
+	d, shared := o.ReverseSweep(0, ByBudget, 6) // [1@2, 0@6]: evicts τ0
+	if shared {
 		t.Fatal("the oldest entry should have been evicted")
 	}
-	if st := o.MemoStats(); st.Entries != 2 || st.Evictions != 2 || st.ResidentBytes != 2*sweepBytes(g.NumNodes()) {
-		t.Fatalf("final stats %+v, want 2 entries, 2 evictions, %d resident bytes", st, 2*sweepBytes(g.NumNodes()))
+	resident := c.bytes() + d.bytes() // each is charged what it holds
+	if st := o.MemoStats(); st.Entries != 2 || st.Evictions != 2 || st.ResidentBytes != resident {
+		t.Fatalf("final stats %+v, want 2 entries, 2 evictions, %d resident bytes", st, resident)
 	}
 	// A full sweep serves every bound; pair lookups only ever read full ones.
 	if o.full(memoKey{node: 1, metric: ByBudget}) != nil {
@@ -93,7 +131,7 @@ func TestMemoBoundAndEviction(t *testing.T) {
 // the entry and one arriving afterwards both get a value from their own
 // computation, and the dead entry is gone from the store.
 func TestMemoPanickingLeader(t *testing.T) {
-	c := newMemo[int](8, 1<<20, 1)
+	c := newMemo(8, 1<<20, 1, func(int) int64 { return 1 })
 	key := memoKey{node: 3, metric: ByBudget}
 	var calls atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -224,6 +262,72 @@ func TestMemoSweepProperty(t *testing.T) {
 	}
 	if st := o.MemoStats(); st.Hits == 0 || st.Evictions == 0 {
 		t.Errorf("the run never shared or never evicted: %+v", st)
+	}
+
+	// Without eviction pressure, whatever order concurrent requests for one
+	// key at different bounds arrive in — leaders, followers of a narrower
+	// leader — the widest sweep asked for is the one resident afterwards.
+	o = NewLazyOracle(g)
+	for round := 0; round < 20; round++ {
+		key := memoKey{node: graph.NodeID(round % 6), metric: Metric(round % 2)}
+		widest := 0.0
+		for _, i := range rand.New(rand.NewSource(int64(round))).Perm(len(bounds) - 1) { // finite bounds only
+			bound := bounds[i] + float64(round) // wider every round: nothing resident serves it
+			widest = max(widest, bound)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o.ReverseSweep(key.node, key.metric, bound)
+			}()
+		}
+		wg.Wait()
+		if sw, ok := o.sweeps.peek(key); !ok || sw.bound != widest {
+			t.Fatalf("round %d: resident sweep bound %v (present %v), the widest request was %v", round, sw.bound, ok, widest)
+		}
+	}
+}
+
+// TestMemoFollowerUpgrade: a follower whose leader publishes a value it
+// cannot use replaces that value in the store instead of computing for itself
+// alone, so the next request for what the follower wanted is a hit.
+func TestMemoFollowerUpgrade(t *testing.T) {
+	c := newMemo(8, 1<<20, 1, func(int) int64 { return 1 })
+	key := memoKey{node: 1, metric: ByBudget}
+	atLeast := func(b int) func(int) bool { return func(v int) bool { return v >= b } }
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan int, 1)
+	go func() {
+		v, _ := c.get(key, atLeast(3), func() int { close(entered); <-release; return 3 })
+		leader <- v
+	}()
+	<-entered
+	follower := make(chan [2]int, 1)
+	go func() {
+		v, shared := c.get(key, atLeast(9), func() int { return 9 })
+		s := 0
+		if shared {
+			s = 1
+		}
+		follower <- [2]int{v, s}
+	}()
+	for i := 0; i < 100; i++ { // let the follower reach the entry's done channel
+		runtime.Gosched()
+	}
+	close(release)
+	if v := <-leader; v != 3 {
+		t.Fatalf("leader got %d, want its own 3", v)
+	}
+	if r := <-follower; r != [2]int{9, 0} {
+		t.Fatalf("follower got (%d, shared=%d), want its own computation's 9", r[0], r[1])
+	}
+	if v, ok := c.peek(key); !ok || v != 9 {
+		t.Fatalf("resident value (%d, %v), want the follower's 9", v, ok)
+	}
+	if v, shared := c.get(key, atLeast(9), func() int { return -1 }); v != 9 || !shared {
+		t.Fatalf("next request got (%d, shared=%v), want the resident 9", v, shared)
+	}
+	if st := c.stats(nil); st.Entries != 1 || st.ResidentBytes != 1 || st.Misses != 2 {
+		t.Fatalf("stats %+v, want one entry of one byte after two computations", st)
 	}
 }
 

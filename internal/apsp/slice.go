@@ -103,9 +103,12 @@ func sliceBytes(n int) int64 {
 }
 
 // newSliceMemo sizes the oracle's slice store for an n-node graph: bounded
-// by sliceMemoBudget bytes alone (~3,000 slices on a 5000-node graph).
+// by sliceMemoBudget bytes alone (~3,000 slices on a 5000-node graph). A
+// slice is published empty and fills as it is read, so every slice is
+// charged the worst case.
 func newSliceMemo(n int) *memo[*TargetSlice] {
-	return newMemo[*TargetSlice](math.MaxInt, sliceMemoBudget, sliceBytes(n))
+	worst := sliceBytes(n)
+	return newMemo(math.MaxInt, sliceMemoBudget, worst, func(*TargetSlice) int64 { return worst })
 }
 
 // TargetSlice returns (creating and caching on first use) the view of the

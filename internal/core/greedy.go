@@ -57,13 +57,12 @@ type greedyOutcome struct {
 
 func (p *plan) runGreedy() (Result, error) {
 	defer p.close()
-	oracle := p.s.oracle
-	apsp.PrefetchTarget(oracle, p.q.Target)
+	p.fullTau = true
 
 	if p.opts.BudgetPriority {
 		// This variant promises BS ≤ Δ; when even σ(s,t) busts Δ no route
 		// can honour that promise.
-		if _, sbs, ok := oracle.MinBudget(p.q.Source, p.q.Target); !ok || sbs > p.q.Budget {
+		if sbs, ok := p.sigBudgetTo(p.q.Source); !ok || sbs > p.q.Budget {
 			return Result{Metrics: p.metrics}, ErrNoRoute
 		}
 	}
@@ -137,19 +136,28 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		return nil
 	}
 
-	apsp.PrefetchSource(oracle, cur)
 	// On slice-indexed oracles the candidate scan reads two slices instead of
 	// issuing 2–3 pair queries per candidate: the plan's target slices for the
 	// m→target tails (bit-identical to the pair interface) and one outbound
 	// slice for the cur→m segments (exact reachability, scores equal up to
 	// floating-point association — see apsp.SourceSliced). On a partitioned
 	// oracle each pair query costs |borders|² table probes, so without the
-	// slices this loop dominates the whole search.
+	// slices this loop dominates the whole search. On a sweep-backed oracle
+	// the cur→m segments come off the plan's forward sweep out of cur, pinned
+	// like every other sweep the plan reads: looked up pair by pair, a sweep
+	// evicted mid-scan would be answered by one full reverse sweep per
+	// remaining candidate. Any other oracle gets the hint.
 	var srcTau *apsp.TargetSlice
-	if p.sliced {
+	var outTau *apsp.Sweep
+	switch {
+	case p.sliced:
 		if ss, ok := oracle.(apsp.SourceSliced); ok {
 			srcTau = ss.SourceSlice(cur, apsp.ByObjective)
 		}
+	case p.sweeper != nil:
+		outTau = p.tauFrom(cur)
+	default:
+		apsp.PrefetchSource(oracle, cur)
 	}
 	var candidates []greedyCandidate
 	for _, m := range nodeSet {
@@ -161,10 +169,15 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		}
 		var segOS, segBS float64
 		var ok bool
-		if srcTau != nil {
+		switch {
+		case srcTau != nil:
 			segOS, segBS = srcTau.Scores(m)
 			ok = !math.IsInf(segOS, 1)
-		} else {
+		case outTau != nil && m == p.q.Target:
+			segOS, segBS, ok = p.tauTo(cur) // one source for τ(cur, target): the final leg reads it too
+		case outTau != nil:
+			segOS, segBS, ok = outTau.Scores(m)
+		default:
 			segOS, segBS, ok = oracle.MinObjective(cur, m)
 		}
 		if !ok {
@@ -239,7 +252,6 @@ func bestCandidates(c []greedyCandidate, width int) []greedyCandidate {
 // finishGreedy appends the final leg to the target (lines 12–13) and keeps
 // the outcome if it beats the best so far.
 func (p *plan) finishGreedy(st greedyOutcome, best *greedyOutcome, haveBest *bool, better func(a, b greedyOutcome) bool) {
-	oracle := p.s.oracle
 	cur := st.waypoints[len(st.waypoints)-1]
 	legMetric := apsp.ByObjective
 	tailOS, tailBS, ok := p.tauTo(cur)
@@ -248,7 +260,7 @@ func (p *plan) finishGreedy(st greedyOutcome, best *greedyOutcome, haveBest *boo
 	}
 	if p.opts.BudgetPriority && st.bs+tailBS > p.q.Budget {
 		// Try the cheap σ leg before giving up on Δ.
-		sigOS, sigBS, sok := oracle.MinBudget(cur, p.q.Target)
+		sigOS, sigBS, sok := p.sigToTarget(cur)
 		if !sok || st.bs+sigBS > p.q.Budget {
 			return // dead branch: no leg to the target fits Δ
 		}
@@ -279,9 +291,14 @@ func (p *plan) materializeGreedy(out greedyOutcome) (Route, error) {
 		from, to := out.waypoints[i-1], out.waypoints[i]
 		var seg []graph.NodeID
 		var ok bool
-		if out.legMetric[i-1] == apsp.ByObjective {
+		switch {
+		case to == p.q.Target:
+			seg, ok = p.pathToTarget(from, out.legMetric[i-1])
+		case p.sweeper != nil:
+			seg, ok = p.tauFrom(from).WalkTo(to) // legs between waypoints are τ legs
+		case out.legMetric[i-1] == apsp.ByObjective:
 			seg, ok = p.s.oracle.MinObjectivePath(from, to)
-		} else {
+		default:
 			seg, ok = p.s.oracle.MinBudgetPath(from, to)
 		}
 		if !ok {

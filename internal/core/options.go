@@ -126,7 +126,7 @@ type Metrics struct {
 	ShortcutLabels  int // strategy-1 σ-jump labels
 	Feasible        int // feasible candidates encountered
 	PeakQueue       int // largest queue population
-	PlanSweeps      int // bounded candidate sweeps (Δ for σ, U for τ) this query asked the oracle for and computed
+	PlanSweeps      int // bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) this query asked the oracle for and computed
 	SharedSweeps    int // bounded candidate sweeps the oracle already held, or another query was computing
 }
 

@@ -122,8 +122,7 @@ func (p *plan) extendOSS(l *label, store *labelStore, queue *pqueue.Heap[*label]
 // σ(l.node, vj) to the uncovered-keyword node vj with the cheapest such
 // budget, provided the jump still admits a feasible completion. The σ tails
 // into the target were resolved at plan time; the per-candidate σ(l.node,
-// vj) lookup comes from the plan's Δ-bounded candidate sweeps on lazy
-// oracles.
+// vj) lookup comes from the plan's bounded candidate sweeps on lazy oracles.
 func (p *plan) strategy1Jump(l *label) *label {
 	bestBS := math.Inf(1)
 	var bestNode graph.NodeID
@@ -137,7 +136,7 @@ func (p *plan) strategy1Jump(l *label) *label {
 		if jn.mask.Diff(l.covered).Empty() {
 			continue // carries no uncovered keyword
 		}
-		sigOS, sigBS, ok := p.sigInto(l.node, jn.node, &jn.sig)
+		sigOS, sigBS, ok := p.sigInto(l.node, jn.node, jn.tailBS, &jn.sig)
 		if !ok || l.bs+sigBS+jn.tailBS > p.q.Budget {
 			continue
 		}

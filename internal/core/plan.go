@@ -51,18 +51,29 @@ type plan struct {
 	infreqBit int
 	infreq    []viaNode
 
-	// Candidate-subgraph sweeps: on a sweep-backed (lazy) oracle the plan
-	// asks it for bounded reverse sweeps into its candidate nodes — the
-	// strategy-1 jump nodes and strategy-2 keyword nodes — instead of forcing
-	// full-graph sweeps. σ sweeps are truncated at the query budget Δ,
-	// strategy-2 τ sweeps at the upper bound U; both truncations only drop
-	// nodes whose answers could never matter to this query. The oracle may
-	// serve a wider sweep another query paid for, so every score read off one
-	// is re-checked against this query's own Δ or U. sweeper is nil on
-	// table-backed oracles; the maps pin resolved sweeps for the plan's life.
+	// Bounded sweeps: on a sweep-backed (lazy) oracle the plan asks it for
+	// reverse sweeps truncated at what this query's budget can still reach,
+	// instead of forcing full-graph sweeps — into the target (σ at Δ, τ as
+	// far as that σ sweep reaches) and into its candidate nodes, the
+	// strategy-1 jump nodes and strategy-2 keyword nodes (σ at Δ−BS(σ(c,t)),
+	// strategy-2 τ at the upper bound U). The truncations only drop nodes
+	// whose answers could never matter to this query. The oracle may serve a
+	// wider sweep another query paid for, so every score read off one is
+	// re-checked against this query's own Δ or U. sweeper is nil on
+	// table-backed oracles; the fields and maps pin resolved sweeps for the
+	// plan's life, so scores and reconstructed paths come off the same sweep
+	// and an eviction mid-query cannot change the answer.
 	sweeper    apsp.OnDemand
+	targetSig  *apsp.Sweep // σ(·, target), resolved on first use
+	targetTau  *apsp.Sweep // τ(·, target), resolved on first use
 	boundedSig map[graph.NodeID]*apsp.Sweep
 	tauVia     map[graph.NodeID]*apsp.Sweep
+	// Greedy scores every keyword node, against its current waypoint and
+	// against the target, with no σ filter in front: fullTau makes targetTau
+	// a full sweep, and tauOut pins the full forward τ sweep out of each
+	// waypoint.
+	fullTau bool
+	tauOut  map[graph.NodeID]*apsp.Sweep
 
 	// sliced: the oracle serves per-target score views (apsp.SliceIndexed).
 	// The plan resolves the two target slices eagerly — every admission check
@@ -186,9 +197,12 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 		p.tailSig = so.TargetSlice(q.Target, apsp.ByBudget)
 	}
 
-	// The dominant shared-oracle lookups all point into the target; pin its
-	// sweeps first so the strategy precomputations below are cheap.
-	apsp.PrefetchTarget(s.oracle, q.Target)
+	// The dominant lookups all point into the target. A sweep-backed oracle
+	// answers them from the plan's own bounded target sweeps; any other gets
+	// the hint.
+	if p.sweeper == nil {
+		apsp.PrefetchTarget(s.oracle, q.Target)
+	}
 
 	// Strategy 1 candidates: uncovered-keyword nodes, rarest keyword first,
 	// capped. The σ tail into the target is resolved once per candidate here
@@ -265,6 +279,84 @@ func (p *plan) tailEntryFor(v graph.NodeID) *tailEntry {
 	return &sc.tail[v]
 }
 
+// sweepSlack widens the candidate bound Δ − BS(σ(c,t)), relative to Δ: the
+// comparisons that re-check each read add the same terms in another order,
+// and their rounding (a few ulps of Δ) must never accept a node the sweep
+// left out. A wider sweep is always safe.
+const sweepSlack = 1e-9
+
+// sigSweep returns (resolving on first use) the plan's σ sweep into the
+// target, truncated at Δ: every reader compares what it finds with Δ and
+// treats a node the sweep left out like one past the budget.
+func (p *plan) sigSweep() *apsp.Sweep {
+	if p.targetSig == nil {
+		p.targetSig, _ = p.sweeper.ReverseSweep(p.q.Target, apsp.ByBudget, p.q.Budget)
+	}
+	return p.targetSig
+}
+
+// tauSweep returns (resolving on first use) the plan's τ sweep into the
+// target. The label algorithms read τ(v, target) only at nodes that passed
+// the σ check, so for them it reaches as far as the σ sweep in hand does and
+// no further.
+func (p *plan) tauSweep() *apsp.Sweep {
+	if p.targetTau == nil {
+		if p.fullTau {
+			p.targetTau, _ = p.sweeper.ReverseSweep(p.q.Target, apsp.ByObjective, math.Inf(1))
+		} else {
+			p.targetTau, _ = p.sweeper.CoveringSweep(p.q.Target, apsp.ByObjective, p.sigSweep())
+		}
+	}
+	return p.targetTau
+}
+
+// tauFrom returns (resolving on first use) the plan's full forward τ sweep
+// out of waypoint from.
+func (p *plan) tauFrom(from graph.NodeID) *apsp.Sweep {
+	sw := p.tauOut[from]
+	if sw == nil {
+		sw = p.sweeper.ForwardSweep(from, apsp.ByObjective)
+		if p.tauOut == nil {
+			p.tauOut = make(map[graph.NodeID]*apsp.Sweep)
+		}
+		p.tauOut[from] = sw
+	}
+	return sw
+}
+
+// sigToTarget returns the scores of σ(v, target), off the plan's target sweep
+// or from the pair interface.
+func (p *plan) sigToTarget(v graph.NodeID) (os, bs float64, ok bool) {
+	if p.sweeper != nil {
+		return p.sigSweep().Scores(v)
+	}
+	return p.s.oracle.MinBudget(v, p.q.Target)
+}
+
+// tauToTarget returns the scores of τ(v, target), off the plan's target sweep
+// or from the pair interface.
+func (p *plan) tauToTarget(v graph.NodeID) (os, bs float64, ok bool) {
+	if p.sweeper != nil {
+		return p.tauSweep().Scores(v)
+	}
+	return p.s.oracle.MinObjective(v, p.q.Target)
+}
+
+// pathToTarget materializes τ(from, target) or σ(from, target), walking the
+// sweep that scored it on a sweep-backed oracle.
+func (p *plan) pathToTarget(from graph.NodeID, m apsp.Metric) ([]graph.NodeID, bool) {
+	switch {
+	case p.sweeper != nil && m == apsp.ByObjective:
+		return p.tauSweep().WalkFrom(from)
+	case p.sweeper != nil:
+		return p.sigSweep().WalkFrom(from)
+	case m == apsp.ByObjective:
+		return p.s.oracle.MinObjectivePath(from, p.q.Target)
+	default:
+		return p.s.oracle.MinBudgetPath(from, p.q.Target)
+	}
+}
+
 // sigBudgetTo returns the budget score of σ(v, target), memoized per plan.
 // On sliced oracles it is an array read off the plan's target slice.
 func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
@@ -277,7 +369,7 @@ func (p *plan) sigBudgetTo(v graph.NodeID) (float64, bool) {
 	}
 	e := p.tailEntryFor(v)
 	if e.flags&tailSigmaDone == 0 {
-		_, bs, ok := p.s.oracle.MinBudget(v, p.q.Target)
+		_, bs, ok := p.sigToTarget(v)
 		e.flags |= tailSigmaDone
 		if ok {
 			e.flags |= tailSigmaOK
@@ -302,7 +394,7 @@ func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 	}
 	e := p.tailEntryFor(v)
 	if e.flags&tailTauDone == 0 {
-		tos, tbs, ok := p.s.oracle.MinObjective(v, p.q.Target)
+		tos, tbs, ok := p.tauToTarget(v)
 		e.flags |= tailTauDone
 		if ok {
 			e.flags |= tailTauOK
@@ -315,15 +407,16 @@ func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 	return e.tos, e.tbs, true
 }
 
-// boundedSigSweep returns (resolving on first use) the plan's Δ-bounded
-// reverse σ sweep into candidate node to — the single source for both score
-// lookups and path reconstruction, so the two can never disagree on bound
-// or metric. The plan-local map pins the resolved pointer, so later lookups
-// skip the oracle and an eviction mid-query cannot change the answer.
-func (p *plan) boundedSigSweep(to graph.NodeID) *apsp.Sweep {
+// boundedSigSweep returns (resolving on first use) the plan's reverse σ sweep
+// into candidate node to — the single source for both score lookups and path
+// reconstruction, so the two can never disagree on bound or metric. tailBS is
+// BS(σ(to, target)): every reader rejects a σ(v, to) with
+// l.bs + BS(σ(v,to)) + tailBS > Δ for some l.bs ≥ 0, so nothing past
+// Δ − tailBS is ever accepted and the sweep stops there (plus sweepSlack).
+func (p *plan) boundedSigSweep(to graph.NodeID, tailBS float64) *apsp.Sweep {
 	sw := p.boundedSig[to]
 	if sw == nil {
-		sw = p.sharedSweep(to, apsp.ByBudget, p.q.Budget)
+		sw = p.sharedSweep(to, apsp.ByBudget, p.q.Budget-tailBS+sweepSlack*p.q.Budget)
 		p.boundedSig[to] = sw
 	}
 	return sw
@@ -342,13 +435,14 @@ func (p *plan) sharedSweep(root graph.NodeID, m apsp.Metric, bound float64) *aps
 	return sw
 }
 
-// sigInto returns the scores of σ(from, to) for a candidate node to. On a
-// sliced oracle the answer comes from the candidate's σ slice (resolved on
-// first touch into *slot, so later labels pay one array read). On a
-// sweep-backed oracle it is answered from a reverse sweep truncated at Δ or
-// wider: ok=false then means "no path within the query budget", which every
-// caller treats identically to unreachable.
-func (p *plan) sigInto(from, to graph.NodeID, slot **apsp.TargetSlice) (os, bs float64, ok bool) {
+// sigInto returns the scores of σ(from, to) for a candidate node to whose σ
+// tail into the target costs tailBS. On a sliced oracle the answer comes from
+// the candidate's σ slice (resolved on first touch into *slot, so later
+// labels pay one array read). On a sweep-backed oracle it is answered from a
+// reverse sweep truncated at Δ − tailBS or wider: ok=false then means "no
+// path that still leaves budget for the tail", which every caller treats
+// identically to unreachable.
+func (p *plan) sigInto(from, to graph.NodeID, tailBS float64, slot **apsp.TargetSlice) (os, bs float64, ok bool) {
 	if p.sliced {
 		ts := *slot
 		if ts == nil {
@@ -364,24 +458,30 @@ func (p *plan) sigInto(from, to graph.NodeID, slot **apsp.TargetSlice) (os, bs f
 	if p.sweeper == nil {
 		return p.s.oracle.MinBudget(from, to)
 	}
-	return p.boundedSigSweep(to).Scores(from)
+	return p.boundedSigSweep(to, tailBS).Scores(from)
 }
 
 // shortcutPath materializes σ(from, to) for a strategy-1 jump node to,
 // walking the very sweep that scored the jump (sweep-backed) or the oracle's
 // tables (indexed).
 func (p *plan) shortcutPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
-	if p.sweeper != nil {
-		return p.boundedSigSweep(to).WalkFrom(from)
+	if p.sweeper == nil {
+		return p.s.oracle.MinBudgetPath(from, to)
 	}
-	return p.s.oracle.MinBudgetPath(from, to)
+	sw := p.boundedSig[to] // pinned when the jump was scored
+	if sw == nil {
+		return nil, false
+	}
+	return sw.WalkFrom(from)
 }
 
 // tauObjInto returns the objective score of τ(from, via.node) for a
 // strategy-2 keyword node, from the candidate's τ slice on sliced oracles.
 // On a sweep-backed oracle the sweep is truncated at U−OS(τ(via,t)) (or
 // wider) as of its first use: U only shrinks, so a node past the
-// truncation can never satisfy the objective condition later either.
+// truncation can never satisfy the objective condition later either. The
+// bound is negative when the via node's tail alone exceeds U; the sweep then
+// holds its root only.
 func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, bool) {
 	if p.sliced {
 		ts := via.tau
@@ -520,7 +620,7 @@ func (p *plan) strategy2Prune(l *label, u float64) bool {
 	uInf := math.IsInf(u, 1)
 	for i := range p.infreq {
 		via := &p.infreq[i]
-		_, bsIL, ok := p.sigInto(l.node, via.node, &via.sig)
+		_, bsIL, ok := p.sigInto(l.node, via.node, via.bsLT, &via.sig)
 		if !ok || l.bs+bsIL+via.bsLT > p.q.Budget {
 			continue // cannot route through this node within Δ
 		}

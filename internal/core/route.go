@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kor/internal/apsp"
 	"kor/internal/bitset"
 	"kor/internal/graph"
 )
@@ -87,7 +88,7 @@ func (p *plan) reconstruct(last *label, tailOS, tailBS float64) (Route, uint64, 
 	chainLen := len(nodes)
 
 	if last.node != p.q.Target {
-		tail, ok := p.s.oracle.MinObjectivePath(last.node, p.q.Target)
+		tail, ok := p.pathToTarget(last.node, apsp.ByObjective)
 		if !ok {
 			return Route{}, 0, fmt.Errorf("kor: internal: lost τ(%d,%d) during reconstruction", last.node, p.q.Target)
 		}

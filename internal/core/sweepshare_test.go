@@ -127,7 +127,7 @@ func TestSweepShareEquivalence(t *testing.T) {
 // the contract its PlanSweeps/SharedSweeps attribution rests on: a resident
 // sweep serves the same root and metric at its bound or narrower
 // (shared=true, nothing computed); a wider request computes (shared=false)
-// and its sweep then serves both.
+// and its sweep, resident from then on, serves both.
 func TestSweepShareBoundUpgrade(t *testing.T) {
 	g := randomKeywordGraph(rand.New(rand.NewSource(99)), 12, 4)
 	oracle := apsp.NewLazyOracle(g)
@@ -146,6 +146,9 @@ func TestSweepShareBoundUpgrade(t *testing.T) {
 	}
 	if sw4, shared := od.ReverseSweep(0, apsp.ByBudget, 5); !shared || sw4 != sw3 {
 		t.Fatal("replacement sweep not served to the narrower bound")
+	}
+	if sw5, shared := od.ReverseSweep(0, apsp.ByBudget, 9); !shared || sw5 != sw3 {
+		t.Fatal("the wider sweep is not the resident one after the upgrade")
 	}
 	if _, shared := od.ReverseSweep(0, apsp.ByObjective, 1); shared {
 		t.Fatal("metrics must not share sweeps")

@@ -43,7 +43,9 @@
 // -build-index runs the partitioned τ/σ pre-processing offline and persists
 // it, so korserve -dist-index starts serving precomputed distances without
 // paying the build at boot. The file is bound to the graph's fingerprint
-// (printed here); korserve refuses it against any other graph.
+// (printed here); korserve refuses it against any other graph, and refuses
+// a file of another format version — one written before KORI version 2 is
+// rebuilt by running -build-index again.
 //
 // -emit-delta writes a korapi.Delta valid against the generated graph —
 // attribute drift on an edge, a new keyword, a new edge — ready to POST to

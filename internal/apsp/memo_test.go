@@ -38,8 +38,21 @@ func TestMemoSizing(t *testing.T) {
 	if c := sweepMemo(1_000_000).stats(nil).Capacity; c <= memoMinEntries || c >= sweepMemoEntries {
 		t.Errorf("1M-node capacity %d is not strictly between the floor and the entry cap", c)
 	}
-	if got, want := newSliceMemo(5000).stats(nil).Capacity, int(sliceMemoBudget/sliceBytes(5000)); got != want {
-		t.Errorf("slice memo capacity on 5000 nodes = %d, want %d (bytes alone)", got, want)
+
+	// Slices are charged what this partition can make one hold: 16 B per node
+	// and per border (every cell touched), the root's vector at the widest
+	// cell's border count, one slot per cell — bytes alone, no entry cap.
+	po := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(29)), 300, false), 12)
+	maxNB := 0
+	for i := range po.cells {
+		maxNB = max(maxNB, po.cells[i].nb)
+	}
+	worst := 16*int64(300+po.NumBorders()+maxNB) + sliceBlockBytes*int64(po.NumRegions()) + sliceBaseBytes
+	if got := po.sliceBytes(); got != worst || maxNB == 0 {
+		t.Errorf("sliceBytes = %d, want %d (%d borders, widest cell %d, %d cells)", got, worst, po.NumBorders(), maxNB, po.NumRegions())
+	}
+	if got, want := po.MemoStats().Capacity, int(sliceMemoBudget/worst); got != want {
+		t.Errorf("slice memo capacity = %d, want %d (bytes alone)", got, want)
 	}
 
 	// Real bytes: a budget of four full sweeps — where the worst-case rule

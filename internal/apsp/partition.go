@@ -3,7 +3,6 @@ package apsp
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"kor/internal/graph"
@@ -26,14 +25,21 @@ import (
 // reported secondary score is that of the assembled decomposition, which can
 // differ from the Dijkstra oracles' tie-break on exactly tied paths.
 //
+// The tables are laid out so that this assembly scans memory instead of
+// probing it: a region lists its border nodes first, the overlay is numbered
+// region by region, and the overlay scores are stored one region pair's
+// block after another (PartitionGraph, block) — a node's scores to its
+// region's borders are the head of its table row, and the border×border
+// scores two regions share are one contiguous run.
+//
 // Beyond the scores, the tables carry parent pointers (per-cell and on the
 // overlay), so paths materialize as table walks (IndexedPaths), and the
 // whole index serializes to a versioned on-disk format (persist.go) keyed to
 // the graph fingerprint, for offline builds and mmap warm starts.
 //
-// All tables are immutable once built; the per-target slice cache (slice.go)
-// is internally synchronized, so a PartitionedOracle is safe for concurrent
-// use.
+// All tables are immutable once built; the per-target slices (slice.go) and
+// the memo that holds them are internally synchronized, so a
+// PartitionedOracle is safe for concurrent use.
 type PartitionedOracle struct {
 	g        *graph.Graph
 	cellSize int
@@ -42,13 +48,20 @@ type PartitionedOracle struct {
 	local  []int32 // node → index within its region's node list
 	cells  []cellTables
 
+	// Overlay numbering is cell by cell: cell c's borders are the overlay
+	// indices [c.start, c.start+c.nb), in the order of c.nodes[:c.nb].
 	borders   []graph.NodeID // overlay index → node
 	borderIdx []int32        // node → overlay index, -1 for interior nodes
 
-	// Overlay score and parent tables, row-major [from*b+to]. Parents are
-	// overlay indices (noParent at from == to or unreachable).
-	ovTauP, ovTauS     []float64
-	ovSigP, ovSigS     []float64
+	// Overlay score tables, blocked by cell pair: the nb(i)×nb(j) scores from
+	// cell i's borders to cell j's are one row-major run starting at
+	// block(i, j), the blocks of one source cell back to back in target-cell
+	// order — so whatever two cells a lookup joins, it scans contiguous
+	// memory. Unreachable pairs hold +Inf in both tables.
+	ovTauP, ovTauS []float64
+	ovSigP, ovSigS []float64
+	// Overlay parent tables, row-major [from*b+to]: overlay indices (noParent
+	// at from == to or unreachable). Only path walks read them.
 	ovTauPar, ovSigPar []int32
 
 	// slices memoizes the per-target and per-source slices (slice.go).
@@ -61,12 +74,15 @@ type PartitionedOracle struct {
 	fromDisk  bool
 }
 
-// cellTables holds one region's restricted all-pairs tables. Paths counted
-// here stay inside the region; excursions are the overlay's job. Parent
-// entries are local indices within the region.
+// cellTables holds one region's restricted all-pairs tables, row-major
+// [from*k+to] over local indices. Paths counted here stay inside the region;
+// excursions are the overlay's job. Parent entries are local indices within
+// the region. The region's nb border nodes come first — local index x < nb is
+// overlay index start+x — so the scores from a node to the region's borders
+// are the first nb entries of its table row.
 type cellTables struct {
 	nodes          []graph.NodeID
-	borderLoc      []int32 // local indices of this region's border nodes
+	start, nb      int // overlay index of the first border node; border count
 	tauP, tauS     []float64
 	sigP, sigS     []float64
 	tauPar, sigPar []int32
@@ -88,6 +104,15 @@ func (o *PartitionedOracle) overlayTables(m Metric) ([]float64, []float64, []int
 	return o.ovSigP, o.ovSigS, o.ovSigPar
 }
 
+// block returns where the overlay score block from ci's borders to cj's
+// starts: entry (x, y) — ci's x-th border to cj's y-th — is at
+// block + x*cj.nb + y. Source cell ci owns the ci.nb*B entries from
+// ci.start*B, and the ci.nb*cj.start of them before cj's block belong to the
+// target cells numbered before it.
+func (o *PartitionedOracle) block(ci, cj *cellTables) int {
+	return ci.start*len(o.borders) + ci.nb*cj.start
+}
+
 // DefaultCellSize is the region-size cap used when partitioning.
 const DefaultCellSize = 128
 
@@ -105,17 +130,22 @@ type Partition struct {
 	Region []int32
 	// Local maps node → its index within Cells[Region[node]].
 	Local []int32
-	// Cells lists each region's nodes in discovery order.
+	// Cells lists each region's nodes: its border nodes first, then its
+	// interior nodes, each group in discovery order.
 	Cells [][]graph.NodeID
-	// Borders lists the border nodes, node ID ascending; BorderIdx maps
-	// node → its index in Borders, -1 for interior nodes.
-	Borders   []graph.NodeID
-	BorderIdx []int32
+	// Borders lists the border nodes cell by cell, each cell's in the order
+	// they lead its node list: Borders[BorderStart[c]:BorderStart[c+1]] is
+	// Cells[c][:nb]. BorderIdx maps node → its index in Borders, -1 for
+	// interior nodes; BorderStart has one entry per cell plus the total.
+	Borders     []graph.NodeID
+	BorderIdx   []int32
+	BorderStart []int32
 }
 
 // PartitionGraph partitions g into regions of at most cellSize nodes by
 // breadth-first region growing over the undirected skeleton, then marks the
-// border nodes. Deterministic for a given graph and cell size.
+// border nodes and numbers them. Deterministic for a given graph and cell
+// size.
 func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 	if cellSize < 2 {
 		cellSize = 2
@@ -138,7 +168,6 @@ func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 		for len(queue) > 0 && len(nodes) < cellSize {
 			v := queue[0]
 			queue = queue[1:]
-			p.Local[v] = int32(len(nodes))
 			nodes = append(nodes, v)
 			for _, e := range g.Out(v) {
 				if p.Region[e.To] == -1 && len(nodes)+len(queue) < cellSize {
@@ -154,39 +183,52 @@ func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 			}
 		}
 		// Anything still queued was claimed for this region: flush it in.
-		for _, v := range queue {
-			p.Local[v] = int32(len(nodes))
-			nodes = append(nodes, v)
-		}
-		p.Cells = append(p.Cells, nodes)
+		p.Cells = append(p.Cells, append(nodes, queue...))
 	}
 
-	// Border discovery: a node with any cross-region edge.
-	p.BorderIdx = make([]int32, n)
-	for i := range p.BorderIdx {
-		p.BorderIdx[i] = -1
-	}
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		isBorder := false
+	// A border node is one with any cross-region edge.
+	isBorder := func(v graph.NodeID) bool {
 		for _, e := range g.Out(v) {
 			if p.Region[e.To] != p.Region[v] {
-				isBorder = true
-				break
+				return true
 			}
 		}
-		if !isBorder {
-			for _, e := range g.In(v) {
-				if p.Region[e.To] != p.Region[v] {
-					isBorder = true
-					break
-				}
+		for _, e := range g.In(v) {
+			if p.Region[e.To] != p.Region[v] {
+				return true
 			}
 		}
-		if isBorder {
-			p.BorderIdx[v] = int32(len(p.Borders))
-			p.Borders = append(p.Borders, v)
+		return false
+	}
+
+	// Numbering: within each cell the borders move to the front (a stable
+	// split, so both groups keep their discovery order), and the overlay
+	// indices run cell by cell. A cell's borders are then one run of local
+	// indices and one run of overlay indices, which is what lets the score
+	// tables be scanned instead of probed.
+	p.BorderIdx = make([]int32, n)
+	p.BorderStart = make([]int32, 0, len(p.Cells)+1)
+	var interior []graph.NodeID
+	for _, nodes := range p.Cells {
+		start := len(p.Borders)
+		p.BorderStart = append(p.BorderStart, int32(start))
+		interior = interior[:0]
+		for _, v := range nodes {
+			if isBorder(v) {
+				p.BorderIdx[v] = int32(len(p.Borders))
+				p.Borders = append(p.Borders, v)
+			} else {
+				p.BorderIdx[v] = -1
+				interior = append(interior, v)
+			}
+		}
+		nb := copy(nodes, p.Borders[start:])
+		copy(nodes[nb:], interior)
+		for li, v := range nodes {
+			p.Local[v] = int32(li)
 		}
 	}
+	p.BorderStart = append(p.BorderStart, int32(len(p.Borders)))
 	return p
 }
 
@@ -206,19 +248,13 @@ func NewPartitionedOracle(g *graph.Graph, cellSize int) *PartitionedOracle {
 	o.cells = make([]cellTables, len(p.Cells))
 	for i, nodes := range p.Cells {
 		o.cells[i].nodes = nodes
-	}
-	for _, v := range o.borders {
-		c := &o.cells[o.region[v]]
-		c.borderLoc = append(c.borderLoc, o.local[v])
-	}
-	for i := range o.cells {
-		loc := o.cells[i].borderLoc
-		sort.Slice(loc, func(a, b int) bool { return loc[a] < loc[b] })
+		o.cells[i].start = int(p.BorderStart[i])
+		o.cells[i].nb = int(p.BorderStart[i+1] - p.BorderStart[i])
 	}
 
 	o.buildCellTables()
 	o.buildOverlay()
-	o.slices = newSliceMemo(g.NumNodes())
+	o.slices = o.newSliceMemo()
 	return o
 }
 
@@ -316,7 +352,8 @@ func (o *PartitionedOracle) restrictedSweep(cell *cellTables, src int, m Metric,
 
 // buildOverlay assembles the border graph per metric and computes all-pairs
 // scores and parents over it with the package Dijkstra, rows distributed
-// over a worker pool.
+// over a worker pool; each finished row is cut into its per-cell runs of the
+// blocked score tables.
 func (o *PartitionedOracle) buildOverlay() {
 	b := len(o.borders)
 	o.ovTauP = newInfSlice(b * b)
@@ -342,8 +379,14 @@ func (o *PartitionedOracle) buildOverlay() {
 					// the Objective slot regardless of m, so sweep with
 					// ByObjective.
 					s := dijkstra(overlay, graph.NodeID(from), ByObjective, false)
-					copy(prim[from*b:(from+1)*b], s.primary)
-					copy(sec[from*b:(from+1)*b], s.secondary)
+					ci := &o.cells[o.region[o.borders[from]]]
+					x := from - ci.start
+					for j := range o.cells {
+						cj := &o.cells[j]
+						at := o.block(ci, cj) + x*cj.nb
+						copy(prim[at:at+cj.nb], s.primary[cj.start:])
+						copy(sec[at:at+cj.nb], s.secondary[cj.start:])
+					}
 					copy(par[from*b:(from+1)*b], s.parent)
 				}
 			}()
@@ -368,20 +411,15 @@ func (o *PartitionedOracle) overlayGraph(m Metric) *graph.Graph {
 		cell := &o.cells[ci]
 		k := len(cell.nodes)
 		prim, sec, _ := cell.scoreTables(m)
-		for _, fromLoc := range cell.borderLoc {
-			for _, toLoc := range cell.borderLoc {
-				if fromLoc == toLoc {
+		for x := 0; x < cell.nb; x++ {
+			for y := 0; y < cell.nb; y++ {
+				p := prim[x*k+y]
+				if x == y || math.IsInf(p, 1) {
 					continue
 				}
-				p := prim[int(fromLoc)*k+int(toLoc)]
-				if math.IsInf(p, 1) {
-					continue
-				}
-				fromB := o.borderIdx[cell.nodes[fromLoc]]
-				toB := o.borderIdx[cell.nodes[toLoc]]
 				// Ignore the impossible error: scores of distinct reachable
 				// border pairs are positive by edge validation.
-				_ = bld.AddEdge(graph.NodeID(fromB), graph.NodeID(toB), p, sec[int(fromLoc)*k+int(toLoc)])
+				_ = bld.AddEdge(graph.NodeID(cell.start+x), graph.NodeID(cell.start+y), p, sec[x*k+y])
 			}
 		}
 	}
@@ -423,15 +461,17 @@ func newNoParentSlice(n int) []int32 {
 	return s
 }
 
-// query assembles the pair score under metric m. The primary sum is
-// associated as head + (mid + tail) — the same ordering the per-target
-// slices (slice.go) use — so both lookup paths produce bit-identical scores.
-func (o *PartitionedOracle) query(from, to graph.NodeID, m Metric) (float64, float64, bool) {
-	if from == to {
-		return 0, 0, true
-	}
-	ri, rj := o.region[from], o.region[to]
-	ci, cj := &o.cells[ri], &o.cells[rj]
+// best assembles the pair score of from ≠ to under metric m and names the
+// decomposition that achieves it: x, y are the local indices of the winning
+// border of from's cell and of to's cell, or -1, -1 when the direct
+// intra-region path wins. The candidates are ordered lexicographically by
+// (primary, secondary), an earlier one winning exact ties; the primary sum is
+// associated as head + (mid + tail) — the ordering the target slices
+// (slice.go) use — so both lookup paths produce bit-identical scores. An
+// unreachable leg is +Inf on both scores and loses every comparison, so the
+// loops need not look for it.
+func (o *PartitionedOracle) best(from, to graph.NodeID, m Metric) (prim, sec float64, x, y int, ok bool) {
+	ci, cj := &o.cells[o.region[from]], &o.cells[o.region[to]]
 	ki, kj := len(ci.nodes), len(cj.nodes)
 	li, lj := int(o.local[from]), int(o.local[to])
 
@@ -440,38 +480,41 @@ func (o *PartitionedOracle) query(from, to graph.NodeID, m Metric) (float64, flo
 	ovP, ovS, _ := o.overlayTables(m)
 
 	bestP, bestS := math.Inf(1), math.Inf(1)
-	if ri == rj {
+	x, y = -1, -1
+	if ci == cj {
 		bestP = iPrim[li*ki+lj]
 		bestS = iSec[li*ki+lj]
 	}
-	b := len(o.borders)
-	for _, b1loc := range ci.borderLoc {
-		head := iPrim[li*ki+int(b1loc)]
-		if math.IsInf(head, 1) {
-			continue
-		}
-		b1 := int(o.borderIdx[ci.nodes[b1loc]])
-		for _, b2loc := range cj.borderLoc {
-			tail := jPrim[int(b2loc)*kj+lj]
-			if math.IsInf(tail, 1) {
-				continue
+	headP, headS := iPrim[li*ki:li*ki+ci.nb], iSec[li*ki:li*ki+ci.nb]
+	at := o.block(ci, cj)
+	for bx, head := range headP {
+		midP, midS := ovP[at:at+cj.nb], ovS[at:at+cj.nb]
+		at += cj.nb
+		for by, mid := range midP {
+			p := head + (mid + jPrim[by*kj+lj])
+			if p > bestP {
+				continue // the secondary sum only matters to a winner or a tie
 			}
-			b2 := int(o.borderIdx[cj.nodes[b2loc]])
-			mid := ovP[b1*b+b2]
-			if math.IsInf(mid, 1) {
-				continue
-			}
-			p := head + (mid + tail)
-			s := iSec[li*ki+int(b1loc)] + (ovS[b1*b+b2] + jSec[int(b2loc)*kj+lj])
-			if p < bestP || (p == bestP && s < bestS) {
+			s := headS[bx] + (midS[by] + jSec[by*kj+lj])
+			if p < bestP || s < bestS {
 				bestP, bestS = p, s
+				x, y = bx, by
 			}
 		}
 	}
-	if math.IsInf(bestP, 1) {
+	return bestP, bestS, x, y, !math.IsInf(bestP, 1)
+}
+
+// query returns the pair score under metric m.
+func (o *PartitionedOracle) query(from, to graph.NodeID, m Metric) (float64, float64, bool) {
+	if from == to {
+		return 0, 0, true
+	}
+	p, s, _, _, ok := o.best(from, to, m)
+	if !ok {
 		return 0, 0, false
 	}
-	return bestP, bestS, true
+	return p, s, true
 }
 
 // MinObjective returns the scores of τ(from,to).
@@ -486,69 +529,27 @@ func (o *PartitionedOracle) MinBudget(from, to graph.NodeID) (float64, float64, 
 	return s, p, ok // primary is budget, secondary is objective
 }
 
-// path materializes the metric-optimal path from→to as table walks: it
-// re-runs query's assembly tracking the winning decomposition, then splices
-// the head cell walk, the expanded overlay chain and the tail cell walk.
+// path materializes the metric-optimal path from→to as table walks over the
+// decomposition best names: the head cell walk, the expanded overlay chain
+// and the tail cell walk, or the one direct cell walk.
 func (o *PartitionedOracle) path(from, to graph.NodeID, m Metric) ([]graph.NodeID, bool) {
 	if from == to {
 		return []graph.NodeID{from}, true
 	}
-	ri, rj := o.region[from], o.region[to]
-	ci, cj := &o.cells[ri], &o.cells[rj]
-	ki, kj := len(ci.nodes), len(cj.nodes)
-	li, lj := int(o.local[from]), int(o.local[to])
-
-	iPrim, iSec, _ := ci.scoreTables(m)
-	jPrim, jSec, _ := cj.scoreTables(m)
-	ovP, ovS, _ := o.overlayTables(m)
-
-	bestP, bestS := math.Inf(1), math.Inf(1)
-	direct := false
-	b1best, b2best := -1, -1 // winning border local indices
-	if ri == rj {
-		bestP = iPrim[li*ki+lj]
-		bestS = iSec[li*ki+lj]
-		direct = !math.IsInf(bestP, 1)
-	}
-	b := len(o.borders)
-	for _, b1loc := range ci.borderLoc {
-		head := iPrim[li*ki+int(b1loc)]
-		if math.IsInf(head, 1) {
-			continue
-		}
-		b1 := int(o.borderIdx[ci.nodes[b1loc]])
-		for _, b2loc := range cj.borderLoc {
-			tail := jPrim[int(b2loc)*kj+lj]
-			if math.IsInf(tail, 1) {
-				continue
-			}
-			b2 := int(o.borderIdx[cj.nodes[b2loc]])
-			mid := ovP[b1*b+b2]
-			if math.IsInf(mid, 1) {
-				continue
-			}
-			p := head + (mid + tail)
-			s := iSec[li*ki+int(b1loc)] + (ovS[b1*b+b2] + jSec[int(b2loc)*kj+lj])
-			if p < bestP || (p == bestP && s < bestS) {
-				bestP, bestS = p, s
-				direct = false
-				b1best, b2best = int(b1loc), int(b2loc)
-			}
-		}
-	}
-	if math.IsInf(bestP, 1) {
-		return nil, false
-	}
-	if direct {
-		return o.cellPath(ci, li, lj, m, nil)
-	}
-	path, ok := o.cellPath(ci, li, b1best, m, nil)
+	_, _, x, y, ok := o.best(from, to, m)
 	if !ok {
 		return nil, false
 	}
-	b1 := int(o.borderIdx[ci.nodes[b1best]])
-	b2 := int(o.borderIdx[cj.nodes[b2best]])
-	chain, ok := o.overlayChain(b1, b2, m)
+	ci, cj := &o.cells[o.region[from]], &o.cells[o.region[to]]
+	li, lj := int(o.local[from]), int(o.local[to])
+	if x < 0 {
+		return o.cellPath(ci, li, lj, m, nil)
+	}
+	path, ok := o.cellPath(ci, li, x, m, nil)
+	if !ok {
+		return nil, false
+	}
+	chain, ok := o.overlayChain(ci.start+x, cj.start+y, m)
 	if !ok {
 		return nil, false
 	}
@@ -568,7 +569,7 @@ func (o *PartitionedOracle) path(from, to graph.NodeID, m Metric) ([]graph.NodeI
 			path = append(path, vy)
 		}
 	}
-	tail, ok := o.cellPath(cj, b2best, lj, m, nil)
+	tail, ok := o.cellPath(cj, y, lj, m, nil)
 	if !ok {
 		return nil, false
 	}

@@ -46,13 +46,22 @@ import (
 //	[44:48) u32 CRC-32 (IEEE) of header bytes [4:44)
 //	payload:
 //	  per region: u32 node count k, u32 border count nb
-//	  int32 arrays: region[n] local[n] borderIdx[n] borders[B]
-//	                cellNodes[Σk] cellBorderLoc[Σnb]
+//	  int32 arrays: region[n] local[n] borderIdx[n] borders[B] cellNodes[Σk]
 //	                ovTauPar[B²] ovSigPar[B²] cellTauPar[Σk²] cellSigPar[Σk²]
 //	  zero padding to the next 8-byte file offset
 //	  float64 arrays: cellTauP[Σk²] cellTauS[Σk²] cellSigP[Σk²] cellSigS[Σk²]
 //	                  ovTauP[B²] ovTauS[B²] ovSigP[B²] ovSigS[B²]
 //	[48+payload:) u32 CRC-32 (IEEE) of the payload
+//
+// Version 2 numbers the partition for scanning (partition.go): a region's nb
+// border nodes lead its node list, the overlay indices run region by region
+// (region c's borders are start(c) = Σ nb of the regions before it, onwards),
+// and the four overlay score tables are blocked by region pair — the
+// nb(i)×nb(j) block from region i's borders to region j's is row-major at
+// start(i)·B + nb(i)·start(j). Cell tables and the overlay parent tables are
+// row-major. OpenIndex checks the numbering before any table is indexed by
+// it. A version 1 file (overlay in node-ID order, a per-region border list)
+// is refused with ErrIndexVersion: rebuild it with kordata -build-index.
 
 // Typed load failures. Errors returned by OpenIndex wrap exactly one of
 // these, so callers can distinguish a damaged file from a stale one.
@@ -71,7 +80,7 @@ var (
 
 const (
 	indexMagic      = "KORI"
-	indexVersion    = 1
+	indexVersion    = 2
 	indexHeaderSize = 48
 )
 
@@ -129,15 +138,14 @@ func (o *PartitionedOracle) Close() error {
 func (o *PartitionedOracle) payloadLen() uint64 {
 	n := len(o.region)
 	b := len(o.borders)
-	sumK, sumNB, sumK2 := 0, 0, 0
+	sumK, sumK2 := 0, 0
 	for i := range o.cells {
 		k := len(o.cells[i].nodes)
 		sumK += k
-		sumNB += len(o.cells[i].borderLoc)
 		sumK2 += k * k
 	}
 	counts := 8 * len(o.cells)
-	i32s := 3*n + b + sumK + sumNB + 2*b*b + 2*sumK2
+	i32s := 3*n + b + sumK + 2*b*b + 2*sumK2
 	f64s := 4*sumK2 + 4*b*b
 	pre := counts + 4*i32s
 	pad := (8 - pre%8) % 8
@@ -194,7 +202,7 @@ func (o *PartitionedOracle) WriteIndex(w io.Writer) error {
 	sw := &sectionWriter{w: w, crc: crc32.NewIEEE(), buf: make([]byte, 1<<16)}
 	for i := range o.cells {
 		sw.u32(uint32(len(o.cells[i].nodes)))
-		sw.u32(uint32(len(o.cells[i].borderLoc)))
+		sw.u32(uint32(o.cells[i].nb))
 	}
 	sw.i32s(o.region)
 	sw.i32s(o.local)
@@ -202,9 +210,6 @@ func (o *PartitionedOracle) WriteIndex(w io.Writer) error {
 	sw.nids(o.borders)
 	for i := range o.cells {
 		sw.nids(o.cells[i].nodes)
-	}
-	for i := range o.cells {
-		sw.i32s(o.cells[i].borderLoc)
 	}
 	sw.i32s(o.ovTauPar)
 	sw.i32s(o.ovSigPar)
@@ -348,7 +353,7 @@ func OpenIndex(path string, g *graph.Graph) (*PartitionedOracle, error) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrIndexFormat)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != indexVersion {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrIndexVersion, v, indexVersion)
+		return nil, fmt.Errorf("%w: file version %d, supported %d (rebuild with kordata -build-index)", ErrIndexVersion, v, indexVersion)
 	}
 	fp := binary.LittleEndian.Uint64(hdr[8:16])
 	if want := g.Fingerprint(); fp != want {
@@ -433,7 +438,6 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 	o.borderIdx = cur.i32s(n)
 	o.borders = cur.nids(b)
 	cellNodes := cur.nids(sumK)
-	cellBorderLoc := cur.i32s(sumNB)
 	o.ovTauPar = cur.i32s(b * b)
 	o.ovSigPar = cur.i32s(b * b)
 	cellTauPar := cur.i32s(sumK2)
@@ -454,11 +458,12 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 		return nil, fmt.Errorf("%w: payload has %d trailing bytes", ErrIndexFormat, payloadLen-cur.off)
 	}
 
-	offK, offK2 := 0, 0
+	offK, offK2, offNB := 0, 0, 0
 	for i := 0; i < ncells; i++ {
 		k, k2 := ks[i], ks[i]*ks[i]
 		c := &o.cells[i]
 		c.nodes = cellNodes[offK : offK+k : offK+k]
+		c.start, c.nb = offNB, nbs[i]
 		c.tauPar = cellTauPar[offK2 : offK2+k2 : offK2+k2]
 		c.sigPar = cellSigPar[offK2 : offK2+k2 : offK2+k2]
 		c.tauP = cellTauP[offK2 : offK2+k2 : offK2+k2]
@@ -467,25 +472,48 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 		c.sigS = cellSigS[offK2 : offK2+k2 : offK2+k2]
 		offK += k
 		offK2 += k2
+		offNB += nbs[i]
 	}
-	offNB := 0
-	for i := 0; i < ncells; i++ {
-		nb := nbs[i]
-		o.cells[i].borderLoc = cellBorderLoc[offNB : offNB+nb : offNB+nb]
-		offNB += nb
+	if err := o.checkNumbering(); err != nil {
+		return nil, err
 	}
+	o.slices = o.newSliceMemo()
+	return o, nil
+}
 
-	// Structural spot checks: region/local must address real cells. The CRC
-	// already rules out bit rot; this rules out a well-formed file whose
-	// counts lie, which would otherwise fault at query time.
-	for v := 0; v < n; v++ {
-		r := o.region[v]
-		if r < 0 || int(r) >= ncells || int(o.local[v]) >= ks[r] {
-			return nil, fmt.Errorf("%w: node %d maps outside its region", ErrIndexFormat, v)
+// checkNumbering verifies what every lookup indexes by without looking: each
+// cell's node list agrees with region/local (n nodes in n distinct slots, so
+// every slot holds a node of the graph), its first nb nodes — and no others —
+// are border nodes, and the x-th of them is overlay index start+x. The CRC
+// already rules out bit rot; this rules out a well-formed file whose arrays
+// lie, which would otherwise read another pair's scores or fault at query
+// time. The per-cell starts are running sums of counts that add up to B, so
+// they ascend and every block lies inside the overlay tables.
+func (o *PartitionedOracle) checkNumbering() error {
+	for v, r := range o.region {
+		if r < 0 || int(r) >= len(o.cells) {
+			return fmt.Errorf("%w: node %d maps outside the regions", ErrIndexFormat, v)
+		}
+		if l := o.local[v]; l < 0 || int(l) >= len(o.cells[r].nodes) || o.cells[r].nodes[l] != graph.NodeID(v) {
+			return fmt.Errorf("%w: node %d is not at its local index in region %d", ErrIndexFormat, v, r)
 		}
 	}
-	o.slices = newSliceMemo(n)
-	return o, nil
+	for i := range o.cells {
+		c := &o.cells[i]
+		if c.nb > len(c.nodes) {
+			return fmt.Errorf("%w: region %d has %d borders among %d nodes", ErrIndexFormat, i, c.nb, len(c.nodes))
+		}
+		for x, v := range c.nodes {
+			want := int32(-1)
+			if x < c.nb {
+				want = int32(c.start + x)
+			}
+			if o.borderIdx[v] != want || (x < c.nb && o.borders[want] != v) {
+				return fmt.Errorf("%w: region %d node %d breaks the border numbering", ErrIndexFormat, i, v)
+			}
+		}
+	}
+	return nil
 }
 
 // payloadCursor walks payload sections, either aliasing the underlying bytes

@@ -1,12 +1,14 @@
 package apsp
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -30,6 +32,22 @@ func writeTestIndex(t *testing.T, g *graph.Graph, cellSize int) (*PartitionedOra
 	return mem, disk, path
 }
 
+// openDecoded opens the index the way a host without mmap, or a big-endian
+// one, does: read the whole file and decode every array into fresh slices.
+func openDecoded(t *testing.T, path string, g *graph.Graph) *PartitionedOracle {
+	t.Helper()
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	o, err := OpenIndex(path, g)
+	if err != nil {
+		t.Fatalf("OpenIndex (decode fallback): %v", err)
+	}
+	if o.IndexInfo().Mapped {
+		t.Fatal("the decode fallback returned a mapped oracle")
+	}
+	return o
+}
+
 // TestIndexRoundTrip is the durability property test: a disk-loaded index
 // answers every pair query, slice lookup and path materialization exactly
 // like the in-memory oracle it was written from, and agrees with the lazy
@@ -40,69 +58,76 @@ func TestIndexRoundTrip(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 10 + rng.Intn(30)
 		g := randomTestGraph(rng, n, trial%2 == 0)
-		mem, disk, _ := writeTestIndex(t, g, 4+rng.Intn(8))
+		mem, mapped, path := writeTestIndex(t, g, 4+rng.Intn(8))
 		lazy := NewLazyOracle(g)
-
-		info := disk.IndexInfo()
-		if info.Fingerprint != g.Fingerprint() || !info.FromDisk || info.Bytes <= 0 {
-			t.Fatalf("trial %d: IndexInfo = %+v", trial, info)
-		}
-		if info.Regions != mem.NumRegions() || info.Borders != mem.NumBorders() {
-			t.Fatalf("trial %d: disk shape %d/%d, memory %d/%d",
-				trial, info.Regions, info.Borders, mem.NumRegions(), mem.NumBorders())
-		}
-		if !HasIndexedPaths(disk) {
-			t.Fatal("disk oracle does not report indexed paths")
+		if runtime.GOOS == "linux" && !mapped.IndexInfo().Mapped {
+			t.Fatalf("trial %d: OpenIndex did not alias the file on a host that maps", trial)
 		}
 
-		for i := graph.NodeID(0); int(i) < n; i++ {
-			tauSliceM := mem.TargetSlice(i, ByObjective)
-			tauSliceD := disk.TargetSlice(i, ByObjective)
-			sigSliceM := mem.TargetSlice(i, ByBudget)
-			sigSliceD := disk.TargetSlice(i, ByBudget)
-			for j := graph.NodeID(0); int(j) < n; j++ {
-				// Disk answers must be bit-identical to the in-memory build.
-				mOS, mBS, mOK := mem.MinObjective(j, i)
-				dOS, dBS, dOK := disk.MinObjective(j, i)
-				if mOS != dOS || mBS != dBS || mOK != dOK {
-					t.Fatalf("trial %d: τ(%d,%d) disk (%v,%v,%v) != memory (%v,%v,%v)",
-						trial, j, i, dOS, dBS, dOK, mOS, mBS, mOK)
-				}
-				// Slice lookups must reproduce the pair queries, both ends.
-				sliceM, _ := tauSliceM.Scores(j)
-				sliceD, _ := tauSliceD.Scores(j)
-				if mOK {
-					if sliceM != mOS || sliceD != mOS {
-						t.Fatalf("trial %d: τ slice primary (%v,%v) != query %v", trial, sliceM, sliceD, mOS)
+		// Both load paths — tables aliasing the mapping, tables decoded into
+		// fresh slices — must serve what the in-memory build serves.
+		for name, disk := range map[string]*PartitionedOracle{"mapped": mapped, "decoded": openDecoded(t, path, g)} {
+			info := disk.IndexInfo()
+			if info.Fingerprint != g.Fingerprint() || !info.FromDisk || info.Bytes <= 0 {
+				t.Fatalf("trial %d %s: IndexInfo = %+v", trial, name, info)
+			}
+			if info.Regions != mem.NumRegions() || info.Borders != mem.NumBorders() {
+				t.Fatalf("trial %d %s: disk shape %d/%d, memory %d/%d",
+					trial, name, info.Regions, info.Borders, mem.NumRegions(), mem.NumBorders())
+			}
+			if !HasIndexedPaths(disk) {
+				t.Fatalf("%s oracle does not report indexed paths", name)
+			}
+
+			for i := graph.NodeID(0); int(i) < n; i++ {
+				tauSliceM := mem.TargetSlice(i, ByObjective)
+				tauSliceD := disk.TargetSlice(i, ByObjective)
+				sigSliceM := mem.TargetSlice(i, ByBudget)
+				sigSliceD := disk.TargetSlice(i, ByBudget)
+				for j := graph.NodeID(0); int(j) < n; j++ {
+					// Disk answers must be bit-identical to the in-memory build.
+					mOS, mBS, mOK := mem.MinObjective(j, i)
+					dOS, dBS, dOK := disk.MinObjective(j, i)
+					if mOS != dOS || mBS != dBS || mOK != dOK {
+						t.Fatalf("trial %d: τ(%d,%d) %s (%v,%v,%v) != memory (%v,%v,%v)",
+							trial, j, i, name, dOS, dBS, dOK, mOS, mBS, mOK)
 					}
-				} else if !math.IsInf(sliceD, 1) {
-					t.Fatalf("trial %d: τ slice reaches unreachable pair (%d,%d)", trial, j, i)
-				}
-				// Lazy agreement: exact primary, secondary no worse.
-				lOS, lBS, lOK := lazy.MinObjective(j, i)
-				if mOK != lOK || (mOK && !feq(mOS, lOS)) {
-					t.Fatalf("trial %d: τ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
-						trial, j, i, mOS, mOK, lOS, lOK)
-				}
-				if mOK && mBS < lBS-1e-9 {
-					t.Fatalf("trial %d: τ(%d,%d) secondary %v below lazy optimum %v", trial, j, i, mBS, lBS)
-				}
+					// Slice lookups must reproduce the pair queries, both ends.
+					sliceM, _ := tauSliceM.Scores(j)
+					sliceD, _ := tauSliceD.Scores(j)
+					if mOK {
+						if sliceM != mOS || sliceD != mOS {
+							t.Fatalf("trial %d %s: τ slice primary (%v,%v) != query %v", trial, name, sliceM, sliceD, mOS)
+						}
+					} else if !math.IsInf(sliceD, 1) {
+						t.Fatalf("trial %d %s: τ slice reaches unreachable pair (%d,%d)", trial, name, j, i)
+					}
+					// Lazy agreement: exact primary, secondary no worse.
+					lOS, lBS, lOK := lazy.MinObjective(j, i)
+					if mOK != lOK || (mOK && !feq(mOS, lOS)) {
+						t.Fatalf("trial %d: τ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
+							trial, j, i, mOS, mOK, lOS, lOK)
+					}
+					if mOK && mBS < lBS-1e-9 {
+						t.Fatalf("trial %d: τ(%d,%d) secondary %v below lazy optimum %v", trial, j, i, mBS, lBS)
+					}
 
-				mOS, mBS, mOK = mem.MinBudget(j, i)
-				dOS, dBS, dOK = disk.MinBudget(j, i)
-				if mOS != dOS || mBS != dBS || mOK != dOK {
-					t.Fatalf("trial %d: σ(%d,%d) disk (%v,%v,%v) != memory (%v,%v,%v)",
-						trial, j, i, dOS, dBS, dOK, mOS, mBS, mOK)
-				}
-				sliceM, _ = sigSliceM.Scores(j)
-				sliceD, _ = sigSliceD.Scores(j)
-				if mOK && (sliceM != mBS || sliceD != mBS) {
-					t.Fatalf("trial %d: σ slice primary (%v,%v) != query %v", trial, sliceM, sliceD, mBS)
-				}
-				lOS, lBS, lOK = lazy.MinBudget(j, i)
-				if mOK != lOK || (mOK && !feq(mBS, lBS)) {
-					t.Fatalf("trial %d: σ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
-						trial, j, i, mBS, mOK, lBS, lOK)
+					mOS, mBS, mOK = mem.MinBudget(j, i)
+					dOS, dBS, dOK = disk.MinBudget(j, i)
+					if mOS != dOS || mBS != dBS || mOK != dOK {
+						t.Fatalf("trial %d: σ(%d,%d) %s (%v,%v,%v) != memory (%v,%v,%v)",
+							trial, j, i, name, dOS, dBS, dOK, mOS, mBS, mOK)
+					}
+					sliceM, _ = sigSliceM.Scores(j)
+					sliceD, _ = sigSliceD.Scores(j)
+					if mOK && (sliceM != mBS || sliceD != mBS) {
+						t.Fatalf("trial %d %s: σ slice primary (%v,%v) != query %v", trial, name, sliceM, sliceD, mBS)
+					}
+					lOS, lBS, lOK = lazy.MinBudget(j, i)
+					if mOK != lOK || (mOK && !feq(mBS, lBS)) {
+						t.Fatalf("trial %d: σ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
+							trial, j, i, mBS, mOK, lBS, lOK)
+					}
 				}
 			}
 		}
@@ -232,11 +257,39 @@ func TestIndexLoadErrors(t *testing.T) {
 	badHdr[10] ^= 0x01
 	check("bad-header.kori", badHdr, ErrIndexFormat)
 
-	// Future version, header CRC recomputed so only the version differs.
-	future := append([]byte(nil), good...)
-	future[4] = 0x7f
-	patchHeaderCRC(future)
-	check("future.kori", future, ErrIndexVersion)
+	// Another version — the previous format's, a future one — header CRC
+	// recomputed so only the version differs.
+	for name, version := range map[string]byte{"v1.kori": 1, "future.kori": 0x7f} {
+		other := append([]byte(nil), good...)
+		other[4] = version
+		patchHeaderCRC(other)
+		check(name, other, ErrIndexVersion)
+	}
+
+	// A well-formed file whose numbering lies — checksums recomputed, so only
+	// the structure check can object. The lookups index the overlay by
+	// "region c's x-th node is overlay index start(c)+x" without looking, so
+	// two border nodes trading overlay indices would silently serve each
+	// other's scores: first in borderIdx alone, then consistently in
+	// borderIdx and borders (still a bijection, no longer the numbering).
+	n, ncells := len(mem.region), len(mem.cells)
+	borderIdxAt := func(v graph.NodeID) int { return indexHeaderSize + 8*ncells + 4*(2*n+int(v)) }
+	bordersAt := func(b int) int { return indexHeaderSize + 8*ncells + 4*(3*n+b) }
+	if len(mem.borders) < 2 {
+		t.Fatalf("the paper graph at cell size 3 has %d borders", len(mem.borders))
+	}
+	swap4 := func(b []byte, i, j int) {
+		for k := 0; k < 4; k++ {
+			b[i+k], b[j+k] = b[j+k], b[i+k]
+		}
+	}
+	swapped := append([]byte(nil), good...)
+	swap4(swapped, borderIdxAt(mem.borders[0]), borderIdxAt(mem.borders[1]))
+	patchPayloadCRC(swapped)
+	check("swapped-border-index.kori", swapped, ErrIndexFormat)
+	swap4(swapped, bordersAt(0), bordersAt(1))
+	patchPayloadCRC(swapped)
+	check("renumbered-borders.kori", swapped, ErrIndexFormat)
 
 	// The right file for the wrong graph.
 	other := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(9)), 8, true), 3)
@@ -257,6 +310,11 @@ func TestIndexLoadErrors(t *testing.T) {
 		t.Fatalf("reopening pristine index: %v", err)
 	}
 	o.Close()
+}
+
+// patchPayloadCRC recomputes the payload checksum after a deliberate edit.
+func patchPayloadCRC(b []byte) {
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[indexHeaderSize:len(b)-4]))
 }
 
 // patchHeaderCRC recomputes the header checksum after a deliberate edit.

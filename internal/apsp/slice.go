@@ -11,59 +11,75 @@ import (
 // Per-target distance slices. The label algorithms hammer a handful of fixed
 // targets — the query target, the strategy-1 jump nodes, the strategy-2
 // keyword nodes — with pair lookups from thousands of distinct sources. The
-// partitioned oracle's pair assembly costs |borders(i)|·|borders(j)| table
-// probes per lookup; hoisting the per-target half out of it turns a lookup
-// into an array read. A TargetSlice is that amortization, one partition cell
-// at a time: the scores of every node of a cell into the fixed target are
-// assembled together — O(|borders(cell)|·|borders(target's cell)| +
-// k·|borders(cell)|) for a k-node cell — the first time a lookup lands in the
-// cell, and never for a cell no lookup reaches. A query is bounded by its
-// budget Δ, so its lookups stay inside the few cells around the target and
-// the work follows that reach, not |V|; no bound is carried, because a cell
-// that turns out to be needed after all is simply assembled then. The slices
-// live in the oracle memo (memo.go), so a steady query stream over a stable
-// keyword universe assembles each touched cell once.
+// partitioned oracle's pair assembly costs nb(i)·nb(j) table entries per
+// lookup; hoisting the per-target half out of it leaves nb(i). A TargetSlice
+// is that amortization, and it computes only what is looked up: the first
+// lookup that lands in a partition cell scans one block of the overlay —
+// the cell's borders against the target cell's — into the cell's border
+// vector, the best overlay+tail completion per border; each node's score is
+// then one scan of its table row against that vector, on the first lookup of
+// that node, and an array read ever after. A query is bounded by its budget
+// Δ, so its lookups stay inside the few cells around the target and read a
+// fraction of their nodes; no bound is carried, because whatever turns out to
+// be needed after all is simply computed then. The slices live in the oracle
+// memo (memo.go), so a steady query stream over a stable keyword universe
+// computes each score once.
 
 // TargetSlice is the view of the metric-optimal scores from every node into
 // one fixed target (or, for a source slice, out of one fixed source into
-// every node), held as one segment per partition cell. A segment is absent
-// until Scores first lands in its cell and immutable once published, so
-// lookups take no lock. The view reads the oracle's tables: it must not
-// outlive the oracle's Close.
+// every node), held as one block per partition cell. A block is absent until
+// Scores first lands in its cell, a node's score pending until Scores first
+// asks for it; both are published with atomic stores and never change
+// afterwards, so lookups take no lock. The view reads the oracle's tables: it
+// must not outlive the oracle's Close.
 type TargetSlice struct {
 	o             *PartitionedOracle
 	region, local []int32 // o.region, o.local: one indirection less per lookup
-	cells         []sliceCell
+	blocks        []sliceBlock
 
-	metric     Metric
-	outbound   bool
-	rootRegion int32
-	rootLocal  int
+	metric   Metric
+	outbound bool
+	root     *cellTables
+	rootLoc  int
+	// rootVec is the root's half of every assembly: its intra-region scores
+	// into the target from each border of its cell (out of the source to each
+	// border, for a source slice), gathered once.
+	rootVec []scorePair
 
 	// bytes is what the view holds right now: its own bookkeeping plus every
-	// published segment. Bumped by the publisher, read by MemoStats.
+	// published block. Bumped by the publisher, read by MemoStats.
 	bytes atomic.Int64
 }
 
-// scorePair is one node's entry of a segment: primary and secondary score
-// side by side, so a lookup reads one cache line.
+// scorePair is a primary and a secondary score side by side.
 type scorePair struct{ prim, sec float64 }
 
-// sliceCell is one cell's slot of a slice: seg points at the first of the
-// cell's k entries, indexed by local node index — nil until assembled, then
-// never written again. The slot points straight at the data (a slice header
-// cannot be published in one store, a pointer to one would cost a hop), and k
-// beside it keeps the lookup bounds-checked.
-type sliceCell struct {
-	seg atomic.Pointer[scorePair]
-	k   int
-}
+// scoreEntry is one node's published scores, as float64 bits, side by side so
+// a lookup reads one cache line. All-zero is "not computed yet" — what a
+// fresh block holds — and costs nothing to recognise: a computed primary is
+// +Inf or a sum of positive edge scores, and 0 only at the root, which is
+// answered before the entry is read. The publisher stores sec before prim, so
+// whoever reads a non-zero prim reads the sec that belongs to it; racing
+// publishers store identical bits.
+type scoreEntry struct{ prim, sec atomic.Uint64 }
+
+// sliceBlock is one cell's slot of a slice: it points at the first entry of
+// the cell's block — the k node entries, indexed by local node index, then
+// the cell's border vector in nb more — and is nil until the first lookup in
+// the cell. The slot points straight at the data: a slice header cannot be
+// published in one store, a pointer to one would cost a hop, and the cell
+// table knows k and nb.
+type sliceBlock = atomic.Pointer[scoreEntry]
 
 const (
-	scorePairBytes = int64(unsafe.Sizeof(scorePair{}))
-	sliceCellBytes = int64(unsafe.Sizeof(sliceCell{}))
-	sliceBaseBytes = int64(unsafe.Sizeof(TargetSlice{}))
+	scorePairBytes  = int64(unsafe.Sizeof(scorePair{}))
+	sliceBlockBytes = int64(unsafe.Sizeof(sliceBlock{}))
+	sliceBaseBytes  = int64(unsafe.Sizeof(TargetSlice{}))
 )
+
+// A border vector lives in the scoreEntry block it is published with and is
+// read as plain pairs; the two types must overlay exactly.
+var _ [unsafe.Sizeof(scorePair{})]struct{} = [unsafe.Sizeof(scoreEntry{})]struct{}{}
 
 // SliceIndexed is an optional oracle capability: per-target score views at
 // array-read lookup cost. Query plans resolve the slices for their candidate
@@ -71,8 +87,8 @@ const (
 // entirely on the hot path, reading through (*TargetSlice).Scores.
 type SliceIndexed interface {
 	// TargetSlice returns the view of the scores into target to under metric
-	// m. Resolving it is cheap — the scores are assembled by the lookups, cell
-	// by cell. The result is shared between queries.
+	// m. Resolving it is cheap — the scores are computed by the lookups that
+	// ask for them. The result is shared between queries.
 	TargetSlice(to graph.NodeID, m Metric) *TargetSlice
 }
 
@@ -92,22 +108,24 @@ type SourceSliced interface {
 	SourceSlice(from graph.NodeID, m Metric) *TargetSlice
 }
 
-// sliceBytes is the most one slice over an n-node graph comes to hold: every
-// cell assembled (16 B per node) plus the per-cell slots. The memo is sized
-// from n alone, before any partition is known, so the slots are charged at
-// one cell per 8 nodes — region growing yields cells of ~50 nodes at the
-// default cell size, a sixth of that charge. What a slice really holds is
-// usually far less and is what MemoStats reports.
-func sliceBytes(n int) int64 {
-	return scorePairBytes*int64(n) + sliceCellBytes*int64(n/8+1) + sliceBaseBytes
+// sliceBytes is the most one slice of this oracle comes to hold: every cell
+// touched — 16 B per node and per border — plus the root's vector, the
+// per-cell slots and the bookkeeping. What a slice really holds is usually
+// far less and is what MemoStats reports.
+func (o *PartitionedOracle) sliceBytes() int64 {
+	maxNB := 0
+	for i := range o.cells {
+		maxNB = max(maxNB, o.cells[i].nb)
+	}
+	return scorePairBytes*int64(len(o.region)+len(o.borders)+maxNB) + sliceBlockBytes*int64(len(o.cells)) + sliceBaseBytes
 }
 
-// newSliceMemo sizes the oracle's slice store for an n-node graph: bounded
-// by sliceMemoBudget bytes alone (~3,000 slices on a 5000-node graph). A
-// slice is published empty and fills as it is read, so every slice is
-// charged the worst case.
-func newSliceMemo(n int) *memo[*TargetSlice] {
-	worst := sliceBytes(n)
+// newSliceMemo sizes the oracle's slice store: bounded by sliceMemoBudget
+// bytes alone (~1,600 slices on an 8,000-node road graph). A slice is
+// published empty and fills as it is read, so every slice is charged the
+// worst case.
+func (o *PartitionedOracle) newSliceMemo() *memo[*TargetSlice] {
+	worst := o.sliceBytes()
 	return newMemo(math.MaxInt, sliceMemoBudget, worst, func(*TargetSlice) int64 { return worst })
 }
 
@@ -126,213 +144,164 @@ func (o *PartitionedOracle) SourceSlice(from graph.NodeID, m Metric) *TargetSlic
 }
 
 // MemoStats reports the slice memo's counters and residency. ResidentBytes
-// is what the resident slices have assembled so far, not entries × the
-// worst case Capacity is derived from.
+// is what the resident slices hold so far, not entries × the worst case
+// Capacity is derived from.
 func (o *PartitionedOracle) MemoStats() MemoStats {
 	return o.slices.stats(func(ts *TargetSlice) int64 { return ts.bytes.Load() })
 }
 
 // newSlice resolves the root (panicking on a node outside the graph, like
-// any table lookup) and lays out the empty per-cell slots.
+// any table lookup), gathers its border vector and lays out the empty
+// per-cell slots.
 func (o *PartitionedOracle) newSlice(root graph.NodeID, m Metric, outbound bool) *TargetSlice {
 	ts := &TargetSlice{
-		o:          o,
-		region:     o.region,
-		local:      o.local,
-		cells:      make([]sliceCell, len(o.cells)),
-		metric:     m,
-		outbound:   outbound,
-		rootRegion: o.region[root],
-		rootLocal:  int(o.local[root]),
+		o:        o,
+		region:   o.region,
+		local:    o.local,
+		blocks:   make([]sliceBlock, len(o.cells)),
+		metric:   m,
+		outbound: outbound,
+		root:     &o.cells[o.region[root]],
+		rootLoc:  int(o.local[root]),
 	}
-	for i := range o.cells {
-		ts.cells[i].k = len(o.cells[i].nodes)
+	c, l := ts.root, ts.rootLoc
+	k := len(c.nodes)
+	prim, sec, _ := c.scoreTables(m)
+	ts.rootVec = make([]scorePair, c.nb)
+	for b := range ts.rootVec {
+		at := b*k + l // border b → target: column l of the cell table
+		if outbound {
+			at = l*k + b // source → border b: row l
+		}
+		ts.rootVec[b] = scorePair{prim[at], sec[at]}
 	}
-	ts.bytes.Store(sliceBaseBytes + sliceCellBytes*int64(len(ts.cells)))
+	ts.bytes.Store(sliceBaseBytes + sliceBlockBytes*int64(len(ts.blocks)) + scorePairBytes*int64(c.nb))
 	return ts
 }
 
 // Scores returns the primary-metric score of the optimal path between v and
 // the slice's root (v→root on a target slice, root→v on a source slice) and
 // the other attribute summed along that same path; prim is +Inf when there
-// is no path. The first lookup in a cell assembles the cell's segment.
+// is no path. The first lookup in a cell computes the cell's border vector,
+// the first lookup of a node its scores.
 func (ts *TargetSlice) Scores(v graph.NodeID) (prim, sec float64) {
 	r := ts.region[v]
-	c := &ts.cells[r]
-	seg := c.seg.Load()
-	if seg == nil {
-		seg = ts.assemble(r)
+	cell := &ts.o.cells[r]
+	blk := ts.blocks[r].Load()
+	if blk == nil {
+		blk = ts.touch(r, cell)
 	}
-	e := &unsafe.Slice(seg, c.k)[ts.local[v]]
-	return e.prim, e.sec
+	l := int(ts.local[v])
+	e := &unsafe.Slice(blk, len(cell.nodes))[l]
+	p := e.prim.Load()
+	if p == 0 {
+		return ts.score(cell, blk, l, e)
+	}
+	return math.Float64frombits(p), math.Float64frombits(e.sec.Load())
 }
 
-// assemble computes cell r's segment and publishes it with one atomic store.
-// Concurrent first touches may both assemble; the segments are bit-identical,
-// the first published wins and the other is dropped.
-func (ts *TargetSlice) assemble(r int32) *scorePair {
-	var seg []scorePair
+// borderVec is the border vector behind the k node entries of cell's block.
+// It is written once, before the block is published, and read as plain pairs.
+func borderVec(cell *cellTables, blk *scoreEntry) []scorePair {
+	k := len(cell.nodes)
+	return unsafe.Slice((*scorePair)(unsafe.Pointer(blk)), k+cell.nb)[k:]
+}
+
+// touch computes cell r's border vector — per border of the cell, the best
+// join of the overlay with the root's own vector: mid + tail into a target,
+// head + mid out of a source — as one sequential (min,+) pass over the
+// overlay block the two cells share, and publishes it together with the
+// cell's pending node entries in one atomic store. Concurrent first touches
+// may both compute; the vectors are bit-identical, the first published wins
+// and the other is dropped.
+func (ts *TargetSlice) touch(r int32, cell *cellTables) *scoreEntry {
+	blk := make([]scoreEntry, len(cell.nodes)+cell.nb)
+	vec := borderVec(cell, &blk[0])
+	ovP, ovS, _ := ts.o.overlayTables(ts.metric)
+	inf := math.Inf(1)
 	if ts.outbound {
-		seg = ts.o.sourceSegment(ts, r)
+		// vec[y]: best intra(source, b1) + overlay(b1, b2) over the source
+		// cell's borders b1, for the cell's y-th border b2.
+		for y := range vec {
+			vec[y] = scorePair{inf, inf}
+		}
+		at := ts.o.block(ts.root, cell)
+		for _, head := range ts.rootVec {
+			midP, midS := ovP[at:at+len(vec)], ovS[at:at+len(vec)]
+			at += len(vec)
+			for y, mid := range midP {
+				p := head.prim + mid
+				if p > vec[y].prim {
+					continue // the secondary sum only matters to a winner or a tie
+				}
+				s := head.sec + midS[y]
+				if p < vec[y].prim || s < vec[y].sec {
+					vec[y] = scorePair{p, s}
+				}
+			}
+		}
 	} else {
-		seg = ts.o.targetSegment(ts, r)
+		// vec[x]: best overlay(b1, b2) + intra(b2, target) over the target
+		// cell's borders b2, for the cell's x-th border b1.
+		nb := len(ts.rootVec)
+		at := ts.o.block(cell, ts.root)
+		for x := range vec {
+			midP, midS := ovP[at:at+nb], ovS[at:at+nb]
+			at += nb
+			bp, bs := inf, inf
+			for y, tail := range ts.rootVec {
+				p := midP[y] + tail.prim
+				if p > bp {
+					continue
+				}
+				s := midS[y] + tail.sec
+				if p < bp || s < bs {
+					bp, bs = p, s
+				}
+			}
+			vec[x] = scorePair{bp, bs}
+		}
 	}
-	c := &ts.cells[r]
-	if c.seg.CompareAndSwap(nil, &seg[0]) {
-		ts.bytes.Add(scorePairBytes * int64(len(seg)))
+	if ts.blocks[r].CompareAndSwap(nil, &blk[0]) {
+		ts.bytes.Add(scorePairBytes * int64(len(blk)))
 	}
-	return c.seg.Load()
+	return ts.blocks[r].Load()
 }
 
-// targetSegment assembles cell ci's scores into the slice's target: first
-// the best overlay+tail completion per border node of the cell (mid + tail),
-// then per node the best head through those borders — exactly query's
-// decomposition with the per-target half hoisted out, in query's loop order
-// and with the same head + (mid + tail) association and tie-break, so slice
-// lookups reproduce query's scores bit for bit.
-func (o *PartitionedOracle) targetSegment(ts *TargetSlice, ci int32) []scorePair {
-	m := ts.metric
-	cell := &o.cells[ci]
-	k := len(cell.nodes)
-	iPrim, iSec, _ := cell.scoreTables(m)
-	cj := &o.cells[ts.rootRegion]
-	kj := len(cj.nodes)
-	lj := ts.rootLocal
-	jPrim, jSec, _ := cj.scoreTables(m)
-	ovP, ovS, _ := o.overlayTables(m)
-	b := len(o.borders)
-	inf := math.Inf(1)
-
-	// mt[x]: best overlay(b1,b2) + intra(b2,target) over the target region's
-	// borders b2, for the cell's x-th border b1.
-	mt := make([]scorePair, len(cell.borderLoc))
-	for x, b1loc := range cell.borderLoc {
-		row := int(o.borderIdx[cell.nodes[b1loc]]) * b
-		bp, bs := inf, inf
-		for _, b2loc := range cj.borderLoc {
-			tail := jPrim[int(b2loc)*kj+lj]
-			if math.IsInf(tail, 1) {
-				continue
-			}
-			b2 := int(o.borderIdx[cj.nodes[b2loc]])
-			mid := ovP[row+b2]
-			if math.IsInf(mid, 1) {
-				continue
-			}
-			p := mid + tail
-			if p > bp {
-				continue // the secondary sum only matters to a winner or a tie
-			}
-			s := ovS[row+b2] + jSec[int(b2loc)*kj+lj]
-			if p < bp || s < bs {
-				bp, bs = p, s
-			}
-		}
-		mt[x] = scorePair{bp, bs}
+// score computes the scores of the node at local index l of cell and
+// publishes them in e: the best of the cell's borders joined with the border
+// vector — head + (mid + tail) into a target, exactly the pair query's
+// decomposition, association and lexicographic tie-break with the per-target
+// half hoisted out, so target slices reproduce pair answers bit for bit;
+// (head + mid) + tail out of a source, see SourceSliced — and, in the root's
+// own cell, of the direct intra-region path. An unreachable leg is +Inf on
+// both scores and loses every comparison, so the loop does not look for it.
+func (ts *TargetSlice) score(cell *cellTables, blk *scoreEntry, l int, e *scoreEntry) (prim, sec float64) {
+	if cell == ts.root && l == ts.rootLoc {
+		return 0, 0
 	}
-
-	seg := make([]scorePair, k)
-	sameRegion := ci == ts.rootRegion
-	for li := 0; li < k; li++ {
-		bestP, bestS := inf, inf
-		if sameRegion {
-			bestP = iPrim[li*k+lj]
-			bestS = iSec[li*k+lj]
-		}
-		for x, b1loc := range cell.borderLoc {
-			head := iPrim[li*k+int(b1loc)]
-			if math.IsInf(head, 1) || math.IsInf(mt[x].prim, 1) {
-				continue
-			}
-			p := head + mt[x].prim
-			if p > bestP {
-				continue
-			}
-			s := iSec[li*k+int(b1loc)] + mt[x].sec
-			if p < bestP || s < bestS {
+	k := len(cell.nodes)
+	tP, tS, _ := cell.scoreTables(ts.metric)
+	bestP, bestS := math.Inf(1), math.Inf(1)
+	// A target slice reads the node's row — its scores to the cell's borders
+	// are the row's first nb entries — a source slice its column.
+	at, step, direct := l*k, 1, l*k+ts.rootLoc
+	if ts.outbound {
+		at, step, direct = l, k, ts.rootLoc*k+l
+	}
+	if cell == ts.root {
+		bestP, bestS = tP[direct], tS[direct]
+	}
+	for _, b := range borderVec(cell, blk) {
+		p := tP[at] + b.prim
+		if p <= bestP {
+			if s := tS[at] + b.sec; p < bestP || s < bestS {
 				bestP, bestS = p, s
 			}
 		}
-		seg[li] = scorePair{bestP, bestS}
+		at += step
 	}
-	if sameRegion {
-		seg[lj] = scorePair{}
-	}
-	return seg
-}
-
-// sourceSegment assembles cell cj's scores out of the slice's source: first
-// the best head+overlay arrival per border node of the cell ((head + mid),
-// hoisting the per-source half), then per node the best completion from
-// those borders. The hoisted association makes this the (head + mid) + tail
-// ordering — see SourceSliced for the contract.
-func (o *PartitionedOracle) sourceSegment(ts *TargetSlice, cj int32) []scorePair {
-	m := ts.metric
-	cell := &o.cells[cj]
-	k := len(cell.nodes)
-	jPrim, jSec, _ := cell.scoreTables(m)
-	ci := &o.cells[ts.rootRegion]
-	ki := len(ci.nodes)
-	li := ts.rootLocal
-	iPrim, iSec, _ := ci.scoreTables(m)
-	ovP, ovS, _ := o.overlayTables(m)
-	b := len(o.borders)
-	inf := math.Inf(1)
-
-	// hm[x]: best intra(source,b1) + overlay(b1,b2) over the source region's
-	// borders b1, for the cell's x-th border b2.
-	hm := make([]scorePair, len(cell.borderLoc))
-	for x, b2loc := range cell.borderLoc {
-		b2 := int(o.borderIdx[cell.nodes[b2loc]])
-		bp, bs := inf, inf
-		for _, b1loc := range ci.borderLoc {
-			head := iPrim[li*ki+int(b1loc)]
-			if math.IsInf(head, 1) {
-				continue
-			}
-			row := int(o.borderIdx[ci.nodes[b1loc]]) * b
-			mid := ovP[row+b2]
-			if math.IsInf(mid, 1) {
-				continue
-			}
-			p := head + mid
-			if p > bp {
-				continue // the secondary sum only matters to a winner or a tie
-			}
-			s := iSec[li*ki+int(b1loc)] + ovS[row+b2]
-			if p < bp || s < bs {
-				bp, bs = p, s
-			}
-		}
-		hm[x] = scorePair{bp, bs}
-	}
-
-	seg := make([]scorePair, k)
-	sameRegion := cj == ts.rootRegion
-	for lj := 0; lj < k; lj++ {
-		bestP, bestS := inf, inf
-		if sameRegion {
-			bestP = iPrim[li*ki+lj]
-			bestS = iSec[li*ki+lj]
-		}
-		for x, b2loc := range cell.borderLoc {
-			tail := jPrim[int(b2loc)*k+lj]
-			if math.IsInf(tail, 1) || math.IsInf(hm[x].prim, 1) {
-				continue
-			}
-			p := hm[x].prim + tail
-			if p > bestP {
-				continue
-			}
-			s := hm[x].sec + jSec[int(b2loc)*k+lj]
-			if p < bestP || s < bestS {
-				bestP, bestS = p, s
-			}
-		}
-		seg[lj] = scorePair{bestP, bestS}
-	}
-	if sameRegion {
-		seg[li] = scorePair{}
-	}
-	return seg
+	e.sec.Store(math.Float64bits(bestS))
+	e.prim.Store(math.Float64bits(bestP))
+	return bestP, bestS
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 
 	"kor/internal/apsp"
 	"kor/internal/bitset"
@@ -68,18 +67,8 @@ func (p *plan) runGreedy() (Result, error) {
 	}
 
 	// nodeSet: every node carrying at least one query keyword (line 3–5 of
-	// Algorithm 3, via the inverted file).
-	var nodeSet []graph.NodeID
-	seen := make(map[graph.NodeID]bool)
-	for _, t := range p.terms {
-		for _, v := range p.s.index.Postings(t) {
-			if !seen[v] {
-				seen[v] = true
-				nodeSet = append(nodeSet, v)
-			}
-		}
-	}
-	sort.Slice(nodeSet, func(i, j int) bool { return nodeSet[i] < nodeSet[j] })
+	// Algorithm 3, via the inverted file), in node order.
+	nodeSet := mergePostings(p.postings)
 
 	best := greedyOutcome{os: math.Inf(1)}
 	haveBest := false
@@ -121,6 +110,32 @@ func (p *plan) runGreedy() (Result, error) {
 		return res, nil
 	}
 	return res, nil
+}
+
+// mergePostings returns the union of the posting lists, ascending: a k-way
+// merge of lists that are each sorted (graph.PostingSource's contract), a
+// node that several keywords share taken once.
+func mergePostings(lists [][]graph.NodeID) []graph.NodeID {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]graph.NodeID, 0, total)
+	next := make([]int, len(lists))
+	for taken := 0; taken < total; taken++ { // each round consumes the least head
+		least := -1
+		for i, l := range lists {
+			if next[i] < len(l) && (least < 0 || l[next[i]] < lists[least][next[least]]) {
+				least = i
+			}
+		}
+		v := lists[least][next[least]]
+		next[least]++
+		if len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // greedyStep extends one partial outcome by every beam candidate, recursing

@@ -245,3 +245,30 @@ func TestBestCandidatesMatchesSortPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestMergePostingsMatchesSetAndSort: for random sorted posting lists —
+// empty ones, overlapping ones, a single one — the k-way merge returns
+// exactly what collecting the nodes in a set and sorting it does.
+func TestMergePostingsMatchesSetAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		lists := make([][]graph.NodeID, rng.Intn(6))
+		seen := make(map[graph.NodeID]bool)
+		for i := range lists {
+			for v := 0; v < 30; v++ {
+				if rng.Intn(3) == 0 && i%4 != 3 { // every fourth list stays empty
+					lists[i] = append(lists[i], graph.NodeID(v))
+					seen[graph.NodeID(v)] = true
+				}
+			}
+		}
+		want := make([]graph.NodeID, 0, len(seen))
+		for v := range seen {
+			want = append(want, v)
+		}
+		slices.Sort(want)
+		if got := mergePostings(lists); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merged %v into %v, want %v", trial, lists, got, want)
+		}
+	}
+}

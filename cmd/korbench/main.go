@@ -23,7 +23,7 @@
 // behavior change, not noise, and the report records the first failure's
 // reason alongside the count. This is the CI guard.
 //
-// See EXPERIMENTS.md for the paper-versus-measured discussion.
+// See the Performance section of README.md for measured results.
 package main
 
 import (

@@ -69,21 +69,12 @@ type PathMaterializer interface {
 	MinBudgetPath(from, to graph.NodeID) ([]graph.NodeID, bool)
 }
 
-// Prefetcher is an optional oracle capability: a hint that many queries with
-// a fixed source (or fixed target) are coming, letting lazy implementations
-// choose the right sweep direction. The dense oracles ignore the hints.
+// Prefetcher is an optional oracle capability: a hint that many queries into
+// a fixed target are coming, letting lazy implementations choose the right
+// sweep direction. The dense oracles ignore the hint.
 type Prefetcher interface {
-	// PrefetchSource hints that τ/σ queries from this source are imminent.
-	PrefetchSource(from graph.NodeID)
 	// PrefetchTarget hints that τ/σ queries into this target are imminent.
 	PrefetchTarget(to graph.NodeID)
-}
-
-// PrefetchSource forwards the hint if the oracle supports it.
-func PrefetchSource(o Oracle, from graph.NodeID) {
-	if p, ok := o.(Prefetcher); ok {
-		p.PrefetchSource(from)
-	}
 }
 
 // PrefetchTarget forwards the hint if the oracle supports it.

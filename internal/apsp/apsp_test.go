@@ -310,17 +310,19 @@ func TestLazyPrefetchHints(t *testing.T) {
 	if lazy.SweepCount() != sweepsAfterPrefetch {
 		t.Errorf("queries into prefetched target ran %d extra sweeps", lazy.SweepCount()-sweepsAfterPrefetch)
 	}
-	// Forward prefetch covers (source, ·) queries.
-	PrefetchSource(lazy, 0)
+	// A path into a node with no resident sweep is walked on the full forward
+	// sweep out of its source, which then answers (source, ·) queries.
+	if _, ok := lazy.MinObjectivePath(0, 3); !ok {
+		t.Fatal("no τ path 0→3")
+	}
 	base := lazy.SweepCount()
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		lazy.MinObjective(0, v)
 	}
 	if lazy.SweepCount() != base {
-		t.Errorf("queries from prefetched source ran %d extra sweeps", lazy.SweepCount()-base)
+		t.Errorf("queries from a source with a resident forward sweep ran %d extra sweeps", lazy.SweepCount()-base)
 	}
-	// Prefetch hints on a dense oracle are a no-op, not a crash.
-	PrefetchSource(NewMatrixOracle(g), 0)
+	// A prefetch hint on a dense oracle is a no-op, not a crash.
 	PrefetchTarget(NewMatrixOracle(g), 7)
 }
 

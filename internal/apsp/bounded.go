@@ -73,13 +73,13 @@ func newSweep(g *graph.Graph, key memoKey, bound float64, cover *Sweep) *Sweep {
 // which the score-only dense tables would otherwise answer with a fresh
 // sweep per path.
 func (s *Sweep) WalkFrom(v graph.NodeID) ([]graph.NodeID, bool) {
-	return s.s.walkReverse(s.root, v)
+	return walkReverse(s.s, s.root, v)
 }
 
 // WalkTo materializes, off a forward sweep, the metric-optimal path from the
 // sweep's root to v.
 func (s *Sweep) WalkTo(v graph.NodeID) ([]graph.NodeID, bool) {
-	return s.s.walkForward(s.root, v)
+	return walkForward(s.s, s.root, v)
 }
 
 // OnDemand is implemented by oracles whose pair lookups may trigger
@@ -98,9 +98,11 @@ type OnDemand interface {
 	// the same node, so the τ sweep covering the σ sweep in hand answers all
 	// of them.
 	CoveringSweep(root graph.NodeID, m Metric, cover *Sweep) (sw *Sweep, shared bool)
-	// ForwardSweep returns the full forward sweep out of root under m: every
-	// (root, ·) pair, for the caller that scans one node against many.
-	ForwardSweep(root graph.NodeID, m Metric) *Sweep
+	// Frontier opens a run around root under m — out of root when outbound,
+	// into it otherwise — that the caller advances node by node, for the
+	// caller that scans one node against many and can tell when to stop. It
+	// bypasses the memo; the caller must Close it.
+	Frontier(root graph.NodeID, m Metric, outbound bool) *Frontier
 }
 
 // IsOnDemand reports whether o computes pair scores via on-demand sweeps.

@@ -184,19 +184,26 @@ func (h *itemHeap) pop() dijkstraItem {
 }
 
 // sweepScratch is the working memory of one Dijkstra run: dense tentative
-// scores and parents, the queue, and the list of settled nodes. It is reused
-// across runs without clearing: primary[v] is +Inf for every node the current
-// run has not labelled, and a run starts by putting that back for the nodes
-// the previous one labelled — each of them is in settled or still has an item
-// queued — so a run costs what it and its predecessor reached, never |V|.
-// Scratches are pooled; a run checks one out, and its result is copied out
+// scores and parents, the settled marker, the queue, and the list of settled
+// nodes. It is reused across runs without clearing: primary[v] is +Inf and
+// done[v] false for every node the current run has not labelled, and a run
+// starts by putting that back for the nodes the previous one labelled — each
+// of them is in settled or still has an item queued — so a run costs what it
+// and its predecessor reached, never |V|. Scratches are pooled; a run checks
+// one out, and its result is copied out (or, for a Frontier, read in place)
 // before the scratch goes back.
 type sweepScratch struct {
 	primary   []float64
 	secondary []float64
 	parent    []int32
+	done      []bool
 	settled   []graph.NodeID
 	heap      itemHeap
+
+	// The run in progress: its graph, metric and direction.
+	g       *graph.Graph
+	m       Metric
+	reverse bool
 }
 
 var scratchPool sync.Pool
@@ -212,6 +219,7 @@ func getScratch(n int) *sweepScratch {
 			primary:   make([]float64, n),
 			secondary: make([]float64, n),
 			parent:    make([]int32, n),
+			done:      make([]bool, n),
 		}
 		for i := range sc.primary {
 			sc.primary[i] = math.Inf(1)
@@ -251,62 +259,58 @@ func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, 
 	return sc.compact(), bound
 }
 
-// run settles, in sc, every node within bound of root and returns bound
-// (raised to 0 when below it: the root is always within).
-//
-// With a cover the run starts unbounded and fixes its bound itself, at the
-// primary score of the last cover node to settle or the bound passed in,
-// whichever is wider; it then drains the queue up to that radius (nodes tied
-// with it) and drops the labels past it. Nodes
-// settle in an order that does not depend on the bound, and a label past a
-// radius never feeds a node within it, so what is settled at the end is
-// exactly — scores, parents and reach — what a run bounded at the returned
-// radius settles. Should the queue drain with cover nodes still missing, the
-// returned radius is +Inf: the run was a full sweep.
-func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) float64 {
-	prim, secd, par := sc.primary, sc.secondary, sc.parent
+// start resets sc and queues root: the first step of every run.
+func (sc *sweepScratch) start(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) {
 	for _, v := range sc.settled {
-		prim[v] = math.Inf(1)
+		sc.primary[v] = math.Inf(1)
+		sc.done[v] = false
 	}
-	for _, it := range sc.heap { // labels a covering run left past its radius
-		prim[it.node] = math.Inf(1)
+	for _, it := range sc.heap { // labels a run left queued past where it stopped
+		sc.primary[it.node] = math.Inf(1)
 	}
 	sc.settled = sc.settled[:0]
 	sc.heap = sc.heap[:0]
-
-	if !(bound >= 0) {
-		bound = 0
-	}
-	floor, missing := bound, 0
-	if cover != nil {
-		bound = math.Inf(1)
-		missing = cover.count()
-	}
-	adj := g.Out
-	if reverse {
-		adj = g.In
-	}
-	prim[root], secd[root], par[root] = 0, 0, noParent
+	sc.g, sc.m, sc.reverse = g, m, reverse
+	sc.primary[root], sc.secondary[root], sc.parent[root] = 0, 0, noParent
 	sc.heap.push(dijkstraItem{node: root})
-	// Only a covering run leaves labels past its radius; they stay queued,
-	// where the next run finds the nodes to reset.
+}
+
+// head returns the primary score the next node to settle will carry, +Inf
+// once the queue is drained. Every node not yet settled ends at this score
+// or higher.
+func (sc *sweepScratch) head() float64 {
+	for len(sc.heap) > 0 {
+		if it := &sc.heap[0]; it.primary == sc.primary[it.node] && it.secondary == sc.secondary[it.node] {
+			return it.primary
+		}
+		sc.heap.pop() // a leftover of an improvement
+	}
+	return math.Inf(1)
+}
+
+// step is the one settle-and-relax step every run is made of: it settles the
+// next node if its primary score is within bound and relaxes its edges,
+// dropping labels past bound. ok is false when no node is left within bound.
+func (sc *sweepScratch) step(bound float64) (it dijkstraItem, ok bool) {
+	prim, secd, par := sc.primary, sc.secondary, sc.parent
 	for len(sc.heap) > 0 && sc.heap[0].primary <= bound {
-		it := sc.heap.pop()
+		it = sc.heap.pop()
 		// A node's labels are pushed best last and popped best first: the
 		// item that still matches the node's scores settles it, any other is
 		// a leftover of an improvement.
 		if it.primary != prim[it.node] || it.secondary != secd[it.node] {
 			continue
 		}
+		sc.done[it.node] = true
 		sc.settled = append(sc.settled, it.node)
-		if missing > 0 && cover.reached(it.node) {
-			if missing--; missing == 0 {
-				bound = max(it.primary, floor)
-			}
+		edges := sc.g.Out(it.node)
+		if sc.reverse {
+			edges = sc.g.In(it.node)
 		}
-		for _, e := range adj(it.node) {
+		byObjective := sc.m == ByObjective
+		for _, e := range edges {
 			var p, sec float64
-			if m == ByObjective {
+			if byObjective {
 				p, sec = it.primary+e.Objective, it.secondary+e.Budget
 			} else {
 				p, sec = it.primary+e.Budget, it.secondary+e.Objective
@@ -320,8 +324,44 @@ func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse
 				sc.heap.push(dijkstraItem{node: v, primary: p, secondary: sec})
 			}
 		}
+		return it, true
 	}
-	return bound
+	return it, false
+}
+
+// run settles, in sc, every node within bound of root and returns bound
+// (raised to 0 when below it: the root is always within).
+//
+// With a cover the run starts unbounded and fixes its bound itself, at the
+// primary score of the last cover node to settle or the bound passed in,
+// whichever is wider; it then drains the queue up to that radius (nodes tied
+// with it) and leaves the labels past it queued, where the next run finds
+// the nodes to reset. Nodes settle in an order that does not depend on the
+// bound, and a label past a radius never feeds a node within it, so what is
+// settled at the end is exactly — scores, parents and reach — what a run
+// bounded at the returned radius settles. Should the queue drain with cover
+// nodes still missing, the returned radius is +Inf: the run was a full sweep.
+func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) float64 {
+	if !(bound >= 0) {
+		bound = 0
+	}
+	floor, missing := bound, 0
+	if cover != nil {
+		bound = math.Inf(1)
+		missing = cover.count()
+	}
+	sc.start(g, root, m, reverse)
+	for {
+		it, ok := sc.step(bound)
+		if !ok {
+			return bound
+		}
+		if missing > 0 && cover.reached(it.node) {
+			if missing--; missing == 0 {
+				bound = max(it.primary, floor)
+			}
+		}
+	}
 }
 
 // dense copies the run's settled nodes out as a dense sweep over n nodes.
@@ -380,9 +420,27 @@ func (s *sweep) parentOf(v graph.NodeID) (graph.NodeID, bool) {
 	return graph.NodeID(s.parent[i]), true
 }
 
+// reached reports whether the run in progress has settled v.
+func (sc *sweepScratch) reached(v graph.NodeID) bool { return sc.done[v] }
+
+// parentOf is sweep.parentOf over the nodes the run in progress has settled.
+func (sc *sweepScratch) parentOf(v graph.NodeID) (graph.NodeID, bool) {
+	if !sc.done[v] || sc.parent[v] == noParent {
+		return 0, false
+	}
+	return graph.NodeID(sc.parent[v]), true
+}
+
+// parents is what a walk reads: a finished sweep, or the settled part of a
+// run in progress.
+type parents interface {
+	reached(v graph.NodeID) bool
+	parentOf(v graph.NodeID) (graph.NodeID, bool)
+}
+
 // walkForward reconstructs the path root→dst from a forward sweep.
-func (s *sweep) walkForward(root, dst graph.NodeID) ([]graph.NodeID, bool) {
-	rev, ok := s.walkReverse(root, dst)
+func walkForward(s parents, root, dst graph.NodeID) ([]graph.NodeID, bool) {
+	rev, ok := walkReverse(s, root, dst)
 	if !ok {
 		return nil, false
 	}
@@ -394,7 +452,7 @@ func (s *sweep) walkForward(root, dst graph.NodeID) ([]graph.NodeID, bool) {
 
 // walkReverse reconstructs the path src→root from a reverse sweep rooted at
 // the target.
-func (s *sweep) walkReverse(root, src graph.NodeID) ([]graph.NodeID, bool) {
+func walkReverse(s parents, root, src graph.NodeID) ([]graph.NodeID, bool) {
 	if !s.reached(src) {
 		return nil, false
 	}

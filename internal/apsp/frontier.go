@@ -1,0 +1,92 @@
+package apsp
+
+import (
+	"math"
+
+	"kor/internal/graph"
+)
+
+// Frontier is a Dijkstra run its caller advances one settled node at a time:
+// the resumable form of a sweep, for a caller that can tell from the scores
+// settled so far when the rest of the graph can no longer change its answer
+// (Greedy's candidate scan). It runs the same step as every bounded and
+// covering run, so nodes settle in the same (primary, secondary, node ID)
+// order and each settled node's scores and parent are bit for bit those of a
+// full sweep. A Frontier reads its pooled scratch in place and holds it until
+// Close; it is owned by one goroutine.
+type Frontier struct {
+	sc   *sweepScratch
+	root graph.NodeID
+	o    *LazyOracle // counts the frontier until Close; nil in tests
+}
+
+// Frontier opens a run around root under m: out of root when outbound, into
+// it otherwise. It bypasses the memo; the caller must Close it.
+func (o *LazyOracle) Frontier(root graph.NodeID, m Metric, outbound bool) *Frontier {
+	f := &Frontier{sc: getScratch(o.g.NumNodes()), root: root, o: o}
+	f.sc.start(o.g, root, m, !outbound)
+	o.frontiersOpen.Add(1)
+	return f
+}
+
+// FrontierStats reports how many frontiers are open right now and how many
+// nodes the closed ones settled in total.
+func (o *LazyOracle) FrontierStats() (open, settled int64) {
+	return o.frontiersOpen.Load(), o.frontierSettled.Load()
+}
+
+// Head returns the primary score the next node to settle will carry, +Inf
+// once every reachable node has settled: no node outside Order ends below it.
+func (f *Frontier) Head() float64 { return f.sc.head() }
+
+// Next settles one more node, appending it to Order; false once drained.
+func (f *Frontier) Next() bool {
+	_, ok := f.sc.step(math.Inf(1))
+	return ok
+}
+
+// Order lists the settled nodes in settle order, ascending in the primary
+// score. It is valid until the next call to Next or Close.
+func (f *Frontier) Order() []graph.NodeID { return f.sc.settled }
+
+// Settled reports whether v has settled.
+func (f *Frontier) Settled(v graph.NodeID) bool { return f.sc.done[v] }
+
+// Scores returns the (objective, budget) scores of the metric-optimal path
+// between the root and v; ok is false while v has not settled.
+func (f *Frontier) Scores(v graph.NodeID) (os, bs float64, ok bool) {
+	sc := f.sc
+	if !sc.done[v] {
+		return 0, 0, false
+	}
+	if sc.m == ByObjective {
+		return sc.primary[v], sc.secondary[v], true
+	}
+	return sc.secondary[v], sc.primary[v], true
+}
+
+// WalkFrom materializes, off a frontier into the root, the path from a
+// settled node v to the root.
+func (f *Frontier) WalkFrom(v graph.NodeID) ([]graph.NodeID, bool) {
+	return walkReverse(f.sc, f.root, v)
+}
+
+// WalkTo materializes, off a frontier out of the root, the path from the
+// root to a settled node v.
+func (f *Frontier) WalkTo(v graph.NodeID) ([]graph.NodeID, bool) {
+	return walkForward(f.sc, f.root, v)
+}
+
+// Close returns the scratch to the pool. Idempotent; the frontier is unusable
+// afterwards.
+func (f *Frontier) Close() {
+	if f.sc == nil {
+		return
+	}
+	if f.o != nil {
+		f.o.frontiersOpen.Add(-1)
+		f.o.frontierSettled.Add(int64(len(f.sc.settled)))
+	}
+	scratchPool.Put(f.sc)
+	f.sc = nil
+}

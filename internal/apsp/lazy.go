@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"math"
+	"sync/atomic"
 
 	"kor/internal/graph"
 )
@@ -11,19 +12,26 @@ import (
 // query; a forward sweep answers every (source, ·) query. The route-search
 // algorithms fetch the sweeps they will hammer through the OnDemand methods
 // and hold on to them: truncated reverse sweeps into the query target and
-// into candidate nodes (ReverseSweep, CoveringSweep), and for Greedy, which
-// scores every keyword node, full ones (ForwardSweep from each waypoint). The
-// pair interface reads whichever full sweep is resident.
+// into candidate nodes (ReverseSweep, CoveringSweep). Greedy, which scores
+// keyword nodes against its waypoints and the target with no budget bound,
+// reads plan-private frontiers instead (Frontier), grown only as far as its
+// pick can still change. The pair interface reads whichever full sweep is
+// resident.
 //
 // All sweeps — forward, reverse, full and truncated — live in one oracle
 // memo (memo.go), which charges each what it really holds (sweepBytes for a
 // full one, compactNodeBytes per settled node for a truncated one), so
 // memory is bounded by sweepMemoBudget whatever mix of queries runs, and
 // concurrent queries needing the same missing sweep share one Dijkstra run.
-// A LazyOracle is safe for concurrent use; published sweeps are immutable.
+// Frontiers bypass the memo: each holds one pooled scratch until its owner
+// closes it. A LazyOracle is safe for concurrent use; published sweeps are
+// immutable.
 type LazyOracle struct {
 	g      *graph.Graph
 	sweeps *memo[*Sweep]
+
+	frontiersOpen   atomic.Int64
+	frontierSettled atomic.Int64
 }
 
 // sweepBytes is the resident size of one full sweep over an n-node graph:
@@ -70,11 +78,9 @@ func (o *LazyOracle) full(key memoKey) *sweep {
 	return nil
 }
 
-// ForwardSweep returns the full forward sweep out of root under m (see
-// OnDemand).
-func (o *LazyOracle) ForwardSweep(root graph.NodeID, m Metric) *Sweep {
+func (o *LazyOracle) forward(root graph.NodeID, m Metric) *sweep {
 	s, _ := o.sweep(memoKey{root, m, true}, math.Inf(1))
-	return s
+	return s.s
 }
 
 func (o *LazyOracle) reverse(root graph.NodeID, m Metric) *sweep {
@@ -137,13 +143,6 @@ func (o *LazyOracle) MinBudget(from, to graph.NodeID) (float64, float64, bool) {
 	return o.lookup(from, to, ByBudget)
 }
 
-// PrefetchSource caches the forward τ sweep from this node: what Greedy's
-// scan of (from, keyword node) pairs reads. Its σ lookups all point into the
-// query target and are answered by the target's reverse sweep.
-func (o *LazyOracle) PrefetchSource(from graph.NodeID) {
-	o.ForwardSweep(from, ByObjective)
-}
-
 // PrefetchTarget caches reverse sweeps into this node under both metrics.
 func (o *LazyOracle) PrefetchTarget(to graph.NodeID) {
 	o.reverse(to, ByObjective)
@@ -166,7 +165,7 @@ func (o *LazyOracle) path(from, to graph.NodeID, m Metric) ([]graph.NodeID, bool
 		return []graph.NodeID{from}, true
 	}
 	if s := o.full(memoKey{to, m, false}); s != nil {
-		return s.walkReverse(to, from)
+		return walkReverse(s, to, from)
 	}
-	return o.ForwardSweep(from, m).WalkTo(to)
+	return walkForward(o.forward(from, m), from, to)
 }

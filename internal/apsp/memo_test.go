@@ -63,7 +63,7 @@ func TestMemoSizing(t *testing.T) {
 	full := sweepBytes(g.NumNodes())
 	o := NewLazyOracle(g)
 	o.sweeps.budget = 4 * full
-	o.PrefetchSource(0)
+	o.forward(0, ByObjective)
 	var small int64
 	for root := graph.NodeID(0); root < 40; root++ {
 		sw, _ := o.ReverseSweep(root, ByBudget, 0.3)

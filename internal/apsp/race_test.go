@@ -9,7 +9,7 @@ import (
 )
 
 // TestLazyOracleConcurrent hammers one LazyOracle from many goroutines —
-// score lookups, prefetch hints and path materialization under a tiny cache
+// score lookups, prefetch hints, frontiers and path materialization under a tiny cache
 // that forces constant eviction — and checks every answer against the dense
 // oracle. Run with -race this is the oracle-level concurrency safety proof.
 func TestLazyOracleConcurrent(t *testing.T) {
@@ -35,7 +35,13 @@ func TestLazyOracleConcurrent(t *testing.T) {
 				case 0:
 					PrefetchTarget(lazy, to)
 				case 1:
-					PrefetchSource(lazy, from)
+					f := lazy.Frontier(from, Metric(r.Intn(2)), r.Intn(2) == 0)
+					rootFirst := f.Next() && f.Order()[0] == from
+					f.Close()
+					if !rootFirst {
+						errs <- "a frontier did not settle its root first"
+						return
+					}
 				case 2:
 					if path, ok := lazy.MinObjectivePath(from, to); ok && len(path) == 0 {
 						errs <- "empty τ path"

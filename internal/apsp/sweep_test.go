@@ -76,8 +76,8 @@ func sameWithin(got, ref *sweep, root graph.NodeID, bound float64) string {
 			return fmt.Sprintf("node %d: (%v, %v, parent %d), want (%v, %v, parent %d)", v,
 				got.primary[i], got.secondary[i], got.parent[i], ref.primary[v], ref.secondary[v], ref.parent[v])
 		}
-		gotPath, _ := got.walkReverse(root, v)
-		if wantPath, _ := ref.walkReverse(root, v); !slices.Equal(gotPath, wantPath) {
+		gotPath, _ := walkReverse(got, root, v)
+		if wantPath, _ := walkReverse(ref, root, v); !slices.Equal(gotPath, wantPath) {
 			return fmt.Sprintf("node %d: walk %v, want %v", v, gotPath, wantPath)
 		}
 	}

@@ -56,7 +56,6 @@ type greedyOutcome struct {
 
 func (p *plan) runGreedy() (Result, error) {
 	defer p.close()
-	p.fullTau = true
 
 	if p.opts.BudgetPriority {
 		// This variant promises BS ≤ Δ; when even σ(s,t) busts Δ no route
@@ -67,8 +66,14 @@ func (p *plan) runGreedy() (Result, error) {
 	}
 
 	// nodeSet: every node carrying at least one query keyword (line 3–5 of
-	// Algorithm 3, via the inverted file), in node order.
-	nodeSet := mergePostings(p.postings)
+	// Algorithm 3, via the inverted file), in node order. A sweep-backed
+	// oracle finds them on its frontiers instead.
+	var nodeSet []graph.NodeID
+	if p.sweeper != nil {
+		p.tgt = p.openFrontier(p.q.Target, false)
+	} else {
+		nodeSet = mergePostings(p.postings)
+	}
 
 	best := greedyOutcome{os: math.Inf(1)}
 	haveBest := false
@@ -142,7 +147,6 @@ func mergePostings(lists [][]graph.NodeID) []graph.NodeID {
 // until the keywords are covered (keyword mode) or no candidate fits the
 // budget (budget-priority mode), then completes the route to the target.
 func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedyOutcome, haveBest *bool, better func(a, b greedyOutcome) bool) error {
-	oracle := p.s.oracle
 	cur := st.waypoints[len(st.waypoints)-1]
 	uncovered := p.qMask.Diff(st.covered)
 
@@ -151,67 +155,15 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		return nil
 	}
 
-	// On slice-indexed oracles the candidate scan reads two slices instead of
-	// issuing 2–3 pair queries per candidate: the plan's target slices for the
-	// m→target tails (bit-identical to the pair interface) and one outbound
-	// slice for the cur→m segments (exact reachability, scores equal up to
-	// floating-point association — see apsp.SourceSliced). On a partitioned
-	// oracle each pair query costs |borders|² table probes, so without the
-	// slices this loop dominates the whole search. On a sweep-backed oracle
-	// the cur→m segments come off the plan's forward sweep out of cur, pinned
-	// like every other sweep the plan reads: looked up pair by pair, a sweep
-	// evicted mid-scan would be answered by one full reverse sweep per
-	// remaining candidate. Any other oracle gets the hint.
-	var srcTau *apsp.TargetSlice
-	var outTau *apsp.Sweep
-	switch {
-	case p.sliced:
-		if ss, ok := oracle.(apsp.SourceSliced); ok {
-			srcTau = ss.SourceSlice(cur, apsp.ByObjective)
-		}
-	case p.sweeper != nil:
-		outTau = p.tauFrom(cur)
-	default:
-		apsp.PrefetchSource(oracle, cur)
-	}
 	var candidates []greedyCandidate
-	for _, m := range nodeSet {
-		if err := p.checkCtx(); err != nil {
-			return err
-		}
-		if m == cur || p.nodeMask[m].Intersect(uncovered).Empty() {
-			continue
-		}
-		var segOS, segBS float64
-		var ok bool
-		switch {
-		case srcTau != nil:
-			segOS, segBS = srcTau.Scores(m)
-			ok = !math.IsInf(segOS, 1)
-		case outTau != nil && m == p.q.Target:
-			segOS, segBS, ok = p.tauTo(cur) // one source for τ(cur, target): the final leg reads it too
-		case outTau != nil:
-			segOS, segBS, ok = outTau.Scores(m)
-		default:
-			segOS, segBS, ok = oracle.MinObjective(cur, m)
-		}
-		if !ok {
-			continue
-		}
-		tailOS, tailBS, ok := p.tauTo(m)
-		if !ok {
-			continue
-		}
-		if p.opts.BudgetPriority {
-			// §3.4 modification: only consider nodes that keep the route
-			// able to reach the target within Δ.
-			sigBS, sok := p.sigBudgetTo(m)
-			if !sok || st.bs+segBS+sigBS > p.q.Budget {
-				continue
-			}
-		}
-		s := p.opts.Alpha*(st.os+segOS+tailOS) + (1-p.opts.Alpha)*(st.bs+segBS+tailBS)
-		candidates = append(candidates, greedyCandidate{node: m, score: s, os: segOS, bs: segBS})
+	var err error
+	if p.tgt != nil {
+		candidates, err = p.frontierCandidates(st, cur, uncovered)
+	} else {
+		candidates, err = p.nodeSetCandidates(st, cur, uncovered, nodeSet)
+	}
+	if err != nil {
+		return err
 	}
 	if len(candidates) == 0 {
 		if p.opts.BudgetPriority {
@@ -235,6 +187,177 @@ func (p *plan) greedyStep(st greedyOutcome, nodeSet []graph.NodeID, best *greedy
 		}
 	}
 	return nil
+}
+
+// score rates keyword node m as the next waypoint after cur by Equation 1,
+// given the τ(cur, m) segment and the τ(m, target) tail; ok is false when
+// budget-priority mode rules m out.
+func (p *plan) score(st greedyOutcome, m graph.NodeID, segOS, segBS, tailOS, tailBS float64) (greedyCandidate, bool) {
+	if p.opts.BudgetPriority {
+		// §3.4 modification: only consider nodes that keep the route able to
+		// reach the target within Δ.
+		sigBS, sok := p.sigBudgetTo(m)
+		if !sok || st.bs+segBS+sigBS > p.q.Budget {
+			return greedyCandidate{}, false
+		}
+	}
+	s := p.opts.Alpha*(st.os+segOS+tailOS) + (1-p.opts.Alpha)*(st.bs+segBS+tailBS)
+	return greedyCandidate{node: m, score: s, os: segOS, bs: segBS}, true
+}
+
+// nodeSetCandidates scores every keyword node carrying an uncovered keyword
+// as the next waypoint after cur, on a table-backed oracle. On slice-indexed
+// oracles the scan reads two slices instead of issuing 2–3 pair queries per
+// candidate: the plan's target slices for the m→target tails (bit-identical
+// to the pair interface) and one outbound slice for the cur→m segments
+// (exact reachability, scores equal up to floating-point association — see
+// apsp.SourceSliced). On a partitioned oracle each pair query costs
+// |borders|² table probes, so without the slices this loop dominates the
+// whole search.
+func (p *plan) nodeSetCandidates(st greedyOutcome, cur graph.NodeID, uncovered bitset.Mask, nodeSet []graph.NodeID) ([]greedyCandidate, error) {
+	var srcTau *apsp.TargetSlice
+	if ss, ok := p.s.oracle.(apsp.SourceSliced); ok && p.sliced {
+		srcTau = ss.SourceSlice(cur, apsp.ByObjective)
+	}
+	var candidates []greedyCandidate
+	for _, m := range nodeSet {
+		if err := p.checkCtx(); err != nil {
+			return nil, err
+		}
+		if m == cur || p.nodeMask[m].Intersect(uncovered).Empty() {
+			continue
+		}
+		var segOS, segBS float64
+		var ok bool
+		if srcTau != nil {
+			segOS, segBS = srcTau.Scores(m)
+			ok = !math.IsInf(segOS, 1)
+		} else {
+			segOS, segBS, ok = p.s.oracle.MinObjective(cur, m)
+		}
+		if !ok {
+			continue
+		}
+		tailOS, tailBS, ok := p.tauTo(m)
+		if !ok {
+			continue
+		}
+		if c, ok := p.score(st, m, segOS, segBS, tailOS, tailBS); ok {
+			candidates = append(candidates, c)
+		}
+	}
+	return candidates, nil
+}
+
+// frontierCandidates is the candidate scan on a sweep-backed oracle. It
+// walks the τ frontier out of cur in settle order — ascending OS(τ(cur, m))
+// — and grows it, and the τ frontier into the target, only while Equation 1
+// can still place a node among the width best. With best the width-th best
+// score so far, the scan stops at the first node, settled or next to settle
+// at the frontier's head, with
+//
+//	α·(st.os + OS(τ(cur, m))) + (1−α)·st.bs > best,
+//
+// and a node whose tail has not settled yet is dropped once, with head the
+// target frontier's,
+//
+//	α·(st.os + OS(τ(cur, m)) + head) + (1−α)·(st.bs + BS(τ(cur, m))) > best.
+//
+// Each bound is Equation 1 as score computes it with the unknown terms
+// replaced by lower bounds — the head, or 0 — and float + and ×α are
+// monotone, so it never exceeds the node's own score. The comparison being
+// strict, every node that could make the cut is scored, and bestCandidates
+// picks what a scan of every keyword node picks. With α = 0 the bounds lose
+// their radius term and the scan reaches as far as the frontiers do.
+func (p *plan) frontierCandidates(st greedyOutcome, cur graph.NodeID, uncovered bitset.Mask) ([]greedyCandidate, error) {
+	alpha, target := p.opts.Alpha, p.q.Target
+	cut := beamCut{width: p.opts.Width}
+	var candidates []greedyCandidate
+	// consider scores m, growing the target frontier until m's tail settles
+	// or the tail can no longer make the cut.
+	consider := func(m graph.NodeID, segOS, segBS float64) error {
+		for !p.tgt.Settled(m) {
+			h := p.tgt.Head()
+			if math.IsInf(h, 1) || alpha*(st.os+segOS+h)+(1-alpha)*(st.bs+segBS) > cut.best() {
+				return nil
+			}
+			if err := p.checkCtx(); err != nil {
+				return err
+			}
+			p.tgt.Next()
+		}
+		tailOS, tailBS, _ := p.tgt.Scores(m)
+		if c, ok := p.score(st, m, segOS, segBS, tailOS, tailBS); ok {
+			candidates = append(candidates, c)
+			cut.add(c.score)
+		}
+		return nil
+	}
+
+	// The target's segment is τ(cur, target) as the final leg reads it, off
+	// the target frontier: the frontier out of cur may differ in its last bit.
+	if cur != target && !p.nodeMask[target].Intersect(uncovered).Empty() {
+		if segOS, segBS, ok := p.tauTo(cur); ok {
+			if err := consider(target, segOS, segBS); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := p.outFrontier(cur)
+	for i := 0; ; i++ {
+		if err := p.checkCtx(); err != nil {
+			return nil, err
+		}
+		if i == len(out.Order()) {
+			if h := out.Head(); math.IsInf(h, 1) || alpha*(st.os+h)+(1-alpha)*st.bs > cut.best() {
+				break
+			}
+			out.Next()
+		}
+		m := out.Order()[i]
+		segOS, segBS, _ := out.Scores(m)
+		if alpha*(st.os+segOS)+(1-alpha)*st.bs > cut.best() {
+			break // a resumed frontier: later nodes only score higher
+		}
+		if m == cur || m == target || p.nodeMask[m].Intersect(uncovered).Empty() {
+			continue
+		}
+		if err := consider(m, segOS, segBS); err != nil {
+			return nil, err
+		}
+	}
+	return candidates, nil
+}
+
+// beamCut tracks the width lowest candidate scores seen so far.
+type beamCut struct {
+	width  int
+	scores []float64 // ascending, at most width
+}
+
+// add records a candidate score.
+func (c *beamCut) add(s float64) {
+	if len(c.scores) == c.width {
+		if s >= c.scores[c.width-1] {
+			return
+		}
+		c.scores = c.scores[:c.width-1]
+	}
+	i := len(c.scores)
+	c.scores = append(c.scores, s)
+	for ; i > 0 && c.scores[i-1] > s; i-- {
+		c.scores[i] = c.scores[i-1]
+	}
+	c.scores[i] = s
+}
+
+// best returns the width-th lowest score so far: a node scoring above it
+// cannot make the cut. +Inf until width candidates have been scored.
+func (c *beamCut) best() float64 {
+	if len(c.scores) < c.width {
+		return math.Inf(1)
+	}
+	return c.scores[c.width-1]
 }
 
 // greedyCandidate is one scored next waypoint of a beam step.
@@ -309,8 +432,8 @@ func (p *plan) materializeGreedy(out greedyOutcome) (Route, error) {
 		switch {
 		case to == p.q.Target:
 			seg, ok = p.pathToTarget(from, out.legMetric[i-1])
-		case p.sweeper != nil:
-			seg, ok = p.tauFrom(from).WalkTo(to) // legs between waypoints are τ legs
+		case p.tgt != nil:
+			seg, ok = p.out[from].WalkTo(to) // legs between waypoints are τ legs
 		case out.legMetric[i-1] == apsp.ByObjective:
 			seg, ok = p.s.oracle.MinObjectivePath(from, to)
 		default:

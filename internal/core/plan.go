@@ -68,12 +68,14 @@ type plan struct {
 	targetTau  *apsp.Sweep // τ(·, target), resolved on first use
 	boundedSig map[graph.NodeID]*apsp.Sweep
 	tauVia     map[graph.NodeID]*apsp.Sweep
-	// Greedy scores every keyword node, against its current waypoint and
-	// against the target, with no σ filter in front: fullTau makes targetTau
-	// a full sweep, and tauOut pins the full forward τ sweep out of each
-	// waypoint.
-	fullTau bool
-	tauOut  map[graph.NodeID]*apsp.Sweep
+	// Greedy scores keyword nodes against its current waypoint and against
+	// the target with no σ filter in front, so on a sweep-backed oracle it
+	// reads plan-private frontiers instead of sweeps: tgt runs τ into the
+	// target, out runs τ out of each waypoint (a later beam branch at the
+	// same waypoint resumes it). Each is grown only as far as Equation 1 can
+	// still change a pick (greedy.go) and closed with the plan.
+	tgt *apsp.Frontier
+	out map[graph.NodeID]*apsp.Frontier
 
 	// sliced: the oracle serves per-target score views (apsp.SliceIndexed).
 	// The plan resolves the two target slices eagerly — every admission check
@@ -266,6 +268,12 @@ func (p *plan) close() {
 	p.sc = nil
 	p.nodeMask = nil
 	p.s.putScratch(sc, p.postings)
+	if p.tgt != nil {
+		p.tgt.Close()
+	}
+	for _, f := range p.out {
+		f.Close()
+	}
 }
 
 // tailEntryFor returns v's tail memo slot, resetting it lazily when it still
@@ -297,31 +305,34 @@ func (p *plan) sigSweep() *apsp.Sweep {
 
 // tauSweep returns (resolving on first use) the plan's τ sweep into the
 // target. The label algorithms read τ(v, target) only at nodes that passed
-// the σ check, so for them it reaches as far as the σ sweep in hand does and
-// no further.
+// the σ check, so it reaches as far as the σ sweep in hand does and no
+// further.
 func (p *plan) tauSweep() *apsp.Sweep {
 	if p.targetTau == nil {
-		if p.fullTau {
-			p.targetTau, _ = p.sweeper.ReverseSweep(p.q.Target, apsp.ByObjective, math.Inf(1))
-		} else {
-			p.targetTau, _ = p.sweeper.CoveringSweep(p.q.Target, apsp.ByObjective, p.sigSweep())
-		}
+		p.targetTau, _ = p.sweeper.CoveringSweep(p.q.Target, apsp.ByObjective, p.sigSweep())
 	}
 	return p.targetTau
 }
 
-// tauFrom returns (resolving on first use) the plan's full forward τ sweep
-// out of waypoint from.
-func (p *plan) tauFrom(from graph.NodeID) *apsp.Sweep {
-	sw := p.tauOut[from]
-	if sw == nil {
-		sw = p.sweeper.ForwardSweep(from, apsp.ByObjective)
-		if p.tauOut == nil {
-			p.tauOut = make(map[graph.NodeID]*apsp.Sweep)
+// openFrontier opens a plan-private τ frontier around root. It counts in
+// PlanSweeps: the query pays for all of it.
+func (p *plan) openFrontier(root graph.NodeID, outbound bool) *apsp.Frontier {
+	p.metrics.PlanSweeps++
+	return p.sweeper.Frontier(root, apsp.ByObjective, outbound)
+}
+
+// outFrontier returns (opening on first use) the τ frontier out of waypoint
+// from.
+func (p *plan) outFrontier(from graph.NodeID) *apsp.Frontier {
+	f := p.out[from]
+	if f == nil {
+		f = p.openFrontier(from, true)
+		if p.out == nil {
+			p.out = make(map[graph.NodeID]*apsp.Frontier)
 		}
-		p.tauOut[from] = sw
+		p.out[from] = f
 	}
-	return sw
+	return f
 }
 
 // sigToTarget returns the scores of σ(v, target), off the plan's target sweep
@@ -333,9 +344,15 @@ func (p *plan) sigToTarget(v graph.NodeID) (os, bs float64, ok bool) {
 	return p.s.oracle.MinBudget(v, p.q.Target)
 }
 
-// tauToTarget returns the scores of τ(v, target), off the plan's target sweep
-// or from the pair interface.
+// tauToTarget returns the scores of τ(v, target), off Greedy's target
+// frontier (grown until v settles), the plan's target sweep or the pair
+// interface.
 func (p *plan) tauToTarget(v graph.NodeID) (os, bs float64, ok bool) {
+	if p.tgt != nil {
+		for !p.tgt.Settled(v) && p.tgt.Next() {
+		}
+		return p.tgt.Scores(v)
+	}
 	if p.sweeper != nil {
 		return p.tauSweep().Scores(v)
 	}
@@ -343,9 +360,11 @@ func (p *plan) tauToTarget(v graph.NodeID) (os, bs float64, ok bool) {
 }
 
 // pathToTarget materializes τ(from, target) or σ(from, target), walking the
-// sweep that scored it on a sweep-backed oracle.
+// frontier or sweep that scored it on a sweep-backed oracle.
 func (p *plan) pathToTarget(from graph.NodeID, m apsp.Metric) ([]graph.NodeID, bool) {
 	switch {
+	case p.tgt != nil && m == apsp.ByObjective:
+		return p.tgt.WalkFrom(from)
 	case p.sweeper != nil && m == apsp.ByObjective:
 		return p.tauSweep().WalkFrom(from)
 	case p.sweeper != nil:

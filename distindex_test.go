@@ -161,9 +161,10 @@ func TestDegradedOracleIsByteBounded(t *testing.T) {
 	}
 	defer eng.Close()
 
-	// A 120k-node ring: one sweep is ~2.4 MB.
+	// A 200k-node ring: a full sweep is charged 6.4 MB, so the 512 MiB
+	// budget holds 83 of them, fewer than the 128-entry cap.
 	b := NewBuilder()
-	const n = 120_000
+	const n = 200_000
 	for i := 0; i < n; i++ {
 		b.AddNode("stop")
 	}

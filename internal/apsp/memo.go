@@ -20,12 +20,14 @@ import (
 
 // Budgets of the two memo instances. Sweeps are additionally capped by entry
 // count so small graphs, whose sweeps are cheap to recompute, do not hold
-// thousands of them; slices are bounded by bytes alone — a label search
-// resolves a slice per candidate node and the store must hold the working
-// set of a whole query stream, not of one query.
+// thousands of them: the cap holds about ten queries' worth of the sweeps a
+// label query runs (a dozen or so once its candidates are pruned to the
+// source–target budget ellipse). Slices are bounded by bytes alone — a label
+// search resolves a slice per candidate node and the store must hold the
+// working set of a whole query stream, not of one query.
 const (
 	sweepMemoBudget  = 512 << 20
-	sweepMemoEntries = 512
+	sweepMemoEntries = 128
 	sliceMemoBudget  = 256 << 20
 	// memoMinEntries keeps a store useful on graphs where one entry exceeds
 	// the whole budget: a query's two target sweeps and a candidate or two

@@ -18,18 +18,26 @@ import (
 // entry), floored so a store stays useful on graphs where one entry outweighs
 // the budget; what it really holds is bounded by the bytes its entries are
 // charged, so entries smaller than the worst case fit in greater number.
+// The sweep cap of 128 entries binds until that many full sweeps fill the
+// byte budget, on graphs of up to 131,070 nodes.
 func TestMemoSizing(t *testing.T) {
 	sweepMemo := func(nodes int) *memo[*Sweep] {
 		return newMemo(sweepMemoEntries, sweepMemoBudget, compactSweepBytes(nodes), (*Sweep).bytes)
+	}
+	crossover := int((sweepMemoBudget/sweepMemoEntries - sweepBaseBytes) / compactNodeBytes)
+	if sweepMemoEntries != 128 || crossover != 131_070 {
+		t.Fatalf("sweep memo: %d entries, crossover at %d nodes; the sizing rule above no longer holds", sweepMemoEntries, crossover)
 	}
 	for _, tc := range []struct {
 		nodes int
 		want  int
 	}{
-		{8_000, sweepMemoEntries}, // bench-sized: the entry cap binds
+		{8_000, sweepMemoEntries},     // bench-sized: the entry cap binds
+		{crossover, sweepMemoEntries}, // the last graph on which it does
+		{crossover + 1, sweepMemoEntries - 1},
 		{1_000_000, int(sweepMemoBudget / compactSweepBytes(1_000_000))}, // 1M nodes: the byte budget binds
-		{1 << 30, memoMinEntries}, // one sweep outweighs the budget
-		{1, sweepMemoEntries},     // degenerate graph
+		{1 << 30, memoMinEntries},                                        // one sweep outweighs the budget
+		{1, sweepMemoEntries},                                            // degenerate graph
 	} {
 		if got := sweepMemo(tc.nodes).stats(nil).Capacity; got != tc.want {
 			t.Errorf("sweep memo capacity on %d nodes = %d, want %d", tc.nodes, got, tc.want)

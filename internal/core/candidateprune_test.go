@@ -1,0 +1,213 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"kor/internal/apsp"
+	"kor/internal/gen"
+	"kor/internal/graph"
+)
+
+// Tests for the candidate prune: on an oracle that runs sweeps, newPlan
+// drops the strategy candidates outside the (source, target) budget ellipse
+// and must answer exactly as if it kept them.
+
+// noPruneOracle is a lazy oracle that opens no frontier. A plan over it
+// selects its candidates off the same bounded sweeps as a plan over the
+// oracle itself, but pruneCandidates finds no frontier to open and keeps
+// them all: the reference the prune must not change. Only the label
+// algorithms run on it; Greedy reads its frontiers.
+type noPruneOracle struct{ *apsp.LazyOracle }
+
+func (noPruneOracle) Frontier(graph.NodeID, apsp.Metric, bool) *apsp.Frontier { return nil }
+
+// candidateNodes lists a plan's strategy-1 and strategy-2 candidates in
+// plan order, and its infrequent keyword's bit.
+func candidateNodes(p *plan) (jump, via []graph.NodeID, infreqBit int) {
+	for _, jn := range p.jumpNodes {
+		jump = append(jump, jn.node)
+	}
+	for _, v := range p.infreq {
+		via = append(via, v.node)
+	}
+	return jump, via, p.infreqBit
+}
+
+// isSubsequence reports whether sub lists some of full's nodes in full's order.
+func isSubsequence(sub, full []graph.NodeID) bool {
+	i := 0
+	for _, v := range full {
+		if i < len(sub) && sub[i] == v {
+			i++
+		}
+	}
+	return i == len(sub)
+}
+
+// planCandidates builds the plan of q on o and returns its candidates.
+func planCandidates(t *testing.T, g *graph.Graph, o RouteOracle, q Query, opts Options) (jump, via []graph.NodeID, infreqBit int) {
+	t.Helper()
+	p, err := NewSearcher(g, o, nil).newPlan(context.Background(), q, opts)
+	if err != nil {
+		return nil, nil, -1
+	}
+	defer p.close()
+	return candidateNodes(p)
+}
+
+// renderPruneOutcome is renderSweepOutcome plus each route's feasibility and
+// coverage flags.
+func renderPruneOutcome(res Result, err error) string {
+	out := renderSweepOutcome(res, err)
+	for _, r := range res.Routes {
+		out += fmt.Sprintf("feasible=%v covers=%v ", r.Feasible, r.CoversAll)
+	}
+	return out
+}
+
+// TestCandidatePruneDifferential: over a seeded road network, a tied-weight
+// and a disconnected graph, and a graph whose rare keyword engages strategy
+// 2, OSScaling, BucketBound, Exact and KkR on the lazy oracle return, bit for
+// bit, the routes, feasibility and errors of the same searches over plans
+// that keep every candidate, from the same labels created, pruned, jumped
+// and dequeued. The pruned lists keep the order of the full ones, and the
+// matrix and partitioned oracles keep every candidate.
+func TestCandidatePruneDifferential(t *testing.T) {
+	type variant struct {
+		algo Algorithm
+		k    int
+	}
+	variants := []variant{{AlgorithmOSScaling, 1}, {AlgorithmBucketBound, 1}, {AlgorithmExact, 1}, {AlgorithmTopK, 3}}
+
+	rng := rand.New(rand.NewSource(2904))
+	road := gen.RoadNetwork(gen.RoadConfig{Seed: 23, Nodes: 800, SizeKm: 13})
+	var roadQueries []Query
+	for _, delta := range []float64{1.5, 3, 5, 8} {
+		for i := 0; i < 5; i++ {
+			roadQueries = append(roadQueries, roadQuery(rng, road, 2+i%2, delta))
+		}
+	}
+	randomQueries := func(g *graph.Graph) []Query {
+		qs := make([]Query, 40)
+		for i := range qs {
+			qs[i] = randomQuery(rng, g, 1+i%3)
+		}
+		return qs
+	}
+	rare := rareKeywordGraph(t, 300)
+	rareSets := [][]graph.Term{
+		terms(t, rare, "hiddengem"),
+		terms(t, rare, "common", "hiddengem"),
+		terms(t, rare, "shared", "hiddengem"),
+	}
+	var rareQueries []Query
+	for i := 0; i < 40; i++ {
+		rareQueries = append(rareQueries, Query{
+			Source:   graph.NodeID(rng.Intn(rare.NumNodes())),
+			Target:   graph.NodeID(rng.Intn(rare.NumNodes())),
+			Keywords: rareSets[i%len(rareSets)],
+			Budget:   4 + 12*rng.Float64(),
+		})
+	}
+	tied, split := tiedGraph(rng, 60, 8), disconnectedGraph(rng, 30, 8)
+	graphs := []struct {
+		name    string
+		g       *graph.Graph
+		queries []Query
+		exact   bool // integer weights: every oracle's sums agree bit for bit
+	}{
+		{"road", road, roadQueries, false},
+		{"tied", tied, randomQueries(tied), true},
+		{"disconnected", split, randomQueries(split), true},
+		{"rare", rare, rareQueries, false},
+	}
+
+	var dropped, emptied, strategy2, shortcuts int
+	for _, gc := range graphs {
+		g := gc.g
+		var tables []RouteOracle
+		if gc.exact {
+			tables = []RouteOracle{apsp.NewMatrixOracle(g), apsp.NewPartitionedOracle(g, 8)}
+		}
+		for i, q := range gc.queries {
+			opts := DefaultOptions()
+			opts.MaxExpansions = 30_000 // exact must stop; where it stops is part of the answer
+			name := fmt.Sprintf("%s query %d (Δ=%v)", gc.name, i, q.Budget)
+
+			jump, via, bit := planCandidates(t, g, apsp.NewLazyOracle(g), q, opts)
+			fullJump, fullVia, fullBit := planCandidates(t, g, noPruneOracle{apsp.NewLazyOracle(g)}, q, opts)
+			if bit != fullBit || !isSubsequence(jump, fullJump) || !isSubsequence(via, fullVia) {
+				t.Fatalf("%s: pruned candidates %v / %v (bit %d) are not an ordered part of %v / %v (bit %d)",
+					name, jump, via, bit, fullJump, fullVia, fullBit)
+			}
+			dropped += len(fullJump) + len(fullVia) - len(jump) - len(via)
+			if len(via) == 0 && len(fullVia) > 0 {
+				emptied++
+			}
+			for _, o := range tables {
+				tj, tv, tb := planCandidates(t, g, o, q, opts)
+				if !slices.Equal(tj, fullJump) || !slices.Equal(tv, fullVia) || tb != fullBit {
+					t.Fatalf("%s: %T plan candidates %v / %v (bit %d), want all of %v / %v (bit %d)",
+						name, o, tj, tv, tb, fullJump, fullVia, fullBit)
+				}
+			}
+
+			for _, v := range variants {
+				opts.K = v.k
+				lazyOracle := apsp.NewLazyOracle(g)
+				got, gotErr := NewSearcher(g, lazyOracle, nil).Run(context.Background(), v.algo, q, opts)
+				want, wantErr := NewSearcher(g, noPruneOracle{apsp.NewLazyOracle(g)}, nil).Run(context.Background(), v.algo, q, opts)
+				vname := fmt.Sprintf("%s %s k=%d", name, v.algo, v.k)
+				if g, w := renderPruneOutcome(got, gotErr), renderPruneOutcome(want, wantErr); g != w {
+					t.Fatalf("%s: the prune changed the answer:\n got %s\nwant %s", vname, g, w)
+				}
+				gm, wm := got.Metrics, want.Metrics
+				gm.PlanSweeps, gm.SharedSweeps, wm.PlanSweeps, wm.SharedSweeps = 0, 0, 0, 0
+				if gm != wm {
+					t.Fatalf("%s: the prune changed the search:\n got %+v\nwant %+v", vname, gm, wm)
+				}
+				if open, _ := lazyOracle.FrontierStats(); open != 0 {
+					t.Fatalf("%s: %d frontiers left open", vname, open)
+				}
+				strategy2 += got.Metrics.PrunedStrategy2
+				shortcuts += got.Metrics.ShortcutLabels
+			}
+		}
+	}
+	if dropped < 100 || emptied == 0 || strategy2 == 0 || shortcuts == 0 {
+		t.Fatalf("%d candidates dropped, %d strategy-2 lists emptied, %d strategy-2 prunes, %d shortcut labels: the queries no longer exercise the prune",
+			dropped, emptied, strategy2, shortcuts)
+	}
+}
+
+// BenchmarkLabelLazy is OSScaling and BucketBound on one lazy oracle over the
+// bench road network (8,000 nodes), 256 seeded queries at Δ = 9 with four
+// keywords each. sweeps/op, the oracle's Dijkstra runs, is the deterministic
+// work counter (over whole passes of the 256 queries).
+func BenchmarkLabelLazy(b *testing.B) {
+	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]Query, 256)
+	for i := range queries {
+		queries[i] = roadQuery(rng, g, 4, 9)
+	}
+	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound} {
+		b.Run(string(algo), func(b *testing.B) {
+			oracle := apsp.NewLazyOracle(g)
+			s := NewSearcher(g, oracle, nil)
+			opts := DefaultOptions()
+			before := oracle.SweepCount()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = s.Run(context.Background(), algo, queries[i%len(queries)], opts)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(oracle.SweepCount()-before)/float64(b.N), "sweeps/op")
+		})
+	}
+}

@@ -117,7 +117,8 @@ func TestGreedyFrontierCases(t *testing.T) {
 
 // TestGreedyFrontiersClosed: whichever way Greedy returns — an answer, no
 // route, a route over budget, or a cancelled context mid-scan — every
-// frontier it opened has given its scratch back.
+// frontier it opened has given its scratch back; so has the candidate
+// prune's frontier whichever way OSScaling, BucketBound or Exact returns.
 func TestGreedyFrontiersClosed(t *testing.T) {
 	g := ctxTestGraph(t)
 	q := ctxTestQuery(t, g)
@@ -153,6 +154,47 @@ func TestGreedyFrontiersClosed(t *testing.T) {
 	_, err := NewSearcher(dead, oracle, nil).Greedy(Query{Source: 0, Target: 2, Keywords: terms(t, dead, "k"), Budget: 10}, DefaultOptions())
 	if open, settled := oracle.FrontierStats(); !errors.Is(err, ErrNoRoute) || open != 0 || settled == 0 {
 		t.Fatalf("dead end: err = %v, %d open, %d settled; want ErrNoRoute with every frontier closed", err, open, settled)
+	}
+
+	// The label algorithms open one frontier, the candidate prune's, while
+	// building the plan. Whichever way the search then ends, it is closed.
+	// No route: the keyword node 1 reaches the target within Δ but lies
+	// outside the source's budget ellipse.
+	far := greedyFixture(t, [][]string{{}, {"k"}, {}}, []greedyEdge{{0, 2, 1, 1}, {1, 2, 1, 1}, {0, 1, 5, 5}})
+	farQuery := Query{Source: 0, Target: 2, Keywords: terms(t, far, "k"), Budget: 3}
+	labelOpts := ctxTestOptions()
+	labelOpts.DisableStrategy1, labelOpts.DisableStrategy2 = false, false
+	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound, AlgorithmExact} {
+		for _, c := range []struct {
+			name          string
+			ctx           context.Context
+			g             *graph.Graph
+			q             Query
+			maxExpansions int
+			want          error
+		}{
+			{"answer", context.Background(), g, q, 0, nil},
+			{"no route", context.Background(), far, farQuery, 0, ErrNoRoute},
+			{"search limit", context.Background(), g, q, 50, ErrSearchLimit},
+			{"cancelled", &countdownCtx{Context: context.Background(), remaining: 2}, g, q, 0, context.Canceled},
+		} {
+			oracle := apsp.NewLazyOracle(c.g)
+			opts := labelOpts
+			if c.maxExpansions > 0 {
+				opts.MaxExpansions = c.maxExpansions
+			}
+			_, err := NewSearcher(c.g, oracle, nil).Run(c.ctx, algo, c.q, opts)
+			if (c.want == nil) != (err == nil) || (c.want != nil && !errors.Is(err, c.want)) {
+				t.Fatalf("%s %s: err = %v, want %v", algo, c.name, err, c.want)
+			}
+			open, settled := oracle.FrontierStats()
+			if open != 0 {
+				t.Fatalf("%s %s: %d frontiers still hold their scratch", algo, c.name, open)
+			}
+			if settled == 0 {
+				t.Fatalf("%s %s: no frontier was opened; the case no longer exercises the prune", algo, c.name)
+			}
+		}
 	}
 }
 

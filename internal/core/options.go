@@ -33,7 +33,9 @@ type Options struct {
 	InfrequentFraction float64
 	// Strategy1Candidates caps how many uncovered-keyword nodes strategy 1
 	// considers per query (rarest keywords first); each candidate costs one
-	// reverse sweep on a lazy oracle.
+	// reverse sweep on a lazy oracle. The cap applies before the plan drops,
+	// on such an oracle, the candidates no route from the source can pass
+	// within Δ; the dropped ones are not replaced.
 	Strategy1Candidates int
 	// BudgetPriority switches Greedy to the budget-first variant of §3.4:
 	// the returned route respects Δ but may leave keywords uncovered.

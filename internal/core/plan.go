@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"kor/internal/apsp"
@@ -42,7 +43,9 @@ type plan struct {
 	// Strategy 1: nodes carrying uncovered query keywords, each with the
 	// mask of query keywords it carries and its σ-tail budget into the
 	// target, ordered by rarest keyword first. Nodes that cannot reach the
-	// target within Δ are dropped at plan time.
+	// target within Δ are dropped at plan time, and on an oracle that runs
+	// sweeps so are those no route from the source can pass within Δ
+	// (pruneCandidates); infreq likewise.
 	jumpNodes []jumpNode
 
 	// Strategy 2: the nodes carrying the least frequent query keyword (with
@@ -175,7 +178,10 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 		taken := make(map[graph.NodeID]bool)
 		for _, tf := range freqs {
 			for _, v := range p.postings[tf.bit] {
-				if taken[v] || len(p.jumpNodes) >= opts.Strategy1Candidates {
+				if len(p.jumpNodes) >= opts.Strategy1Candidates {
+					break
+				}
+				if taken[v] {
 					continue
 				}
 				taken[v] = true
@@ -216,7 +222,52 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 			}
 		}
 	}
+	p.pruneCandidates()
 	return p, nil
+}
+
+// pruneCandidates drops, on an oracle that runs sweeps, the strategy
+// candidates no label of this query can use: those outside the ellipse
+// BS(σ(s,c)) + BS(σ(c,t)) ≤ Δ. The selection above keeps the Δ-disc around
+// the target, and on such an oracle each kept candidate costs a sweep the
+// first time a label reads it. One plan-private forward σ frontier out of
+// the source settles the candidates in budget order and stops, per
+// candidate, where the ellipse ends; the cap is not refilled.
+//
+// The answers cannot change. Both readers, strategy1Jump and strategy2Prune,
+// reject a label at v with l.bs + BS(σ(v,c)) + tailBS > Δ. l.bs is the
+// budget of a real walk s→v, so l.bs + BS(σ(v,c)) ≥ BS(σ(s,c)): a candidate
+// outside the ellipse fails that check for every label. The frontier's
+// scores are bit for bit those of a forward sweep, and sweepSlack covers
+// the association of the readers' reverse sums, as it does for the
+// candidate sweeps themselves. An emptied strategy-2 list keeps infreqBit:
+// a label lacking the rare keyword is then pruned, as it would be by a list
+// whose nodes all fail the budget check.
+//
+// Table-backed oracles open no frontier and keep every candidate: a lookup
+// there costs no sweep.
+func (p *plan) pruneCandidates() {
+	if len(p.jumpNodes) == 0 && len(p.infreq) == 0 {
+		return
+	}
+	f := p.openFrontier(p.q.Source, apsp.ByBudget, true)
+	if f == nil {
+		return
+	}
+	defer f.Close()
+	limit := p.q.Budget + sweepSlack*p.q.Budget
+	inside := func(c graph.NodeID, tailBS float64) bool {
+		for !f.Settled(c) && f.Head() <= limit-tailBS { // Head is +Inf once drained
+			f.Next()
+		}
+		if !f.Settled(c) {
+			return false
+		}
+		_, bs, _ := f.Scores(c)
+		return bs+tailBS <= limit
+	}
+	p.jumpNodes = slices.DeleteFunc(p.jumpNodes, func(jn jumpNode) bool { return !inside(jn.node, jn.tailBS) })
+	p.infreq = slices.DeleteFunc(p.infreq, func(via viaNode) bool { return !inside(via.node, via.bsLT) })
 }
 
 // close returns the plan's pooled scratch. Idempotent; the plan is unusable
@@ -330,7 +381,7 @@ func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, 
 // serves as the plan's τ tail. It reports false on an oracle that runs no
 // sweeps.
 func (p *plan) openTargetFrontier() bool {
-	p.tgt = p.openFrontier(p.q.Target, false)
+	p.tgt = p.openFrontier(p.q.Target, apsp.ByObjective, false)
 	if p.tgt == nil {
 		return false
 	}
@@ -343,7 +394,7 @@ func (p *plan) openTargetFrontier() bool {
 func (p *plan) outFrontier(from graph.NodeID) *apsp.Frontier {
 	f := p.out[from]
 	if f == nil {
-		f = p.openFrontier(from, true)
+		f = p.openFrontier(from, apsp.ByObjective, true)
 		if p.out == nil {
 			p.out = make(map[graph.NodeID]*apsp.Frontier)
 		}
@@ -352,11 +403,11 @@ func (p *plan) outFrontier(from graph.NodeID) *apsp.Frontier {
 	return f
 }
 
-// openFrontier opens a plan-private τ frontier around root, nil on an
+// openFrontier opens a plan-private frontier around root under m, nil on an
 // oracle that runs no sweeps. It counts in PlanSweeps: the query pays for
 // all of it.
-func (p *plan) openFrontier(root graph.NodeID, outbound bool) *apsp.Frontier {
-	f := apsp.OpenFrontier(p.s.oracle, root, apsp.ByObjective, outbound)
+func (p *plan) openFrontier(root graph.NodeID, m apsp.Metric, outbound bool) *apsp.Frontier {
+	f := apsp.OpenFrontier(p.s.oracle, root, m, outbound)
 	if f != nil {
 		p.metrics.PlanSweeps++
 	}

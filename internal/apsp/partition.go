@@ -1,8 +1,10 @@
 package apsp
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"kor/internal/graph"
@@ -120,10 +122,11 @@ const DefaultCellSize = 128
 // partitioned oracle and the cluster shard cut (internal/cluster): every
 // node assigned to exactly one region of at most CellSize nodes, plus the
 // border set — nodes with any cross-region edge. It carries no score
-// tables, so computing one is O(V+E); the oracle layers its τ/σ tables on
+// tables, so computing one costs O(V+E) plus the bisection's sorts,
+// O(V log² V); the oracle layers its τ/σ tables on
 // top, and the shard cut groups regions into shards.
 type Partition struct {
-	// CellSize is the region-size cap the partition was grown with (after
+	// CellSize is the region-size cap the partition was cut with (after
 	// clamping to ≥ 2).
 	CellSize int
 	// Region maps node → region index.
@@ -131,7 +134,8 @@ type Partition struct {
 	// Local maps node → its index within Cells[Region[node]].
 	Local []int32
 	// Cells lists each region's nodes: its border nodes first, then its
-	// interior nodes, each group in discovery order.
+	// interior nodes, each group in the order the partition rule lists the
+	// region (ascending node ID for bisection, BFS order for growing).
 	Cells [][]graph.NodeID
 	// Borders lists the border nodes cell by cell, each cell's in the order
 	// they lead its node list: Borders[BorderStart[c]:BorderStart[c+1]] is
@@ -142,48 +146,47 @@ type Partition struct {
 	BorderStart []int32
 }
 
-// PartitionGraph partitions g into regions of at most cellSize nodes by
-// breadth-first region growing over the undirected skeleton, then marks the
-// border nodes and numbers them. Deterministic for a given graph and cell
-// size.
+// PartitionGraph partitions g into regions of at most cellSize nodes, then
+// marks the border nodes and numbers them. Deterministic for a given graph
+// and cell size.
+//
+// On a graph with positions the regions are cut by recursive coordinate
+// bisection. A node set of L > cellSize nodes needs leaves = ⌈L/cellSize⌉
+// regions: it is sorted along the longer side of its bounding box (ties by
+// the other coordinate, then by node ID), the first ⌊L·⌊leaves/2⌋/leaves⌋
+// nodes form the left half and the rest the right, and each half is cut the
+// same way. The leaves, left first and depth first, are the regions, each
+// listing its nodes in ascending ID. The regions come out full (⌈n/cellSize⌉
+// of them, within one node of each other in size) and compact, so few nodes
+// are borders, and consecutive regions are spatial neighbours, which the
+// shard cut (internal/cluster) relies on.
+//
+// A graph without positions has no geometry to cut, so its regions are grown
+// breadth-first over the undirected skeleton from each unassigned seed in
+// node-ID order, each region claiming nodes while members plus queue stay
+// under the cap. No coordinate-free rule measured better: bisection over
+// hop-distance landmark coordinates and growing from Hilbert-ordered seeds
+// both left more borders than bisection over real positions (DESIGN.md
+// *Oracles*). Every loader and generator in the repository sets positions.
 func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 	if cellSize < 2 {
 		cellSize = 2
 	}
-	n := g.NumNodes()
-	p := &Partition{CellSize: cellSize, Region: make([]int32, n), Local: make([]int32, n)}
-	for i := range p.Region {
-		p.Region[i] = -1
+	if g.HasPositions() {
+		return numberCells(g, cellSize, bisectCells(g, cellSize))
 	}
+	return numberCells(g, cellSize, growCells(g, cellSize))
+}
 
-	// Region growing: BFS over in+out neighbours from each unassigned seed.
-	for seed := 0; seed < n; seed++ {
-		if p.Region[seed] != -1 {
-			continue
+// numberCells lays the partition out over the given regions: it assigns each
+// node its region, marks the borders and numbers both for scanning.
+func numberCells(g *graph.Graph, cellSize int, cells [][]graph.NodeID) *Partition {
+	n := g.NumNodes()
+	p := &Partition{CellSize: cellSize, Region: make([]int32, n), Local: make([]int32, n), Cells: cells}
+	for r, nodes := range cells {
+		for _, v := range nodes {
+			p.Region[v] = int32(r)
 		}
-		r := int32(len(p.Cells))
-		var nodes []graph.NodeID
-		queue := []graph.NodeID{graph.NodeID(seed)}
-		p.Region[seed] = r
-		for len(queue) > 0 && len(nodes) < cellSize {
-			v := queue[0]
-			queue = queue[1:]
-			nodes = append(nodes, v)
-			for _, e := range g.Out(v) {
-				if p.Region[e.To] == -1 && len(nodes)+len(queue) < cellSize {
-					p.Region[e.To] = r
-					queue = append(queue, e.To)
-				}
-			}
-			for _, e := range g.In(v) {
-				if p.Region[e.To] == -1 && len(nodes)+len(queue) < cellSize {
-					p.Region[e.To] = r
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		// Anything still queued was claimed for this region: flush it in.
-		p.Cells = append(p.Cells, append(nodes, queue...))
 	}
 
 	// A border node is one with any cross-region edge.
@@ -202,7 +205,7 @@ func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 	}
 
 	// Numbering: within each cell the borders move to the front (a stable
-	// split, so both groups keep their discovery order), and the overlay
+	// split, so both groups keep the order the rule listed), and the overlay
 	// indices run cell by cell. A cell's borders are then one run of local
 	// indices and one run of overlay indices, which is what lets the score
 	// tables be scanned instead of probed.
@@ -232,11 +235,92 @@ func PartitionGraph(g *graph.Graph, cellSize int) *Partition {
 	return p
 }
 
+// bisectCells cuts g's nodes into regions by recursive coordinate bisection
+// (PartitionGraph). The regions are disjoint subslices of one node array.
+func bisectCells(g *graph.Graph, cellSize int) [][]graph.NodeID {
+	nodes := make([]graph.NodeID, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = graph.NodeID(i)
+	}
+	var cells [][]graph.NodeID
+	var cut func(set []graph.NodeID)
+	cut = func(set []graph.NodeID) {
+		l := len(set)
+		if l <= cellSize {
+			slices.Sort(set)
+			cells = append(cells, set[:l:l])
+			return
+		}
+		lo, hi := g.Position(set[0]), g.Position(set[0])
+		for _, v := range set[1:] {
+			p := g.Position(v)
+			lo.X, lo.Y = min(lo.X, p.X), min(lo.Y, p.Y)
+			hi.X, hi.Y = max(hi.X, p.X), max(hi.Y, p.Y)
+		}
+		byY := hi.Y-lo.Y > hi.X-lo.X
+		slices.SortFunc(set, func(a, b graph.NodeID) int {
+			pa, pb := g.Position(a), g.Position(b)
+			if byY {
+				pa.X, pa.Y, pb.X, pb.Y = pa.Y, pa.X, pb.Y, pb.X
+			}
+			return cmp.Or(cmp.Compare(pa.X, pb.X), cmp.Compare(pa.Y, pb.Y), cmp.Compare(a, b))
+		})
+		leaves := (l + cellSize - 1) / cellSize
+		left := l * (leaves / 2) / leaves
+		cut(set[:left])
+		cut(set[left:])
+	}
+	if len(nodes) > 0 {
+		cut(nodes)
+	}
+	return cells
+}
+
+// growCells grows g's regions breadth-first (PartitionGraph).
+func growCells(g *graph.Graph, cellSize int) [][]graph.NodeID {
+	region := make([]int32, g.NumNodes())
+	for i := range region {
+		region[i] = -1
+	}
+	var cells [][]graph.NodeID
+	for seed := range region {
+		if region[seed] != -1 {
+			continue
+		}
+		r := int32(len(cells))
+		var nodes []graph.NodeID
+		queue := []graph.NodeID{graph.NodeID(seed)}
+		region[seed] = r
+		claim := func(edges []graph.Edge) {
+			for _, e := range edges {
+				if region[e.To] == -1 && len(nodes)+len(queue) < cellSize {
+					region[e.To] = r
+					queue = append(queue, e.To)
+				}
+			}
+		}
+		for len(queue) > 0 && len(nodes) < cellSize {
+			v := queue[0]
+			queue = queue[1:]
+			nodes = append(nodes, v)
+			claim(g.Out(v))
+			claim(g.In(v))
+		}
+		// Anything still queued was claimed for this region: flush it in.
+		cells = append(cells, append(nodes, queue...))
+	}
+	return cells
+}
+
 // NewPartitionedOracle partitions g into regions of at most cellSize nodes
 // (PartitionGraph) and pre-computes the intra-region and border-overlay
 // tables, parallelizing the per-cell and per-border-row work across CPUs.
 func NewPartitionedOracle(g *graph.Graph, cellSize int) *PartitionedOracle {
-	p := PartitionGraph(g, cellSize)
+	return newPartitionedOracle(g, PartitionGraph(g, cellSize))
+}
+
+// newPartitionedOracle builds the tables over partition p of g.
+func newPartitionedOracle(g *graph.Graph, p *Partition) *PartitionedOracle {
 	o := &PartitionedOracle{
 		g:         g,
 		cellSize:  p.CellSize,
@@ -467,7 +551,8 @@ func newNoParentSlice(n int) []int32 {
 // intra-region path wins. The candidates are ordered lexicographically by
 // (primary, secondary), an earlier one winning exact ties; the primary sum is
 // associated as head + (mid + tail) — the ordering the target slices
-// (slice.go) use — so both lookup paths produce bit-identical scores. An
+// (slice.go) use — so both lookup paths produce bit-identical primaries
+// (and secondaries while the sums are exact; see TargetSlice.score). An
 // unreachable leg is +Inf on both scores and loses every comparison, so the
 // loops need not look for it.
 func (o *PartitionedOracle) best(from, to graph.NodeID, m Metric) (prim, sec float64, x, y int, ok bool) {

@@ -331,7 +331,10 @@ func (sw *sectionWriter) pad8() {
 // hosts with working mmap the tables alias the mapped file — near-zero load
 // allocation and instant warm starts off the page cache; otherwise the file
 // is read and decoded. The returned oracle answers queries identically to
-// NewPartitionedOracle(g, cellSize) run with the same build parameters.
+// the oracle the file was written from: it serves the partition stored in
+// the file, whichever rule cut it: checkNumbering checks its layout, not the
+// rule, so a file cut by breadth-first growing opens on a graph with
+// positions, which PartitionGraph would bisect.
 func OpenIndex(path string, g *graph.Graph) (*PartitionedOracle, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"kor/internal/gen"
 	"kor/internal/graph"
 )
 
@@ -360,6 +362,43 @@ func TestSourceSliceAgreement(t *testing.T) {
 						t.Fatalf("trial %d σ %d→%d: slice (%v,%v), query (%v,%v)", trial, from, to, prim, sec, bs, os)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestIndexServesStoredPartition: a KORI file serves the partition stored in
+// it, not the one PartitionGraph would cut today. An index over a
+// breadth-first grown partition of a graph with positions — what builds
+// before coordinate bisection wrote — opens, keeps its regions, and answers
+// like the oracle it was written from, with the matrix oracle's primaries.
+func TestIndexServesStoredPartition(t *testing.T) {
+	g := gen.RoadNetwork(gen.RoadConfig{Seed: 3, Nodes: 200})
+	grown := newPartitionedOracle(g, numberCells(g, 24, growCells(g, 24)))
+	if slices.Equal(grown.region, PartitionGraph(g, 24).Region) {
+		t.Fatal("growing and bisection cut the same regions; the test proves nothing")
+	}
+	path := filepath.Join(t.TempDir(), "grown.kori")
+	if err := grown.WriteIndexFile(path); err != nil {
+		t.Fatalf("WriteIndexFile: %v", err)
+	}
+	disk, err := OpenIndex(path, g)
+	if err != nil {
+		t.Fatalf("OpenIndex: %v", err)
+	}
+	defer disk.Close()
+	if !slices.Equal(disk.region, grown.region) || !slices.Equal(disk.borders, grown.borders) {
+		t.Fatal("the opened index does not carry the stored partition")
+	}
+	matrix := NewMatrixOracle(g)
+	for from := graph.NodeID(0); int(from) < g.NumNodes(); from++ {
+		for to := graph.NodeID(0); int(to) < g.NumNodes(); to += 7 {
+			dOS, dBS, dOK := disk.MinObjective(from, to)
+			gOS, gBS, gOK := grown.MinObjective(from, to)
+			mOS, _, mOK := matrix.MinObjective(from, to)
+			if dOS != gOS || dBS != gBS || dOK != gOK || dOK != mOK || (dOK && !feq(dOS, mOS)) {
+				t.Fatalf("τ(%d,%d): disk (%v,%v,%v), written (%v,%v,%v), matrix primary (%v,%v)",
+					from, to, dOS, dBS, dOK, gOS, gBS, gOK, mOS, mOK)
 			}
 		}
 	}

@@ -279,7 +279,9 @@ func (ts *TargetSlice) touch(r int32, cell *cellTables) *scoreEntry {
 // publishes them in e: the best of the cell's borders joined with the border
 // vector — head + (mid + tail) into a target, exactly the pair query's
 // decomposition, association and lexicographic tie-break with the per-target
-// half hoisted out, so target slices reproduce pair answers bit for bit;
+// half hoisted out, so target slices reproduce pair answers' primaries bit
+// for bit, and their secondaries too while the sums are exact (with rounding
+// the hoisted minimum can keep another tie: a last-bit secondary difference);
 // (head + mid) + tail out of a source, see SourceSliced — and, in the root's
 // own cell, of the direct intra-region path. An unreachable leg is +Inf on
 // both scores and loses every comparison, so the loop does not look for it.

@@ -190,10 +190,18 @@ func (ref *naiveScores) sourcePair(from, to graph.NodeID) (float64, float64) {
 // disk-backed — against the naive assembly bit for bit and against the
 // matrix oracle's primary to 1e-9, on graphs that exercise the layout's
 // corners: tied weights, continuous weights, disconnected parts, a graph
-// that fits one cell (no border, an empty overlay) and cells with a single
-// border.
+// that fits one cell (no border, an empty overlay), cells with a single
+// border, and bisected partitions of a road and a grid with positions. The
+// positioned graphs carry dyadic weights: the kernels and the naive loop
+// group the sums and minima differently, which agrees to the last bit only
+// while every sum is exact (the unpositioned continuous case agrees by luck;
+// TestPositionedContinuousMatchesMatrix covers continuous weights on a
+// bisected partition).
 func TestSliceScoresMatchNaiveAssembly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2405))
+	bisected := func(o *PartitionedOracle) bool { return o.g.HasPositions() && len(o.cells) > 4 }
+	road := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 150})
+	grid := gen.GridRoad(gen.GridConfig{Seed: 2012, Nodes: 140})
 	cases := []struct {
 		name     string
 		g        *graph.Graph
@@ -209,6 +217,8 @@ func TestSliceScoresMatchNaiveAssembly(t *testing.T) {
 		{"single border", barbellTestGraph(rng, 8), 8, func(o *PartitionedOracle) bool {
 			return len(o.cells) == 2 && o.cells[0].nb == 1 && o.cells[1].nb == 1
 		}},
+		{"road, dyadic", rebuilt(road, road.Position, dyadic), 20, bisected},
+		{"grid, dyadic", rebuilt(grid, grid.Position, dyadic), 16, bisected},
 	}
 	for _, tc := range cases {
 		n := tc.g.NumNodes()
@@ -259,6 +269,54 @@ func TestSliceScoresMatchNaiveAssembly(t *testing.T) {
 			}
 			if tc.name == "disconnected" && unreachable == 0 {
 				t.Fatalf("%s %s: no unreachable pair", tc.name, name)
+			}
+		}
+	}
+}
+
+// TestPositionedContinuousMatchesMatrix: on a bisected partition of a road
+// graph with continuous weights, memory- and disk-backed, both metrics and
+// every pair, the pair query agrees with the matrix oracle on reachability
+// and the primary to 1e-9 with a secondary no better than the matrix's;
+// target slices reproduce the pair query's primary bit for bit and its
+// secondary to 1e-9, source slices both to 1e-9. (A target slice takes the
+// minimum over the root cell's borders before adding the head; rounding is
+// monotone, so the primary cannot move, but among primaries that round equal
+// the two orders may keep secondaries a last bit apart.)
+func TestPositionedContinuousMatchesMatrix(t *testing.T) {
+	g := gen.RoadNetwork(gen.RoadConfig{Seed: 7, Nodes: 160})
+	n := g.NumNodes()
+	mem, disk, _ := writeTestIndex(t, g, 24)
+	if len(mem.cells) != 7 {
+		t.Fatalf("%d cells, want ⌈160/24⌉ = 7", len(mem.cells))
+	}
+	matrix := NewMatrixOracle(g)
+	for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
+		for _, m := range []Metric{ByObjective, ByBudget} {
+			for root := graph.NodeID(0); int(root) < n; root++ {
+				into, outOf := o.TargetSlice(root, m), o.SourceSlice(root, m)
+				for v := graph.NodeID(0); int(v) < n; v++ {
+					where := fmt.Sprintf("%s metric %d %d→%d", name, m, v, root)
+					gotP, gotS, ok := o.query(v, root, m)
+					mp, ms, mok := matrix.MinObjective(v, root)
+					if m == ByBudget {
+						ms, mp, mok = matrix.MinBudget(v, root)
+					}
+					if mok != ok || (ok && (!feq(mp, gotP) || ms > gotS+1e-9)) {
+						t.Fatalf("%s: assembled (%v,%v,%v), matrix oracle (%v,%v,%v)", where, gotP, gotS, ok, mp, ms, mok)
+					}
+					if !ok {
+						gotP, gotS = math.Inf(1), math.Inf(1)
+					}
+					if sp, ss := primSec(into, v); sp != gotP || !(ss == gotS || feq(ss, gotS)) {
+						t.Fatalf("%s: target slice (%v,%v), query (%v,%v)", where, sp, ss, gotP, gotS)
+					}
+					wantP, wantS, wok := o.query(root, v, m)
+					sp, ss := primSec(outOf, v)
+					if math.IsInf(sp, 1) == wok || (wok && (!feq(sp, wantP) || !feq(ss, wantS))) {
+						t.Fatalf("%s reversed: source slice (%v,%v), query (%v,%v,%v)", where, sp, ss, wantP, wantS, wok)
+					}
+				}
 			}
 		}
 	}

@@ -60,9 +60,12 @@ func CutGraph(g *graph.Graph, cfg CutConfig) (*Cut, error) {
 		nShards = len(part.Cells)
 	}
 
-	// Sequential fill: walk cells in discovery order (spatially coherent by
-	// construction of the BFS growing) into the current shard until it
-	// reaches the target node count. The last shard takes the remainder.
+	// Sequential fill: walk cells in partition order into the current shard
+	// until it reaches the target node count. The last shard takes the
+	// remainder. On a graph with positions the order is that of the
+	// bisection's leaves, left first and depth first, so consecutive cells
+	// are spatial neighbours and each shard is a compact block of them
+	// (apsp.PartitionGraph).
 	cellShard := make([]int, len(part.Cells))
 	target := (n + nShards - 1) / nShards
 	shard, filled := 0, 0

@@ -34,9 +34,12 @@ func (b BatchResult) Route() Route {
 // fleet of default BucketBound queries. Results are returned in request
 // order. parallelism bounds the worker pool; values < 1 mean GOMAXPROCS.
 //
-// Identical requests within the batch are deduplicated: one representative
-// runs and every duplicate receives a clone of its outcome, flagged
-// Coalesced on the Response. The remaining distinct requests are dispatched
+// Identical requests within the batch are deduplicated under the result
+// layer's key, with keywords resolved against the snapshot current at batch
+// entry: one representative runs and every duplicate receives a clone of its
+// outcome, flagged Coalesced on the Response. Requests that cannot be keyed —
+// a Tracer, an unknown algorithm or keyword, invalid options — run (and
+// fail) individually. The remaining distinct requests are dispatched
 // grouped by source (then target), so requests sharing endpoints run close
 // together and reuse each other's sweeps through the snapshot's oracle memo
 // instead of merely running in parallel.
@@ -57,18 +60,20 @@ func (e *Engine) SearchBatch(ctx context.Context, requests []Request, parallelis
 
 	// Dedup by canonical key: rep[i] names the representative index whose
 	// outcome request i shares; work lists the representatives to run.
+	sn := e.snap.Load()
 	rep := make([]int, n)
 	byKey := make(map[string]int, n)
 	work := make([]int, 0, n)
 	for i, r := range requests {
 		rep[i] = i
-		k, ok := batchKey(r)
-		if ok {
-			if j, seen := byKey[k]; seen {
-				rep[i] = j
-				continue
+		if p, err := sn.prepare(r); err == nil {
+			if k, ok := p.key(sn.info.Fingerprint); ok {
+				if j, seen := byKey[k]; seen {
+					rep[i] = j
+					continue
+				}
+				byKey[k] = i
 			}
-			byKey[k] = i
 		}
 		work = append(work, i)
 	}
@@ -118,17 +123,12 @@ func (e *Engine) SearchBatch(ctx context.Context, requests []Request, parallelis
 		if j == i {
 			continue
 		}
-		src := out[j]
-		resp := cloneResponse(src.Response)
-		resp.Coalesced = true
-		out[i] = BatchResult{Response: resp, Err: src.Err}
-		e.coalesced.Add(1)
+		resp, err := e.results.share(outcome{out[j].Response, out[j].Err})
+		out[i] = BatchResult{Response: resp, Err: err}
 		if e.met != nil {
 			// Duplicates never entered Run: account for them here so the
-			// request totals still count every batch item and the cache
-			// series records them as coalesced, not as misses.
-			e.met.cacheLookup(cacheResultCoalesced)
-			e.met.observe(resp, src.Err, 0)
+			// request totals still count every batch item.
+			e.met.observe(resp, err, 0)
 		}
 	}
 	return out, ctx.Err()

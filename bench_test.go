@@ -277,10 +277,10 @@ var (
 	parOnce sync.Once
 	parEng  *Engine
 	parErr  error
-	parQs   []Query
+	parQs   []Request
 )
 
-func parallelFixture(b *testing.B) (*Engine, []Query) {
+func parallelFixture(b *testing.B) (*Engine, []Request) {
 	b.Helper()
 	parOnce.Do(func() {
 		g := SyntheticRoadNetwork(2012, 2000)
@@ -292,7 +292,7 @@ func parallelFixture(b *testing.B) (*Engine, []Query) {
 		// Warm the sweep caches so the measured region reflects steady-state
 		// serving, as the figure benchmarks do.
 		for _, q := range parQs {
-			_, _ = parEng.Search(q, DefaultOptions())
+			_, _ = parEng.Run(context.Background(), q)
 		}
 	})
 	if parErr != nil {
@@ -306,10 +306,10 @@ func parallelFixture(b *testing.B) (*Engine, []Query) {
 // to see the concurrency win on multi-core hardware.
 func BenchmarkThroughputSerial(b *testing.B) {
 	eng, queries := parallelFixture(b)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		_, _ = eng.Search(q, DefaultOptions())
+		_, _ = eng.Run(ctx, queries[i%len(queries)])
 	}
 }
 
@@ -317,12 +317,12 @@ func BenchmarkThroughputSerial(b *testing.B) {
 // and one lazy oracle, the korserve serving pattern.
 func BenchmarkThroughputParallel(b *testing.B) {
 	eng, queries := parallelFixture(b)
+	ctx := context.Background()
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			q := queries[int(next.Add(1))%len(queries)]
-			_, _ = eng.Search(q, DefaultOptions())
+			_, _ = eng.Run(ctx, queries[int(next.Add(1))%len(queries)])
 		}
 	})
 }
@@ -331,20 +331,16 @@ func BenchmarkThroughputParallel(b *testing.B) {
 // three approximation algorithms the way a live query stream would.
 func BenchmarkThroughputParallelMixed(b *testing.B) {
 	eng, queries := parallelFixture(b)
+	ctx := context.Background()
+	algos := []Algorithm{AlgorithmBucketBound, AlgorithmOSScaling, AlgorithmGreedy}
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(next.Add(1))
 			q := queries[i%len(queries)]
-			switch i % 3 {
-			case 0:
-				_, _ = eng.BucketBound(q, DefaultOptions())
-			case 1:
-				_, _ = eng.OSScaling(q, DefaultOptions())
-			default:
-				_, _ = eng.Greedy(q, DefaultOptions())
-			}
+			q.Algorithm = algos[i%len(algos)]
+			_, _ = eng.Run(ctx, q)
 		}
 	})
 }
@@ -352,11 +348,7 @@ func BenchmarkThroughputParallelMixed(b *testing.B) {
 // BenchmarkSearchBatch — the batch API end to end: one call answering the
 // whole query set on a worker pool.
 func BenchmarkSearchBatch(b *testing.B) {
-	eng, queries := parallelFixture(b)
-	requests := make([]Request, len(queries))
-	for i, q := range queries {
-		requests[i] = Request{From: q.From, To: q.To, Keywords: q.Keywords, Budget: q.Budget}
-	}
+	eng, requests := parallelFixture(b)
 	ctx := context.Background()
 	pars := []int{1, runtime.GOMAXPROCS(0)}
 	if pars[1] == 1 {
@@ -369,7 +361,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(queries)), "queries/op")
+			b.ReportMetric(float64(len(requests)), "queries/op")
 		})
 	}
 }
@@ -398,9 +390,7 @@ func cacheFixture(b *testing.B) (*Engine, *Engine, []Request) {
 		if cacheErr != nil {
 			return
 		}
-		for _, q := range concurrencyQueries(b, plainEng, 16) {
-			cacheQs = append(cacheQs, Request{From: q.From, To: q.To, Keywords: q.Keywords, Budget: q.Budget})
-		}
+		cacheQs = concurrencyQueries(b, plainEng, 16)
 		ctx := context.Background()
 		for _, req := range cacheQs { // warm sweep caches and the result cache
 			_, _ = plainEng.Run(ctx, req)

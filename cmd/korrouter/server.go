@@ -306,7 +306,7 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		korapi.WriteError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "invalid JSON body: " + err.Error()})
 		return
 	}
-	requests := breq.All()
+	requests := breq.Requests
 	if len(requests) == 0 {
 		korapi.WriteError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "batch contains no requests"})
 		return

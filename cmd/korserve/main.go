@@ -32,8 +32,7 @@
 //	POST /v1/admin/reload  re-read the -graph file and swap it in
 //
 // Every error is the korapi envelope {"error":{"code":...,"message":...}}
-// with a machine-readable code. The pre-/v1 paths (/query, /batch, /node,
-// /keywords, /stats) remain as deprecated aliases of the same handlers.
+// with a machine-readable code.
 //
 // One Engine serves every request: the engine is safe for concurrent use,
 // so handlers run in parallel with no per-request rebuild and no global

@@ -102,19 +102,15 @@ func newServer(eng *kor.Engine, cfg serverConfig) *server {
 	return s
 }
 
-// routes builds the HTTP surface: the versioned /v1 endpoints plus the
-// pre-/v1 spellings as deprecated aliases onto the same handlers. Query
+// routes builds the HTTP surface: the versioned /v1 endpoints. Query
 // endpoints (route, batch) pass the admission gate; cheap reads and admin
 // calls do not — an operator must be able to see /v1/stats and /metrics on
 // a saturated server, that being exactly when they are needed.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	route := s.limited(s.handleRouteGet)
-	routePost := s.limited(s.handleRoutePost)
-	batch := s.limited(s.handleBatch)
-	mux.HandleFunc("GET /v1/route", s.instrument("route", route))
-	mux.HandleFunc("POST /v1/route", s.instrument("route", routePost))
-	mux.HandleFunc("POST /v1/batch", s.instrument("batch", batch))
+	mux.HandleFunc("GET /v1/route", s.instrument("route", s.limited(s.handleRouteGet)))
+	mux.HandleFunc("POST /v1/route", s.instrument("route", s.limited(s.handleRoutePost)))
+	mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.limited(s.handleBatch)))
 	mux.HandleFunc("GET /v1/nodes/{id}", s.instrument("nodes", s.handleNode))
 	mux.HandleFunc("GET /v1/keywords", s.instrument("keywords", s.handleKeywords))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
@@ -123,14 +119,6 @@ func (s *server) routes() http.Handler {
 	if s.reg != nil {
 		mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
-
-	// Deprecated pre-/v1 aliases; they answer with the /v1 bodies and a
-	// Deprecation header pointing at the successor.
-	mux.HandleFunc("GET /query", deprecated("/v1/route", s.instrument("route", route)))
-	mux.HandleFunc("POST /batch", deprecated("/v1/batch", s.instrument("batch", batch)))
-	mux.HandleFunc("GET /node/{id}", deprecated("/v1/nodes/{id}", s.instrument("nodes", s.handleNode)))
-	mux.HandleFunc("GET /keywords", deprecated("/v1/keywords", s.instrument("keywords", s.handleKeywords)))
-	mux.HandleFunc("GET /stats", deprecated("/v1/stats", s.instrument("stats", s.handleStats)))
 	return mux
 }
 
@@ -210,15 +198,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		log.Printf("korserve: writing metrics: %v", err)
-	}
-}
-
-// deprecated marks a legacy path while serving the modern handler.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h(w, r)
 	}
 }
 
@@ -323,7 +302,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "bad batch body: " + err.Error()})
 		return
 	}
-	wireReqs := batch.All()
+	wireReqs := batch.Requests
 	if len(wireReqs) == 0 || len(wireReqs) > 1024 {
 		writeError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "batch must contain 1..1024 requests"})
 		return

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -355,43 +354,28 @@ func TestServeGeoJSON(t *testing.T) {
 	}
 }
 
-// TestServeLegacyAliases: the pre-/v1 paths still answer (with the /v1
-// bodies) and are flagged deprecated.
+// TestServeLegacyAliases: the pre-/v1 paths are gone — each answers 404 —
+// and the legacy delta/algo spellings on /v1/route are not a budget or an
+// algorithm.
 func TestServeLegacyAliases(t *testing.T) {
 	ts := testServer(t, 5*time.Second)
-	var out korapi.Response
-	resp := get(t, ts, "/query?from=0&to=0&keywords=jazz,park&delta=4&algo=greedy", &out)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	for _, path := range []string{"/query?from=0&to=0&keywords=jazz&delta=4", "/node/0", "/keywords", "/stats"} {
+		if resp := get(t, ts, path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("legacy path not flagged with a Deprecation header")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), "/v1/route") {
-		t.Errorf("Link header = %q, want successor /v1/route", resp.Header.Get("Link"))
-	}
-	if out.Algorithm != "greedy" {
-		t.Errorf("algorithm = %q, want greedy via legacy algo param", out.Algorithm)
+	body := korapi.BatchRequest{Requests: []korapi.Request{{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 5}}}
+	if resp := post(t, ts, "/batch", body, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /batch: status = %d, want 404", resp.StatusCode)
 	}
 
-	// The satellite fix: a malformed k on the legacy path is now a 400, not
-	// silently ignored.
 	var env korapi.ErrorEnvelope
-	respBad := get(t, ts, "/query?from=0&to=0&keywords=jazz&delta=4&k=abc", &env)
-	wantEnvelope(t, respBad, env, http.StatusBadRequest, korapi.CodeBadRequest)
-
-	var batchOut korapi.BatchResponse
-	legacyBody := map[string]any{
-		"queries": []map[string]any{
-			{"from": 0, "to": 2, "keywords": []string{"cafe"}, "delta": 5},
-		},
-	}
-	respBatch := post(t, ts, "/batch", legacyBody, &batchOut)
-	if respBatch.StatusCode != http.StatusOK {
-		t.Fatalf("legacy batch status = %d", respBatch.StatusCode)
-	}
-	if len(batchOut.Results) != 1 || batchOut.Results[0].Response == nil {
-		t.Errorf("legacy batch results = %+v", batchOut.Results)
+	resp := get(t, ts, "/v1/route?from=0&to=0&keywords=jazz,park&delta=4", &env)
+	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
+	var out korapi.Response
+	resp = get(t, ts, "/v1/route?from=0&to=0&keywords=jazz,park&budget=4&algo=greedy", &out)
+	if resp.StatusCode != http.StatusOK || out.Algorithm != "bucketbound" {
+		t.Errorf("algo parameter: status %d algorithm %q, want 200 with the default bucketbound", resp.StatusCode, out.Algorithm)
 	}
 }
 

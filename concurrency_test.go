@@ -24,11 +24,11 @@ func concurrencyEngine(t testing.TB) *Engine {
 
 // concurrencyQueries derives feasible-looking queries from the graph itself:
 // keywords are read off sampled nodes, so every query resolves.
-func concurrencyQueries(t testing.TB, eng *Engine, n int) []Query {
+func concurrencyQueries(t testing.TB, eng *Engine, n int) []Request {
 	t.Helper()
 	g := eng.Graph()
 	rng := rand.New(rand.NewSource(7))
-	queries := make([]Query, 0, n)
+	queries := make([]Request, 0, n)
 	for len(queries) < n {
 		from := NodeID(rng.Intn(g.NumNodes()))
 		to := NodeID(rng.Intn(g.NumNodes()))
@@ -44,33 +44,30 @@ func concurrencyQueries(t testing.TB, eng *Engine, n int) []Query {
 				}
 			}
 		}
-		queries = append(queries, Query{From: from, To: to, Keywords: kws[:3], Budget: 60})
+		queries = append(queries, Request{From: from, To: to, Keywords: kws[:3], Budget: 60})
 	}
 	return queries
 }
 
 type algoRun struct {
 	name string
-	run  func(*Engine, context.Context, Query) (Result, error)
+	algo Algorithm
+	k    int
 }
 
 func mixedAlgos() []algoRun {
-	topkOpts := DefaultOptions()
-	topkOpts.K = 3
 	return []algoRun{
-		{"bucketbound", func(e *Engine, ctx context.Context, q Query) (Result, error) {
-			return e.BucketBoundCtx(ctx, q, DefaultOptions())
-		}},
-		{"osscaling", func(e *Engine, ctx context.Context, q Query) (Result, error) {
-			return e.OSScalingCtx(ctx, q, DefaultOptions())
-		}},
-		{"greedy", func(e *Engine, ctx context.Context, q Query) (Result, error) {
-			return e.GreedyCtx(ctx, q, DefaultOptions())
-		}},
-		{"topk", func(e *Engine, ctx context.Context, q Query) (Result, error) {
-			return e.OSScalingCtx(ctx, q, topkOpts)
-		}},
+		{"bucketbound", AlgorithmBucketBound, 0},
+		{"osscaling", AlgorithmOSScaling, 0},
+		{"greedy", AlgorithmGreedy, 0},
+		{"topk", AlgorithmOSScaling, 3},
 	}
+}
+
+// run answers q with the variant's algorithm and k.
+func (a algoRun) run(e *Engine, ctx context.Context, q Request) (Response, error) {
+	q.Algorithm, q.K = a.algo, a.k
+	return e.Run(ctx, q)
 }
 
 // TestConcurrentSearches fires overlapping queries of every algorithm at a
@@ -102,7 +99,7 @@ func TestConcurrentSearches(t *testing.T) {
 	for qi, q := range queries {
 		for _, a := range algos {
 			wg.Add(1)
-			go func(a algoRun, qi int, q Query) {
+			go func(a algoRun, qi int, q Request) {
 				defer wg.Done()
 				res, err := a.run(shared, context.Background(), q)
 				got := renderOutcome(res, err)
@@ -132,7 +129,7 @@ func TestConcurrentSearches(t *testing.T) {
 
 // renderOutcome flattens a search outcome for comparison: the routes when it
 // succeeded, the error text when it failed.
-func renderOutcome(res Result, err error) string {
+func renderOutcome(res Response, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -151,18 +148,15 @@ func TestSearchBatch(t *testing.T) {
 
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		r, err := eng.Search(q, DefaultOptions())
+		r, err := eng.Run(context.Background(), q)
 		if err != nil {
 			want[i] = "error: " + err.Error()
 		} else {
-			want[i] = r.String()
+			want[i] = r.Best().String()
 		}
 	}
 
-	requests := make([]Request, len(queries))
-	for i, q := range queries {
-		requests[i] = Request{From: q.From, To: q.To, Keywords: q.Keywords, Budget: q.Budget}
-	}
+	requests := queries
 	for _, par := range []int{0, 1, 4, 16} {
 		results, err := eng.SearchBatch(context.Background(), requests, par)
 		if err != nil {
@@ -187,11 +181,7 @@ func TestSearchBatch(t *testing.T) {
 // Canceled error and reports the cancellation at batch level too.
 func TestSearchBatchCancelled(t *testing.T) {
 	eng := concurrencyEngine(t)
-	queries := concurrencyQueries(t, eng, 4)
-	requests := make([]Request, len(queries))
-	for i, q := range queries {
-		requests[i] = Request{From: q.From, To: q.To, Keywords: q.Keywords, Budget: q.Budget}
-	}
+	requests := concurrencyQueries(t, eng, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	results, err := eng.SearchBatch(ctx, requests, 2)
@@ -205,21 +195,18 @@ func TestSearchBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchCtxCancelled: the façade's ctx-aware single search also fails
-// fast on a dead context.
+// TestSearchCtxCancelled: a single Run fails fast on a dead context, for
+// every algorithm.
 func TestSearchCtxCancelled(t *testing.T) {
 	eng := concurrencyEngine(t)
 	q := concurrencyQueries(t, eng, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.SearchCtx(ctx, q, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Errorf("SearchCtx with cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := eng.TopKCtx(ctx, q, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Errorf("TopKCtx with cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := eng.ExactCtx(ctx, q, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExactCtx with cancelled ctx: err = %v, want context.Canceled", err)
+	for _, algo := range Algorithms() {
+		q.Algorithm = algo
+		if _, err := eng.Run(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with cancelled ctx: err = %v, want context.Canceled", algo, err)
+		}
 	}
 }
 
@@ -245,7 +232,7 @@ func TestConcurrentDiskIndexSuggest(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := eng.Search(queries[w%len(queries)], DefaultOptions()); err != nil && !errors.Is(err, ErrNoRoute) {
+			if _, err := eng.Run(context.Background(), queries[w%len(queries)]); err != nil && !errors.Is(err, ErrNoRoute) {
 				errs <- err
 			}
 		}(w)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -34,11 +35,14 @@ func main() {
 	from, to, keywords := pickScenario(g, eng)
 	fmt.Printf("plan a trip %d → %d covering %v\n\n", from, to, keywords)
 
+	ctx := context.Background()
 	for _, delta := range []float64{9, 6} {
-		q := kor.Query{From: from, To: to, Keywords: keywords, Budget: delta}
 		// The paper's demonstration uses OSScaling, the most accurate of
 		// the approximation algorithms.
-		res, err := eng.OSScaling(q, kor.DefaultOptions())
+		res, err := eng.Run(ctx, kor.Request{
+			From: from, To: to, Keywords: keywords, Budget: delta,
+			Algorithm: kor.AlgorithmOSScaling,
+		})
 		if errors.Is(err, kor.ErrNoRoute) {
 			fmt.Printf("Δ=%v km: no feasible route\n", delta)
 			continue
@@ -50,19 +54,22 @@ func main() {
 	}
 
 	// The same query through each algorithm, with the paper's defaults.
-	q := kor.Query{From: from, To: to, Keywords: keywords, Budget: 9}
+	req := kor.Request{From: from, To: to, Keywords: keywords, Budget: 9}
 	fmt.Println("\nalgorithm comparison at Δ=9 km:")
-	if res, err := eng.OSScaling(q, kor.DefaultOptions()); err == nil {
+	req.Algorithm = kor.AlgorithmOSScaling
+	if res, err := eng.Run(ctx, req); err == nil {
 		fmt.Printf("  OSScaling   OS=%.3f BS=%.2f (labels created: %d)\n",
 			res.Best().Objective, res.Best().Budget, res.Metrics.LabelsCreated)
 	}
-	if res, err := eng.BucketBound(q, kor.DefaultOptions()); err == nil {
+	req.Algorithm = kor.AlgorithmBucketBound
+	if res, err := eng.Run(ctx, req); err == nil {
 		fmt.Printf("  BucketBound OS=%.3f BS=%.2f (labels created: %d)\n",
 			res.Best().Objective, res.Best().Budget, res.Metrics.LabelsCreated)
 	}
 	opts := kor.DefaultOptions()
 	opts.Width = 2
-	res, err := eng.Greedy(q, opts)
+	req.Algorithm, req.Options = kor.AlgorithmGreedy, &opts
+	res, err := eng.Run(ctx, req)
 	switch {
 	case err == nil:
 		fmt.Printf("  Greedy-2    OS=%.3f BS=%.2f\n", res.Best().Objective, res.Best().Budget)
@@ -111,7 +118,8 @@ func pickScenario(g *kor.Graph, eng *kor.Engine) (kor.NodeID, kor.NodeID, []stri
 			continue
 		}
 		keywords := []string{name(attempt % 5), name(5 + attempt%10), name(15 + attempt%25)}
-		wide, err := eng.OSScaling(kor.Query{From: from, To: to, Keywords: keywords, Budget: 9}, kor.DefaultOptions())
+		req := kor.Request{From: from, To: to, Keywords: keywords, Budget: 9, Algorithm: kor.AlgorithmOSScaling}
+		wide, err := eng.Run(context.Background(), req)
 		if err != nil {
 			continue
 		}
@@ -121,7 +129,8 @@ func pickScenario(g *kor.Graph, eng *kor.Engine) (kor.NodeID, kor.NodeID, []stri
 		if wide.Best().Budget <= 6 {
 			continue // the generous route already fits the tight budget
 		}
-		if _, err := eng.OSScaling(kor.Query{From: from, To: to, Keywords: keywords, Budget: 6}, kor.DefaultOptions()); err != nil {
+		req.Budget = 6
+		if _, err := eng.Run(context.Background(), req); err != nil {
 			continue // tight budget has no alternative at all
 		}
 		return from, to, keywords

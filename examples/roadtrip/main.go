@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -34,34 +35,32 @@ func main() {
 		g.Vocab().Name(1),
 		g.Vocab().Name(2),
 	}
-	q := kor.Query{From: 10, To: 4200, Keywords: keywords, Budget: 30}
-	fmt.Printf("query: %d → %d covering %v within %v km\n\n", q.From, q.To, keywords, q.Budget)
+	req := kor.Request{From: 10, To: 4200, Keywords: keywords, Budget: 30}
+	fmt.Printf("query: %d → %d covering %v within %v km\n\n", req.From, req.To, keywords, req.Budget)
 
-	for _, algo := range []string{"BucketBound", "OSScaling", "Greedy-1"} {
-		opts := kor.DefaultOptions()
-		var res kor.Result
-		var err error
+	for _, run := range []struct {
+		name string
+		algo kor.Algorithm
+	}{
+		{"BucketBound", kor.AlgorithmBucketBound},
+		{"OSScaling", kor.AlgorithmOSScaling},
+		{"Greedy-1", kor.AlgorithmGreedy},
+	} {
+		req.Algorithm = run.algo
 		t0 := time.Now()
-		switch algo {
-		case "BucketBound":
-			res, err = eng.BucketBound(q, opts)
-		case "OSScaling":
-			res, err = eng.OSScaling(q, opts)
-		case "Greedy-1":
-			res, err = eng.Greedy(q, opts)
-		}
+		resp, err := eng.Run(context.Background(), req)
 		elapsed := time.Since(t0)
 		switch {
 		case errors.Is(err, kor.ErrNoRoute):
-			fmt.Printf("%-12s no feasible route (%v)\n", algo, elapsed)
+			fmt.Printf("%-12s no feasible route (%v)\n", run.name, elapsed)
 		case errors.Is(err, kor.ErrBudgetExceeded):
-			fmt.Printf("%-12s covered keywords but busted Δ (%v)\n", algo, elapsed)
+			fmt.Printf("%-12s covered keywords but busted Δ (%v)\n", run.name, elapsed)
 		case err != nil:
 			log.Fatal(err)
 		default:
-			r := res.Best()
+			r := resp.Best()
 			fmt.Printf("%-12s OS=%.3f BS=%.1fkm hops=%d  (%v)\n",
-				algo, r.Objective, r.Budget, len(r.Nodes)-1, elapsed)
+				run.name, r.Objective, r.Budget, len(r.Nodes)-1, elapsed)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package kor
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -30,10 +31,11 @@ func TestRouteGeoJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := eng.Search(Query{From: a, To: c, Keywords: []string{"cafe"}, Budget: 2}, DefaultOptions())
+	resp, err := eng.Run(context.Background(), Request{From: a, To: c, Keywords: []string{"cafe"}, Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	route := resp.Best()
 	raw, err := RouteGeoJSON(g, route)
 	if err != nil {
 		t.Fatal(err)

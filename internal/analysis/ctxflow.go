@@ -12,8 +12,7 @@ import (
 //     uniform;
 //   - library packages never mint their own root context: calls to
 //     context.Background or context.TODO are confined to package main.
-//     Three shapes are exempt — functions carrying a Deprecated: doc
-//     comment (the frozen pre-context wrappers), the nil-guard
+//     Two shapes are exempt — the nil-guard
 //     `if ctx == nil { ctx = context.Background() }` that keeps exported
 //     entry points total, and the one-line convenience bridge
 //     `func (s T) X(...) { return s.XCtx(context.Background(), ...) }`
@@ -93,7 +92,7 @@ func isRootContextCall(pass *Pass, call *ast.CallExpr) bool {
 // checkNoRootContext flags context.Background/TODO in library code, minus
 // the two sanctioned shapes.
 func checkNoRootContext(pass *Pass, unit FuncUnit) {
-	if hasDeprecatedDoc(unit.Doc) || isCtxBridge(unit) {
+	if isCtxBridge(unit) {
 		return
 	}
 	// Pre-pass: collect Background calls inside the nil-guard idiom
@@ -127,7 +126,7 @@ func checkNoRootContext(pass *Pass, unit FuncUnit) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"%s mints a root context in a library package; thread the caller's ctx instead (nil-guards and Deprecated wrappers are exempt)", unit.Name)
+			"%s mints a root context in a library package; thread the caller's ctx instead (nil-guards and Ctx bridges are exempt)", unit.Name)
 		return true
 	})
 }

@@ -3,27 +3,26 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
+	"go/types"
 )
 
-// DefinitiveOutcome protects the cross-query sharing tier (DESIGN.md "Work
-// sharing"): a result may only be published to the response cache or to
-// single-flight waiters as definitive when definitiveOutcome(err) said so.
-// Caching a budget-truncated or context-cancelled response would replay a
-// transient failure to every later caller with the same key.
+// DefinitiveOutcome protects the result layer (DESIGN.md "Result layer"): a
+// result may only be stored or handed to single-flight followers when
+// definitiveOutcome(err) said so. Storing a budget-truncated or
+// context-cancelled response would replay a transient failure to every later
+// caller with the same key.
 //
-// Concretely, in package kor, every
-//
-//   - e.cache.Put(...) call, and
-//   - e.flights.finish(...) call whose definitive argument (the last) is
-//     not the constant false
-//
+// The layer has one write path, the publish method of package kor's results
+// type, which stores its outcome and releases the followers with it as
+// definitive exactly when its definitive argument (the last) is true. So
+// every publish call whose definitive argument is not the constant false
 // must sit inside the then-branch of an if whose condition is
 // definitiveOutcome(...) (possibly &&-conjoined with more checks).
-// Non-definitive publishes — finish(..., false) on error and cleanup
+// Non-definitive publishes — publish(..., false) on error and cleanup
 // paths — are exempt.
 var DefinitiveOutcome = &Analyzer{
 	Name: "definitive-outcome",
-	Doc:  "cache Puts and definitive flight publishes must be dominated by a definitiveOutcome check",
+	Doc:  "definitive result publishes must be dominated by a definitiveOutcome check",
 	Run:  runDefinitiveOutcome,
 }
 
@@ -38,41 +37,34 @@ func runDefinitiveOutcome(pass *Pass) {
 			if !ok {
 				return true
 			}
-			kind := publishKind(pass, call)
-			if kind == "" {
-				return true
-			}
-			if !dominatedByDefinitive(parents, call) {
+			if isDefinitivePublish(pass, call) && !dominatedByDefinitive(parents, call) {
 				pass.Reportf(call.Pos(),
-					"%s publishes a shared result without a dominating definitiveOutcome(err) check; transient failures must not be cached or broadcast as definitive", kind)
+					"results.publish shares a result as definitive without a dominating definitiveOutcome(err) check; transient failures must not be cached or broadcast as definitive")
 			}
 			return true
 		})
 	}
 }
 
-// publishKind classifies a call as a guarded publish site ("cache.Put" or
-// "flights.finish"), or "" when it is neither or is an exempt
-// non-definitive finish.
-func publishKind(pass *Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
+// isDefinitivePublish reports a call to the results type's publish method
+// whose definitive argument (the last) is not the constant false.
+func isDefinitivePublish(pass *Pass, call *ast.CallExpr) bool {
+	fn, ok := calleeObj(pass.Pkg.Info, call).(*types.Func)
+	if !ok || fn.Name() != "publish" {
+		return false
 	}
-	recv, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return ""
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
 	}
-	switch {
-	case sel.Sel.Name == "Put" && recv.Sel.Name == "cache":
-		return "cache.Put"
-	case sel.Sel.Name == "finish" && recv.Sel.Name == "flights":
-		if len(call.Args) > 0 && isConstFalse(pass, call.Args[len(call.Args)-1]) {
-			return "" // explicit non-definitive publish
-		}
-		return "flights.finish"
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return ""
+	if n, ok := t.(*types.Named); !ok || n.Obj().Name() != "results" {
+		return false
+	}
+	return len(call.Args) == 0 || !isConstFalse(pass, call.Args[len(call.Args)-1])
 }
 
 func isConstFalse(pass *Pass, e ast.Expr) bool {

@@ -1,5 +1,5 @@
 // Package kor is the ctx-flow golden fixture: parameter position, root
-// contexts in library code, and the three sanctioned escape hatches.
+// contexts in library code, and the two sanctioned escape hatches.
 package kor
 
 import "context"
@@ -28,7 +28,7 @@ func NilGuard(ctx context.Context, q int) error {
 	return ctx.Err()
 }
 
-// Old is frozen pre-context API.
+// Old is frozen pre-context API. A Deprecated: marker does not exempt it.
 //
 // Deprecated: use Good.
 func Old(q int) error {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // FuncUnit is one function body analyzed in isolation: a declared function
@@ -17,8 +16,6 @@ type FuncUnit struct {
 	Lit  *ast.FuncLit
 	// Name is the declared name, or "func literal".
 	Name string
-	// Doc is the declaration's doc comment text ("" for literals).
-	Doc  string
 	Body *ast.BlockStmt
 }
 
@@ -31,11 +28,7 @@ func funcUnits(file *ast.File) []FuncUnit {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		doc := ""
-		if fd.Doc != nil {
-			doc = fd.Doc.Text()
-		}
-		units = append(units, FuncUnit{Decl: fd, Name: fd.Name.Name, Doc: doc, Body: fd.Body})
+		units = append(units, FuncUnit{Decl: fd, Name: fd.Name.Name, Body: fd.Body})
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
@@ -145,14 +138,4 @@ func fullFuncName(obj types.Object) string {
 		return obj.Pkg().Path() + "." + obj.Name()
 	}
 	return obj.Name()
-}
-
-// hasDeprecatedDoc reports the standard Deprecated: marker in a doc text.
-func hasDeprecatedDoc(doc string) bool {
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }

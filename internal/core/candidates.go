@@ -14,8 +14,8 @@ import (
 // built incrementally on labels as they extend (label.hash) and finished
 // during reconstruction, replacing the string signatures that used to be
 // rebuilt from scratch on every admit. Every search path — OSScaling,
-// BucketBound, TopK, Exact, and the deprecated per-algorithm wrappers, which
-// all dispatch through the same plan machinery — shares this one signature.
+// BucketBound, TopK and Exact, which all dispatch through the same plan
+// machinery — shares this one signature.
 const (
 	routeHashSeed  uint64 = 14695981039346656037
 	routeHashPrime uint64 = 1099511628211

@@ -89,8 +89,8 @@ func (o Options) Validate() error {
 }
 
 // normalize validates and fills derived defaults. Unlike Validate it is
-// lenient on K and Width (lifted to 1), preserving the historical behaviour
-// of the deprecated per-algorithm entry points.
+// lenient on K and Width (lifted to 1): the Searcher's methods accept them,
+// while Engine.Run rejects them up front through Validate.
 func (o Options) normalize() (Options, error) {
 	if o.Width < 1 {
 		o.Width = 1

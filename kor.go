@@ -37,9 +37,7 @@
 // Run is the single entry point: the Request names the algorithm (the zero
 // value picks BucketBound) and optionally overrides the tuning Options, and
 // the Response carries the routes with the algorithm's approximation bound,
-// work metrics and wall time. The per-algorithm methods (Search, OSScaling,
-// BucketBound, Greedy, TopK, Exact and their Ctx variants) remain as
-// deprecated wrappers over Run.
+// work metrics and wall time.
 //
 // Node keywords, edge attributes and the two pre-processing path families
 // (τ: minimum objective, σ: minimum budget) follow the paper's definitions;
@@ -47,7 +45,6 @@
 package kor
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +60,6 @@ import (
 	"kor/internal/gen"
 	"kor/internal/graph"
 	"kor/internal/metrics"
-	"kor/internal/rescache"
 	"kor/internal/textindex"
 )
 
@@ -80,8 +76,6 @@ type (
 	Builder = graph.Builder
 	// Route is a search result.
 	Route = core.Route
-	// Result carries the found routes and the search work counters.
-	Result = core.Result
 	// Options tunes the algorithms (ε, β, α, beam width, k, strategies).
 	Options = core.Options
 	// Metrics counts the work a search performed.
@@ -126,18 +120,6 @@ func NewBuilder() *Builder { return graph.NewBuilder() }
 // DefaultOptions returns the paper's experimental defaults: ε=0.5, β=1.2,
 // α=0.5, beam width 1, k=1, both optimization strategies enabled.
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Query is a KOR query posed with keyword strings.
-type Query struct {
-	// From and To are the route endpoints; they may be equal for a round
-	// trip.
-	From NodeID
-	To   NodeID
-	// Keywords are the keyword strings the route must cover.
-	Keywords []string
-	// Budget is the budget limit Δ.
-	Budget float64
-}
 
 // OracleKind selects the τ/σ pre-processing implementation.
 type OracleKind int
@@ -226,28 +208,10 @@ type Engine struct {
 	distOracle *apsp.PartitionedOracle
 	distLoad   time.Duration
 
-	// cache is the optional response cache (EngineConfig.CacheSize > 0);
-	// keys fold in the current snapshot's fingerprint, and the whole cache
-	// is cleared on swap.
-	cache *rescache.Cache[cachedResponse]
-
-	// flights single-flights identical in-flight cacheable requests (see
-	// flight.go), keyed by the same canonical key as the cache. Active even
-	// with caching disabled: coalescing needs no storage budget.
-	flights flightGroup
-	// coalesced counts responses answered by sharing another request's
-	// search: single-flight followers and SearchBatch duplicates.
-	// cacheHits/cacheMisses are the engine's own lookup accounting:
-	// rescache's internal counters would count a coalesced follower's
-	// discovery Get as a miss, but no search ran for it — the engine counts
-	// a miss only when a request goes on to lead a search.
-	coalesced   atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	// searchHook, when non-nil, runs on the leader's path right before the
-	// search. Test instrumentation only: stampede tests park the leader here
-	// until the followers have queued.
-	searchHook func()
+	// results answers duplicate requests without a search: the optional
+	// result cache (EngineConfig.CacheSize), single-flight and batch dedup,
+	// all under one canonical key (see results.go).
+	results *results
 
 	// swapMu serializes Swap and Patch so concurrent patches compose;
 	// generation is guarded by it.
@@ -318,12 +282,9 @@ func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 	if cfg == nil {
 		cfg = &EngineConfig{}
 	}
-	eng := &Engine{cfg: *cfg}
-	if cfg.CacheSize > 0 {
-		eng.cache = rescache.New[cachedResponse](cfg.CacheSize)
-	}
+	eng := &Engine{cfg: *cfg, results: newResults(cfg.CacheSize)}
 	if cfg.Metrics != nil {
-		// After the cache so the cache instruments register too; before the
+		// After the results so the cache instruments register too; before the
 		// first snapshot store is fine — the callback metrics only run at
 		// exposition time, when the snapshot pointer is set.
 		eng.registerMetrics(cfg.Metrics)
@@ -434,7 +395,8 @@ type CacheStats struct {
 	// identical in-flight request and duplicates inside a SearchBatch.
 	// Such requests are not counted in Misses.
 	Coalesced int64
-	// Size is the current entry count; Capacity the configured bound.
+	// Size is the current entry count; Capacity the bound on it:
+	// EngineConfig.CacheSize rounded up to a multiple of the shard count.
 	Size     int
 	Capacity int
 }
@@ -442,18 +404,10 @@ type CacheStats struct {
 // CacheStats snapshots the response cache. ok is false when caching is
 // disabled (EngineConfig.CacheSize was 0).
 func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
-	if e.cache == nil {
+	if !e.results.stores() {
 		return CacheStats{}, false
 	}
-	st := e.cache.Stats()
-	return CacheStats{
-		Hits:      e.cacheHits.Load(),
-		Misses:    e.cacheMisses.Load(),
-		Evictions: st.Evictions,
-		Coalesced: e.coalesced.Load(),
-		Size:      st.Size,
-		Capacity:  st.Capacity,
-	}, true
+	return e.results.stats(), true
 }
 
 // Close releases the engine's disk-backed resources: the inverted file and
@@ -481,119 +435,6 @@ func (e *Engine) closeOwned() error {
 // returns the new graph; a Response identifies the exact snapshot its
 // routes were computed on via Response.Snapshot.
 func (e *Engine) Graph() *Graph { return e.snap.Load().g }
-
-// resolve translates a façade query into the core query against one
-// snapshot's vocabulary.
-func (sn *snapshot) resolve(q Query) (core.Query, error) {
-	terms := make([]Term, 0, len(q.Keywords))
-	for _, kw := range q.Keywords {
-		t, ok := sn.g.Vocab().Lookup(kw)
-		if !ok {
-			return core.Query{}, fmt.Errorf("%w: %q", ErrUnknownKeyword, kw)
-		}
-		terms = append(terms, t)
-	}
-	return core.Query{Source: q.From, Target: q.To, Keywords: terms, Budget: q.Budget}, nil
-}
-
-// Search answers the query with BucketBound, the paper's recommended
-// speed/quality trade-off, returning the best route.
-//
-// Deprecated: use Run with AlgorithmBucketBound (or the zero Algorithm).
-func (e *Engine) Search(q Query, opts Options) (Route, error) {
-	return e.SearchCtx(context.Background(), q, opts)
-}
-
-// SearchCtx is Search with a context: the search aborts with the context's
-// error (wrapped; test with errors.Is against context.Canceled or
-// context.DeadlineExceeded) once the context fires.
-//
-// Deprecated: use Run with AlgorithmBucketBound (or the zero Algorithm).
-func (e *Engine) SearchCtx(ctx context.Context, q Query, opts Options) (Route, error) {
-	res, err := e.runLegacy(ctx, AlgorithmBucketBound, q, opts)
-	if err != nil {
-		return Route{}, err
-	}
-	return res.Best(), nil
-}
-
-// OSScaling answers the query with Algorithm 1 (bound 1/(1−ε)).
-//
-// Deprecated: use Run with AlgorithmOSScaling.
-func (e *Engine) OSScaling(q Query, opts Options) (Result, error) {
-	return e.OSScalingCtx(context.Background(), q, opts)
-}
-
-// OSScalingCtx is OSScaling with cancellation.
-//
-// Deprecated: use Run with AlgorithmOSScaling.
-func (e *Engine) OSScalingCtx(ctx context.Context, q Query, opts Options) (Result, error) {
-	return e.runLegacy(ctx, AlgorithmOSScaling, q, opts)
-}
-
-// BucketBound answers the query with Algorithm 2 (bound β/(1−ε)).
-//
-// Deprecated: use Run with AlgorithmBucketBound.
-func (e *Engine) BucketBound(q Query, opts Options) (Result, error) {
-	return e.BucketBoundCtx(context.Background(), q, opts)
-}
-
-// BucketBoundCtx is BucketBound with cancellation.
-//
-// Deprecated: use Run with AlgorithmBucketBound.
-func (e *Engine) BucketBoundCtx(ctx context.Context, q Query, opts Options) (Result, error) {
-	return e.runLegacy(ctx, AlgorithmBucketBound, q, opts)
-}
-
-// Greedy answers the query with Algorithm 3. opts.Width selects Greedy-1 or
-// Greedy-2; opts.BudgetPriority flips the variant that respects Δ at the
-// cost of keyword coverage.
-//
-// Deprecated: use Run with AlgorithmGreedy.
-func (e *Engine) Greedy(q Query, opts Options) (Result, error) {
-	return e.GreedyCtx(context.Background(), q, opts)
-}
-
-// GreedyCtx is Greedy with cancellation.
-//
-// Deprecated: use Run with AlgorithmGreedy.
-func (e *Engine) GreedyCtx(ctx context.Context, q Query, opts Options) (Result, error) {
-	return e.runLegacy(ctx, AlgorithmGreedy, q, opts)
-}
-
-// TopK answers the KkR query (§3.5): the k best distinct feasible routes,
-// via the OSScaling extension. Set opts.K; k=1 equals OSScaling.
-//
-// Deprecated: use Run with AlgorithmTopK and Request.K.
-func (e *Engine) TopK(q Query, opts Options) ([]Route, error) {
-	return e.TopKCtx(context.Background(), q, opts)
-}
-
-// TopKCtx is TopK with cancellation.
-//
-// Deprecated: use Run with AlgorithmTopK and Request.K.
-func (e *Engine) TopKCtx(ctx context.Context, q Query, opts Options) ([]Route, error) {
-	res, err := e.runLegacy(ctx, AlgorithmTopK, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Routes, nil
-}
-
-// Exact answers the query exactly with branch and bound. Exponential worst
-// case; meant for validation on small inputs.
-//
-// Deprecated: use Run with AlgorithmExact.
-func (e *Engine) Exact(q Query, opts Options) (Result, error) {
-	return e.ExactCtx(context.Background(), q, opts)
-}
-
-// ExactCtx is Exact with cancellation.
-//
-// Deprecated: use Run with AlgorithmExact.
-func (e *Engine) ExactCtx(ctx context.Context, q Query, opts Options) (Result, error) {
-	return e.runLegacy(ctx, AlgorithmExact, q, opts)
-}
 
 // Describe renders a route using node names where available, resolved
 // against the current snapshot's graph. Node IDs the current graph does

@@ -1,6 +1,7 @@
 package kor
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -42,10 +43,11 @@ func TestEngineSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle %d: NewEngine: %v", kind, err)
 		}
-		route, err := eng.Search(Query{From: 0, To: 0, Keywords: []string{"jazz", "park"}, Budget: 4}, DefaultOptions())
+		resp, err := eng.Run(context.Background(), Request{From: 0, To: 0, Keywords: []string{"jazz", "park"}, Budget: 4})
 		if err != nil {
-			t.Fatalf("oracle %d: Search: %v", kind, err)
+			t.Fatalf("oracle %d: Run: %v", kind, err)
 		}
+		route := resp.Best()
 		if !route.Feasible {
 			t.Fatalf("oracle %d: infeasible route %v", kind, route)
 		}
@@ -61,16 +63,21 @@ func TestEngineAlgorithmsAgreeOnEasyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 5}
-	exact, err := eng.Exact(q, DefaultOptions())
+	ctx := context.Background()
+	q := Request{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 5}
+	run := func(algo Algorithm) (Response, error) {
+		q.Algorithm = algo
+		return eng.Run(ctx, q)
+	}
+	exact, err := run(AlgorithmExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oss, err := eng.OSScaling(q, DefaultOptions())
+	oss, err := run(AlgorithmOSScaling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := eng.BucketBound(q, DefaultOptions())
+	bb, err := run(AlgorithmBucketBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestEngineAlgorithmsAgreeOnEasyQuery(t *testing.T) {
 	if bb.Best().Objective > 1.2*opt/(1-0.5)+1e-9 {
 		t.Errorf("BucketBound %v outside bound of optimum %v", bb.Best().Objective, opt)
 	}
-	gre, err := eng.Greedy(q, DefaultOptions())
+	gre, err := run(AlgorithmGreedy)
 	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Greedy: %v", err)
 	}
@@ -95,7 +102,7 @@ func TestEngineUnknownKeyword(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.Search(Query{From: 0, To: 2, Keywords: []string{"spa"}, Budget: 5}, DefaultOptions())
+	_, err = eng.Run(context.Background(), Request{From: 0, To: 2, Keywords: []string{"spa"}, Budget: 5})
 	if !errors.Is(err, ErrUnknownKeyword) {
 		t.Fatalf("err = %v, want ErrUnknownKeyword", err)
 	}
@@ -106,7 +113,7 @@ func TestEngineNoRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.Search(Query{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 0.1}, DefaultOptions())
+	_, err = eng.Run(context.Background(), Request{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 0.1})
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
@@ -120,10 +127,13 @@ func TestEngineTopK(t *testing.T) {
 	opts := DefaultOptions()
 	opts.K = 3
 	opts.Epsilon = 0.1
-	routes, err := eng.TopK(Query{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 6}, opts)
+	resp, err := eng.Run(context.Background(), Request{
+		From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 6, Algorithm: AlgorithmTopK, Options: &opts,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	routes := resp.Routes
 	if len(routes) < 2 {
 		t.Fatalf("TopK returned %d routes", len(routes))
 	}
@@ -141,10 +151,12 @@ func TestEngineWithDiskIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := eng.Search(Query{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}, DefaultOptions())
+	req := Request{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}
+	resp, err := eng.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	route := resp.Best()
 	if !route.Feasible {
 		t.Fatalf("route %v infeasible", route)
 	}
@@ -158,10 +170,11 @@ func TestEngineWithDiskIndex(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer eng2.Close()
-	route2, err := eng2.Search(Query{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}, DefaultOptions())
+	resp2, err := eng2.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	route2 := resp2.Best()
 	if route2.Objective != route.Objective {
 		t.Errorf("disk-index reopen changed the answer: %v vs %v", route2, route)
 	}
@@ -172,11 +185,11 @@ func TestDescribeUsesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := eng.Search(Query{From: 0, To: 0, Keywords: []string{"park"}, Budget: 5}, DefaultOptions())
+	resp, err := eng.Run(context.Background(), Request{From: 0, To: 0, Keywords: []string{"park"}, Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := eng.Describe(route)
+	desc := eng.Describe(resp.Best())
 	if !strings.Contains(desc, "Grand Hotel") {
 		t.Errorf("Describe lost the node name: %q", desc)
 	}
@@ -202,7 +215,7 @@ func TestSaveLoadGraphFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(Query{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}, DefaultOptions()); err != nil {
+	if _, err := eng.Run(context.Background(), Request{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}); err != nil {
 		t.Fatalf("search on loaded graph: %v", err)
 	}
 }
@@ -221,7 +234,7 @@ func TestSyntheticGenerators(t *testing.T) {
 	}
 	// Any frequent keyword works for a smoke query.
 	name := road.Vocab().Name(0)
-	_, err = eng.Search(Query{From: 0, To: 100, Keywords: []string{name}, Budget: 200}, DefaultOptions())
+	_, err = eng.Run(context.Background(), Request{From: 0, To: 100, Keywords: []string{name}, Budget: 200})
 	if err != nil && !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("road search: %v", err)
 	}
@@ -302,7 +315,7 @@ func TestSyntheticGridEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := grid.Vocab().Name(0)
-	_, err = eng.Search(Query{From: 0, To: 399, Keywords: []string{name}, Budget: 1e6}, DefaultOptions())
+	_, err = eng.Run(context.Background(), Request{From: 0, To: 399, Keywords: []string{name}, Budget: 1e6})
 	if err != nil && !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("grid search: %v", err)
 	}

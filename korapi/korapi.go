@@ -24,9 +24,6 @@ type Request struct {
 	Keywords []string `json:"keywords"`
 	// Budget is the budget limit Δ.
 	Budget float64 `json:"budget,omitempty"`
-	// Delta is the deprecated alias for Budget kept for pre-/v1 clients;
-	// when Budget is zero, Delta is used instead.
-	Delta float64 `json:"delta,omitempty"`
 	// Algorithm selects the search algorithm: "bucketbound" (default),
 	// "osscaling", "greedy", "topk", "exact" or "bruteforce".
 	Algorithm string `json:"algorithm,omitempty"`
@@ -40,13 +37,8 @@ type Request struct {
 	Options *Options `json:"options,omitempty"`
 }
 
-// BudgetLimit resolves the budget between the canonical and legacy fields.
-func (r Request) BudgetLimit() float64 {
-	if r.Budget != 0 {
-		return r.Budget
-	}
-	return r.Delta
-}
+// BudgetLimit returns the budget limit Δ.
+func (r Request) BudgetLimit() float64 { return r.Budget }
 
 // Options is the wire form of the tuning parameters. Every field is a
 // pointer so "absent" (keep the default) is distinguishable from an explicit
@@ -142,19 +134,9 @@ type BatchRequest struct {
 	// Requests are the queries to answer; each is self-describing, so one
 	// batch can mix algorithms and options.
 	Requests []Request `json:"requests,omitempty"`
-	// Queries is the deprecated pre-/v1 alias for Requests.
-	Queries []Request `json:"queries,omitempty"`
 	// Parallelism bounds the worker pool; 0 or out-of-range values fall
 	// back to the server's cap.
 	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// All resolves the request list between the canonical and legacy fields.
-func (b BatchRequest) All() []Request {
-	if len(b.Requests) > 0 {
-		return b.Requests
-	}
-	return b.Queries
 }
 
 // BatchResult is one request's outcome inside a BatchResponse: exactly one

@@ -100,29 +100,40 @@ func TestErrorEnvelopeMarshal(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: pre-/v1 clients said "delta" and "queries"; both still
-// decode.
+// TestLegacyAliases: the pre-/v1 spellings "delta", "queries" and "algo" are
+// no longer part of the wire contract; they decode to nothing, so a client
+// still sending them gets a missing-budget or empty-batch rejection rather
+// than a silently different query.
 func TestLegacyAliases(t *testing.T) {
 	var req Request
 	if err := json.Unmarshal([]byte(`{"from":1,"to":2,"keywords":["a"],"delta":4.5}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if req.BudgetLimit() != 4.5 {
-		t.Errorf("BudgetLimit = %v, want 4.5 from legacy delta", req.BudgetLimit())
+	if req.BudgetLimit() != 0 {
+		t.Errorf("BudgetLimit = %v, want 0: delta is not a budget", req.BudgetLimit())
 	}
 
 	var batch BatchRequest
-	if err := json.Unmarshal([]byte(`{"queries":[{"from":1,"to":2,"keywords":["a"],"delta":4.5}]}`), &batch); err != nil {
+	if err := json.Unmarshal([]byte(`{"queries":[{"from":1,"to":2,"keywords":["a"],"budget":4.5}]}`), &batch); err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.All()) != 1 {
-		t.Errorf("All() = %d requests, want 1 from legacy queries", len(batch.All()))
+	if len(batch.Requests) != 0 {
+		t.Errorf("Requests = %d, want 0: queries is not a request list", len(batch.Requests))
+	}
+
+	qv := map[string][]string{"from": {"1"}, "to": {"2"}, "keywords": {"a"}, "delta": {"4.5"}}
+	if _, apiErr := RequestFromParams(qv); apiErr == nil || apiErr.Code != CodeBadRequest {
+		t.Errorf("delta URL parameter: err = %v, want a bad_request for the missing budget", apiErr)
+	}
+	qv = map[string][]string{"from": {"1"}, "to": {"2"}, "keywords": {"a"}, "budget": {"4.5"}, "algo": {"greedy"}}
+	if got, apiErr := RequestFromParams(qv); apiErr != nil || got.Algorithm != "" {
+		t.Errorf("algo URL parameter: algorithm %q err %v, want it ignored", got.Algorithm, apiErr)
 	}
 }
 
 func TestKorRequestConversion(t *testing.T) {
 	wire := Request{
-		From: 3, To: 9, Keywords: []string{"cafe"}, Delta: 5,
+		From: 3, To: 9, Keywords: []string{"cafe"}, Budget: 5,
 		Algorithm: "greedy", K: 2,
 		Options: &Options{Alpha: f64(0.8), Width: iptr(2)},
 	}

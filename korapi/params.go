@@ -38,13 +38,9 @@ func RequestFromParams(qv map[string][]string) (Request, *Error) {
 		}
 	}
 
-	budgetKey := "budget"
-	if get(budgetKey) == "" && get("delta") != "" {
-		budgetKey = "delta" // deprecated alias
-	}
-	budget, err := strconv.ParseFloat(get(budgetKey), 64)
+	budget, err := strconv.ParseFloat(get("budget"), 64)
 	if err != nil {
-		return req, badParam(budgetKey, get(budgetKey))
+		return req, badParam("budget", get("budget"))
 	}
 	req.Budget = budget
 
@@ -58,9 +54,6 @@ func RequestFromParams(qv map[string][]string) (Request, *Error) {
 	}
 
 	req.Algorithm = get("algorithm")
-	if req.Algorithm == "" {
-		req.Algorithm = get("algo") // deprecated alias
-	}
 	if v := get("k"); v != "" {
 		k, err := strconv.Atoi(v)
 		if err != nil {

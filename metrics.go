@@ -37,7 +37,6 @@ import (
 type engineMetrics struct {
 	requests   *metrics.CounterVec
 	latency    *metrics.HistogramVec
-	cacheReq   *metrics.CounterVec
 	planSweeps *metrics.Counter
 	oracleKind *metrics.GaugeVec
 }
@@ -91,15 +90,15 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("kor_engine_oracle_memo_resident_bytes",
 		"Bytes of sweeps or slices the oracle memo holds right now.",
 		func() float64 { return float64(e.oracleMemo().ResidentBytes) })
-	if e.cache != nil {
-		m.cacheReq = reg.CounterVec("kor_engine_cache_requests_total",
+	if e.results.stores() {
+		e.results.lookups = reg.CounterVec("kor_engine_cache_requests_total",
 			"Result-cache lookups by result (hit, miss, or coalesced onto an identical in-flight request).", "result")
 		reg.GaugeFunc("kor_engine_cache_size",
 			"Entries currently held in the result cache.",
-			func() float64 { return float64(e.cache.Len()) })
+			func() float64 { return float64(e.results.size()) })
 		reg.CounterFunc("kor_engine_cache_evictions_total",
 			"Result-cache entries dropped by the LRU bound.",
-			func() float64 { return float64(e.cache.Stats().Evictions) })
+			func() float64 { return float64(e.results.evictions.Load()) })
 	}
 	e.met = m
 }
@@ -167,16 +166,6 @@ func algorithmLabel(a Algorithm) string {
 		return "invalid"
 	}
 	return string(a.Canonical())
-}
-
-// cacheLookup records one result-cache lookup outcome.
-//
-// korvet:labels — callers pass cacheResultHit/Miss/Coalesced.
-func (m *engineMetrics) cacheLookup(result string) {
-	if m == nil || m.cacheReq == nil {
-		return
-	}
-	m.cacheReq.With(result).Inc()
 }
 
 // outcomeLabel maps a Run error onto its closed outcome label set. The

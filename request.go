@@ -2,7 +2,6 @@ package kor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -125,9 +124,9 @@ func (r Response) Best() Route { return r.Routes[0] }
 // Errors follow the package's sentinel scheme: ErrBadQuery wraps for an
 // unknown algorithm or out-of-domain options, ErrUnknownKeyword for a
 // keyword absent from the vocabulary, ErrNoRoute when no feasible route
-// exists, and a wrapped context error when ctx fires mid-search. Like the
-// greedy method it replaces, a Greedy run that covers the keywords but
-// overshoots Δ returns both the routes and ErrBudgetExceeded.
+// exists, and a wrapped context error when ctx fires mid-search. A Greedy
+// run that covers the keywords but overshoots Δ returns both the routes and
+// ErrBudgetExceeded.
 func (e *Engine) Run(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
 	resp, err := e.run(ctx, req)
@@ -145,164 +144,72 @@ func (e *Engine) run(ctx context.Context, req Request) (Response, error) {
 		ctx = context.Background()
 	}
 	// One snapshot load up front: the whole request — vocabulary lookups,
-	// cache key, search, response annotation — runs against this snapshot,
-	// so a concurrent Swap or Patch never mixes two graph versions inside
-	// one query.
+	// key, search, response annotation — runs against this snapshot, so a
+	// concurrent Swap or Patch never mixes two graph versions inside one
+	// query.
 	sn := e.snap.Load()
-	algo, err := core.ParseAlgorithm(string(req.Algorithm))
+	p, err := sn.prepare(req)
 	if err != nil {
-		return Response{}, err
+		return Response{Algorithm: p.algo}, err
 	}
-	opts := DefaultOptions()
-	if req.Options != nil {
-		opts = *req.Options
-	}
-	if req.K != 0 {
-		opts.K = req.K
-	}
-	if err := opts.Validate(); err != nil {
-		return Response{Algorithm: algo}, err
-	}
-	cq, err := sn.resolve(Query{From: req.From, To: req.To, Keywords: req.Keywords, Budget: req.Budget})
-	if err != nil {
-		return Response{Algorithm: algo}, err
-	}
-
 	start := time.Now()
-	if !cacheable(opts) {
+	search := func() (Response, error) {
+		res, err := sn.searcher.Run(ctx, p.algo, p.q, p.opts)
+		return Response{
+			Routes:    res.Routes,
+			Algorithm: p.algo,
+			Bound:     core.BoundFor(p.algo, p.opts),
+			Metrics:   res.Metrics,
+			Elapsed:   time.Since(start),
+			Snapshot:  sn.info,
+			graph:     sn.g,
+		}, err
+	}
+	key, ok := p.key(sn.info.Fingerprint)
+	if !ok {
 		// A tracer observes side effects; the request can be neither cached
 		// nor shared with others, so it searches privately.
-		res, err := sn.searcher.Run(ctx, algo, cq, opts)
-		return e.response(sn, algo, opts, res, start), err
+		return search()
 	}
-	// A dead context must fail exactly as it does on the search path
-	// (newPlan rejects it): a hit or a coalesced answer must not outrank
-	// cancellation.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return Response{Algorithm: algo}, fmt.Errorf("kor: search aborted: %w", ctxErr)
-	}
-	key := cacheKey(sn.info.Fingerprint, algo, cq, opts)
-	for {
-		if e.cache != nil {
-			if hit, ok := e.cache.Get(key); ok {
-				e.cacheHits.Add(1)
-				e.met.cacheLookup(cacheResultHit)
-				resp := cloneResponse(hit.resp)
-				resp.Cached = true
-				resp.Elapsed = time.Since(start)
-				return resp, hit.err
-			}
-		}
-		f, leader := e.flights.join(key)
-		if leader {
-			if e.cache != nil {
-				e.cacheMisses.Add(1)
-			}
-			e.met.cacheLookup(cacheResultMiss)
-			return e.leadSearch(ctx, sn, algo, cq, opts, key, f, start)
-		}
-		select {
-		case <-ctx.Done():
-			// Abandon the flight: the leader keeps computing for whoever
-			// else is waiting.
-			return Response{Algorithm: algo}, fmt.Errorf("kor: search aborted: %w", ctx.Err())
-		case <-f.done:
-		}
-		if f.definitive {
-			e.met.cacheLookup(cacheResultCoalesced)
-			e.coalesced.Add(1)
-			resp := cloneResponse(f.resp)
-			resp.Coalesced = true
-			resp.Elapsed = time.Since(start)
-			return resp, f.err
-		}
-		// The leader's search ended without a definitive outcome — its
-		// context fired, or the expansion cap tripped. That proves nothing
-		// about this request, so go around again: re-check the cache, then
-		// join (or lead) a fresh flight.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Response{Algorithm: algo}, fmt.Errorf("kor: search aborted: %w", ctxErr)
-		}
-	}
-}
-
-// response assembles a Run response from a search result against one
-// snapshot.
-func (e *Engine) response(sn *snapshot, algo Algorithm, opts Options, res Result, start time.Time) Response {
-	return Response{
-		Routes:    res.Routes,
-		Algorithm: algo,
-		Bound:     core.BoundFor(algo, opts),
-		Metrics:   res.Metrics,
-		Elapsed:   time.Since(start),
-		Snapshot:  sn.info,
-		graph:     sn.g,
-	}
-}
-
-// definitiveOutcome reports whether a search outcome is deterministic and
-// complete — safe to cache and to share with single-flight followers. A clean
-// answer, ErrNoRoute (the search proved infeasibility) and the greedy budget
-// overshoot (deterministic routes plus the sentinel) all qualify: they are
-// exactly as expensive and as deterministic to recompute. Context errors and
-// ErrSearchLimit never qualify — an aborted search proved nothing.
-func definitiveOutcome(err error) bool {
-	return err == nil || errors.Is(err, ErrNoRoute) || errors.Is(err, ErrBudgetExceeded)
-}
-
-// leadSearch runs the search as the leader of flight f, publishes the
-// outcome to the cache and the flight's followers, and returns it. The
-// flight is always finished, even when the search panics — the followers
-// then retry rather than hang.
-func (e *Engine) leadSearch(ctx context.Context, sn *snapshot, algo Algorithm, cq core.Query, opts Options, key string, f *flight, start time.Time) (Response, error) {
-	finished := false
-	defer func() {
-		if !finished {
-			e.flights.finish(key, f, Response{}, nil, false)
-		}
-	}()
-	if e.searchHook != nil {
-		e.searchHook()
-	}
-	res, err := sn.searcher.Run(ctx, algo, cq, opts)
-	resp := e.response(sn, algo, opts, res, start)
-	if definitiveOutcome(err) {
-		// One private copy serves both the cache and the followers: neither
-		// ever hands out its stored response without cloning again, so the
-		// caller owning resp can scribble on it freely.
-		shared := cloneResponse(resp)
-		if e.cache != nil {
-			e.cache.Put(key, cachedResponse{resp: shared, err: err})
-		}
-		finished = true
-		e.flights.finish(key, f, shared, err, true)
-	} else {
-		finished = true
-		e.flights.finish(key, f, Response{}, err, false)
-	}
+	resp, err := e.results.answer(ctx, key, start, search)
+	// Every answer under key ran p.algo: the key encodes it.
+	resp.Algorithm = p.algo
 	return resp, err
 }
 
-// legacyOptions reproduces the lenient handling of the deprecated methods:
-// they lifted non-positive K and Width to 1 instead of rejecting them, so
-// the wrappers must keep doing that now that Run validates strictly.
-func legacyOptions(opts Options) Options {
-	if opts.K < 1 {
-		opts.K = 1
-	}
-	if opts.Width < 1 {
-		opts.Width = 1
-	}
-	return opts
+// prepared is a Request resolved against one snapshot: the canonical
+// algorithm, the effective options and the core query.
+type prepared struct {
+	algo Algorithm
+	opts Options
+	q    core.Query
 }
 
-// runLegacy adapts a deprecated method call onto Run, converting the
-// Response back to the method's Result shape.
-func (e *Engine) runLegacy(ctx context.Context, a Algorithm, q Query, opts Options) (Result, error) {
-	opts = legacyOptions(opts)
-	resp, err := e.Run(ctx, Request{
-		From: q.From, To: q.To, Keywords: q.Keywords, Budget: q.Budget,
-		Algorithm: a, Options: &opts,
-	})
-	return Result{Routes: resp.Routes, Metrics: resp.Metrics}, err
+// prepare resolves req against the snapshot: it parses the algorithm,
+// applies and validates the options, and looks the keywords up in the
+// snapshot's vocabulary. p.algo is set whenever the algorithm parsed, even
+// when a later step fails.
+func (sn *snapshot) prepare(req Request) (p prepared, err error) {
+	if p.algo, err = core.ParseAlgorithm(string(req.Algorithm)); err != nil {
+		return p, err
+	}
+	p.opts = DefaultOptions()
+	if req.Options != nil {
+		p.opts = *req.Options
+	}
+	if req.K != 0 {
+		p.opts.K = req.K
+	}
+	if err := p.opts.Validate(); err != nil {
+		return p, err
+	}
+	p.q = core.Query{Source: req.From, Target: req.To, Keywords: make([]Term, 0, len(req.Keywords)), Budget: req.Budget}
+	for _, kw := range req.Keywords {
+		t, ok := sn.g.Vocab().Lookup(kw)
+		if !ok {
+			return p, fmt.Errorf("%w: %q", ErrUnknownKeyword, kw)
+		}
+		p.q.Keywords = append(p.q.Keywords, t)
+	}
+	return p, nil
 }

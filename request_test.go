@@ -6,44 +6,38 @@ import (
 	"testing"
 )
 
-// TestRunMatchesDeprecatedMethods checks Engine.Run gives the same answers
-// as the per-algorithm methods it replaces, for every algorithm they
-// exposed.
-func TestRunMatchesDeprecatedMethods(t *testing.T) {
+// TestRunMatchesCoreSearch checks Engine.Run gives the same answers as the
+// core searcher it dispatches to, for every registered algorithm, and
+// annotates each response with the algorithm and a positive wall time.
+func TestRunMatchesCoreSearch(t *testing.T) {
 	eng, err := NewEngine(tinyCity(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 5}
+	sn := eng.snap.Load()
 	req := Request{From: 0, To: 2, Keywords: []string{"cafe"}, Budget: 5}
-
-	cases := []struct {
-		algo   Algorithm
-		direct func() (Result, error)
-	}{
-		{AlgorithmBucketBound, func() (Result, error) { return eng.BucketBound(q, DefaultOptions()) }},
-		{AlgorithmOSScaling, func() (Result, error) { return eng.OSScaling(q, DefaultOptions()) }},
-		{AlgorithmGreedy, func() (Result, error) { return eng.Greedy(q, DefaultOptions()) }},
-		{AlgorithmExact, func() (Result, error) { return eng.Exact(q, DefaultOptions()) }},
-	}
-	for _, c := range cases {
-		req.Algorithm = c.algo
+	for _, algo := range Algorithms() {
+		req.Algorithm = algo
 		resp, runErr := eng.Run(context.Background(), req)
-		want, directErr := c.direct()
+		p, err := sn.prepare(req)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", algo, err)
+		}
+		want, directErr := sn.searcher.Run(context.Background(), p.algo, p.q, p.opts)
 		if (runErr == nil) != (directErr == nil) {
-			t.Fatalf("%s: Run err %v, direct err %v", c.algo, runErr, directErr)
+			t.Fatalf("%s: Run err %v, direct err %v", algo, runErr, directErr)
 		}
 		if runErr != nil {
 			continue
 		}
 		if resp.Best().Objective != want.Best().Objective {
-			t.Errorf("%s: Run %v != direct %v", c.algo, resp.Best(), want.Best())
+			t.Errorf("%s: Run %v != direct %v", algo, resp.Best(), want.Best())
 		}
-		if resp.Algorithm != c.algo {
-			t.Errorf("%s: response reports algorithm %q", c.algo, resp.Algorithm)
+		if resp.Algorithm != algo {
+			t.Errorf("%s: response reports algorithm %q", algo, resp.Algorithm)
 		}
 		if resp.Elapsed <= 0 {
-			t.Errorf("%s: non-positive Elapsed %v", c.algo, resp.Elapsed)
+			t.Errorf("%s: non-positive Elapsed %v", algo, resp.Elapsed)
 		}
 	}
 }

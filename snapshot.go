@@ -219,14 +219,12 @@ func (e *Engine) installLocked(g *Graph) (SnapshotInfo, error) {
 	e.generation++
 	e.snap.Store(sn)
 	e.publishOracleStatus(sn.oracle)
-	if e.cache != nil {
-		// Entries for the old fingerprint can never be hit again; free the
-		// capacity now instead of waiting for LRU pressure. A query still
-		// in flight on the old snapshot may re-insert its entry afterwards;
-		// that is harmless — its key carries the old fingerprint, so it is
-		// unreachable and ages out like any cold entry.
-		e.cache.Clear()
-	}
+	// Entries for the old fingerprint can never be hit again; free the
+	// capacity now instead of waiting for LRU pressure. A query still in
+	// flight on the old snapshot may re-insert its entry afterwards; that is
+	// harmless — its key carries the old fingerprint, so it is unreachable
+	// and ages out like any cold entry.
+	e.results.clear()
 	return sn.info, nil
 }
 

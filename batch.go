@@ -41,8 +41,8 @@ func (b BatchResult) Route() Route {
 // a Tracer, an unknown algorithm or keyword, invalid options — run (and
 // fail) individually. The remaining distinct requests are dispatched
 // grouped by source (then target), so requests sharing endpoints run close
-// together and reuse each other's sweeps through the snapshot's oracle memo
-// instead of merely running in parallel.
+// together and, on a partitioned oracle, reuse each other's slices through
+// its memo instead of merely running in parallel.
 //
 // Cancelling ctx stops the batch early: requests already running abort via
 // their search loops' context polls, and requests not yet started fail

@@ -212,8 +212,8 @@ type workload struct {
 
 	// Duplicate-heavy traffic: with probability dupFraction a worker
 	// re-issues a verbatim recent request instead of synthesizing a fresh
-	// one — the shape that exercises the server's result cache, request
-	// coalescing and shared sweeps. The pool is a small ring shared across
+	// one — the shape that exercises the server's result cache and request
+	// coalescing. The pool is a small ring shared across
 	// workers (each worker owns its rng, but duplicates must cross workers
 	// to collide in-flight).
 	dupFraction float64

@@ -212,6 +212,11 @@ func TestServeErrorCodes(t *testing.T) {
 	resp = get(t, ts, "/v1/route?from=0&to=2&keywords=spa&budget=5", &env)
 	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeUnknownKeyword)
 
+	// NaN parses as a float but is no budget limit.
+	env = korapi.ErrorEnvelope{}
+	resp = get(t, ts, "/v1/route?from=0&to=2&keywords=cafe&budget=NaN", &env)
+	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
+
 	// A server whose deadline already passed when the search starts.
 	tiny := testServer(t, time.Nanosecond)
 	env = korapi.ErrorEnvelope{}

@@ -150,54 +150,32 @@ func TestDegradedSinceLifecycle(t *testing.T) {
 }
 
 // TestDegradedOracleIsByteBounded: the lazy oracle a disk-index engine falls
-// back to is sized exactly like one configured outright, on a graph large
-// enough that the byte budget — not the entry cap — is what binds. (The
-// fallback used to be built apart from buildOracle and missed its sizing.)
+// back to holds nothing between queries, like one configured outright: it
+// keeps no memo, so its memory is what the queries in flight hold. (The
+// fallback used to be built apart from buildOracle and missed the sizing of
+// the sweep memo it then had.)
 func TestDegradedOracleIsByteBounded(t *testing.T) {
-	small := swapCity(t, 0.7)
-	eng, err := NewEngine(small, &EngineConfig{DistIndexPath: buildDistIndex(t, small)})
+	g := swapCity(t, 0.7)
+	eng, err := NewEngine(g, &EngineConfig{DistIndexPath: buildDistIndex(t, g)})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer eng.Close()
-
-	// A 200k-node ring: a full sweep is charged 6.4 MB, so the 512 MiB
-	// budget holds 83 of them, fewer than the 128-entry cap.
-	b := NewBuilder()
-	const n = 200_000
-	for i := 0; i < n; i++ {
-		b.AddNode("stop")
-	}
-	for i := 0; i < n; i++ {
-		if err := b.AddEdge(NodeID(i), NodeID((i+1)%n), 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := b.MustBuild()
-	if _, err := eng.Swap(big); err != nil {
-		t.Fatalf("Swap: %v", err)
-	}
-	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 7, Keywords: []string{"view"}}}}); err != nil {
+	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 1, Keywords: []string{"view"}}}}); err != nil {
 		t.Fatalf("Patch: %v", err)
 	}
 	if ost := eng.OracleStatus(); !ost.Degraded || ost.Kind != OracleKindLazy {
 		t.Fatalf("OracleStatus = %+v, want the degraded lazy fallback", ost)
 	}
-
-	lazy, err := NewEngine(eng.Graph(), &EngineConfig{Oracle: OracleLazy})
-	if err != nil {
+	if _, err := eng.Run(context.Background(), swapRequest()); err != nil {
 		t.Fatal(err)
 	}
-	lazySmall, err := NewEngine(small, &EngineConfig{Oracle: OracleLazy})
-	if err != nil {
-		t.Fatal(err)
+	lazy, ok := eng.snap.Load().searcher.Oracle().(*apsp.LazyOracle)
+	if !ok || lazy.SweepCount() == 0 {
+		t.Fatalf("the degraded fallback is %T and ran no sweep", eng.snap.Load().searcher.Oracle())
 	}
-	degraded, configured, unbound := eng.oracleMemo().Capacity, lazy.oracleMemo().Capacity, lazySmall.oracleMemo().Capacity
-	if degraded != configured {
-		t.Errorf("degraded fallback holds up to %d sweeps, a configured lazy oracle on the same graph %d", degraded, configured)
-	}
-	if configured >= unbound {
-		t.Errorf("capacity on %d nodes = %d, not below the small-graph %d: the byte budget never bound", n, configured, unbound)
+	if st := eng.oracleMemo(); st != (apsp.MemoStats{}) {
+		t.Errorf("the degraded fallback reports memo state %+v after a query, want none", st)
 	}
 }
 

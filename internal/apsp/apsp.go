@@ -8,9 +8,9 @@
 // the paths themselves are materialized on demand for presenting final
 // routes. The algorithms read both through one view, Vector (vector.go):
 // the scores between every node and one fixed root, with the paths behind
-// them. Into, Covering, OutOf and OpenFrontier resolve it for any oracle,
-// picking the implementation by the oracle's capabilities — a sweep or a
-// frontier, a slice, or the pair interface seen from the root.
+// them. Into, OutOf and OpenFrontier resolve it for any oracle, picking the
+// implementation by the oracle's capabilities — a sweep or a frontier, a
+// slice, or the pair interface seen from the root.
 //
 // Three interchangeable oracles are provided:
 //
@@ -18,16 +18,16 @@
 //     paper's Floyd-Warshall pre-processing. Tables are filled by repeated
 //     two-criteria Dijkstra, which yields identical scores in
 //     O(|V|·|E|·log|V|) instead of O(|V|³).
-//   - LazyOracle: memoized single-source/single-target Dijkstra.
-//     Semantically identical, but scales to the 20k-node graphs of the
-//     paper's Figure 17 without |V|² memory.
+//   - LazyOracle: single-target Dijkstra runs made on demand, each query
+//     its own. Semantically identical, but scales to the 20k-node graphs
+//     of the paper's Figure 17 without |V|² memory.
 //   - PartitionedOracle (partition.go): the paper's §6 future-work design —
 //     graph partition, per-cell tables and a border overlay.
 //
-// Whatever an oracle computes on demand — the lazy oracle's sweeps (full, or
-// truncated at a query's Δ/U bound), the partitioned oracle's per-target
-// slices — lives in one keyed, single-flighted, byte-bounded store, the
-// oracle memo (memo.go); there is no other cache in this package.
+// The partitioned oracle's per-target and per-source slices live in one
+// keyed, single-flighted, byte-bounded store, the oracle memo (memo.go);
+// there is no other cache in this package. The lazy oracle's sweeps and
+// frontiers belong to the query plan that ran them.
 //
 // Ties between equal-score paths are broken by the secondary attribute
 // (τ prefers the cheaper-budget path among equal-objective paths, σ the
@@ -51,8 +51,9 @@ const (
 // return ok=false when no path exists; scores are then undefined.
 //
 // All package oracles are safe for concurrent readers: MatrixOracle and
-// PartitionedOracle's tables are immutable after construction, and the
-// oracle memo synchronizes itself. Custom implementations must
+// PartitionedOracle's tables are immutable after construction, the oracle
+// memo synchronizes itself, and LazyOracle shares nothing between queries
+// but counters and a scratch pool. Custom implementations must
 // uphold the same contract — one oracle instance serves every concurrent
 // query of an engine.
 type Oracle interface {
@@ -74,8 +75,8 @@ type PathMaterializer interface {
 }
 
 // Prefetcher is an optional oracle capability: a hint that many queries into
-// a fixed target are coming, letting lazy implementations choose the right
-// sweep direction. The dense oracles ignore the hint.
+// a fixed target are coming. No oracle of this package acts on it; the lazy
+// oracle keeps the method as a no-op for callers that still hint.
 type Prefetcher interface {
 	// PrefetchTarget hints that τ/σ queries into this target are imminent.
 	PrefetchTarget(to graph.NodeID)

@@ -189,7 +189,6 @@ func TestOraclesAgreeWithFloydWarshall(t *testing.T) {
 		fwSig := floydWarshall(g, ByBudget)
 		matrix := NewMatrixOracle(g)
 		lazy := NewLazyOracle(g)
-		lazy.sweeps.cap = 4 // force eviction churn
 		part := NewPartitionedOracle(g, 5+rng.Intn(6))
 
 		for i := graph.NodeID(0); int(i) < n; i++ {
@@ -292,56 +291,6 @@ func pathScores(t *testing.T, g *graph.Graph, path []graph.NodeID, m Metric) (os
 		bs += bestB
 	}
 	return os, bs
-}
-
-func TestLazyPrefetchHints(t *testing.T) {
-	g := buildPaperGraph(t)
-	lazy := NewLazyOracle(g)
-	PrefetchTarget(lazy, 7)
-	sweepsAfterPrefetch := lazy.SweepCount()
-	if sweepsAfterPrefetch != 2 {
-		t.Fatalf("PrefetchTarget ran %d sweeps, want 2", sweepsAfterPrefetch)
-	}
-	// Queries into the prefetched target must not trigger new sweeps.
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		lazy.MinObjective(v, 7)
-		lazy.MinBudget(v, 7)
-	}
-	if lazy.SweepCount() != sweepsAfterPrefetch {
-		t.Errorf("queries into prefetched target ran %d extra sweeps", lazy.SweepCount()-sweepsAfterPrefetch)
-	}
-	// A path into a node with no resident sweep is walked on the full forward
-	// sweep out of its source, which then answers (source, ·) queries.
-	if _, ok := lazy.MinObjectivePath(0, 3); !ok {
-		t.Fatal("no τ path 0→3")
-	}
-	base := lazy.SweepCount()
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		lazy.MinObjective(0, v)
-	}
-	if lazy.SweepCount() != base {
-		t.Errorf("queries from a source with a resident forward sweep ran %d extra sweeps", lazy.SweepCount()-base)
-	}
-	// A prefetch hint on a dense oracle is a no-op, not a crash.
-	PrefetchTarget(NewMatrixOracle(g), 7)
-}
-
-func TestLazyCacheEviction(t *testing.T) {
-	g := buildPaperGraph(t)
-	lazy := NewLazyOracle(g)
-	lazy.sweeps.cap = 4
-	// Touch many targets; the memo must stay bounded and answers stay correct.
-	for round := 0; round < 3; round++ {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			lazy.MinObjective(0, v)
-		}
-	}
-	if st := lazy.MemoStats(); st.Entries > 4 || st.Evictions == 0 {
-		t.Errorf("memo holds %d entries after %d evictions, want ≤ 4 entries and some evictions", st.Entries, st.Evictions)
-	}
-	if os, _, ok := lazy.MinObjective(0, 7); !ok || os != 4 {
-		t.Errorf("post-eviction τ(0,7) = %v,%v", os, ok)
-	}
 }
 
 func TestPartitionShape(t *testing.T) {

@@ -1,10 +1,6 @@
 package apsp
 
-import (
-	"math"
-
-	"kor/internal/graph"
-)
+import "kor/internal/graph"
 
 // Bounded sweeps. The label algorithms only ever ask σ questions whose answer
 // is useless beyond what the query's budget limit Δ leaves: a partial route
@@ -12,73 +8,36 @@ import (
 // Δ − BS(σ(c,t)) to reach a candidate node c, can never become feasible. A
 // reverse Dijkstra truncated at that bound therefore answers every useful
 // lookup exactly, while settling — and, being stored compactly, holding —
-// only the bound's ball around its root instead of the whole graph. On the
-// lazy oracle these sweeps live in the oracle memo beside the full ones,
-// tagged with their bound: a sweep serves any request for the same root and
-// metric at its bound or narrower.
+// only the bound's ball around its root instead of the whole graph.
 
-// Sweep is the Vector over one sweep around a fixed root, truncated at
-// bound (+Inf: a full sweep). On a reverse sweep Scores answers
-// (v → root) pair queries, on a forward one (root → v); ok=false means no
-// path within the sweep's bound (or at all), which callers must treat as "no
-// useful path", not "no path". Because a served sweep may be wider than
-// requested, ok=true does not imply the score is within the caller's bound:
-// callers re-check.
+// Sweep is the Vector over one reverse sweep into a fixed root, truncated at
+// a bound: Scores answers (v → root) pair queries, and ok=false means no path
+// within the bound (or at all), which callers must treat as "no useful path",
+// not "no path".
 type Sweep struct {
-	s     *sweep
-	m     Metric
-	root  graph.NodeID
-	bound float64
-	// outbound marks a forward sweep, out of root.
-	outbound bool
-	// covered is the bound of the cover a covering sweep was run to contain
-	// (see CoveringSweep), -Inf on any other: it reaches every node the
-	// other metric's reverse sweep into root reaches within covered.
-	covered float64
+	s    *sweep
+	m    Metric
+	root graph.NodeID
 }
 
 // Scores returns the (objective, budget) scores of the metric-optimal path
-// between v and the sweep's root.
+// from v to the sweep's root.
 func (s *Sweep) Scores(v graph.NodeID) (os, bs float64, ok bool) {
 	return s.s.scores(v, s.m)
 }
-
-// bytes is what the memo charges for the sweep.
-func (s *Sweep) bytes() int64 { return s.s.bytes() }
 
 // ReverseBoundedSweep runs a reverse two-criteria Dijkstra into root,
 // truncated once the primary metric exceeds bound (pass +Inf for a full
 // sweep). The scores of every settled node are exact (truncation only drops
 // nodes wholly past the bound).
 func ReverseBoundedSweep(g *graph.Graph, root graph.NodeID, m Metric, bound float64) *Sweep {
-	return newSweep(g, memoKey{root, m, false}, bound, nil)
+	return &Sweep{s: dijkstraBounded(g, root, m, true, bound), m: m, root: root}
 }
 
-// newSweep runs the Dijkstra key names, truncated at bound — or, when cover is
-// given, at the smallest radius, bound or wider, at which the sweep reaches
-// every node cover reaches. The Sweep is tagged with the radius it stopped at
-// and is exactly the sweep a run bounded there returns, so the memo's bound
-// rule applies to a covering sweep unchanged.
-func newSweep(g *graph.Graph, key memoKey, bound float64, cover *Sweep) *Sweep {
-	var c *sweep
-	covered := math.Inf(-1)
-	if cover != nil {
-		c, covered = cover.s, cover.bound
-	}
-	s, bound := dijkstraBounded(g, key.node, key.metric, !key.outbound, bound, c)
-	return &Sweep{s: s, m: key.metric, root: key.node, bound: bound, outbound: key.outbound, covered: covered}
-}
-
-// Walk materializes the metric-optimal path between v and the sweep's root
-// in the sweep's direction, inclusive of both endpoints: v→root off a reverse
-// sweep, root→v off a forward one. One sweep answers every path into (out
-// of) its root — the reconstruction pattern of the label algorithms, which
-// the score-only dense tables would otherwise answer with a fresh sweep per
-// path.
+// Walk materializes the metric-optimal path from v to the sweep's root,
+// inclusive of both endpoints: one sweep answers every path into its root —
+// the reconstruction pattern of the label algorithms.
 func (s *Sweep) Walk(v graph.NodeID) ([]graph.NodeID, bool) {
-	if s.outbound {
-		return walkForward(s.s, s.root, v)
-	}
 	return walkReverse(s.s, s.root, v)
 }
 

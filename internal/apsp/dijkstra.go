@@ -17,12 +17,12 @@ import (
 // A sweep comes in one of two forms, chosen by its bound alone. A full sweep
 // (bound +Inf) is dense: primary, secondary and parent are indexed by node
 // ID over the whole graph, unreached nodes carry +Inf — the table builders
-// copy these rows wholesale and Greedy reads them at every keyword node. A
-// truncated sweep is compact: nodes lists the settled nodes in settle order
-// (ascending primary), the three vectors run parallel to it, and slots is an
-// open-addressing index from node ID to position — compactNodeBytes per
-// settled node, whatever the graph's size. reached, scores and the walks are
-// the only readers and hide the form.
+// copy these rows wholesale. A truncated sweep is compact: nodes lists the
+// settled nodes in settle order (ascending primary), the three vectors run
+// parallel to it, and slots is an open-addressing index from node ID to
+// position — 32 bytes per settled node (two scores, the parent, the node ID
+// and two slots at load factor ½), whatever the graph's size. reached,
+// scores and the walks are the only readers and hide the form.
 type sweep struct {
 	primary   []float64
 	secondary []float64
@@ -32,15 +32,7 @@ type sweep struct {
 	slots []int32        // compact form only: position in nodes + 1, 0 = empty
 }
 
-const (
-	noParent = int32(-1)
-
-	// compactNodeBytes is what a compact sweep holds per settled node: two
-	// scores, the parent, the node ID and two index slots (load factor ½).
-	compactNodeBytes = 8 + 8 + 4 + 4 + 2*4
-	// sweepBaseBytes covers the struct and its slice headers.
-	sweepBaseBytes = 64
-)
+const noParent = int32(-1)
 
 // slotOf hashes v onto a table of size slots (multiplicative hash, then a
 // multiply-shift range reduction, so the table need not be a power of two).
@@ -73,28 +65,6 @@ func (s *sweep) pos(v graph.NodeID) int {
 
 // reached reports whether v was reached by the sweep.
 func (s *sweep) reached(v graph.NodeID) bool { return s.pos(v) >= 0 }
-
-// count returns how many nodes the sweep reached.
-func (s *sweep) count() int {
-	if s.slots != nil {
-		return len(s.nodes)
-	}
-	n := 0
-	for _, p := range s.primary {
-		if !math.IsInf(p, 1) {
-			n++
-		}
-	}
-	return n
-}
-
-// bytes is the sweep's resident size.
-func (s *sweep) bytes() int64 {
-	if s.slots != nil {
-		return compactSweepBytes(len(s.nodes))
-	}
-	return sweepBytes(len(s.primary))
-}
 
 // scores returns (objective, budget) at v given the metric the sweep ran
 // under; ok is false when the sweep did not reach v.
@@ -234,29 +204,23 @@ func getScratch(n int) *sweepScratch {
 // broken by the secondary, so results are unique and deterministic. The
 // result is dense.
 func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep {
-	s, _ := dijkstraBounded(g, root, m, reverse, math.Inf(1), nil)
-	return s
+	return dijkstraBounded(g, root, m, reverse, math.Inf(1))
 }
 
 // dijkstraBounded is dijkstra truncated at a primary-metric bound: labels
 // past the bound are never relaxed, so the search settles only the bound's
 // ball around the root. Settled scores are exact; unreached nodes are
 // indistinguishable from unreachable ones, which is precisely the contract
-// bounded callers want.
-//
-// With a cover, bound is a floor: the run stops at the smallest radius, bound
-// or wider, whose ball contains every node cover reached (see
-// sweepScratch.run). The root always settles, so a bound below 0 (or NaN) is
-// radius 0. The radius the result is exact at is returned with it; the result
-// is dense when it is +Inf and compact otherwise.
-func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) (*sweep, float64) {
+// bounded callers want. The root always settles, so a bound below 0 (or NaN)
+// is radius 0. The result is dense when bound is +Inf and compact otherwise.
+func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) *sweep {
 	sc := getScratch(g.NumNodes())
 	defer scratchPool.Put(sc)
-	bound = sc.run(g, root, m, reverse, bound, cover)
+	sc.run(g, root, m, reverse, bound)
 	if math.IsInf(bound, 1) {
-		return sc.dense(g.NumNodes()), bound
+		return sc.dense(g.NumNodes())
 	}
-	return sc.compact(), bound
+	return sc.compact()
 }
 
 // start resets sc and queues root: the first step of every run.
@@ -290,11 +254,12 @@ func (sc *sweepScratch) head() float64 {
 
 // step is the one settle-and-relax step every run is made of: it settles the
 // next node if its primary score is within bound and relaxes its edges,
-// dropping labels past bound. ok is false when no node is left within bound.
-func (sc *sweepScratch) step(bound float64) (it dijkstraItem, ok bool) {
+// dropping labels past bound. It reports false when no node is left within
+// bound.
+func (sc *sweepScratch) step(bound float64) bool {
 	prim, secd, par := sc.primary, sc.secondary, sc.parent
 	for len(sc.heap) > 0 && sc.heap[0].primary <= bound {
-		it = sc.heap.pop()
+		it := sc.heap.pop()
 		// A node's labels are pushed best last and popped best first: the
 		// item that still matches the node's scores settles it, any other is
 		// a leftover of an improvement.
@@ -324,43 +289,19 @@ func (sc *sweepScratch) step(bound float64) (it dijkstraItem, ok bool) {
 				sc.heap.push(dijkstraItem{node: v, primary: p, secondary: sec})
 			}
 		}
-		return it, true
+		return true
 	}
-	return it, false
+	return false
 }
 
-// run settles, in sc, every node within bound of root and returns bound
-// (raised to 0 when below it: the root is always within).
-//
-// With a cover the run starts unbounded and fixes its bound itself, at the
-// primary score of the last cover node to settle or the bound passed in,
-// whichever is wider; it then drains the queue up to that radius (nodes tied
-// with it) and leaves the labels past it queued, where the next run finds
-// the nodes to reset. Nodes settle in an order that does not depend on the
-// bound, and a label past a radius never feeds a node within it, so what is
-// settled at the end is exactly — scores, parents and reach — what a run
-// bounded at the returned radius settles. Should the queue drain with cover
-// nodes still missing, the returned radius is +Inf: the run was a full sweep.
-func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, cover *sweep) float64 {
+// run settles, in sc, every node within bound of root; a bound below 0 (or
+// NaN) is raised to 0: the root is always within.
+func (sc *sweepScratch) run(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) {
 	if !(bound >= 0) {
 		bound = 0
 	}
-	floor, missing := bound, 0
-	if cover != nil {
-		bound = math.Inf(1)
-		missing = cover.count()
-	}
 	sc.start(g, root, m, reverse)
-	for {
-		it, ok := sc.step(bound)
-		if !ok {
-			return bound
-		}
-		if missing > 0 && cover.reached(it.node) {
-			if missing--; missing == 0 {
-				bound = max(it.primary, floor)
-			}
-		}
+	for sc.step(bound) {
 	}
 }
 

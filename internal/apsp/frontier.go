@@ -9,12 +9,14 @@ import (
 // Frontier is a Dijkstra run its caller advances one settled node at a time:
 // the resumable form of a sweep, for a caller that can tell from the scores
 // settled so far when the rest of the graph can no longer change its answer
-// (Greedy's candidate scan). It runs the same step as every bounded and
-// covering run, so nodes settle in the same (primary, secondary, node ID)
-// order and each settled node's scores and parent are bit for bit those of a
-// full sweep. A Frontier is a Vector whose reads settle what they need. It
-// reads its pooled scratch in place and holds it until Close; it is owned by
-// one goroutine.
+// (Greedy's candidate scan, the candidate prune), or that reads only where
+// another check let it through (the τ tail into the target, read only at
+// nodes whose σ tail fits Δ). It runs the same step as every bounded run, so
+// nodes settle in the same (primary, secondary, node ID) order and each
+// settled node's scores and parent are bit for bit those of a full sweep. A
+// Frontier is a Vector whose reads settle what they need. It reads its pooled
+// scratch in place — 21 bytes per graph node, dense — and holds it until
+// Close; it is owned by one goroutine.
 type Frontier struct {
 	sc   *sweepScratch
 	root graph.NodeID
@@ -22,10 +24,11 @@ type Frontier struct {
 }
 
 // Frontier opens a run around root under m: out of root when outbound, into
-// it otherwise. It bypasses the memo; the caller must Close it.
+// it otherwise. The caller must Close it.
 func (o *LazyOracle) Frontier(root graph.NodeID, m Metric, outbound bool) *Frontier {
 	f := &Frontier{sc: getScratch(o.g.NumNodes()), root: root, o: o}
 	f.sc.start(o.g, root, m, !outbound)
+	o.runs.Add(1)
 	o.frontiersOpen.Add(1)
 	return f
 }
@@ -42,8 +45,7 @@ func (f *Frontier) Head() float64 { return f.sc.head() }
 
 // Next settles one more node, appending it to Order; false once drained.
 func (f *Frontier) Next() bool {
-	_, ok := f.sc.step(math.Inf(1))
-	return ok
+	return f.sc.step(math.Inf(1))
 }
 
 // Order lists the settled nodes in settle order, ascending in the primary

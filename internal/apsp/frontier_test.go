@@ -25,7 +25,7 @@ func frontierAgrees(g *graph.Graph, f *Frontier, root graph.NodeID, m Metric, re
 		order := f.Order()
 		last := order[len(order)-1]
 		r := f.sc.primary[last]
-		want, _ := dijkstraBounded(g, root, m, reverse, r, nil)
+		want := dijkstraBounded(g, root, m, reverse, r)
 		if len(order) > len(want.nodes) {
 			return fmt.Sprintf("%d settled at radius %v, the bounded sweep settles %d", len(order), r, len(want.nodes))
 		}
@@ -69,7 +69,7 @@ func frontierAgrees(g *graph.Graph, f *Frontier, root graph.NodeID, m Metric, re
 
 // TestFrontierMatchesSweep: a frontier advanced node by node is, at every
 // prefix, the bounded sweep at that radius — in a fresh scratch and in one
-// worn by covering runs and abandoned frontiers — and a scratch a frontier
+// worn by bounded runs and abandoned frontiers — and a scratch a frontier
 // left mid-run serves the next bounded run bit for bit.
 func TestFrontierMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2701))
@@ -79,17 +79,13 @@ func TestFrontierMatchesSweep(t *testing.T) {
 			worn := getScratch(n) // kept out of the pool: the test owns its history
 			for i := 0; i < 300; i++ {
 				root, m, reverse := graph.NodeID(rng.Intn(n)), Metric(rng.Intn(2)), rng.Intn(2) == 0
-				switch i % 3 {
-				case 0:
-					cover, _ := dijkstraBounded(g, root, 1-m, reverse, float64(rng.Intn(4)), nil)
-					worn.run(g, root, m, reverse, 0, cover)
-				case 1: // a frontier abandoned part way
+				if i%2 == 0 { // a frontier abandoned part way
 					worn.start(g, root, m, reverse)
 					for k := rng.Intn(n); k > 0 && worn.head() < math.Inf(1); k-- {
 						worn.step(math.Inf(1))
 					}
-				default:
-					worn.run(g, root, m, reverse, float64(rng.Intn(8)), nil)
+				} else {
+					worn.run(g, root, m, reverse, float64(rng.Intn(8)))
 				}
 			}
 			for _, m := range []Metric{ByObjective, ByBudget} {
@@ -115,8 +111,8 @@ func TestFrontierMatchesSweep(t *testing.T) {
 						worn.step(math.Inf(1))
 					}
 					next, bound := graph.NodeID(rng.Intn(n)), float64(rng.Intn(8))
-					worn.run(g, next, 1-m, !reverse, bound, nil)
-					if want, _ := dijkstraBounded(g, next, 1-m, !reverse, bound, nil); !reflect.DeepEqual(worn.compact(), want) {
+					worn.run(g, next, 1-m, !reverse, bound)
+					if want := dijkstraBounded(g, next, 1-m, !reverse, bound); !reflect.DeepEqual(worn.compact(), want) {
 						t.Fatalf("%s: a scratch left mid-frontier produced a different bounded sweep", name)
 					}
 				}

@@ -13,43 +13,13 @@ import (
 	"kor/internal/graph"
 )
 
-// TestMemoSizing pins the sizing rule. Capacity — what a store holds whatever
-// its entries' sizes — is min(entry cap, byte budget over the worst-case
-// entry), floored so a store stays useful on graphs where one entry outweighs
-// the budget; what it really holds is bounded by the bytes its entries are
-// charged, so entries smaller than the worst case fit in greater number.
-// The sweep cap of 128 entries binds until that many full sweeps fill the
-// byte budget, on graphs of up to 131,070 nodes.
-func TestMemoSizing(t *testing.T) {
-	sweepMemo := func(nodes int) *memo[*Sweep] {
-		return newMemo(sweepMemoEntries, sweepMemoBudget, compactSweepBytes(nodes), (*Sweep).bytes)
-	}
-	crossover := int((sweepMemoBudget/sweepMemoEntries - sweepBaseBytes) / compactNodeBytes)
-	if sweepMemoEntries != 128 || crossover != 131_070 {
-		t.Fatalf("sweep memo: %d entries, crossover at %d nodes; the sizing rule above no longer holds", sweepMemoEntries, crossover)
-	}
-	for _, tc := range []struct {
-		nodes int
-		want  int
-	}{
-		{8_000, sweepMemoEntries},     // bench-sized: the entry cap binds
-		{crossover, sweepMemoEntries}, // the last graph on which it does
-		{crossover + 1, sweepMemoEntries - 1},
-		{1_000_000, int(sweepMemoBudget / compactSweepBytes(1_000_000))}, // 1M nodes: the byte budget binds
-		{1 << 30, memoMinEntries},                                        // one sweep outweighs the budget
-		{1, sweepMemoEntries},                                            // degenerate graph
-	} {
-		if got := sweepMemo(tc.nodes).stats(nil).Capacity; got != tc.want {
-			t.Errorf("sweep memo capacity on %d nodes = %d, want %d", tc.nodes, got, tc.want)
-		}
-	}
-	if c := sweepMemo(1_000_000).stats(nil).Capacity; c <= memoMinEntries || c >= sweepMemoEntries {
-		t.Errorf("1M-node capacity %d is not strictly between the floor and the entry cap", c)
-	}
-
-	// Slices are charged what this partition can make one hold: 16 B per node
-	// and per border (every cell touched), the root's vector at the widest
-	// cell's border count, one slot per cell — bytes alone, no entry cap.
+// TestMemoBoundAndEviction pins the store's sizing and replacement rules. A
+// slice is charged what this partition can make one hold — 16 B per node and
+// per border (every cell touched), the root's vector at the widest cell's
+// border count, one slot per cell — and the store holds as many as the byte
+// budget pays for. FIFO eviction drops exactly the oldest resident entry,
+// never below memoMinEntries, and a hit neither moves nor recharges an entry.
+func TestMemoBoundAndEviction(t *testing.T) {
 	po := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(29)), 300, false), 12)
 	maxNB := 0
 	for i := range po.cells {
@@ -60,90 +30,35 @@ func TestMemoSizing(t *testing.T) {
 		t.Errorf("sliceBytes = %d, want %d (%d borders, widest cell %d, %d cells)", got, worst, po.NumBorders(), maxNB, po.NumRegions())
 	}
 	if got, want := po.MemoStats().Capacity, int(sliceMemoBudget/worst); got != want {
-		t.Errorf("slice memo capacity = %d, want %d (bytes alone)", got, want)
+		t.Errorf("slice memo capacity = %d, want %d", got, want)
+	}
+	if got := newMemo[int](1, 1<<20).stats(nil).Capacity; got != memoMinEntries {
+		t.Errorf("one entry outweighing the budget: capacity %d, want the floor %d", got, memoMinEntries)
 	}
 
-	// Real bytes: a budget of four full sweeps — where the worst-case rule
-	// stopped at four entries — holds one full sweep and forty truncated ones
-	// of a twentieth its size, and starts evicting, oldest first, only when
-	// the bytes run out.
-	g := randomTestGraph(rand.New(rand.NewSource(23)), 400, false)
-	full := sweepBytes(g.NumNodes())
-	o := NewLazyOracle(g)
-	o.sweeps.budget = 4 * full
-	o.outOf(0, ByObjective)
-	var small int64
-	for root := graph.NodeID(0); root < 40; root++ {
-		sw, _ := o.ReverseSweep(root, ByBudget, 0.3)
-		if sw.bytes() > full/20 {
-			t.Fatalf("the bound-0.3 sweep into %d holds %d bytes, more than a twentieth of a full sweep's %d", root, sw.bytes(), full)
-		}
-		small += sw.bytes()
+	c := newMemo[int](6, 1) // six entries of one byte
+	var calls int
+	get := func(node int) int {
+		return c.get(memoKey{node: graph.NodeID(node)}, func() int { calls++; return node })
 	}
-	if st := o.MemoStats(); st.Entries != 41 || st.Evictions != 0 || st.ResidentBytes != full+small || st.Capacity != 4 {
-		t.Fatalf("one full and forty truncated sweeps: %+v, want 41 entries, no eviction, %d resident bytes, capacity 4", st, full+small)
+	for node := 0; node < 6; node++ {
+		get(node)
 	}
-	for root := graph.NodeID(40); root < 44; root++ {
-		o.PrefetchTarget(root) // two full sweeps each
+	if get(0) != 0 || calls != 6 {
+		t.Fatalf("a resident entry was recomputed: %d computations", calls)
 	}
-	st := o.MemoStats()
-	if st.Evictions == 0 || st.ResidentBytes > 4*full {
-		t.Fatalf("eight more full sweeps: %+v, want evictions and at most %d resident bytes", st, 4*full)
+	get(6) // evicts 0, the oldest, whatever its hit
+	size := func(int) int64 { return 1 }
+	if st := c.stats(size); st.Entries != 6 || st.Evictions != 1 || st.ResidentBytes != 6 || st.Hits != 1 || st.Misses != 7 {
+		t.Fatalf("after one eviction: %+v", st)
 	}
-	if o.full(memoKey{node: 0, metric: ByObjective, outbound: true}) != nil {
-		t.Fatal("the oldest entry survived the byte-driven eviction")
-	}
-}
-
-// TestMemoBoundAndEviction pins the store's two replacement rules through
-// the lazy oracle: a wider sweep serves narrower requests verbatim while a
-// wider request replaces the entry, and FIFO eviction drops exactly the
-// oldest resident entry — a replaced entry gives up its queue slot, so its
-// replacement is neither evicted early nor counted twice.
-func TestMemoBoundAndEviction(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(77)), 12, false)
-	o := NewLazyOracle(g)
-	o.sweeps.cap = 2
-
-	a, shared := o.ReverseSweep(0, ByBudget, 2) // [0@2]
-	if shared {
-		t.Fatal("cold request claimed to share")
-	}
-	if sw, shared := o.ReverseSweep(0, ByBudget, 1); !shared || sw != a {
-		t.Fatal("narrower request did not reuse the wider resident sweep")
-	}
-	b, shared := o.ReverseSweep(0, ByBudget, 6) // [0@6]: replaces, takes a fresh slot
-	if shared || b == a {
-		t.Fatal("request wider than the resident bound must recompute")
-	}
-	if _, shared := o.ReverseSweep(0, ByObjective, 1); shared { // [0@6, τ0]
-		t.Fatal("metrics must not share sweeps")
-	}
-	if st := o.MemoStats(); st.Entries != 2 || st.Evictions != 0 {
-		t.Fatalf("after a replacement and one insert: %+v, want 2 entries and no eviction", st)
-	}
-	if sw, shared := o.ReverseSweep(0, ByBudget, 6); !shared || sw != b {
-		t.Fatal("replacement entry not served")
-	}
-	c, _ := o.ReverseSweep(1, ByBudget, 2) // [τ0, 1@2]: evicts 0@6, the oldest
-	if _, shared := o.ReverseSweep(0, ByObjective, 1); !shared {
+	get(1)
+	if calls != 7 {
 		t.Fatal("eviction dropped a younger entry")
 	}
-	d, shared := o.ReverseSweep(0, ByBudget, 6) // [1@2, 0@6]: evicts τ0
-	if shared {
-		t.Fatal("the oldest entry should have been evicted")
-	}
-	resident := c.bytes() + d.bytes() // each is charged what it holds
-	if st := o.MemoStats(); st.Entries != 2 || st.Evictions != 2 || st.ResidentBytes != resident {
-		t.Fatalf("final stats %+v, want 2 entries, 2 evictions, %d resident bytes", st, resident)
-	}
-	// A full sweep serves every bound; pair lookups only ever read full ones.
-	if o.full(memoKey{node: 1, metric: ByBudget}) != nil {
-		t.Fatal("a truncated sweep was offered to pair lookups")
-	}
-	o.PrefetchTarget(1)
-	if _, shared := o.ReverseSweep(1, ByBudget, 3); !shared {
-		t.Fatal("full sweep did not serve a bounded request")
+	get(0)
+	if calls != 8 {
+		t.Fatal("the oldest entry survived the eviction")
 	}
 }
 
@@ -152,7 +67,7 @@ func TestMemoBoundAndEviction(t *testing.T) {
 // the entry and one arriving afterwards both get a value from their own
 // computation, and the dead entry is gone from the store.
 func TestMemoPanickingLeader(t *testing.T) {
-	c := newMemo(8, 1<<20, 1, func(int) int64 { return 1 })
+	c := newMemo[int](8, 1)
 	key := memoKey{node: 3, metric: ByBudget}
 	var calls atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -168,20 +83,15 @@ func TestMemoPanickingLeader(t *testing.T) {
 	leader := make(chan any, 1)
 	go func() {
 		defer func() { leader <- recover() }()
-		c.get(key, nil, compute)
+		c.get(key, compute)
 	}()
 	<-entered // the entry is in flight
 
-	type result struct {
-		v      int
-		shared bool
-	}
-	waiter := make(chan result, 1)
+	waiter := make(chan int, 1)
 	ready := make(chan struct{})
 	go func() {
 		close(ready)
-		v, shared := c.get(key, nil, compute)
-		waiter <- result{v, shared}
+		waiter <- c.get(key, compute)
 	}()
 	<-ready
 	// Let the waiter reach the entry's done channel. Should it lose the race
@@ -190,28 +100,23 @@ func TestMemoPanickingLeader(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runtime.Gosched()
 	}
-	if _, ok := c.peek(key); ok {
-		t.Fatal("peek returned an in-flight entry")
-	}
 	close(release)
 
 	if r := <-leader; r == nil {
 		t.Fatal("the leader's panic was swallowed")
 	}
-	if r := <-waiter; r.v != 42 || r.shared { // hangs here when done is never closed
-		t.Fatalf("waiter got (%d, shared=%v), want its own computation's 42", r.v, r.shared)
+	if v := <-waiter; v != 42 { // hangs here when done is never closed
+		t.Fatalf("waiter got %d, want its own computation's 42", v)
 	}
-	if _, ok := c.peek(key); ok {
-		t.Fatal("dead entry still findable")
+	size := func(int) int64 { return 1 }
+	if st := c.stats(size); st.Entries != 0 || st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("dead entry still resident, or the waiter shared it: %+v", st)
 	}
-	if st := c.stats(nil); st.Entries != 0 {
-		t.Fatalf("dead entry still resident: %+v", st)
+	if v := c.get(key, compute); v != 42 || calls.Load() != 3 {
+		t.Fatalf("later caller got %d after %d computations, want a fresh 42", v, calls.Load())
 	}
-	if v, shared := c.get(key, nil, compute); v != 42 || shared {
-		t.Fatalf("later caller got (%d, shared=%v), want a fresh computation", v, shared)
-	}
-	if v, shared := c.get(key, nil, compute); v != 42 || !shared {
-		t.Fatalf("key did not recover: (%d, shared=%v)", v, shared)
+	if v := c.get(key, compute); v != 42 || calls.Load() != 3 {
+		t.Fatalf("key did not recover: %d after %d computations", v, calls.Load())
 	}
 }
 
@@ -237,17 +142,15 @@ func TestPartitionedSlicePanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestMemoSweepProperty: whatever interleaving of requests, bound upgrades
-// and evictions a cap-4 store goes through, every sweep it serves is
-// indistinguishable — inside the requested bound — from a fresh private
-// sweep at that bound: same scores bit for bit, same paths. Outside the
-// bound a served sweep may know more (it may be wider), never something
-// different. Run with -race.
+// TestMemoSweepProperty: whatever interleaving of concurrent requests the
+// lazy oracle serves — it keeps no memo, so they share only the scratch
+// pool — every sweep it hands out is indistinguishable from a private sweep
+// at the requested bound: same scores bit for bit, same paths. Run with
+// -race.
 func TestMemoSweepProperty(t *testing.T) {
 	g := randomTestGraph(rand.New(rand.NewSource(2012)), 40, true) // quantized weights: ties everywhere
 	n := g.NumNodes()
 	o := NewLazyOracle(g)
-	o.sweeps.cap = 4
 	bounds := []float64{0, 1, 2, 3, 5, 8, 13, math.Inf(1)}
 
 	const workers, requests = 8, 150
@@ -259,18 +162,14 @@ func TestMemoSweepProperty(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < requests; i++ {
-				// Few roots, so requests collide on keys at different bounds.
+				// Few roots, so requests collide on roots at different bounds.
 				root := graph.NodeID(rng.Intn(6))
 				m := Metric(rng.Intn(2))
 				bound := bounds[rng.Intn(len(bounds))]
-				got, _ := o.ReverseSweep(root, m, bound)
+				got := o.ReverseSweep(root, m, bound)
 				want := ReverseBoundedSweep(g, root, m, bound)
 				if msg := sameInsideBound(got, want, m, bound, n); msg != "" {
 					errs <- fmt.Sprintf("root %d metric %d bound %v: %s", root, m, bound, msg)
-					return
-				}
-				if st := o.MemoStats(); st.Entries > 4 {
-					errs <- fmt.Sprintf("%d resident entries on a cap-4 store", st.Entries)
 					return
 				}
 			}
@@ -281,74 +180,8 @@ func TestMemoSweepProperty(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if st := o.MemoStats(); st.Hits == 0 || st.Evictions == 0 {
-		t.Errorf("the run never shared or never evicted: %+v", st)
-	}
-
-	// Without eviction pressure, whatever order concurrent requests for one
-	// key at different bounds arrive in — leaders, followers of a narrower
-	// leader — the widest sweep asked for is the one resident afterwards.
-	o = NewLazyOracle(g)
-	for round := 0; round < 20; round++ {
-		key := memoKey{node: graph.NodeID(round % 6), metric: Metric(round % 2)}
-		widest := 0.0
-		for _, i := range rand.New(rand.NewSource(int64(round))).Perm(len(bounds) - 1) { // finite bounds only
-			bound := bounds[i] + float64(round) // wider every round: nothing resident serves it
-			widest = max(widest, bound)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				o.ReverseSweep(key.node, key.metric, bound)
-			}()
-		}
-		wg.Wait()
-		if sw, ok := o.sweeps.peek(key); !ok || sw.bound != widest {
-			t.Fatalf("round %d: resident sweep bound %v (present %v), the widest request was %v", round, sw.bound, ok, widest)
-		}
-	}
-}
-
-// TestMemoFollowerUpgrade: a follower whose leader publishes a value it
-// cannot use replaces that value in the store instead of computing for itself
-// alone, so the next request for what the follower wanted is a hit.
-func TestMemoFollowerUpgrade(t *testing.T) {
-	c := newMemo(8, 1<<20, 1, func(int) int64 { return 1 })
-	key := memoKey{node: 1, metric: ByBudget}
-	atLeast := func(b int) func(int) bool { return func(v int) bool { return v >= b } }
-	entered, release := make(chan struct{}), make(chan struct{})
-	leader := make(chan int, 1)
-	go func() {
-		v, _ := c.get(key, atLeast(3), func() int { close(entered); <-release; return 3 })
-		leader <- v
-	}()
-	<-entered
-	follower := make(chan [2]int, 1)
-	go func() {
-		v, shared := c.get(key, atLeast(9), func() int { return 9 })
-		s := 0
-		if shared {
-			s = 1
-		}
-		follower <- [2]int{v, s}
-	}()
-	for i := 0; i < 100; i++ { // let the follower reach the entry's done channel
-		runtime.Gosched()
-	}
-	close(release)
-	if v := <-leader; v != 3 {
-		t.Fatalf("leader got %d, want its own 3", v)
-	}
-	if r := <-follower; r != [2]int{9, 0} {
-		t.Fatalf("follower got (%d, shared=%d), want its own computation's 9", r[0], r[1])
-	}
-	if v, ok := c.peek(key); !ok || v != 9 {
-		t.Fatalf("resident value (%d, %v), want the follower's 9", v, ok)
-	}
-	if v, shared := c.get(key, atLeast(9), func() int { return -1 }); v != 9 || !shared {
-		t.Fatalf("next request got (%d, shared=%v), want the resident 9", v, shared)
-	}
-	if st := c.stats(nil); st.Entries != 1 || st.ResidentBytes != 1 || st.Misses != 2 {
-		t.Fatalf("stats %+v, want one entry of one byte after two computations", st)
+	if got := o.SweepCount(); got != workers*requests {
+		t.Errorf("%d requests ran %d sweeps: every request runs its own", workers*requests, got)
 	}
 }
 

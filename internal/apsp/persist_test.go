@@ -181,7 +181,7 @@ func TestTargetSliceConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomTestGraph(rng, 40, false)
 	o := NewPartitionedOracle(g, 8)
-	o.slices.cap = 6 // force eviction churn
+	o.slices.budget = 6 * o.slices.charge // force eviction churn
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

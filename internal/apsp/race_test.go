@@ -9,16 +9,16 @@ import (
 )
 
 // TestLazyOracleConcurrent hammers one LazyOracle from many goroutines —
-// score lookups, prefetch hints, frontiers and path materialization under a tiny cache
-// that forces constant eviction — and checks every answer against the dense
-// oracle. Run with -race this is the oracle-level concurrency safety proof.
+// score lookups, prefetch hints, frontiers, bounded sweeps and path
+// materialization, all sharing the pooled scratch — and checks every answer
+// against the dense oracle. Run with -race this is the oracle-level
+// concurrency safety proof.
 func TestLazyOracleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomTestGraph(rng, 60, false)
 	n := g.NumNodes()
 	dense := NewMatrixOracle(g)
 	lazy := NewLazyOracle(g)
-	lazy.sweeps.cap = 4 // eviction churn on every few sweeps
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -47,6 +47,12 @@ func TestLazyOracleConcurrent(t *testing.T) {
 						errs <- "empty τ path"
 						return
 					}
+				case 3:
+					bound := r.Float64() * 4
+					if got, want := lazy.ReverseSweep(to, ByBudget, bound), ReverseBoundedSweep(g, to, ByBudget, bound); sameInsideBound(got, want, ByBudget, bound, n) != "" {
+						errs <- "a bounded sweep differs from a private one under concurrency"
+						return
+					}
 				}
 				gotP, gotS, gotOK := lazy.MinObjective(from, to)
 				wantP, wantS, wantOK := dense.MinObjective(from, to)
@@ -67,30 +73,5 @@ func TestLazyOracleConcurrent(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
-	}
-}
-
-// TestLazyOracleSingleFlight checks that concurrent queries needing the same
-// missing sweep share one Dijkstra run rather than each running their own.
-func TestLazyOracleSingleFlight(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomTestGraph(rng, 40, false)
-	lazy := NewLazyOracle(g)
-
-	const workers = 32
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(from graph.NodeID) {
-			defer wg.Done()
-			<-start
-			lazy.MinObjective(from, 5) // all need the reverse τ sweep into 5
-		}(graph.NodeID(w % g.NumNodes()))
-	}
-	close(start)
-	wg.Wait()
-	if got := lazy.SweepCount(); got != 1 {
-		t.Errorf("32 concurrent queries into one target ran %d sweeps, want 1", got)
 	}
 }

@@ -125,22 +125,19 @@ func (o *PartitionedOracle) sliceBytes() int64 {
 // published empty and fills as it is read, so every slice is charged the
 // worst case.
 func (o *PartitionedOracle) newSliceMemo() *memo[*TargetSlice] {
-	worst := o.sliceBytes()
-	return newMemo(math.MaxInt, sliceMemoBudget, worst, func(*TargetSlice) int64 { return worst })
+	return newMemo[*TargetSlice](sliceMemoBudget, o.sliceBytes())
 }
 
 // TargetSlice returns (creating and caching on first use) the view of the
 // scores into to under metric m.
 func (o *PartitionedOracle) TargetSlice(to graph.NodeID, m Metric) *TargetSlice {
-	ts, _ := o.slices.get(memoKey{to, m, false}, nil, func() *TargetSlice { return o.newSlice(to, m, false) })
-	return ts
+	return o.slices.get(memoKey{to, m, false}, func() *TargetSlice { return o.newSlice(to, m, false) })
 }
 
 // SourceSlice returns (creating and caching on first use) the view of the
 // scores out of from under metric m.
 func (o *PartitionedOracle) SourceSlice(from graph.NodeID, m Metric) *TargetSlice {
-	ts, _ := o.slices.get(memoKey{from, m, true}, nil, func() *TargetSlice { return o.newSlice(from, m, true) })
-	return ts
+	return o.slices.get(memoKey{from, m, true}, func() *TargetSlice { return o.newSlice(from, m, true) })
 }
 
 // MemoStats reports the slice memo's counters and residency. ResidentBytes

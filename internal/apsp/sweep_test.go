@@ -98,27 +98,28 @@ func sweepTestGraphs(rng *rand.Rand) []*graph.Graph {
 }
 
 // TestSweepFormsAgree is the contract of the pooled Dijkstra: whatever form a
-// sweep is computed and stored in — full and dense, truncated and compact,
-// stopped by a cover, or run in a scratch a thousand other sweeps have been
-// through — it is the reference sweep, bit for bit on
-// primary, secondary and parent, at every node within the radius it reports,
-// and nothing beyond it.
+// sweep is computed and stored in — full and dense, truncated and compact, or
+// run in a scratch a thousand other runs have been through — it is the
+// reference sweep, bit for bit on primary, secondary and parent, at every
+// node within its bound, and nothing beyond it.
 func TestSweepFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2301))
 	for trial := 0; trial < 4; trial++ {
 		for gi, g := range sweepTestGraphs(rng) {
 			n := g.NumNodes()
 			// Kept out of the pool: this test owns its history — a thousand
-			// runs, every fourth one a covering run that stops with labels
+			// runs, every fourth one a frontier closed part way, with labels
 			// still queued.
 			worn := getScratch(n)
 			for i := 0; i < 1000; i++ {
 				root, m, reverse := graph.NodeID(rng.Intn(n)), Metric(rng.Intn(2)), rng.Intn(2) == 0
-				var cover *sweep
-				if i%4 == 0 {
-					cover, _ = dijkstraBounded(g, root, 1-m, reverse, float64(rng.Intn(4)), nil)
+				if i%4 != 0 {
+					worn.run(g, root, m, reverse, float64(rng.Intn(8)))
+					continue
 				}
-				worn.run(g, root, m, reverse, float64(rng.Intn(8)), cover)
+				worn.start(g, root, m, reverse)
+				for k := rng.Intn(n); k > 0 && worn.step(math.Inf(1)); k-- {
+				}
 			}
 			for _, m := range []Metric{ByObjective, ByBudget} {
 				for _, reverse := range []bool{false, true} {
@@ -132,43 +133,19 @@ func TestSweepFormsAgree(t *testing.T) {
 					}
 					// A bound below 0 still settles the root: it is radius 0.
 					for _, bound := range []float64{-1, math.NaN(), 0, 1.5, 3, 6, 1e9} {
-						s, r := dijkstraBounded(g, root, m, reverse, bound, nil)
+						s := dijkstraBounded(g, root, m, reverse, bound)
 						if !(bound >= 0) {
 							bound = 0
 						}
-						if r != bound || s.slots == nil {
-							t.Fatalf("%s bound %v: radius %v, compact %v", name, bound, r, s.slots != nil)
+						if s.slots == nil {
+							t.Fatalf("%s bound %v: a truncated sweep is not compact", name, bound)
 						}
 						if msg := sameWithin(s, ref, root, bound); msg != "" {
 							t.Fatalf("%s bound %v: %s", name, bound, msg)
 						}
-						worn.run(g, root, m, reverse, bound, nil)
+						worn.run(g, root, m, reverse, bound)
 						if !reflect.DeepEqual(worn.compact(), s) {
 							t.Fatalf("%s bound %v: a worn scratch produced a different sweep", name, bound)
-						}
-
-						// A covering sweep: the other metric's ball as cover.
-						cover, _ := dijkstraBounded(g, root, 1-m, reverse, bound, nil)
-						radius := 0.0
-						for _, v := range cover.nodes {
-							radius = math.Max(radius, ref.primary[v])
-						}
-						c, r := dijkstraBounded(g, root, m, reverse, 0, cover)
-						if r != radius {
-							t.Fatalf("%s cover %v: radius %v, the farthest cover node lies at %v", name, bound, r, radius)
-						}
-						for _, v := range cover.nodes {
-							if !c.reached(v) {
-								t.Fatalf("%s cover %v: cover node %d not reached", name, bound, v)
-							}
-						}
-						if atRadius, _ := dijkstraBounded(g, root, m, reverse, radius, nil); !reflect.DeepEqual(c, atRadius) {
-							t.Fatalf("%s cover %v: the covering sweep is not the bounded sweep at its radius %v", name, bound, radius)
-						}
-						// The bound passed with a cover is a floor.
-						floored, r := dijkstraBounded(g, root, m, reverse, radius+1, cover)
-						if atFloor, _ := dijkstraBounded(g, root, m, reverse, radius+1, nil); r != radius+1 || !reflect.DeepEqual(floored, atFloor) {
-							t.Fatalf("%s cover %v: floored at %v the covering sweep stopped at %v or differs from the bounded sweep there", name, bound, radius+1, r)
 						}
 					}
 				}
@@ -196,7 +173,7 @@ func TestSweepPoolConcurrent(t *testing.T) {
 		if i%8 == 0 {
 			j.bound = math.Inf(1)
 		}
-		j.want, _ = dijkstraBounded(g, j.root, j.m, j.reverse, j.bound, nil)
+		j.want = dijkstraBounded(g, j.root, j.m, j.reverse, j.bound)
 		if msg := sameWithin(j.want, referenceSweep(g, j.root, j.m, j.reverse), j.root, j.bound); msg != "" {
 			t.Fatalf("job %d: %s", i, msg)
 		}
@@ -210,7 +187,7 @@ func TestSweepPoolConcurrent(t *testing.T) {
 			for rep := 0; rep < 20; rep++ {
 				for _, i := range order {
 					j := jobs[i]
-					if got, _ := dijkstraBounded(g, j.root, j.m, j.reverse, j.bound, nil); !reflect.DeepEqual(got, j.want) {
+					if got := dijkstraBounded(g, j.root, j.m, j.reverse, j.bound); !reflect.DeepEqual(got, j.want) {
 						t.Errorf("job %d: a pooled scratch produced a different sweep", i)
 						return
 					}
@@ -221,81 +198,18 @@ func TestSweepPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// covers reports whether s reaches every node other, a truncated sweep,
-// reaches.
-func (s *Sweep) covers(other *Sweep) bool {
-	for _, v := range other.s.nodes {
-		if !s.s.reached(v) {
-			return false
+// count returns how many nodes the sweep reached.
+func (s *sweep) count() int {
+	if s.slots != nil {
+		return len(s.nodes)
+	}
+	n := 0
+	for _, p := range s.primary {
+		if !math.IsInf(p, 1) {
+			n++
 		}
 	}
-	return true
-}
-
-// TestCoveringSweepMemo pins how covering sweeps live in the memo under the
-// bound rule: tagged with the radius they stopped at, they serve bounded
-// requests up to it and covers they contain, a sweep that does not contain
-// the cover is replaced by the wider one, and a full sweep serves any cover.
-func TestCoveringSweepMemo(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(2303)), 60, true)
-	o := NewLazyOracle(g)
-	const root = graph.NodeID(3)
-
-	narrow, _ := o.ReverseSweep(root, ByBudget, 3)
-	wide, _ := o.ReverseSweep(root, ByBudget, 6) // replaces narrow under its key
-	tau, shared := o.CoveringSweep(root, ByObjective, narrow)
-	if shared || !tau.covers(narrow) || math.IsInf(tau.bound, 1) {
-		t.Fatalf("cold covering sweep: shared=%v covers=%v bound=%v", shared, tau.covers(narrow), tau.bound)
-	}
-	if sw, shared := o.ReverseSweep(root, ByObjective, tau.bound); !shared || sw != tau {
-		t.Fatal("a bounded request at the covering sweep's radius was not served by it")
-	}
-	if sw, shared := o.CoveringSweep(root, ByObjective, narrow); !shared || sw != tau {
-		t.Fatal("the same cover was not served by the resident covering sweep")
-	}
-	if tau.covers(wide) {
-		t.Skip("the narrow cover's τ radius already contains the wide one on this graph")
-	}
-	wider, shared := o.CoveringSweep(root, ByObjective, wide)
-	if shared || wider.bound <= tau.bound || !wider.covers(wide) {
-		t.Fatalf("a cover the resident sweep misses: shared=%v bound %v → %v", shared, tau.bound, wider.bound)
-	}
-	if sw, shared := o.CoveringSweep(root, ByObjective, narrow); !shared || sw != wider {
-		t.Fatal("the wider covering sweep did not replace the narrower one")
-	}
-	o.PrefetchTarget(root)
-	full, shared := o.CoveringSweep(root, ByObjective, wide)
-	if !shared || !math.IsInf(full.bound, 1) {
-		t.Fatal("a resident full sweep did not serve the cover")
-	}
-	fullSig, _ := o.ReverseSweep(root, ByBudget, 1)
-	if sw, _ := o.CoveringSweep(root, ByObjective, fullSig); sw != full {
-		t.Fatal("a full cover must be answered by the full sweep")
-	}
-
-	// A full cover is answered by a full sweep — not by a truncated one that
-	// spans the component and no later cover could be matched against.
-	const other = graph.NodeID(7)
-	o.PrefetchTarget(other)
-	fullSig, _ = o.ReverseSweep(other, ByBudget, 1)
-	o.sweeps.dropLocked(o.sweeps.entries[memoKey{other, ByObjective, false}])
-	if sw, _ := o.CoveringSweep(other, ByObjective, fullSig); !math.IsInf(sw.bound, 1) || sw.s.slots != nil {
-		t.Fatalf("a full cover got a sweep truncated at %v", sw.bound)
-	}
-
-	// A resident bounded sweep that carries no cover is replaced by a covering
-	// sweep at least as wide, and a root-only sweep (negative bound) is a
-	// valid sweep to read and to replace.
-	const third = graph.NodeID(11)
-	if sw, _ := o.ReverseSweep(third, ByObjective, -1); !sw.s.reached(third) || sw.s.count() != 1 {
-		t.Fatal("a sweep at a negative bound must hold exactly its root")
-	}
-	plain, _ := o.ReverseSweep(third, ByObjective, 1e6)
-	cover, _ := o.ReverseSweep(third, ByBudget, 2)
-	sw, shared := o.CoveringSweep(third, ByObjective, cover)
-	if shared || sw.bound < plain.bound || !sw.covers(cover) {
-		t.Fatalf("covering request over a wider plain sweep: shared=%v bound %v → %v", shared, plain.bound, sw.bound)
-	}
+	return n
 }
 
 // sweepBenchRoots: the bench road network (8,000 nodes on a 40 km plane) and

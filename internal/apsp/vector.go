@@ -1,26 +1,20 @@
 package apsp
 
-import (
-	"math"
-
-	"kor/internal/graph"
-)
+import "kor/internal/graph"
 
 // Vector is the view of the τ or σ scores between every node and one fixed
 // root — into the root (v→root) or out of it (root→v) — with the paths behind
 // them: what the search algorithms read of the pre-processing (§3.1). The
 // root is the query target, a strategy-1/2 candidate or a Greedy waypoint.
-// Every oracle hands its vectors out through Into, Covering, OutOf and
-// OpenFrontier, and the query plan reads nothing else, whichever oracle it
-// runs on:
+// Every oracle hands its vectors out through Into, OutOf and OpenFrontier,
+// and the query plan reads nothing else, whichever oracle it runs on:
 //
-//   - a lazy oracle's sweeps (*Sweep), full or truncated at a bound, and its
-//     frontiers (*Frontier), grown as far as they are read;
-//   - a partitioned oracle's target and source slices;
+//   - a lazy oracle's reverse sweeps (*Sweep), truncated at a bound, and its
+//     frontiers (*Frontier), grown as far as they are read; both belong to
+//     the plan that asked for them;
+//   - a partitioned oracle's target and source slices, shared between
+//     queries;
 //   - any other oracle's pair interface, seen from the root.
-//
-// A vector read by several goroutines must be one the oracle shares (sweeps,
-// slices, pair views); a Frontier belongs to the plan that opened it.
 type Vector interface {
 	// Scores returns the objective and budget score of the metric-optimal
 	// path between v and the root; ok is false when there is none — or, on a
@@ -31,30 +25,19 @@ type Vector interface {
 	Walk(v graph.NodeID) ([]graph.NodeID, bool)
 }
 
-// onDemand is implemented by oracles whose pair lookups may trigger
-// full-graph sweeps, so a query plan profits from fetching bounded sweeps
-// into the handful of candidate nodes it will hammer. Dense-table oracles
-// answer lookups in O(1) and must not implement it. The resolvers below are
-// its only readers.
+// onDemand is implemented by oracles that compute scores with Dijkstra runs
+// made on demand, so a query plan profits from running bounded sweeps into
+// the handful of candidate nodes it will hammer and frontiers where it can
+// tell when to stop. Dense-table oracles answer lookups in O(1) and must not
+// implement it. The resolvers below are its only readers.
 type onDemand interface {
-	// ReverseSweep returns a reverse sweep into root under m, truncated at
-	// bound or wider. shared reports that the caller did not pay for it: the
-	// sweep was resident or in flight on behalf of another caller.
-	ReverseSweep(root graph.NodeID, m Metric, bound float64) (sw *Sweep, shared bool)
-	// CoveringSweep returns a reverse sweep into root under m that reaches
-	// every node cover — a reverse sweep into root under the other metric —
-	// reaches: truncated at the smallest such radius, or wider. A query's
-	// τ(·,target) lookups only ever follow a successful σ(·,target) lookup at
-	// the same node, so the τ sweep covering the σ sweep in hand answers all
-	// of them.
-	CoveringSweep(root graph.NodeID, m Metric, cover *Sweep) (sw *Sweep, shared bool)
+	// ReverseSweep runs a reverse sweep into root under m, truncated at
+	// bound.
+	ReverseSweep(root graph.NodeID, m Metric, bound float64) *Sweep
 	// Frontier opens a run around root under m — out of root when outbound,
-	// into it otherwise — that the caller advances node by node, for the
-	// caller that scans one node against many and can tell when to stop. It
-	// bypasses the memo; the caller must Close it.
+	// into it otherwise — that the caller advances node by node. The caller
+	// must Close it.
 	Frontier(root graph.NodeID, m Metric, outbound bool) *Frontier
-	// outOf returns the full forward sweep out of root under m.
-	outOf(root graph.NodeID, m Metric) *Sweep
 }
 
 // IsOnDemand reports whether o computes pair scores via on-demand sweeps.
@@ -64,52 +47,27 @@ func IsOnDemand(o Oracle) bool {
 }
 
 // Into resolves the vector of the m-optimal scores from every node into root.
-// On an oracle that runs sweeps it is a reverse sweep truncated at bound or
-// wider: ok=false then also means "not within bound", and a served sweep may
-// be wider than asked, so callers re-check what they read against their own
-// bound. ran and shared attribute the work: ran when this call ran the sweep,
-// shared when it was served one another caller paid for (resident, or in
-// flight); both are false on an oracle that runs no sweeps. The oracle is
-// asked through the methods of the value handed in, so a wrapper sees every
-// call.
-func Into(o Oracle, root graph.NodeID, m Metric, bound float64) (v Vector, ran, shared bool) {
+// On an oracle that runs sweeps it is a fresh reverse sweep truncated at
+// bound, and ran reports it: ok=false then also means "not within bound".
+// The oracle is asked through the methods of the value handed in, so a
+// wrapper sees every call.
+func Into(o Oracle, root graph.NodeID, m Metric, bound float64) (v Vector, ran bool) {
 	switch od := o.(type) {
 	case onDemand:
-		sw, shared := od.ReverseSweep(root, m, bound)
-		return sw, !shared, shared
+		return od.ReverseSweep(root, m, bound), true
 	case SliceIndexed:
-		return &sliceVector{od.TargetSlice(root, m), pairVector{o, root, m, false}}, false, false
+		return &sliceVector{od.TargetSlice(root, m), pairVector{o, root, m, false}}, false
 	}
-	return &pairVector{o, root, m, false}, false, false
-}
-
-// Covering resolves the vector of the m-optimal scores into root that answers
-// wherever cover does. On an oracle that runs sweeps cover is called for the
-// vector into root under the other metric — the caller's own, which it reads
-// first at every node — and the result is the reverse sweep that reaches
-// every node it reaches (see CoveringSweep). Any other oracle answers in full
-// and cover is never called.
-func Covering(o Oracle, root graph.NodeID, m Metric, cover func() Vector) Vector {
-	if od, ok := o.(onDemand); ok {
-		if c, ok := cover().(*Sweep); ok {
-			sw, _ := od.CoveringSweep(root, m, c)
-			return sw
-		}
-	}
-	v, _, _ := Into(o, root, m, math.Inf(1))
-	return v
+	return &pairVector{o, root, m, false}, false
 }
 
 // OutOf resolves the vector of the m-optimal scores out of root to every
-// node: a full forward sweep on an oracle that runs sweeps, a source slice on
-// one that serves them — whose scores agree with the pair interface only up
-// to floating-point association, see SourceSliced — and the pair view on any
-// other.
+// node: a source slice on an oracle that serves them — whose scores agree
+// with the pair interface only up to floating-point association, see
+// SourceSliced — and the pair view on any other. On an oracle that runs
+// sweeps, open a frontier instead (OpenFrontier).
 func OutOf(o Oracle, root graph.NodeID, m Metric) Vector {
-	switch od := o.(type) {
-	case onDemand:
-		return od.outOf(root, m)
-	case SourceSliced:
+	if od, ok := o.(SourceSliced); ok {
 		return &sliceVector{od.SourceSlice(root, m), pairVector{o, root, m, true}}
 	}
 	return &pairVector{o, root, m, true}

@@ -101,8 +101,8 @@ func hop(g *graph.Graph, a, b graph.NodeID, m Metric) (graph.Edge, bool) {
 
 // TestVectorConformance holds every Vector implementation to the one
 // contract the query plan reads — the matrix oracle's pair view, the lazy
-// oracle's full, bounded and covering sweeps into a root and its full sweeps
-// out of one, frontiers both ways partly advanced and drained, and target
+// oracle's full and bounded sweeps into a root and its pair view out of one,
+// frontiers both ways partly advanced and drained, and target
 // and source slices of the partitioned oracle in memory and off disk — on
 // the tied, ring and disconnected generators, both metrics, several roots.
 // Dijkstra-backed vectors and target slices must match the pair interface
@@ -121,18 +121,14 @@ func TestVectorConformance(t *testing.T) {
 	for _, gc := range graphs {
 		g, n := gc.g, gc.g.NumNodes()
 		matrix := NewMatrixOracle(g)
-		lazy := NewLazyOracle(g)
-		// rev's pair lookups into a root read reverse sweeps into it, as the
-		// vectors into a root do: no path is ever walked off it, so it never
-		// holds a forward sweep to prefer.
-		rev := NewLazyOracle(g)
+		lazy := NewLazyOracle(g) // its pair lookups run reverse frontiers
 		mem, disk, _ := writeTestIndex(t, g, 6)
 
 		if OpenFrontier(matrix, 0, ByObjective, true) != nil || OpenFrontier(mem, 0, ByObjective, true) != nil {
 			t.Fatal("a table-backed oracle opened a frontier")
 		}
-		if _, ok := OutOf(lazy, 0, ByObjective).(*Sweep); !ok {
-			t.Fatal("the lazy oracle's vector out of a root is not its forward sweep")
+		if _, ok := OutOf(lazy, 0, ByObjective).(*pairVector); !ok {
+			t.Fatal("the lazy oracle's vector out of a root is not its pair view")
 		}
 		if _, ok := OutOf(disk, 0, ByObjective).(*sliceVector); !ok {
 			t.Fatal("the partitioned oracle's vector out of a root is not a source slice")
@@ -143,12 +139,9 @@ func TestVectorConformance(t *testing.T) {
 			for _, m := range []Metric{ByObjective, ByBudget} {
 				bound := 1 + 3*rng.Float64()
 				into := func(o Oracle, bound float64) Vector {
-					v, _, _ := Into(o, root, m, bound)
+					v, _ := Into(o, root, m, bound)
 					return v
 				}
-				bounded := into(lazy, bound)
-				cover, _, _ := Into(lazy, root, 1-m, bound)
-				covering := Covering(lazy, root, m, func() Vector { return cover })
 
 				partly := OpenFrontier(lazy, root, m, false)
 				for k := rng.Intn(n); k > 0 && partly.Next(); k-- {
@@ -156,7 +149,7 @@ func TestVectorConformance(t *testing.T) {
 				settled := append([]graph.NodeID(nil), partly.Order()...)
 				for _, v := range settled {
 					os, bs, ok := partly.Scores(v)
-					wos, wbs, wok := pairScores(rev, m, v, root)
+					wos, wbs, wok := pairScores(lazy, m, v, root)
 					if !ok || !wok || os != wos || bs != wbs {
 						t.Fatalf("%s root %d metric %d: settled node %d reads (%v, %v, %v), the pair interface (%v, %v, %v)",
 							gc.name, root, m, v, os, bs, ok, wos, wbs, wok)
@@ -172,11 +165,10 @@ func TestVectorConformance(t *testing.T) {
 				for _, c := range []vectorCase{
 					{name: "matrix into", v: into(matrix, bound), bound: inf, ref: matrix, exact: true},
 					{name: "matrix out", v: OutOf(matrix, root, m), outbound: true, bound: inf, ref: matrix, exact: true},
-					{name: "lazy full into", v: into(lazy, inf), bound: inf, ref: rev, exact: true},
-					{name: "lazy bounded into", v: bounded, bound: bound, ref: rev, exact: true},
-					{name: "lazy covering into", v: covering, bound: covering.(*Sweep).bound, ref: rev, exact: true},
-					{name: "lazy full out", v: OutOf(lazy, root, m), outbound: true, bound: inf, ref: matrix, exact: true},
-					{name: "frontier into, partly advanced", v: partly, bound: inf, ref: rev, exact: true},
+					{name: "lazy full into", v: into(lazy, inf), bound: inf, ref: lazy, exact: true},
+					{name: "lazy bounded into", v: into(lazy, bound), bound: bound, ref: lazy, exact: true},
+					{name: "lazy pair view out", v: OutOf(lazy, root, m), outbound: true, bound: inf, ref: lazy, exact: true},
+					{name: "frontier into, partly advanced", v: partly, bound: inf, ref: lazy, exact: true},
 					{name: "frontier out, drained", v: drained, outbound: true, bound: inf, ref: matrix, exact: true},
 					{name: "memory target slice", v: into(mem, bound), bound: inf, ref: mem, exact: true},
 					{name: "disk target slice", v: into(disk, bound), bound: inf, ref: disk, exact: true},
@@ -188,13 +180,7 @@ func TestVectorConformance(t *testing.T) {
 					}
 				}
 				for i := 0; i < n; i++ {
-					v := graph.NodeID(i)
-					if _, _, ok := cover.Scores(v); ok {
-						if _, _, ok := covering.Scores(v); !ok {
-							t.Fatalf("%s root %d metric %d: the covering sweep misses %d, which its cover reaches", gc.name, root, m, v)
-						}
-					}
-					if _, _, ok := matrix.MinObjective(v, root); !ok {
+					if _, _, ok := matrix.MinObjective(graph.NodeID(i), root); !ok {
 						unreachable++
 					}
 				}
@@ -213,7 +199,7 @@ func TestVectorConformance(t *testing.T) {
 	// An oracle that materializes no paths still scores through the pair
 	// view, and walks nothing.
 	g := randomTestGraph(rng, 12, true)
-	v, _, _ := Into(scoresOnly{NewMatrixOracle(g)}, 0, ByObjective, inf)
+	v, _ := Into(scoresOnly{NewMatrixOracle(g)}, 0, ByObjective, inf)
 	if _, _, ok := v.Scores(1); !ok {
 		t.Fatal("the pair view lost a score")
 	}

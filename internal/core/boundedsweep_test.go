@@ -14,53 +14,66 @@ import (
 )
 
 // Tests for the budget-derived sweep bounds: on a lazy oracle a plan reads
-// sweeps truncated at what its query can still reach — σ(·,t) at Δ, τ(·,t) as
-// far as that σ sweep goes, σ(·,c) at Δ−σ(c,t) — and must answer exactly as
-// if every sweep were full.
+// sweeps truncated at what its query can still reach — σ(·,t) at Δ, σ(·,c) at
+// Δ−σ(c,t) — and a τ(·,t) frontier read only where σ(·,t) fits Δ, and must
+// answer exactly as if every sweep were full.
 
 // fullSweepOracle is a lazy oracle hidden behind the pair interface: plans
-// over it read apsp's pair view, which only ever reads full sweeps.
-// For Greedy, forward is set and target is the query's: τ lookups not into
-// the target are then answered off full forward sweeps out of their source,
-// as Greedy's scan reads τ(waypoint, m) — a reverse sweep into m would sum
-// the same path from the other end.
+// over it read apsp's pair view, answered here off frontiers drained to the
+// end — bit for bit full sweeps — kept by root. A lookup reads the reverse
+// run into its target; for Greedy, greedy is set and target is the query's:
+// τ lookups not into the target are then answered off the forward run out of
+// their source, as Greedy's scan reads τ(waypoint, m) — a reverse run into m
+// would sum the same path from the other end.
 type fullSweepOracle struct {
-	o       *apsp.LazyOracle
-	target  graph.NodeID
-	forward map[graph.NodeID]*apsp.Frontier // drained frontiers, by source
+	o      *apsp.LazyOracle
+	target graph.NodeID
+	greedy bool
+	runs   map[fullRun]*apsp.Frontier
 }
 
-func (f fullSweepOracle) out(from, to graph.NodeID) *apsp.Frontier {
-	if f.forward == nil || to == f.target {
-		return nil
+type fullRun struct {
+	root     graph.NodeID
+	m        apsp.Metric
+	outbound bool
+}
+
+func newFullSweepOracle(g *graph.Graph, target graph.NodeID, greedy bool) fullSweepOracle {
+	return fullSweepOracle{o: apsp.NewLazyOracle(g), target: target, greedy: greedy, runs: make(map[fullRun]*apsp.Frontier)}
+}
+
+// vector returns the drained run a lookup from→to under m reads, and the
+// node to read it at.
+func (f fullSweepOracle) vector(from, to graph.NodeID, m apsp.Metric) (*apsp.Frontier, graph.NodeID) {
+	k, at := fullRun{to, m, false}, from
+	if f.greedy && m == apsp.ByObjective && to != f.target {
+		k, at = fullRun{from, m, true}, to
 	}
-	fr := f.forward[from]
+	fr := f.runs[k]
 	if fr == nil {
-		fr = f.o.Frontier(from, apsp.ByObjective, true)
+		fr = f.o.Frontier(k.root, k.m, k.outbound)
 		for fr.Next() {
 		}
-		f.forward[from] = fr
+		f.runs[k] = fr
 	}
-	return fr
+	return fr, at
 }
 
 func (f fullSweepOracle) MinObjective(from, to graph.NodeID) (float64, float64, bool) {
-	if fr := f.out(from, to); fr != nil {
-		return fr.Scores(to)
-	}
-	return f.o.MinObjective(from, to)
+	fr, at := f.vector(from, to, apsp.ByObjective)
+	return fr.Scores(at)
 }
 func (f fullSweepOracle) MinBudget(from, to graph.NodeID) (float64, float64, bool) {
-	return f.o.MinBudget(from, to)
+	fr, at := f.vector(from, to, apsp.ByBudget)
+	return fr.Scores(at)
 }
 func (f fullSweepOracle) MinObjectivePath(from, to graph.NodeID) ([]graph.NodeID, bool) {
-	if fr := f.out(from, to); fr != nil {
-		return fr.Walk(to)
-	}
-	return f.o.MinObjectivePath(from, to)
+	fr, at := f.vector(from, to, apsp.ByObjective)
+	return fr.Walk(at)
 }
 func (f fullSweepOracle) MinBudgetPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
-	return f.o.MinBudgetPath(from, to)
+	fr, at := f.vector(from, to, apsp.ByBudget)
+	return fr.Walk(at)
 }
 
 // roadQuery draws a query the way the serving benchmark does: endpoints
@@ -210,15 +223,10 @@ func TestBoundedSweepsDifferential(t *testing.T) {
 				opts := DefaultOptions()
 				opts.MaxExpansions = 30_000 // exact and brute force must stop; where they stop is part of the answer
 				v.opts(&opts)
-				// Fresh oracles, so that what one search left resident cannot
-				// change which sweep answers another's pair lookups.
+				// Fresh oracles, so that each counts its own frontiers.
 				lazyOracle := apsp.NewLazyOracle(g)
 				lazy := NewSearcher(g, lazyOracle, nil)
-				ref := fullSweepOracle{o: apsp.NewLazyOracle(g)}
-				if v.greedy {
-					ref.target, ref.forward = q.Target, make(map[graph.NodeID]*apsp.Frontier)
-				}
-				full := NewSearcher(g, ref, nil)
+				full := NewSearcher(g, newFullSweepOracle(g, q.Target, v.greedy), nil)
 				got, gotErr := lazy.Run(context.Background(), v.algo, q, opts)
 				want, wantErr := full.Run(context.Background(), v.algo, q, opts)
 				name := fmt.Sprintf("%s query %d (Δ=%v) %s", gc.name, i, q.Budget, v.name)
@@ -287,9 +295,11 @@ func sameOutcome(a Result, aErr error, b Result, bErr error) string {
 }
 
 // TestBoundedSweepsHoldWhatTheyReach is the work assertion through the public
-// counters: after one OSScaling query on a fresh lazy oracle over the bench
-// road network (8,000 nodes, Δ = 9), the sweeps the query left resident are
-// charged less than a quarter of what as many full-graph vectors cost.
+// counters: one OSScaling query on a fresh lazy oracle over the bench road
+// network (8,000 nodes, Δ = 9) runs candidate sweeps, and its frontiers — the
+// τ tail into the target and the source frontier of the candidate prune —
+// settle less than a quarter of the graph between them: the τ tail is read
+// only inside the Δ-ball the σ tail admits.
 func TestBoundedSweepsHoldWhatTheyReach(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
 	oracle := apsp.NewLazyOracle(g)
@@ -299,13 +309,12 @@ func TestBoundedSweepsHoldWhatTheyReach(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OSScaling: %v", err)
 	}
-	st := oracle.MemoStats()
-	if st.Entries < 10 || res.Metrics.PlanSweeps < 8 {
-		t.Fatalf("%d resident sweeps, %d plan sweeps: the query did not exercise candidate sweeps", st.Entries, res.Metrics.PlanSweeps)
+	if res.Metrics.PlanSweeps < 8 {
+		t.Fatalf("%d plan sweeps: the query did not exercise candidate sweeps", res.Metrics.PlanSweeps)
 	}
-	fullVector := int64(g.NumNodes()) * (8 + 8 + 4) // apsp's sweepBytes: two scores and a parent per node
-	if dense := int64(st.Entries) * fullVector; st.ResidentBytes*4 >= dense {
-		t.Fatalf("%d sweeps hold %d bytes; as full-graph vectors they would hold %d", st.Entries, st.ResidentBytes, dense)
+	open, settled := oracle.FrontierStats()
+	if open != 0 || settled == 0 || settled*4 >= int64(g.NumNodes()) {
+		t.Fatalf("frontiers: %d open, %d nodes settled of %d", open, settled, g.NumNodes())
 	}
 }
 
@@ -350,13 +359,85 @@ func TestStrategy2ViaPastUpperBound(t *testing.T) {
 		if gotErr != nil || got.Routes[0].Objective != 2 {
 			t.Fatalf("%s: %v, %v; want the route through the near keyword node", algo, got.Routes, gotErr)
 		}
-		// The plan's own request left the sweep resident, and it is root-only.
-		sw, _, shared := apsp.Into(oracle, far, apsp.ByObjective, -1)
-		if _, _, ok := sw.Scores(mid); !shared || ok {
-			t.Fatalf("%s: τ sweep into the far keyword node: resident %v, reaches past its root %v — the scenario no longer asks for a negative bound", algo, shared, ok)
+		// The sweep the plan asks for at the negative bound is root-only.
+		sw, _ := apsp.Into(oracle, far, apsp.ByObjective, -1)
+		if _, _, ok := sw.Scores(mid); ok {
+			t.Fatalf("%s: a τ sweep into the far keyword node at a negative bound reaches past its root", algo)
 		}
 		if _, _, ok := sw.Scores(far); !ok {
 			t.Fatalf("%s: a root-only sweep must still reach its root", algo)
+		}
+	}
+}
+
+// TestTauReadOnlyAfterSigma pins the σ-before-τ contract of the τ tail: on a
+// lazy oracle τ(·, target) is a frontier that settles as far as it is read,
+// so it may be read only where σ(·, target) already fits Δ. The rare keyword
+// of the query sits only on the far end of a chain that reaches the target
+// past Δ; newPlan's strategy-2 loop must drop that node on its σ tail
+// without reading its τ tail. The frontiers then settle exactly what they
+// settle for the same query with the keyword gone.
+func TestTauReadOnlyAfterSigma(t *testing.T) {
+	const chain = 10
+	b := graph.NewBuilder()
+	src, dst := b.AddNode(), b.AddNode()
+	c1, c2 := b.AddNode("c"), b.AddNode("c")
+	var far []graph.NodeID
+	for i := 0; i < chain; i++ {
+		far = append(far, b.AddNode())
+	}
+	b.AddNode("rare") // a placeholder, so the term outlives its removal below
+	edge := func(u, v graph.NodeID) {
+		if err := b.AddEdge(u, v, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]graph.NodeID{{src, c1}, {c1, dst}, {src, dst}, {dst, c2}, {c2, src}} {
+		edge(e[0], e[1])
+	}
+	prev := dst
+	for _, v := range far { // dst ⇄ far[0] ⇄ … ⇄ far[chain-1]
+		edge(prev, v)
+		edge(v, prev)
+		prev = v
+	}
+	g := b.MustBuild()
+	rare, _ := g.Vocab().Lookup("rare")
+	placeholder := graph.NodeID(g.NumNodes() - 1)
+	withRare, err := g.Apply(graph.Delta{
+		AddKeywords:    []graph.KeywordPatch{{Node: far[chain-1], Keywords: []string{"rare"}}},
+		RemoveKeywords: []graph.KeywordPatch{{Node: placeholder, Keywords: []string{"rare"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := g.Apply(graph.Delta{RemoveKeywords: []graph.KeywordPatch{{Node: placeholder, Keywords: []string{"rare"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := g.Vocab().Lookup("c")
+	q := Query{Source: src, Target: dst, Keywords: []graph.Term{rare, c}, Budget: 5}
+	opts := DefaultOptions()
+	opts.InfrequentFraction = 1 // the rare keyword engages strategy 2
+
+	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound, AlgorithmExact} {
+		settled := func(g *graph.Graph) (int64, string) {
+			oracle := apsp.NewLazyOracle(g)
+			res, err := NewSearcher(g, oracle, nil).Run(context.Background(), algo, q, opts)
+			open, settled := oracle.FrontierStats()
+			if open != 0 {
+				t.Fatalf("%s: %d frontiers left open", algo, open)
+			}
+			return settled, renderSweepOutcome(res, err)
+		}
+		got, gotOut := settled(withRare)
+		want, wantOut := settled(without)
+		if gotOut != wantOut {
+			t.Fatalf("%s: the far keyword node changed the answer: %s, without it %s", algo, gotOut, wantOut)
+		}
+		if got != want || got >= int64(g.NumNodes()) {
+			t.Fatalf("%s: frontiers settled %d nodes with the far keyword node, %d without it (of %d): τ was read where σ rules a node out",
+				algo, got, want, g.NumNodes())
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // noPruneOracle is a lazy oracle that opens no frontier. A plan over it
 // selects its candidates off the same bounded sweeps as a plan over the
 // oracle itself, but pruneCandidates finds no frontier to open and keeps
-// them all: the reference the prune must not change. Only the label
-// algorithms run on it; Greedy reads its frontiers.
+// them all: the reference the prune must not change. Its τ tail is a full
+// sweep, bit for bit the frontier a plan over the oracle itself reads. Only
+// the label algorithms run on it; Greedy reads its frontiers.
 type noPruneOracle struct{ *apsp.LazyOracle }
 
 func (noPruneOracle) Frontier(graph.NodeID, apsp.Metric, bool) *apsp.Frontier { return nil }

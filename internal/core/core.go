@@ -34,6 +34,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"kor/internal/apsp"
@@ -123,8 +124,8 @@ func (s *Searcher) validate(q Query) error {
 	if !s.g.Valid(q.Target) {
 		return fmt.Errorf("%w: target node %d not in graph", ErrBadQuery, q.Target)
 	}
-	if q.Budget <= 0 {
-		return fmt.Errorf("%w: budget limit %v must be positive", ErrBadQuery, q.Budget)
+	if !(q.Budget > 0) || math.IsInf(q.Budget, 1) {
+		return fmt.Errorf("%w: budget limit %v must be finite and positive", ErrBadQuery, q.Budget)
 	}
 	if len(q.Keywords) == 0 {
 		return fmt.Errorf("%w: at least one query keyword is required", ErrBadQuery)

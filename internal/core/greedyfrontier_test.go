@@ -45,7 +45,7 @@ func greedyEverywhere(t *testing.T, g *graph.Graph, q Query, opts Options) (Resu
 	t.Helper()
 	oracle := apsp.NewLazyOracle(g)
 	got, gotErr := NewSearcher(g, oracle, nil).Greedy(q, opts)
-	ref := fullSweepOracle{o: apsp.NewLazyOracle(g), target: q.Target, forward: make(map[graph.NodeID]*apsp.Frontier)}
+	ref := newFullSweepOracle(g, q.Target, true)
 	want, wantErr := NewSearcher(g, ref, nil).Greedy(q, opts)
 	if g, w := renderSweepOutcome(got, gotErr), renderSweepOutcome(want, wantErr); g != w {
 		t.Fatalf("frontiers diverged from full sweeps:\n got %s\nwant %s", g, w)
@@ -215,7 +215,7 @@ func TestFrontierCandidatesMatchFullScan(t *testing.T) {
 			opts.Width = 1 + rng.Intn(3)
 			opts.BudgetPriority = rng.Intn(2) == 0
 			opts.DisableStrategy1, opts.DisableStrategy2 = true, true
-			ref := fullSweepOracle{o: apsp.NewLazyOracle(g), target: q.Target, forward: make(map[graph.NodeID]*apsp.Frontier)}
+			ref := newFullSweepOracle(g, q.Target, true)
 			pf, err := NewSearcher(g, apsp.NewLazyOracle(g), nil).newPlan(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)

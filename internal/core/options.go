@@ -128,8 +128,8 @@ type Metrics struct {
 	ShortcutLabels  int // strategy-1 σ-jump labels
 	Feasible        int // feasible candidates encountered
 	PeakQueue       int // largest queue population
-	PlanSweeps      int // bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) this query asked the oracle for and computed
-	SharedSweeps    int // bounded candidate sweeps the oracle already held, or another query was computing
+	PlanSweeps      int // Dijkstra runs the plan started on an oracle that runs sweeps: bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) plus opened frontiers
+	SharedSweeps    int // always 0: plans share no sweeps; kept for readers of earlier reports
 }
 
 // add accumulates counters from another run (used when averaging workloads).

@@ -56,22 +56,24 @@ type plan struct {
 
 	// tailSig and tailTau are the σ and τ vectors into the target, resolved
 	// on first use (apsp.Vector): every admission check reads them. On an
-	// oracle that runs sweeps they are truncated at what this query's budget
-	// can still reach — σ at Δ, τ as far as that σ sweep reaches — and the
-	// candidate vectors on jumpNode and viaNode likewise (σ at Δ−BS(σ(c,t)),
-	// strategy-2 τ at the upper bound U). The truncations only drop nodes
-	// whose answers could never matter to this query. The oracle may serve a
-	// wider sweep another query paid for, so every score read off one is
-	// re-checked against this query's own Δ or U. The plan holds each vector
-	// for its life, so scores and reconstructed paths come off the same one
-	// and an eviction mid-query cannot change the answer.
+	// oracle that runs sweeps every vector is the plan's own. σ is a sweep
+	// truncated at Δ, and the candidate vectors on jumpNode and viaNode are
+	// truncated likewise (σ at Δ−BS(σ(c,t)), strategy-2 τ at the upper bound
+	// U); the truncations only drop nodes whose answers could never matter to
+	// this query. τ is the frontier tgt, grown only as far as it is read: the
+	// label algorithms read τ(v, target) only at nodes whose σ(v, target)
+	// already fits Δ (newPlan's strategy-2 loop keeps that order too), so it
+	// settles no further than the τ distance of the farthest node σ admits.
+	// The plan holds each
+	// vector for its life, so scores and reconstructed paths come off the
+	// same one.
 	tailSig, tailTau apsp.Vector
 	// Greedy scores keyword nodes against its current waypoint and against
 	// the target with no σ filter in front, so on an oracle that runs sweeps
-	// it reads plan-private frontiers instead: tgt runs τ into the target
-	// (and is then tailTau), out runs τ out of each waypoint (a later beam
-	// branch at the same waypoint resumes it). Each is grown only as far as
-	// Equation 1 can still change a pick (greedy.go) and closed with the plan.
+	// it reads the τ tail tgt and frontiers out of each waypoint (out; a
+	// later beam branch at the same waypoint resumes it), each grown only as
+	// far as Equation 1 can still change a pick (greedy.go). Every frontier
+	// closes with the plan.
 	tgt *apsp.Frontier
 	out map[graph.NodeID]*apsp.Frontier
 
@@ -210,9 +212,13 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 		if rarest.df > 0 && rarest.df <= threshold {
 			p.infreqBit = rarest.bit
 			for _, v := range p.postings[rarest.bit] {
-				osLT, _, okT := p.tauTo(v)
+				// σ first: τ is read only where σ fits Δ (see tailTau).
 				bsLT, okS := p.sigBudgetTo(v)
-				if !okT || !okS || bsLT > q.Budget {
+				if !okS || bsLT > q.Budget {
+					continue
+				}
+				osLT, _, okT := p.tauTo(v)
+				if !okT {
 					continue
 				}
 				p.infreq = append(p.infreq, viaNode{node: v, osLT: osLT, bsLT: bsLT})
@@ -299,18 +305,16 @@ const sweepSlack = 1e-9
 // node the sweep left out like one past the budget.
 func (p *plan) sigTail() apsp.Vector {
 	if p.tailSig == nil {
-		p.tailSig, _, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByBudget, p.q.Budget)
+		p.tailSig, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByBudget, p.q.Budget)
 	}
 	return p.tailSig
 }
 
-// tauTail returns the τ vector into the target. The label algorithms read
-// τ(v, target) only at nodes that passed the σ check, so on an oracle that
-// runs sweeps it reaches as far as the σ sweep does and no further; Greedy
-// there sets it to its target frontier instead.
+// tauTail returns the τ vector into the target: the target frontier on an
+// oracle that runs sweeps (openTargetFrontier), the full vector on any other.
 func (p *plan) tauTail() apsp.Vector {
-	if p.tailTau == nil {
-		p.tailTau = apsp.Covering(p.s.oracle, p.q.Target, apsp.ByObjective, p.sigTail)
+	if p.tailTau == nil && !p.openTargetFrontier() {
+		p.tailTau, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByObjective, math.Inf(1))
 	}
 	return p.tailTau
 }
@@ -327,17 +331,13 @@ func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 }
 
 // candidate returns the vector in *slot, resolving on first use the one into
-// root under m, truncated at bound or wider on an oracle that runs sweeps,
-// and attributing the work: a sweep this plan ran counts in PlanSweeps, one
-// another query left resident (or is running right now) in SharedSweeps.
+// root under m, truncated at bound on an oracle that runs sweeps; a sweep
+// counts in PlanSweeps.
 func (p *plan) candidate(slot *apsp.Vector, root graph.NodeID, m apsp.Metric, bound float64) apsp.Vector {
 	if *slot == nil {
-		v, ran, shared := apsp.Into(p.s.oracle, root, m, bound)
+		v, ran := apsp.Into(p.s.oracle, root, m, bound)
 		if ran {
 			p.metrics.PlanSweeps++
-		}
-		if shared {
-			p.metrics.SharedSweeps++
 		}
 		*slot = v
 	}
@@ -368,8 +368,7 @@ func (p *plan) shortcutPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
 
 // tauObjInto returns the objective score of τ(from, via.node) for a
 // strategy-2 keyword node, off the candidate's τ vector. On an oracle that
-// runs sweeps it is truncated at U−OS(τ(via,t)) (or wider) as of its first
-// use: U only shrinks, so a node past the truncation can never satisfy the
+// runs sweeps it is truncated at U−OS(τ(via,t)) as of its first use: U only shrinks, so a node past the truncation can never satisfy the
 // objective condition later either. The bound is negative when the via
 // node's tail alone exceeds U; the sweep then holds its root only.
 func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, bool) {
@@ -377,9 +376,8 @@ func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, 
 	return os, ok
 }
 
-// openTargetFrontier opens Greedy's τ frontier into the target, which then
-// serves as the plan's τ tail. It reports false on an oracle that runs no
-// sweeps.
+// openTargetFrontier opens the τ frontier into the target, which then serves
+// as the plan's τ tail. It reports false on an oracle that runs no sweeps.
 func (p *plan) openTargetFrontier() bool {
 	p.tgt = p.openFrontier(p.q.Target, apsp.ByObjective, false)
 	if p.tgt == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -130,6 +131,25 @@ func TestOptionsValidate(t *testing.T) {
 		mutate(&o)
 		if err := o.Validate(); !errors.Is(err, ErrBadQuery) {
 			t.Errorf("case %d: Validate = %v, want ErrBadQuery wrap", i, err)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteBudget: a budget limit that is not finite and
+// positive is a bad query for every algorithm on every oracle. NaN fails
+// every comparison, so a check for Δ ≤ 0 alone let it through, and +Inf
+// scaled θ = ε·o_min·b_min/Δ down to 0.
+func TestRunRejectsNonFiniteBudget(t *testing.T) {
+	g := paperGraph(t)
+	for _, dense := range []bool{false, true} {
+		s := searcherFor(t, g, dense)
+		for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+			q := Query{Source: 0, Target: 7, Keywords: terms(t, g, "t1", "t2"), Budget: budget}
+			for _, a := range Algorithms() {
+				if _, err := s.Run(context.Background(), a, q, DefaultOptions()); !errors.Is(err, ErrBadQuery) {
+					t.Errorf("dense=%v %s with Δ = %v: err = %v, want ErrBadQuery", dense, a, budget, err)
+				}
+			}
 		}
 	}
 }

@@ -64,17 +64,13 @@ type BenchEntry struct {
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	LabelsPerOp float64 `json:"labels_per_op"`
-	// SweepsPerOp counts every Dijkstra sweep the lazy oracle ran;
-	// PlanSweepsPerOp is the part of them query plans asked for and paid
-	// for (Δ/U-bounded candidate sweeps). Reports recorded before the
-	// oracle memo counted the two disjointly.
+	// SweepsPerOp counts every Dijkstra run the lazy oracle started;
+	// PlanSweepsPerOp is the part of them query plans counted: bounded
+	// candidate sweeps and frontiers.
 	SweepsPerOp     float64 `json:"sweeps_per_op"`
 	PlanSweepsPerOp float64 `json:"plan_sweeps_per_op,omitempty"`
-	// SharedSweepsPerOp counts plan sweeps another query had already left
-	// in the oracle memo, or was computing (concurrent-mixed workload).
-	SharedSweepsPerOp float64 `json:"shared_sweeps_per_op,omitempty"`
-	AllocsPerOp       float64 `json:"allocs_per_op"`
-	BytesPerOp        float64 `json:"bytes_per_op"`
+	AllocsPerOp     float64 `json:"allocs_per_op"`
+	BytesPerOp      float64 `json:"bytes_per_op"`
 	// HeapAllocDeltaBytes and HeapSysDeltaBytes record the live-heap and
 	// OS-reserved-heap growth across the measured region (negative when a
 	// collection ran mid-measure). HeapSys growth approximates the
@@ -243,10 +239,11 @@ type mixedOp struct {
 // concurrentMixWorkers bounds the worker pool of the concurrent-mixed cell.
 const concurrentMixWorkers = 8
 
-// runConcurrentMixed measures the duplicate-heavy concurrent serving shape
-// cross-query sweep sharing exists for: a worker pool draining a shuffled
-// mix in which every query appears several times under rotating algorithms,
-// all against one lazy-oracle Searcher.
+// runConcurrentMixed measures concurrent serving on one lazy-oracle
+// Searcher: a worker pool draining a shuffled mix in which every query
+// appears several times under rotating algorithms. Plans share no sweeps, so
+// the cell measures contention on the shared scratch pool and allocator, not
+// reuse.
 func runConcurrentMixed(o BenchOptions, report *BenchReport, logf func(string, ...any)) error {
 	const name = "concurrent-mixed"
 	roadNodes := 5000
@@ -277,15 +274,14 @@ func runConcurrentMixed(o BenchOptions, report *BenchReport, logf func(string, .
 	}
 	e.Workload = name
 	report.Entries = append(report.Entries, e)
-	logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f sweeps/op (%.2f plan, %.2f shared)  %8.0f allocs/op",
-		e.Algorithm, e.NsPerOp, e.LabelsPerOp, e.SweepsPerOp, e.PlanSweepsPerOp, e.SharedSweepsPerOp, e.AllocsPerOp)
+	logf("  %-12s %12.0f ns/op  %8.0f labels/op  %6.2f sweeps/op (%.2f plan)  %8.0f allocs/op",
+		e.Algorithm, e.NsPerOp, e.LabelsPerOp, e.SweepsPerOp, e.PlanSweepsPerOp, e.AllocsPerOp)
 	return nil
 }
 
-// measureConcurrentMixed times iters worker-pool passes over the mix. The
-// measured region starts on a cold oracle and keeps it across passes — under
-// a real engine the oracle memo lives as long as the snapshot, which outlives
-// any one request.
+// measureConcurrentMixed times iters worker-pool passes over the mix on one
+// fresh oracle, as a real engine serves every request of a snapshot from
+// one. The entry keeps its MixedShared name so reports stay comparable.
 func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, error) {
 	e := BenchEntry{Algorithm: "MixedShared", Queries: len(mix), Iters: iters}
 	if len(mix) == 0 {
@@ -300,7 +296,7 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, 
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	var labels, planSweeps, sharedSweeps int64
+	var labels, planSweeps int64
 	start := time.Now()
 	for it := 0; it < iters; it++ {
 		next := make(chan int)
@@ -309,16 +305,14 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var l, p, s int64
+				var l, p int64
 				for i := range next {
 					res, _ := mix[i].algo.invoke(searcher, mix[i].q)
 					l += int64(res.Metrics.LabelsCreated)
 					p += int64(res.Metrics.PlanSweeps)
-					s += int64(res.Metrics.SharedSweeps)
 				}
 				atomic.AddInt64(&labels, l)
 				atomic.AddInt64(&planSweeps, p)
-				atomic.AddInt64(&sharedSweeps, s)
 			}()
 		}
 		for i := range mix {
@@ -334,7 +328,6 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, 
 	e.NsPerOp = float64(elapsed.Nanoseconds()) / ops
 	e.LabelsPerOp = float64(labels) / ops
 	e.PlanSweepsPerOp = float64(planSweeps) / ops
-	e.SharedSweepsPerOp = float64(sharedSweeps) / ops
 	e.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / ops
 	e.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / ops
 	e.HeapAllocDeltaBytes = int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
@@ -344,8 +337,11 @@ func measureConcurrentMixed(ds *Dataset, mix []mixedOp, iters int) (BenchEntry, 
 }
 
 // measureBench times iters passes over the query set, reading allocation and
-// sweep counters around the measured region. One untimed pass warms the
-// oracle caches first, standing in for the paper's offline pre-processing.
+// sweep counters around the measured region. One untimed pass first warms
+// what the oracle keeps between queries (a partitioned oracle's slices),
+// standing in for the paper's offline pre-processing, and counts failures.
+// The lazy oracle keeps nothing, so its timings include each query's own
+// sweeps.
 func measureBench(ds *Dataset, queries []core.Query, algo Algorithm, iters int) (BenchEntry, error) {
 	e := BenchEntry{Algorithm: algo.Name, Queries: len(queries), Iters: iters}
 	if len(queries) == 0 {

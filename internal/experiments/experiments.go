@@ -234,13 +234,15 @@ func (m Measurement) FailureFraction() float64 {
 }
 
 // Measure runs the algorithm over the query set. Each query is executed
-// once untimed to warm the oracle memo — the stand-in for the
-// paper's offline Floyd-Warshall tables — and once timed.
+// once untimed and once timed. The untimed pass warms what the oracle keeps
+// between queries: the slices of a partitioned oracle, standing in for the
+// paper's offline tables. The lazy oracle keeps nothing, so its timings
+// include each query's own sweeps.
 func Measure(ds *Dataset, queries []core.Query, algo Algorithm) Measurement {
 	out := Measurement{Algorithm: algo.Name, Queries: len(queries)}
 	out.Objectives = make([]float64, len(queries))
 	for i, q := range queries {
-		_, _ = algo.invoke(ds.Searcher, q) // warm sweeps
+		_, _ = algo.invoke(ds.Searcher, q) // warm pass
 		start := time.Now()
 		res, err := algo.invoke(ds.Searcher, q)
 		elapsed := time.Since(start)

@@ -333,7 +333,7 @@ func Figure17(cfg Config, sizes []int) *stats.Table {
 	t := &stats.Table{
 		Title:   "Figure 17: scalability on road networks",
 		Columns: []string{"nodes", "OSScaling(ms)", "BucketBound(ms)", "Greedy-2(ms)", "Greedy-1(ms)"},
-		Note:    "m=6, Δ=30km, lazy oracle warmed per query; paper Fig. 17",
+		Note:    "m=6, Δ=30km, lazy oracle: each timing includes the query's own sweeps; paper Fig. 17",
 	}
 	for _, n := range sizes {
 		ds := NewRoadDataset(cfg, n)

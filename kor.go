@@ -131,7 +131,8 @@ const (
 	// OracleDense materializes the full |V|² score tables (the paper's
 	// pre-processing).
 	OracleDense
-	// OracleLazy memoizes single-source/single-target Dijkstra sweeps.
+	// OracleLazy runs Dijkstra sweeps on demand, each query its own, and
+	// keeps none between queries.
 	OracleLazy
 	// OraclePartitioned uses the paper's §6 partition-based design.
 	OraclePartitioned
@@ -182,8 +183,9 @@ type EngineConfig struct {
 // An Engine is safe for concurrent use: the shared substrates (graph,
 // oracle, keyword index) are immutable or internally synchronized, and all
 // per-query state lives on the query's own stack. Serve every request from
-// one Engine — the oracle memo then amortizes sweeps and slices across
-// concurrent queries, with duplicate computations single-flighted. Run answers
+// one Engine — the result layer then answers repeated requests once, and a
+// partitioned oracle's slice memo amortizes slices across concurrent
+// queries, with duplicate computations single-flighted. Run answers
 // one Request with per-request deadlines and cancellation through its
 // context; SearchBatch runs a whole Request set on a worker pool.
 //

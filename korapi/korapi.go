@@ -91,8 +91,8 @@ type Metrics struct {
 	ShortcutLabels  int `json:"shortcut_labels"`
 	Feasible        int `json:"feasible"`
 	PeakQueue       int `json:"peak_queue"`
-	// PlanSweeps counts the bounded candidate sweeps this query asked a
-	// lazy oracle for and had to compute (none were resident).
+	// PlanSweeps counts the Dijkstra runs this query started on a lazy
+	// oracle: bounded candidate sweeps plus frontiers.
 	PlanSweeps int `json:"plan_sweeps,omitempty"`
 }
 

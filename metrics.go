@@ -18,10 +18,10 @@ import (
 //	kor_engine_cache_size                         gauge   (cache enabled)
 //	kor_engine_cache_evictions_total              counter (cache enabled)
 //	kor_engine_plan_sweeps_total                  counter
-//	kor_engine_oracle_memo_hits_total             counter (current snapshot's oracle; resets on swap)
-//	kor_engine_oracle_memo_misses_total           counter (likewise; on a lazy oracle, its Dijkstra runs)
+//	kor_engine_oracle_memo_hits_total             counter (current snapshot's slice memo; resets on swap; 0 off the partitioned oracle)
+//	kor_engine_oracle_memo_misses_total           counter (likewise)
 //	kor_engine_oracle_memo_evictions_total        counter (likewise)
-//	kor_engine_oracle_memo_resident_bytes         gauge
+//	kor_engine_oracle_memo_resident_bytes         gauge   (likewise)
 //	kor_engine_oracle_kind{kind}                  gauge (1 for the active kind)
 //	kor_engine_oracle_degraded                    gauge
 //	kor_engine_index_load_seconds                 gauge
@@ -51,7 +51,7 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		latency: reg.HistogramVec("kor_engine_request_seconds",
 			"Engine.Run wall time in seconds by algorithm.", nil, "algorithm"),
 		planSweeps: reg.Counter("kor_engine_plan_sweeps_total",
-			"Bounded candidate sweeps (Δ for σ, U for τ) that query plans asked the lazy oracle for and had to compute."),
+			"Dijkstra runs that query plans started on the lazy oracle: bounded candidate sweeps (Δ for σ, U for τ) plus frontiers."),
 	}
 	m.oracleKind = reg.GaugeVec("kor_engine_oracle_kind",
 		"Active τ/σ oracle implementation: 1 on the serving kind's series, 0 elsewhere.", "kind")
@@ -79,16 +79,16 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		"Generation of the graph snapshot currently serving queries.",
 		func() float64 { return float64(e.Snapshot().Generation) })
 	reg.CounterFunc("kor_engine_oracle_memo_hits_total",
-		"Sweep or slice requests the current snapshot's oracle served from its memo (resets on swap; 0 for the matrix oracle, which has none).",
+		"Slice requests the current snapshot's partitioned oracle served from its memo (resets on swap; 0 for the matrix and lazy oracles, which keep none).",
 		func() float64 { return float64(e.oracleMemo().Hits) })
 	reg.CounterFunc("kor_engine_oracle_memo_misses_total",
-		"Sweeps (lazy oracle: every Dijkstra run) or slices (partitioned oracle) the current snapshot's oracle had to compute.",
+		"Slices the current snapshot's partitioned oracle had to compute (0 for the matrix and lazy oracles).",
 		func() float64 { return float64(e.oracleMemo().Misses) })
 	reg.CounterFunc("kor_engine_oracle_memo_evictions_total",
-		"Entries the oracle memo dropped to stay inside its byte budget.",
+		"Slices the partitioned oracle's memo dropped to stay inside its byte budget.",
 		func() float64 { return float64(e.oracleMemo().Evictions) })
 	reg.GaugeFunc("kor_engine_oracle_memo_resident_bytes",
-		"Bytes of sweeps or slices the oracle memo holds right now.",
+		"Bytes the partitioned oracle's resident slices hold right now.",
 		func() float64 { return float64(e.oracleMemo().ResidentBytes) })
 	if e.results.stores() {
 		e.results.lookups = reg.CounterVec("kor_engine_cache_requests_total",
@@ -103,8 +103,8 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	e.met = m
 }
 
-// oracleMemo reads the serving oracle's memo counters; the matrix oracle
-// computes nothing on demand and reports zeros.
+// oracleMemo reads the serving oracle's slice-memo counters; the matrix and
+// lazy oracles keep no memo and report zeros.
 func (e *Engine) oracleMemo() apsp.MemoStats {
 	if o, ok := e.snap.Load().searcher.Oracle().(interface{ MemoStats() apsp.MemoStats }); ok {
 		return o.MemoStats()

@@ -47,7 +47,7 @@ type SnapshotInfo struct {
 // Oracle kind labels reported by OracleStatus.Kind and the
 // kor_engine_oracle_kind metric. A closed set.
 const (
-	// OracleKindLazy is the memoized sweep oracle.
+	// OracleKindLazy is the on-demand sweep oracle.
 	OracleKindLazy = "lazy"
 	// OracleKindMatrix is the dense |V|² table oracle.
 	OracleKindMatrix = "matrix"

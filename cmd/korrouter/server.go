@@ -175,9 +175,14 @@ func (rt *router) handleRouteGet(w http.ResponseWriter, r *http.Request) {
 	rt.serveRoute(ctx, w, req)
 }
 
+// maxBody caps a request body, as korserve does: the decoder reads no
+// further, so neither one huge request nor a batch the request-count limit
+// would refuse can take the router's memory first.
+const maxBody = 1 << 20
+
 func (rt *router) handleRoutePost(w http.ResponseWriter, r *http.Request) {
 	var req korapi.Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		korapi.WriteError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "invalid JSON body: " + err.Error()})
@@ -300,7 +305,7 @@ func (rt *router) queryShard(ctx context.Context, shard int, req korapi.Request)
 // inline exactly as on a single korserve.
 func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq korapi.BatchRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&breq); err != nil {
 		korapi.WriteError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "invalid JSON body: " + err.Error()})

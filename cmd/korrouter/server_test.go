@@ -478,6 +478,38 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
+// TestRouterBodyLimit: a body over 1 MiB is refused with 400 bad_request on
+// both POST endpoints, before the router decodes it all. Each body is a
+// request the router answers once its leading 1 MiB of blanks is gone.
+func TestRouterBodyLimit(t *testing.T) {
+	tc := newTestCluster(t, testCity(t), 2, 10, 1)
+	pad := strings.Repeat(" ", maxBody)
+	for path, body := range map[string]string{
+		"/v1/route": `{"from":0,"to":2,"keywords":["cafe"],"budget":6}`,
+		"/v1/batch": `{"requests":[{"from":0,"to":2,"keywords":["cafe"],"budget":6}]}`,
+	} {
+		for _, padded := range []bool{false, true} {
+			in := body
+			if padded {
+				in = pad + body
+			}
+			resp, err := http.Post(tc.srv.URL+path, "application/json", strings.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out korapi.ErrorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			switch {
+			case !padded && resp.StatusCode != http.StatusOK:
+				t.Errorf("%s: the unpadded body got %d, want 200", path, resp.StatusCode)
+			case padded && (err != nil || resp.StatusCode != http.StatusBadRequest || out.Error.Code != korapi.CodeBadRequest):
+				t.Errorf("%s: a body over 1 MiB got %d %q, want 400 %q", path, resp.StatusCode, out.Error.Code, korapi.CodeBadRequest)
+			}
+		}
+	}
+}
+
 // TestRouterSurface covers the remaining unified endpoints: stats shape,
 // keyword merge, node forwarding, GET route and metrics exposition.
 func TestRouterSurface(t *testing.T) {

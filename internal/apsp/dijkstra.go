@@ -170,10 +170,12 @@ type sweepScratch struct {
 	settled   []graph.NodeID
 	heap      itemHeap
 
-	// The run in progress: its graph, metric and direction.
+	// The run in progress: its graph, metric and direction, and the source
+	// frontier that restricts it, if any (see step).
 	g       *graph.Graph
 	m       Metric
 	reverse bool
+	src     *Frontier
 }
 
 var scratchPool sync.Pool
@@ -214,9 +216,18 @@ func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep 
 // bounded callers want. The root always settles, so a bound below 0 (or NaN)
 // is radius 0. The result is dense when bound is +Inf and compact otherwise.
 func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) *sweep {
+	return dijkstraWithin(g, root, m, reverse, bound, nil)
+}
+
+// dijkstraWithin is dijkstraBounded restricted, when src is not nil, to the
+// nodes v whose score out of src's root fits with their own: src's score of
+// v plus v's score here within bound (see step).
+func dijkstraWithin(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64, src *Frontier) *sweep {
 	sc := getScratch(g.NumNodes())
 	defer scratchPool.Put(sc)
+	sc.src = src
 	sc.run(g, root, m, reverse, bound)
+	sc.src = nil
 	if math.IsInf(bound, 1) {
 		return sc.dense(g.NumNodes())
 	}
@@ -254,10 +265,12 @@ func (sc *sweepScratch) head() float64 {
 
 // step is the one settle-and-relax step every run is made of: it settles the
 // next node if its primary score is within bound and relaxes its edges,
-// dropping labels past bound. It reports false when no node is left within
-// bound.
+// dropping labels past bound. A run restricted to a source frontier src (a
+// run out of another root under the same metric) also drops a label at v
+// with score x unless src scores v within bound − x, advancing src only while
+// its head fits that. It reports false when no node is left within bound.
 func (sc *sweepScratch) step(bound float64) bool {
-	prim, secd, par := sc.primary, sc.secondary, sc.parent
+	prim, secd, par, src := sc.primary, sc.secondary, sc.parent, sc.src
 	for len(sc.heap) > 0 && sc.heap[0].primary <= bound {
 		it := sc.heap.pop()
 		// A node's labels are pushed best last and popped best first: the
@@ -285,6 +298,9 @@ func (sc *sweepScratch) step(bound float64) bool {
 			}
 			v := e.To
 			if p < prim[v] || (p == prim[v] && sec < secd[v]) {
+				if src != nil && !src.Within(v, bound-p) {
+					continue
+				}
 				prim[v], secd[v], par[v] = p, sec, int32(it.node)
 				sc.heap.push(dijkstraItem{node: v, primary: p, secondary: sec})
 			}
@@ -349,6 +365,20 @@ func (sc *sweepScratch) compact() *sweep {
 		s.slots[j] = int32(i + 1)
 	}
 	return s
+}
+
+// count returns how many nodes the sweep reached.
+func (s *sweep) count() int {
+	if s.slots != nil {
+		return len(s.nodes)
+	}
+	n := 0
+	for _, p := range s.primary {
+		if !math.IsInf(p, 1) {
+			n++
+		}
+	}
+	return n
 }
 
 // parentOf returns the node after v on the walk towards the root, or false

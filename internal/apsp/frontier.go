@@ -9,7 +9,8 @@ import (
 // Frontier is a Dijkstra run its caller advances one settled node at a time:
 // the resumable form of a sweep, for a caller that can tell from the scores
 // settled so far when the rest of the graph can no longer change its answer
-// (Greedy's candidate scan, the candidate prune), or that reads only where
+// (Greedy's candidate scan, the candidate prune, the candidate sweeps
+// restricted to the source frontier's ellipse), or that reads only where
 // another check let it through (the τ tail into the target, read only at
 // nodes whose σ tail fits Δ). It runs the same step as every bounded run, so
 // nodes settle in the same (primary, secondary, node ID) order and each
@@ -54,6 +55,20 @@ func (f *Frontier) Order() []graph.NodeID { return f.sc.settled }
 
 // Settled reports whether v has settled.
 func (f *Frontier) Settled(v graph.NodeID) bool { return f.sc.done[v] }
+
+// Within reports whether v's primary score is at most limit, advancing the
+// run only while its head is: it settles no node past limit. Until v settles
+// its score is at least the head, so a head past limit answers false.
+func (f *Frontier) Within(v graph.NodeID, limit float64) bool {
+	sc := f.sc
+	for !sc.done[v] {
+		if sc.head() > limit {
+			return false
+		}
+		sc.step(math.Inf(1))
+	}
+	return sc.primary[v] <= limit
+}
 
 // settle advances the run until v settles; false once it drains without.
 func (f *Frontier) settle(v graph.NodeID) bool {

@@ -14,7 +14,9 @@ import (
 //
 //   - reverse sweeps truncated at the bound the plan can use (ReverseSweep):
 //     the σ tail into the target at Δ and the candidate vectors, stored
-//     compactly, so their memory follows the bound's ball, not |V|;
+//     compactly, so their memory follows the bound's ball, not |V|; a σ
+//     candidate sweep is further restricted to the budget ellipse its plan's
+//     source frontier draws;
 //   - frontiers (Frontier), grown only as far as they are read: the τ tail
 //     into the target, Greedy's candidate scan and the source frontier
 //     behind the candidate prune.
@@ -25,6 +27,7 @@ type LazyOracle struct {
 	g *graph.Graph
 
 	runs            atomic.Int64
+	sweepSettled    atomic.Int64
 	frontiersOpen   atomic.Int64
 	frontierSettled atomic.Int64
 }
@@ -36,11 +39,21 @@ func NewLazyOracle(g *graph.Graph) *LazyOracle { return &LazyOracle{g: g} }
 // frontiers and pair lookups alike.
 func (o *LazyOracle) SweepCount() int64 { return o.runs.Load() }
 
+// SweepSettled reports how many nodes the oracle's reverse sweeps have
+// settled in total; FrontierStats counts its frontiers'.
+func (o *LazyOracle) SweepSettled() int64 { return o.sweepSettled.Load() }
+
 // ReverseSweep runs a reverse sweep into root under m, truncated at bound
-// (see ReverseBoundedSweep).
-func (o *LazyOracle) ReverseSweep(root graph.NodeID, m Metric, bound float64) *Sweep {
+// (see ReverseBoundedSweep). When src is not nil — a frontier out of some
+// source under m, over the oracle's graph — the sweep is also restricted to
+// the ellipse src draws: it holds every node v whose src score plus its own
+// is within bound, with the scores and walk the unrestricted sweep gives v,
+// and settles nodes of src no further than bound.
+func (o *LazyOracle) ReverseSweep(root graph.NodeID, m Metric, bound float64, src *Frontier) *Sweep {
 	o.runs.Add(1)
-	return ReverseBoundedSweep(o.g, root, m, bound)
+	s := &Sweep{s: dijkstraWithin(o.g, root, m, true, bound, src), m: m, root: root}
+	o.sweepSettled.Add(int64(s.s.count()))
+	return s
 }
 
 // pair answers a pair query under metric m off a frontier into to, run until

@@ -166,7 +166,7 @@ func TestMemoSweepProperty(t *testing.T) {
 				root := graph.NodeID(rng.Intn(6))
 				m := Metric(rng.Intn(2))
 				bound := bounds[rng.Intn(len(bounds))]
-				got := o.ReverseSweep(root, m, bound)
+				got := o.ReverseSweep(root, m, bound, nil)
 				want := ReverseBoundedSweep(g, root, m, bound)
 				if msg := sameInsideBound(got, want, m, bound, n); msg != "" {
 					errs <- fmt.Sprintf("root %d metric %d bound %v: %s", root, m, bound, msg)

@@ -49,7 +49,7 @@ func TestLazyOracleConcurrent(t *testing.T) {
 					}
 				case 3:
 					bound := r.Float64() * 4
-					if got, want := lazy.ReverseSweep(to, ByBudget, bound), ReverseBoundedSweep(g, to, ByBudget, bound); sameInsideBound(got, want, ByBudget, bound, n) != "" {
+					if got, want := lazy.ReverseSweep(to, ByBudget, bound, nil), ReverseBoundedSweep(g, to, ByBudget, bound); sameInsideBound(got, want, ByBudget, bound, n) != "" {
 						errs <- "a bounded sweep differs from a private one under concurrency"
 						return
 					}

@@ -198,20 +198,6 @@ func TestSweepPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// count returns how many nodes the sweep reached.
-func (s *sweep) count() int {
-	if s.slots != nil {
-		return len(s.nodes)
-	}
-	n := 0
-	for _, p := range s.primary {
-		if !math.IsInf(p, 1) {
-			n++
-		}
-	}
-	return n
-}
-
 // sweepBenchRoots: the bench road network (8,000 nodes on a 40 km plane) and
 // 256 seeded roots.
 func sweepBenchRoots() (*graph.Graph, []graph.NodeID) {

@@ -32,8 +32,9 @@ type Vector interface {
 // implement it. The resolvers below are its only readers.
 type onDemand interface {
 	// ReverseSweep runs a reverse sweep into root under m, truncated at
-	// bound.
-	ReverseSweep(root graph.NodeID, m Metric, bound float64) *Sweep
+	// bound and, when src is not nil, restricted to the nodes whose score
+	// out of src's root fits bound with their own.
+	ReverseSweep(root graph.NodeID, m Metric, bound float64, src *Frontier) *Sweep
 	// Frontier opens a run around root under m — out of root when outbound,
 	// into it otherwise — that the caller advances node by node. The caller
 	// must Close it.
@@ -49,12 +50,16 @@ func IsOnDemand(o Oracle) bool {
 // Into resolves the vector of the m-optimal scores from every node into root.
 // On an oracle that runs sweeps it is a fresh reverse sweep truncated at
 // bound, and ran reports it: ok=false then also means "not within bound".
-// The oracle is asked through the methods of the value handed in, so a
-// wrapper sees every call.
-func Into(o Oracle, root graph.NodeID, m Metric, bound float64) (v Vector, ran bool) {
+// A non-nil src — a frontier that oracle opened out of some source under m —
+// restricts the sweep further, to the nodes v with src's score of v plus
+// v's score into root within bound; ok=false then also means "not within
+// the ellipse". Other oracles run no sweep and ignore src. The oracle is
+// asked through the methods of the value handed in, so a wrapper sees every
+// call.
+func Into(o Oracle, root graph.NodeID, m Metric, bound float64, src *Frontier) (v Vector, ran bool) {
 	switch od := o.(type) {
 	case onDemand:
-		return od.ReverseSweep(root, m, bound), true
+		return od.ReverseSweep(root, m, bound, src), true
 	case SliceIndexed:
 		return &sliceVector{od.TargetSlice(root, m), pairVector{o, root, m, false}}, false
 	}

@@ -139,7 +139,7 @@ func TestVectorConformance(t *testing.T) {
 			for _, m := range []Metric{ByObjective, ByBudget} {
 				bound := 1 + 3*rng.Float64()
 				into := func(o Oracle, bound float64) Vector {
-					v, _ := Into(o, root, m, bound)
+					v, _ := Into(o, root, m, bound, nil)
 					return v
 				}
 
@@ -199,7 +199,7 @@ func TestVectorConformance(t *testing.T) {
 	// An oracle that materializes no paths still scores through the pair
 	// view, and walks nothing.
 	g := randomTestGraph(rng, 12, true)
-	v, _ := Into(scoresOnly{NewMatrixOracle(g)}, 0, ByObjective, inf)
+	v, _ := Into(scoresOnly{NewMatrixOracle(g)}, 0, ByObjective, inf, nil)
 	if _, _, ok := v.Scores(1); !ok {
 		t.Fatal("the pair view lost a score")
 	}

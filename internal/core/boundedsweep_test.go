@@ -360,7 +360,7 @@ func TestStrategy2ViaPastUpperBound(t *testing.T) {
 			t.Fatalf("%s: %v, %v; want the route through the near keyword node", algo, got.Routes, gotErr)
 		}
 		// The sweep the plan asks for at the negative bound is root-only.
-		sw, _ := apsp.Into(oracle, far, apsp.ByObjective, -1)
+		sw, _ := apsp.Into(oracle, far, apsp.ByObjective, -1, nil)
 		if _, _, ok := sw.Scores(mid); ok {
 			t.Fatalf("%s: a τ sweep into the far keyword node at a negative bound reaches past its root", algo)
 		}

@@ -187,8 +187,9 @@ func TestCandidatePruneDifferential(t *testing.T) {
 
 // BenchmarkLabelLazy is OSScaling and BucketBound on one lazy oracle over the
 // bench road network (8,000 nodes), 256 seeded queries at Δ = 9 with four
-// keywords each. sweeps/op, the oracle's Dijkstra runs, is the deterministic
-// work counter (over whole passes of the 256 queries).
+// keywords each. sweeps/op, the oracle's Dijkstra runs, and settled/op, the
+// nodes its sweeps and frontiers settled, are the deterministic work
+// counters (over whole passes of the 256 queries).
 func BenchmarkLabelLazy(b *testing.B) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
 	rng := rand.New(rand.NewSource(1))
@@ -201,14 +202,19 @@ func BenchmarkLabelLazy(b *testing.B) {
 			oracle := apsp.NewLazyOracle(g)
 			s := NewSearcher(g, oracle, nil)
 			opts := DefaultOptions()
-			before := oracle.SweepCount()
+			settled := func() int64 {
+				_, frontiers := oracle.FrontierStats()
+				return oracle.SweepSettled() + frontiers
+			}
+			sweeps, nodes := oracle.SweepCount(), settled()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, _ = s.Run(context.Background(), algo, queries[i%len(queries)], opts)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(oracle.SweepCount()-before)/float64(b.N), "sweeps/op")
+			b.ReportMetric(float64(oracle.SweepCount()-sweeps)/float64(b.N), "sweeps/op")
+			b.ReportMetric(float64(settled()-nodes)/float64(b.N), "settled/op")
 		})
 	}
 }

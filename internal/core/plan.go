@@ -58,9 +58,9 @@ type plan struct {
 	// on first use (apsp.Vector): every admission check reads them. On an
 	// oracle that runs sweeps every vector is the plan's own. σ is a sweep
 	// truncated at Δ, and the candidate vectors on jumpNode and viaNode are
-	// truncated likewise (σ at Δ−BS(σ(c,t)), strategy-2 τ at the upper bound
-	// U); the truncations only drop nodes whose answers could never matter to
-	// this query. τ is the frontier tgt, grown only as far as it is read: the
+	// truncated likewise (σ at Δ−BS(σ(c,t)) and to the source frontier's
+	// ellipse, strategy-2 τ at the upper bound U); the truncations only drop
+	// nodes whose answers could never matter to this query. τ is the frontier tgt, grown only as far as it is read: the
 	// label algorithms read τ(v, target) only at nodes whose σ(v, target)
 	// already fits Δ (newPlan's strategy-2 loop keeps that order too), so it
 	// settles no further than the τ distance of the farthest node σ admits.
@@ -76,6 +76,11 @@ type plan struct {
 	// closes with the plan.
 	tgt *apsp.Frontier
 	out map[graph.NodeID]*apsp.Frontier
+	// src is the σ frontier out of the source that pruneCandidates opens on
+	// an oracle that runs sweeps. It stays open for the plan's life: every
+	// σ candidate sweep is restricted to it (sigInto), which advances it on
+	// demand.
+	src *apsp.Frontier
 
 	// exact switches the label machinery to exact mode: the "scaled" slot
 	// carries an order-preserving encoding of the raw objective instead of
@@ -237,8 +242,9 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 // BS(σ(s,c)) + BS(σ(c,t)) ≤ Δ. The selection above keeps the Δ-disc around
 // the target, and on such an oracle each kept candidate costs a sweep the
 // first time a label reads it. One plan-private forward σ frontier out of
-// the source settles the candidates in budget order and stops, per
-// candidate, where the ellipse ends; the cap is not refilled.
+// the source, p.src, settles the candidates in budget order and stops, per
+// candidate, where the ellipse ends; the cap is not refilled. The frontier
+// stays open: the candidate sweeps read it too (sigInto).
 //
 // The answers cannot change. Both readers, strategy1Jump and strategy2Prune,
 // reject a label at v with l.bs + BS(σ(v,c)) + tailBS > Δ. l.bs is the
@@ -256,24 +262,13 @@ func (p *plan) pruneCandidates() {
 	if len(p.jumpNodes) == 0 && len(p.infreq) == 0 {
 		return
 	}
-	f := p.openFrontier(p.q.Source, apsp.ByBudget, true)
-	if f == nil {
+	p.src = p.openFrontier(p.q.Source, apsp.ByBudget, true)
+	if p.src == nil {
 		return
 	}
-	defer f.Close()
 	limit := p.q.Budget + sweepSlack*p.q.Budget
-	inside := func(c graph.NodeID, tailBS float64) bool {
-		for !f.Settled(c) && f.Head() <= limit-tailBS { // Head is +Inf once drained
-			f.Next()
-		}
-		if !f.Settled(c) {
-			return false
-		}
-		_, bs, _ := f.Scores(c)
-		return bs+tailBS <= limit
-	}
-	p.jumpNodes = slices.DeleteFunc(p.jumpNodes, func(jn jumpNode) bool { return !inside(jn.node, jn.tailBS) })
-	p.infreq = slices.DeleteFunc(p.infreq, func(via viaNode) bool { return !inside(via.node, via.bsLT) })
+	p.jumpNodes = slices.DeleteFunc(p.jumpNodes, func(jn jumpNode) bool { return !p.src.Within(jn.node, limit-jn.tailBS) })
+	p.infreq = slices.DeleteFunc(p.infreq, func(via viaNode) bool { return !p.src.Within(via.node, limit-via.bsLT) })
 }
 
 // close returns the plan's pooled scratch. Idempotent; the plan is unusable
@@ -288,6 +283,9 @@ func (p *plan) close() {
 	p.s.putScratch(sc, p.postings)
 	if p.tgt != nil {
 		p.tgt.Close()
+	}
+	if p.src != nil {
+		p.src.Close()
 	}
 	for _, f := range p.out {
 		f.Close()
@@ -305,7 +303,7 @@ const sweepSlack = 1e-9
 // node the sweep left out like one past the budget.
 func (p *plan) sigTail() apsp.Vector {
 	if p.tailSig == nil {
-		p.tailSig, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByBudget, p.q.Budget)
+		p.tailSig, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByBudget, p.q.Budget, nil)
 	}
 	return p.tailSig
 }
@@ -314,7 +312,7 @@ func (p *plan) sigTail() apsp.Vector {
 // oracle that runs sweeps (openTargetFrontier), the full vector on any other.
 func (p *plan) tauTail() apsp.Vector {
 	if p.tailTau == nil && !p.openTargetFrontier() {
-		p.tailTau, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByObjective, math.Inf(1))
+		p.tailTau, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByObjective, math.Inf(1), nil)
 	}
 	return p.tailTau
 }
@@ -331,11 +329,11 @@ func (p *plan) tauTo(v graph.NodeID) (float64, float64, bool) {
 }
 
 // candidate returns the vector in *slot, resolving on first use the one into
-// root under m, truncated at bound on an oracle that runs sweeps; a sweep
-// counts in PlanSweeps.
-func (p *plan) candidate(slot *apsp.Vector, root graph.NodeID, m apsp.Metric, bound float64) apsp.Vector {
+// root under m, truncated at bound — and restricted to src when it is not
+// nil — on an oracle that runs sweeps; a sweep counts in PlanSweeps.
+func (p *plan) candidate(slot *apsp.Vector, root graph.NodeID, m apsp.Metric, bound float64, src *apsp.Frontier) apsp.Vector {
 	if *slot == nil {
-		v, ran := apsp.Into(p.s.oracle, root, m, bound)
+		v, ran := apsp.Into(p.s.oracle, root, m, bound, src)
 		if ran {
 			p.metrics.PlanSweeps++
 		}
@@ -347,12 +345,16 @@ func (p *plan) candidate(slot *apsp.Vector, root graph.NodeID, m apsp.Metric, bo
 // sigInto returns the scores of σ(from, to) for a candidate node to whose σ
 // tail into the target costs tailBS, off the candidate's σ vector in *slot.
 // Every reader rejects a σ(v, to) with l.bs + BS(σ(v,to)) + tailBS > Δ for
-// some l.bs ≥ 0, so nothing past Δ − tailBS is ever accepted and a sweep
-// stops there (plus sweepSlack): ok=false then means "no path that still
-// leaves budget for the tail", which every caller treats identically to
-// unreachable.
+// a label at v, whose l.bs ≥ BS(σ(s,v)), so nothing past Δ − tailBS is ever
+// accepted and a sweep stops there (plus sweepSlack). Nor is any node v with
+// BS(σ(s,v)) + BS(σ(v,to)) past that bound, so the sweep is restricted to
+// the ellipse the source frontier draws: every node on the optimal path
+// v→to of a node inside it lies inside it too, so it holds v with the
+// scores and walk of the unrestricted sweep. ok=false means "no path that
+// still leaves budget for the tail", which every caller treats identically
+// to unreachable.
 func (p *plan) sigInto(from, to graph.NodeID, tailBS float64, slot *apsp.Vector) (os, bs float64, ok bool) {
-	return p.candidate(slot, to, apsp.ByBudget, p.q.Budget-tailBS+sweepSlack*p.q.Budget).Scores(from)
+	return p.candidate(slot, to, apsp.ByBudget, p.q.Budget-tailBS+sweepSlack*p.q.Budget, p.src).Scores(from)
 }
 
 // shortcutPath materializes σ(from, to) for a strategy-1 jump node to,
@@ -372,7 +374,7 @@ func (p *plan) shortcutPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
 // objective condition later either. The bound is negative when the via
 // node's tail alone exceeds U; the sweep then holds its root only.
 func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, bool) {
-	os, _, ok := p.candidate(&via.tau, via.node, apsp.ByObjective, u-via.osLT).Scores(from)
+	os, _, ok := p.candidate(&via.tau, via.node, apsp.ByObjective, u-via.osLT, nil).Scores(from)
 	return os, ok
 }
 

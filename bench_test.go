@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation, one family per figure.
 // Each benchmark measures the per-query cost of one cell of the figure's
 // parameter grid on the synthetic stand-in datasets; `korbench -all`
-// produces the full tables (see the Performance section of README.md).
+// produces the full tables. Serving wall time is measured by the benchmark
+// under bench/ (see the Performance section of README.md).
 //
 // Run with:
 //
@@ -368,8 +369,8 @@ func BenchmarkSearchBatch(b *testing.B) {
 
 // Result-cache benchmarks: the same request stream against one engine with
 // the cache disabled and one with it enabled. The pair is the regression
-// guard for Engine.Run's fast path — korbench's smoke mode gates ns/op in
-// CI, these keep the cached/uncached gap visible in `go test -bench`.
+// guard for Engine.Run's fast path: they keep the cached/uncached gap
+// visible in `go test -bench`.
 var (
 	cacheOnce sync.Once
 	cacheEng  *Engine // CacheSize > 0

@@ -97,6 +97,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *shards > 0 && *out == "" {
+		fmt.Fprintln(os.Stderr, "kordata: -shard requires -out (shard files are named after it)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if (*ingestNodes == "") != (*ingestEdges == "") {
 		fatal(fmt.Errorf("-ingest-nodes and -ingest-edges must be given together"))
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -39,6 +40,12 @@ func main() {
 	flag.Parse()
 	if *graphPath == "" || *keywords == "" || *delta <= 0 {
 		fmt.Fprintln(os.Stderr, "korquery: -graph, -keywords and -delta are required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	// kor.NodeID is 32 bits wide: a larger id would wrap onto another node.
+	if *from < 0 || *from > math.MaxInt32 || *to < 0 || *to > math.MaxInt32 {
+		fmt.Fprintf(os.Stderr, "korquery: -from and -to must be node ids in [0, %d]\n", math.MaxInt32)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"kor/internal/apsp"
@@ -64,9 +62,6 @@ type Dataset struct {
 	DefaultDelta float64
 	// Planar marks kilometre-plane coordinates (road networks).
 	Planar bool
-	// Cleanup releases dataset resources (temp index files, mmaps); nil when
-	// the dataset holds none. RunBench calls it after measuring.
-	Cleanup func() error
 }
 
 // NewFlickrDataset builds the Flickr-like dataset with dense (matrix)
@@ -113,50 +108,6 @@ func NewRoadDataset(cfg Config, nodes int) *Dataset {
 		DefaultDelta: 6,
 		Planar:       true,
 	}
-}
-
-// NewRoadIndexedDataset builds the same road network as NewRoadDataset but
-// serves it from a disk-loaded partitioned oracle: the tables are built in
-// memory, persisted to a temp KORI file, and mmap-loaded back — the
-// kordata -build-index → korserve -dist-index serving path, measured
-// end to end. The dataset's Cleanup unmaps and removes the temp index.
-func NewRoadIndexedDataset(cfg Config, nodes int) (*Dataset, error) {
-	cfg = cfg.WithDefaults()
-	g := gen.RoadNetwork(gen.RoadConfig{Seed: cfg.Seed, Nodes: nodes})
-	cfg.logf("road-indexed dataset %d nodes: %v", nodes, g.ComputeStats())
-	dir, err := os.MkdirTemp("", "kor-bench-index")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: road-indexed dataset: %w", err)
-	}
-	path := filepath.Join(dir, "road.kori")
-	builder := apsp.NewPartitionedOracle(g, apsp.DefaultCellSize)
-	if err := builder.WriteIndexFile(path); err != nil {
-		os.RemoveAll(dir)
-		return nil, fmt.Errorf("experiments: writing road index: %w", err)
-	}
-	oracle, err := apsp.OpenIndex(path, g)
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, fmt.Errorf("experiments: loading road index: %w", err)
-	}
-	cfg.logf("road index: %+v", oracle.IndexInfo())
-	idx := graph.NewMemIndex(g)
-	return &Dataset{
-		Name:         fmt.Sprintf("road-%dk-indexed", nodes/1000),
-		Graph:        g,
-		Index:        idx,
-		Searcher:     core.NewSearcher(g, oracle, idx),
-		DeltaSweep:   []float64{3, 6, 9, 12, 15},
-		DefaultDelta: 6,
-		Planar:       true,
-		Cleanup: func() error {
-			err := oracle.Close()
-			if rerr := os.RemoveAll(dir); err == nil {
-				err = rerr
-			}
-			return err
-		},
-	}, nil
 }
 
 // Queries generates the workload for one (m, Δ) cell, deterministic in the

@@ -134,8 +134,6 @@ const (
 	// OracleLazy runs Dijkstra sweeps on demand, each query its own, and
 	// keeps none between queries.
 	OracleLazy
-	// OraclePartitioned uses the paper's §6 partition-based design.
-	OraclePartitioned
 )
 
 // denseOracleLimit is the node count up to which OracleAuto chooses dense
@@ -146,17 +144,14 @@ const denseOracleLimit = 6000
 type EngineConfig struct {
 	// Oracle selects the pre-processing implementation.
 	Oracle OracleKind
-	// PartitionCellSize bounds region sizes for OraclePartitioned
-	// (default apsp.DefaultCellSize).
-	PartitionCellSize int
 	// IndexPath, when non-empty, builds (or reuses) a disk-resident
 	// inverted file at this path instead of the in-memory index — the
 	// paper's B+-tree storage.
 	IndexPath string
 	// DistIndexPath, when non-empty, loads a persistent distance oracle
 	// built by WriteDistIndex (kordata -build-index) instead of running the
-	// τ/σ pre-processing at startup; Oracle and PartitionCellSize are then
-	// ignored for the construction graph. The file is bound to one graph:
+	// τ/σ pre-processing at startup; Oracle is then ignored for the
+	// construction graph. The file is bound to one graph:
 	// NewEngine fails with apsp.ErrIndexFingerprint when it does not match,
 	// and after a Swap or Patch changes the graph the engine falls back to a
 	// lazy oracle and reports OracleStatus.Degraded until a matching graph
@@ -358,12 +353,6 @@ func buildOracle(g *Graph, cfg EngineConfig) (core.RouteOracle, string, error) {
 		return apsp.NewMatrixOracle(g), OracleKindMatrix, nil
 	case OracleLazy:
 		return apsp.NewLazyOracle(g), OracleKindLazy, nil
-	case OraclePartitioned:
-		cell := cfg.PartitionCellSize
-		if cell <= 0 {
-			cell = apsp.DefaultCellSize
-		}
-		return apsp.NewPartitionedOracle(g, cell), OracleKindPartitioned, nil
 	default:
 		return nil, "", fmt.Errorf("kor: unknown oracle kind %d", cfg.Oracle)
 	}

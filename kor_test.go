@@ -38,21 +38,31 @@ func tinyCity(t *testing.T) *Graph {
 
 func TestEngineSearch(t *testing.T) {
 	g := tinyCity(t)
-	for _, kind := range []OracleKind{OracleAuto, OracleDense, OracleLazy, OraclePartitioned} {
-		eng, err := NewEngine(g, &EngineConfig{Oracle: kind})
+	configs := []struct {
+		name string
+		cfg  EngineConfig
+	}{
+		{"auto", EngineConfig{Oracle: OracleAuto}},
+		{"dense", EngineConfig{Oracle: OracleDense}},
+		{"lazy", EngineConfig{Oracle: OracleLazy}},
+		{"dist-index", EngineConfig{DistIndexPath: buildDistIndex(t, g)}},
+	}
+	for _, c := range configs {
+		eng, err := NewEngine(g, &c.cfg)
 		if err != nil {
-			t.Fatalf("oracle %d: NewEngine: %v", kind, err)
+			t.Fatalf("%s: NewEngine: %v", c.name, err)
 		}
 		resp, err := eng.Run(context.Background(), Request{From: 0, To: 0, Keywords: []string{"jazz", "park"}, Budget: 4})
+		eng.Close()
 		if err != nil {
-			t.Fatalf("oracle %d: Run: %v", kind, err)
+			t.Fatalf("%s: Run: %v", c.name, err)
 		}
 		route := resp.Best()
 		if !route.Feasible {
-			t.Fatalf("oracle %d: infeasible route %v", kind, route)
+			t.Fatalf("%s: infeasible route %v", c.name, route)
 		}
 		if route.Nodes[0] != 0 || route.Nodes[len(route.Nodes)-1] != 0 {
-			t.Fatalf("oracle %d: round trip endpoints wrong: %v", kind, route)
+			t.Fatalf("%s: round trip endpoints wrong: %v", c.name, route)
 		}
 	}
 }

@@ -287,8 +287,8 @@ type ReplicaAdmin struct {
 // OracleInfo is the wire form of the engine's oracle status inside
 // /v1/stats.
 type OracleInfo struct {
-	// Kind is the active oracle implementation: "lazy", "matrix",
-	// "partitioned" or "partitioned-disk".
+	// Kind is the active oracle implementation: "lazy", "matrix" or
+	// "partitioned-disk".
 	Kind string `json:"kind"`
 	// Degraded is true when the server was started with a persistent
 	// distance index (-dist-index) but the live graph no longer matches it —

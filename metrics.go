@@ -118,7 +118,7 @@ func (e *Engine) publishOracleStatus(st OracleStatus) {
 	if e.met == nil {
 		return
 	}
-	for _, kind := range []string{OracleKindLazy, OracleKindMatrix, OracleKindPartitioned, OracleKindPartitionedDisk} {
+	for _, kind := range []string{OracleKindLazy, OracleKindMatrix, OracleKindPartitionedDisk} {
 		v := int64(0)
 		if kind == st.Kind {
 			v = 1

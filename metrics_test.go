@@ -3,6 +3,7 @@ package kor
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -158,18 +159,23 @@ func TestEngineMetricsOracleMemo(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsSliceMemoResidentBytes: on the partitioned oracle the
-// resident-bytes gauge counts what the slices have assembled — the cells one
-// query's lookups reached — not entries × the worst case the capacity is
-// derived from: it stays below even the 16 B per node a fully assembled slice
-// holds in scores alone.
+// TestEngineMetricsSliceMemoResidentBytes: on the partitioned oracle loaded
+// from a distance index the resident-bytes gauge counts what the slices have
+// assembled — the cells one query's lookups reached — not entries × the worst
+// case the capacity is derived from: it stays below even the 16 B per node a
+// fully assembled slice holds in scores alone.
 func TestEngineMetricsSliceMemoResidentBytes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := SyntheticRoadNetwork(2012, 600)
-	eng, err := NewEngine(g, &EngineConfig{Oracle: OraclePartitioned, PartitionCellSize: 24, Metrics: reg})
+	path := filepath.Join(t.TempDir(), "dist.kori")
+	if _, err := WriteDistIndex(path, g, 24); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, &EngineConfig{DistIndexPath: path, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	// A query that reads τ into its target: σ is read first, and a query
 	// whose σ tail rules every node out builds the σ slice alone.
 	req := Request{From: 0, To: 5, Keywords: []string{g.Vocab().Name(0)}, Budget: 20}

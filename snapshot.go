@@ -51,8 +51,6 @@ const (
 	OracleKindLazy = "lazy"
 	// OracleKindMatrix is the dense |V|² table oracle.
 	OracleKindMatrix = "matrix"
-	// OracleKindPartitioned is the §6 partition oracle built in memory.
-	OracleKindPartitioned = "partitioned"
 	// OracleKindPartitionedDisk is the partition oracle loaded from a
 	// persistent index file (EngineConfig.DistIndexPath).
 	OracleKindPartitionedDisk = "partitioned-disk"

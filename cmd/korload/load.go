@@ -510,8 +510,10 @@ func run(cfg config) (*Report, error) {
 	// Optional admin churn: a keyword flaps on node 0 at the configured
 	// period, exercising snapshot swaps under load.
 	var patches, patchErrs atomic.Int64
+	churnDone := make(chan struct{})
 	if cfg.ChurnEvery > 0 {
 		go func() {
+			defer close(churnDone)
 			tick := time.NewTicker(cfg.ChurnEvery)
 			defer tick.Stop()
 			add := true
@@ -529,6 +531,8 @@ func run(cfg config) (*Report, error) {
 				}
 			}
 		}()
+	} else {
+		close(churnDone)
 	}
 
 	// Per-worker, per-target accumulation: no locks on the hot path.
@@ -580,6 +584,9 @@ func run(cfg config) (*Report, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// A patch in flight at the deadline still lands on the server: wait for
+	// it, so the report counts every patch the server saw.
+	<-churnDone
 
 	// Merge per target, then aggregate.
 	perTarget := make([]TargetReport, len(targets))

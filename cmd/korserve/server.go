@@ -226,10 +226,18 @@ func (s *server) handleRouteGet(w http.ResponseWriter, r *http.Request) {
 	s.serveRoute(w, r, req)
 }
 
+// decodeBody decodes a JSON request body of at most 1 MiB into v. A field v
+// does not have is an error, as it is at korrouter: a misspelt option must
+// not be silently ignored.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (s *server) handleRoutePost(w http.ResponseWriter, r *http.Request) {
 	var req korapi.Request
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "bad request body: " + err.Error()})
 		return
 	}
@@ -295,10 +303,9 @@ func (s *server) serveRoute(w http.ResponseWriter, r *http.Request, req korapi.R
 // not fail the batch.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch korapi.BatchRequest
-	// Bound the body before decoding: the request-count limit below cannot
-	// protect memory if the decoder has already swallowed the payload.
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
+	// The body is bounded before decoding: the request-count limit below
+	// cannot protect memory if the decoder has already swallowed the payload.
+	if err := decodeBody(w, r, &batch); err != nil {
 		writeError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "bad batch body: " + err.Error()})
 		return
 	}
@@ -396,8 +403,7 @@ func (s *server) handleNode(w http.ResponseWriter, r *http.Request) {
 // unreachable through the fingerprint in every cache key).
 func (s *server) handleAdminPatch(w http.ResponseWriter, r *http.Request) {
 	var wire korapi.Delta
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
+	if err := decodeBody(w, r, &wire); err != nil {
 		writeError(w, &korapi.Error{Code: korapi.CodeBadRequest, Message: "bad delta body: " + err.Error()})
 		return
 	}

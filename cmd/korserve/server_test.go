@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,33 @@ func TestServeV1RoutePost(t *testing.T) {
 	}
 	if len(out.Routes) < 2 {
 		t.Errorf("top-k returned %d routes", len(out.Routes))
+	}
+}
+
+// TestServeUnknownBodyField: a POST body with a field the wire types do not
+// have — a misspelt option, or one that no longer exists — is a 400
+// bad_request on /v1/route, /v1/batch and /v1/admin/patch, as it is at
+// korrouter, not a request served with the field ignored.
+func TestServeUnknownBodyField(t *testing.T) {
+	ts := testServer(t, 5*time.Second)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/route", `{"from":0,"to":2,"keywords":["cafe"],"budget":6,"options":{"epsilion":0.1}}`},
+		{"/v1/route", `{"from":0,"to":2,"keywords":["cafe"],"budget":6,"options":{"disable_strategy1":true}}`},
+		{"/v1/batch", `{"requests":[{"from":0,"to":2,"keywords":["cafe"],"budget":6,"options":{"epsilion":0.1}}]}`},
+		{"/v1/batch", `{"requests":[{"from":0,"to":2,"keywords":["cafe"],"budget":6}],"paralelism":2}`},
+		{"/v1/admin/patch", `{"update_edges":[{"from":0,"to":1,"objective":0.1,"budget":1.2,"weight":3}]}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env korapi.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: decoding the error body: %v", c.path, c.body, err)
+		}
+		wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
 	}
 }
 

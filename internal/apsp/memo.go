@@ -16,7 +16,11 @@ import (
 // query plan runs its own sweeps and frontiers.
 
 const (
-	sliceMemoBudget = 256 << 20
+	// sliceMemoBudget holds about 523 slices of 160,120 B on the 8,000-node
+	// bench road graph. A label query reads its two target slices and its
+	// strategy-2 slices, which fill densely, so the worst-case charge is
+	// close to what they hold (DESIGN.md, The oracle memo).
+	sliceMemoBudget = 80 << 20
 	// memoMinEntries keeps a store useful on graphs where one entry exceeds
 	// the whole budget: a query's two target slices and a candidate or two
 	// must coexist.

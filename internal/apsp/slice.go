@@ -9,21 +9,21 @@ import (
 )
 
 // Per-target distance slices. The label algorithms hammer a handful of fixed
-// targets — the query target, the strategy-1 jump nodes, the strategy-2
-// keyword nodes — with pair lookups from thousands of distinct sources. The
-// partitioned oracle's pair assembly costs nb(i)·nb(j) table entries per
-// lookup; hoisting the per-target half out of it leaves nb(i). A TargetSlice
-// is that amortization, and it computes only what is looked up: the first
-// lookup that lands in a partition cell scans one block of the overlay —
-// the cell's borders against the target cell's — into the cell's border
-// vector, the best overlay+tail completion per border; each node's score is
-// then one scan of its table row against that vector, on the first lookup of
-// that node, and an array read ever after. A query is bounded by its budget
-// Δ, so its lookups stay inside the few cells around the target and read a
-// fraction of their nodes; no bound is carried, because whatever turns out to
-// be needed after all is simply computed then. The slices live in the oracle
-// memo (memo.go), so a steady query stream over a stable keyword universe
-// computes each score once.
+// targets — the query target and the strategy-2 keyword nodes — with pair
+// lookups from thousands of distinct sources. The partitioned oracle's pair
+// assembly costs nb(i)·nb(j) table entries per lookup; hoisting the
+// per-target half out of it leaves nb(i). A TargetSlice is that
+// amortization, and it computes only what is looked up: the first lookup
+// that lands in a partition cell scans one block of the overlay — the cell's
+// borders against the target cell's — into the cell's border vector, the
+// best overlay+tail completion per border; each node's score is then one
+// scan of its table row against that vector, on the first lookup of that
+// node, and an array read ever after. A query is bounded by its budget Δ, so
+// its lookups stay inside the few cells around the target and read a
+// fraction of their nodes; no bound is carried, because whatever turns out
+// to be needed after all is simply computed then. The slices live in the
+// oracle memo (memo.go), so a steady query stream over a stable keyword
+// universe computes each score once.
 
 // TargetSlice is the view of the metric-optimal scores from every node into
 // one fixed target (or, for a source slice, out of one fixed source into
@@ -121,7 +121,7 @@ func (o *PartitionedOracle) sliceBytes() int64 {
 }
 
 // newSliceMemo sizes the oracle's slice store: bounded by sliceMemoBudget
-// bytes alone (~1,600 slices on an 8,000-node road graph). A slice is
+// bytes alone (~520 slices on an 8,000-node road graph). A slice is
 // published empty and fills as it is read, so every slice is charged the
 // worst case.
 func (o *PartitionedOracle) newSliceMemo() *memo[*TargetSlice] {

@@ -5,7 +5,7 @@ import "kor/internal/graph"
 // Vector is the view of the τ or σ scores between every node and one fixed
 // root — into the root (v→root) or out of it (root→v) — with the paths behind
 // them: what the search algorithms read of the pre-processing (§3.1). The
-// root is the query target, a strategy-1/2 candidate or a Greedy waypoint.
+// root is the query target, a strategy-2 candidate or a Greedy waypoint.
 // Every oracle hands its vectors out through Into, OutOf and OpenFrontier,
 // and the query plan reads nothing else, whichever oracle it runs on:
 //

@@ -214,7 +214,8 @@ func mergeCandidates(k int, candidates []*korapi.Response) *korapi.Response {
 	return out
 }
 
-// addMetrics accumulates src into dst field by field.
+// addMetrics accumulates src into dst field by field: counters add, and the
+// peak queue is the largest any shard held.
 func addMetrics(dst, src *korapi.Metrics) {
 	dst.LabelsCreated += src.LabelsCreated
 	dst.LabelsEnqueued += src.LabelsEnqueued
@@ -224,8 +225,7 @@ func addMetrics(dst, src *korapi.Metrics) {
 	dst.PrunedStrategy2 += src.PrunedStrategy2
 	dst.Dominated += src.Dominated
 	dst.DominatedSwept += src.DominatedSwept
-	dst.ShortcutLabels += src.ShortcutLabels
 	dst.Feasible += src.Feasible
-	dst.PeakQueue += src.PeakQueue
+	dst.PeakQueue = max(dst.PeakQueue, src.PeakQueue)
 	dst.PlanSweeps += src.PlanSweeps
 }

@@ -188,14 +188,18 @@ func TestMergeWarningSuperseded(t *testing.T) {
 
 func TestMergeSumsMetricsAndKeepsMaxElapsed(t *testing.T) {
 	a := resp(route([]int64{0, 1}, 1.0, 1.0, true))
-	a.Metrics = &korapi.Metrics{LabelsCreated: 10}
+	a.Metrics = &korapi.Metrics{LabelsCreated: 10, PeakQueue: 3}
 	a.ElapsedMS = 4
 	b := resp(route([]int64{0, 2, 1}, 2.0, 1.0, true))
-	b.Metrics = &korapi.Metrics{LabelsCreated: 7}
+	b.Metrics = &korapi.Metrics{LabelsCreated: 7, PeakQueue: 5}
 	b.ElapsedMS = 9
 	out, _, _ := Merge(2, []Gathered{{Shard: 0, Resp: a}, {Shard: 1, Resp: b}})
 	if out.Metrics == nil || out.Metrics.LabelsCreated != 17 {
 		t.Fatalf("metrics not summed: %+v", out.Metrics)
+	}
+	// The peak queue is a high-water mark, not a count of work.
+	if out.Metrics.PeakQueue != 5 {
+		t.Fatalf("peak queue = %d, want the larger shard's 5", out.Metrics.PeakQueue)
 	}
 	if out.ElapsedMS != 9 {
 		t.Fatalf("elapsed = %v, want the slowest leg 9 (legs run concurrently)", out.ElapsedMS)

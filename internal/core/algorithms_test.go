@@ -178,9 +178,9 @@ func TestApproximationBounds(t *testing.T) {
 	}
 }
 
-// TestStrategiesPreserveBounds re-runs bound checks with each optimization
-// strategy toggled, and confirms the strategies only change how fast the
-// answer is found, never its feasibility or bound.
+// TestStrategiesPreserveBounds re-runs bound checks with optimization
+// strategy 2 toggled, and confirms it only changes how fast the answer is
+// found, never its feasibility or bound.
 func TestStrategiesPreserveBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 10; trial++ {
@@ -189,10 +189,9 @@ func TestStrategiesPreserveBounds(t *testing.T) {
 		q := randomQuery(rng, g, 2)
 		exact, exactErr := s.Exact(q, DefaultOptions())
 
-		for variant := 0; variant < 4; variant++ {
+		for variant := 0; variant < 2; variant++ {
 			opts := DefaultOptions()
-			opts.DisableStrategy1 = variant&1 != 0
-			opts.DisableStrategy2 = variant&2 != 0
+			opts.DisableStrategy2 = variant == 1
 			res, err := s.OSScaling(q, opts)
 			if (err == nil) != (exactErr == nil) {
 				t.Fatalf("trial %d variant %d: feasibility flip: %v vs %v", trial, variant, err, exactErr)

@@ -156,8 +156,8 @@ func disconnectedGraph(rng *rand.Rand, n, vocab int) *graph.Graph {
 // both widths and α from 0 to 1 — and over a tied-weight and a disconnected
 // graph — the lazy oracle's bounded sweeps and Greedy's frontiers return,
 // bit for bit, the node sequences, scores and errors of the same oracle
-// reading full sweeps only, from the same number of labels created, pruned
-// and jumped, and agree with the dense tables (whose forward sweeps sum each
+// reading full sweeps only, from the same number of labels created and
+// pruned, and agree with the dense tables (whose forward sweeps sum each
 // path from the other end) up to floating-point association. The two small
 // graphs have integer weights: every sum is exact, so the dense tables agree
 // on every score bit, but equal-score paths abound and the tables may
@@ -237,8 +237,8 @@ func TestBoundedSweepsDifferential(t *testing.T) {
 					t.Fatalf("%s: %d frontiers left open", name, open)
 				}
 				// The searches took the same decisions label for label: a sweep
-				// cut too short would prune or jump differently before it ever
-				// changed an answer.
+				// cut too short would prune differently before it ever changed
+				// an answer.
 				gm := got.Metrics
 				gm.PlanSweeps, gm.SharedSweeps = 0, 0
 				if gm != want.Metrics {
@@ -296,10 +296,11 @@ func sameOutcome(a Result, aErr error, b Result, bErr error) string {
 
 // TestBoundedSweepsHoldWhatTheyReach is the work assertion through the public
 // counters: one OSScaling query on a fresh lazy oracle over the bench road
-// network (8,000 nodes, Δ = 9) runs candidate sweeps, and its frontiers — the
-// τ tail into the target and the source frontier of the candidate prune —
-// settle less than a quarter of the graph between them: the τ tail is read
-// only inside the Δ-ball the σ tail admits.
+// network (8,000 nodes, Δ = 9) runs strategy-2 candidate sweeps besides its
+// two frontiers, and those frontiers — the τ tail into the target and the
+// source frontier of the candidate prune — settle less than a quarter of the
+// graph between them: the τ tail is read only inside the Δ-ball the σ tail
+// admits.
 func TestBoundedSweepsHoldWhatTheyReach(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
 	oracle := apsp.NewLazyOracle(g)
@@ -309,8 +310,8 @@ func TestBoundedSweepsHoldWhatTheyReach(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OSScaling: %v", err)
 	}
-	if res.Metrics.PlanSweeps < 8 {
-		t.Fatalf("%d plan sweeps: the query did not exercise candidate sweeps", res.Metrics.PlanSweeps)
+	if res.Metrics.PlanSweeps <= 2 {
+		t.Fatalf("%d plan sweeps: the query ran no candidate sweep besides its two frontiers", res.Metrics.PlanSweeps)
 	}
 	open, settled := oracle.FrontierStats()
 	if open != 0 || settled == 0 || settled*4 >= int64(g.NumNodes()) {

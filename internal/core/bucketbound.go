@@ -162,12 +162,17 @@ func (p *plan) runBucketBound() (Result, error) {
 			}
 		}
 
-		done, err := p.extendBB(l, front, store, ring, cands)
-		if err != nil {
-			return Result{Metrics: p.metrics}, err
-		}
-		if done {
-			return Result{Routes: cands.take(), Metrics: p.metrics}, nil
+		// Label treatment over every outgoing edge, each child through
+		// Algorithm 2's creation checks (line 11) and termination test
+		// (lines 19–23).
+		for _, e := range p.s.g.Out(l.node) {
+			done, err := p.admitBB(p.newLabel(l, e), front, store, ring, cands)
+			if err != nil {
+				return Result{Metrics: p.metrics}, err
+			}
+			if done {
+				return Result{Routes: cands.take(), Metrics: p.metrics}, nil
+			}
 		}
 		if p.metrics.LabelsCreated > p.opts.MaxExpansions {
 			return Result{Metrics: p.metrics}, ErrSearchLimit
@@ -184,28 +189,8 @@ func (p *plan) runBucketBound() (Result, error) {
 	return Result{Routes: routes, Metrics: p.metrics}, nil
 }
 
-// extendBB expands one label drawn from bucket front, applying Algorithm
-// 2's creation checks (line 11) and termination test (lines 19–23). It
-// reports search completion.
-func (p *plan) extendBB(l *label, front int, store *labelStore, ring *bucketRing, cands *candidateSet) (bool, error) {
-	for _, e := range p.s.g.Out(l.node) {
-		child := p.newLabel(l, e)
-		done, err := p.admitBB(child, front, store, ring, cands)
-		if err != nil || done {
-			return done, err
-		}
-	}
-	if !p.opts.DisableStrategy1 && !l.covered.Covers(p.qMask) {
-		if child := p.strategy1Jump(l); child != nil {
-			done, err := p.admitBB(child, front, store, ring, cands)
-			if err != nil || done {
-				return done, err
-			}
-		}
-	}
-	return false, nil
-}
-
+// admitBB applies Algorithm 2's creation checks (line 11) and termination
+// test (lines 19–23) to a child label. It reports search completion.
 func (p *plan) admitBB(child *label, front int, store *labelStore, ring *bucketRing, cands *candidateSet) (bool, error) {
 	p.trace(TraceCreated, child, cands.bound())
 

@@ -64,13 +64,12 @@ func ctxTestQuery(t testing.TB, g *graph.Graph) Query {
 }
 
 // ctxTestOptions slows convergence (fine scaling, no optimization
-// strategies, top-k) so the label loops reliably run for thousands of
+// strategy, top-k) so the label loops reliably run for thousands of
 // iterations — room for the countdown context to fire mid-loop.
 func ctxTestOptions() Options {
 	opts := DefaultOptions()
 	opts.Epsilon = 0.05
 	opts.K = 4
-	opts.DisableStrategy1 = true
 	opts.DisableStrategy2 = true
 	return opts
 }

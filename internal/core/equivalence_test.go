@@ -242,8 +242,8 @@ func TestEquivalenceAfterApply(t *testing.T) {
 	}
 }
 
-// TestEquivalenceStrategiesOff re-runs a slice of the harness with both
-// optimization strategies disabled, pinning the optimized and plain label
+// TestEquivalenceStrategiesOff re-runs a slice of the harness with
+// optimization strategy 2 disabled, pinning the optimized and plain label
 // searches to the same answers.
 func TestEquivalenceStrategiesOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
@@ -255,7 +255,6 @@ func TestEquivalenceStrategiesOff(t *testing.T) {
 
 		on := DefaultOptions()
 		off := DefaultOptions()
-		off.DisableStrategy1 = true
 		off.DisableStrategy2 = true
 
 		rOn, errOn := s.OSScaling(q, on)
@@ -266,7 +265,7 @@ func TestEquivalenceStrategiesOff(t *testing.T) {
 		if errOn != nil {
 			continue
 		}
-		// Deterministic regression pin: on these seeds the strategies do not
+		// Deterministic regression pin: on these seeds the strategy does not
 		// change the settled objective (they prune work, not answers), and
 		// any hot-path change that moves one of them shows up here.
 		if math.Abs(rOn.Best().Objective-rOff.Best().Objective) > 1e-9 {

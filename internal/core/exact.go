@@ -49,10 +49,9 @@ func (s *Searcher) BruteForce(q Query, maxExpansions int) (Result, error) {
 // BruteForceCtx is BruteForce with cancellation, polled once per dequeued
 // partial path.
 func (s *Searcher) BruteForceCtx(ctx context.Context, q Query, maxExpansions int) (Result, error) {
-	// The enumeration reads neither strategy: disabling them skips their
+	// The enumeration does not read strategy 2: disabling it skips its
 	// oracle prefetching.
 	opts := DefaultOptions()
-	opts.DisableStrategy1 = true
 	opts.DisableStrategy2 = true
 	p, err := s.newPlan(ctx, q, opts)
 	if err != nil {

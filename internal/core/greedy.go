@@ -33,9 +33,8 @@ func (s *Searcher) Greedy(q Query, opts Options) (Result, error) {
 // GreedyCtx is Greedy with cancellation: every beam step polls ctx and
 // returns a wrapped ctx error once it fires.
 func (s *Searcher) GreedyCtx(ctx context.Context, q Query, opts Options) (Result, error) {
-	// The optimization strategies belong to the label algorithms; disabling
-	// them skips their oracle prefetching.
-	opts.DisableStrategy1 = true
+	// Strategy 2 belongs to the label algorithms; disabling it skips its
+	// oracle prefetching.
 	opts.DisableStrategy2 = true
 	p, err := s.newPlan(ctx, q, opts)
 	if err != nil {

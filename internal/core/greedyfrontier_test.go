@@ -163,7 +163,7 @@ func TestGreedyFrontiersClosed(t *testing.T) {
 	far := greedyFixture(t, [][]string{{}, {"k"}, {}}, []greedyEdge{{0, 2, 1, 1}, {1, 2, 1, 1}, {0, 1, 5, 5}})
 	farQuery := Query{Source: 0, Target: 2, Keywords: terms(t, far, "k"), Budget: 3}
 	labelOpts := ctxTestOptions()
-	labelOpts.DisableStrategy1, labelOpts.DisableStrategy2 = false, false
+	labelOpts.DisableStrategy2 = false
 	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound, AlgorithmExact} {
 		for _, c := range []struct {
 			name          string
@@ -214,7 +214,7 @@ func TestFrontierCandidatesMatchFullScan(t *testing.T) {
 			opts.Alpha = []float64{0, 0.3, 0.5, 1}[rng.Intn(4)]
 			opts.Width = 1 + rng.Intn(3)
 			opts.BudgetPriority = rng.Intn(2) == 0
-			opts.DisableStrategy1, opts.DisableStrategy2 = true, true
+			opts.DisableStrategy2 = true
 			ref := newFullSweepOracle(g, q.Target, true)
 			pf, err := NewSearcher(g, apsp.NewLazyOracle(g), nil).newPlan(context.Background(), q, opts)
 			if err != nil {

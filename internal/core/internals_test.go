@@ -266,14 +266,12 @@ func TestOptionsNormalize(t *testing.T) {
 	o.Width = 0
 	o.K = -3
 	o.InfrequentFraction = -1
-	o.Strategy1Candidates = 0
 	o.MaxExpansions = -5
 	n, err = o.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Width != 1 || n.K != 1 || n.InfrequentFraction != 0.01 ||
-		n.Strategy1Candidates != 64 || n.MaxExpansions <= 0 {
+	if n.Width != 1 || n.K != 1 || n.InfrequentFraction != 0.01 || n.MaxExpansions <= 0 {
 		t.Fatalf("normalize did not repair: %+v", n)
 	}
 }

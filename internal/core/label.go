@@ -20,18 +20,11 @@ type label struct {
 	bs      float64
 	parent  *label
 	// hash is the incremental route signature of the chain's node sequence
-	// (see candidates.go). It is exact only while approx is false.
+	// (see candidates.go).
 	hash uint64
 	// seq is the creation sequence number, the final deterministic
 	// tie-break in the label order.
 	seq uint64
-	// shortcut marks a strategy-1 jump: the hop parent→node follows the
-	// min-budget path σ(parent.node, node) rather than a single edge.
-	shortcut bool
-	// approx marks chains containing a shortcut anywhere: their materialized
-	// node sequence differs from the chain, so hash must be recomputed from
-	// the reconstructed route.
-	approx bool
 	// deleted marks labels lazily removed from the queues after domination.
 	deleted bool
 }

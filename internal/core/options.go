@@ -4,8 +4,9 @@ import "fmt"
 
 // Options tunes the search algorithms. The zero value is not meaningful;
 // start from DefaultOptions. Field defaults mirror the paper's experimental
-// defaults (§4.1): ε=0.5, β=1.2, α=0.5, width 1, k=1, both optimization
-// strategies on.
+// defaults (§4.1): ε=0.5, β=1.2, α=0.5, width 1, k=1, optimization
+// strategy 2 on. Strategy 1, the paper's σ-shortcut jump, is not
+// implemented: on this stack it slowed every oracle down (DESIGN.md).
 type Options struct {
 	// Epsilon is OSScaling's scaling parameter ε ∈ (0,1). Larger values run
 	// faster; the returned objective is within 1/(1−ε) of optimal
@@ -21,9 +22,6 @@ type Options struct {
 	Width int
 	// K asks for the top-k routes (the KkR query). 1 means the plain KOR.
 	K int
-	// DisableStrategy1 turns off optimization strategy 1 (σ-shortcut jumps
-	// to uncovered-keyword nodes, used to find a feasible route early).
-	DisableStrategy1 bool
 	// DisableStrategy2 turns off optimization strategy 2 (pruning through
 	// the nodes of infrequent query keywords).
 	DisableStrategy2 bool
@@ -31,12 +29,6 @@ type Options struct {
 	// strategy applies when the rarest query keyword appears on at most
 	// this fraction of nodes. The paper suggests 1%.
 	InfrequentFraction float64
-	// Strategy1Candidates caps how many uncovered-keyword nodes strategy 1
-	// considers per query (rarest keywords first); each candidate costs one
-	// reverse sweep on a lazy oracle. The cap applies before the plan drops,
-	// on such an oracle, the candidates no route from the source can pass
-	// within Δ; the dropped ones are not replaced.
-	Strategy1Candidates int
 	// BudgetPriority switches Greedy to the budget-first variant of §3.4:
 	// the returned route respects Δ but may leave keywords uncovered.
 	BudgetPriority bool
@@ -52,14 +44,13 @@ type Options struct {
 // DefaultOptions returns the paper's experimental defaults.
 func DefaultOptions() Options {
 	return Options{
-		Epsilon:             0.5,
-		Beta:                1.2,
-		Alpha:               0.5,
-		Width:               1,
-		K:                   1,
-		InfrequentFraction:  0.01,
-		Strategy1Candidates: 64,
-		MaxExpansions:       20_000_000,
+		Epsilon:            0.5,
+		Beta:               1.2,
+		Alpha:              0.5,
+		Width:              1,
+		K:                  1,
+		InfrequentFraction: 0.01,
+		MaxExpansions:      20_000_000,
 	}
 }
 
@@ -104,9 +95,6 @@ func (o Options) normalize() (Options, error) {
 	if o.InfrequentFraction <= 0 {
 		o.InfrequentFraction = 0.01
 	}
-	if o.Strategy1Candidates <= 0 {
-		o.Strategy1Candidates = 64
-	}
 	if o.MaxExpansions <= 0 {
 		o.MaxExpansions = 20_000_000
 	}
@@ -125,7 +113,6 @@ type Metrics struct {
 	PrunedStrategy2 int // dropped by the infrequent-keyword conditions
 	Dominated       int // dropped by (k-)domination (Definition 6)
 	DominatedSwept  int // existing labels deleted by a new dominator
-	ShortcutLabels  int // strategy-1 σ-jump labels
 	Feasible        int // feasible candidates encountered
 	PeakQueue       int // largest queue population
 	PlanSweeps      int // Dijkstra runs the plan started on an oracle that runs sweeps: bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) plus opened frontiers
@@ -142,7 +129,6 @@ func (m *Metrics) add(o Metrics) {
 	m.PrunedStrategy2 += o.PrunedStrategy2
 	m.Dominated += o.Dominated
 	m.DominatedSwept += o.DominatedSwept
-	m.ShortcutLabels += o.ShortcutLabels
 	m.Feasible += o.Feasible
 	m.PlanSweeps += o.PlanSweeps
 	m.SharedSweeps += o.SharedSweeps
@@ -200,10 +186,9 @@ func (k TraceKind) String() string {
 // label's cumulative scores at event time; U is the current upper bound
 // (meaningful for TraceUpperBound).
 type TraceEvent struct {
-	Kind     TraceKind
-	Label    LabelView
-	U        float64
-	Shortcut bool
+	Kind  TraceKind
+	Label LabelView
+	U     float64
 }
 
 // Tracer observes label events. Implementations must be cheap; the hot loop

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
 
-	"kor/internal/graph"
 	"kor/internal/pqueue"
 )
 
@@ -83,8 +81,12 @@ func (p *plan) runOSScaling() (Result, error) {
 			continue
 		}
 
-		if err := p.extendOSS(l, store, queue, cands); err != nil {
-			return Result{Metrics: p.metrics}, err
+		// Label treatment over every outgoing edge, each child through
+		// Algorithm 1's creation-time checks.
+		for _, e := range p.s.g.Out(l.node) {
+			if err := p.admitOSS(p.newLabel(l, e), store, queue, cands); err != nil {
+				return Result{Metrics: p.metrics}, err
+			}
 		}
 		if p.metrics.LabelsCreated > p.opts.MaxExpansions {
 			return Result{Metrics: p.metrics}, ErrSearchLimit
@@ -96,59 +98,6 @@ func (p *plan) runOSScaling() (Result, error) {
 		return Result{Metrics: p.metrics}, ErrNoRoute
 	}
 	return Result{Routes: routes, Metrics: p.metrics}, nil
-}
-
-// extendOSS runs label treatment over every outgoing edge of l's node, plus
-// the strategy-1 σ-jump, feeding each child through Algorithm 1's
-// creation-time checks.
-func (p *plan) extendOSS(l *label, store *labelStore, queue *pqueue.Heap[*label], cands *candidateSet) error {
-	for _, e := range p.s.g.Out(l.node) {
-		child := p.newLabel(l, e)
-		if err := p.admitOSS(child, store, queue, cands); err != nil {
-			return err
-		}
-	}
-	if !p.opts.DisableStrategy1 && !l.covered.Covers(p.qMask) {
-		if child := p.strategy1Jump(l); child != nil {
-			if err := p.admitOSS(child, store, queue, cands); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// strategy1Jump builds the optimization-strategy-1 label: jump along
-// σ(l.node, vj) to the uncovered-keyword node vj with the cheapest such
-// budget, provided the jump still admits a feasible completion. The σ tails
-// into the target were resolved at plan time; the per-candidate σ(l.node,
-// vj) lookup comes from the plan's bounded candidate sweeps on lazy oracles.
-func (p *plan) strategy1Jump(l *label) *label {
-	bestBS := math.Inf(1)
-	var bestNode graph.NodeID
-	var bestOS float64
-	found := false
-	for i := range p.jumpNodes {
-		jn := &p.jumpNodes[i]
-		if jn.node == l.node {
-			continue
-		}
-		if jn.mask.Diff(l.covered).Empty() {
-			continue // carries no uncovered keyword
-		}
-		sigOS, sigBS, ok := p.sigInto(l.node, jn.node, jn.tailBS, &jn.sig)
-		if !ok || l.bs+sigBS+jn.tailBS > p.q.Budget {
-			continue
-		}
-		if sigBS < bestBS || (sigBS == bestBS && jn.node < bestNode) {
-			bestBS, bestOS, bestNode = sigBS, sigOS, jn.node
-			found = true
-		}
-	}
-	if !found {
-		return nil
-	}
-	return p.newShortcutLabel(l, bestNode, bestOS, bestBS)
 }
 
 // admitOSS applies the creation-time checks of Algorithm 1 (line 10 and

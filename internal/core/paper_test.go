@@ -96,7 +96,6 @@ func TestExample2Trace(t *testing.T) {
 	opts.Epsilon = 0.5
 	opts.Tracer = rec
 	// The paper's walkthrough does not include the optimization strategies.
-	opts.DisableStrategy1 = true
 	opts.DisableStrategy2 = true
 
 	kws := terms(t, g, "t1", "t2") // bit 0 = t1, bit 1 = t2
@@ -222,7 +221,6 @@ func TestDeltaSevenEnqueuesL05(t *testing.T) {
 	g := paperGraph(t)
 	s := searcherFor(t, g, true)
 	opts := DefaultOptions()
-	opts.DisableStrategy1 = true
 	opts.DisableStrategy2 = true
 	kws := terms(t, g, "t1", "t2")
 	res, err := s.OSScaling(Query{Source: 0, Target: 7, Keywords: kws, Budget: 7}, opts)

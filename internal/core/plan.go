@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"kor/internal/apsp"
 	"kor/internal/bitset"
@@ -13,10 +12,10 @@ import (
 )
 
 // plan is the per-query pre-computation shared by the label algorithms:
-// keyword bit assignment, per-node coverage masks, the scaling factor θ,
-// strategy-1 candidate nodes and strategy-2 infrequent-keyword nodes, plus
-// oracle access tuned to the query. Its scratch tables and label arena are
-// pooled; every search entry point must close the plan when it returns.
+// keyword bit assignment, per-node coverage masks, the scaling factor θ and
+// strategy-2 infrequent-keyword nodes, plus oracle access tuned to the
+// query. Its scratch tables and label arena are pooled; every search entry
+// point must close the plan when it returns.
 type plan struct {
 	s    *Searcher
 	q    Query
@@ -30,7 +29,7 @@ type plan struct {
 	// sc is the pooled per-query scratch; nil once the plan is closed.
 	sc *planScratch
 	// postings holds each term's posting list, parallel to terms. Fetched
-	// once: plan setup, the strategy candidates and scratch reset all walk
+	// once: plan setup, the strategy-2 candidates and scratch reset all walk
 	// them, and a disk-backed index must not be re-read for each.
 	postings [][]graph.NodeID
 
@@ -40,33 +39,27 @@ type plan struct {
 
 	theta float64 // θ = ε·o_min·b_min/Δ (Definition in §3.2)
 
-	// Strategy 1: nodes carrying uncovered query keywords, each with the
-	// mask of query keywords it carries and its σ-tail budget into the
-	// target, ordered by rarest keyword first. Nodes that cannot reach the
-	// target within Δ are dropped at plan time, and on an oracle that runs
-	// sweeps so are those no route from the source can pass within Δ
-	// (pruneCandidates); infreq likewise.
-	jumpNodes []jumpNode
-
 	// Strategy 2: the nodes carrying the least frequent query keyword (with
 	// their precomputed completions into the target) and that keyword's bit,
-	// when its document frequency is under threshold.
+	// when its document frequency is under threshold. Nodes that cannot reach
+	// the target within Δ are dropped at plan time, and on an oracle that
+	// runs sweeps so are those no route from the source can pass within Δ
+	// (pruneCandidates).
 	infreqBit int
 	infreq    []viaNode
 
 	// tailSig and tailTau are the σ and τ vectors into the target, resolved
 	// on first use (apsp.Vector): every admission check reads them. On an
 	// oracle that runs sweeps every vector is the plan's own. σ is a sweep
-	// truncated at Δ, and the candidate vectors on jumpNode and viaNode are
-	// truncated likewise (σ at Δ−BS(σ(c,t)) and to the source frontier's
-	// ellipse, strategy-2 τ at the upper bound U); the truncations only drop
-	// nodes whose answers could never matter to this query. τ is the frontier tgt, grown only as far as it is read: the
-	// label algorithms read τ(v, target) only at nodes whose σ(v, target)
-	// already fits Δ (newPlan's strategy-2 loop keeps that order too), so it
-	// settles no further than the τ distance of the farthest node σ admits.
-	// The plan holds each
-	// vector for its life, so scores and reconstructed paths come off the
-	// same one.
+	// truncated at Δ, and the strategy-2 vectors on viaNode are truncated
+	// likewise (σ at Δ−BS(σ(c,t)) and to the source frontier's ellipse, τ at
+	// the upper bound U); the truncations only drop nodes whose answers could
+	// never matter to this query. τ is the frontier tgt, grown only as far as
+	// it is read: the label algorithms read τ(v, target) only at nodes whose
+	// σ(v, target) already fits Δ (newPlan's strategy-2 loop keeps that order
+	// too), so it settles no further than the τ distance of the farthest node
+	// σ admits. The plan holds each vector for its life, so scores and
+	// reconstructed paths come off the same one.
 	tailSig, tailTau apsp.Vector
 	// Greedy scores keyword nodes against its current waypoint and against
 	// the target with no σ filter in front, so on an oracle that runs sweeps
@@ -89,14 +82,6 @@ type plan struct {
 
 	metrics Metrics
 	seq     uint64
-}
-
-type jumpNode struct {
-	node   graph.NodeID
-	mask   bitset.Mask
-	tailBS float64 // BS(σ(node, target)), precomputed at plan time
-
-	sig apsp.Vector // σ(·, node), resolved on first touch by any label
 }
 
 // viaNode is one strategy-2 keyword node with its completions into the
@@ -151,72 +136,38 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 	p.sc = s.getScratch()
 	p.nodeMask = p.sc.nodeMask
 
-	// Coverage masks via the inverted file.
+	// Coverage masks via the inverted file, and the rarest keyword: the
+	// first of least document frequency.
 	p.postings = make([][]graph.NodeID, len(p.terms))
-	type termFreq struct {
-		bit int
-		df  int
-	}
-	freqs := make([]termFreq, len(p.terms))
+	rarest := 0
 	for bit, t := range p.terms {
 		post := s.index.Postings(t)
 		p.postings[bit] = post
-		freqs[bit] = termFreq{bit: bit, df: len(post)}
+		if len(post) < len(p.postings[rarest]) {
+			rarest = bit
+		}
 		for _, v := range post {
 			p.nodeMask[v] = p.nodeMask[v].With(bit)
 		}
 	}
-	sort.Slice(freqs, func(i, j int) bool {
-		if freqs[i].df != freqs[j].df {
-			return freqs[i].df < freqs[j].df
-		}
-		return freqs[i].bit < freqs[j].bit
-	})
 
 	// θ: scale objective values to integers (§3.2). Edge attributes are
 	// validated positive, so θ > 0 whenever the graph has edges.
 	p.theta = opts.Epsilon * s.g.MinObjective() * s.g.MinBudget() / q.Budget
 
-	// Strategy 1 candidates: uncovered-keyword nodes, rarest keyword first,
-	// capped. The σ tail into the target is resolved once per candidate here
-	// — it used to be an oracle round-trip per candidate per label — and
-	// candidates that cannot reach the target within Δ are dropped outright.
-	if !opts.DisableStrategy1 {
-		taken := make(map[graph.NodeID]bool)
-		for _, tf := range freqs {
-			for _, v := range p.postings[tf.bit] {
-				if len(p.jumpNodes) >= opts.Strategy1Candidates {
-					break
-				}
-				if taken[v] {
-					continue
-				}
-				taken[v] = true
-				tailBS, ok := p.sigBudgetTo(v)
-				if !ok || tailBS > q.Budget {
-					continue
-				}
-				p.jumpNodes = append(p.jumpNodes, jumpNode{node: v, mask: p.nodeMask[v], tailBS: tailBS})
-			}
-			if len(p.jumpNodes) >= opts.Strategy1Candidates {
-				break
-			}
-		}
-	}
-
 	// Strategy 2: pick the least frequent keyword if it is rare enough, and
 	// precompute each of its nodes' completions into the target. Nodes that
 	// cannot reach the target, or only past Δ, can never keep a label alive
 	// and are dropped here.
-	if !opts.DisableStrategy2 && len(freqs) > 0 {
-		rarest := freqs[0]
+	if !opts.DisableStrategy2 && len(p.terms) > 0 {
+		df := len(p.postings[rarest])
 		threshold := int(opts.InfrequentFraction * float64(s.g.NumNodes()))
 		if threshold < 1 {
 			threshold = 1
 		}
-		if rarest.df > 0 && rarest.df <= threshold {
-			p.infreqBit = rarest.bit
-			for _, v := range p.postings[rarest.bit] {
+		if df > 0 && df <= threshold {
+			p.infreqBit = rarest
+			for _, v := range p.postings[rarest] {
 				// σ first: τ is read only where σ fits Δ (see tailTau).
 				bsLT, okS := p.sigBudgetTo(v)
 				if !okS || bsLT > q.Budget {
@@ -237,29 +188,29 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 	return p, nil
 }
 
-// pruneCandidates drops, on an oracle that runs sweeps, the strategy
+// pruneCandidates drops, on an oracle that runs sweeps, the strategy-2
 // candidates no label of this query can use: those outside the ellipse
 // BS(σ(s,c)) + BS(σ(c,t)) ≤ Δ. The selection above keeps the Δ-disc around
 // the target, and on such an oracle each kept candidate costs a sweep the
 // first time a label reads it. One plan-private forward σ frontier out of
 // the source, p.src, settles the candidates in budget order and stops, per
-// candidate, where the ellipse ends; the cap is not refilled. The frontier
-// stays open: the candidate sweeps read it too (sigInto).
+// candidate, where the ellipse ends. The frontier stays open: the candidate
+// sweeps read it too (sigInto).
 //
-// The answers cannot change. Both readers, strategy1Jump and strategy2Prune,
-// reject a label at v with l.bs + BS(σ(v,c)) + tailBS > Δ. l.bs is the
-// budget of a real walk s→v, so l.bs + BS(σ(v,c)) ≥ BS(σ(s,c)): a candidate
-// outside the ellipse fails that check for every label. The frontier's
-// scores are bit for bit those of a forward sweep, and sweepSlack covers
-// the association of the readers' reverse sums, as it does for the
-// candidate sweeps themselves. An emptied strategy-2 list keeps infreqBit:
-// a label lacking the rare keyword is then pruned, as it would be by a list
-// whose nodes all fail the budget check.
+// The answers cannot change. Their reader, strategy2Prune, rejects a label
+// at v with l.bs + BS(σ(v,c)) + BS(σ(c,t)) > Δ. l.bs is the budget of a real
+// walk s→v, so l.bs + BS(σ(v,c)) ≥ BS(σ(s,c)): a candidate outside the
+// ellipse fails that check for every label. The frontier's scores are bit
+// for bit those of a forward sweep, and sweepSlack covers the association
+// of the reader's reverse sums, as it does for the candidate sweeps
+// themselves. An emptied list keeps infreqBit: a label lacking the rare
+// keyword is then pruned, as it would be by a list whose nodes all fail the
+// budget check.
 //
 // Table-backed oracles open no frontier and keep every candidate: a lookup
 // there costs no sweep.
 func (p *plan) pruneCandidates() {
-	if len(p.jumpNodes) == 0 && len(p.infreq) == 0 {
+	if len(p.infreq) == 0 {
 		return
 	}
 	p.src = p.openFrontier(p.q.Source, apsp.ByBudget, true)
@@ -267,7 +218,6 @@ func (p *plan) pruneCandidates() {
 		return
 	}
 	limit := p.q.Budget + sweepSlack*p.q.Budget
-	p.jumpNodes = slices.DeleteFunc(p.jumpNodes, func(jn jumpNode) bool { return !p.src.Within(jn.node, limit-jn.tailBS) })
 	p.infreq = slices.DeleteFunc(p.infreq, func(via viaNode) bool { return !p.src.Within(via.node, limit-via.bsLT) })
 }
 
@@ -342,37 +292,28 @@ func (p *plan) candidate(slot *apsp.Vector, root graph.NodeID, m apsp.Metric, bo
 	return *slot
 }
 
-// sigInto returns the scores of σ(from, to) for a candidate node to whose σ
-// tail into the target costs tailBS, off the candidate's σ vector in *slot.
-// Every reader rejects a σ(v, to) with l.bs + BS(σ(v,to)) + tailBS > Δ for
-// a label at v, whose l.bs ≥ BS(σ(s,v)), so nothing past Δ − tailBS is ever
+// sigInto returns the budget score of σ(from, via.node) for a strategy-2
+// keyword node, off the candidate's σ vector. strategy2Prune rejects a
+// σ(v, via) with l.bs + BS(σ(v,via)) + BS(σ(via,t)) > Δ for a label at v,
+// whose l.bs ≥ BS(σ(s,v)), so nothing past Δ − BS(σ(via,t)) is ever
 // accepted and a sweep stops there (plus sweepSlack). Nor is any node v with
-// BS(σ(s,v)) + BS(σ(v,to)) past that bound, so the sweep is restricted to
+// BS(σ(s,v)) + BS(σ(v,via)) past that bound, so the sweep is restricted to
 // the ellipse the source frontier draws: every node on the optimal path
-// v→to of a node inside it lies inside it too, so it holds v with the
-// scores and walk of the unrestricted sweep. ok=false means "no path that
-// still leaves budget for the tail", which every caller treats identically
-// to unreachable.
-func (p *plan) sigInto(from, to graph.NodeID, tailBS float64, slot *apsp.Vector) (os, bs float64, ok bool) {
-	return p.candidate(slot, to, apsp.ByBudget, p.q.Budget-tailBS+sweepSlack*p.q.Budget, p.src).Scores(from)
-}
-
-// shortcutPath materializes σ(from, to) for a strategy-1 jump node to,
-// walking the very vector that scored the jump.
-func (p *plan) shortcutPath(from, to graph.NodeID) ([]graph.NodeID, bool) {
-	for i := range p.jumpNodes {
-		if jn := &p.jumpNodes[i]; jn.node == to && jn.sig != nil {
-			return jn.sig.Walk(from)
-		}
-	}
-	return nil, false
+// v→via of a node inside it lies inside it too, so it holds v with the
+// scores of the unrestricted sweep. ok=false means "no path that still
+// leaves budget for the tail", which strategy2Prune treats identically to
+// unreachable.
+func (p *plan) sigInto(from graph.NodeID, via *viaNode) (float64, bool) {
+	_, bs, ok := p.candidate(&via.sig, via.node, apsp.ByBudget, p.q.Budget-via.bsLT+sweepSlack*p.q.Budget, p.src).Scores(from)
+	return bs, ok
 }
 
 // tauObjInto returns the objective score of τ(from, via.node) for a
 // strategy-2 keyword node, off the candidate's τ vector. On an oracle that
-// runs sweeps it is truncated at U−OS(τ(via,t)) as of its first use: U only shrinks, so a node past the truncation can never satisfy the
-// objective condition later either. The bound is negative when the via
-// node's tail alone exceeds U; the sweep then holds its root only.
+// runs sweeps it is truncated at U−OS(τ(via,t)) as of its first use: U only
+// shrinks, so a node past the truncation can never satisfy the objective
+// condition later either. The bound is negative when the via node's tail
+// alone exceeds U; the sweep then holds its root only.
 func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, bool) {
 	os, _, ok := p.candidate(&via.tau, via.node, apsp.ByObjective, u-via.osLT, nil).Scores(from)
 	return os, ok
@@ -456,40 +397,11 @@ func (p *plan) newLabel(cur *label, e graph.Edge) *label {
 	l.bs = cur.bs + e.Budget
 	l.parent = cur
 	l.hash = extendRouteHash(cur.hash, e.To)
-	l.approx = cur.approx
 	l.seq = p.seq
 	if p.exact {
 		l.scaled = exactScaled(l.os)
 	} else {
 		l.scaled = cur.scaled + p.scaledObjective(e.Objective)
-	}
-	return l
-}
-
-// newShortcutLabel builds a strategy-1 jump label following σ(cur.node, to)
-// with the given scores.
-func (p *plan) newShortcutLabel(cur *label, to graph.NodeID, sigOS, sigBS float64) *label {
-	p.seq++
-	p.metrics.LabelsCreated++
-	p.metrics.ShortcutLabels++
-	l := p.sc.arena.alloc()
-	l.node = to
-	l.covered = cur.covered.Union(p.nodeMask[to])
-	l.os = cur.os + sigOS
-	l.bs = cur.bs + sigBS
-	l.parent = cur
-	l.shortcut = true
-	// The chain's materialized nodes now include σ's interior; the route
-	// signature is recomputed at reconstruction.
-	l.approx = true
-	l.seq = p.seq
-	if p.exact {
-		l.scaled = exactScaled(l.os)
-	} else {
-		// ⌊OS(σ)/θ⌋ under-approximates the hop-by-hop sum of floors; the
-		// shortcut is a heuristic for finding a feasible route early and
-		// all hard checks use the exact os/bs fields.
-		l.scaled = cur.scaled + p.scaledObjective(sigOS)
 	}
 	return l
 }
@@ -510,7 +422,7 @@ func (p *plan) trace(kind TraceKind, l *label, u float64) {
 	if p.opts.Tracer == nil {
 		return
 	}
-	p.opts.Tracer.Trace(TraceEvent{Kind: kind, Label: l.view(), U: u, Shortcut: l.shortcut})
+	p.opts.Tracer.Trace(TraceEvent{Kind: kind, Label: l.view(), U: u})
 }
 
 // strategy2Prune applies optimization strategy 2: a label not yet covering
@@ -526,7 +438,7 @@ func (p *plan) strategy2Prune(l *label, u float64) bool {
 	uInf := math.IsInf(u, 1)
 	for i := range p.infreq {
 		via := &p.infreq[i]
-		_, bsIL, ok := p.sigInto(l.node, via.node, via.bsLT, &via.sig)
+		bsIL, ok := p.sigInto(l.node, via)
 		if !ok || l.bs+bsIL+via.bsLT > p.q.Budget {
 			continue // cannot route through this node within Δ
 		}

@@ -58,13 +58,11 @@ type Result struct {
 // call only after a nil-error search.
 func (r Result) Best() Route { return r.Routes[0] }
 
-// reconstruct materializes the route of a final label: the parent chain
-// (expanding strategy-1 σ-shortcuts), then the τ tail from the label's node
-// to the query target. tailOS/tailBS are τ's scores, already verified
-// feasible by the caller. The second return value is the route's uint64
-// signature: for shortcut-free chains it starts from the hash the labels
-// carried incrementally and only folds in the τ tail; chains containing a
-// shortcut recompute it over the materialized sequence.
+// reconstruct materializes the route of a final label: the parent chain,
+// then the τ tail from the label's node to the query target. tailOS/tailBS
+// are τ's scores, already verified feasible by the caller. The second return
+// value is the route's uint64 signature: the hash the labels carried
+// incrementally, extended over the τ tail.
 func (p *plan) reconstruct(last *label, tailOS, tailBS float64) (Route, uint64, error) {
 	// Collect the chain source→last.
 	var chain []*label
@@ -73,16 +71,7 @@ func (p *plan) reconstruct(last *label, tailOS, tailBS float64) (Route, uint64, 
 	}
 	nodes := make([]graph.NodeID, 0, len(chain)+4)
 	for i := len(chain) - 1; i >= 0; i-- {
-		l := chain[i]
-		if !l.shortcut || l.parent == nil {
-			nodes = append(nodes, l.node)
-			continue
-		}
-		seg, ok := p.shortcutPath(l.parent.node, l.node)
-		if !ok {
-			return Route{}, 0, fmt.Errorf("kor: internal: lost σ(%d,%d) during reconstruction", l.parent.node, l.node)
-		}
-		nodes = append(nodes, seg[1:]...) // seg[0] == parent, already present
+		nodes = append(nodes, chain[i].node)
 	}
 	chainLen := len(nodes)
 
@@ -95,11 +84,7 @@ func (p *plan) reconstruct(last *label, tailOS, tailBS float64) (Route, uint64, 
 	}
 
 	sig := last.hash
-	from := chainLen
-	if last.approx {
-		sig, from = routeHashSeed, 0
-	}
-	for _, v := range nodes[from:] {
+	for _, v := range nodes[chainLen:] {
 		sig = extendRouteHash(sig, v)
 	}
 

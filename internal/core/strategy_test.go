@@ -103,35 +103,3 @@ func TestStrategy2EngagesOnRareKeywords(t *testing.T) {
 		t.Error("strategy 2 never pruned a label on the rare-keyword workload")
 	}
 }
-
-// TestStrategy1ProducesShortcuts verifies that the σ-jump optimization
-// creates shortcut labels on workloads where feasible routes are hard to
-// stumble upon, and that shortcut-built routes are structurally valid.
-func TestStrategy1ProducesShortcuts(t *testing.T) {
-	g := rareKeywordGraph(t, 200)
-	s := searcherFor(t, g, false)
-	kws := terms(t, g, "hiddengem")
-	produced := false
-	for srcSeed := 0; srcSeed < 10; srcSeed++ {
-		q := Query{
-			Source:   graph.NodeID(srcSeed * 17 % g.NumNodes()),
-			Target:   graph.NodeID((srcSeed*29 + 7) % g.NumNodes()),
-			Keywords: kws,
-			Budget:   14,
-		}
-		if q.Source == q.Target {
-			continue
-		}
-		res, err := s.OSScaling(q, DefaultOptions())
-		if err != nil {
-			continue
-		}
-		if res.Metrics.ShortcutLabels > 0 {
-			produced = true
-		}
-		verifyRoute(t, g, q, res.Best(), fmt.Sprintf("shortcut src=%d", q.Source))
-	}
-	if !produced {
-		t.Error("strategy 1 never produced a shortcut label")
-	}
-}

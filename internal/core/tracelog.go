@@ -66,9 +66,6 @@ func formatEvent(e TraceEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s node=%-5d λ=%-10s ŌS=%-8d OS=%-9.4g BS=%-9.4g",
 		e.Kind, e.Label.Node, e.Label.Covered.String(), e.Label.ScaledOS, e.Label.OS, e.Label.BS)
-	if e.Shortcut {
-		b.WriteString(" [σ-jump]")
-	}
 	if e.Kind == TraceUpperBound || e.Kind == TraceFeasible {
 		fmt.Fprintf(&b, " U=%.4g", e.U)
 	}

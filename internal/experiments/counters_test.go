@@ -46,14 +46,14 @@ func TestCellWorkCounters(t *testing.T) {
 		// Totals over the cell's queries.
 		failures, labels, planSweeps int
 	}{
-		{"flickr", flickr.Searcher, flickrQs, oss, 2, 1223, 0},
-		{"flickr", flickr.Searcher, flickrQs, bb, 2, 883, 0},
+		{"flickr", flickr.Searcher, flickrQs, oss, 2, 1114, 0},
+		{"flickr", flickr.Searcher, flickrQs, bb, 2, 846, 0},
 		{"flickr", flickr.Searcher, flickrQs, greedy, 2, 0, 0},
-		{"road-lazy", road.Searcher, roadQs, oss, 5, 4807, 88},
-		{"road-lazy", road.Searcher, roadQs, bb, 5, 2429, 88},
+		{"road-lazy", road.Searcher, roadQs, oss, 5, 3806, 8},
+		{"road-lazy", road.Searcher, roadQs, bb, 5, 2253, 8},
 		{"road-lazy", road.Searcher, roadQs, greedy, 7, 0, 36},
-		{"road-partitioned", partitioned, roadQs, oss, 5, 4807, 0},
-		{"road-partitioned", partitioned, roadQs, bb, 5, 2429, 0},
+		{"road-partitioned", partitioned, roadQs, oss, 5, 3806, 0},
+		{"road-partitioned", partitioned, roadQs, bb, 5, 2253, 0},
 		{"road-partitioned", partitioned, roadQs, greedy, 7, 0, 0},
 	}
 	for _, c := range cells {

@@ -159,8 +159,8 @@ func TestAblationStrategiesTable(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Queries = 3
 	tbl := AblationStrategies(ds, cfg)
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("ablation rows = %d, want 4", len(tbl.Rows))
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("ablation rows = %d, want 2", len(tbl.Rows))
 	}
 }
 

@@ -76,7 +76,7 @@ type (
 	Builder = graph.Builder
 	// Route is a search result.
 	Route = core.Route
-	// Options tunes the algorithms (ε, β, α, beam width, k, strategies).
+	// Options tunes the algorithms (ε, β, α, beam width, k, strategy 2).
 	Options = core.Options
 	// Metrics counts the work a search performed.
 	Metrics = core.Metrics
@@ -118,7 +118,8 @@ var (
 func NewBuilder() *Builder { return graph.NewBuilder() }
 
 // DefaultOptions returns the paper's experimental defaults: ε=0.5, β=1.2,
-// α=0.5, beam width 1, k=1, both optimization strategies enabled.
+// α=0.5, beam width 1, k=1, optimization strategy 2 enabled (strategy 1 is
+// not implemented).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // OracleKind selects the τ/σ pre-processing implementation.

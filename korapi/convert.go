@@ -58,9 +58,6 @@ func (o *Options) Apply(base kor.Options) kor.Options {
 	if o.BudgetPriority != nil {
 		base.BudgetPriority = *o.BudgetPriority
 	}
-	if o.DisableStrategy1 != nil {
-		base.DisableStrategy1 = *o.DisableStrategy1
-	}
 	if o.DisableStrategy2 != nil {
 		base.DisableStrategy2 = *o.DisableStrategy2
 	}
@@ -130,7 +127,6 @@ func MetricsFromKor(m kor.Metrics) Metrics {
 		PrunedStrategy2: m.PrunedStrategy2,
 		Dominated:       m.Dominated,
 		DominatedSwept:  m.DominatedSwept,
-		ShortcutLabels:  m.ShortcutLabels,
 		Feasible:        m.Feasible,
 		PeakQueue:       m.PeakQueue,
 		PlanSweeps:      m.PlanSweeps,

@@ -55,9 +55,10 @@ type Options struct {
 	Width *int `json:"width,omitempty"`
 	// BudgetPriority switches Greedy to the budget-first variant.
 	BudgetPriority *bool `json:"budget_priority,omitempty"`
-	// DisableStrategy1 turns off the σ-shortcut optimization.
-	DisableStrategy1 *bool `json:"disable_strategy1,omitempty"`
-	// DisableStrategy2 turns off infrequent-keyword pruning.
+	// DisableStrategy2 turns off infrequent-keyword pruning, the paper's
+	// optimization strategy 2. Strategy 1, the σ-shortcut jump, is not
+	// implemented and has no option: korserve and korrouter reject a body
+	// that names one, as they reject any unknown field.
 	DisableStrategy2 *bool `json:"disable_strategy2,omitempty"`
 	// MaxExpansions caps label creations.
 	MaxExpansions *int `json:"max_expansions,omitempty"`
@@ -78,7 +79,8 @@ type Route struct {
 	Feasible bool `json:"feasible"`
 }
 
-// Metrics is the wire form of the search work counters.
+// Metrics is the wire form of the search work counters. PeakQueue is a
+// high-water mark: a merged response reports the largest of its parts.
 type Metrics struct {
 	LabelsCreated   int `json:"labels_created"`
 	LabelsEnqueued  int `json:"labels_enqueued"`
@@ -88,7 +90,6 @@ type Metrics struct {
 	PrunedStrategy2 int `json:"pruned_strategy2"`
 	Dominated       int `json:"dominated"`
 	DominatedSwept  int `json:"dominated_swept"`
-	ShortcutLabels  int `json:"shortcut_labels"`
 	Feasible        int `json:"feasible"`
 	PeakQueue       int `json:"peak_queue"`
 	// PlanSweeps counts the Dijkstra runs this query started on a lazy

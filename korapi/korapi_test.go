@@ -29,8 +29,8 @@ func TestRequestMarshalStability(t *testing.T) {
 		Options: &Options{
 			Epsilon: f64(0.25), Beta: f64(1.5), Alpha: f64(0.5),
 			Width: iptr(2), BudgetPriority: bptr(true),
-			DisableStrategy1: bptr(true), DisableStrategy2: bptr(false),
-			MaxExpansions: iptr(1000),
+			DisableStrategy2: bptr(false),
+			MaxExpansions:    iptr(1000),
 		},
 	}
 	got, err := json.Marshal(req)
@@ -39,7 +39,7 @@ func TestRequestMarshalStability(t *testing.T) {
 	}
 	want := `{"from":12,"to":80,"keywords":["cafe","jazz"],"budget":6,"algorithm":"topk","k":3,"metrics":true,` +
 		`"options":{"epsilon":0.25,"beta":1.5,"alpha":0.5,"width":2,"budget_priority":true,` +
-		`"disable_strategy1":true,"disable_strategy2":false,"max_expansions":1000}}`
+		`"disable_strategy2":false,"max_expansions":1000}}`
 	if string(got) != want {
 		t.Errorf("request wire form drifted:\n got %s\nwant %s", got, want)
 	}
@@ -73,7 +73,7 @@ func TestResponseMarshalStability(t *testing.T) {
 	want := `{"algorithm":"bucketbound","bound":2.4,` +
 		`"routes":[{"nodes":[0,1,2],"names":["Hotel","Cafe","Park"],"objective":1.5,"budget":3,"feasible":true}],` +
 		`"metrics":{"labels_created":7,"labels_enqueued":0,"labels_dequeued":0,"pruned_budget":0,` +
-		`"pruned_bound":0,"pruned_strategy2":0,"dominated":0,"dominated_swept":0,"shortcut_labels":0,` +
+		`"pruned_bound":0,"pruned_strategy2":0,"dominated":0,"dominated_swept":0,` +
 		`"feasible":0,"peak_queue":3},"elapsed_ms":1.25}`
 	if string(got) != want {
 		t.Errorf("response wire form drifted:\n got %s\nwant %s", got, want)

@@ -354,9 +354,7 @@ func (p prepared) key(fp uint64) (key string, ok bool) {
 	f64(opts.InfrequentFraction)
 	u64(uint64(opts.Width))
 	u64(uint64(opts.K))
-	u64(uint64(opts.Strategy1Candidates))
 	u64(uint64(opts.MaxExpansions))
-	flag(opts.DisableStrategy1)
 	flag(opts.DisableStrategy2)
 	flag(opts.BudgetPriority)
 	return string(b), true

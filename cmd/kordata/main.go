@@ -1,11 +1,10 @@
 // Command kordata generates the reproduction datasets and writes them to
-// disk in the binary graph format, optionally with the disk-resident
-// inverted file alongside and a JSON delta file for exercising the live
-// update path.
+// disk in the binary graph format, optionally with a JSON delta file for
+// exercising the live update path.
 //
 // Usage:
 //
-//	kordata -kind flickr -seed 2012 -out city.korg [-index city.kbpt]
+//	kordata -kind flickr -seed 2012 -out city.korg
 //	kordata -kind road -nodes 5000 -seed 2012 -out road5k.korg
 //	kordata -kind grid -nodes 1000000 -out grid1m.korg -stats
 //	kordata -kind road -nodes 200 -out g.korg -emit-delta patch.json
@@ -69,7 +68,6 @@ import (
 	"kor/internal/cluster"
 	"kor/internal/gen"
 	"kor/internal/graph"
-	"kor/internal/textindex"
 	"kor/korapi"
 )
 
@@ -84,7 +82,6 @@ func main() {
 		ingestOSM   = flag.String("ingest-osm", "", "ingest an OSM-extract TSV file instead of generating")
 		emitText    = flag.String("emit-text", "", "write <base>.nodes.csv and <base>.edges.csv text dumps of the graph")
 		stats       = flag.Bool("stats", false, "print the memory-layout report (footprint, bytes/node, bytes/posting, peak RSS)")
-		index       = flag.String("index", "", "optional output path for the disk inverted file")
 		emitDelta   = flag.String("emit-delta", "", "optional output path for a JSON live-update delta valid for the generated graph")
 		distIndex   = flag.String("build-index", "", "optional output path for the persistent distance index (partitioned τ/σ tables)")
 		cellSize    = flag.Int("cell-size", 0, "partition region-size cap for -build-index and -shard (0 = default)")
@@ -158,20 +155,6 @@ func main() {
 
 	if *stats {
 		printStats(g)
-	}
-
-	if *index != "" {
-		if _, err := os.Stat(*index); err == nil {
-			fatal(fmt.Errorf("index file %s already exists", *index))
-		}
-		gi, err := textindex.BuildForGraph(*index, g)
-		if err != nil {
-			fatal(err)
-		}
-		if err := gi.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *index)
 	}
 
 	if *distIndex != "" {

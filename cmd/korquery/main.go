@@ -33,7 +33,7 @@ func main() {
 		epsilon   = flag.Float64("epsilon", 0.5, "scaling parameter ε")
 		beta      = flag.Float64("beta", 1.2, "bucket base β")
 		alpha     = flag.Float64("alpha", 0.5, "greedy balance α")
-		width     = flag.Int("width", 1, "greedy beam width (1 or 2)")
+		width     = flag.Int("width", 1, "greedy beam width: 1 (Greedy-1) to 4")
 		metrics   = flag.Bool("metrics", false, "print search work counters")
 		timeout   = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 	)

@@ -97,11 +97,7 @@ func (b *shardBackend) handlePatch(w http.ResponseWriter, r *http.Request) {
 
 func (b *shardBackend) handleKeywords(w http.ResponseWriter, r *http.Request) {
 	limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-	suggestions, err := b.eng.Suggest(r.URL.Query().Get("prefix"), limit)
-	if err != nil {
-		korapi.WriteError(w, &korapi.Error{Code: korapi.CodeInternal, Message: err.Error()})
-		return
-	}
+	suggestions := b.eng.Suggest(r.URL.Query().Get("prefix"), limit)
 	out := korapi.KeywordsResponse{Keywords: make([]korapi.Keyword, len(suggestions))}
 	for i, sg := range suggestions {
 		out.Keywords[i] = korapi.Keyword{Keyword: sg.Keyword, Nodes: sg.Nodes}
@@ -590,10 +586,7 @@ func TestRouterKeywordCountsExact(t *testing.T) {
 	for _, prefix := range []string{"", "a", "k"} {
 		var got korapi.KeywordsResponse
 		getJSON(t, tc.srv.URL+"/v1/keywords?prefix="+prefix+"&limit=200", &got)
-		want, err := tc.single.Suggest(prefix, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := tc.single.Suggest(prefix, 200)
 		if len(got.Keywords) != len(want) {
 			t.Fatalf("prefix %q: router returned %d keywords, unsharded %d", prefix, len(got.Keywords), len(want))
 		}

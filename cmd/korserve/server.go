@@ -526,11 +526,7 @@ func (s *server) handleKeywords(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	suggestions, err := s.eng.Suggest(r.URL.Query().Get("prefix"), limit)
-	if err != nil {
-		writeError(w, &korapi.Error{Code: korapi.CodeInternal, Message: err.Error()})
-		return
-	}
+	suggestions := s.eng.Suggest(r.URL.Query().Get("prefix"), limit)
 	out := korapi.KeywordsResponse{Keywords: make([]korapi.Keyword, len(suggestions))}
 	for i, sg := range suggestions {
 		out.Keywords[i] = korapi.Keyword{Keyword: sg.Keyword, Nodes: sg.Nodes}

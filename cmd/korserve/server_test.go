@@ -213,6 +213,7 @@ func TestServeV1RouteBadParams(t *testing.T) {
 		{"bad epsilon value", "/v1/route?from=0&to=2&keywords=cafe&budget=5&epsilon=nope", korapi.CodeBadRequest},
 		{"out-of-domain epsilon", "/v1/route?from=0&to=2&keywords=cafe&budget=5&epsilon=1.5", korapi.CodeBadRequest},
 		{"bad width", "/v1/route?from=0&to=2&keywords=cafe&budget=5&width=0", korapi.CodeBadRequest},
+		{"width too wide", "/v1/route?from=0&to=2&keywords=cafe&budget=5&algorithm=greedy&width=1000", korapi.CodeBadRequest},
 		{"bad metrics", "/v1/route?from=0&to=2&keywords=cafe&budget=5&metrics=perhaps", korapi.CodeBadRequest},
 		{"bad format", "/v1/route?from=0&to=2&keywords=cafe&budget=5&format=xml", korapi.CodeBadRequest},
 		{"unknown algorithm", "/v1/route?from=0&to=2&keywords=cafe&budget=5&algorithm=warp", korapi.CodeUnknownAlgorithm},

@@ -105,7 +105,7 @@ func TestGreedyFrontierCases(t *testing.T) {
 			{0, 1, 1, 1}, {1, 2, 1, 1}, {2, 3, 1, 1}, {0, 2, 1, 3}, {2, 1, 1, 1}, {1, 3, 4, 1},
 		})
 		q := Query{Source: 0, Target: 3, Keywords: terms(t, g, "k", "j"), Budget: 10}
-		for _, width := range []int{2, 5} {
+		for _, width := range []int{2, MaxWidth} {
 			opts := DefaultOptions()
 			opts.Width = width
 			if _, err := greedyEverywhere(t, g, q, opts); err != nil {

@@ -30,7 +30,7 @@ type plan struct {
 	sc *planScratch
 	// postings holds each term's posting list, parallel to terms. Fetched
 	// once: plan setup, the strategy-2 candidates and scratch reset all walk
-	// them, and a disk-backed index must not be re-read for each.
+	// them, and graph.MemIndex decodes a list on every Postings call.
 	postings [][]graph.NodeID
 
 	terms    []graph.Term // deduplicated query keywords, bit i ↔ terms[i]

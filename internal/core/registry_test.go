@@ -125,6 +125,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Alpha = 1.5 },
 		func(o *Options) { o.K = 0 },
 		func(o *Options) { o.Width = 0 },
+		func(o *Options) { o.Width = MaxWidth + 1 },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()

@@ -111,8 +111,15 @@ func NewRoadDataset(cfg Config, nodes int) *Dataset {
 }
 
 // Queries generates the workload for one (m, Δ) cell, deterministic in the
-// dataset and harness seed.
+// dataset and harness seed. Keywords come from the most frequent 12 % of
+// terms.
 func (ds *Dataset) Queries(cfg Config, m int, delta float64) []core.Query {
+	return ds.queries(cfg, m, delta, 0.12)
+}
+
+// queries is Queries with the keyword pool's top-term fraction chosen by
+// the caller; 1 draws from every term.
+func (ds *Dataset) queries(cfg Config, m int, delta, topTerms float64) []core.Query {
 	cfg = cfg.WithDefaults()
 	return queryset.Generate(ds.Graph, ds.Index, queryset.Spec{
 		Seed:            cfg.Seed ^ int64(m)<<32 ^ int64(delta*1000),
@@ -121,7 +128,7 @@ func (ds *Dataset) Queries(cfg Config, m int, delta float64) []core.Query {
 		Budget:          delta,
 		MaxCrowKm:       delta * 0.45,
 		PlanarCoords:    ds.Planar,
-		TopTermFraction: 0.12,
+		TopTermFraction: topTerms,
 	})
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,13 +155,32 @@ func TestFigureSmoke(t *testing.T) {
 	}
 }
 
+// TestAblationStrategiesTable: the ablation must measure strategy 2, not
+// run it where it never engages. On the 5,000-node road network with
+// keywords from the full term pool the strategy prunes labels, and the
+// search creates fewer labels with it than without.
 func TestAblationStrategiesTable(t *testing.T) {
-	ds := fastFlickr(t)
 	cfg := fastConfig()
-	cfg.Queries = 3
-	tbl := AblationStrategies(ds, cfg)
+	cfg.Queries = 8
+	tbl := AblationStrategies(NewRoadDataset(cfg, 5000), cfg)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("ablation rows = %d, want 2", len(tbl.Rows))
+	}
+	cell := func(row []string, col int) int {
+		n, err := strconv.Atoi(row[col])
+		if err != nil {
+			t.Fatalf("%s %s = %q: %v", row[0], tbl.Columns[col], row[col], err)
+		}
+		return n
+	}
+	on, off := tbl.Rows[0], tbl.Rows[1]
+	labelsOn, labelsOff := cell(on, 2), cell(off, 2)
+	t.Logf("%s: %v; %s: %v", on[0], on, off[0], off)
+	if cell(on, 3) == 0 {
+		t.Errorf("strategy-2 row pruned_s2 = 0, want > 0")
+	}
+	if labelsOn >= labelsOff {
+		t.Errorf("labels with strategy 2 = %d, without = %d; want fewer with it", labelsOn, labelsOff)
 	}
 }
 

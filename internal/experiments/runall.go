@@ -97,7 +97,9 @@ func Runners() []Runner {
 			return one(Figure19(roadDS(cfg), cfg)), nil
 		}},
 		{"20", "example routes (Figs. 20–21)", onFlickr(ExampleRoutes)},
-		{"ablation-strategies", "optimization strategy ablation", onFlickr(AblationStrategies)},
+		{"ablation-strategies", "optimization strategy ablation (road 5k)", func(cfg Config) ([]*stats.Table, error) {
+			return one(AblationStrategies(roadDS(cfg), cfg)), nil
+		}},
 		{"ablation-oracles", "oracle ablation", onFlickr(AblationOracles)},
 	}
 }

@@ -5,8 +5,8 @@ import "encoding/binary"
 // PostingSource supplies, for a keyword term, the nodes whose keyword sets
 // contain it. The route-search algorithms consult it to seed the greedy
 // candidate set, to find the nodes of infrequent query keywords
-// (optimization strategy 2) and to build per-query coverage masks. Both the
-// in-memory index below and the disk-resident inverted file satisfy it.
+// (optimization strategy 2) and to build per-query coverage masks. The
+// engine serves it from the in-memory index below.
 type PostingSource interface {
 	// Postings returns the sorted node IDs carrying term t. The result must
 	// be treated as read-only. A missing term yields an empty slice.

@@ -6,11 +6,10 @@ import (
 	"kor/internal/graph"
 )
 
-// GraphIndex adapts an InvertedFile to graph.PostingSource so the route
-// search algorithms can run against the disk-resident index. Postings read
-// from disk are memoized: the search algorithms hit the same few query terms
-// repeatedly, and the paper's complexity analysis assumes those lookups are
-// cheap after the first fetch.
+// GraphIndex reads an InvertedFile by graph Term, the lookup graph.MemIndex
+// answers in memory. Postings read from disk are memoized: a query stream
+// hits the same few terms repeatedly, and the paper's complexity analysis
+// assumes those lookups are cheap after the first fetch.
 //
 // A GraphIndex is safe for concurrent use. The underlying B+-tree mutates
 // its page cache even on reads, so every descent to the file happens under
@@ -22,11 +21,6 @@ type GraphIndex struct {
 
 	mu   sync.RWMutex
 	memo map[graph.Term][]graph.NodeID
-}
-
-// NewGraphIndex wraps file, translating graph Terms through vocab.
-func NewGraphIndex(file *InvertedFile, vocab *graph.Vocabulary) *GraphIndex {
-	return &GraphIndex{file: file, vocab: vocab, memo: make(map[graph.Term][]graph.NodeID)}
 }
 
 // BuildForGraph writes the inverted file for g at path and returns the
@@ -52,7 +46,7 @@ func BuildForGraph(path string, g *graph.Graph) (*GraphIndex, error) {
 		file.Close()
 		return nil, err
 	}
-	return NewGraphIndex(file, g.Vocab()), nil
+	return &GraphIndex{file: file, vocab: g.Vocab(), memo: make(map[graph.Term][]graph.NodeID)}, nil
 }
 
 // Postings returns the sorted node IDs carrying term t.
@@ -85,17 +79,6 @@ func (gi *GraphIndex) Postings(t graph.Term) []graph.NodeID {
 	}
 	gi.memo[t] = out
 	return out
-}
-
-// DocFrequency returns the number of nodes carrying term t.
-func (gi *GraphIndex) DocFrequency(t graph.Term) int { return len(gi.Postings(t)) }
-
-// Suggest forwards a prefix scan to the inverted file. The scan walks the
-// B+-tree, so it takes the exclusive lock.
-func (gi *GraphIndex) Suggest(prefix string, limit int) ([]TermCount, error) {
-	gi.mu.Lock()
-	defer gi.mu.Unlock()
-	return gi.file.SuggestTerms(prefix, limit)
 }
 
 // Close closes the underlying inverted file.

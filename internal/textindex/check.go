@@ -18,8 +18,7 @@ type CheckReport struct {
 // in-order keys, consistent separator bounds, uniform leaf depth, an intact
 // leaf chain, readable overflow chains and an acyclic free list. It returns
 // a report on success and ErrCorrupt (wrapped with the failing detail)
-// otherwise. Tooling runs it after bulk builds; tests run it after random
-// workloads.
+// otherwise. Tests run it after random workloads.
 func (t *Tree) Check() (CheckReport, error) {
 	if t.closed {
 		return CheckReport{}, ErrClosed

@@ -9,8 +9,7 @@ import (
 // InvertedFile is the paper's disk-resident inverted index: for every
 // keyword, the ascending list of node identifiers whose keyword sets contain
 // it. Posting lists are delta-compressed varints inside a B+-tree keyed by
-// the keyword string, so vocabulary lookups, frequency checks and ordered
-// vocabulary scans are all tree operations.
+// the keyword string.
 type InvertedFile struct {
 	tree *Tree
 }
@@ -18,15 +17,6 @@ type InvertedFile struct {
 // CreateInverted creates a new inverted file at path.
 func CreateInverted(path string) (*InvertedFile, error) {
 	t, err := Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &InvertedFile{tree: t}, nil
-}
-
-// OpenInverted opens an existing inverted file.
-func OpenInverted(path string) (*InvertedFile, error) {
-	t, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -52,24 +42,6 @@ func (f *InvertedFile) PutPostings(term string, docs []uint32) error {
 	return f.tree.Put([]byte(term), encodePostings(sorted))
 }
 
-// AddDoc inserts one document into term's posting list, creating the list if
-// needed. Bulk builders should prefer PutPostings: AddDoc re-encodes the list
-// on every call.
-func (f *InvertedFile) AddDoc(term string, doc uint32) error {
-	docs, err := f.Postings(term)
-	if err != nil {
-		return err
-	}
-	i := sort.Search(len(docs), func(i int) bool { return docs[i] >= doc })
-	if i < len(docs) && docs[i] == doc {
-		return nil
-	}
-	docs = append(docs, 0)
-	copy(docs[i+1:], docs[i:])
-	docs[i] = doc
-	return f.tree.Put([]byte(term), encodePostings(docs))
-}
-
 // Postings returns the ascending posting list for term; a missing term
 // yields an empty list.
 func (f *InvertedFile) Postings(term string) ([]uint32, error) {
@@ -80,46 +52,11 @@ func (f *InvertedFile) Postings(term string) ([]uint32, error) {
 	return decodePostings(raw)
 }
 
-// DocFrequency returns the posting-list length for term.
-func (f *InvertedFile) DocFrequency(term string) (int, error) {
-	raw, ok, err := f.tree.Get([]byte(term))
-	if err != nil || !ok {
-		return 0, err
-	}
-	n, _ := binary.Uvarint(raw)
-	return int(n), nil
-}
-
-// NumTerms returns the vocabulary size.
-func (f *InvertedFile) NumTerms() int { return f.tree.Len() }
-
-// Walk calls fn for every (term, postings) pair in ascending term order,
-// stopping early if fn returns false.
-func (f *InvertedFile) Walk(fn func(term string, docs []uint32) bool) error {
-	c, err := f.tree.SeekFirst()
-	if err != nil {
-		return err
-	}
-	for c.Next() {
-		docs, err := decodePostings(c.Value())
-		if err != nil {
-			return err
-		}
-		if !fn(string(c.Key()), docs) {
-			return nil
-		}
-	}
-	return c.Err()
-}
-
 // Flush writes dirty pages to disk.
 func (f *InvertedFile) Flush() error { return f.tree.Flush() }
 
 // Close flushes and closes the underlying tree.
 func (f *InvertedFile) Close() error { return f.tree.Close() }
-
-// Tree exposes the underlying B+-tree for stats and tests.
-func (f *InvertedFile) Tree() *Tree { return f.tree }
 
 // encodePostings writes count followed by delta-encoded doc IDs as uvarints.
 func encodePostings(docs []uint32) []byte {
@@ -147,6 +84,11 @@ func decodePostings(raw []byte) ([]uint32, error) {
 		return nil, fmt.Errorf("%w: bad posting count", ErrCorrupt)
 	}
 	raw = raw[n:]
+	// Every posting takes at least one byte: a larger count is corrupt, and
+	// must not size the allocation below.
+	if count > uint64(len(raw)) {
+		return nil, fmt.Errorf("%w: posting count %d exceeds %d bytes", ErrCorrupt, count, len(raw))
+	}
 	docs := make([]uint32, 0, count)
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {

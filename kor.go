@@ -47,7 +47,6 @@ package kor
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
@@ -60,7 +59,6 @@ import (
 	"kor/internal/gen"
 	"kor/internal/graph"
 	"kor/internal/metrics"
-	"kor/internal/textindex"
 )
 
 // Re-exported fundamental types. The façade keeps the internal packages'
@@ -145,10 +143,6 @@ const denseOracleLimit = 6000
 type EngineConfig struct {
 	// Oracle selects the pre-processing implementation.
 	Oracle OracleKind
-	// IndexPath, when non-empty, builds (or reuses) a disk-resident
-	// inverted file at this path instead of the in-memory index — the
-	// paper's B+-tree storage.
-	IndexPath string
 	// DistIndexPath, when non-empty, loads a persistent distance oracle
 	// built by WriteDistIndex (kordata -build-index) instead of running the
 	// τ/σ pre-processing at startup; Oracle is then ignored for the
@@ -197,9 +191,6 @@ type Engine struct {
 	// configuration the engine was constructed with.
 	cfg EngineConfig
 
-	index     io.Closer // non-nil when a disk index is open
-	diskIndex *textindex.GraphIndex
-
 	// distOracle is the disk-loaded distance oracle (DistIndexPath), shared
 	// by every snapshot whose graph matches its fingerprint; distLoad is how
 	// long OpenIndex took. Both are set once at construction.
@@ -234,32 +225,17 @@ type Suggestion struct {
 	Nodes   int
 }
 
-// Suggest returns up to limit keywords starting with prefix, each with its
-// node count — the autocomplete primitive for a search box. With a disk
-// index configured it is a B+-tree range scan; otherwise it scans the
-// vocabulary.
-func (e *Engine) Suggest(prefix string, limit int) ([]Suggestion, error) {
+// Suggest returns up to limit keywords starting with prefix, in ascending
+// order, each with its node count — the autocomplete primitive for a search
+// box. It scans the current snapshot's vocabulary.
+func (e *Engine) Suggest(prefix string, limit int) []Suggestion {
 	if limit <= 0 {
 		limit = 10
-	}
-	if e.diskIndex != nil {
-		tcs, err := e.diskIndex.Suggest(prefix, limit)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Suggestion, len(tcs))
-		for i, tc := range tcs {
-			out[i] = Suggestion{Keyword: tc.Term, Nodes: tc.Count}
-		}
-		return out, nil
 	}
 	var out []Suggestion
 	sn := e.snap.Load()
 	idx := sn.searcher.Index()
-	names := sn.g.Vocab().Names()
-	// Names are in interning order; collect matches then sort by name to
-	// match the disk index's ordering.
-	for term, name := range names {
+	for term, name := range sn.g.Vocab().Names() {
 		if strings.HasPrefix(name, prefix) {
 			out = append(out, Suggestion{Keyword: name, Nodes: idx.DocFrequency(Term(term))})
 		}
@@ -268,11 +244,10 @@ func (e *Engine) Suggest(prefix string, limit int) ([]Suggestion, error) {
 	if len(out) > limit {
 		out = out[:limit]
 	}
-	return out, nil
+	return out
 }
 
-// NewEngine builds an engine over g. A nil config uses OracleAuto and the
-// in-memory inverted index.
+// NewEngine builds an engine over g. A nil config uses OracleAuto.
 func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("kor: nil graph")
@@ -287,21 +262,10 @@ func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 		// exposition time, when the snapshot pointer is set.
 		eng.registerMetrics(cfg.Metrics)
 	}
-	if cfg.IndexPath != "" {
-		gi, err := openOrBuildIndex(cfg.IndexPath, g)
-		if err != nil {
-			return nil, err
-		}
-		eng.index = gi
-		eng.diskIndex = gi
-	}
 	if cfg.DistIndexPath != "" {
 		start := time.Now()
 		po, err := apsp.OpenIndex(cfg.DistIndexPath, g)
 		if err != nil {
-			if eng.index != nil {
-				eng.index.Close()
-			}
 			return nil, fmt.Errorf("kor: loading distance index %s: %w", cfg.DistIndexPath, err)
 		}
 		eng.distOracle = po
@@ -309,7 +273,7 @@ func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 	}
 	sn, err := eng.newSnapshot(g, 1)
 	if err != nil {
-		eng.closeOwned()
+		eng.Close()
 		return nil, err
 	}
 	eng.generation = 1
@@ -359,21 +323,6 @@ func buildOracle(g *Graph, cfg EngineConfig) (core.RouteOracle, string, error) {
 	}
 }
 
-func openOrBuildIndex(path string, g *Graph) (*textindex.GraphIndex, error) {
-	if _, err := os.Stat(path); err == nil {
-		file, err := textindex.OpenInverted(path)
-		if err != nil {
-			return nil, fmt.Errorf("kor: opening inverted file: %w", err)
-		}
-		return textindex.NewGraphIndex(file, g.Vocab()), nil
-	}
-	gi, err := textindex.BuildForGraph(path, g)
-	if err != nil {
-		return nil, fmt.Errorf("kor: building inverted file: %w", err)
-	}
-	return gi, nil
-}
-
 // CacheStats is a point-in-time snapshot of the response cache's counters.
 type CacheStats struct {
 	// Hits and Misses count Run lookups over the engine's lifetime; only
@@ -402,25 +351,13 @@ func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
 	return e.results.stats(), true
 }
 
-// Close releases the engine's disk-backed resources: the inverted file and
-// the mmap behind a persistent distance oracle, when configured.
+// Close releases the engine's disk-backed resource: the mmap behind a
+// persistent distance oracle, when configured.
 func (e *Engine) Close() error {
-	return e.closeOwned()
-}
-
-// closeOwned releases the disk index and distance oracle, keeping the first
-// error.
-func (e *Engine) closeOwned() error {
-	var err error
-	if e.index != nil {
-		err = e.index.Close()
+	if e.distOracle == nil {
+		return nil
 	}
-	if e.distOracle != nil {
-		if cerr := e.distOracle.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return e.distOracle.Close()
 }
 
 // Graph returns the engine's current graph. After a Swap or Patch it

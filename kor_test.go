@@ -154,42 +154,6 @@ func TestEngineTopK(t *testing.T) {
 	}
 }
 
-func TestEngineWithDiskIndex(t *testing.T) {
-	g := tinyCity(t)
-	path := filepath.Join(t.TempDir(), "city.kbpt")
-	eng, err := NewEngine(g, &EngineConfig{IndexPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{From: 0, To: 2, Keywords: []string{"jazz"}, Budget: 5}
-	resp, err := eng.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := resp.Best()
-	if !route.Feasible {
-		t.Fatalf("route %v infeasible", route)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopening reuses the index file.
-	eng2, err := NewEngine(g, &EngineConfig{IndexPath: path})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer eng2.Close()
-	resp2, err := eng2.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	route2 := resp2.Best()
-	if route2.Objective != route.Objective {
-		t.Errorf("disk-index reopen changed the answer: %v vs %v", route2, route)
-	}
-}
-
 func TestDescribeUsesNames(t *testing.T) {
 	eng, err := NewEngine(tinyCity(t), nil)
 	if err != nil {
@@ -268,17 +232,11 @@ func TestEngineSuggest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Suggest("ca", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := eng.Suggest("ca", 10)
 	if len(got) != 1 || got[0].Keyword != "cafe" || got[0].Nodes != 2 {
 		t.Fatalf("Suggest(ca) = %v, want [{cafe 2}]", got)
 	}
-	all, err := eng.Suggest("", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := eng.Suggest("", 100)
 	if len(all) != g.Vocab().Len() {
 		t.Fatalf("Suggest(\"\") returned %d of %d keywords", len(all), g.Vocab().Len())
 	}
@@ -288,18 +246,13 @@ func TestEngineSuggest(t *testing.T) {
 		}
 	}
 
-	// Disk-backed suggestions agree.
-	eng2, err := NewEngine(g, &EngineConfig{IndexPath: filepath.Join(t.TempDir(), "s.kbpt")})
-	if err != nil {
+	// Suggestions follow a live update.
+	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 0, Keywords: []string{"cava"}}}}); err != nil {
 		t.Fatal(err)
 	}
-	defer eng2.Close()
-	got2, err := eng2.Suggest("ca", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != len(got) || got2[0] != got[0] {
-		t.Fatalf("disk suggestions %v differ from memory %v", got2, got)
+	got = eng.Suggest("ca", 10)
+	if len(got) != 2 || got[0] != (Suggestion{"cafe", 2}) || got[1] != (Suggestion{"cava", 1}) {
+		t.Fatalf("Suggest(ca) after Patch = %v, want [{cafe 2} {cava 1}]", got)
 	}
 }
 

@@ -245,7 +245,7 @@ func ErrorFrom(err error) *Error {
 		return &Error{Code: CodeSearchLimit, Message: err.Error()}
 	case errors.Is(err, kor.ErrUnknownAlgorithm):
 		return &Error{Code: CodeUnknownAlgorithm, Message: err.Error()}
-	case errors.Is(err, kor.ErrBadQuery), errors.Is(err, kor.ErrBadDelta), errors.Is(err, kor.ErrStaticIndex):
+	case errors.Is(err, kor.ErrBadQuery), errors.Is(err, kor.ErrBadDelta):
 		return &Error{Code: CodeBadRequest, Message: err.Error()}
 	default:
 		return &Error{Code: CodeInternal, Message: err.Error()}

@@ -51,7 +51,8 @@ type Options struct {
 	Beta *float64 `json:"beta,omitempty"`
 	// Alpha balances objective against budget in the greedy score, ∈ [0,1].
 	Alpha *float64 `json:"alpha,omitempty"`
-	// Width is the greedy beam width (≥ 1).
+	// Width is the greedy beam width, 1 (Greedy-1) to 4; a wider beam is a
+	// bad_request.
 	Width *int `json:"width,omitempty"`
 	// BudgetPriority switches Greedy to the budget-first variant.
 	BudgetPriority *bool `json:"budget_priority,omitempty"`

@@ -182,7 +182,6 @@ func TestErrorFromMapping(t *testing.T) {
 		{fmt.Errorf("wrap: %w", kor.ErrSearchLimit), CodeSearchLimit},
 		{fmt.Errorf("%w: %w %q", kor.ErrBadQuery, kor.ErrUnknownAlgorithm, "warp"), CodeUnknownAlgorithm},
 		{fmt.Errorf("%w: update edge 9→9: no such edge", kor.ErrBadDelta), CodeBadRequest},
-		{kor.ErrStaticIndex, CodeBadRequest},
 		{errors.New("disk on fire"), CodeInternal},
 	}
 	for _, c := range cases {

@@ -12,21 +12,16 @@ import (
 )
 
 // Live graph updates. An Engine no longer owns one graph forever: everything
-// derived from a graph — the graph itself, the τ/σ oracle, the searcher and
-// the memoized stats — lives in an immutable snapshot behind an atomic
-// pointer. Engine.Swap installs a whole new graph, Engine.Patch applies an
+// derived from a graph — the graph itself, the τ/σ oracle, the in-memory
+// inverted index, the searcher and the memoized stats — lives in an
+// immutable snapshot behind an atomic pointer. Every engine follows live
+// updates. Engine.Swap installs a whole new graph, Engine.Patch applies an
 // incremental Delta to the current one; both build the new snapshot off the
 // query path and publish it with a single pointer store, so in-flight
 // queries finish against the snapshot they started on while new queries see
 // the new graph immediately. The result cache is keyed by the snapshot
 // fingerprint (stale entries can never be served) and is additionally
 // cleared on every swap so dead entries stop squatting LRU capacity.
-
-// ErrStaticIndex reports a Swap or Patch on an engine built with a
-// disk-resident inverted file (EngineConfig.IndexPath): the index file is
-// bound to the graph it was built from and cannot follow live updates. Use
-// the in-memory index for live-updated deployments.
-var ErrStaticIndex = errors.New("kor: disk-resident index cannot follow live graph updates")
 
 // ErrBadDelta wraps validation failures of a Patch delta: unknown nodes,
 // edges that do not exist, out-of-domain attributes.
@@ -109,8 +104,7 @@ func (sn *snapshot) computeStats() GraphStats {
 }
 
 // newSnapshot builds the per-graph substrates: the oracle per the engine's
-// configuration and, unless the engine owns a disk index, a fresh in-memory
-// inverted index. With a persistent distance index configured the snapshot
+// configuration and a fresh in-memory inverted index. With a persistent distance index configured the snapshot
 // serves from it when the graph still matches its fingerprint; otherwise it
 // falls back to a lazy oracle and flags the status Degraded — stale
 // precomputed distances must never answer queries for a changed graph.
@@ -147,15 +141,9 @@ func (e *Engine) newSnapshot(g *Graph, generation uint64) (*snapshot, error) {
 			return nil, err
 		}
 	}
-	var index graph.PostingSource
-	if e.diskIndex != nil {
-		index = e.diskIndex
-	} else {
-		index = graph.NewMemIndex(g)
-	}
 	return &snapshot{
 		g:        g,
-		searcher: core.NewSearcher(g, oracle, index),
+		searcher: core.NewSearcher(g, oracle, graph.NewMemIndex(g)),
 		info: SnapshotInfo{
 			Fingerprint: g.Fingerprint(),
 			Generation:  generation,
@@ -171,14 +159,9 @@ func (e *Engine) newSnapshot(g *Graph, generation uint64) (*snapshot, error) {
 // result cache is cleared. Queries that entered Run before the swap finish
 // against the old snapshot; queries entering after see g. The returned
 // SnapshotInfo identifies the installed snapshot.
-//
-// Swap fails with ErrStaticIndex on an engine using a disk-resident index.
 func (e *Engine) Swap(g *Graph) (SnapshotInfo, error) {
 	if g == nil {
 		return SnapshotInfo{}, errors.New("kor: nil graph")
-	}
-	if e.diskIndex != nil {
-		return SnapshotInfo{}, ErrStaticIndex
 	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -191,9 +174,6 @@ func (e *Engine) Swap(g *Graph) (SnapshotInfo, error) {
 // is a no-op returning the current snapshot. Validation failures wrap
 // ErrBadDelta and leave the current snapshot in place.
 func (e *Engine) Patch(d Delta) (SnapshotInfo, error) {
-	if e.diskIndex != nil {
-		return SnapshotInfo{}, ErrStaticIndex
-	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
 	cur := e.snap.Load()

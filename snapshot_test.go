@@ -3,7 +3,6 @@ package kor
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -346,27 +345,6 @@ func TestSwapUnderLoad(t *testing.T) {
 
 	if info := eng.Snapshot(); info.Generation < 30 {
 		t.Errorf("generation = %d, want ≥ 30 after 30 swaps", info.Generation)
-	}
-}
-
-// TestStaticIndexRejectsSwap: an engine bound to a disk-resident inverted
-// file cannot follow live updates; both mutation paths say so.
-func TestStaticIndexRejectsSwap(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := NewEngine(swapCity(t, 0.7), &EngineConfig{IndexPath: filepath.Join(dir, "city.kbpt")})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	defer eng.Close()
-	if _, err := eng.Swap(swapCity(t, 0.1)); !errors.Is(err, ErrStaticIndex) {
-		t.Fatalf("Swap err = %v, want ErrStaticIndex", err)
-	}
-	d := Delta{UpdateEdges: []EdgePatch{{From: 0, To: 1, Objective: 0.2, Budget: 1.2}}}
-	if _, err := eng.Patch(d); !errors.Is(err, ErrStaticIndex) {
-		t.Fatalf("Patch err = %v, want ErrStaticIndex", err)
-	}
-	if eng.Snapshot().Generation != 1 {
-		t.Fatal("rejected mutation still moved the snapshot")
 	}
 }
 

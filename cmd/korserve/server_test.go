@@ -246,6 +246,14 @@ func TestServeErrorCodes(t *testing.T) {
 	resp = get(t, ts, "/v1/route?from=0&to=2&keywords=cafe&budget=NaN", &env)
 	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
 
+	// So are a NaN ε, β or α and an infinite β: each once answered an empty
+	// 200, or a route ranked on NaN scores.
+	for _, opt := range []string{"epsilon=NaN", "beta=NaN", "beta=Inf", "alpha=NaN"} {
+		env = korapi.ErrorEnvelope{}
+		resp = get(t, ts, "/v1/route?from=0&to=2&keywords=cafe&budget=5&"+opt, &env)
+		wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
+	}
+
 	// A server whose deadline already passed when the search starts.
 	tiny := testServer(t, time.Nanosecond)
 	env = korapi.ErrorEnvelope{}

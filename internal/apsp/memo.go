@@ -17,9 +17,12 @@ import (
 
 const (
 	// sliceMemoBudget holds about 523 slices of 160,120 B on the 8,000-node
-	// bench road graph. A label query reads its two target slices and its
-	// strategy-2 slices, which fill densely, so the worst-case charge is
-	// close to what they hold (DESIGN.md, The oracle memo).
+	// bench road graph. Slices fill only where they are read: a label query
+	// stays near its Δ-ball and Greedy scans only the cells Equation 1 can
+	// still reach, so a full store holds far less than the charge — 523
+	// slices held 8.8 MiB after 256 bench queries, one algorithm in three
+	// Greedy, and 7.5 MiB after 256 Greedy queries (DESIGN.md, The oracle
+	// memo).
 	sliceMemoBudget = 80 << 20
 	// memoMinEntries keeps a store useful on graphs where one entry exceeds
 	// the whole budget: a query's two target slices and a candidate or two

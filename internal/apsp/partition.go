@@ -68,6 +68,10 @@ type PartitionedOracle struct {
 
 	// slices memoizes the per-target and per-source slices (slice.go).
 	slices *memo[*TargetSlice]
+	// pairMin bounds the overlay per ordered cell pair, one table per
+	// metric: entry i*len(cells)+j holds the least primary and the least
+	// secondary of block(i, j), filled on first use (cellPairMin).
+	pairMin [2][]scoreEntry
 
 	// Disk-load state (persist.go): the mapping backing the aliased tables,
 	// if any, and the source file size.
@@ -338,7 +342,7 @@ func newPartitionedOracle(g *graph.Graph, p *Partition) *PartitionedOracle {
 
 	o.buildCellTables()
 	o.buildOverlay()
-	o.slices = o.newSliceMemo()
+	o.initSlices()
 	return o
 }
 

@@ -480,7 +480,7 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 	if err := o.checkNumbering(); err != nil {
 		return nil, err
 	}
-	o.slices = o.newSliceMemo()
+	o.initSlices()
 	return o, nil
 }
 

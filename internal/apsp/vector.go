@@ -137,3 +137,7 @@ type sliceVector struct {
 }
 
 func (s *sliceVector) Scores(v graph.NodeID) (os, bs float64, ok bool) { return s.ts.Scores(v) }
+
+// Cell and CellBound forward the slice's cell bounds (TargetSlice.CellBound).
+func (s *sliceVector) Cell(v graph.NodeID) int          { return s.ts.Cell(v) }
+func (s *sliceVector) CellBound(c int) (os, bs float64) { return s.ts.CellBound(c) }

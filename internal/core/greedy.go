@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"kor/internal/apsp"
 	"kor/internal/bitset"
@@ -217,17 +219,31 @@ func (p *plan) score(st greedyOutcome, m graph.NodeID, segOS, segBS, tailOS, tai
 	return greedyCandidate{node: m, score: s, os: segOS, bs: segBS}, true
 }
 
-// nodeSetCandidates scores every keyword node carrying an uncovered keyword
+// nodeSetCandidates scores the keyword nodes carrying an uncovered keyword
 // as the next waypoint after cur, reading the cur→m segments off out, the
 // τ vector out of cur, and the m→target tails off the plan's τ tail. On a
 // partitioned oracle out is a source slice (scores equal to the pair
 // interface up to floating-point association, see apsp.SourceSliced) and
 // the tail a target slice: two array reads per candidate where a pair query
-// costs |borders|² table probes, without which this loop dominates the
-// whole search.
+// costs |borders|² table probes. Both slices bound their scores per
+// partition cell, so there the scan visits the cells in ascending order of
+// Equation 1's lower bound and stops at the first that cannot make the cut
+// (cellCandidates); a scan of every node assembled both slices whole and
+// dominated the search. Any other oracle's vectors are scanned node by node.
 func (p *plan) nodeSetCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vector, uncovered bitset.Mask, nodeSet []graph.NodeID) ([]greedyCandidate, error) {
-	var candidates []greedyCandidate
-	for _, m := range nodeSet {
+	outCells, ok := out.(cellBounded)
+	tailCells, tok := p.tauTail().(cellBounded)
+	if !ok || !tok {
+		return p.scanNodes(st, cur, out, uncovered, nodeSet, nil, nil)
+	}
+	return p.cellCandidates(st, cur, out, outCells, tailCells, uncovered, nodeSet)
+}
+
+// scanNodes scores the nodes of list that carry an uncovered keyword, other
+// than cur, as nodeSetCandidates describes, appending them to candidates
+// and, when cut is not nil, recording their scores in it.
+func (p *plan) scanNodes(st greedyOutcome, cur graph.NodeID, out apsp.Vector, uncovered bitset.Mask, list []graph.NodeID, candidates []greedyCandidate, cut *beamCut) ([]greedyCandidate, error) {
+	for _, m := range list {
 		if err := p.checkCtx(); err != nil {
 			return nil, err
 		}
@@ -244,9 +260,107 @@ func (p *plan) nodeSetCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Ve
 		}
 		if c, ok := p.score(st, m, segOS, segBS, tailOS, tailBS); ok {
 			candidates = append(candidates, c)
+			if cut != nil {
+				cut.add(c.score)
+			}
 		}
 	}
 	return candidates, nil
+}
+
+// cellBounded is a vector that bounds its scores per partition cell: a
+// partitioned oracle's slices (apsp.TargetSlice.CellBound). CellBound(c) is
+// at most Scores(v), on both scores, for every node v with Cell(v) = c, and
+// +Inf when no node of c is reachable.
+type cellBounded interface {
+	Cell(v graph.NodeID) int
+	CellBound(c int) (os, bs float64)
+}
+
+// cellNodes is one partition cell's share of the plan's keyword nodes, in
+// ascending order, and the cell's bound at the current beam step.
+type cellNodes struct {
+	cell  int
+	nodes []graph.NodeID
+	bound float64
+}
+
+// cellCandidates is nodeSetCandidates on vectors that bound their scores
+// per cell. The keyword nodes are grouped by cell once per plan. On each
+// step every cell's bound is Equation 1 as score computes it, the segment
+// and tail replaced by the two vectors' cell bounds,
+//
+//	α·(st.os + segBound.os + tailBound.os) + (1−α)·(st.bs + segBound.bs + tailBound.bs),
+//
+// and the cells are scanned in ascending bound order until the first whose
+// bound exceeds the width-th best score so far. float + and ×α are
+// monotone, so no node scores below its cell's bound; the comparison being
+// strict, every node that could make the cut is scored, and bestCandidates
+// picks what a scan of every keyword node picks — the stop rule of
+// frontierCandidates, one cell at a time. A cell either vector reaches
+// nothing of is skipped outright: at α ∈ {0, 1} its +Inf bound would turn
+// into 0·Inf = NaN.
+func (p *plan) cellCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vector, outCells, tailCells cellBounded, uncovered bitset.Mask, nodeSet []graph.NodeID) ([]greedyCandidate, error) {
+	if p.nodeCells == nil {
+		p.nodeCells = groupByCell(nodeSet, tailCells)
+	}
+	alpha := p.opts.Alpha
+	for i := range p.nodeCells {
+		c := &p.nodeCells[i]
+		segOS, segBS := outCells.CellBound(c.cell)
+		tailOS, tailBS := tailCells.CellBound(c.cell)
+		if math.IsInf(segOS+segBS, 1) || math.IsInf(tailOS+tailBS, 1) {
+			c.bound = math.Inf(1)
+			continue
+		}
+		c.bound = alpha*(st.os+segOS+tailOS) + (1-alpha)*(st.bs+segBS+tailBS)
+	}
+	// The groups are reordered in place: a beam branch recurses only once
+	// this step's scan is done.
+	slices.SortFunc(p.nodeCells, func(a, b cellNodes) int { return cmp.Compare(a.bound, b.bound) })
+	cut := beamCut{width: p.opts.Width}
+	var candidates []greedyCandidate
+	for _, c := range p.nodeCells {
+		if math.IsInf(c.bound, 1) || c.bound > cut.best() {
+			break // later cells are bounded higher still, or unreachable
+		}
+		var err error
+		if candidates, err = p.scanNodes(st, cur, out, uncovered, c.nodes, candidates, &cut); err != nil {
+			return nil, err
+		}
+	}
+	return candidates, nil
+}
+
+// groupByCell splits the ascending node list into its cells' shares under
+// v's partition, each share ascending: a counting sort by cell.
+func groupByCell(nodes []graph.NodeID, v cellBounded) []cellNodes {
+	var count []int // nodes per cell
+	for _, m := range nodes {
+		c := v.Cell(m)
+		for c >= len(count) {
+			count = append(count, 0)
+		}
+		count[c]++
+	}
+	var groups []cellNodes
+	sorted := make([]graph.NodeID, len(nodes))
+	end := 0
+	for c, k := range count {
+		if k > 0 {
+			groups = append(groups, cellNodes{cell: c, nodes: sorted[end : end : end+k]})
+		}
+		end += k
+	}
+	at := make([]int, len(count)) // cell → its group
+	for i := range groups {
+		at[groups[i].cell] = i
+	}
+	for _, m := range nodes {
+		g := &groups[at[v.Cell(m)]]
+		g.nodes = append(g.nodes, m)
+	}
+	return groups
 }
 
 // frontierCandidates is the candidate scan on a sweep-backed oracle. It

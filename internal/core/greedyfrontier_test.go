@@ -261,17 +261,23 @@ func TestFrontierCandidatesMatchFullScan(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyLazy is Greedy-1 on one lazy oracle over the bench road
-// network (8,000 nodes), 256 seeded queries at Δ = 9 with four keywords
-// each. settled/op, the nodes the query's frontiers settled, is the
-// deterministic work counter (over whole passes of the 256 queries).
-func BenchmarkGreedyLazy(b *testing.B) {
+// greedyBenchQueries is the bench road network (8,000 nodes) with 256
+// seeded queries at Δ = 9 and four keywords each.
+func greedyBenchQueries() (*graph.Graph, []Query) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
 	rng := rand.New(rand.NewSource(1))
 	queries := make([]Query, 256)
 	for i := range queries {
 		queries[i] = roadQuery(rng, g, 4, 9)
 	}
+	return g, queries
+}
+
+// BenchmarkGreedyLazy is Greedy-1 on one lazy oracle over greedyBenchQueries.
+// settled/op, the nodes the query's frontiers settled, is the deterministic
+// work counter (over whole passes of the 256 queries).
+func BenchmarkGreedyLazy(b *testing.B) {
+	g, queries := greedyBenchQueries()
 	oracle := apsp.NewLazyOracle(g)
 	s := NewSearcher(g, oracle, nil)
 	opts := DefaultOptions()
@@ -284,4 +290,23 @@ func BenchmarkGreedyLazy(b *testing.B) {
 	b.StopTimer()
 	_, after := oracle.FrontierStats()
 	b.ReportMetric(float64(after-before)/float64(b.N), "settled/op")
+}
+
+// BenchmarkGreedyIndexed is Greedy-1 over the same queries on one in-memory
+// partitioned oracle, whose slice memo starts empty. Over whole passes of
+// the 256 queries B/op is the work counter: it is what the queries' slices
+// come to hold, so it counts the cells and nodes Greedy's scans assemble.
+// resident-MiB is the slice memo's residency after the last query.
+func BenchmarkGreedyIndexed(b *testing.B) {
+	g, queries := greedyBenchQueries()
+	oracle := apsp.NewPartitionedOracle(g, apsp.DefaultCellSize)
+	s := NewSearcher(g, oracle, nil)
+	opts := DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = s.Greedy(queries[i%len(queries)], opts)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(oracle.MemoStats().ResidentBytes)/(1<<20), "resident-MiB")
 }

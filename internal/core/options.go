@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MaxWidth is the widest greedy beam Validate accepts. The paper defines
 // Greedy-1 and Greedy-2; every distinct waypoint of a wider beam holds an
@@ -63,19 +66,21 @@ func DefaultOptions() Options {
 }
 
 // Validate rejects tuning values outside the algorithms' domains: ε∈(0,1),
-// β>1, α∈[0,1], K≥1, 1≤Width≤MaxWidth. Every violation is reported as an
-// ErrBadQuery wrap, so callers test with errors.Is(err, ErrBadQuery).
+// finite β>1, α∈[0,1], K≥1, 1≤Width≤MaxWidth. Each range test is negated
+// rather than inverted, so NaN, which fails every comparison, fails it too.
+// Every violation is reported as an ErrBadQuery wrap, so callers test with
+// errors.Is(err, ErrBadQuery).
 // Validate is stricter than the legacy entry points, which silently lifted K
 // and Width to 1: Engine.Run calls it so a misconfigured request fails fast
 // instead of degrading to defaults.
 func (o Options) Validate() error {
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
+	if !(o.Epsilon > 0 && o.Epsilon < 1) {
 		return fmt.Errorf("%w: epsilon %v must lie in (0,1)", ErrBadQuery, o.Epsilon)
 	}
-	if o.Beta <= 1 {
-		return fmt.Errorf("%w: beta %v must exceed 1", ErrBadQuery, o.Beta)
+	if !(o.Beta > 1 && o.Beta < math.Inf(1)) {
+		return fmt.Errorf("%w: beta %v must be finite and exceed 1", ErrBadQuery, o.Beta)
 	}
-	if o.Alpha < 0 || o.Alpha > 1 {
+	if !(o.Alpha >= 0 && o.Alpha <= 1) {
 		return fmt.Errorf("%w: alpha %v must lie in [0,1]", ErrBadQuery, o.Alpha)
 	}
 	if o.K < 1 {

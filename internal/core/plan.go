@@ -69,6 +69,10 @@ type plan struct {
 	// closes with the plan.
 	tgt *apsp.Frontier
 	out map[graph.NodeID]*apsp.Frontier
+	// nodeCells is Greedy's keyword nodes grouped by partition cell, on
+	// vectors that bound their scores per cell (cellCandidates); built on
+	// the first beam step.
+	nodeCells []cellNodes
 	// src is the σ frontier out of the source that pruneCandidates opens on
 	// an oracle that runs sweeps. It stays open for the plan's life: every
 	// σ candidate sweep is restricted to it (sigInto), which advances it on

@@ -86,6 +86,11 @@ var registry = map[Algorithm]algorithmEntry{
 	},
 	AlgorithmBruteForce: {
 		run: func(ctx context.Context, s *Searcher, q Query, opts Options) (Result, error) {
+			// The enumeration reads no tuning value but the cap; the options
+			// are still checked, as every other algorithm's plan does.
+			if _, err := opts.normalize(); err != nil {
+				return Result{}, err
+			}
 			return s.BruteForceCtx(ctx, q, opts.MaxExpansions)
 		},
 		bound:   func(Options) float64 { return 1 },

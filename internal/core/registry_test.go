@@ -119,10 +119,14 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Epsilon = 0 },
 		func(o *Options) { o.Epsilon = 1 },
 		func(o *Options) { o.Epsilon = -0.2 },
+		func(o *Options) { o.Epsilon = math.NaN() },
 		func(o *Options) { o.Beta = 1 },
 		func(o *Options) { o.Beta = 0.5 },
+		func(o *Options) { o.Beta = math.NaN() },
+		func(o *Options) { o.Beta = math.Inf(1) },
 		func(o *Options) { o.Alpha = -0.1 },
 		func(o *Options) { o.Alpha = 1.5 },
+		func(o *Options) { o.Alpha = math.NaN() },
 		func(o *Options) { o.K = 0 },
 		func(o *Options) { o.Width = 0 },
 		func(o *Options) { o.Width = MaxWidth + 1 },
@@ -132,6 +136,33 @@ func TestOptionsValidate(t *testing.T) {
 		mutate(&o)
 		if err := o.Validate(); !errors.Is(err, ErrBadQuery) {
 			t.Errorf("case %d: Validate = %v, want ErrBadQuery wrap", i, err)
+		}
+	}
+}
+
+// TestRunRejectsNaNOptions: a NaN ε, β or α, or β = +Inf, is a bad query
+// for every algorithm on every oracle. NaN fails every comparison, so range
+// checks written as "reject when out of range" let it through; with α = NaN
+// Greedy ranked on NaN scores and its lazy arm's stop rule never fired.
+func TestRunRejectsNaNOptions(t *testing.T) {
+	g := paperGraph(t)
+	q := Query{Source: 0, Target: 7, Keywords: terms(t, g, "t1", "t2"), Budget: 10}
+	bad := map[string]func(*Options){
+		"epsilon NaN": func(o *Options) { o.Epsilon = math.NaN() },
+		"beta NaN":    func(o *Options) { o.Beta = math.NaN() },
+		"beta +Inf":   func(o *Options) { o.Beta = math.Inf(1) },
+		"alpha NaN":   func(o *Options) { o.Alpha = math.NaN() },
+	}
+	for _, dense := range []bool{false, true} {
+		s := searcherFor(t, g, dense)
+		for name, mutate := range bad {
+			opts := DefaultOptions()
+			mutate(&opts)
+			for _, a := range Algorithms() {
+				if _, err := s.Run(context.Background(), a, q, opts); !errors.Is(err, ErrBadQuery) {
+					t.Errorf("dense=%v %s with %s: err = %v, want ErrBadQuery", dense, a, name, err)
+				}
+			}
 		}
 	}
 }

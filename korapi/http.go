@@ -7,12 +7,21 @@ import (
 	"strconv"
 )
 
-// WriteJSON emits v as the JSON response body. Encoding failures are logged,
-// not surfaced: by the time Encode writes, the status line is already gone.
+// WriteJSON emits v as the JSON response body, newline-terminated as
+// json.Encoder writes it. v is encoded before anything is written, so a value
+// that cannot be encoded (a NaN or an infinite float, say) is answered with
+// a 500 internal envelope instead of the implicit empty 200 a half-written
+// stream would leave.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		log.Printf("korapi: encoding response: %v", err)
+		WriteError(w, &Error{Code: CodeInternal, Message: "encoding response: " + err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		log.Printf("korapi: writing response: %v", err)
 	}
 }
 

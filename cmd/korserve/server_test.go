@@ -195,6 +195,35 @@ func TestServeUnknownBodyField(t *testing.T) {
 	}
 }
 
+// TestServeMaxExpansionsCap: a request may lower the label cap but not lift
+// it past the engine's default. max_expansions is the server's only cap on
+// a search's labels; a POST once replaced it with any value it sent.
+func TestServeMaxExpansionsCap(t *testing.T) {
+	ts := testServer(t, 5*time.Second)
+	post := func(maxExpansions int64) *http.Response {
+		t.Helper()
+		body := fmt.Sprintf(`{"from":0,"to":2,"keywords":["cafe"],"budget":6,"options":{"max_expansions":%d}}`, maxExpansions)
+		resp, err := http.Post(ts.URL+"/v1/route", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post(1000)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a lowered cap: status = %d, want 200", resp.StatusCode)
+	}
+	resp = post(1 << 62)
+	var env korapi.ErrorEnvelope
+	err := json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
+}
+
 // TestServeV1RouteBadParams: every malformed numeric parameter is a hard
 // 400 with the error envelope — nothing is silently ignored. Before /v1 a
 // bad k was dropped on the floor.

@@ -12,19 +12,46 @@ import (
 	"kor/internal/graph"
 )
 
-// Tests for the candidate prune: on an oracle that runs sweeps, newPlan
-// drops the strategy-2 candidates outside the (source, target) budget ellipse
-// and must answer exactly as if it kept them.
+// Tests for the candidate prune: newPlan drops the strategy-2 candidates
+// outside the (source, target) budget ellipse, on every oracle, and must
+// answer exactly as if it kept them.
 
-// noPruneOracle is a lazy oracle that opens no frontier. A plan over it
-// selects its candidates off the same bounded sweeps as a plan over the
-// oracle itself, but pruneCandidates finds no frontier to open and keeps
-// them all: the reference the prune must not change. Its τ tail is a full
-// sweep, bit for bit the frontier a plan over the oracle itself reads. Only
-// the label algorithms run on it; Greedy reads its frontiers.
-type noPruneOracle struct{ *apsp.LazyOracle }
+// unprune restores the candidate list newPlan selected before its prune —
+// every node of the rare keyword whose σ into the target fits Δ and whose τ
+// reaches it — and closes the source frontier, so that the candidate sweeps
+// run unrestricted: the plan the prune must not change.
+func unprune(p *plan) {
+	if p.infreqBit >= 0 {
+		p.infreq = nil
+		for _, v := range p.postings[p.infreqBit] {
+			if bsLT, ok := p.sigBudgetTo(v); ok && bsLT <= p.q.Budget {
+				if osLT, _, ok := p.tauTo(v); ok {
+					p.infreq = append(p.infreq, viaNode{node: v, osLT: osLT, bsLT: bsLT})
+				}
+			}
+		}
+	}
+	if p.src != nil {
+		p.src.Close()
+		p.src = nil
+	}
+}
 
-func (noPruneOracle) Frontier(graph.NodeID, apsp.Metric, bool) *apsp.Frontier { return nil }
+// runUnpruned runs a label algorithm over an unpruned plan.
+func runUnpruned(s *Searcher, algo Algorithm, q Query, opts Options) (Result, error) {
+	p, err := s.newPlan(context.Background(), q, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	unprune(p)
+	switch algo {
+	case AlgorithmBucketBound:
+		return p.runBucketBound()
+	case AlgorithmExact:
+		p.exact = true
+	}
+	return p.runOSScaling()
+}
 
 // candidateNodes lists a plan's strategy-2 candidates in plan order, and its
 // infrequent keyword's bit.
@@ -46,14 +73,17 @@ func isSubsequence(sub, full []graph.NodeID) bool {
 	return i == len(sub)
 }
 
-// planCandidates builds the plan of q on o and returns its candidates.
-func planCandidates(t *testing.T, g *graph.Graph, o RouteOracle, q Query, opts Options) (via []graph.NodeID, infreqBit int) {
-	t.Helper()
+// planCandidates builds the plan of q on o and returns its candidates, with
+// the prune undone when unpruned is set.
+func planCandidates(g *graph.Graph, o RouteOracle, q Query, opts Options, unpruned bool) (via []graph.NodeID, infreqBit int) {
 	p, err := NewSearcher(g, o, nil).newPlan(context.Background(), q, opts)
 	if err != nil {
 		return nil, -1
 	}
 	defer p.close()
+	if unpruned {
+		unprune(p)
+	}
 	return candidateNodes(p)
 }
 
@@ -71,9 +101,9 @@ func renderPruneOutcome(res Result, err error) string {
 // and a disconnected graph, and a graph whose rare keyword engages strategy
 // 2, OSScaling, BucketBound, Exact and KkR on the lazy oracle return, bit for
 // bit, the routes, feasibility and errors of the same searches over plans
-// that keep every candidate, from the same labels created, pruned and
-// dequeued. The pruned lists keep the order of the full ones, and the
-// matrix and partitioned oracles keep every candidate.
+// whose unpruned candidate list is restored, from the same labels created,
+// pruned and dequeued. The pruned lists keep the order of the full ones, and
+// on the integer-weight graphs every oracle's list equals the lazy oracle's.
 func TestCandidatePruneDifferential(t *testing.T) {
 	type variant struct {
 		algo Algorithm
@@ -136,8 +166,8 @@ func TestCandidatePruneDifferential(t *testing.T) {
 			opts.MaxExpansions = 30_000 // exact must stop; where it stops is part of the answer
 			name := fmt.Sprintf("%s query %d (Δ=%v)", gc.name, i, q.Budget)
 
-			via, bit := planCandidates(t, g, apsp.NewLazyOracle(g), q, opts)
-			fullVia, fullBit := planCandidates(t, g, noPruneOracle{apsp.NewLazyOracle(g)}, q, opts)
+			via, bit := planCandidates(g, apsp.NewLazyOracle(g), q, opts, false)
+			fullVia, fullBit := planCandidates(g, apsp.NewLazyOracle(g), q, opts, true)
 			if bit != fullBit || !isSubsequence(via, fullVia) {
 				t.Fatalf("%s: pruned candidates %v (bit %d) are not an ordered part of %v (bit %d)",
 					name, via, bit, fullVia, fullBit)
@@ -147,10 +177,10 @@ func TestCandidatePruneDifferential(t *testing.T) {
 				emptied++
 			}
 			for _, o := range tables {
-				tv, tb := planCandidates(t, g, o, q, opts)
-				if !slices.Equal(tv, fullVia) || tb != fullBit {
-					t.Fatalf("%s: %T plan candidates %v (bit %d), want all of %v (bit %d)",
-						name, o, tv, tb, fullVia, fullBit)
+				tv, tb := planCandidates(g, o, q, opts, false)
+				if !slices.Equal(tv, via) || tb != bit {
+					t.Fatalf("%s: %T plan candidates %v (bit %d), want the lazy oracle's %v (bit %d)",
+						name, o, tv, tb, via, bit)
 				}
 			}
 
@@ -158,7 +188,7 @@ func TestCandidatePruneDifferential(t *testing.T) {
 				opts.K = v.k
 				lazyOracle := apsp.NewLazyOracle(g)
 				got, gotErr := NewSearcher(g, lazyOracle, nil).Run(context.Background(), v.algo, q, opts)
-				want, wantErr := NewSearcher(g, noPruneOracle{apsp.NewLazyOracle(g)}, nil).Run(context.Background(), v.algo, q, opts)
+				want, wantErr := runUnpruned(NewSearcher(g, apsp.NewLazyOracle(g), nil), v.algo, q, opts)
 				vname := fmt.Sprintf("%s %s k=%d", name, v.algo, v.k)
 				if g, w := renderPruneOutcome(got, gotErr), renderPruneOutcome(want, wantErr); g != w {
 					t.Fatalf("%s: the prune changed the answer:\n got %s\nwant %s", vname, g, w)
@@ -181,18 +211,60 @@ func TestCandidatePruneDifferential(t *testing.T) {
 	}
 }
 
-// BenchmarkLabelLazy is OSScaling and BucketBound on one lazy oracle over the
-// bench road network (8,000 nodes), 256 seeded queries at Δ = 9 with four
-// keywords each. sweeps/op, the oracle's Dijkstra runs, and settled/op, the
+// TestCandidatePruneSettlesOnDemand: on a lazy oracle the prune's source
+// frontier keeps what asking a fresh frontier, candidate by candidate in
+// plan order, whether each lies within its own limit keeps, and settles
+// exactly as many nodes: never past the widest limit of a candidate not
+// settled yet.
+func TestCandidatePruneSettlesOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(2905))
+	g := gen.RoadNetwork(gen.RoadConfig{Seed: 23, Nodes: 800, SizeKm: 13})
+	oracle := apsp.NewLazyOracle(g)
+	s := NewSearcher(g, oracle, nil)
+	checked, dropped := 0, 0
+	for i := 0; i < 160; i++ {
+		q := roadQuery(rng, g, 2+i%2, []float64{1.5, 3, 5, 8}[i%4])
+		p, err := s.newPlan(context.Background(), q, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := s.newPlan(context.Background(), q, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		unprune(full)
+		if p.src != nil {
+			ref := oracle.Frontier(q.Source, apsp.ByBudget, true)
+			limit := q.Budget + sweepSlack*q.Budget
+			var want []graph.NodeID
+			for _, via := range full.infreq {
+				if ref.Within(via.node, limit-via.bsLT) {
+					want = append(want, via.node)
+				}
+			}
+			got, _ := candidateNodes(p)
+			if !slices.Equal(got, want) || len(p.src.Order()) != len(ref.Order()) {
+				t.Fatalf("query %d (%+v): prune kept %v settling %d nodes; per-candidate frontier keeps %v settling %d",
+					i, q, got, len(p.src.Order()), want, len(ref.Order()))
+			}
+			ref.Close()
+			checked++
+			dropped += len(full.infreq) - len(got)
+		}
+		p.close()
+		full.close()
+	}
+	if checked < 20 || dropped < 10 {
+		t.Fatalf("%d plans pruned, %d candidates dropped: the queries no longer exercise the prune", checked, dropped)
+	}
+}
+
+// BenchmarkLabelLazy is OSScaling and BucketBound on one lazy oracle over
+// benchQueries. sweeps/op, the oracle's Dijkstra runs, and settled/op, the
 // nodes its sweeps and frontiers settled, are the deterministic work
 // counters (over whole passes of the 256 queries).
 func BenchmarkLabelLazy(b *testing.B) {
-	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
-	rng := rand.New(rand.NewSource(1))
-	queries := make([]Query, 256)
-	for i := range queries {
-		queries[i] = roadQuery(rng, g, 4, 9)
-	}
+	g, queries := benchQueries()
 	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound} {
 		b.Run(string(algo), func(b *testing.B) {
 			oracle := apsp.NewLazyOracle(g)
@@ -211,6 +283,30 @@ func BenchmarkLabelLazy(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(oracle.SweepCount()-sweeps)/float64(b.N), "sweeps/op")
 			b.ReportMetric(float64(settled()-nodes)/float64(b.N), "settled/op")
+		})
+	}
+}
+
+// BenchmarkLabelIndexed is BenchmarkLabelLazy's queries on one in-memory
+// partitioned oracle per algorithm, whose slice memo starts empty. Over
+// whole passes of the 256 queries B/op is the work counter: it is what the
+// queries' slices come to hold, so it counts the cells and nodes the target
+// and its strategy-2 candidates are read in, and the candidates the prune
+// keeps. resident-MiB is the slice memo's residency after the last query.
+func BenchmarkLabelIndexed(b *testing.B) {
+	g, queries := benchQueries()
+	for _, algo := range []Algorithm{AlgorithmOSScaling, AlgorithmBucketBound} {
+		b.Run(string(algo), func(b *testing.B) {
+			oracle := apsp.NewPartitionedOracle(g, apsp.DefaultCellSize)
+			s := NewSearcher(g, oracle, nil)
+			opts := DefaultOptions()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = s.Run(context.Background(), algo, queries[i%len(queries)], opts)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(oracle.MemoStats().ResidentBytes)/(1<<20), "resident-MiB")
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"kor/internal/bitset"
 	"kor/internal/graph"
 )
 
@@ -246,18 +247,19 @@ func TestBestCandidatesMatchesSortPrefix(t *testing.T) {
 	}
 }
 
-// TestMergePostingsMatchesSetAndSort: for random sorted posting lists —
-// empty ones, overlapping ones, a single one — the k-way merge returns
-// exactly what collecting the nodes in a set and sorting it does.
-func TestMergePostingsMatchesSetAndSort(t *testing.T) {
+// TestKeywordNodesMatchesSet: for random sorted posting lists — empty ones,
+// overlapping ones, a single one — keywordNodes returns every node of their
+// union exactly once.
+func TestKeywordNodesMatchesSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 300; trial++ {
-		lists := make([][]graph.NodeID, rng.Intn(6))
+		p := &plan{postings: make([][]graph.NodeID, rng.Intn(6)), nodeMask: make([]bitset.Mask, 30)}
 		seen := make(map[graph.NodeID]bool)
-		for i := range lists {
+		for i := range p.postings {
 			for v := 0; v < 30; v++ {
 				if rng.Intn(3) == 0 && i%4 != 3 { // every fourth list stays empty
-					lists[i] = append(lists[i], graph.NodeID(v))
+					p.postings[i] = append(p.postings[i], graph.NodeID(v))
+					p.nodeMask[v] = p.nodeMask[v].With(i)
 					seen[graph.NodeID(v)] = true
 				}
 			}
@@ -267,8 +269,10 @@ func TestMergePostingsMatchesSetAndSort(t *testing.T) {
 			want = append(want, v)
 		}
 		slices.Sort(want)
-		if got := mergePostings(lists); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged %v into %v, want %v", trial, lists, got, want)
+		got := p.keywordNodes()
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v gave %v, want %v", trial, p.postings, got, want)
 		}
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"kor/internal/graph"
 )
 
-// Tests for Greedy's cell scan on the distance index, which visits keyword
-// nodes cell by cell in ascending order of Equation 1's lower bound and
-// stops at the first cell that cannot make the cut.
+// Tests for Greedy's lower-bound scan (scan.go), which visits keyword nodes
+// in groups in ascending order of Equation 1's lower bound and stops at the
+// first group that cannot make the cut: settled nodes on a frontier, cells
+// on the distance index, every node at once on any other oracle.
 
-// fullScanVector hides a vector's cell bounds, so Greedy scans every keyword
-// node over the same scores.
+// fullScanVector hides a vector's cell bounds, so Greedy reads it as the
+// pair view: a scan of every keyword node over the same scores.
 type fullScanVector struct{ apsp.Vector }
 
 // greedyFullScan is GreedyCtx with the τ tail stripped of its cell bounds:
@@ -67,28 +68,110 @@ func randomGreedyOptions(rng *rand.Rand) Options {
 	return opts
 }
 
-// TestCellCandidatesMatchFullScan: for random beam states on partitioned
-// oracles — waypoint, keywords still uncovered, scores so far — the cell
-// scan's width best candidates are, field for field and in order, those of
-// a scan of every keyword node over the same slice vectors; and often it
-// scores fewer nodes to get them.
-func TestCellCandidatesMatchFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4040))
-	picked, pruned := 0, 0
-	for _, tc := range cellScanCases(rng) {
-		oracle := apsp.NewPartitionedOracle(tc.g, tc.cells)
-		s := NewSearcher(tc.g, oracle, nil)
+// scanRow is one oracle of the match-full-scan tests: its cases, the seed
+// and options they are drawn with, and the pair-view plan a plan over the
+// oracle is checked against.
+type scanRow struct {
+	oracle string
+	seed   int64
+	cases  func(*rand.Rand) []cellScanCase
+	opts   func(*rand.Rand) Options
+	trials int
+	steps  int
+	open   func(g *graph.Graph, cells int) RouteOracle
+	// reference returns the oracle of the reference plan for q and whether
+	// the reference reads the plan's own vectors with their cell bounds
+	// hidden.
+	reference func(g *graph.Graph, o RouteOracle, q Query) (RouteOracle, bool)
+	// arm reports whether the vector out of a waypoint is read by the scan
+	// this row is about.
+	arm func(apsp.Vector) bool
+	// minShort is how many scans must score fewer nodes than the full one.
+	minShort int
+}
+
+// smallScanCases are the unpartitioned graphs of the lazy and matrix rows.
+func smallScanCases(rng *rand.Rand) []cellScanCase {
+	random := func(rng *rand.Rand, g *graph.Graph) Query { return randomQuery(rng, g, 1+rng.Intn(4)) }
+	return []cellScanCase{
+		{"tied", tiedGraph(rng, 50, 6), 0, random},
+		{"disconnected", disconnectedGraph(rng, 25, 6), 0, random},
+		{"continuous", randomKeywordGraph(rng, 50, 6), 0, random},
+	}
+}
+
+// frontierScanOptions draws a width in 1..3, α ∈ {0, 0.3, 0.5, 1} and
+// either mode.
+func frontierScanOptions(rng *rand.Rand) Options {
+	opts := DefaultOptions()
+	opts.Alpha = []float64{0, 0.3, 0.5, 1}[rng.Intn(4)]
+	opts.Width = 1 + rng.Intn(3)
+	opts.BudgetPriority = rng.Intn(2) == 0
+	opts.DisableStrategy2 = true
+	return opts
+}
+
+func cellBounded(v apsp.Vector) bool {
+	_, ok := v.(interface{ CellBound(int) (float64, float64) })
+	return ok
+}
+
+// scanRows is the table of the match-full-scan tests, one row per oracle:
+// on a lazy oracle, frontiers against full sweeps (graphs where exact ties
+// are everywhere; the states revisit waypoints, so resumed frontiers are
+// scanned too); on partitioned oracles, cells against the same slices with
+// their cell bounds hidden, often scoring fewer nodes to get there; on the
+// matrix, where the scan is the pair view, the scan against itself.
+var scanRows = map[string]scanRow{
+	"lazy": {
+		oracle: "lazy", seed: 2704, cases: smallScanCases, opts: frontierScanOptions, trials: 30, steps: 12,
+		open: func(g *graph.Graph, _ int) RouteOracle { return apsp.NewLazyOracle(g) },
+		reference: func(g *graph.Graph, _ RouteOracle, q Query) (RouteOracle, bool) {
+			return newFullSweepOracle(g, q.Target, true), false
+		},
+		arm: func(v apsp.Vector) bool { _, ok := v.(*waypointFrontier); return ok },
+	},
+	"partitioned": {
+		oracle: "partitioned", seed: 4040, cases: cellScanCases, opts: randomGreedyOptions, trials: 25, steps: 10,
+		open:      func(g *graph.Graph, cells int) RouteOracle { return apsp.NewPartitionedOracle(g, cells) },
+		reference: func(_ *graph.Graph, o RouteOracle, _ Query) (RouteOracle, bool) { return o, true },
+		arm:       cellBounded,
+		minShort:  100,
+	},
+	"matrix": {
+		oracle: "matrix", seed: 2705, cases: smallScanCases, opts: randomGreedyOptions, trials: 25, steps: 10,
+		open:      func(g *graph.Graph, _ int) RouteOracle { return apsp.NewMatrixOracle(g) },
+		reference: func(_ *graph.Graph, o RouteOracle, _ Query) (RouteOracle, bool) { return o, false },
+		arm:       func(v apsp.Vector) bool { _, f := v.(*waypointFrontier); return !f && !cellBounded(v) },
+	},
+}
+
+// checkScanRow: for random beam states — waypoint, keywords still
+// uncovered, scores so far — Greedy's lower-bound scan on the row's oracle
+// picks, field for field and in order, the width best candidates of the
+// pair-view scan of every keyword node over the same scores.
+func checkScanRow(t *testing.T, row scanRow) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(row.seed))
+	picked, short := 0, 0
+	for _, tc := range row.cases(rng) {
+		oracle := row.open(tc.g, tc.cells)
 		n := tc.g.NumNodes()
-		for trial := 0; trial < 25; trial++ {
+		for trial := 0; trial < row.trials; trial++ {
 			q := tc.query(rng, tc.g)
-			opts := randomGreedyOptions(rng)
-			p, err := s.newPlan(context.Background(), q, opts)
+			opts := row.opts(rng)
+			refOracle, hide := row.reference(tc.g, oracle, q)
+			p, err := NewSearcher(tc.g, oracle, nil).newPlan(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodeSet := mergePostings(p.postings)
+			ref, err := NewSearcher(tc.g, refOracle, nil).newPlan(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.keywords.fill, ref.keywords.fill = p.keywordNodes, ref.keywordNodes // as runGreedy does
 			waypoints := []graph.NodeID{q.Source, graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-			for step := 0; step < 10; step++ {
+			for step := 0; step < row.steps; step++ {
 				st := greedyOutcome{
 					covered: bitset.Mask(rng.Uint64()) & p.qMask,
 					os:      float64(rng.Intn(4)),
@@ -99,32 +182,52 @@ func TestCellCandidatesMatchFullScan(t *testing.T) {
 				}
 				cur := waypoints[rng.Intn(len(waypoints))]
 				uncovered := p.qMask.Diff(st.covered)
-				out := apsp.OutOf(oracle, cur, apsp.ByObjective)
-				if _, ok := out.(cellBounded); !ok {
-					t.Fatal("a source slice offers no cell bounds")
+				out := p.waypointOut(cur)
+				if !row.arm(out) {
+					t.Fatalf("%s: the vector out of a waypoint is a %T", row.oracle, out)
 				}
-				got, err := p.nodeSetCandidates(st, cur, out, uncovered, nodeSet)
+				got, err := p.greedyCandidates(st, cur, out, uncovered)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _ := p.scanNodes(st, cur, out, uncovered, nodeSet, nil, nil)
+				refOut := ref.waypointOut(cur)
+				if hide {
+					refOut = fullScanVector{refOut}
+				}
+				want, err := ref.greedyCandidates(st, cur, refOut, uncovered)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) < len(want) {
-					pruned++
+					short++
 				}
 				got, want = bestCandidates(got, opts.Width), bestCandidates(want, opts.Width)
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s trial %d step %d (%+v, waypoint %d, state %+v): cell scan picks %v, full scan %v",
-						tc.name, trial, step, opts, cur, st, got, want)
+					t.Fatalf("%s %s trial %d step %d (%+v, waypoint %d, state %+v): scan picks %v, full scan %v",
+						row.oracle, tc.name, trial, step, opts, cur, st, got, want)
 				}
 				picked += len(want)
 			}
 			p.close()
+			ref.close()
 		}
 	}
-	if picked < 500 || pruned < 100 {
-		t.Fatalf("%d candidates picked, %d scans cut short: the states no longer exercise the cell scan", picked, pruned)
+	if picked < 500 || short < row.minShort {
+		t.Fatalf("%s: %d candidates picked, %d scans cut short: the states no longer exercise the scan", row.oracle, picked, short)
 	}
 }
+
+// TestFrontierCandidatesMatchFullScan checks the scan on a lazy oracle, over
+// frontiers, against full sweeps.
+func TestFrontierCandidatesMatchFullScan(t *testing.T) { checkScanRow(t, scanRows["lazy"]) }
+
+// TestCellCandidatesMatchFullScan checks the scan on partitioned oracles,
+// over cells, against the same slices with their cell bounds hidden.
+func TestCellCandidatesMatchFullScan(t *testing.T) { checkScanRow(t, scanRows["partitioned"]) }
+
+// TestMatrixCandidatesMatchFullScan checks the scan on the matrix, where it
+// is the pair view, against itself.
+func TestMatrixCandidatesMatchFullScan(t *testing.T) { checkScanRow(t, scanRows["matrix"]) }
 
 // TestGreedyCellScanWholeQuery: whole Greedy queries on partitioned oracles
 // return bit for bit the routes and errors of the full scan over the same

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"kor/internal/apsp"
-	"kor/internal/bitset"
 	"kor/internal/gen"
 	"kor/internal/graph"
 )
@@ -198,72 +197,10 @@ func TestGreedyFrontiersClosed(t *testing.T) {
 	}
 }
 
-// TestFrontierCandidatesMatchFullScan: for random beam states — waypoint,
-// keywords still uncovered, scores so far — on graphs where exact ties are
-// everywhere, the frontier scan's width best candidates are, field for field
-// and in order, those of a scan of every keyword node over full sweeps. The
-// states revisit waypoints, so resumed frontiers are scanned too.
-func TestFrontierCandidatesMatchFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(2704))
-	picked := 0
-	for gi, g := range []*graph.Graph{tiedGraph(rng, 50, 6), disconnectedGraph(rng, 25, 6), randomKeywordGraph(rng, 50, 6)} {
-		n := g.NumNodes()
-		for trial := 0; trial < 30; trial++ {
-			q := randomQuery(rng, g, 1+rng.Intn(4))
-			opts := DefaultOptions()
-			opts.Alpha = []float64{0, 0.3, 0.5, 1}[rng.Intn(4)]
-			opts.Width = 1 + rng.Intn(3)
-			opts.BudgetPriority = rng.Intn(2) == 0
-			opts.DisableStrategy2 = true
-			ref := newFullSweepOracle(g, q.Target, true)
-			pf, err := NewSearcher(g, apsp.NewLazyOracle(g), nil).newPlan(context.Background(), q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := NewSearcher(g, ref, nil).newPlan(context.Background(), q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pf.openTargetFrontier() {
-				t.Fatal("no target frontier on a lazy oracle")
-			}
-			nodeSet := mergePostings(pr.postings)
-			waypoints := []graph.NodeID{q.Source, graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-			for step := 0; step < 12; step++ {
-				st := greedyOutcome{
-					covered: bitset.Mask(rng.Uint64()) & pf.qMask,
-					os:      float64(rng.Intn(4)),
-					bs:      float64(rng.Intn(4)),
-				}
-				if st.covered == pf.qMask {
-					st.covered = 0
-				}
-				cur := waypoints[rng.Intn(len(waypoints))]
-				uncovered := pf.qMask.Diff(st.covered)
-				got, err := pf.frontierCandidates(st, cur, pf.outFrontier(cur), uncovered)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := pr.nodeSetCandidates(st, cur, apsp.OutOf(ref, cur, apsp.ByObjective), uncovered, nodeSet)
-				got, want = bestCandidates(got, opts.Width), bestCandidates(want, opts.Width)
-				if !slices.Equal(got, want) {
-					t.Fatalf("graph %d trial %d step %d (%+v, waypoint %d, state %+v): frontier picks %v, full scan %v",
-						gi, trial, step, opts, cur, st, got, want)
-				}
-				picked += len(want)
-			}
-			pf.close()
-			pr.close()
-		}
-	}
-	if picked < 500 {
-		t.Fatalf("%d candidates picked in all: the states no longer exercise the scan", picked)
-	}
-}
-
-// greedyBenchQueries is the bench road network (8,000 nodes) with 256
-// seeded queries at Δ = 9 and four keywords each.
-func greedyBenchQueries() (*graph.Graph, []Query) {
+// benchQueries is the bench road network (8,000 nodes) with 256 seeded
+// queries at Δ = 9 and four keywords each: the stream of the Greedy and the
+// label benchmarks.
+func benchQueries() (*graph.Graph, []Query) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
 	rng := rand.New(rand.NewSource(1))
 	queries := make([]Query, 256)
@@ -273,11 +210,11 @@ func greedyBenchQueries() (*graph.Graph, []Query) {
 	return g, queries
 }
 
-// BenchmarkGreedyLazy is Greedy-1 on one lazy oracle over greedyBenchQueries.
+// BenchmarkGreedyLazy is Greedy-1 on one lazy oracle over benchQueries.
 // settled/op, the nodes the query's frontiers settled, is the deterministic
 // work counter (over whole passes of the 256 queries).
 func BenchmarkGreedyLazy(b *testing.B) {
-	g, queries := greedyBenchQueries()
+	g, queries := benchQueries()
 	oracle := apsp.NewLazyOracle(g)
 	s := NewSearcher(g, oracle, nil)
 	opts := DefaultOptions()
@@ -298,7 +235,7 @@ func BenchmarkGreedyLazy(b *testing.B) {
 // come to hold, so it counts the cells and nodes Greedy's scans assemble.
 // resident-MiB is the slice memo's residency after the last query.
 func BenchmarkGreedyIndexed(b *testing.B) {
-	g, queries := greedyBenchQueries()
+	g, queries := benchQueries()
 	oracle := apsp.NewPartitionedOracle(g, apsp.DefaultCellSize)
 	s := NewSearcher(g, oracle, nil)
 	opts := DefaultOptions()

@@ -12,6 +12,11 @@ import (
 // 132 MiB of heap).
 const MaxWidth = 4
 
+// defaultMaxExpansions is the label cap a zero Options.MaxExpansions selects,
+// and the most Validate accepts: like the width, a cap from the wire may
+// lower the server's, never lift it.
+const defaultMaxExpansions = 20_000_000
+
 // Options tunes the search algorithms. The zero value is not meaningful;
 // start from DefaultOptions. Field defaults mirror the paper's experimental
 // defaults (§4.1): ε=0.5, β=1.2, α=0.5, width 1, k=1, optimization
@@ -43,9 +48,10 @@ type Options struct {
 	// BudgetPriority switches Greedy to the budget-first variant of §3.4:
 	// the returned route respects Δ but may leave keywords uncovered.
 	BudgetPriority bool
-	// MaxExpansions caps label creations (0 = default cap). The label
-	// algorithms return ErrSearchLimit when the cap fires, which on sane
-	// inputs means a pathological query rather than a correct long search.
+	// MaxExpansions caps label creations (0 = the default cap, which is also
+	// the most it may be). The label algorithms return ErrSearchLimit when
+	// the cap fires, which on sane inputs means a pathological query rather
+	// than a correct long search.
 	MaxExpansions int
 	// Tracer, when set, observes every label event. Used by tests to replay
 	// the paper's Example 2 and by tools for diagnostics.
@@ -61,13 +67,14 @@ func DefaultOptions() Options {
 		Width:              1,
 		K:                  1,
 		InfrequentFraction: 0.01,
-		MaxExpansions:      20_000_000,
+		MaxExpansions:      defaultMaxExpansions,
 	}
 }
 
 // Validate rejects tuning values outside the algorithms' domains: ε∈(0,1),
-// finite β>1, α∈[0,1], K≥1, 1≤Width≤MaxWidth. Each range test is negated
-// rather than inverted, so NaN, which fails every comparison, fails it too.
+// finite β>1, α∈[0,1], K≥1, 1≤Width≤MaxWidth, MaxExpansions at most
+// defaultMaxExpansions. Each range test is negated rather than inverted, so
+// NaN, which fails every comparison, fails it too.
 // Every violation is reported as an ErrBadQuery wrap, so callers test with
 // errors.Is(err, ErrBadQuery).
 // Validate is stricter than the legacy entry points, which silently lifted K
@@ -89,6 +96,9 @@ func (o Options) Validate() error {
 	if o.Width < 1 || o.Width > MaxWidth {
 		return fmt.Errorf("%w: width %d must lie in [1,%d]", ErrBadQuery, o.Width, MaxWidth)
 	}
+	if o.MaxExpansions > defaultMaxExpansions {
+		return fmt.Errorf("%w: max expansions %d exceed %d", ErrBadQuery, o.MaxExpansions, defaultMaxExpansions)
+	}
 	return nil
 }
 
@@ -96,12 +106,7 @@ func (o Options) Validate() error {
 // lenient on K and Width (lifted to 1): the Searcher's methods accept them,
 // while Engine.Run rejects them up front through Validate.
 func (o Options) normalize() (Options, error) {
-	if o.Width < 1 {
-		o.Width = 1
-	}
-	if o.K < 1 {
-		o.K = 1
-	}
+	o.Width, o.K = max(o.Width, 1), max(o.K, 1)
 	if err := o.Validate(); err != nil {
 		return o, err
 	}
@@ -109,7 +114,7 @@ func (o Options) normalize() (Options, error) {
 		o.InfrequentFraction = 0.01
 	}
 	if o.MaxExpansions <= 0 {
-		o.MaxExpansions = 20_000_000
+		o.MaxExpansions = defaultMaxExpansions
 	}
 	return o, nil
 }
@@ -128,7 +133,7 @@ type Metrics struct {
 	DominatedSwept  int // existing labels deleted by a new dominator
 	Feasible        int // feasible candidates encountered
 	PeakQueue       int // largest queue population
-	PlanSweeps      int // Dijkstra runs the plan started on an oracle that runs sweeps: bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) plus opened frontiers
+	PlanSweeps      int // Dijkstra runs the plan started: bounded candidate sweeps (Δ−σ(c,t) for σ, U for τ) plus opened frontiers (the τ tail, Greedy's waypoints, the prune's source); 0 on an oracle that runs none
 	SharedSweeps    int // always 0: plans share no sweeps; kept for readers of earlier reports
 }
 

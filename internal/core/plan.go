@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -42,9 +43,8 @@ type plan struct {
 	// Strategy 2: the nodes carrying the least frequent query keyword (with
 	// their precomputed completions into the target) and that keyword's bit,
 	// when its document frequency is under threshold. Nodes that cannot reach
-	// the target within Δ are dropped at plan time, and on an oracle that
-	// runs sweeps so are those no route from the source can pass within Δ
-	// (pruneCandidates).
+	// the target within Δ are dropped at plan time, and so are those no route
+	// from the source can pass within Δ (pruneCandidates).
 	infreqBit int
 	infreq    []viaNode
 
@@ -68,16 +68,16 @@ type plan struct {
 	// far as Equation 1 can still change a pick (greedy.go). Every frontier
 	// closes with the plan.
 	tgt *apsp.Frontier
-	out map[graph.NodeID]*apsp.Frontier
-	// nodeCells is Greedy's keyword nodes grouped by partition cell, on
-	// vectors that bound their scores per cell (cellCandidates); built on
-	// the first beam step.
-	nodeCells []cellNodes
-	// src is the σ frontier out of the source that pruneCandidates opens on
+	out []*waypointFrontier
+	// keywords is Greedy's keywordNodes and their grouping by cell.
+	keywords nodeSet
+	// src is the σ frontier out of the source that pruneCandidates reads on
 	// an oracle that runs sweeps. It stays open for the plan's life: every
 	// σ candidate sweep is restricted to it (sigInto), which advances it on
 	// demand.
 	src *apsp.Frontier
+	// frontiers is every frontier the plan opened, closed with it.
+	frontiers []*apsp.Frontier
 
 	// exact switches the label machinery to exact mode: the "scaled" slot
 	// carries an order-preserving encoding of the raw objective instead of
@@ -192,37 +192,69 @@ func (s *Searcher) newPlan(ctx context.Context, q Query, opts Options) (*plan, e
 	return p, nil
 }
 
-// pruneCandidates drops, on an oracle that runs sweeps, the strategy-2
-// candidates no label of this query can use: those outside the ellipse
-// BS(σ(s,c)) + BS(σ(c,t)) ≤ Δ. The selection above keeps the Δ-disc around
-// the target, and on such an oracle each kept candidate costs a sweep the
-// first time a label reads it. One plan-private forward σ frontier out of
-// the source, p.src, settles the candidates in budget order and stops, per
-// candidate, where the ellipse ends. The frontier stays open: the candidate
-// sweeps read it too (sigInto).
+// pruneCandidates drops the strategy-2 candidates no label of this query
+// can use: those outside the ellipse BS(σ(s,c)) + BS(σ(c,t)) ≤ Δ. The
+// selection keeps the Δ-disc around the target, and each kept candidate
+// costs a sweep on a lazy oracle, a slice and the cells it touches on a
+// partitioned one, the first time a label reads it. The prune reads σ out
+// of the source as the lower-bound scan (scan.go) at α = 0, keyed by the
+// budget score alone, and drops c when its bound, then its score, exceeds
+// Δ + sweepSlack·Δ − BS(σ(c,t)). It stops at the first group bounded past
+// every undecided candidate's limit. On a lazy oracle σ is a plan-private
+// forward frontier, p.src: it settles exactly what asking it candidate by
+// candidate would, and stays open, as the candidate sweeps read it too
+// (sigInto). On a partitioned oracle σ is a source slice, whose cell
+// bounds drop a cell's candidates before any of their scores is assembled:
+// the border-index pruning of Yang et al. (arXiv:2004.12424). On any other
+// oracle it is the pair view.
 //
 // The answers cannot change. Their reader, strategy2Prune, rejects a label
 // at v with l.bs + BS(σ(v,c)) + BS(σ(c,t)) > Δ. l.bs is the budget of a real
 // walk s→v, so l.bs + BS(σ(v,c)) ≥ BS(σ(s,c)): a candidate outside the
-// ellipse fails that check for every label. The frontier's scores are bit
-// for bit those of a forward sweep, and sweepSlack covers the association
-// of the reader's reverse sums, as it does for the candidate sweeps
-// themselves. An emptied list keeps infreqBit: a label lacking the rare
-// keyword is then pruned, as it would be by a list whose nodes all fail the
-// budget check.
-//
-// Table-backed oracles open no frontier and keep every candidate: a lookup
-// there costs no sweep.
+// ellipse fails that check for every label. That holds in exact arithmetic.
+// The reader's sums associate otherwise than the frontier's forward sums or
+// a source slice's (head + mid) + tail, and rounding sets them apart by a
+// few ulps per term, far below sweepSlack, as it does for the candidate
+// sweeps themselves. An emptied list keeps infreqBit: a label lacking the
+// rare keyword is then pruned, as it would be by a list whose nodes all fail
+// the budget check.
 func (p *plan) pruneCandidates() {
 	if len(p.infreq) == 0 {
 		return
 	}
 	p.src = p.openFrontier(p.q.Source, apsp.ByBudget, true)
+	src := apsp.Vector(p.src)
 	if p.src == nil {
-		return
+		src = apsp.OutOf(p.s.oracle, p.q.Source, apsp.ByBudget)
 	}
 	limit := p.q.Budget + sweepSlack*p.q.Budget
-	p.infreq = slices.DeleteFunc(p.infreq, func(via viaNode) bool { return !p.src.Within(via.node, limit-via.bsLT) })
+	// The undecided candidates, widest limit first, and a sentinel past every
+	// limit that stops the scan once they are all decided.
+	open := append(slices.Clone(p.infreq), viaNode{node: -1, bsLT: math.Inf(1)})
+	slices.SortStableFunc(open, func(a, b viaNode) int { return cmp.Compare(a.bsLT, b.bsLT) })
+	nodes := make([]graph.NodeID, len(p.infreq)) // ascending, as their posting list
+	for i, via := range p.infreq {
+		nodes[i] = via.node
+	}
+	widest := func() float64 { return limit - open[0].bsLT }
+	var kept []viaNode
+	for bound, group := range (lowerBounds{src, nil, apsp.ByBudget, equation1{}, &nodeSet{nodes: nodes}, widest}).groups {
+		for _, m := range group {
+			i := slices.IndexFunc(open, func(via viaNode) bool { return via.node == m })
+			if i < 0 {
+				continue
+			}
+			via := open[i]
+			open = slices.Delete(open, i, i+1)
+			if lim := limit - via.bsLT; bound <= lim {
+				if _, bs, ok := src.Scores(m); ok && bs <= lim {
+					kept = append(kept, via)
+				}
+			}
+		}
+	}
+	slices.SortFunc(kept, func(a, b viaNode) int { return cmp.Compare(a.node, b.node) }) // back in plan order
+	p.infreq = kept
 }
 
 // close returns the plan's pooled scratch. Idempotent; the plan is unusable
@@ -235,13 +267,7 @@ func (p *plan) close() {
 	p.sc = nil
 	p.nodeMask = nil
 	p.s.putScratch(sc, p.postings)
-	if p.tgt != nil {
-		p.tgt.Close()
-	}
-	if p.src != nil {
-		p.src.Close()
-	}
-	for _, f := range p.out {
+	for _, f := range p.frontiers {
 		f.Close()
 	}
 }
@@ -262,11 +288,15 @@ func (p *plan) sigTail() apsp.Vector {
 	return p.tailSig
 }
 
-// tauTail returns the τ vector into the target: the target frontier on an
-// oracle that runs sweeps (openTargetFrontier), the full vector on any other.
+// tauTail returns the τ vector into the target: the target frontier tgt on
+// an oracle that runs sweeps, the full vector on any other.
 func (p *plan) tauTail() apsp.Vector {
-	if p.tailTau == nil && !p.openTargetFrontier() {
-		p.tailTau, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByObjective, math.Inf(1), nil)
+	if p.tailTau == nil {
+		if p.tgt = p.openFrontier(p.q.Target, apsp.ByObjective, false); p.tgt != nil {
+			p.tailTau = p.tgt
+		} else {
+			p.tailTau, _ = apsp.Into(p.s.oracle, p.q.Target, apsp.ByObjective, math.Inf(1), nil)
+		}
 	}
 	return p.tailTau
 }
@@ -323,38 +353,14 @@ func (p *plan) tauObjInto(from graph.NodeID, via *viaNode, u float64) (float64, 
 	return os, ok
 }
 
-// openTargetFrontier opens the τ frontier into the target, which then serves
-// as the plan's τ tail. It reports false on an oracle that runs no sweeps.
-func (p *plan) openTargetFrontier() bool {
-	p.tgt = p.openFrontier(p.q.Target, apsp.ByObjective, false)
-	if p.tgt == nil {
-		return false
-	}
-	p.tailTau = p.tgt
-	return true
-}
-
-// outFrontier returns (opening on first use) the τ frontier out of waypoint
-// from.
-func (p *plan) outFrontier(from graph.NodeID) *apsp.Frontier {
-	f := p.out[from]
-	if f == nil {
-		f = p.openFrontier(from, apsp.ByObjective, true)
-		if p.out == nil {
-			p.out = make(map[graph.NodeID]*apsp.Frontier)
-		}
-		p.out[from] = f
-	}
-	return f
-}
-
 // openFrontier opens a plan-private frontier around root under m, nil on an
 // oracle that runs no sweeps. It counts in PlanSweeps: the query pays for
-// all of it.
+// all of it. It closes with the plan.
 func (p *plan) openFrontier(root graph.NodeID, m apsp.Metric, outbound bool) *apsp.Frontier {
 	f := apsp.OpenFrontier(p.s.oracle, root, m, outbound)
 	if f != nil {
 		p.metrics.PlanSweeps++
+		p.frontiers = append(p.frontiers, f)
 	}
 	return f
 }

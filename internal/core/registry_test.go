@@ -130,6 +130,8 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.K = 0 },
 		func(o *Options) { o.Width = 0 },
 		func(o *Options) { o.Width = MaxWidth + 1 },
+		func(o *Options) { o.MaxExpansions = defaultMaxExpansions + 1 },
+		func(o *Options) { o.MaxExpansions = 1 << 62 },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()

@@ -61,7 +61,8 @@ type Options struct {
 	// implemented and has no option: korserve and korrouter reject a body
 	// that names one, as they reject any unknown field.
 	DisableStrategy2 *bool `json:"disable_strategy2,omitempty"`
-	// MaxExpansions caps label creations.
+	// MaxExpansions caps label creations. It may lower the engine's default
+	// cap of 20,000,000 but not raise it: a larger value is a bad request.
 	MaxExpansions *int `json:"max_expansions,omitempty"`
 }
 

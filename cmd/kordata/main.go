@@ -43,7 +43,7 @@
 // it, so korserve -dist-index starts serving precomputed distances without
 // paying the build at boot. The file is bound to the graph's fingerprint
 // (printed here); korserve refuses it against any other graph, and refuses
-// a file of another format version — one written before KORI version 2 is
+// a file of another format version — one written before KORI version 3 is
 // rebuilt by running -build-index again.
 //
 // -emit-delta writes a korapi.Delta valid against the generated graph —

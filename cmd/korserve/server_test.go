@@ -224,6 +224,25 @@ func TestServeMaxExpansionsCap(t *testing.T) {
 	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
 }
 
+// TestServeKCap: a request may ask for at most core.MaxK routes. A larger k
+// is a 400 bad_request, not a top-k search that holds a CPU until its
+// deadline.
+func TestServeKCap(t *testing.T) {
+	ts := testServer(t, 5*time.Second)
+	body := `{"from":0,"to":2,"keywords":["cafe"],"budget":6,"algorithm":"topk","k":1000}`
+	resp, err := http.Post(ts.URL+"/v1/route", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env korapi.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	wantEnvelope(t, resp, env, http.StatusBadRequest, korapi.CodeBadRequest)
+}
+
 // TestServeV1RouteBadParams: every malformed numeric parameter is a hard
 // 400 with the error envelope — nothing is silently ignored. Before /v1 a
 // bad k was dropped on the floor.

@@ -141,6 +141,48 @@ func TestCellBoundBelowScores(t *testing.T) {
 	checkCellBounds(t, "bench road", NewPartitionedOracle(bench, DefaultCellSize), sampleRoots(rng, bench, 6))
 }
 
+// TestPairMinMatchesBlockScan: the stored cell-pair minima equal, bit for
+// bit, a scan of every overlay block under both metrics, on oracles built in
+// memory and opened from their file, mapped and decoded.
+func TestPairMinMatchesBlockScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4014))
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		cellSize int
+	}{
+		{"tied", tiedTestGraph(rng, 48), 7},
+		{"disconnected", sparseTestGraph(rng, 50), 6},
+		{"road 1500", gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 1500}), DefaultCellSize},
+	} {
+		mem, mapped, path := writeTestIndex(t, tc.g, tc.cellSize)
+		for name, o := range map[string]*PartitionedOracle{"memory": mem, "mapped": mapped, "decoded": openDecoded(t, path, tc.g)} {
+			nc := len(o.cells)
+			for _, m := range []Metric{ByObjective, ByBudget} {
+				if len(o.pairMin[m]) != nc*nc {
+					t.Fatalf("%s %s metric %d: %d cell-pair minima for %d cells", tc.name, name, m, len(o.pairMin[m]), nc)
+				}
+				ref, b := newNaiveScores(o, m), len(o.borders)
+				for i := range o.cells {
+					for j := range o.cells {
+						want := scorePair{math.Inf(1), math.Inf(1)}
+						for _, u := range o.cells[i].nodes[:o.cells[i].nb] {
+							for _, w := range o.cells[j].nodes[:o.cells[j].nb] {
+								at := int(o.borderIdx[u])*b + int(o.borderIdx[w])
+								want.prim, want.sec = math.Min(want.prim, ref.ovP[at]), math.Min(want.sec, ref.ovS[at])
+							}
+						}
+						got := o.pairMin[m][i*nc+j]
+						if math.Float64bits(got.prim) != math.Float64bits(want.prim) || math.Float64bits(got.sec) != math.Float64bits(want.sec) {
+							t.Fatalf("%s %s metric %d cells (%d,%d): stored %v, block scan %v", tc.name, name, m, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // sampleRoots draws k distinct roots.
 func sampleRoots(rng *rand.Rand, g *graph.Graph, k int) []graph.NodeID {
 	perm := rng.Perm(g.NumNodes())[:k]
@@ -153,7 +195,9 @@ func sampleRoots(rng *rand.Rand, g *graph.Graph, k int) []graph.NodeID {
 
 // TestCellBoundConcurrent: goroutines asking a fresh oracle for cell bounds
 // at once, each in its own order, all read the bounds of the definition
-// while the first of them fill the shared cell-pair table. Run with -race.
+// while they create and share the slices those bounds belong to. The
+// cell-pair table itself is built with the oracle and only read. Run with
+// -race.
 func TestCellBoundConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4013))
 	g := tiedTestGraph(rng, 60)

@@ -70,8 +70,10 @@ type PartitionedOracle struct {
 	slices *memo[*TargetSlice]
 	// pairMin bounds the overlay per ordered cell pair, one table per
 	// metric: entry i*len(cells)+j holds the least primary and the least
-	// secondary of block(i, j), filled on first use (cellPairMin).
-	pairMin [2][]scoreEntry
+	// secondary of block(i, j), each on its own, +Inf on both for an empty
+	// block. Built with the overlay (buildPairMin) and stored in the index
+	// file, so a bound never reads the overlay.
+	pairMin [2][]scorePair
 
 	// Disk-load state (persist.go): the mapping backing the aliased tables,
 	// if any, and the source file size.
@@ -342,6 +344,7 @@ func newPartitionedOracle(g *graph.Graph, p *Partition) *PartitionedOracle {
 
 	o.buildCellTables()
 	o.buildOverlay()
+	o.buildPairMin()
 	o.initSlices()
 	return o
 }
@@ -484,6 +487,33 @@ func (o *PartitionedOracle) buildOverlay() {
 		}
 		close(rows)
 		wg.Wait()
+	}
+}
+
+// buildPairMin fills pairMin with one scan of the finished overlay.
+func (o *PartitionedOracle) buildPairMin() {
+	nc := len(o.cells)
+	for _, m := range []Metric{ByObjective, ByBudget} {
+		ovP, ovS, _ := o.overlayTables(m)
+		mins := make([]scorePair, nc*nc)
+		for i := range o.cells {
+			ci := &o.cells[i]
+			for j := range o.cells {
+				cj := &o.cells[j]
+				at, n := o.block(ci, cj), ci.nb*cj.nb
+				least := scorePair{math.Inf(1), math.Inf(1)}
+				for k, p := range ovP[at : at+n] {
+					if p < least.prim {
+						least.prim = p
+					}
+					if s := ovS[at+k]; s < least.sec {
+						least.sec = s
+					}
+				}
+				mins[i*nc+j] = least
+			}
+		}
+		o.pairMin[m] = mins
 	}
 }
 

@@ -49,9 +49,16 @@ import (
 //	  int32 arrays: region[n] local[n] borderIdx[n] borders[B] cellNodes[Σk]
 //	                ovTauPar[B²] ovSigPar[B²] cellTauPar[Σk²] cellSigPar[Σk²]
 //	  zero padding to the next 8-byte file offset
-//	  float64 arrays: cellTauP[Σk²] cellTauS[Σk²] cellSigP[Σk²] cellSigS[Σk²]
+//	  float64 arrays: tauPairMin[2C²] sigPairMin[2C²]
+//	                  cellTauP[Σk²] cellTauS[Σk²] cellSigP[Σk²] cellSigS[Σk²]
 //	                  ovTauP[B²] ovTauS[B²] ovSigP[B²] ovSigS[B²]
 //	[48+payload:) u32 CRC-32 (IEEE) of the payload
+//
+// C is the region count. Entry i·C+j of a pair-min table is the least
+// primary then the least secondary of the overlay block from region i's
+// borders to region j's (+Inf, +Inf for an empty block): the cell-pair
+// bounds (TargetSlice.CellBound) are read from the file, never recomputed
+// from the overlay at open, which would fault the whole overlay in.
 //
 // Version 2 numbers the partition for scanning (partition.go): a region's nb
 // border nodes lead its node list, the overlay indices run region by region
@@ -60,8 +67,10 @@ import (
 // nb(i)×nb(j) block from region i's borders to region j's is row-major at
 // start(i)·B + nb(i)·start(j). Cell tables and the overlay parent tables are
 // row-major. OpenIndex checks the numbering before any table is indexed by
-// it. A version 1 file (overlay in node-ID order, a per-region border list)
-// is refused with ErrIndexVersion: rebuild it with kordata -build-index.
+// it. Version 3 adds the pair-min tables. A file of another version — version
+// 1 (overlay in node-ID order, a per-region border list) or version 2 (no
+// pair-min tables) — is refused with ErrIndexVersion: rebuild it with
+// kordata -build-index.
 
 // Typed load failures. Errors returned by OpenIndex wrap exactly one of
 // these, so callers can distinguish a damaged file from a stale one.
@@ -80,7 +89,7 @@ var (
 
 const (
 	indexMagic      = "KORI"
-	indexVersion    = 2
+	indexVersion    = 3
 	indexHeaderSize = 48
 )
 
@@ -146,7 +155,7 @@ func (o *PartitionedOracle) payloadLen() uint64 {
 	}
 	counts := 8 * len(o.cells)
 	i32s := 3*n + b + sumK + 2*b*b + 2*sumK2
-	f64s := 4*sumK2 + 4*b*b
+	f64s := 4*len(o.cells)*len(o.cells) + 4*sumK2 + 4*b*b
 	pre := counts + 4*i32s
 	pad := (8 - pre%8) % 8
 	return uint64(pre + pad + 8*f64s)
@@ -220,6 +229,8 @@ func (o *PartitionedOracle) WriteIndex(w io.Writer) error {
 		sw.i32s(o.cells[i].sigPar)
 	}
 	sw.pad8()
+	sw.pairs(o.pairMin[ByObjective])
+	sw.pairs(o.pairMin[ByBudget])
 	for i := range o.cells {
 		sw.f64s(o.cells[i].tauP)
 	}
@@ -319,6 +330,13 @@ func (sw *sectionWriter) f64s(vals []float64) {
 	}
 }
 
+// pairs writes score pairs as their float64s, primary first.
+func (sw *sectionWriter) pairs(vals []scorePair) {
+	if len(vals) > 0 {
+		sw.f64s(unsafe.Slice((*float64)(unsafe.Pointer(&vals[0])), 2*len(vals)))
+	}
+}
+
 func (sw *sectionWriter) pad8() {
 	if pad := int((8 - sw.written%8) % 8); pad > 0 {
 		var zero [8]byte
@@ -375,33 +393,44 @@ func OpenIndex(path string, g *graph.Graph) (*PartitionedOracle, error) {
 		return nil, fmt.Errorf("%w: file is %d bytes, header implies %d", ErrIndexFormat, st.Size(), wantSize)
 	}
 
-	// Obtain the whole file: mmap when possible, read-all otherwise.
+	// Obtain the whole file: mmap when possible, read-all otherwise. The
+	// payload CRC of a mapping is computed from read(2) on f, not through the
+	// mapping: every page the checksum touched through the mapping would stay
+	// resident in this process, and queries read a small part of the file.
 	var data []byte
+	var sum uint32
 	mapped := false
 	if hostLittleEndian {
 		if m, err := mmapFile(f, int(st.Size())); err == nil {
 			data, mapped = m, true
 		}
 	}
-	if data == nil {
-		data, err = io.ReadAll(io.MultiReader(bytes.NewReader(hdr[:]), f))
-		if err != nil {
+	if mapped {
+		h := crc32.NewIEEE()
+		if _, err := io.CopyBuffer(h, io.NewSectionReader(f, indexHeaderSize, int64(payload)), make([]byte, 256<<10)); err != nil {
+			munmapBytes(data)
 			return nil, err
 		}
+		sum = h.Sum32()
+	} else {
+		if data, err = io.ReadAll(io.MultiReader(bytes.NewReader(hdr[:]), f)); err != nil {
+			return nil, err
+		}
+		sum = crc32.ChecksumIEEE(data[indexHeaderSize : indexHeaderSize+int(payload)])
 	}
-	o, err := decodeIndex(data, g, cellSize, n, ncells, b, int(payload), mapped)
+	o, err := decodeIndex(data, sum, g, cellSize, n, ncells, b, int(payload), mapped)
 	if err != nil && mapped {
 		munmapBytes(data)
 	}
 	return o, err
 }
 
-// decodeIndex assembles the oracle from the full file contents. When data is
-// an aligned little-endian mapping the table slices alias it directly.
-func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen int, mapped bool) (*PartitionedOracle, error) {
+// decodeIndex assembles the oracle from the full file contents, whose payload
+// checksums to sum. When data is an aligned little-endian mapping the table
+// slices alias it directly.
+func decodeIndex(data []byte, sum uint32, g *graph.Graph, cellSize, n, ncells, b, payloadLen int, mapped bool) (*PartitionedOracle, error) {
 	payload := data[indexHeaderSize : indexHeaderSize+payloadLen]
-	want := binary.LittleEndian.Uint32(data[indexHeaderSize+payloadLen:])
-	if crc32.ChecksumIEEE(payload) != want {
+	if binary.LittleEndian.Uint32(data[indexHeaderSize+payloadLen:]) != sum {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrIndexFormat)
 	}
 	if len(payload) < 8*ncells {
@@ -446,6 +475,8 @@ func decodeIndex(data []byte, g *graph.Graph, cellSize, n, ncells, b, payloadLen
 	cellTauPar := cur.i32s(sumK2)
 	cellSigPar := cur.i32s(sumK2)
 	cur.pad8()
+	o.pairMin[ByObjective] = cur.pairs(ncells * ncells)
+	o.pairMin[ByBudget] = cur.pairs(ncells * ncells)
 	cellTauP := cur.f64s(sumK2)
 	cellTauS := cur.f64s(sumK2)
 	cellSigP := cur.f64s(sumK2)
@@ -593,6 +624,15 @@ func (c *payloadCursor) f64s(n int) []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
 	return out
+}
+
+// pairs reads n score pairs written by sectionWriter.pairs.
+func (c *payloadCursor) pairs(n int) []scorePair {
+	f := c.f64s(2 * n)
+	if f == nil {
+		return nil
+	}
+	return unsafe.Slice((*scorePair)(unsafe.Pointer(&f[0])), n)
 }
 
 // pad8 skips the writer's alignment padding. The payload starts at file

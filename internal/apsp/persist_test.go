@@ -259,9 +259,11 @@ func TestIndexLoadErrors(t *testing.T) {
 	badHdr[10] ^= 0x01
 	check("bad-header.kori", badHdr, ErrIndexFormat)
 
-	// Another version — the previous format's, a future one — header CRC
-	// recomputed so only the version differs.
-	for name, version := range map[string]byte{"v1.kori": 1, "future.kori": 0x7f} {
+	// Another version — the two previous formats', a future one — header CRC
+	// recomputed so only the version differs. A version 2 file has no
+	// cell-pair minima; the payload length would refuse it too, but the
+	// version is checked first and names the remedy.
+	for name, version := range map[string]byte{"v1.kori": 1, "v2.kori": 2, "future.kori": 0x7f} {
 		other := append([]byte(nil), good...)
 		other[4] = version
 		patchHeaderCRC(other)

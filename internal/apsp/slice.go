@@ -123,16 +123,11 @@ func (o *PartitionedOracle) sliceBytes() int64 {
 	return scorePairBytes*int64(len(o.region)+len(o.borders)+maxNB) + sliceBlockBytes*int64(len(o.cells)) + sliceBaseBytes
 }
 
-// initSlices sets up what the slices read beyond the tables: the slice
-// store, bounded by sliceMemoBudget bytes alone (~520 slices on an
-// 8,000-node road graph) — a slice is published empty and fills as it is
-// read, so every slice is charged the worst case — and the empty cell-pair
-// bounds (cellPairMin), one entry per ordered cell pair and metric.
+// initSlices sets up the slice store, bounded by sliceMemoBudget bytes alone
+// (~520 slices on an 8,000-node road graph): a slice is published empty and
+// fills as it is read, so every slice is charged the worst case.
 func (o *PartitionedOracle) initSlices() {
 	o.slices = newMemo[*TargetSlice](sliceMemoBudget, o.sliceBytes())
-	for m := range o.pairMin {
-		o.pairMin[m] = make([]scoreEntry, len(o.cells)*len(o.cells))
-	}
 }
 
 // TargetSlice returns (creating and caching on first use) the view of the
@@ -221,10 +216,11 @@ func (ts *TargetSlice) Cell(v graph.NodeID) int { return int(ts.region[v]) }
 // CellBound returns lower bounds on the objective and budget scores Scores
 // reports for any node of cell c, in Scores' order: (0, 0) in the root's own
 // cell, and elsewhere the root vector's least entries plus the least of the
-// overlay block between the two cells (cellPairMin), on each score apart —
-// R + C out of a source, C + R into a target. +Inf on both means no border
-// pair joins the two cells, or the root reaches none of its cell's borders:
-// no node of c is reachable. It computes no score and touches no cell.
+// overlay block between the two cells (the oracle's pairMin table), on each
+// score apart — R + C out of a source, C + R into a target. +Inf on both
+// means no border pair joins the two cells, or the root reaches none of its
+// cell's borders: no node of c is reachable. It computes no score, touches
+// no cell and reads no overlay block.
 //
 // It bounds because every score outside the root's cell is assembled as
 // head + mid + tail, in either association: the root's leg is one of
@@ -241,43 +237,12 @@ func (ts *TargetSlice) CellBound(c int) (os, bs float64) {
 	if ts.outbound {
 		from, to = ts.rootCell, c
 	}
-	mid := ts.o.cellPairMin(ts.metric, from, to)
+	mid := ts.o.pairMin[ts.metric][from*len(ts.o.cells)+to]
 	prim, sec := ts.rootMin.prim+mid.prim, ts.rootMin.sec+mid.sec
 	if ts.metric == ByBudget {
 		return sec, prim
 	}
 	return prim, sec
-}
-
-// cellPairMin returns the least primary and the least secondary, each on its
-// own, of the overlay block from cell i's borders to cell j's under m, for
-// i ≠ j: +Inf on both when no border pair connects them. The first call
-// scans the block — the nb(i)·nb(j) scores a slice's first touch of such a
-// cell scans anyway — and publishes both minima the way a slice publishes a
-// node's scores: all-zero is "not computed yet", which a computed entry
-// never is, since distinct borders are joined by a sum of positive edge
-// scores or by nothing. Racing first calls store identical bits.
-func (o *PartitionedOracle) cellPairMin(m Metric, i, j int) scorePair {
-	e := &o.pairMin[m][i*len(o.cells)+j]
-	if p := e.prim.Load(); p != 0 {
-		return scorePair{math.Float64frombits(p), math.Float64frombits(e.sec.Load())}
-	}
-	ci, cj := &o.cells[i], &o.cells[j]
-	ovP, ovS, _ := o.overlayTables(m)
-	at := o.block(ci, cj)
-	n := ci.nb * cj.nb
-	least := scorePair{math.Inf(1), math.Inf(1)}
-	for k, p := range ovP[at : at+n] {
-		if p < least.prim {
-			least.prim = p
-		}
-		if s := ovS[at+k]; s < least.sec {
-			least.sec = s
-		}
-	}
-	e.sec.Store(math.Float64bits(least.sec))
-	e.prim.Store(math.Float64bits(least.prim))
-	return least
 }
 
 // borderVec is the border vector behind the k node entries of cell's block.

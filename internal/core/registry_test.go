@@ -128,6 +128,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Alpha = 1.5 },
 		func(o *Options) { o.Alpha = math.NaN() },
 		func(o *Options) { o.K = 0 },
+		func(o *Options) { o.K = MaxK + 1 },
 		func(o *Options) { o.Width = 0 },
 		func(o *Options) { o.Width = MaxWidth + 1 },
 		func(o *Options) { o.MaxExpansions = defaultMaxExpansions + 1 },

@@ -3,12 +3,13 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestMemIndexRoundTrip checks the delta-varint encoding against a naive
-// per-term scan of the graph: every list must decode sorted, complete, and
-// duplicate-free.
+// TestMemIndexRoundTrip checks the flat posting lists against a naive
+// per-term scan of the graph: every list must come back sorted, complete,
+// and duplicate-free.
 func TestMemIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := NewBuilder()
@@ -76,24 +77,32 @@ func (b *Builder) vocabTermsOf(tags []string) []Term {
 	return out
 }
 
-// TestMemIndexCompact pins the layout win the varint encoding exists for: on
-// a dense tag distribution the blob must stay well under the 4 bytes/posting
-// of the old slice-of-NodeID layout.
+// TestMemIndexCompact pins the layout: four bytes per posting in one flat
+// array plus one offset per term, with no per-term slice header or map
+// bucket, and every list handed out capped at its end, so that appending to
+// one copies it instead of overwriting the next term's postings.
 func TestMemIndexCompact(t *testing.T) {
 	b := NewBuilder()
 	const n = 2000
 	for v := 0; v < n; v++ {
-		// Two hot tags on nearly every node: gaps of ~1-2, one varint byte each.
 		b.AddNode("hot", fmt.Sprintf("warm%d", v%4))
 	}
 	g := b.MustBuild()
 	idx := NewMemIndex(g)
-	perPosting := float64(len(idx.blob)) / float64(idx.NumPostings())
-	if perPosting > 2 {
-		t.Errorf("dense lists encode at %.2f bytes/posting, want ≤ 2", perPosting)
+	terms := int64(g.Vocab().Len())
+	if want := 4*int64(idx.NumPostings()) + 4*(terms+1); idx.FootprintBytes() != want {
+		t.Errorf("FootprintBytes = %d, want %d for %d postings over %d terms", idx.FootprintBytes(), want, idx.NumPostings(), terms)
 	}
-	if idx.FootprintBytes() <= 0 {
-		t.Errorf("FootprintBytes = %d", idx.FootprintBytes())
+	hot, _ := g.Vocab().Lookup("hot")
+	warm0, _ := g.Vocab().Lookup("warm0") // interned next: its list follows hot's
+	post := idx.Postings(hot)
+	if cap(post) != len(post) {
+		t.Errorf("Postings(hot) has capacity %d beyond its %d postings", cap(post), len(post))
+	}
+	want := slices.Clone(idx.Postings(warm0))
+	_ = append(post, NodeID(n))
+	if !slices.Equal(idx.Postings(warm0), want) {
+		t.Error("appending to one posting list changed the next")
 	}
 }
 

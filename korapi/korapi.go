@@ -27,7 +27,8 @@ type Request struct {
 	// Algorithm selects the search algorithm: "bucketbound" (default),
 	// "osscaling", "greedy", "topk", "exact" or "bruteforce".
 	Algorithm string `json:"algorithm,omitempty"`
-	// K, when positive, asks for the K best distinct routes.
+	// K, when positive, asks for the K best distinct routes, at most 32; a
+	// larger K is a bad_request.
 	K int `json:"k,omitempty"`
 	// Metrics asks the server to attach the search work counters to the
 	// response.

@@ -424,13 +424,13 @@ func (s *server) handleAdminPatch(w http.ResponseWriter, r *http.Request) {
 	s.writeAdmin(w)
 }
 
-// warnIfDegraded logs when an admin update left the serving graph out of
-// step with the configured persistent distance index. The condition is also
-// visible in /v1/stats and the kor_engine_oracle_degraded metric; the log
-// line is for the operator tailing the server during the update.
+// warnIfDegraded logs when an admin update left the serving graph's edges
+// out of step with the configured persistent distance index. The condition
+// is also visible in /v1/stats and the kor_engine_oracle_degraded metric;
+// the log line is for the operator tailing the server during the update.
 func (s *server) warnIfDegraded() {
 	if ost := s.eng.OracleStatus(); ost.Degraded {
-		log.Printf("korserve: graph no longer matches the persistent distance index (built for %016x); serving from a lazy oracle until a matching graph is installed",
+		log.Printf("korserve: graph edges no longer match the persistent distance index (built for %016x); serving from a lazy oracle until a graph with the same edges is installed",
 			ost.IndexFingerprint)
 	}
 }

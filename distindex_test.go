@@ -12,7 +12,7 @@ import (
 // Tests for the persistent distance oracle wiring: an engine started with
 // DistIndexPath serves from the disk-loaded tables, refuses a mismatched
 // index outright, and degrades to a lazy oracle — never stale distances —
-// when a live update changes the graph.
+// when a live update changes an edge.
 
 // buildDistIndex writes a distance index for g into a temp dir.
 func buildDistIndex(t *testing.T, g *Graph) string {
@@ -161,7 +161,7 @@ func TestDegradedOracleIsByteBounded(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer eng.Close()
-	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 1, Keywords: []string{"view"}}}}); err != nil {
+	if _, err := eng.Patch(Delta{UpdateEdges: []EdgePatch{{From: 0, To: 1, Objective: 0.1, Budget: 1.2}}}); err != nil {
 		t.Fatalf("Patch: %v", err)
 	}
 	if ost := eng.OracleStatus(); !ost.Degraded || ost.Kind != OracleKindLazy {

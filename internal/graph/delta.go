@@ -79,8 +79,12 @@ type Delta struct {
 
 // Empty reports whether the delta contains no changes.
 func (d Delta) Empty() bool {
-	return len(d.AddKeywords) == 0 && len(d.RemoveKeywords) == 0 &&
-		len(d.UpdateEdges) == 0 && len(d.AddEdges) == 0 && len(d.RemoveEdges) == 0
+	return len(d.AddKeywords) == 0 && len(d.RemoveKeywords) == 0 && !d.touchesEdges()
+}
+
+// touchesEdges reports whether the delta has an edge phase.
+func (d Delta) touchesEdges() bool {
+	return len(d.UpdateEdges) != 0 || len(d.AddEdges) != 0 || len(d.RemoveEdges) != 0
 }
 
 // pairKey packs a directed edge into one map key.
@@ -125,6 +129,11 @@ func (g *Graph) Apply(d Delta) (*Graph, error) {
 	}
 	if err := out.applyEdgePatches(g, d); err != nil {
 		return nil, err
+	}
+	if !d.touchesEdges() {
+		// The edge arrays are aliased, so the distances are g's: carry its
+		// distance digest over (zero, if g never computed it, stays lazy).
+		out.dfp.Store(g.dfp.Load())
 	}
 	return out, nil
 }
@@ -256,7 +265,7 @@ func (out *Graph) applyKeywordPatches(g *Graph, d Delta) error {
 // deltas keep the CSR head arrays and patch copies of the edge arrays in
 // place; topology changes rebuild both CSRs from the merged edge list.
 func (out *Graph) applyEdgePatches(g *Graph, d Delta) error {
-	if len(d.UpdateEdges) == 0 && len(d.AddEdges) == 0 && len(d.RemoveEdges) == 0 {
+	if !d.touchesEdges() {
 		return nil
 	}
 	checkAttrs := func(what string, ep EdgePatch) error {

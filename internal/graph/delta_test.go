@@ -331,3 +331,88 @@ func TestApplySaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip fingerprint %x, want %x", g3.Fingerprint(), g2.Fingerprint())
 	}
 }
+
+// TestApplyDistanceFingerprint: a keyword delta keeps the distance digest —
+// carried over, not recomputed, since the edge arrays are aliased — while an
+// edge delta changes it; the full fingerprint changes in both cases.
+func TestApplyDistanceFingerprint(t *testing.T) {
+	g := deltaFixture(t)
+	fp, dfp := g.Fingerprint(), g.DistanceFingerprint()
+
+	kw, err := g.Apply(Delta{
+		AddKeywords:    []KeywordPatch{{Node: 2, Keywords: []string{"jazz", "fountain"}}},
+		RemoveKeywords: []KeywordPatch{{Node: 1, Keywords: []string{"jazz"}}},
+	})
+	if err != nil {
+		t.Fatalf("Apply keywords: %v", err)
+	}
+	if got := kw.dfp.Load(); got != dfp {
+		t.Fatalf("keyword delta cached distance fingerprint %x, want %x carried over", got, dfp)
+	}
+	if kw.Fingerprint() == fp {
+		t.Fatal("keyword delta kept the full fingerprint")
+	}
+	// The carried digest is the one a recomputation yields.
+	kw.dfp.Store(0)
+	if got := kw.DistanceFingerprint(); got != dfp {
+		t.Fatalf("recomputed distance fingerprint %x, want %x", got, dfp)
+	}
+
+	for _, d := range []Delta{
+		{UpdateEdges: []EdgePatch{{From: 0, To: 1, Objective: 0.7, Budget: 1.3}}},
+		{RemoveEdges: []EdgeRef{{From: 3, To: 2}}},
+		{AddEdges: []EdgePatch{{From: 1, To: 0, Objective: 0.2, Budget: 0.2}}},
+		{
+			AddKeywords: []KeywordPatch{{Node: 0, Keywords: []string{"jazz"}}},
+			UpdateEdges: []EdgePatch{{From: 1, To: 2, Objective: 0.3, Budget: 0.9}},
+		},
+	} {
+		g2, err := g.Apply(d)
+		if err != nil {
+			t.Fatalf("Apply %+v: %v", d, err)
+		}
+		if g2.DistanceFingerprint() == dfp {
+			t.Errorf("edge delta %+v kept the distance fingerprint", d)
+		}
+		if g2.Fingerprint() == fp {
+			t.Errorf("edge delta %+v kept the full fingerprint", d)
+		}
+	}
+}
+
+// TestDistanceFingerprintIgnoresLabels: keywords, names and positions do
+// not enter the distance digest; the edges and their weights do.
+func TestDistanceFingerprintIgnoresLabels(t *testing.T) {
+	build := func(kw string, obj float64, relabel bool) *Graph {
+		b := NewBuilder()
+		b.AddNode(kw)
+		if relabel {
+			b.AddNode("extra")
+		} else {
+			b.AddNode()
+		}
+		b.AddNode(kw, "extra")
+		if err := b.AddEdge(0, 1, obj, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddEdge(1, 2, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if relabel {
+			if err := b.SetName(1, "Station"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.MustBuild()
+	}
+	a, b := build("cafe", 1, false), build("park", 1, true)
+	if a.DistanceFingerprint() != b.DistanceFingerprint() {
+		t.Fatal("graphs with the same edges have different distance fingerprints")
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("graphs with different keywords share a full fingerprint")
+	}
+	if c := build("cafe", 1.5, false); c.DistanceFingerprint() == a.DistanceFingerprint() {
+		t.Fatal("a changed edge weight kept the distance fingerprint")
+	}
+}

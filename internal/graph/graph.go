@@ -61,8 +61,9 @@ type Graph struct {
 	maxObjective float64
 	maxBudget    float64
 
-	// fp caches Fingerprint's digest; 0 means not yet computed.
-	fp atomic.Uint64
+	// fp caches Fingerprint's digest and dfp DistanceFingerprint's; 0 means
+	// not yet computed.
+	fp, dfp atomic.Uint64
 }
 
 // NumNodes returns |V|.
@@ -150,6 +151,32 @@ func (g *Graph) MaxObjective() float64 { return g.maxObjective }
 // MaxBudget returns the largest edge budget value.
 func (g *Graph) MaxBudget() float64 { return g.maxBudget }
 
+// fnv64 is the FNV-1a-style running digest behind the fingerprints.
+type fnv64 uint64
+
+func newFNV64() fnv64 { return 14695981039346656037 }
+
+func (h *fnv64) mix(v uint64) { *h = (*h ^ fnv64(v)) * 1099511628211 }
+
+// sum returns the digest, never zero: 0 is the "not yet computed" sentinel
+// of the cached fingerprints.
+func (h fnv64) sum() uint64 {
+	if h == 0 {
+		return 1
+	}
+	return uint64(h)
+}
+
+// mixOut folds v's out-degree offset and out-edges into h.
+func (g *Graph) mixOut(h *fnv64, v NodeID) {
+	h.mix(uint64(g.outHead[v+1]))
+	for _, e := range g.Out(v) {
+		h.mix(uint64(uint32(e.To)))
+		h.mix(math.Float64bits(e.Objective))
+		h.mix(math.Float64bits(e.Budget))
+	}
+}
+
 // Fingerprint returns a deterministic 64-bit digest of the graph's
 // structure, attributes and keyword assignment. Two graphs with the same
 // fingerprint answer every KOR query identically for caching purposes. The
@@ -159,28 +186,36 @@ func (g *Graph) Fingerprint() uint64 {
 	if fp := g.fp.Load(); fp != 0 {
 		return fp
 	}
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h = (h ^ v) * prime
-	}
-	mix(uint64(g.NumNodes()))
-	mix(uint64(g.NumEdges()))
+	h := newFNV64()
+	h.mix(uint64(g.NumNodes()))
+	h.mix(uint64(g.NumEdges()))
 	for v := 0; v < g.NumNodes(); v++ {
-		mix(uint64(g.outHead[v+1]))
-		for _, e := range g.Out(NodeID(v)) {
-			mix(uint64(uint32(e.To)))
-			mix(math.Float64bits(e.Objective))
-			mix(math.Float64bits(e.Budget))
-		}
-		mix(uint64(g.termHead[v+1]))
+		g.mixOut(&h, NodeID(v))
+		h.mix(uint64(g.termHead[v+1]))
 		for _, t := range g.Terms(NodeID(v)) {
-			mix(uint64(uint32(t)))
+			h.mix(uint64(uint32(t)))
 		}
 	}
-	if h == 0 {
-		h = 1 // keep 0 as the "not yet computed" sentinel
+	g.fp.Store(h.sum()) // idempotent: every computation yields the same digest
+	return h.sum()
+}
+
+// DistanceFingerprint returns a deterministic 64-bit digest of what the τ/σ
+// distances depend on: the node count and the edges with their objective and
+// budget values — not keywords, names or positions. Two graphs with the same
+// distance fingerprint have the same shortest-path scores, so a distance
+// oracle built for one serves the other. It is cached like Fingerprint and
+// never zero.
+func (g *Graph) DistanceFingerprint() uint64 {
+	if fp := g.dfp.Load(); fp != 0 {
+		return fp
 	}
-	g.fp.Store(h) // idempotent: every computation yields the same digest
-	return h
+	h := newFNV64()
+	h.mix(uint64(g.NumNodes()))
+	h.mix(uint64(g.NumEdges()))
+	for v := 0; v < g.NumNodes(); v++ {
+		g.mixOut(&h, NodeID(v))
+	}
+	g.dfp.Store(h.sum())
+	return h.sum()
 }

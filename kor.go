@@ -147,10 +147,11 @@ type EngineConfig struct {
 	// built by WriteDistIndex (kordata -build-index) instead of running the
 	// τ/σ pre-processing at startup; Oracle is then ignored for the
 	// construction graph. The file is bound to one graph:
-	// NewEngine fails with apsp.ErrIndexFingerprint when it does not match,
-	// and after a Swap or Patch changes the graph the engine falls back to a
-	// lazy oracle and reports OracleStatus.Degraded until a matching graph
-	// is installed again.
+	// NewEngine fails with apsp.ErrIndexFingerprint when it does not match.
+	// It keeps serving after a Swap or Patch that changes only keywords;
+	// after one that changes an edge the engine falls back to a lazy oracle
+	// and reports OracleStatus.Degraded until a graph with the same edges is
+	// installed again.
 	DistIndexPath string
 	// CacheSize, when positive, bounds a shard-locked LRU cache of query
 	// responses keyed by the request's canonical form and the graph's
@@ -192,9 +193,11 @@ type Engine struct {
 	cfg EngineConfig
 
 	// distOracle is the disk-loaded distance oracle (DistIndexPath), shared
-	// by every snapshot whose graph matches its fingerprint; distLoad is how
-	// long OpenIndex took. Both are set once at construction.
+	// by every snapshot whose graph has the edges it was opened with, which
+	// distFP digests (Graph.DistanceFingerprint); distLoad is how long
+	// OpenIndex took. All three are set once at construction.
 	distOracle *apsp.PartitionedOracle
+	distFP     uint64
 	distLoad   time.Duration
 
 	// results answers duplicate requests without a search: the optional
@@ -208,7 +211,7 @@ type Engine struct {
 	generation uint64
 	// degradedSince dates the start of the current degraded-oracle episode
 	// (persistent distance index configured but the live graph diverged);
-	// zero while serving from the index. Written only by newSnapshot — at
+	// zero while serving from the index. Written only by pickOracle — at
 	// construction or under swapMu — and read through the snapshot's
 	// OracleStatus, so repeated patches keep the original onset rather than
 	// restarting the clock.
@@ -270,8 +273,9 @@ func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 		}
 		eng.distOracle = po
 		eng.distLoad = time.Since(start)
+		eng.distFP = g.DistanceFingerprint()
 	}
-	sn, err := eng.newSnapshot(g, 1)
+	sn, err := eng.newSnapshot(g, 1, nil)
 	if err != nil {
 		eng.Close()
 		return nil, err

@@ -295,12 +295,16 @@ type OracleInfo struct {
 	// "partitioned-disk".
 	Kind string `json:"kind"`
 	// Degraded is true when the server was started with a persistent
-	// distance index (-dist-index) but the live graph no longer matches it —
-	// after an admin patch or reload — so queries fall back to a lazy
-	// oracle instead of serving stale distances.
+	// distance index (-dist-index) but the live graph no longer has the
+	// edges it was built from — after an admin patch or reload that changed
+	// an edge — so queries fall back to a lazy oracle instead of serving
+	// stale distances. The index keeps serving a graph with the same edges,
+	// so a keyword-only patch neither sets nor clears it.
 	Degraded bool `json:"degraded,omitempty"`
-	// IndexFingerprint is the graph fingerprint the persistent index was
-	// built from, 16 lowercase hex digits; absent without one.
+	// IndexFingerprint is the fingerprint of the graph the persistent index
+	// was built from, 16 lowercase hex digits; absent without one. After a
+	// keyword-only patch it differs from the snapshot fingerprint while the
+	// index still serves: the index covers every graph with the same edges.
 	IndexFingerprint string `json:"index_fingerprint,omitempty"`
 	// IndexBytes is the persistent index file size.
 	IndexBytes int64 `json:"index_bytes,omitempty"`

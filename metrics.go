@@ -56,7 +56,7 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	m.oracleKind = reg.GaugeVec("kor_engine_oracle_kind",
 		"Active τ/σ oracle implementation: 1 on the serving kind's series, 0 elsewhere.", "kind")
 	reg.GaugeFunc("kor_engine_oracle_degraded",
-		"1 when a configured persistent distance index no longer matches the live graph and queries fall back to a lazy oracle.",
+		"1 when the live graph no longer has the edges a configured persistent distance index was built from and queries fall back to a lazy oracle.",
 		func() float64 {
 			if e.snap.Load().oracle.Degraded {
 				return 1

@@ -14,7 +14,8 @@ import (
 // Live graph updates. An Engine no longer owns one graph forever: everything
 // derived from a graph — the graph itself, the τ/σ oracle, the in-memory
 // inverted index, the searcher and the memoized stats — lives in an
-// immutable snapshot behind an atomic pointer. Every engine follows live
+// immutable snapshot behind an atomic pointer. The oracle depends on the
+// edges alone, so snapshots whose graphs have the same edges share it. Every engine follows live
 // updates. Engine.Swap installs a whole new graph, Engine.Patch applies an
 // incremental Delta to the current one; both build the new snapshot off the
 // query path and publish it with a single pointer store, so in-flight
@@ -58,12 +59,16 @@ type OracleStatus struct {
 	// Kind is one of the OracleKind* labels.
 	Kind string
 	// Degraded reports that the engine was configured with a persistent
-	// distance index but the current snapshot's graph no longer matches its
-	// fingerprint (a Swap or Patch changed the graph), so queries are served
-	// by a freshly built lazy oracle instead of stale precomputed distances.
+	// distance index but the current snapshot's graph no longer has the
+	// edges the index was built from (a Swap or Patch changed an edge), so
+	// queries are served by a lazy oracle instead of stale precomputed
+	// distances. A keyword-only update neither sets nor clears it: the index
+	// serves any graph with the same edges.
 	Degraded bool
-	// IndexFingerprint is the graph fingerprint of the configured persistent
-	// index; zero when none is configured.
+	// IndexFingerprint is the graph fingerprint (Graph.Fingerprint) of the
+	// graph the configured persistent index was built for; zero when none is
+	// configured. The index keeps serving graphs with the same edges whose
+	// keywords differ, so this need not equal the snapshot's fingerprint.
 	IndexFingerprint uint64
 	// IndexBytes is the index file size; zero when none is configured.
 	IndexBytes int64
@@ -103,43 +108,13 @@ func (sn *snapshot) computeStats() GraphStats {
 	return sn.stats
 }
 
-// newSnapshot builds the per-graph substrates: the oracle per the engine's
-// configuration and a fresh in-memory inverted index. With a persistent distance index configured the snapshot
-// serves from it when the graph still matches its fingerprint; otherwise it
-// falls back to a lazy oracle and flags the status Degraded — stale
-// precomputed distances must never answer queries for a changed graph.
-func (e *Engine) newSnapshot(g *Graph, generation uint64) (*snapshot, error) {
-	var (
-		oracle core.RouteOracle
-		status OracleStatus
-	)
-	if e.distOracle != nil {
-		info := e.distOracle.IndexInfo()
-		status = OracleStatus{
-			IndexFingerprint: info.Fingerprint,
-			IndexBytes:       info.Bytes,
-			Mapped:           info.Mapped,
-			LoadTime:         e.distLoad,
-		}
-		if info.Fingerprint == g.Fingerprint() {
-			oracle = e.distOracle
-			status.Kind = OracleKindPartitionedDisk
-			e.degradedSince = time.Time{}
-		} else {
-			oracle = apsp.NewLazyOracle(g)
-			status.Kind = OracleKindLazy
-			status.Degraded = true
-			if e.degradedSince.IsZero() {
-				e.degradedSince = time.Now()
-			}
-			status.DegradedSince = e.degradedSince
-		}
-	} else {
-		var err error
-		oracle, status.Kind, err = buildOracle(g, e.cfg)
-		if err != nil {
-			return nil, err
-		}
+// newSnapshot builds the per-graph substrates: the oracle (pickOracle) and a
+// fresh in-memory inverted index. cur is the snapshot being replaced, nil at
+// construction.
+func (e *Engine) newSnapshot(g *Graph, generation uint64, cur *snapshot) (*snapshot, error) {
+	oracle, status, err := e.pickOracle(g, cur)
+	if err != nil {
+		return nil, err
 	}
 	return &snapshot{
 		g:        g,
@@ -153,10 +128,51 @@ func (e *Engine) newSnapshot(g *Graph, generation uint64) (*snapshot, error) {
 	}, nil
 }
 
-// Swap atomically replaces the engine's graph with g: the oracle and index
-// substrates are rebuilt for g (off the query path — queries keep running on
-// the current snapshot meanwhile), the new snapshot is published, and the
-// result cache is cleared. Queries that entered Run before the swap finish
+// pickOracle chooses the τ/σ oracle for g by its distance fingerprint, since
+// keywords never reach τ or σ. In order: the persistent distance index when
+// g has the edges it was opened with; else the current snapshot's oracle and
+// status when g has the same edges as its graph — a keyword-only update does
+// no oracle work, and a degraded episode keeps its onset; else a fresh
+// build. With an index configured the fresh build is a lazy oracle flagged
+// Degraded: stale precomputed distances must never answer queries for
+// changed edges.
+func (e *Engine) pickOracle(g *Graph, cur *snapshot) (core.RouteOracle, OracleStatus, error) {
+	var status OracleStatus
+	if e.distOracle != nil {
+		info := e.distOracle.IndexInfo()
+		status = OracleStatus{
+			IndexFingerprint: info.Fingerprint,
+			IndexBytes:       info.Bytes,
+			Mapped:           info.Mapped,
+			LoadTime:         e.distLoad,
+		}
+		if g.DistanceFingerprint() == e.distFP {
+			status.Kind = OracleKindPartitionedDisk
+			e.degradedSince = time.Time{}
+			return e.distOracle, status, nil
+		}
+	}
+	if cur != nil && cur.g.DistanceFingerprint() == g.DistanceFingerprint() {
+		return cur.searcher.Oracle(), cur.oracle, nil
+	}
+	if e.distOracle == nil {
+		oracle, kind, err := buildOracle(g, e.cfg)
+		return oracle, OracleStatus{Kind: kind}, err
+	}
+	status.Kind = OracleKindLazy
+	status.Degraded = true
+	if e.degradedSince.IsZero() {
+		e.degradedSince = time.Now()
+	}
+	status.DegradedSince = e.degradedSince
+	return apsp.NewLazyOracle(g), status, nil
+}
+
+// Swap atomically replaces the engine's graph with g: the index substrate is
+// rebuilt for g and the oracle too unless g has the same edges as the
+// current graph (off the query path — queries keep running on the current
+// snapshot meanwhile), the new snapshot is published, and the result cache
+// is cleared. Queries that entered Run before the swap finish
 // against the old snapshot; queries entering after see g. The returned
 // SnapshotInfo identifies the installed snapshot.
 func (e *Engine) Swap(g *Graph) (SnapshotInfo, error) {
@@ -190,7 +206,7 @@ func (e *Engine) Patch(d Delta) (SnapshotInfo, error) {
 // installLocked builds and publishes the snapshot for g. Callers hold
 // swapMu, which serializes generation numbering with the pointer store.
 func (e *Engine) installLocked(g *Graph) (SnapshotInfo, error) {
-	sn, err := e.newSnapshot(g, e.generation+1)
+	sn, err := e.newSnapshot(g, e.generation+1, e.snap.Load())
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
@@ -211,8 +227,9 @@ func (e *Engine) Snapshot() SnapshotInfo { return e.snap.Load().info }
 
 // OracleStatus reports the oracle serving the engine's current snapshot.
 // Watch Degraded after Swap or Patch on an engine configured with a
-// persistent distance index: true means the index no longer matches the live
-// graph and queries run on a lazy oracle until a matching graph returns.
+// persistent distance index: true means the live graph's edges no longer
+// match the index and queries run on a lazy oracle until a graph with the
+// same edges returns.
 func (e *Engine) OracleStatus() OracleStatus { return e.snap.Load().oracle }
 
 // Stats returns the current snapshot's graph summary and identity. The

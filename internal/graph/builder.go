@@ -2,14 +2,16 @@ package graph
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"kor/internal/geo"
 )
 
-// Builder accumulates nodes and edges and produces an immutable Graph.
-// The zero value is not usable; call NewBuilder.
+// Builder stages nodes and edges in memory and lays them out as an
+// immutable Graph on every Build, through the same count-and-fill as
+// StreamBuilder: it trades a 24-byte record per edge for letting the caller
+// add nodes and edges in any order and build more than once. The zero value
+// is not usable; call NewBuilder.
 type Builder struct {
 	vocab    *Vocabulary
 	terms    [][]Term
@@ -18,12 +20,6 @@ type Builder struct {
 	anyPos   bool
 	anyNames bool
 	edges    []builderEdge
-}
-
-type builderEdge struct {
-	from, to  NodeID
-	objective float64
-	budget    float64
 }
 
 // NewBuilder returns an empty builder with a fresh vocabulary.
@@ -46,26 +42,10 @@ func (b *Builder) AddNode(keywords ...string) NodeID {
 	for _, k := range keywords {
 		ts = append(ts, b.vocab.Intern(k))
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	ts = dedupTerms(ts)
 	b.terms = append(b.terms, ts)
 	b.pos = append(b.pos, geo.Point{})
 	b.names = append(b.names, "")
 	return id
-}
-
-func dedupTerms(ts []Term) []Term {
-	if len(ts) < 2 {
-		return ts
-	}
-	w := 1
-	for i := 1; i < len(ts); i++ {
-		if ts[i] != ts[w-1] {
-			ts[w] = ts[i]
-			w++
-		}
-	}
-	return ts[:w]
 }
 
 // SetPosition records coordinates for node v.
@@ -91,27 +71,12 @@ func (b *Builder) SetName(v NodeID, name string) error {
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.terms) }
 
-// AddEdge appends the directed edge from→to. Both attribute values must be
-// positive and finite: the scaling factor θ = ε·o_min·b_min/Δ divides by the
-// minimum objective, and the search-depth bound ⌊Δ/b_min⌋ divides by the
-// minimum budget, so zero or negative attributes would break the paper's
-// complexity and approximation guarantees. Self-loops are rejected — they can
-// never appear on a useful route.
+// AddEdge appends the directed edge from→to. Both endpoints must exist,
+// self-loops are rejected, and both attribute values must be positive and
+// finite (see checkEdge for why).
 func (b *Builder) AddEdge(from, to NodeID, objective, budget float64) error {
-	if from < 0 || int(from) >= len(b.terms) {
-		return fmt.Errorf("graph: AddEdge: no such node %d", from)
-	}
-	if to < 0 || int(to) >= len(b.terms) {
-		return fmt.Errorf("graph: AddEdge: no such node %d", to)
-	}
-	if from == to {
-		return fmt.Errorf("graph: AddEdge: self-loop on node %d", from)
-	}
-	if !(objective > 0) || math.IsInf(objective, 0) {
-		return fmt.Errorf("graph: AddEdge(%d,%d): objective %v must be positive and finite", from, to, objective)
-	}
-	if !(budget > 0) || math.IsInf(budget, 0) {
-		return fmt.Errorf("graph: AddEdge(%d,%d): budget %v must be positive and finite", from, to, budget)
+	if err := checkEdge(len(b.terms), from, to, objective, budget); err != nil {
+		return fmt.Errorf("graph: AddEdge(%d,%d): %w", from, to, err)
 	}
 	b.edges = append(b.edges, builderEdge{from, to, objective, budget})
 	return nil
@@ -127,87 +92,26 @@ func (b *Builder) AddBidirectional(a, c NodeID, objective, budget float64) error
 	return b.AddEdge(c, a, objective, budget)
 }
 
-// Build assembles the immutable Graph. The builder stays usable; Build may
-// be called again after adding more nodes or edges.
+// Build assembles the immutable Graph by replaying the staged nodes and
+// edges into a fresh StreamBuilder, the one CSR assembly. The builder stays
+// usable; Build may be called again after adding more nodes or edges.
 func (b *Builder) Build() (*Graph, error) {
-	n := len(b.terms)
-	g := &Graph{vocab: b.vocab}
-
-	// Keyword CSR.
-	g.termHead = make([]int32, n+1)
-	total := 0
-	for i, ts := range b.terms {
-		g.termHead[i] = int32(total)
-		total += len(ts)
-	}
-	g.termHead[n] = int32(total)
-	g.terms = make([]Term, 0, total)
+	sb := NewStreamBuilder(b.vocab)
 	for _, ts := range b.terms {
-		g.terms = append(g.terms, ts...)
+		if _, err := sb.AddNodeTerms(ts); err != nil {
+			return nil, err
+		}
 	}
-
-	g.outHead, g.outEdges, g.inHead, g.inEdges = buildCSR(b.edges, n)
-
-	// Attribute extrema.
-	g.minObjective, g.minBudget = math.Inf(1), math.Inf(1)
-	for _, e := range b.edges {
-		g.minObjective = math.Min(g.minObjective, e.objective)
-		g.minBudget = math.Min(g.minBudget, e.budget)
-		g.maxObjective = math.Max(g.maxObjective, e.objective)
-		g.maxBudget = math.Max(g.maxBudget, e.budget)
-	}
-	if len(b.edges) == 0 {
-		g.minObjective, g.minBudget = 0, 0
-	}
-
 	if b.anyPos {
-		g.pos = append([]geo.Point(nil), b.pos...)
+		sb.pos = slices.Clone(b.pos)
 	}
 	if b.anyNames {
-		g.names = append([]string(nil), b.names...)
+		sb.names = slices.Clone(b.names)
 	}
-	return g, nil
-}
-
-// buildCSR assembles the forward and reverse CSR arrays from an edge list
-// with a stable counting sort: edges keep their relative order within each
-// source (forward) and each target (reverse). Shared by Builder.Build and
-// Graph.Apply — the two must stay byte-identical for equal inputs, or
-// fingerprints of built and patched graphs with the same content would
-// diverge.
-func buildCSR(edges []builderEdge, n int) (outHead []int32, outEdges []Edge, inHead []int32, inEdges []Edge) {
-	outHead = make([]int32, n+1)
-	for _, e := range edges {
-		outHead[e.from+1]++
+	if err := sb.assemble(slices.All(b.edges)); err != nil {
+		return nil, fmt.Errorf("graph: Build: %w", err)
 	}
-	for i := 1; i <= n; i++ {
-		outHead[i] += outHead[i-1]
-	}
-	outEdges = make([]Edge, len(edges))
-	cursor := make([]int32, n)
-	for _, e := range edges {
-		i := outHead[e.from] + cursor[e.from]
-		outEdges[i] = Edge{To: e.to, Objective: e.objective, Budget: e.budget}
-		cursor[e.from]++
-	}
-
-	inHead = make([]int32, n+1)
-	for _, e := range edges {
-		inHead[e.to+1]++
-	}
-	for i := 1; i <= n; i++ {
-		inHead[i] += inHead[i-1]
-	}
-	inEdges = make([]Edge, len(edges))
-	for i := range cursor {
-		cursor[i] = 0
-	}
-	for _, e := range edges {
-		i := inHead[e.to] + cursor[e.to]
-		inEdges[i] = Edge{To: e.from, Objective: e.objective, Budget: e.budget}
-		cursor[e.to]++
-	}
-	return outHead, outEdges, inHead, inEdges
+	return sb.Build()
 }
 
 // MustBuild is Build for fixtures and generators whose input is known good.

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 )
 
 // Live-update deltas. A Delta describes an incremental change to a graph —
@@ -19,8 +17,11 @@ import (
 //
 //	change kind          shared storage
 //	keyword-only         edge CSRs, heads, extrema, positions, names
-//	attr-only edges      CSR head arrays, keyword CSR, vocab, positions, names
-//	topology edges       keyword CSR, vocab, positions, names
+//	any edge change      keyword CSR, vocab, positions, names
+//
+// An edge change re-assembles both CSRs and the extrema through the one
+// count-and-fill every graph is laid out by (see csrFill), so a patched
+// graph is byte-identical to a built one with the same edges in Out order.
 //
 // The vocabulary is copy-on-write: it is shared unless an added keyword is
 // new, in which case Apply clones it before interning so the source graph's
@@ -100,9 +101,6 @@ func (g *Graph) Apply(d Delta) (*Graph, error) {
 	if d.Empty() {
 		return g, nil
 	}
-	if err := g.validateDeltaNodes(d); err != nil {
-		return nil, err
-	}
 
 	// Start from a full alias of g; the phases below replace exactly the
 	// arrays they change.
@@ -138,56 +136,16 @@ func (g *Graph) Apply(d Delta) (*Graph, error) {
 	return out, nil
 }
 
-// validateDeltaNodes rejects any patch addressing a node outside g.
-func (g *Graph) validateDeltaNodes(d Delta) error {
-	check := func(what string, v NodeID) error {
-		if !g.Valid(v) {
-			return fmt.Errorf("graph: Apply: %s: no such node %d", what, v)
-		}
-		return nil
-	}
-	for _, kp := range d.AddKeywords {
-		if err := check("add keywords", kp.Node); err != nil {
-			return err
-		}
-	}
-	for _, kp := range d.RemoveKeywords {
-		if err := check("remove keywords", kp.Node); err != nil {
-			return err
-		}
-	}
-	for _, ep := range d.UpdateEdges {
-		if err := check(fmt.Sprintf("update edge %d→%d", ep.From, ep.To), ep.From); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("update edge %d→%d", ep.From, ep.To), ep.To); err != nil {
-			return err
-		}
-	}
-	for _, ep := range d.AddEdges {
-		if err := check(fmt.Sprintf("add edge %d→%d", ep.From, ep.To), ep.From); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("add edge %d→%d", ep.From, ep.To), ep.To); err != nil {
-			return err
-		}
-	}
-	for _, er := range d.RemoveEdges {
-		if err := check(fmt.Sprintf("remove edge %d→%d", er.From, er.To), er.From); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("remove edge %d→%d", er.From, er.To), er.To); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // applyKeywordPatches rebuilds the keyword CSR when the delta touches
 // keywords, cloning the vocabulary only if a new keyword must be interned.
 func (out *Graph) applyKeywordPatches(g *Graph, d Delta) error {
 	if len(d.AddKeywords) == 0 && len(d.RemoveKeywords) == 0 {
 		return nil
+	}
+	for _, kp := range slices.Concat(d.AddKeywords, d.RemoveKeywords) {
+		if !g.Valid(kp.Node) {
+			return fmt.Errorf("graph: Apply: keywords of node %d: no such node", kp.Node)
+		}
 	}
 
 	// Copy-on-write vocabulary: clone before the first new intern.
@@ -250,7 +208,7 @@ func (out *Graph) applyKeywordPatches(g *Graph, d Delta) error {
 			for t := range set {
 				ts = append(ts, t)
 			}
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+			slices.Sort(ts)
 			newTerms = append(newTerms, ts...)
 		} else {
 			newTerms = append(newTerms, g.Terms(NodeID(v))...)
@@ -261,23 +219,14 @@ func (out *Graph) applyKeywordPatches(g *Graph, d Delta) error {
 	return nil
 }
 
-// applyEdgePatches validates and materializes the edge phases. Attribute-only
-// deltas keep the CSR head arrays and patch copies of the edge arrays in
-// place; topology changes rebuild both CSRs from the merged edge list.
+// applyEdgePatches validates the edge phases and re-assembles both CSRs
+// through the one fill (see csrFill) from the merged edge list: g's edges in
+// Out order with updates applied and removals skipped, then the additions.
 func (out *Graph) applyEdgePatches(g *Graph, d Delta) error {
 	if !d.touchesEdges() {
 		return nil
 	}
-	checkAttrs := func(what string, ep EdgePatch) error {
-		if !(ep.Objective > 0) || math.IsInf(ep.Objective, 0) {
-			return fmt.Errorf("graph: Apply: %s %d→%d: objective %v must be positive and finite", what, ep.From, ep.To, ep.Objective)
-		}
-		if !(ep.Budget > 0) || math.IsInf(ep.Budget, 0) {
-			return fmt.Errorf("graph: Apply: %s %d→%d: budget %v must be positive and finite", what, ep.From, ep.To, ep.Budget)
-		}
-		return nil
-	}
-
+	n := g.NumNodes()
 	// Validation is O(patch count × out-degree): each addressed pair is
 	// checked against the source node's adjacency directly, so a one-edge
 	// delta on a million-edge graph never scans the whole edge set.
@@ -291,8 +240,8 @@ func (out *Graph) applyEdgePatches(g *Graph, d Delta) error {
 	}
 	updates := make(map[uint64]EdgePatch, len(d.UpdateEdges))
 	for _, ep := range d.UpdateEdges {
-		if err := checkAttrs("update edge", ep); err != nil {
-			return err
+		if err := checkEdge(n, ep.From, ep.To, ep.Objective, ep.Budget); err != nil {
+			return fmt.Errorf("graph: Apply: update edge %d→%d: %w", ep.From, ep.To, err)
 		}
 		if !hasEdge(ep.From, ep.To) {
 			return fmt.Errorf("graph: Apply: update edge %d→%d: no such edge", ep.From, ep.To)
@@ -301,18 +250,15 @@ func (out *Graph) applyEdgePatches(g *Graph, d Delta) error {
 	}
 	removes := make(map[uint64]bool, len(d.RemoveEdges))
 	for _, er := range d.RemoveEdges {
-		if !hasEdge(er.From, er.To) {
+		if !g.Valid(er.From) || !hasEdge(er.From, er.To) {
 			return fmt.Errorf("graph: Apply: remove edge %d→%d: no such edge", er.From, er.To)
 		}
 		removes[pairKey(er.From, er.To)] = true
 	}
 	added := make(map[uint64]bool, len(d.AddEdges))
 	for _, ep := range d.AddEdges {
-		if err := checkAttrs("add edge", ep); err != nil {
-			return err
-		}
-		if ep.From == ep.To {
-			return fmt.Errorf("graph: Apply: add edge: self-loop on node %d", ep.From)
+		if err := checkEdge(n, ep.From, ep.To, ep.Objective, ep.Budget); err != nil {
+			return fmt.Errorf("graph: Apply: add edge %d→%d: %w", ep.From, ep.To, err)
 		}
 		key := pairKey(ep.From, ep.To)
 		// Removing and re-adding the same pair is a replace and is allowed;
@@ -323,65 +269,26 @@ func (out *Graph) applyEdgePatches(g *Graph, d Delta) error {
 		added[key] = true
 	}
 
-	if len(d.AddEdges) == 0 && len(removes) == 0 {
-		// Attribute-only: same topology, so the CSR offset arrays stay
-		// shared and only the edge arrays are copied and patched.
-		outEdges := slices.Clone(g.outEdges)
-		for _, ep := range updates {
-			for i := g.outHead[ep.From]; i < g.outHead[ep.From+1]; i++ {
-				if outEdges[i].To == ep.To {
-					outEdges[i].Objective = ep.Objective
-					outEdges[i].Budget = ep.Budget
-				}
+	recs := make([]builderEdge, 0, g.NumEdges()+len(d.AddEdges))
+	for v := range NodeID(n) {
+		for _, e := range g.Out(v) {
+			key := pairKey(v, e.To)
+			if removes[key] {
+				continue
 			}
-		}
-		inEdges := slices.Clone(g.inEdges)
-		for _, ep := range updates {
-			for i := g.inHead[ep.To]; i < g.inHead[ep.To+1]; i++ {
-				if inEdges[i].To == ep.From {
-					inEdges[i].Objective = ep.Objective
-					inEdges[i].Budget = ep.Budget
-				}
+			rec := builderEdge{from: v, to: e.To, objective: e.Objective, budget: e.Budget}
+			if ep, ok := updates[key]; ok {
+				rec.objective, rec.budget = ep.Objective, ep.Budget
 			}
+			recs = append(recs, rec)
 		}
-		out.outEdges, out.inEdges = outEdges, inEdges
-	} else {
-		// Topology changed: merge the edge list (updates applied, removals
-		// skipped, additions appended) and rebuild both CSRs through the
-		// same counting sort Builder.Build uses.
-		n := g.NumNodes()
-		recs := make([]builderEdge, 0, g.NumEdges()+len(d.AddEdges))
-		for v := 0; v < n; v++ {
-			for _, e := range g.Out(NodeID(v)) {
-				key := pairKey(NodeID(v), e.To)
-				if removes[key] {
-					continue
-				}
-				rec := builderEdge{from: NodeID(v), to: e.To, objective: e.Objective, budget: e.Budget}
-				if ep, ok := updates[key]; ok {
-					rec.objective, rec.budget = ep.Objective, ep.Budget
-				}
-				recs = append(recs, rec)
-			}
-		}
-		for _, ep := range d.AddEdges {
-			recs = append(recs, builderEdge{from: ep.From, to: ep.To, objective: ep.Objective, budget: ep.Budget})
-		}
-		out.outHead, out.outEdges, out.inHead, out.inEdges = buildCSR(recs, n)
 	}
-
-	// Attribute extrema are inputs to the scaling factor θ and the search
-	// depth bound; recompute them over the new edge set.
-	out.minObjective, out.minBudget = math.Inf(1), math.Inf(1)
-	out.maxObjective, out.maxBudget = 0, 0
-	for _, e := range out.outEdges {
-		out.minObjective = math.Min(out.minObjective, e.Objective)
-		out.minBudget = math.Min(out.minBudget, e.Budget)
-		out.maxObjective = math.Max(out.maxObjective, e.Objective)
-		out.maxBudget = math.Max(out.maxBudget, e.Budget)
+	for _, ep := range d.AddEdges {
+		recs = append(recs, builderEdge{from: ep.From, to: ep.To, objective: ep.Objective, budget: ep.Budget})
 	}
-	if len(out.outEdges) == 0 {
-		out.minObjective, out.minBudget = 0, 0
+	c := newCSRFill(n)
+	if err := c.assemble(slices.All(recs)); err != nil {
+		return fmt.Errorf("graph: Apply: %w", err)
 	}
-	return nil
+	return c.layout(out)
 }

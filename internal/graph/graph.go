@@ -177,11 +177,22 @@ func (g *Graph) mixOut(h *fnv64, v NodeID) {
 	}
 }
 
-// Fingerprint returns a deterministic 64-bit digest of the graph's
-// structure, attributes and keyword assignment. Two graphs with the same
-// fingerprint answer every KOR query identically for caching purposes. The
-// digest is computed once on first call (the graph is immutable) and is
-// never zero.
+// mixString folds s into h, length first so adjacent strings cannot trade
+// bytes.
+func (h *fnv64) mixString(s string) {
+	h.mix(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.mix(uint64(s[i]))
+	}
+}
+
+// Fingerprint returns a deterministic 64-bit digest of everything a KOR
+// answer shows: the structure and attributes, each node's keywords (term ID
+// and name, so renumbered vocabularies cannot collide), its name and, when
+// the graph has them, its position. The vocabulary itself is not digested —
+// graphs share it and it only grows. Two graphs with the same fingerprint
+// answer every KOR query identically for caching purposes. The digest is
+// computed once on first call (the graph is immutable) and is never zero.
 func (g *Graph) Fingerprint() uint64 {
 	if fp := g.fp.Load(); fp != 0 {
 		return fp
@@ -189,11 +200,17 @@ func (g *Graph) Fingerprint() uint64 {
 	h := newFNV64()
 	h.mix(uint64(g.NumNodes()))
 	h.mix(uint64(g.NumEdges()))
-	for v := 0; v < g.NumNodes(); v++ {
-		g.mixOut(&h, NodeID(v))
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		g.mixOut(&h, v)
 		h.mix(uint64(g.termHead[v+1]))
-		for _, t := range g.Terms(NodeID(v)) {
+		for _, t := range g.Terms(v) {
 			h.mix(uint64(uint32(t)))
+			h.mixString(g.vocab.Name(t))
+		}
+		h.mixString(g.Name(v))
+		if g.HasPositions() {
+			h.mix(math.Float64bits(g.pos[v].X))
+			h.mix(math.Float64bits(g.pos[v].Y))
 		}
 	}
 	g.fp.Store(h.sum()) // idempotent: every computation yields the same digest

@@ -356,3 +356,54 @@ func TestVocabularyUnknown(t *testing.T) {
 		t.Error("Name of unknown term should be empty")
 	}
 }
+
+// TestFingerprintCoversAnswers: everything a route answer shows enters the
+// fingerprint — a keyword's spelling, a node's name, a node's position, and
+// which name stands behind a term ID — while the distance fingerprint stays
+// put across all of them.
+func TestFingerprintCoversAnswers(t *testing.T) {
+	type variant struct {
+		vocab    []string // interned first, fixing the term numbering
+		kw0, kw1 string
+		name     string
+		x        float64
+	}
+	build := func(c variant) *Graph {
+		vocab := NewVocabulary()
+		for _, s := range c.vocab {
+			vocab.Intern(s)
+		}
+		b := NewBuilderWithVocab(vocab)
+		b.AddNode(c.kw0)
+		b.AddNode(c.kw1)
+		if err := b.SetName(1, c.name); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetPosition(0, geo.Point{X: c.x, Y: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddBidirectional(0, 1, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		return b.MustBuild()
+	}
+	base := variant{vocab: []string{"cafe", "park"}, kw0: "cafe", kw1: "park", name: "Station", x: 3}
+	g := build(base)
+	for what, c := range map[string]variant{
+		"keyword spelling": {vocab: []string{"cafe", "parc"}, kw0: "cafe", kw1: "parc", name: "Station", x: 3},
+		"node name":        {vocab: base.vocab, kw0: "cafe", kw1: "park", name: "Depot", x: 3},
+		"position":         {vocab: base.vocab, kw0: "cafe", kw1: "park", name: "Station", x: 4},
+		"term numbering":   {vocab: []string{"park", "cafe"}, kw0: "park", kw1: "cafe", name: "Station", x: 3},
+	} {
+		h := build(c)
+		if h.Fingerprint() == g.Fingerprint() {
+			t.Errorf("%s: graphs hash alike (%016x)", what, g.Fingerprint())
+		}
+		if h.DistanceFingerprint() != g.DistanceFingerprint() {
+			t.Errorf("%s: distance fingerprint moved", what)
+		}
+	}
+	if build(base).Fingerprint() != g.Fingerprint() {
+		t.Error("equal graphs hash apart")
+	}
+}

@@ -2,13 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"kor/internal/geo"
 )
@@ -158,26 +158,27 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// loadTrustPrealloc bounds how far Load trusts a file's claimed element
-// counts when sizing allocations up front. Claims at or below it (8M
-// elements) are allocated exactly — the real-world-scale path, where exact
-// sizing is what keeps peak RSS at the finished graph's size. Larger claims
-// grow by append instead, so a corrupt or adversarial header cannot force a
+// loadTrustPrealloc bounds how far Load trusts a file's claimed edge count
+// when sizing its edge block up front. Claims at or below it (8M edges) are
+// allocated exactly — the real-world-scale path, where exact sizing keeps
+// the transient at one record per edge. Larger claims grow as bytes
+// arrive instead, so a corrupt or adversarial header cannot force a
 // multi-gigabyte allocation before the truncated payload is noticed.
 const loadTrustPrealloc = 1 << 23
 
+// edgeRecordSize is the size of one KORG edge record: u32 from, u32 to,
+// f64 objective, f64 budget.
+const edgeRecordSize = 24
+
 // Load reads a graph in the binary graph format.
 //
-// Loading streams straight into the graph's CSR arrays: node keyword terms
-// are appended to the flat term array as records arrive (no per-node string
-// round-trip through the vocabulary — terms in the file are already
-// interned), and edges written by Save arrive sorted by source node, so the
-// forward CSR is filled in arrival order and the reverse CSR is derived
-// with one counting sort over it. Peak memory is the finished graph plus a
-// 4-byte-per-edge source table, where the builder path used to stage every
-// edge in a 32-byte record and every keyword as a string. Files whose edge
-// section is not source-sorted (any writer other than Save) take a
-// counting-sort fallback that costs one extra edge-array copy.
+// Load lays the graph out through the same count-and-fill as every other
+// path (see StreamBuilder): each node's terms go to AddNodeTerms as they
+// arrive, already interned, and the edge section is read as one block of
+// edge records that is counted and filled into both CSR directions in
+// arrival order, whatever order the writer chose. Peak memory is the
+// finished graph plus that block, 24 B per edge. Header counts are claims,
+// not truths: see loadTrustPrealloc.
 func Load(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(formatMagic))
@@ -237,9 +238,8 @@ func Load(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("%w: unreasonable node count %d", ErrBadFormat, numNodes)
 	}
 	n := int(numNodes)
-	g := &Graph{vocab: vocab}
-	g.termHead = make([]int32, 1, preallocHint(n+1))
-	g.terms = make([]Term, 0, preallocHint(n)) // most nodes carry ≥1 term
+	sb := NewStreamBuilder(vocab)
+	var ts []Term
 	for i := 0; i < n; i++ {
 		var tc uint32
 		if err := rd(&tc); err != nil {
@@ -248,29 +248,19 @@ func Load(r io.Reader) (*Graph, error) {
 		if tc > numTerms {
 			return nil, fmt.Errorf("%w: node %d has %d terms, vocabulary has %d", ErrBadFormat, i, tc, numTerms)
 		}
-		start := len(g.terms)
+		ts = ts[:0]
 		for j := uint32(0); j < tc; j++ {
 			var t uint32
 			if err := rd(&t); err != nil {
 				return nil, fmt.Errorf("%w: node %d: %v", ErrBadFormat, i, err)
 			}
-			if t >= numTerms {
-				return nil, fmt.Errorf("%w: node %d references term %d outside vocabulary", ErrBadFormat, i, t)
-			}
-			g.terms = append(g.terms, Term(t))
+			ts = append(ts, Term(t))
 		}
-		// Save writes each node's terms sorted and deduplicated, but the
-		// format does not promise it; normalize like Builder.AddNode does.
-		ts := g.terms[start:]
-		if len(ts) > 1 {
-			sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-			g.terms = g.terms[:start+len(dedupTerms(ts))]
+		if _, err := sb.AddNodeTerms(ts); err != nil {
+			return nil, fmt.Errorf("%w: node %d: %v", ErrBadFormat, i, err)
 		}
-		g.termHead = append(g.termHead, int32(len(g.terms)))
 	}
 
-	// Edge section. The node count is verified real at this point (every
-	// record was read), so the per-node arrays below are sized exactly.
 	var numEdges uint32
 	if err := rd(&numEdges); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
@@ -279,85 +269,34 @@ func Load(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("%w: unreasonable edge count %d", ErrBadFormat, numEdges)
 	}
 	e := int(numEdges)
-	g.outHead = make([]int32, n+1)
-	g.inHead = make([]int32, n+1)
-	g.outEdges = make([]Edge, 0, preallocHint(e))
-	froms := make([]int32, 0, preallocHint(e))
-	g.minObjective, g.minBudget = math.Inf(1), math.Inf(1)
-	sorted := true
-	for i := 0; i < e; i++ {
-		var from, to uint32
-		var obj, bud float64
-		if err := rd(&from); err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrBadFormat, i, err)
-		}
-		if err := rd(&to); err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrBadFormat, i, err)
-		}
-		if err := rd(&obj); err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrBadFormat, i, err)
-		}
-		if err := rd(&bud); err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrBadFormat, i, err)
-		}
-		if math.IsNaN(obj) || math.IsNaN(bud) {
-			return nil, fmt.Errorf("%w: edge %d has NaN attribute", ErrBadFormat, i)
-		}
-		if from >= numNodes || to >= numNodes {
-			return nil, fmt.Errorf("%w: edge %d: no such node %d", ErrBadFormat, i, max(from, to))
-		}
-		if from == to {
-			return nil, fmt.Errorf("%w: edge %d: self-loop on node %d", ErrBadFormat, i, from)
-		}
-		if !(obj > 0) || math.IsInf(obj, 0) {
-			return nil, fmt.Errorf("%w: edge %d: objective %v must be positive and finite", ErrBadFormat, i, obj)
-		}
-		if !(bud > 0) || math.IsInf(bud, 0) {
-			return nil, fmt.Errorf("%w: edge %d: budget %v must be positive and finite", ErrBadFormat, i, bud)
-		}
-		if len(froms) > 0 && int32(from) < froms[len(froms)-1] {
-			sorted = false
-		}
-		g.outHead[from+1]++
-		g.inHead[to+1]++
-		g.outEdges = append(g.outEdges, Edge{To: NodeID(to), Objective: obj, Budget: bud})
-		froms = append(froms, int32(from))
-		g.minObjective = math.Min(g.minObjective, obj)
-		g.minBudget = math.Min(g.minBudget, bud)
-		g.maxObjective = math.Max(g.maxObjective, obj)
-		g.maxBudget = math.Max(g.maxBudget, bud)
+	var block bytes.Buffer
+	// ReadFrom keeps MinRead bytes of headroom, so a trusted claim's block
+	// is allocated once, at its exact size.
+	block.Grow(preallocHint(e)*edgeRecordSize + bytes.MinRead)
+	if got, err := block.ReadFrom(io.LimitReader(cr, int64(e)*edgeRecordSize)); err != nil || got < int64(e)*edgeRecordSize {
+		return nil, fmt.Errorf("%w: edge section has %d of %d bytes: %v", ErrBadFormat, got, e*edgeRecordSize, err)
 	}
-	if e == 0 {
-		g.minObjective, g.minBudget = 0, 0
-	}
-	for i := 1; i <= n; i++ {
-		g.outHead[i] += g.outHead[i-1]
-		g.inHead[i] += g.inHead[i-1]
-	}
-	if !sorted {
-		// Counting-sort the forward CSR, stable in arrival order — the
-		// same layout buildCSR produces, so fingerprints are unaffected.
-		sortedEdges := make([]Edge, e)
-		cursor := make([]int32, n)
-		for i, from := range froms {
-			sortedEdges[g.outHead[from]+cursor[from]] = g.outEdges[i]
-			cursor[from]++
+	recs := block.Bytes()
+	edges := func(yield func(int, builderEdge) bool) {
+		le := binary.LittleEndian
+		for i := 0; i < e; i++ {
+			rec := recs[i*edgeRecordSize:]
+			if !yield(i, builderEdge{
+				from:      NodeID(le.Uint32(rec)),
+				to:        NodeID(le.Uint32(rec[4:])),
+				objective: math.Float64frombits(le.Uint64(rec[8:])),
+				budget:    math.Float64frombits(le.Uint64(rec[16:])),
+			}) {
+				return
+			}
 		}
-		g.outEdges = sortedEdges
 	}
-	froms = nil
-	// Derive the reverse CSR from the forward one with a counting sort.
-	g.inEdges = make([]Edge, e)
-	cursor := make([]int32, n)
-	for v := 0; v < n; v++ {
-		for _, ed := range g.outEdges[g.outHead[v]:g.outHead[v+1]] {
-			g.inEdges[g.inHead[ed.To]+cursor[ed.To]] = Edge{To: NodeID(v), Objective: ed.Objective, Budget: ed.Budget}
-			cursor[ed.To]++
-		}
+	if err := sb.assemble(edges); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 
 	if flags&flagPositions != 0 {
-		g.pos = make([]geo.Point, n)
+		sb.pos = make([]geo.Point, n)
 		for i := 0; i < n; i++ {
 			var x, y float64
 			if err := rd(&x); err != nil {
@@ -366,17 +305,17 @@ func Load(r io.Reader) (*Graph, error) {
 			if err := rd(&y); err != nil {
 				return nil, fmt.Errorf("%w: position %d: %v", ErrBadFormat, i, err)
 			}
-			g.pos[i] = geo.Point{X: x, Y: y}
+			sb.pos[i] = geo.Point{X: x, Y: y}
 		}
 	}
 	if flags&flagNames != 0 {
-		g.names = make([]string, n)
+		sb.names = make([]string, n)
 		for i := 0; i < n; i++ {
 			s, err := readString()
 			if err != nil {
 				return nil, fmt.Errorf("%w: name %d: %v", ErrBadFormat, i, err)
 			}
-			g.names[i] = s
+			sb.names[i] = s
 		}
 	}
 
@@ -388,7 +327,7 @@ func Load(r io.Reader) (*Graph, error) {
 	if gotCRC != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrBadFormat, gotCRC, wantCRC)
 	}
-	return g, nil
+	return sb.Build()
 }
 
 // preallocHint caps an up-front allocation size at loadTrustPrealloc; see

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"kor/internal/geo"
 )
@@ -12,9 +13,9 @@ import (
 // intermediate: the caller first declares every node and *counts* every edge
 // (pass one), then replays the same edge stream to *fill* the CSR arrays in
 // place (pass two). Peak memory is the finished graph plus O(|V|) cursors —
-// there is no []builderEdge staging slice and no slice-of-slices keyword
-// table, which is what lets kordata ingest million-node graphs without
-// tripling their resident size.
+// there is no edge staging slice and no slice-of-slices keyword table, which
+// is what lets kordata ingest million-node graphs without tripling their
+// resident size.
 //
 // Lifecycle:
 //
@@ -31,10 +32,12 @@ import (
 // endpoints. The fill pass must replay the exact count-pass edge sequence:
 // Build fails when the two passes disagree.
 //
-// For identical node and edge sequences, StreamBuilder and Builder produce
-// graphs with identical CSR layout and therefore identical fingerprints
-// (both preserve per-source arrival order); TestStreamBuilderMatchesBuilder
-// pins this.
+// Its edge half, csrFill, is the one place a graph's CSR arrays and edge
+// extrema are written: Builder replays its staged nodes and edges into a
+// fresh StreamBuilder, Load counts and fills the edge block it read, and
+// Graph.Apply re-assembles the edges of an edge delta through the same
+// fill. Equal node and edge sequences therefore give byte-identical graphs
+// whichever path built them; TestStreamBuilderMatchesBuilder pins this.
 //
 // A StreamBuilder is not safe for concurrent use.
 type StreamBuilder struct {
@@ -44,17 +47,7 @@ type StreamBuilder struct {
 	pos      []geo.Point // allocated on first SetPosition
 	names    []string    // allocated on first SetName
 
-	phase streamPhase
-
-	// Pass one accumulates degree counts in outHead/inHead at index v+1;
-	// FinishCount prefix-sums them into CSR head arrays.
-	outHead, inHead   []int32
-	outEdges, inEdges []Edge
-	outCur, inCur     []int32
-	counted, filled   int
-
-	minObj, minBud float64
-	maxObj, maxBud float64
+	csrFill
 }
 
 type streamPhase int
@@ -71,13 +64,7 @@ func NewStreamBuilder(v *Vocabulary) *StreamBuilder {
 	if v == nil {
 		v = NewVocabulary()
 	}
-	return &StreamBuilder{
-		vocab:   v,
-		minObj:  math.Inf(1),
-		minBud:  math.Inf(1),
-		outHead: make([]int32, 1, 1024),
-		inHead:  make([]int32, 1, 1024),
-	}
+	return &StreamBuilder{vocab: v, csrFill: newCSRFill(0)}
 }
 
 // NumNodes returns the number of nodes declared so far.
@@ -122,10 +109,8 @@ func (b *StreamBuilder) AddNodeTerms(ts []Term) (NodeID, error) {
 // records its CSR offset.
 func (b *StreamBuilder) sealNode(start int) {
 	ts := b.terms[start:]
-	if len(ts) > 1 {
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		b.terms = b.terms[:start+len(dedupTerms(ts))]
-	}
+	slices.Sort(ts)
+	b.terms = b.terms[:start+len(slices.Compact(ts))]
 	b.termHead = append(b.termHead, int32(start))
 	b.outHead = append(b.outHead, 0)
 	b.inHead = append(b.inHead, 0)
@@ -168,26 +153,11 @@ func (b *StreamBuilder) CountEdge(from, to NodeID) error {
 	if b.phase != phaseCounting {
 		return fmt.Errorf("graph: StreamBuilder.CountEdge after FinishCount")
 	}
-	if err := b.checkEndpoints(from, to); err != nil {
-		return err
+	// The weights arrive in pass two, where FillEdge checks them.
+	if err := checkEdge(b.NumNodes(), from, to, 1, 1); err != nil {
+		return fmt.Errorf("graph: edge (%d,%d): %w", from, to, err)
 	}
-	b.outHead[from+1]++
-	b.inHead[to+1]++
-	b.counted++
-	return nil
-}
-
-func (b *StreamBuilder) checkEndpoints(from, to NodeID) error {
-	n := b.NumNodes()
-	if from < 0 || int(from) >= n {
-		return fmt.Errorf("graph: edge references undeclared node %d (%d nodes so far)", from, n)
-	}
-	if to < 0 || int(to) >= n {
-		return fmt.Errorf("graph: edge references undeclared node %d (%d nodes so far)", to, n)
-	}
-	if from == to {
-		return fmt.Errorf("graph: self-loop on node %d", from)
-	}
+	b.count(from, to)
 	return nil
 }
 
@@ -197,16 +167,7 @@ func (b *StreamBuilder) FinishCount() error {
 	if b.phase != phaseCounting {
 		return fmt.Errorf("graph: StreamBuilder.FinishCount called twice")
 	}
-	n := b.NumNodes()
-	for i := 1; i <= n; i++ {
-		b.outHead[i] += b.outHead[i-1]
-		b.inHead[i] += b.inHead[i-1]
-	}
-	b.outEdges = make([]Edge, b.counted)
-	b.inEdges = make([]Edge, b.counted)
-	b.outCur = make([]int32, n)
-	b.inCur = make([]int32, n)
-	b.phase = phaseFilling
+	b.finishCount()
 	return nil
 }
 
@@ -217,34 +178,10 @@ func (b *StreamBuilder) FillEdge(from, to NodeID, objective, budget float64) err
 	if b.phase != phaseFilling {
 		return fmt.Errorf("graph: StreamBuilder.FillEdge before FinishCount")
 	}
-	if err := b.checkEndpoints(from, to); err != nil {
-		return err
+	if err := checkEdge(b.NumNodes(), from, to, objective, budget); err != nil {
+		return fmt.Errorf("graph: edge (%d,%d): %w", from, to, err)
 	}
-	if !(objective > 0) || math.IsInf(objective, 0) {
-		return fmt.Errorf("graph: edge (%d,%d): objective %v must be positive and finite", from, to, objective)
-	}
-	if !(budget > 0) || math.IsInf(budget, 0) {
-		return fmt.Errorf("graph: edge (%d,%d): budget %v must be positive and finite", from, to, budget)
-	}
-	oi := b.outHead[from] + b.outCur[from]
-	if oi >= b.outHead[from+1] {
-		return fmt.Errorf("graph: edge (%d,%d): node %d has more edges in the fill pass than were counted", from, to, from)
-	}
-	ii := b.inHead[to] + b.inCur[to]
-	if ii >= b.inHead[to+1] {
-		return fmt.Errorf("graph: edge (%d,%d): node %d has more incoming edges in the fill pass than were counted", from, to, to)
-	}
-	b.outEdges[oi] = Edge{To: to, Objective: objective, Budget: budget}
-	b.outCur[from]++
-	b.inEdges[ii] = Edge{To: from, Objective: objective, Budget: budget}
-	b.inCur[to]++
-	b.filled++
-
-	b.minObj = math.Min(b.minObj, objective)
-	b.minBud = math.Min(b.minBud, budget)
-	b.maxObj = math.Max(b.maxObj, objective)
-	b.maxBud = math.Max(b.maxBud, budget)
-	return nil
+	return b.fill(from, to, objective, budget)
 }
 
 // Build finalizes the graph. The builder is spent afterwards.
@@ -252,32 +189,146 @@ func (b *StreamBuilder) Build() (*Graph, error) {
 	switch b.phase {
 	case phaseCounting:
 		// An edgeless graph never needed the fill pass; seal it now.
-		if err := b.FinishCount(); err != nil {
-			return nil, err
-		}
+		b.finishCount()
 	case phaseBuilt:
 		return nil, fmt.Errorf("graph: StreamBuilder.Build called twice")
 	}
-	if b.filled != b.counted {
-		return nil, fmt.Errorf("graph: fill pass supplied %d edges, count pass saw %d", b.filled, b.counted)
-	}
-	b.phase = phaseBuilt
-
 	g := &Graph{
 		vocab:    b.vocab,
-		outHead:  b.outHead,
-		outEdges: b.outEdges,
-		inHead:   b.inHead,
-		inEdges:  b.inEdges,
+		termHead: append(b.termHead, int32(len(b.terms))),
 		terms:    b.terms,
 		pos:      b.pos,
 		names:    b.names,
 	}
-	g.termHead = append(b.termHead, int32(len(b.terms)))
-	g.minObjective, g.minBudget = b.minObj, b.minBud
-	g.maxObjective, g.maxBudget = b.maxObj, b.maxBud
-	if b.counted == 0 {
-		g.minObjective, g.minBudget = 0, 0
+	if err := b.layout(g); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// checkEdge is the edge domain every assembly path enforces: both endpoints
+// among the n nodes, no self-loop (it can never appear on a useful route),
+// and a positive, finite objective and budget — the scaling factor
+// θ = ε·o_min·b_min/Δ divides by the minimum objective and the search-depth
+// bound ⌊Δ/b_min⌋ by the minimum budget, so zero or negative attributes
+// would break the paper's complexity and approximation guarantees. The
+// error carries no prefix; callers add their context.
+func checkEdge(n int, from, to NodeID, objective, budget float64) error {
+	switch {
+	case from < 0 || int(from) >= n:
+		return fmt.Errorf("no such node %d (%d nodes)", from, n)
+	case to < 0 || int(to) >= n:
+		return fmt.Errorf("no such node %d (%d nodes)", to, n)
+	case from == to:
+		return fmt.Errorf("self-loop on node %d", from)
+	case !(objective > 0) || math.IsInf(objective, 0):
+		return fmt.Errorf("objective %v must be positive and finite", objective)
+	case !(budget > 0) || math.IsInf(budget, 0):
+		return fmt.Errorf("budget %v must be positive and finite", budget)
+	}
+	return nil
+}
+
+// builderEdge is one directed edge with its attributes, as Builder stages
+// it and Apply merges it.
+type builderEdge struct {
+	from, to  NodeID
+	objective float64
+	budget    float64
+}
+
+// csrFill is the edge half of StreamBuilder and the only code that writes a
+// graph's CSR arrays and edge extrema. Pass one counts every edge into its
+// source's and its target's degree; finishCount prefix-sums the counts into
+// offsets and sizes both edge arrays exactly; pass two places each edge
+// through per-node cursors, so it keeps its arrival order among its
+// source's out-edges and among its target's in-edges.
+type csrFill struct {
+	phase streamPhase
+
+	// Pass one accumulates degree counts in outHead/inHead at index v+1;
+	// finishCount prefix-sums them into CSR head arrays.
+	outHead, inHead   []int32
+	outEdges, inEdges []Edge
+	outCur, inCur     []int32
+	counted, filled   int
+}
+
+// newCSRFill returns a fill in its counting phase over n nodes.
+func newCSRFill(n int) csrFill {
+	return csrFill{outHead: make([]int32, n+1), inHead: make([]int32, n+1)}
+}
+
+func (c *csrFill) count(from, to NodeID) {
+	c.outHead[from+1]++
+	c.inHead[to+1]++
+	c.counted++
+}
+
+func (c *csrFill) finishCount() {
+	n := len(c.outHead) - 1
+	for i := 1; i <= n; i++ {
+		c.outHead[i] += c.outHead[i-1]
+		c.inHead[i] += c.inHead[i-1]
+	}
+	c.outEdges = make([]Edge, c.counted)
+	c.inEdges = make([]Edge, c.counted)
+	c.outCur = make([]int32, n)
+	c.inCur = make([]int32, n)
+	c.phase = phaseFilling
+}
+
+// fill places one edge of pass two. It fails when from or to already holds
+// every edge pass one counted for it: the two passes diverged.
+func (c *csrFill) fill(from, to NodeID, objective, budget float64) error {
+	oi, ii := c.outHead[from]+c.outCur[from], c.inHead[to]+c.inCur[to]
+	if oi >= c.outHead[from+1] || ii >= c.inHead[to+1] {
+		return fmt.Errorf("graph: edge (%d,%d): more edges in the fill pass than were counted", from, to)
+	}
+	c.outEdges[oi] = Edge{To: to, Objective: objective, Budget: budget}
+	c.outCur[from]++
+	c.inEdges[ii] = Edge{To: from, Objective: objective, Budget: budget}
+	c.inCur[to]++
+	c.filled++
+	return nil
+}
+
+// assemble runs both passes over a replayable edge sequence, checking each
+// edge against the edge domain in pass one. Its errors carry no prefix.
+func (c *csrFill) assemble(edges iter.Seq2[int, builderEdge]) error {
+	n := len(c.outHead) - 1
+	for i, e := range edges {
+		if err := checkEdge(n, e.from, e.to, e.objective, e.budget); err != nil {
+			return fmt.Errorf("edge %d: %w", i, err)
+		}
+		c.count(e.from, e.to)
+	}
+	c.finishCount()
+	for _, e := range edges {
+		if err := c.fill(e.from, e.to, e.objective, e.budget); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// layout hands the filled arrays to g with their attribute extrema, which
+// are 0 on an edgeless graph. The fill is spent afterwards.
+func (c *csrFill) layout(g *Graph) error {
+	if c.filled != c.counted {
+		return fmt.Errorf("graph: fill pass supplied %d edges, count pass saw %d", c.filled, c.counted)
+	}
+	c.phase = phaseBuilt
+	g.outHead, g.outEdges, g.inHead, g.inEdges = c.outHead, c.outEdges, c.inHead, c.inEdges
+	g.minObjective, g.minBudget, g.maxObjective, g.maxBudget = 0, 0, 0, 0
+	if len(c.outEdges) > 0 {
+		g.minObjective, g.minBudget = math.Inf(1), math.Inf(1)
+	}
+	for _, e := range c.outEdges {
+		g.minObjective = math.Min(g.minObjective, e.Objective)
+		g.minBudget = math.Min(g.minBudget, e.Budget)
+		g.maxObjective = math.Max(g.maxObjective, e.Objective)
+		g.maxBudget = math.Max(g.maxBudget, e.Budget)
+	}
+	return nil
 }

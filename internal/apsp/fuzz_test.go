@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,7 +29,8 @@ func fuzzIndexGraph() *graph.Graph {
 // graph they claim to serve. OpenIndex must never panic or accept garbage
 // silently: every failure wraps exactly one of the typed sentinels
 // (ErrIndexFormat, ErrIndexVersion, ErrIndexFingerprint), and anything it
-// does accept must still answer a distance query without crashing.
+// does accept must re-write to the same bytes and still answer a distance
+// query without crashing.
 func FuzzOpenIndex(f *testing.F) {
 	g := fuzzIndexGraph()
 	seedPath := filepath.Join(f.TempDir(), "seed.kori")
@@ -72,6 +74,15 @@ func FuzzOpenIndex(f *testing.F) {
 			return
 		}
 		defer oracle.Close()
+		// An accepted index is one the writer produces: re-writing it
+		// reproduces the input byte for byte.
+		var rewritten bytes.Buffer
+		if err := oracle.WriteIndex(&rewritten); err != nil {
+			t.Fatalf("re-writing an accepted index: %v", err)
+		}
+		if !bytes.Equal(rewritten.Bytes(), data) {
+			t.Fatal("re-writing an accepted index changed its bytes")
+		}
 		// An accepted index must serve queries and paths without crashing.
 		if prim, _, ok := oracle.MinObjective(0, 5); ok && prim < 0 {
 			t.Fatalf("accepted index returned negative distance %v", prim)

@@ -79,7 +79,6 @@ type PartitionedOracle struct {
 	// if any, and the source file size.
 	mapped    []byte
 	fileBytes int64
-	fromDisk  bool
 }
 
 // cellTables holds one region's restricted all-pairs tables, row-major

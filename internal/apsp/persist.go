@@ -2,14 +2,11 @@ package apsp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"unsafe"
 
@@ -54,6 +51,11 @@ import (
 //	                  ovTauP[B²] ovTauS[B²] ovSigP[B²] ovSigS[B²]
 //	[48+payload:) u32 CRC-32 (IEEE) of the payload
 //
+// In code the header is indexHeader and the payload after the counts block
+// is layout, the one statement of the table order that sizing, writing and
+// reading walk. A reader refuses a nonzero reserved word or nonzero padding,
+// so every index it accepts is one the writer produces byte for byte.
+//
 // C is the region count. Entry i·C+j of a pair-min table is the least
 // primary then the least secondary of the overlay block from region i's
 // borders to region j's (+Inf, +Inf for an empty block): the cell-pair
@@ -87,26 +89,46 @@ var (
 	ErrIndexFingerprint = errors.New("apsp: distance index does not match graph")
 )
 
-const (
-	indexMagic      = "KORI"
-	indexVersion    = 3
-	indexHeaderSize = 48
-)
+const indexVersion = 3
+
+var indexMagic = [4]byte{'K', 'O', 'R', 'I'}
+
+// indexHeader is the fixed header at the start of a KORI file, read and
+// written whole with encoding/binary in little-endian order. Its field order
+// is the header layout; the comment above gives the byte offsets.
+type indexHeader struct {
+	Magic       [4]byte
+	Version     uint32
+	Fingerprint uint64
+	CellSize    uint32
+	Nodes       uint32
+	Regions     uint32
+	Borders     uint32
+	Payload     uint64 // payload bytes, the trailing CRC excluded
+	Reserved    uint32 // zero
+	CRC         uint32 // checksum()
+}
+
+// indexHeaderSize is the encoded header size, 48 bytes; the payload starts
+// there, 8-byte aligned.
+var indexHeaderSize = binary.Size(indexHeader{})
+
+// checksum returns the CRC-32 (IEEE) of the encoded fields between Magic and
+// CRC.
+func (h *indexHeader) checksum() uint32 {
+	b, _ := binary.Append(nil, binary.LittleEndian, h)
+	return crc32.ChecksumIEEE(b[len(h.Magic) : len(b)-binary.Size(h.CRC)])
+}
 
 // hostLittleEndian reports whether in-memory integer layout matches the file
 // byte order, the precondition for aliasing tables in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // IndexInfo describes a partitioned oracle's index identity, surfaced
 // through stats endpoints so operators can tell a warm start from a rebuild.
 type IndexInfo struct {
 	// Fingerprint is the graph fingerprint the tables were built from.
 	Fingerprint uint64
-	// CellSize is the partition's region-size cap.
-	CellSize int
 	// Regions and Borders describe the partition shape.
 	Regions int
 	Borders int
@@ -114,21 +136,16 @@ type IndexInfo struct {
 	Bytes int64
 	// Mapped reports that the tables alias an mmap'ed file.
 	Mapped bool
-	// FromDisk reports that the oracle was loaded by OpenIndex rather than
-	// built by NewPartitionedOracle.
-	FromDisk bool
 }
 
 // IndexInfo reports the oracle's index identity.
 func (o *PartitionedOracle) IndexInfo() IndexInfo {
 	return IndexInfo{
 		Fingerprint: o.g.Fingerprint(),
-		CellSize:    o.cellSize,
 		Regions:     len(o.cells),
 		Borders:     len(o.borders),
 		Bytes:       o.fileBytes,
 		Mapped:      o.mapped != nil,
-		FromDisk:    o.fromDisk,
 	}
 }
 
@@ -143,22 +160,55 @@ func (o *PartitionedOracle) Close() error {
 	return munmapBytes(m)
 }
 
-// payloadLen computes the exact payload byte length of the oracle's index.
-func (o *PartitionedOracle) payloadLen() uint64 {
-	n := len(o.region)
-	b := len(o.borders)
-	sumK, sumK2 := 0, 0
-	for i := range o.cells {
-		k := len(o.cells[i].nodes)
-		sumK += k
-		sumK2 += k * k
+// layout walks the payload tables that follow the counts block through t,
+// in file order: the one statement of the table order, which payloadLen
+// sizes, WriteIndex writes and decodeIndex reads. Table lengths derive from
+// n nodes, b borders and counts, the counts block.
+func (o *PartitionedOracle) layout(t *tableWalk, n, b int, counts []uint32) {
+	cells := o.cells
+	k := func(i int) int { return int(counts[2*i]) }
+	table(t, &o.region, n)
+	table(t, &o.local, n)
+	table(t, &o.borderIdx, n)
+	table(t, &o.borders, b)
+	for i := range cells {
+		table(t, &cells[i].nodes, k(i))
 	}
-	counts := 8 * len(o.cells)
-	i32s := 3*n + b + sumK + 2*b*b + 2*sumK2
-	f64s := 4*len(o.cells)*len(o.cells) + 4*sumK2 + 4*b*b
-	pre := counts + 4*i32s
-	pad := (8 - pre%8) % 8
-	return uint64(pre + pad + 8*f64s)
+	table(t, &o.ovTauPar, b*b)
+	table(t, &o.ovSigPar, b*b)
+	for i := range cells {
+		table(t, &cells[i].tauPar, k(i)*k(i))
+	}
+	for i := range cells {
+		table(t, &cells[i].sigPar, k(i)*k(i))
+	}
+	t.pad8()
+	table(t, &o.pairMin[ByObjective], len(cells)*len(cells))
+	table(t, &o.pairMin[ByBudget], len(cells)*len(cells))
+	for i := range cells {
+		table(t, &cells[i].tauP, k(i)*k(i))
+	}
+	for i := range cells {
+		table(t, &cells[i].tauS, k(i)*k(i))
+	}
+	for i := range cells {
+		table(t, &cells[i].sigP, k(i)*k(i))
+	}
+	for i := range cells {
+		table(t, &cells[i].sigS, k(i)*k(i))
+	}
+	table(t, &o.ovTauP, b*b)
+	table(t, &o.ovTauS, b*b)
+	table(t, &o.ovSigP, b*b)
+	table(t, &o.ovSigS, b*b)
+}
+
+// payloadLen computes the exact payload byte length of the oracle's index
+// with the given counts block.
+func (o *PartitionedOracle) payloadLen(counts []uint32) uint64 {
+	t := &tableWalk{off: 4 * len(counts)}
+	o.layout(t, len(o.region), len(o.borders), counts)
+	return uint64(t.off)
 }
 
 // WriteIndexFile serializes the oracle's tables to path, writing a temp file
@@ -170,22 +220,16 @@ func (o *PartitionedOracle) WriteIndexFile(path string) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := o.WriteIndex(bw); err == nil {
+	if err = o.WriteIndex(bw); err == nil {
 		err = bw.Flush()
-	} else {
-		bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -194,153 +238,158 @@ func (o *PartitionedOracle) WriteIndexFile(path string) error {
 
 // WriteIndex serializes the oracle's tables in the KORI format.
 func (o *PartitionedOracle) WriteIndex(w io.Writer) error {
-	var hdr [indexHeaderSize]byte
-	copy(hdr[0:4], indexMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], indexVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], o.g.Fingerprint())
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(o.cellSize))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(o.region)))
-	binary.LittleEndian.PutUint32(hdr[24:28], uint32(len(o.cells)))
-	binary.LittleEndian.PutUint32(hdr[28:32], uint32(len(o.borders)))
-	binary.LittleEndian.PutUint64(hdr[32:40], o.payloadLen())
-	binary.LittleEndian.PutUint32(hdr[44:48], crc32.ChecksumIEEE(hdr[4:44]))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The counts block: region i's node count and border count at 2i, 2i+1.
+	counts := make([]uint32, 0, 2*len(o.cells))
+	for i := range o.cells {
+		counts = append(counts, uint32(len(o.cells[i].nodes)), uint32(o.cells[i].nb))
+	}
+	h := indexHeader{
+		Magic:       indexMagic,
+		Version:     indexVersion,
+		Fingerprint: o.g.Fingerprint(),
+		CellSize:    uint32(o.cellSize),
+		Nodes:       uint32(len(o.region)),
+		Regions:     uint32(len(o.cells)),
+		Borders:     uint32(len(o.borders)),
+		Payload:     o.payloadLen(counts),
+	}
+	h.CRC = h.checksum()
+	if err := binary.Write(w, binary.LittleEndian, &h); err != nil {
 		return err
 	}
 
-	sw := &sectionWriter{w: w, crc: crc32.NewIEEE(), buf: make([]byte, 1<<16)}
-	for i := range o.cells {
-		sw.u32(uint32(len(o.cells[i].nodes)))
-		sw.u32(uint32(o.cells[i].nb))
+	crc := crc32.NewIEEE()
+	t := &tableWalk{w: io.MultiWriter(w, crc), buf: make([]byte, 1<<16)}
+	table(t, &counts, len(counts))
+	o.layout(t, len(o.region), len(o.borders), counts)
+	if t.err != nil {
+		return t.err
 	}
-	sw.i32s(o.region)
-	sw.i32s(o.local)
-	sw.i32s(o.borderIdx)
-	sw.nids(o.borders)
-	for i := range o.cells {
-		sw.nids(o.cells[i].nodes)
-	}
-	sw.i32s(o.ovTauPar)
-	sw.i32s(o.ovSigPar)
-	for i := range o.cells {
-		sw.i32s(o.cells[i].tauPar)
-	}
-	for i := range o.cells {
-		sw.i32s(o.cells[i].sigPar)
-	}
-	sw.pad8()
-	sw.pairs(o.pairMin[ByObjective])
-	sw.pairs(o.pairMin[ByBudget])
-	for i := range o.cells {
-		sw.f64s(o.cells[i].tauP)
-	}
-	for i := range o.cells {
-		sw.f64s(o.cells[i].tauS)
-	}
-	for i := range o.cells {
-		sw.f64s(o.cells[i].sigP)
-	}
-	for i := range o.cells {
-		sw.f64s(o.cells[i].sigS)
-	}
-	sw.f64s(o.ovTauP)
-	sw.f64s(o.ovTauS)
-	sw.f64s(o.ovSigP)
-	sw.f64s(o.ovSigS)
-	if sw.err != nil {
-		return sw.err
-	}
-	if uint64(sw.written) != o.payloadLen() {
-		return fmt.Errorf("apsp: internal: index payload %d bytes, expected %d", sw.written, o.payloadLen())
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sw.crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
+	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// sectionWriter streams payload sections, tracking the payload CRC and byte
-// count. Conversion goes through a reusable chunk buffer so writing a
-// multi-gigabyte table never allocates proportionally.
-type sectionWriter struct {
-	w       io.Writer
-	crc     hash.Hash32
-	buf     []byte
-	written int64
-	err     error
+// tableWalk is one walk of the payload: it counts the bytes (neither w nor
+// data set), writes the tables to w in little-endian order, or reads them
+// from data. Writing converts through a reusable chunk buffer so a
+// multi-gigabyte table never allocates proportionally; reading aliases data
+// when it is an aligned little-endian mapping and decodes a copy otherwise.
+type tableWalk struct {
+	off int // payload bytes walked, the counts block included
+	err error
+
+	w   io.Writer
+	buf []byte
+
+	data  []byte
+	alias bool
+	file  io.ReaderAt // the file data holds, for the padding
 }
 
-func (sw *sectionWriter) raw(b []byte) {
-	if sw.err != nil {
+// table walks one table of n entries at *s: it counts them, writes them, or
+// sets *s to them.
+func table[T uint32 | int32 | graph.NodeID | float64 | scorePair](t *tableWalk, s *[]T, n int) {
+	if t.err != nil {
 		return
 	}
-	if _, err := sw.w.Write(b); err != nil {
-		sw.err = err
+	size := int(unsafe.Sizeof(*new(T)))
+	word := min(size, 8) // a scorePair is two float64 words
+	switch {
+	case t.w != nil:
+		if len(*s) != n {
+			t.err = fmt.Errorf("apsp: internal: index table has %d entries, expected %d", len(*s), n)
+			return
+		}
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(*s))), n*size)
+		for len(raw) > 0 && t.err == nil {
+			c := min(len(raw), len(t.buf))
+			toLittleEndian(t.buf[:c], raw[:c], word)
+			t.raw(t.buf[:c])
+			raw = raw[c:]
+		}
+	case t.data != nil:
+		raw := t.take(n * size)
+		if t.err != nil {
+			return
+		}
+		if t.alias {
+			*s = unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(raw))), n)
+			return
+		}
+		out := make([]T, n)
+		fromLittleEndian(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*size), raw, word)
+		*s = out
+	default:
+		t.off += n * size
+	}
+}
+
+// pad8 walks the zero padding up to the next 8-byte offset. The payload
+// starts at file offset 48, itself 8-aligned, so payload-relative alignment
+// equals file alignment. A reader refuses nonzero padding, which the writer
+// never produces. It reads the padding through read(2), not data: no query
+// reads it, and a fault in a mapping would keep its page resident.
+func (t *tableWalk) pad8() {
+	var zero, p [8]byte
+	pad := (8 - t.off%8) % 8
+	switch {
+	case t.w != nil:
+		t.raw(zero[:pad])
+	case t.data != nil:
+		if t.take(pad); t.err == nil {
+			_, t.err = t.file.ReadAt(p[:pad], int64(indexHeaderSize+t.off-pad))
+		}
+		if t.err == nil && p != zero {
+			t.err = fmt.Errorf("%w: nonzero alignment padding", ErrIndexFormat)
+		}
+	default:
+		t.off += pad
+	}
+}
+
+// raw writes b as it is.
+func (t *tableWalk) raw(b []byte) {
+	if t.err == nil {
+		_, t.err = t.w.Write(b)
+		t.off += len(b)
+	}
+}
+
+// take returns the next n bytes of data.
+func (t *tableWalk) take(n int) []byte {
+	if t.off+n > len(t.data) {
+		t.err = fmt.Errorf("%w: truncated payload section", ErrIndexFormat)
+		return nil
+	}
+	b := t.data[t.off : t.off+n]
+	t.off += n
+	return b
+}
+
+// toLittleEndian copies src, words of the given size (4 or 8 bytes) in host
+// order, to dst in little-endian order.
+func toLittleEndian(dst, src []byte, word int) {
+	if word == 4 {
+		for i := 0; i < len(src); i += 4 {
+			binary.LittleEndian.PutUint32(dst[i:], binary.NativeEndian.Uint32(src[i:]))
+		}
 		return
 	}
-	sw.crc.Write(b)
-	sw.written += int64(len(b))
-}
-
-func (sw *sectionWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	sw.raw(b[:])
-}
-
-func (sw *sectionWriter) i32s(vals []int32) {
-	for len(vals) > 0 && sw.err == nil {
-		chunk := len(sw.buf) / 4
-		if chunk > len(vals) {
-			chunk = len(vals)
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(sw.buf[i*4:], uint32(vals[i]))
-		}
-		sw.raw(sw.buf[:chunk*4])
-		vals = vals[chunk:]
+	for i := 0; i < len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.NativeEndian.Uint64(src[i:]))
 	}
 }
 
-func (sw *sectionWriter) nids(vals []graph.NodeID) {
-	for len(vals) > 0 && sw.err == nil {
-		chunk := len(sw.buf) / 4
-		if chunk > len(vals) {
-			chunk = len(vals)
+// fromLittleEndian copies src, little-endian words of the given size (4 or
+// 8 bytes), to dst in host order.
+func fromLittleEndian(dst, src []byte, word int) {
+	if word == 4 {
+		for i := 0; i < len(src); i += 4 {
+			binary.NativeEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[i:]))
 		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(sw.buf[i*4:], uint32(vals[i]))
-		}
-		sw.raw(sw.buf[:chunk*4])
-		vals = vals[chunk:]
+		return
 	}
-}
-
-func (sw *sectionWriter) f64s(vals []float64) {
-	for len(vals) > 0 && sw.err == nil {
-		chunk := len(sw.buf) / 8
-		if chunk > len(vals) {
-			chunk = len(vals)
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(sw.buf[i*8:], math.Float64bits(vals[i]))
-		}
-		sw.raw(sw.buf[:chunk*8])
-		vals = vals[chunk:]
-	}
-}
-
-// pairs writes score pairs as their float64s, primary first.
-func (sw *sectionWriter) pairs(vals []scorePair) {
-	if len(vals) > 0 {
-		sw.f64s(unsafe.Slice((*float64)(unsafe.Pointer(&vals[0])), 2*len(vals)))
-	}
-}
-
-func (sw *sectionWriter) pad8() {
-	if pad := int((8 - sw.written%8) % 8); pad > 0 {
-		var zero [8]byte
-		sw.raw(zero[:pad])
+	for i := 0; i < len(src); i += 8 {
+		binary.NativeEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
 	}
 }
 
@@ -363,33 +412,30 @@ func OpenIndex(path string, g *graph.Graph) (*PartitionedOracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [indexHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	var h indexHeader
+	if err := binary.Read(f, binary.LittleEndian, &h); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrIndexFormat, err)
 	}
-	if string(hdr[0:4]) != indexMagic {
+	if h.Magic != indexMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrIndexFormat)
 	}
-	if crc := binary.LittleEndian.Uint32(hdr[44:48]); crc != crc32.ChecksumIEEE(hdr[4:44]) {
+	if h.CRC != h.checksum() {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrIndexFormat)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != indexVersion {
-		return nil, fmt.Errorf("%w: file version %d, supported %d (rebuild with kordata -build-index)", ErrIndexVersion, v, indexVersion)
+	if h.Version != indexVersion {
+		return nil, fmt.Errorf("%w: file version %d, supported %d (rebuild with kordata -build-index)", ErrIndexVersion, h.Version, indexVersion)
 	}
-	fp := binary.LittleEndian.Uint64(hdr[8:16])
-	if want := g.Fingerprint(); fp != want {
-		return nil, fmt.Errorf("%w: index built for graph %016x, loading graph is %016x", ErrIndexFingerprint, fp, want)
+	if want := g.Fingerprint(); h.Fingerprint != want {
+		return nil, fmt.Errorf("%w: index built for graph %016x, loading graph is %016x", ErrIndexFingerprint, h.Fingerprint, want)
 	}
-	cellSize := int(binary.LittleEndian.Uint32(hdr[16:20]))
-	n := int(binary.LittleEndian.Uint32(hdr[20:24]))
-	ncells := int(binary.LittleEndian.Uint32(hdr[24:28]))
-	b := int(binary.LittleEndian.Uint32(hdr[28:32]))
-	payload := binary.LittleEndian.Uint64(hdr[32:40])
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("%w: index has %d nodes, graph has %d", ErrIndexFingerprint, n, g.NumNodes())
+	if int(h.Nodes) != g.NumNodes() {
+		return nil, fmt.Errorf("%w: index has %d nodes, graph has %d", ErrIndexFingerprint, h.Nodes, g.NumNodes())
 	}
-	wantSize := int64(indexHeaderSize) + int64(payload) + 4
-	if payload > 1<<40 || st.Size() != wantSize {
+	if h.Reserved != 0 {
+		return nil, fmt.Errorf("%w: reserved header field is %d", ErrIndexFormat, h.Reserved)
+	}
+	wantSize := int64(indexHeaderSize) + int64(h.Payload) + 4
+	if h.Payload > 1<<40 || st.Size() != wantSize {
 		return nil, fmt.Errorf("%w: file is %d bytes, header implies %d", ErrIndexFormat, st.Size(), wantSize)
 	}
 
@@ -401,112 +447,71 @@ func OpenIndex(path string, g *graph.Graph) (*PartitionedOracle, error) {
 	var sum uint32
 	mapped := false
 	if hostLittleEndian {
-		if m, err := mmapFile(f, int(st.Size())); err == nil {
-			data, mapped = m, true
-		}
+		data, err = mmapFile(f, int(st.Size()))
+		mapped = err == nil
 	}
 	if mapped {
-		h := crc32.NewIEEE()
-		if _, err := io.CopyBuffer(h, io.NewSectionReader(f, indexHeaderSize, int64(payload)), make([]byte, 256<<10)); err != nil {
+		crc := crc32.NewIEEE()
+		if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, int64(indexHeaderSize), int64(h.Payload)), make([]byte, 256<<10)); err != nil {
 			munmapBytes(data)
 			return nil, err
 		}
-		sum = h.Sum32()
+		sum = crc.Sum32()
 	} else {
-		if data, err = io.ReadAll(io.MultiReader(bytes.NewReader(hdr[:]), f)); err != nil {
+		data = make([]byte, st.Size())
+		if _, err := io.ReadFull(io.NewSectionReader(f, 0, st.Size()), data); err != nil {
 			return nil, err
 		}
-		sum = crc32.ChecksumIEEE(data[indexHeaderSize : indexHeaderSize+int(payload)])
+		sum = crc32.ChecksumIEEE(data[indexHeaderSize : indexHeaderSize+int(h.Payload)])
 	}
-	o, err := decodeIndex(data, sum, g, cellSize, n, ncells, b, int(payload), mapped)
+	o, err := decodeIndex(f, data, sum, g, &h, mapped)
 	if err != nil && mapped {
 		munmapBytes(data)
 	}
 	return o, err
 }
 
-// decodeIndex assembles the oracle from the full file contents, whose payload
-// checksums to sum. When data is an aligned little-endian mapping the table
-// slices alias it directly.
-func decodeIndex(data []byte, sum uint32, g *graph.Graph, cellSize, n, ncells, b, payloadLen int, mapped bool) (*PartitionedOracle, error) {
-	payload := data[indexHeaderSize : indexHeaderSize+payloadLen]
-	if binary.LittleEndian.Uint32(data[indexHeaderSize+payloadLen:]) != sum {
+// decodeIndex assembles the oracle h describes from data, the full contents
+// of file f, whose payload checksums to sum. When data is an aligned
+// little-endian mapping the table slices alias it directly.
+func decodeIndex(f *os.File, data []byte, sum uint32, g *graph.Graph, h *indexHeader, mapped bool) (*PartitionedOracle, error) {
+	n, ncells, b := int(h.Nodes), int(h.Regions), int(h.Borders)
+	payload := data[indexHeaderSize : indexHeaderSize+int(h.Payload)]
+	if binary.LittleEndian.Uint32(data[len(data)-4:]) != sum {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrIndexFormat)
 	}
-	if len(payload) < 8*ncells {
-		return nil, fmt.Errorf("%w: truncated counts block", ErrIndexFormat)
+	t := &tableWalk{data: payload, file: f, alias: mapped && hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(payload)))%8 == 0}
+	var counts []uint32
+	table(t, &counts, 2*ncells)
+	if t.err != nil {
+		return nil, t.err
 	}
 
-	ks := make([]int, ncells)
-	nbs := make([]int, ncells)
-	sumK, sumNB, sumK2 := 0, 0, 0
-	for i := 0; i < ncells; i++ {
-		ks[i] = int(binary.LittleEndian.Uint32(payload[i*8:]))
-		nbs[i] = int(binary.LittleEndian.Uint32(payload[i*8+4:]))
-		sumK += ks[i]
-		sumNB += nbs[i]
-		sumK2 += ks[i] * ks[i]
+	o := &PartitionedOracle{
+		g:         g,
+		cellSize:  int(h.CellSize),
+		fileBytes: int64(len(data)),
+		cells:     make([]cellTables, ncells),
+	}
+	sumK, sumNB := 0, 0
+	for i := range o.cells {
+		o.cells[i].start, o.cells[i].nb = sumNB, int(counts[2*i+1])
+		sumK += int(counts[2*i])
+		sumNB += o.cells[i].nb
 	}
 	if sumK != n || sumNB != b {
 		return nil, fmt.Errorf("%w: counts block disagrees with header (%d/%d nodes, %d/%d borders)",
 			ErrIndexFormat, sumK, n, sumNB, b)
 	}
-
-	alias := mapped && hostLittleEndian && uintptr(unsafe.Pointer(&payload[0]))%8 == 0
-	cur := &payloadCursor{data: payload, off: 8 * ncells, alias: alias}
-
-	o := &PartitionedOracle{
-		g:         g,
-		cellSize:  cellSize,
-		fromDisk:  true,
-		fileBytes: int64(len(data)),
-		cells:     make([]cellTables, ncells),
+	o.layout(t, n, b, counts)
+	if t.err != nil {
+		return nil, t.err
+	}
+	if t.off != len(payload) {
+		return nil, fmt.Errorf("%w: payload has %d trailing bytes", ErrIndexFormat, len(payload)-t.off)
 	}
 	if mapped {
 		o.mapped = data
-	}
-	o.region = cur.i32s(n)
-	o.local = cur.i32s(n)
-	o.borderIdx = cur.i32s(n)
-	o.borders = cur.nids(b)
-	cellNodes := cur.nids(sumK)
-	o.ovTauPar = cur.i32s(b * b)
-	o.ovSigPar = cur.i32s(b * b)
-	cellTauPar := cur.i32s(sumK2)
-	cellSigPar := cur.i32s(sumK2)
-	cur.pad8()
-	o.pairMin[ByObjective] = cur.pairs(ncells * ncells)
-	o.pairMin[ByBudget] = cur.pairs(ncells * ncells)
-	cellTauP := cur.f64s(sumK2)
-	cellTauS := cur.f64s(sumK2)
-	cellSigP := cur.f64s(sumK2)
-	cellSigS := cur.f64s(sumK2)
-	o.ovTauP = cur.f64s(b * b)
-	o.ovTauS = cur.f64s(b * b)
-	o.ovSigP = cur.f64s(b * b)
-	o.ovSigS = cur.f64s(b * b)
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if cur.off != payloadLen {
-		return nil, fmt.Errorf("%w: payload has %d trailing bytes", ErrIndexFormat, payloadLen-cur.off)
-	}
-
-	offK, offK2, offNB := 0, 0, 0
-	for i := 0; i < ncells; i++ {
-		k, k2 := ks[i], ks[i]*ks[i]
-		c := &o.cells[i]
-		c.nodes = cellNodes[offK : offK+k : offK+k]
-		c.start, c.nb = offNB, nbs[i]
-		c.tauPar = cellTauPar[offK2 : offK2+k2 : offK2+k2]
-		c.sigPar = cellSigPar[offK2 : offK2+k2 : offK2+k2]
-		c.tauP = cellTauP[offK2 : offK2+k2 : offK2+k2]
-		c.tauS = cellTauS[offK2 : offK2+k2 : offK2+k2]
-		c.sigP = cellSigP[offK2 : offK2+k2 : offK2+k2]
-		c.sigS = cellSigS[offK2 : offK2+k2 : offK2+k2]
-		offK += k
-		offK2 += k2
-		offNB += nbs[i]
 	}
 	if err := o.checkNumbering(); err != nil {
 		return nil, err
@@ -548,98 +553,4 @@ func (o *PartitionedOracle) checkNumbering() error {
 		}
 	}
 	return nil
-}
-
-// payloadCursor walks payload sections, either aliasing the underlying bytes
-// (aligned little-endian mappings) or decode-copying them.
-type payloadCursor struct {
-	data  []byte
-	off   int
-	alias bool
-	err   error
-}
-
-func (c *payloadCursor) take(bytes int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if c.off+bytes > len(c.data) {
-		c.err = fmt.Errorf("%w: truncated payload section", ErrIndexFormat)
-		return nil
-	}
-	s := c.data[c.off : c.off+bytes]
-	c.off += bytes
-	return s
-}
-
-func (c *payloadCursor) i32s(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	raw := c.take(4 * n)
-	if raw == nil {
-		return nil
-	}
-	if c.alias {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out
-}
-
-func (c *payloadCursor) nids(n int) []graph.NodeID {
-	if n == 0 {
-		return nil
-	}
-	raw := c.take(4 * n)
-	if raw == nil {
-		return nil
-	}
-	if c.alias {
-		return unsafe.Slice((*graph.NodeID)(unsafe.Pointer(&raw[0])), n)
-	}
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out
-}
-
-func (c *payloadCursor) f64s(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	raw := c.take(8 * n)
-	if raw == nil {
-		return nil
-	}
-	if c.alias {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out
-}
-
-// pairs reads n score pairs written by sectionWriter.pairs.
-func (c *payloadCursor) pairs(n int) []scorePair {
-	f := c.f64s(2 * n)
-	if f == nil {
-		return nil
-	}
-	return unsafe.Slice((*scorePair)(unsafe.Pointer(&f[0])), n)
-}
-
-// pad8 skips the writer's alignment padding. The payload starts at file
-// offset 48, itself 8-aligned, so payload-relative alignment equals file
-// alignment.
-func (c *payloadCursor) pad8() {
-	if pad := (8 - c.off%8) % 8; pad > 0 {
-		c.take(pad)
-	}
 }

@@ -1,8 +1,11 @@
 package apsp
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -66,12 +69,26 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: OpenIndex did not alias the file on a host that maps", trial)
 		}
 
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
 		// Both load paths — tables aliasing the mapping, tables decoded into
-		// fresh slices — must serve what the in-memory build serves.
+		// fresh slices — must serve what the in-memory build serves, and
+		// write back the file they were read from, byte for byte: every
+		// table, the counts block and the header.
 		for name, disk := range map[string]*PartitionedOracle{"mapped": mapped, "decoded": openDecoded(t, path, g)} {
 			info := disk.IndexInfo()
-			if info.Fingerprint != g.Fingerprint() || !info.FromDisk || info.Bytes <= 0 {
+			if info.Fingerprint != g.Fingerprint() || info.Bytes != int64(len(file)) {
 				t.Fatalf("trial %d %s: IndexInfo = %+v", trial, name, info)
+			}
+			var rewritten bytes.Buffer
+			if err := disk.WriteIndex(&rewritten); err != nil {
+				t.Fatalf("trial %d %s: WriteIndex: %v", trial, name, err)
+			}
+			if !bytes.Equal(rewritten.Bytes(), file) {
+				t.Fatalf("trial %d %s: re-written index differs from the file it was opened from", trial, name)
 			}
 			if info.Regions != mem.NumRegions() || info.Borders != mem.NumBorders() {
 				t.Fatalf("trial %d %s: disk shape %d/%d, memory %d/%d",
@@ -263,12 +280,13 @@ func TestIndexLoadErrors(t *testing.T) {
 	// recomputed so only the version differs. A version 2 file has no
 	// cell-pair minima; the payload length would refuse it too, but the
 	// version is checked first and names the remedy.
-	for name, version := range map[string]byte{"v1.kori": 1, "v2.kori": 2, "future.kori": 0x7f} {
-		other := append([]byte(nil), good...)
-		other[4] = version
-		patchHeaderCRC(other)
-		check(name, other, ErrIndexVersion)
+	for name, version := range map[string]uint32{"v1.kori": 1, "v2.kori": 2, "future.kori": 0x7f} {
+		check(name, withHeader(t, good, func(h *indexHeader) { h.Version = version }), ErrIndexVersion)
 	}
+
+	// A nonzero reserved field, header CRC recomputed: the writer never
+	// sets it, so a file that does is not one it wrote.
+	check("reserved.kori", withHeader(t, good, func(h *indexHeader) { h.Reserved = 1 }), ErrIndexFormat)
 
 	// A well-formed file whose numbering lies — checksums recomputed, so only
 	// the structure check can object. The lookups index the overlay by
@@ -294,6 +312,34 @@ func TestIndexLoadErrors(t *testing.T) {
 	swap4(swapped, bordersAt(0), bordersAt(1))
 	patchPayloadCRC(swapped)
 	check("renumbered-borders.kori", swapped, ErrIndexFormat)
+
+	// Nonzero alignment padding before the float64 section, payload CRC
+	// recomputed: the writer never produces it. The int32 section ends
+	// 8-aligned at cell size 3, so the padded file is cut at another size.
+	for cellSize := 2; ; cellSize++ {
+		if cellSize > 8 {
+			t.Fatal("no cell size up to 8 pads the paper graph's index")
+		}
+		o := NewPartitionedOracle(g, cellSize)
+		sumK2 := 0
+		for i := range o.cells {
+			sumK2 += len(o.cells[i].nodes) * len(o.cells[i].nodes)
+		}
+		n, b := len(o.region), len(o.borders)
+		intEnd := indexHeaderSize + 8*len(o.cells) + 4*(4*n+b+2*b*b+2*sumK2)
+		if intEnd%8 == 0 {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := o.WriteIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		padded := buf.Bytes()
+		padded[intEnd] = 1
+		patchPayloadCRC(padded)
+		check("padding.kori", padded, ErrIndexFormat)
+		break
+	}
 
 	// The right file for the wrong graph.
 	other := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(9)), 8, true), 3)
@@ -321,13 +367,35 @@ func patchPayloadCRC(b []byte) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[indexHeaderSize:len(b)-4]))
 }
 
-// patchHeaderCRC recomputes the header checksum after a deliberate edit.
-func patchHeaderCRC(b []byte) {
-	crc := crc32.ChecksumIEEE(b[4:44])
-	b[44] = byte(crc)
-	b[45] = byte(crc >> 8)
-	b[46] = byte(crc >> 16)
-	b[47] = byte(crc >> 24)
+// withHeader returns a copy of the index file b with its header edited by
+// edit and the header checksum recomputed.
+func withHeader(t *testing.T, b []byte, edit func(*indexHeader)) []byte {
+	t.Helper()
+	var h indexHeader
+	if _, err := binary.Decode(b, binary.LittleEndian, &h); err != nil {
+		t.Fatal(err)
+	}
+	edit(&h)
+	h.CRC = h.checksum()
+	out := append([]byte(nil), b...)
+	if _, err := binary.Encode(out, binary.LittleEndian, &h); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestIndexBytesPinned pins the bytes of one small index: the paper graph at
+// cell size 3. A writer and a reader that changed in step would pass every
+// round trip; this digest changes only together with indexVersion.
+func TestIndexBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewPartitionedOracle(buildPaperGraph(t), 3).WriteIndex(&buf); err != nil {
+		t.Fatalf("WriteIndex: %v", err)
+	}
+	const want = "4ed2934cd0d6f917dcdcd1b79b5b3f9cf4481d0e91b336c0c1ac33d17d0e6ced"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 4116 || got != want {
+		t.Fatalf("paper graph index: %d bytes, sha256 %s; want 4116 bytes, %s", buf.Len(), got, want)
+	}
 }
 
 // TestSourceSliceAgreement checks the outbound slices against the pair

@@ -41,8 +41,12 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted graphs must be internally consistent and re-saveable.
+		// Accepted graphs must be internally consistent, keep the file's
+		// vocabulary entry for entry, and be re-saveable.
 		checkCSRMirror(t, g)
+		if want := fileVocab(data); !slices.Equal(g.Vocab().Names(), want) {
+			t.Fatalf("vocabulary %q, file lists %q", g.Vocab().Names(), want)
+		}
 		var out bytes.Buffer
 		if err := g.Save(&out); err != nil {
 			t.Fatalf("accepted graph failed to save: %v", err)

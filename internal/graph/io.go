@@ -227,7 +227,9 @@ func Load(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: vocab: %v", ErrBadFormat, err)
 		}
-		vocab.Intern(s)
+		if t := vocab.Intern(s); t != Term(i) {
+			return nil, fmt.Errorf("%w: vocab entry %d repeats entry %d (%q)", ErrBadFormat, i, t, s)
+		}
 	}
 
 	var numNodes uint32

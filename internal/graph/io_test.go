@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -156,4 +158,65 @@ func TestLoadRejectsBadVersion(t *testing.T) {
 	if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
+}
+
+// A vocabulary entry that repeats an earlier one would intern to the earlier
+// term and shift every later entry onto the wrong keyword: in a file whose
+// vocabulary is [a a b], the node tagged with term 1 would read "b". Load
+// refuses the file.
+func TestLoadRejectsRepeatedVocabEntry(t *testing.T) {
+	vocab := NewVocabulary()
+	for _, s := range []string{"a", "x", "b"} {
+		vocab.Intern(s)
+	}
+	b := NewBuilderWithVocab(vocab)
+	v0 := b.AddNode("a")
+	v1 := b.AddNode("x")
+	if err := b.AddEdge(v0, v1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := b.MustBuild().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileVocab(buf.Bytes()); len(got) != 3 || got[0] != "a" || got[1] != "x" || got[2] != "b" {
+		t.Fatalf("saved vocabulary %q, want [a x b]", got)
+	}
+	// Rewrite the vocabulary to [a a b], checksum recomputed.
+	data := bytes.Replace(buf.Bytes(), []byte{1, 0, 0, 0, 'x'}, []byte{1, 0, 0, 0, 'a'}, 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[len(formatMagic):len(data)-4]))
+	if got := fileVocab(data); len(got) != 3 || got[1] != "a" {
+		t.Fatalf("rewritten vocabulary %q, want [a a b]", got)
+	}
+	if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Load of vocabulary [a a b]: err = %v, want ErrBadFormat", err)
+	}
+}
+
+// fileVocab returns the vocabulary entries of a KORG file in file order, or
+// nil when the file ends inside the vocabulary.
+func fileVocab(data []byte) []string {
+	off := len(formatMagic) + 4 + 1 // magic, version, flags
+	u32 := func() (int, bool) {
+		if off+4 > len(data) {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint32(data[off:])
+		off += 4
+		return int(v), true
+	}
+	count, ok := u32()
+	if !ok {
+		return nil
+	}
+	var names []string
+	for i := 0; i < count; i++ {
+		l, ok := u32()
+		if !ok || off+l > len(data) {
+			return nil
+		}
+		names = append(names, string(data[off:off+l]))
+		off += l
+	}
+	return names
 }

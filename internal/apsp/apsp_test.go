@@ -320,15 +320,6 @@ func TestPartitionShape(t *testing.T) {
 	}
 }
 
-func BenchmarkMatrixOracleBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomTestGraph(rng, 400, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewMatrixOracle(g)
-	}
-}
-
 func BenchmarkLazyOracleQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomTestGraph(rng, 2000, false)

@@ -85,9 +85,10 @@ type dijkstraItem struct {
 	secondary float64
 }
 
-// lessItem is the queue order: primary, then secondary, then node ID. It is
-// total over the items of one run, so the pop sequence — hence every settled
-// score and parent — does not depend on the heap's shape.
+// lessItem is the queue order: primary, then secondary, then node ID (the
+// local index, in a cell sweep). It is total over the items of one run, so
+// the pop sequence — hence every settled score and parent — does not depend
+// on the heap's shape.
 func lessItem(a, b *dijkstraItem) bool {
 	if a.primary < b.primary {
 		return true

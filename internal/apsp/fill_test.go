@@ -1,0 +1,221 @@
+package apsp
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"kor/internal/gen"
+	"kor/internal/graph"
+)
+
+// arrayScanCellTables is the reference for the cell fill: every row of every
+// cell by a Dijkstra whose frontier is a scan of the row, settling the
+// unsettled node of least (primary, secondary), the lowest local index on an
+// exact tie. The tables come back in the cells' order and layout.
+func arrayScanCellTables(o *PartitionedOracle) []cellTables {
+	ref := make([]cellTables, len(o.cells))
+	for ci := range o.cells {
+		cell := &ref[ci]
+		cell.nodes = o.cells[ci].nodes
+		k := len(cell.nodes)
+		cell.tauP, cell.tauS = infs(k*k), infs(k*k)
+		cell.sigP, cell.sigS = infs(k*k), infs(k*k)
+		cell.tauPar, cell.sigPar = noParents(k*k), noParents(k*k)
+		for src := 0; src < k; src++ {
+			arrayScanSweep(o, cell, src, ByObjective)
+			arrayScanSweep(o, cell, src, ByBudget)
+		}
+	}
+	return ref
+}
+
+// arrayScanSweep writes row src of the cell's metric-m tables.
+func arrayScanSweep(o *PartitionedOracle, cell *cellTables, src int, m Metric) {
+	prim, sec, par := cell.scoreTables(m)
+	k := len(cell.nodes)
+	row := src * k
+	prim[row+src], sec[row+src] = 0, 0
+	done := make([]bool, k)
+	for {
+		best := -1
+		for i := 0; i < k; i++ {
+			if done[i] || math.IsInf(prim[row+i], 1) {
+				continue
+			}
+			if best == -1 || prim[row+i] < prim[row+best] ||
+				(prim[row+i] == prim[row+best] && sec[row+i] < sec[row+best]) {
+				best = i
+			}
+		}
+		if best == -1 {
+			return
+		}
+		done[best] = true
+		v := cell.nodes[best]
+		for _, e := range o.g.Out(v) {
+			if o.region[e.To] != o.region[v] {
+				continue
+			}
+			li := int(o.local[e.To])
+			p, s := prim[row+best]+e.Objective, sec[row+best]+e.Budget
+			if m == ByBudget {
+				p, s = prim[row+best]+e.Budget, sec[row+best]+e.Objective
+			}
+			if p < prim[row+li] || (p == prim[row+li] && s < sec[row+li]) {
+				prim[row+li], sec[row+li], par[row+li] = p, s, int32(best)
+			}
+		}
+	}
+}
+
+func infs(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.Inf(1)
+	}
+	return s
+}
+
+func noParents(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = noParent
+	}
+	return s
+}
+
+// TestCellFillMatchesArrayScan: the cell fill's six tables equal the array
+// scan's entry for entry — scores bit for bit, parents exactly — on graphs
+// with many exact ties (tied, quantized random, the paper's) and without
+// (ring), at cell sizes from 2 to one cell for the whole graph. None of these
+// graphs has positions, so their cells are grown breadth-first and a cell's
+// local order is not node-ID order: a fill that broke ties by node ID would
+// pick other parents.
+func TestCellFillMatchesArrayScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4601))
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"tied", tiedTestGraph(rng, 70)},
+		{"ring", ringTestGraph(rng, 50)},
+		{"random quantized", randomTestGraph(rng, 40, true)},
+		{"paper", buildPaperGraph(t)},
+	}
+	for _, tc := range graphs {
+		for _, size := range []int{2, 3, 16, tc.g.NumNodes()} {
+			o := NewPartitionedOracle(tc.g, size)
+			ref := arrayScanCellTables(o)
+			for ci := range o.cells {
+				got, want := &o.cells[ci], &ref[ci]
+				for _, m := range []Metric{ByObjective, ByBudget} {
+					gp, gs, gpar := got.scoreTables(m)
+					wp, ws, wpar := want.scoreTables(m)
+					for i := range wp {
+						if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) ||
+							math.Float64bits(gs[i]) != math.Float64bits(ws[i]) || gpar[i] != wpar[i] {
+							k := len(got.nodes)
+							t.Fatalf("%s, cell size %d, cell %d, metric %d, row %d col %d: fill (%v,%v,%d), array scan (%v,%v,%d)",
+								tc.name, size, ci, m, i/k, i%k, gp[i], gs[i], gpar[i], wp[i], ws[i], wpar[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneCellMatchesMatrix: a partitioned oracle whose one cell is the whole
+// graph answers every pair with the matrix's scores, bit for bit, and on a
+// graph with positions with the matrix's paths. Bisection lists the one cell
+// in ascending node ID and it has no borders, so local index is node ID and
+// the cell fill breaks exact ties as the matrix's Dijkstra does. A graph
+// without positions grows its cell breadth-first, whose local order is not
+// node-ID order, so among exactly tied paths the two may pick different ones:
+// there only the scores, which do not depend on tie order, must agree.
+func TestOneCellMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(4602))
+	road := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 150})
+	grid := gen.GridRoad(gen.GridConfig{Seed: 2012, Nodes: 140})
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		samePaths bool
+	}{
+		{"road", road, true},
+		{"grid", grid, true},
+		{"road, dyadic", rebuilt(road, road.Position, dyadic), true},
+		{"grid, dyadic", rebuilt(grid, grid.Position, dyadic), true},
+		{"tied, no positions", tiedTestGraph(rng, 60), false},
+		{"random quantized, no positions", randomTestGraph(rng, 60, true), false},
+	}
+	type answer struct {
+		os, bs float64
+		ok     bool
+		path   []graph.NodeID
+	}
+	ask := func(o interface {
+		Oracle
+		PathMaterializer
+	}, from, to graph.NodeID, m Metric, paths bool) answer {
+		var a answer
+		if m == ByObjective {
+			a.os, a.bs, a.ok = o.MinObjective(from, to)
+			if paths {
+				a.path, _ = o.MinObjectivePath(from, to)
+			}
+		} else {
+			a.os, a.bs, a.ok = o.MinBudget(from, to)
+			if paths {
+				a.path, _ = o.MinBudgetPath(from, to)
+			}
+		}
+		return a
+	}
+	for _, tc := range cases {
+		n := tc.g.NumNodes()
+		one, matrix := NewPartitionedOracle(tc.g, n), NewMatrixOracle(tc.g)
+		if len(one.cells) != 1 || len(one.borders) != 0 {
+			t.Fatalf("%s: %d cells and %d borders at cell size |V|", tc.name, len(one.cells), len(one.borders))
+		}
+		for from := graph.NodeID(0); int(from) < n; from++ {
+			for to := graph.NodeID(0); int(to) < n; to++ {
+				for _, m := range []Metric{ByObjective, ByBudget} {
+					got, want := ask(one, from, to, m, tc.samePaths), ask(matrix, from, to, m, tc.samePaths)
+					if got.os != want.os || got.bs != want.bs || got.ok != want.ok || !slices.Equal(got.path, want.path) {
+						t.Fatalf("%s metric %d %d→%d: one cell %+v, matrix %+v", tc.name, m, from, to, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTableBuild times the table fill on a 1,500-node road network: the
+// matrix, a partitioned oracle of one cell (the same |V|² tables through the
+// cell fill) and one at the default cell size. The one-cell to matrix ratio
+// is what deciding between the two costs at build time.
+func BenchmarkTableBuild(b *testing.B) {
+	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 1500})
+	builds := []struct {
+		name  string
+		build func() Oracle
+	}{
+		{"matrix", func() Oracle { return NewMatrixOracle(g) }},
+		{"one-cell", func() Oracle { return NewPartitionedOracle(g, g.NumNodes()) }},
+		{fmt.Sprintf("cell-%d", DefaultCellSize), func() Oracle { return NewPartitionedOracle(g, DefaultCellSize) }},
+	}
+	for _, bb := range builds {
+		b.Run(bb.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				builtTables = bb.build()
+			}
+		})
+	}
+}
+
+// builtTables keeps the benchmark's builds live.
+var builtTables Oracle

@@ -2,8 +2,6 @@ package apsp
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"kor/internal/graph"
 )
@@ -36,8 +34,9 @@ type MatrixOracle struct {
 }
 
 // NewMatrixOracle fills the tables with one forward two-criteria Dijkstra
-// per node, parallelized across CPUs. The resulting scores are exactly the
-// Floyd-Warshall scores (verified against floydWarshall in tests).
+// per node, its rows swept in blocks on the shared fill pool (fillTables).
+// The resulting scores are exactly the Floyd-Warshall scores (verified
+// against floydWarshall in tests).
 func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 	n := g.NumNodes()
 	o := &MatrixOracle{
@@ -47,51 +46,27 @@ func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 		tauPar: make([]int32, n*n),
 		sigPar: make([]int32, n*n),
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	blocks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var tau, sig [fillRows]*sweep
-			for first := range blocks {
-				rows := min(fillRows, n-first)
+	fillTables([]int{n}, func() func(_, first, rows int) {
+		var tau, sig [fillRows]*sweep
+		return func(_, first, rows int) {
+			for r := 0; r < rows; r++ {
+				from := first + r
+				tau[r] = dijkstra(g, graph.NodeID(from), ByObjective, false)
+				sig[r] = dijkstra(g, graph.NodeID(from), ByBudget, false)
+				copy(o.tauPar[from*n:(from+1)*n], tau[r].parent)
+				copy(o.sigPar[from*n:(from+1)*n], sig[r].parent)
+			}
+			for to := 0; to < n; to++ {
+				col := to*n + first
 				for r := 0; r < rows; r++ {
-					from := first + r
-					tau[r] = dijkstra(g, graph.NodeID(from), ByObjective, false)
-					sig[r] = dijkstra(g, graph.NodeID(from), ByBudget, false)
-					copy(o.tauPar[from*n:(from+1)*n], tau[r].parent)
-					copy(o.sigPar[from*n:(from+1)*n], sig[r].parent)
-				}
-				for to := 0; to < n; to++ {
-					col := to*n + first
-					for r := 0; r < rows; r++ {
-						o.tau[col+r] = scorePair{tau[r].primary[to], tau[r].secondary[to]}
-						o.sig[col+r] = scorePair{sig[r].primary[to], sig[r].secondary[to]}
-					}
+					o.tau[col+r] = scorePair{tau[r].primary[to], tau[r].secondary[to]}
+					o.sig[col+r] = scorePair{sig[r].primary[to], sig[r].secondary[to]}
 				}
 			}
-		}()
-	}
-	for first := 0; first < n; first += fillRows {
-		blocks <- first
-	}
-	close(blocks)
-	wg.Wait()
+		}
+	})
 	return o
 }
-
-// fillRows is how many source rows one fill task sweeps: their entries of a
-// column are 512 contiguous bytes, whole cache lines written by one worker,
-// rather than one scattered 16-byte write per row.
-const fillRows = 32
 
 // at is the index of the (from, to) entry of a score table.
 func (o *MatrixOracle) at(from, to graph.NodeID) int { return int(to)*o.n + int(from) }
@@ -154,7 +129,3 @@ func (o *MatrixOracle) walkRow(par []int32, from, to graph.NodeID) ([]graph.Node
 
 // IndexedPaths marks the path methods as table walks (see apsp.Indexed).
 func (o *MatrixOracle) IndexedPaths() bool { return true }
-
-// MemoryBytes reports the table footprint, used by tooling to warn before
-// building dense tables over large graphs.
-func (o *MatrixOracle) MemoryBytes() int64 { return int64(o.n) * int64(o.n) * 8 * 5 }

@@ -3,9 +3,7 @@ package apsp
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"kor/internal/graph"
 )
@@ -319,7 +317,7 @@ func growCells(g *graph.Graph, cellSize int) [][]graph.NodeID {
 
 // NewPartitionedOracle partitions g into regions of at most cellSize nodes
 // (PartitionGraph) and pre-computes the intra-region and border-overlay
-// tables, parallelizing the per-cell and per-border-row work across CPUs.
+// tables, their rows swept in blocks on the shared fill pool (fillTables).
 func NewPartitionedOracle(g *graph.Graph, cellSize int) *PartitionedOracle {
 	return newPartitionedOracle(g, PartitionGraph(g, cellSize))
 }
@@ -348,145 +346,100 @@ func newPartitionedOracle(g *graph.Graph, p *Partition) *PartitionedOracle {
 	return o
 }
 
-// workerCount sizes a build worker pool for jobs items.
-func workerCount(jobs int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// buildCellTables runs restricted two-criteria Dijkstra inside every region,
-// cells distributed over a worker pool (each cell's tables are written only
-// by its worker, so no synchronization beyond the WaitGroup is needed).
+// buildCellTables fills every cell's tables on the shared pool, one job per
+// block of a cell's source rows, so one large cell keeps every CPU busy.
 func (o *PartitionedOracle) buildCellTables() {
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workerCount(len(o.cells)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range jobs {
-				cell := &o.cells[ci]
-				k := len(cell.nodes)
-				cell.tauP = newInfSlice(k * k)
-				cell.tauS = newInfSlice(k * k)
-				cell.sigP = newInfSlice(k * k)
-				cell.sigS = newInfSlice(k * k)
-				cell.tauPar = newNoParentSlice(k * k)
-				cell.sigPar = newNoParentSlice(k * k)
-				for li := 0; li < k; li++ {
-					o.restrictedSweep(cell, li, ByObjective, cell.tauP, cell.tauS, cell.tauPar)
-					o.restrictedSweep(cell, li, ByBudget, cell.sigP, cell.sigS, cell.sigPar)
-				}
-			}
-		}()
-	}
+	rows := make([]int, len(o.cells))
 	for ci := range o.cells {
-		jobs <- ci
+		cell := &o.cells[ci]
+		k := len(cell.nodes)
+		rows[ci] = k
+		cell.tauP, cell.tauS = make([]float64, k*k), make([]float64, k*k)
+		cell.sigP, cell.sigS = make([]float64, k*k), make([]float64, k*k)
+		cell.tauPar, cell.sigPar = make([]int32, k*k), make([]int32, k*k)
 	}
-	close(jobs)
-	wg.Wait()
+	fillTables(rows, func() func(ci, first, count int) {
+		var h itemHeap
+		return func(ci, first, count int) {
+			for src := first; src < first+count; src++ {
+				o.cellSweep(&o.cells[ci], src, ByObjective, &h)
+				o.cellSweep(&o.cells[ci], src, ByBudget, &h)
+			}
+		}
+	})
 }
 
-// restrictedSweep is Dijkstra from cell.nodes[src], never leaving the
-// region, writing row src of the (primary, secondary, parent) tables.
-// Parents are local indices within the cell.
-func (o *PartitionedOracle) restrictedSweep(cell *cellTables, src int, m Metric, prim, sec []float64, par []int32) {
+// cellSweep fills row src of the cell's metric-m tables: a two-criteria
+// Dijkstra from cell.nodes[src] that never leaves the region. Its queue holds
+// local indices, so it orders exact ties by local index, and parents are
+// local indices too.
+func (o *PartitionedOracle) cellSweep(cell *cellTables, src int, m Metric, h *itemHeap) {
 	k := len(cell.nodes)
-	row := src * k
-	prim[row+src] = 0
-	sec[row+src] = 0
-	// The cells are small; a simple slice-scan frontier keeps this free of
-	// allocation churn without another heap type.
-	done := make([]bool, k)
-	for {
-		best := -1
-		for i := 0; i < k; i++ {
-			if done[i] || math.IsInf(prim[row+i], 1) {
-				continue
-			}
-			if best == -1 || prim[row+i] < prim[row+best] ||
-				(prim[row+i] == prim[row+best] && sec[row+i] < sec[row+best]) {
-				best = i
-			}
+	prim, sec, par := cell.scoreTables(m)
+	prim, sec, par = prim[src*k:(src+1)*k], sec[src*k:(src+1)*k], par[src*k:(src+1)*k]
+	for i := range prim {
+		prim[i], sec[i], par[i] = math.Inf(1), math.Inf(1), noParent
+	}
+	prim[src], sec[src] = 0, 0
+	h.push(dijkstraItem{node: graph.NodeID(src)})
+	for len(*h) > 0 {
+		it := h.pop()
+		u := int(it.node)
+		// Labels are pushed only on improvement and weights are positive: the
+		// item that still matches u's scores settles it, any other is stale.
+		if it.primary != prim[u] || it.secondary != sec[u] {
+			continue
 		}
-		if best == -1 {
-			return
-		}
-		done[best] = true
-		v := cell.nodes[best]
+		v := cell.nodes[u]
 		for _, e := range o.g.Out(v) {
 			if o.region[e.To] != o.region[v] {
 				continue
 			}
-			li := int(o.local[e.To])
-			var p, s float64
-			if m == ByObjective {
-				p, s = prim[row+best]+e.Objective, sec[row+best]+e.Budget
-			} else {
-				p, s = prim[row+best]+e.Budget, sec[row+best]+e.Objective
+			p, s := it.primary+e.Objective, it.secondary+e.Budget
+			if m == ByBudget {
+				p, s = it.primary+e.Budget, it.secondary+e.Objective
 			}
-			if p < prim[row+li] || (p == prim[row+li] && s < sec[row+li]) {
-				prim[row+li] = p
-				sec[row+li] = s
-				par[row+li] = int32(best)
+			if li := o.local[e.To]; p < prim[li] || (p == prim[li] && s < sec[li]) {
+				prim[li], sec[li], par[li] = p, s, int32(u)
+				h.push(dijkstraItem{node: graph.NodeID(li), primary: p, secondary: s})
 			}
 		}
 	}
 }
 
 // buildOverlay assembles the border graph per metric and computes all-pairs
-// scores and parents over it with the package Dijkstra, rows distributed
-// over a worker pool; each finished row is cut into its per-cell runs of the
-// blocked score tables.
+// scores and parents over it with the package Dijkstra, the rows of both
+// metrics swept on the shared pool; each finished row is cut into its
+// per-cell runs of the blocked score tables. Those runs cover the row, so
+// every entry is written.
 func (o *PartitionedOracle) buildOverlay() {
 	b := len(o.borders)
-	o.ovTauP = newInfSlice(b * b)
-	o.ovTauS = newInfSlice(b * b)
-	o.ovSigP = newInfSlice(b * b)
-	o.ovSigS = newInfSlice(b * b)
-	o.ovTauPar = newNoParentSlice(b * b)
-	o.ovSigPar = newNoParentSlice(b * b)
+	o.ovTauP, o.ovTauS = make([]float64, b*b), make([]float64, b*b)
+	o.ovSigP, o.ovSigS = make([]float64, b*b), make([]float64, b*b)
+	o.ovTauPar, o.ovSigPar = make([]int32, b*b), make([]int32, b*b)
 	if b == 0 {
 		return
 	}
-	for _, m := range []Metric{ByObjective, ByBudget} {
-		overlay := o.overlayGraph(m)
-		prim, sec, par := o.overlayTables(m)
-		var wg sync.WaitGroup
-		rows := make(chan int)
-		for w := 0; w < workerCount(b); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for from := range rows {
-					// The overlay graph stores the sweep's primary metric in
-					// the Objective slot regardless of m, so sweep with
-					// ByObjective.
-					s := dijkstra(overlay, graph.NodeID(from), ByObjective, false)
-					ci := &o.cells[o.region[o.borders[from]]]
-					x := from - ci.start
-					for j := range o.cells {
-						cj := &o.cells[j]
-						at := o.block(ci, cj) + x*cj.nb
-						copy(prim[at:at+cj.nb], s.primary[cj.start:])
-						copy(sec[at:at+cj.nb], s.secondary[cj.start:])
-					}
-					copy(par[from*b:(from+1)*b], s.parent)
+	overlay := [...]*graph.Graph{ByObjective: o.overlayGraph(ByObjective), ByBudget: o.overlayGraph(ByBudget)}
+	fillTables([]int{ByObjective: b, ByBudget: b}, func() func(m, first, count int) {
+		return func(m, first, count int) {
+			prim, sec, par := o.overlayTables(Metric(m))
+			for from := first; from < first+count; from++ {
+				// The overlay graph stores the sweep's primary metric in the
+				// Objective slot regardless of m, so sweep with ByObjective.
+				s := dijkstra(overlay[m], graph.NodeID(from), ByObjective, false)
+				ci := &o.cells[o.region[o.borders[from]]]
+				x := from - ci.start
+				for j := range o.cells {
+					cj := &o.cells[j]
+					at := o.block(ci, cj) + x*cj.nb
+					copy(prim[at:at+cj.nb], s.primary[cj.start:])
+					copy(sec[at:at+cj.nb], s.secondary[cj.start:])
 				}
-			}()
+				copy(par[from*b:(from+1)*b], s.parent)
+			}
 		}
-		for from := 0; from < b; from++ {
-			rows <- from
-		}
-		close(rows)
-		wg.Wait()
-	}
+	})
 }
 
 // buildPairMin fills pairMin with one scan of the finished overlay.
@@ -559,23 +512,6 @@ func (o *PartitionedOracle) overlayGraph(m Metric) *graph.Graph {
 		}
 	}
 	return bld.MustBuild()
-}
-
-func newInfSlice(n int) []float64 {
-	s := make([]float64, n)
-	inf := math.Inf(1)
-	for i := range s {
-		s[i] = inf
-	}
-	return s
-}
-
-func newNoParentSlice(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = noParent
-	}
-	return s
 }
 
 // best assembles the pair score of from ≠ to under metric m and names the

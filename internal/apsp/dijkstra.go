@@ -16,13 +16,14 @@ import (
 //
 // A sweep comes in one of two forms, chosen by its bound alone. A full sweep
 // (bound +Inf) is dense: primary, secondary and parent are indexed by node
-// ID over the whole graph, unreached nodes carry +Inf — the table builders
-// copy these rows wholesale. A truncated sweep is compact: nodes lists the
-// settled nodes in settle order (ascending primary), the three vectors run
-// parallel to it, and slots is an open-addressing index from node ID to
-// position — 32 bytes per settled node (two scores, the parent, the node ID
-// and two slots at load factor ½), whatever the graph's size. reached,
-// scores and the walks are the only readers and hide the form.
+// ID over the whole graph, unreached nodes carry +Inf — what a plan that asks
+// for an unbounded vector, the τ sweep into its target, reads. A truncated
+// sweep is compact: nodes lists the settled nodes in settle order (ascending
+// primary), the three vectors run parallel to it, and slots is an
+// open-addressing index from node ID to position — 32 bytes per settled node
+// (two scores, the parent, the node ID and two slots at load factor ½),
+// whatever the graph's size. reached, scores and the walks are the only
+// readers and hide the form.
 type sweep struct {
 	primary   []float64
 	secondary []float64
@@ -86,7 +87,7 @@ type dijkstraItem struct {
 }
 
 // lessItem is the queue order: primary, then secondary, then node ID (the
-// local index, in a cell sweep). It is total over the items of one run, so
+// local index, in a cell row). It is total over the items of one run, so
 // the pop sequence — hence every settled score and parent — does not depend
 // on the heap's shape.
 func lessItem(a, b *dijkstraItem) bool {
@@ -201,21 +202,16 @@ func getScratch(n int) *sweepScratch {
 	return sc
 }
 
-// dijkstra runs a full two-criteria Dijkstra from root. With reverse=false
-// edges are traversed forward (single-source); with reverse=true the
-// transpose graph is used (single-target). Ties on the primary metric are
-// broken by the secondary, so results are unique and deterministic. The
-// result is dense.
-func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep {
-	return dijkstraBounded(g, root, m, reverse, math.Inf(1))
-}
-
-// dijkstraBounded is dijkstra truncated at a primary-metric bound: labels
-// past the bound are never relaxed, so the search settles only the bound's
-// ball around the root. Settled scores are exact; unreached nodes are
-// indistinguishable from unreachable ones, which is precisely the contract
-// bounded callers want. The root always settles, so a bound below 0 (or NaN)
-// is radius 0. The result is dense when bound is +Inf and compact otherwise.
+// dijkstraBounded runs a two-criteria Dijkstra from root, truncated at a
+// primary-metric bound. With reverse=false edges are traversed forward
+// (single-source); with reverse=true the transpose graph is used
+// (single-target). Ties on the primary metric are broken by the secondary,
+// so results are unique and deterministic. Labels past the bound are never
+// relaxed, so the search settles only the bound's ball around the root.
+// Settled scores are exact; unreached nodes are indistinguishable from
+// unreachable ones, which is precisely the contract bounded callers want. The
+// root always settles, so a bound below 0 (or NaN) is radius 0. The result is
+// dense when bound is +Inf and compact otherwise.
 func dijkstraBounded(g *graph.Graph, root graph.NodeID, m Metric, reverse bool, bound float64) *sweep {
 	return dijkstraWithin(g, root, m, reverse, bound, nil)
 }

@@ -194,6 +194,192 @@ func TestOneCellMatchesMatrix(t *testing.T) {
 	}
 }
 
+// dijkstraMatrix is the reference for the matrix fill: every row two dense
+// dijkstra sweeps, one per metric, their parents copied into the parent
+// tables and their scores into the target-major score tables.
+func dijkstraMatrix(g *graph.Graph) *MatrixOracle {
+	n := g.NumNodes()
+	ref := &MatrixOracle{
+		g: g, n: n,
+		tau: make([]scorePair, n*n), sig: make([]scorePair, n*n),
+		tauPar: make([]int32, n*n), sigPar: make([]int32, n*n),
+	}
+	for from := 0; from < n; from++ {
+		tau := dijkstra(g, graph.NodeID(from), ByObjective, false)
+		sig := dijkstra(g, graph.NodeID(from), ByBudget, false)
+		copy(ref.tauPar[from*n:], tau.parent)
+		copy(ref.sigPar[from*n:], sig.parent)
+		for to := 0; to < n; to++ {
+			ref.tau[to*n+from] = scorePair{tau.primary[to], tau.secondary[to]}
+			ref.sig[to*n+from] = scorePair{sig.primary[to], sig.secondary[to]}
+		}
+	}
+	return ref
+}
+
+// dijkstraOverlay is the reference for the overlay fill: every row of o's
+// border graph one dense dijkstra sweep per metric, its parents copied into
+// the parent table and its scores cut into the blocked score tables (the
+// border graph carries the sweep's primary in the Objective slot). The tables
+// come back as the overlay fields of an otherwise empty oracle.
+func dijkstraOverlay(o *PartitionedOracle) *PartitionedOracle {
+	b := len(o.borders)
+	ref := &PartitionedOracle{}
+	ref.ovTauP, ref.ovTauS = make([]float64, b*b), make([]float64, b*b)
+	ref.ovSigP, ref.ovSigS = make([]float64, b*b), make([]float64, b*b)
+	ref.ovTauPar, ref.ovSigPar = make([]int32, b*b), make([]int32, b*b)
+	for _, m := range []Metric{ByObjective, ByBudget} {
+		overlay := o.overlayGraph(m)
+		prim, sec, par := ref.overlayTables(m)
+		for from := 0; from < b; from++ {
+			s := dijkstra(overlay, graph.NodeID(from), ByObjective, false)
+			ci := &o.cells[o.region[o.borders[from]]]
+			for j := range o.cells {
+				cj := &o.cells[j]
+				at := o.block(ci, cj) + (from-ci.start)*cj.nb
+				copy(prim[at:at+cj.nb], s.primary[cj.start:])
+				copy(sec[at:at+cj.nb], s.secondary[cj.start:])
+			}
+			copy(par[from*b:], s.parent)
+		}
+	}
+	return ref
+}
+
+// firstDiff returns the first index where the tables differ — a float64
+// entry in any bit — or -1 when they are the same.
+func firstDiff[T float64 | int32](got, want []T) int {
+	bits := func(x T) uint64 {
+		if f, ok := any(x).(float64); ok {
+			return math.Float64bits(f)
+		}
+		return uint64(uint32(any(x).(int32)))
+	}
+	for i := range want {
+		if bits(got[i]) != bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestTableFillMatchesDijkstra: the matrix's four tables and the overlay's
+// six, filled by the decrease-key kernel (rowFill), equal the tables the
+// lazy-heap dijkstra filled row by row — scores bit for bit, parents
+// exactly — on graphs with many exact ties (tied, quantized random, the
+// paper's) and without (ring), the overlay at cell sizes 2, 3 and 16.
+func TestTableFillMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(4701))
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"tied", tiedTestGraph(rng, 70)},
+		{"ring", ringTestGraph(rng, 50)},
+		{"random quantized", randomTestGraph(rng, 40, true)},
+		{"paper", buildPaperGraph(t)},
+	}
+	for _, tc := range graphs {
+		got, want := NewMatrixOracle(tc.g), dijkstraMatrix(tc.g)
+		n := tc.g.NumNodes()
+		for _, tab := range []struct {
+			name      string
+			got, want []scorePair
+		}{{"τ", got.tau, want.tau}, {"σ", got.sig, want.sig}} {
+			for i := range tab.want {
+				g, w := tab.got[i], tab.want[i]
+				if math.Float64bits(g.prim) != math.Float64bits(w.prim) || math.Float64bits(g.sec) != math.Float64bits(w.sec) {
+					t.Fatalf("%s: matrix %s score %d→%d: fill %v, dijkstra %v", tc.name, tab.name, i%n, i/n, g, w)
+				}
+			}
+		}
+		if i := firstDiff(got.tauPar, want.tauPar); i >= 0 {
+			t.Fatalf("%s: matrix τ parent %d→%d: fill %d, dijkstra %d", tc.name, i/n, i%n, got.tauPar[i], want.tauPar[i])
+		}
+		if i := firstDiff(got.sigPar, want.sigPar); i >= 0 {
+			t.Fatalf("%s: matrix σ parent %d→%d: fill %d, dijkstra %d", tc.name, i/n, i%n, got.sigPar[i], want.sigPar[i])
+		}
+
+		for _, size := range []int{2, 3, 16} {
+			o := NewPartitionedOracle(tc.g, size)
+			ref := dijkstraOverlay(o)
+			for _, m := range []Metric{ByObjective, ByBudget} {
+				gp, gs, gpar := o.overlayTables(m)
+				wp, ws, wpar := ref.overlayTables(m)
+				for _, tab := range []struct {
+					name string
+					i    int
+				}{{"primary", firstDiff(gp, wp)}, {"secondary", firstDiff(gs, ws)}, {"parent", firstDiff(gpar, wpar)}} {
+					if tab.i >= 0 {
+						t.Fatalf("%s, cell size %d (%d borders), metric %d: overlay %s differs at entry %d",
+							tc.name, size, len(o.borders), m, tab.name, tab.i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowFillPopOrder: under random inserts and decrease-keys over at most
+// 64 IDs, keys drawn from a few values so that exact (primary, secondary)
+// ties are common, the indexed heap pops the live items in the order a lazy
+// itemHeap fed the same pushes pops them, skipping its stale copies: lessItem
+// order, node ID last.
+func TestRowFillPopOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4702))
+	const unlabelled, queued, popped = 0, 1, 2
+	for trial := 0; trial < 500; trial++ {
+		ids := 1 + rng.Intn(64)
+		f := newRowFill(ids)
+		var lazy itemHeap
+		label := make([]dijkstraItem, ids)
+		state := make([]int, ids)
+		popBoth := func() {
+			got := f.pop()
+			for {
+				want := lazy.pop()
+				if state[want.node] != queued || want != label[want.node] {
+					continue // a stale copy
+				}
+				if got != want {
+					t.Fatalf("trial %d: indexed heap popped %+v, lazy heap %+v", trial, got, want)
+				}
+				state[want.node] = popped
+				return
+			}
+		}
+		for op := 0; op < 400; op++ {
+			if rng.Intn(3) == 0 {
+				if len(f.heap) > 0 {
+					popBoth()
+				}
+				continue
+			}
+			v := rng.Intn(ids)
+			it := dijkstraItem{node: graph.NodeID(v), primary: float64(rng.Intn(6)), secondary: float64(rng.Intn(3))}
+			if state[v] == popped || (state[v] == queued && !lessItem(&it, &label[v])) {
+				continue // keys only fall, and a popped node is settled
+			}
+			label[v], state[v] = it, queued
+			f.update(it)
+			lazy.push(it)
+		}
+		for len(f.heap) > 0 {
+			popBoth()
+		}
+		for len(lazy) > 0 {
+			if it := lazy.pop(); state[it.node] == queued && it == label[it.node] {
+				t.Fatalf("trial %d: the indexed heap drained with %+v live in the lazy heap", trial, it)
+			}
+		}
+		for v, s := range f.slot {
+			if s != -1 {
+				t.Fatalf("trial %d: node %d left at slot %d after the heap drained", trial, v, s)
+			}
+		}
+	}
+}
+
 // BenchmarkTableBuild times the table fill on a 1,500-node road network: the
 // matrix, a partitioned oracle of one cell (the same |V|² tables through the
 // cell fill) and one at the default cell size. The one-cell to matrix ratio

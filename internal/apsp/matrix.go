@@ -34,9 +34,11 @@ type MatrixOracle struct {
 }
 
 // NewMatrixOracle fills the tables with one forward two-criteria Dijkstra
-// per node, its rows swept in blocks on the shared fill pool (fillTables).
-// The resulting scores are exactly the Floyd-Warshall scores (verified
-// against floydWarshall in tests).
+// per node and metric, the table-fill kernel (rowFill) on the shared fill
+// pool (fillTables). A row's parents go straight into the parent tables; its
+// scores go into the worker's block of rows, which is then transposed into
+// the target-major score tables. The resulting scores are exactly the
+// Floyd-Warshall scores (verified against floydWarshall in tests).
 func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 	n := g.NumNodes()
 	o := &MatrixOracle{
@@ -47,20 +49,26 @@ func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 		sigPar: make([]int32, n*n),
 	}
 	fillTables([]int{n}, func() func(_, first, rows int) {
-		var tau, sig [fillRows]*sweep
+		f := newRowFill(n)
+		// The block's score rows, cut from one allocation.
+		var rowsOf [4][fillRows][]float64
+		tauP, tauS, sigP, sigS := &rowsOf[0], &rowsOf[1], &rowsOf[2], &rowsOf[3]
+		buf := make([]float64, 4*fillRows*n)
+		for r := range fillRows {
+			row := buf[4*r*n : 4*(r+1)*n]
+			tauP[r], tauS[r], sigP[r], sigS[r] = row[:n], row[n:2*n], row[2*n:3*n], row[3*n:]
+		}
 		return func(_, first, rows int) {
 			for r := 0; r < rows; r++ {
 				from := first + r
-				tau[r] = dijkstra(g, graph.NodeID(from), ByObjective, false)
-				sig[r] = dijkstra(g, graph.NodeID(from), ByBudget, false)
-				copy(o.tauPar[from*n:(from+1)*n], tau[r].parent)
-				copy(o.sigPar[from*n:(from+1)*n], sig[r].parent)
+				f.row(g, from, ByObjective, tauP[r], tauS[r], o.tauPar[from*n:(from+1)*n])
+				f.row(g, from, ByBudget, sigP[r], sigS[r], o.sigPar[from*n:(from+1)*n])
 			}
 			for to := 0; to < n; to++ {
 				col := to*n + first
 				for r := 0; r < rows; r++ {
-					o.tau[col+r] = scorePair{tau[r].primary[to], tau[r].secondary[to]}
-					o.sig[col+r] = scorePair{sig[r].primary[to], sig[r].secondary[to]}
+					o.tau[col+r] = scorePair{tauP[r][to], tauS[r][to]}
+					o.sig[col+r] = scorePair{sigP[r][to], sigS[r][to]}
 				}
 			}
 		}

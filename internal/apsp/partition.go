@@ -347,71 +347,60 @@ func newPartitionedOracle(g *graph.Graph, p *Partition) *PartitionedOracle {
 }
 
 // buildCellTables fills every cell's tables on the shared pool, one job per
-// block of a cell's source rows, so one large cell keeps every CPU busy.
+// block of a cell's source rows, so one large cell keeps every CPU busy. A
+// cell row is the table-fill kernel (rowFill) over the cell's own graph
+// (cellGraph), so it never leaves the region, and its node IDs, hence its
+// tie order and its parents, are local indices.
 func (o *PartitionedOracle) buildCellTables() {
 	rows := make([]int, len(o.cells))
+	local := make([]*graph.Graph, len(o.cells))
+	largest := 0
 	for ci := range o.cells {
 		cell := &o.cells[ci]
 		k := len(cell.nodes)
-		rows[ci] = k
+		rows[ci], largest = k, max(largest, k)
 		cell.tauP, cell.tauS = make([]float64, k*k), make([]float64, k*k)
 		cell.sigP, cell.sigS = make([]float64, k*k), make([]float64, k*k)
 		cell.tauPar, cell.sigPar = make([]int32, k*k), make([]int32, k*k)
+		local[ci] = o.cellGraph(cell)
 	}
 	fillTables(rows, func() func(ci, first, count int) {
-		var h itemHeap
+		f := newRowFill(largest)
 		return func(ci, first, count int) {
+			cell := &o.cells[ci]
+			k := len(cell.nodes)
 			for src := first; src < first+count; src++ {
-				o.cellSweep(&o.cells[ci], src, ByObjective, &h)
-				o.cellSweep(&o.cells[ci], src, ByBudget, &h)
+				for _, m := range []Metric{ByObjective, ByBudget} {
+					prim, sec, par := cell.scoreTables(m)
+					f.row(local[ci], src, m, prim[src*k:(src+1)*k], sec[src*k:(src+1)*k], par[src*k:(src+1)*k])
+				}
 			}
 		}
 	})
 }
 
-// cellSweep fills row src of the cell's metric-m tables: a two-criteria
-// Dijkstra from cell.nodes[src] that never leaves the region. Its queue holds
-// local indices, so it orders exact ties by local index, and parents are
-// local indices too.
-func (o *PartitionedOracle) cellSweep(cell *cellTables, src int, m Metric, h *itemHeap) {
-	k := len(cell.nodes)
-	prim, sec, par := cell.scoreTables(m)
-	prim, sec, par = prim[src*k:(src+1)*k], sec[src*k:(src+1)*k], par[src*k:(src+1)*k]
-	for i := range prim {
-		prim[i], sec[i], par[i] = math.Inf(1), math.Inf(1), noParent
+// cellGraph returns the cell's region-local graph: node x is cell.nodes[x],
+// and its edges are those of g that stay inside the region.
+func (o *PartitionedOracle) cellGraph(cell *cellTables) *graph.Graph {
+	bld := graph.NewBuilder()
+	for range cell.nodes {
+		bld.AddNode()
 	}
-	prim[src], sec[src] = 0, 0
-	h.push(dijkstraItem{node: graph.NodeID(src)})
-	for len(*h) > 0 {
-		it := h.pop()
-		u := int(it.node)
-		// Labels are pushed only on improvement and weights are positive: the
-		// item that still matches u's scores settles it, any other is stale.
-		if it.primary != prim[u] || it.secondary != sec[u] {
-			continue
-		}
-		v := cell.nodes[u]
+	for x, v := range cell.nodes {
 		for _, e := range o.g.Out(v) {
-			if o.region[e.To] != o.region[v] {
-				continue
-			}
-			p, s := it.primary+e.Objective, it.secondary+e.Budget
-			if m == ByBudget {
-				p, s = it.primary+e.Budget, it.secondary+e.Objective
-			}
-			if li := o.local[e.To]; p < prim[li] || (p == prim[li] && s < sec[li]) {
-				prim[li], sec[li], par[li] = p, s, int32(u)
-				h.push(dijkstraItem{node: graph.NodeID(li), primary: p, secondary: s})
+			if o.region[e.To] == o.region[v] {
+				_ = bld.AddEdge(graph.NodeID(x), graph.NodeID(o.local[e.To]), e.Objective, e.Budget)
 			}
 		}
 	}
+	return bld.MustBuild()
 }
 
-// buildOverlay assembles the border graph per metric and computes all-pairs
-// scores and parents over it with the package Dijkstra, the rows of both
-// metrics swept on the shared pool; each finished row is cut into its
-// per-cell runs of the blocked score tables. Those runs cover the row, so
-// every entry is written.
+// buildOverlay assembles the border graph per metric and fills all-pairs
+// scores and parents over it, the rows of both metrics swept by the
+// table-fill kernel on the shared pool. A row's parents go straight into the
+// parent table; its scores are cut into their per-cell runs of the blocked
+// score tables. Those runs cover the row, so every entry is written.
 func (o *PartitionedOracle) buildOverlay() {
 	b := len(o.borders)
 	o.ovTauP, o.ovTauS = make([]float64, b*b), make([]float64, b*b)
@@ -422,21 +411,22 @@ func (o *PartitionedOracle) buildOverlay() {
 	}
 	overlay := [...]*graph.Graph{ByObjective: o.overlayGraph(ByObjective), ByBudget: o.overlayGraph(ByBudget)}
 	fillTables([]int{ByObjective: b, ByBudget: b}, func() func(m, first, count int) {
+		f := newRowFill(b)
+		rowP, rowS := make([]float64, b), make([]float64, b)
 		return func(m, first, count int) {
 			prim, sec, par := o.overlayTables(Metric(m))
 			for from := first; from < first+count; from++ {
 				// The overlay graph stores the sweep's primary metric in the
 				// Objective slot regardless of m, so sweep with ByObjective.
-				s := dijkstra(overlay[m], graph.NodeID(from), ByObjective, false)
+				f.row(overlay[m], from, ByObjective, rowP, rowS, par[from*b:(from+1)*b])
 				ci := &o.cells[o.region[o.borders[from]]]
 				x := from - ci.start
 				for j := range o.cells {
 					cj := &o.cells[j]
 					at := o.block(ci, cj) + x*cj.nb
-					copy(prim[at:at+cj.nb], s.primary[cj.start:])
-					copy(sec[at:at+cj.nb], s.secondary[cj.start:])
+					copy(prim[at:at+cj.nb], rowP[cj.start:])
+					copy(sec[at:at+cj.nb], rowS[cj.start:])
 				}
-				copy(par[from*b:(from+1)*b], s.parent)
 			}
 		}
 	})

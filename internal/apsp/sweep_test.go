@@ -13,6 +13,12 @@ import (
 	"kor/internal/graph"
 )
 
+// dijkstra runs a full, dense two-criteria Dijkstra from root: the serving
+// sweep with no bound.
+func dijkstra(g *graph.Graph, root graph.NodeID, m Metric, reverse bool) *sweep {
+	return dijkstraBounded(g, root, m, reverse, math.Inf(1))
+}
+
 // referenceSweep is the textbook two-criteria Dijkstra the pooled one must
 // reproduce bit for bit: dense arrays, no queue — each round settles the
 // unsettled node that is least under (primary, secondary, node ID), the order

@@ -67,7 +67,7 @@ func (e *Engine) SearchBatch(ctx context.Context, requests []Request, parallelis
 	for i, r := range requests {
 		rep[i] = i
 		if p, err := sn.prepare(r); err == nil {
-			if k, ok := p.key(sn.info.Fingerprint); ok {
+			if k, ok := p.key(sn.info.Generation); ok {
 				if j, seen := byKey[k]; seen {
 					rep[i] = j
 					continue

@@ -33,6 +33,7 @@ func newShardBackend(t *testing.T, g *kor.Graph) *shardBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitTables(t, eng)
 	b := &shardBackend{eng: eng}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/route", b.handleRoute)
@@ -186,8 +187,24 @@ func newTestCluster(t *testing.T, g *kor.Graph, cellSize, halo, replicasPerShard
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitTables(t, single)
 	tc.single = single
 	return tc
+}
+
+// waitTables polls until eng's background table build is no longer
+// pending, so the replicas and the unsharded engine answer from the same
+// kind of oracle: the lazy oracle and the matrix may differ in a score's
+// last bits.
+func waitTables(t *testing.T, eng *kor.Engine) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.OracleStatus().Pending != "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("oracle still pending after 30s: %+v", eng.OracleStatus())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func (tc *testCluster) post(t *testing.T, path string, in, out any) *http.Response {

@@ -17,11 +17,12 @@ import (
 )
 
 // limitedServer builds a server with admission control and a registry, and
-// hands back the pieces tests poke at.
+// hands back the pieces tests poke at. Like testServerEngine it serves from
+// the lazy oracle, so no table swap moves the generation gauge.
 func limitedServer(t *testing.T, maxInFlight, maxQueue int, queueWait time.Duration) (*httptest.Server, *server, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	eng, err := kor.NewEngine(testGraph(t), &kor.EngineConfig{Metrics: reg})
+	eng, err := kor.NewEngine(testGraph(t), &kor.EngineConfig{Oracle: kor.OracleLazy, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

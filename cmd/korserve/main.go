@@ -7,6 +7,14 @@
 //	         [-max-inflight 0] [-queue 0] [-queue-wait 100ms]
 //	         [-dist-index city.kori]
 //
+// Without -dist-index the server answers as soon as the graph is loaded: a
+// graph of up to 6,000 nodes is served from the exact lazy oracle while its
+// τ/σ matrix is built in the background, and the matrix takes over when it
+// is filled (/v1/stats reports "kind":"lazy" with "pending":"matrix" until
+// then). An admin patch or reload that changes an edge is visible at once
+// and restarts the build for the new edges; larger graphs stay on the lazy
+// oracle.
+//
 // -dist-index loads a persistent distance oracle built offline by
 // kordata -build-index, skipping the τ/σ pre-processing at boot: the server
 // mmaps the precomputed partition tables and serves from them immediately.

@@ -499,10 +499,14 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	ost := s.eng.OracleStatus()
 	oi := korapi.OracleInfo{
 		Kind:       ost.Kind,
+		Pending:    ost.Pending,
 		Degraded:   ost.Degraded,
 		IndexBytes: ost.IndexBytes,
 		Mapped:     ost.Mapped,
 		LoadMillis: float64(ost.LoadTime) / float64(time.Millisecond),
+	}
+	if !ost.Since.IsZero() {
+		oi.Since = ost.Since.UTC().Format(time.RFC3339Nano)
 	}
 	if ost.IndexFingerprint != 0 {
 		oi.IndexFingerprint = fmt.Sprintf("%016x", ost.IndexFingerprint)

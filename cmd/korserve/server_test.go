@@ -55,10 +55,12 @@ func testServer(t *testing.T, timeout time.Duration) *httptest.Server {
 }
 
 // testServerEngine also hands back the engine, for tests that drive swaps
-// or inspect snapshots directly.
+// or inspect snapshots directly. It serves from the lazy oracle, so no
+// background table swap moves the snapshot generations the tests count;
+// TestServeStatsOracleDefault covers the default oracle.
 func testServerEngine(t *testing.T, timeout time.Duration) (*httptest.Server, *kor.Engine) {
 	t.Helper()
-	eng, err := kor.NewEngine(testGraph(t), nil)
+	eng, err := kor.NewEngine(testGraph(t), &kor.EngineConfig{Oracle: kor.OracleLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +646,7 @@ func TestServeAdminReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := kor.NewEngine(g, nil)
+	eng, err := kor.NewEngine(g, &kor.EngineConfig{Oracle: kor.OracleLazy}) // as testServerEngine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,12 +765,46 @@ func TestServeStatsOracle(t *testing.T) {
 }
 
 // TestServeStatsOracleDefault: without a distance index the oracle block
-// still names the serving implementation.
+// still names the serving implementation: the lazy oracle with the matrix
+// pending right after boot, the matrix once its background build is done.
 func TestServeStatsOracleDefault(t *testing.T) {
-	ts := testServer(t, 5*time.Second)
-	var st korapi.Stats
-	get(t, ts, "/v1/stats", &st)
+	eng, err := kor.NewEngine(testGraph(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(newServer(eng, serverConfig{timeout: 5 * time.Second}).routes())
+	defer ts.Close()
+	st := waitOracle(t, func(st *korapi.Stats) { get(t, ts, "/v1/stats", st) })
 	if st.Oracle == nil || st.Oracle.Kind != "matrix" || st.Oracle.Degraded {
 		t.Fatalf("oracle = %+v, want matrix", st.Oracle)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, st.Oracle.Since); err != nil {
+		t.Errorf("since %q: %v", st.Oracle.Since, err)
+	}
+}
+
+// waitOracle polls /v1/stats through read until no table build is pending,
+// and returns that read. Every read before it must report the lazy oracle
+// with the matrix pending.
+func waitOracle(t *testing.T, read func(*korapi.Stats)) korapi.Stats {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st korapi.Stats
+		read(&st)
+		if st.Oracle == nil {
+			t.Fatal("stats carry no oracle block")
+		}
+		if st.Oracle.Pending == "" {
+			return st
+		}
+		if st.Oracle.Kind != "lazy" || st.Oracle.Pending != "matrix" {
+			t.Fatalf("oracle = %+v, want lazy with the matrix pending", st.Oracle)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the matrix is still pending after 30s: %+v", st.Oracle)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -184,6 +184,7 @@ func TestOracleStatusWithoutDistIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	settle(eng)
 	ost := eng.OracleStatus()
 	if ost.Kind != OracleKindMatrix || ost.Degraded || ost.IndexFingerprint != 0 {
 		t.Fatalf("OracleStatus = %+v, want plain matrix oracle", ost)

@@ -155,6 +155,7 @@ func TestSingleFlightWithoutCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	settle(eng)
 	if _, ok := eng.CacheStats(); ok {
 		t.Fatal("cache unexpectedly enabled")
 	}

@@ -18,8 +18,10 @@ const fillRows = 32
 // rows, handed out in blocks of fillRows; a job is (table, first row), so one
 // large table keeps every CPU busy. Each worker calls newFill once, for its
 // own scratch, then fill(t, first, count) per job. Jobs write disjoint rows,
-// so nothing is synchronized but the final wait.
-func fillTables(rows []int, newFill func() func(t, first, count int)) {
+// so nothing is synchronized but the final wait. Once stop is closed no
+// further job is handed out: the jobs already running finish, and fillTables
+// reports false, the tables incomplete. A nil stop never closes.
+func fillTables(stop <-chan struct{}, rows []int, newFill func() func(t, first, count int)) (complete bool) {
 	type job struct{ t, first int }
 	jobs := make(chan job)
 	total := 0
@@ -37,13 +39,24 @@ func fillTables(rows []int, newFill func() func(t, first, count int)) {
 			}
 		}()
 	}
+feed:
 	for t, r := range rows {
 		for first := 0; first < r; first += fillRows {
-			jobs <- job{t, first}
+			select {
+			case jobs <- job{t, first}:
+			case <-stop:
+				break feed
+			}
 		}
 	}
 	close(jobs)
 	wg.Wait()
+	select {
+	case <-stop:
+		return false
+	default:
+		return true
+	}
 }
 
 // rowFill is one fill worker's queue, the kernel every table row is swept

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"kor/internal/gen"
@@ -405,3 +406,35 @@ func BenchmarkTableBuild(b *testing.B) {
 
 // builtTables keeps the benchmark's builds live.
 var builtTables Oracle
+
+// TestFillTablesStops: once stop is closed the pool hands out no further
+// job and reports the fill incomplete; BuildMatrixOracle then returns no
+// tables, and with a stop that never closes it builds NewMatrixOracle's.
+func TestFillTablesStops(t *testing.T) {
+	const blocks = 64
+	stop := make(chan struct{})
+	var mu sync.Mutex
+	jobs := 0
+	complete := fillTables(stop, []int{blocks * fillRows}, func() func(_, _, _ int) {
+		return func(_, _, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if jobs++; jobs == 1 {
+				close(stop)
+			}
+		}
+	})
+	if complete || jobs >= blocks {
+		t.Fatalf("fill after stop: complete %v, %d of %d jobs run", complete, jobs, blocks)
+	}
+
+	g := ringTestGraph(rand.New(rand.NewSource(7)), 40)
+	if o := BuildMatrixOracle(stop, g); o != nil {
+		t.Fatal("a stopped build returned tables")
+	}
+	got, want := BuildMatrixOracle(make(chan struct{}), g), NewMatrixOracle(g)
+	if !slices.Equal(got.tau, want.tau) || !slices.Equal(got.sig, want.sig) ||
+		!slices.Equal(got.tauPar, want.tauPar) || !slices.Equal(got.sigPar, want.sigPar) {
+		t.Fatal("BuildMatrixOracle's tables differ from NewMatrixOracle's")
+	}
+}

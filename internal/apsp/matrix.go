@@ -39,7 +39,12 @@ type MatrixOracle struct {
 // scores go into the worker's block of rows, which is then transposed into
 // the target-major score tables. The resulting scores are exactly the
 // Floyd-Warshall scores (verified against floydWarshall in tests).
-func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
+func NewMatrixOracle(g *graph.Graph) *MatrixOracle { return BuildMatrixOracle(nil, g) }
+
+// BuildMatrixOracle is NewMatrixOracle that gives up once stop is closed:
+// the pool hands out no further row block, and the half-filled tables are
+// dropped for a nil result. A nil stop never closes.
+func BuildMatrixOracle(stop <-chan struct{}, g *graph.Graph) *MatrixOracle {
 	n := g.NumNodes()
 	o := &MatrixOracle{
 		g: g, n: n,
@@ -48,7 +53,7 @@ func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 		tauPar: make([]int32, n*n),
 		sigPar: make([]int32, n*n),
 	}
-	fillTables([]int{n}, func() func(_, first, rows int) {
+	complete := fillTables(stop, []int{n}, func() func(_, first, rows int) {
 		f := newRowFill(n)
 		// The block's score rows, cut from one allocation.
 		var rowsOf [4][fillRows][]float64
@@ -73,6 +78,9 @@ func NewMatrixOracle(g *graph.Graph) *MatrixOracle {
 			}
 		}
 	})
+	if !complete {
+		return nil
+	}
 	return o
 }
 

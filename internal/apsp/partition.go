@@ -364,7 +364,7 @@ func (o *PartitionedOracle) buildCellTables() {
 		cell.tauPar, cell.sigPar = make([]int32, k*k), make([]int32, k*k)
 		local[ci] = o.cellGraph(cell)
 	}
-	fillTables(rows, func() func(ci, first, count int) {
+	fillTables(nil, rows, func() func(ci, first, count int) {
 		f := newRowFill(largest)
 		return func(ci, first, count int) {
 			cell := &o.cells[ci]
@@ -382,18 +382,34 @@ func (o *PartitionedOracle) buildCellTables() {
 // cellGraph returns the cell's region-local graph: node x is cell.nodes[x],
 // and its edges are those of g that stay inside the region.
 func (o *PartitionedOracle) cellGraph(cell *cellTables) *graph.Graph {
-	bld := graph.NewBuilder()
-	for range cell.nodes {
-		bld.AddNode()
-	}
-	for x, v := range cell.nodes {
-		for _, e := range o.g.Out(v) {
-			if o.region[e.To] == o.region[v] {
-				_ = bld.AddEdge(graph.NodeID(x), graph.NodeID(o.local[e.To]), e.Objective, e.Budget)
+	return layoutGraph(len(cell.nodes), func(add func(from, to graph.NodeID, objective, budget float64)) {
+		for x, v := range cell.nodes {
+			for _, e := range o.g.Out(v) {
+				if o.region[e.To] == o.region[v] {
+					add(graph.NodeID(x), graph.NodeID(o.local[e.To]), e.Objective, e.Budget)
+				}
 			}
 		}
+	})
+}
+
+// layoutGraph lays out a graph of n nodes without keywords through the
+// streaming builder's count-and-fill: edges hands every edge to add, and is
+// run once per pass, so it must hand out the same sequence both times. The
+// edges come from a valid graph, so the build cannot fail.
+func layoutGraph(n int, edges func(add func(from, to graph.NodeID, objective, budget float64))) *graph.Graph {
+	sb := graph.NewStreamBuilder(nil)
+	for range n {
+		_, _ = sb.AddNodeTerms(nil)
 	}
-	return bld.MustBuild()
+	edges(func(from, to graph.NodeID, _, _ float64) { _ = sb.CountEdge(from, to) })
+	_ = sb.FinishCount()
+	edges(func(from, to graph.NodeID, objective, budget float64) { _ = sb.FillEdge(from, to, objective, budget) })
+	g, err := sb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // buildOverlay assembles the border graph per metric and fills all-pairs
@@ -410,7 +426,7 @@ func (o *PartitionedOracle) buildOverlay() {
 		return
 	}
 	overlay := [...]*graph.Graph{ByObjective: o.overlayGraph(ByObjective), ByBudget: o.overlayGraph(ByBudget)}
-	fillTables([]int{ByObjective: b, ByBudget: b}, func() func(m, first, count int) {
+	fillTables(nil, []int{ByObjective: b, ByBudget: b}, func() func(m, first, count int) {
 		f := newRowFill(b)
 		rowP, rowS := make([]float64, b), make([]float64, b)
 		return func(m, first, count int) {
@@ -462,46 +478,38 @@ func (o *PartitionedOracle) buildPairMin() {
 // overlayGraph builds the border graph for metric m. Edge Objective carries
 // the primary score and Budget the secondary, whatever m is.
 func (o *PartitionedOracle) overlayGraph(m Metric) *graph.Graph {
-	bld := graph.NewBuilder()
-	for range o.borders {
-		bld.AddNode()
-	}
-	// Intra-region shortcuts between a region's border nodes.
-	for ci := range o.cells {
-		cell := &o.cells[ci]
-		k := len(cell.nodes)
-		prim, sec, _ := cell.scoreTables(m)
-		for x := 0; x < cell.nb; x++ {
-			for y := 0; y < cell.nb; y++ {
-				p := prim[x*k+y]
-				if x == y || math.IsInf(p, 1) {
-					continue
+	return layoutGraph(len(o.borders), func(add func(from, to graph.NodeID, objective, budget float64)) {
+		// Intra-region shortcuts between a region's border nodes: scores of
+		// distinct reachable border pairs are positive by edge validation.
+		for ci := range o.cells {
+			cell := &o.cells[ci]
+			k := len(cell.nodes)
+			prim, sec, _ := cell.scoreTables(m)
+			for x := 0; x < cell.nb; x++ {
+				for y := 0; y < cell.nb; y++ {
+					if p := prim[x*k+y]; x != y && !math.IsInf(p, 1) {
+						add(graph.NodeID(cell.start+x), graph.NodeID(cell.start+y), p, sec[x*k+y])
+					}
 				}
-				// Ignore the impossible error: scores of distinct reachable
-				// border pairs are positive by edge validation.
-				_ = bld.AddEdge(graph.NodeID(cell.start+x), graph.NodeID(cell.start+y), p, sec[x*k+y])
 			}
 		}
-	}
-	// Original cross-region edges.
-	for v := graph.NodeID(0); int(v) < o.g.NumNodes(); v++ {
-		if o.borderIdx[v] == -1 {
-			continue
-		}
-		for _, e := range o.g.Out(v) {
-			if o.region[e.To] == o.region[v] || o.borderIdx[e.To] == -1 {
+		// Original cross-region edges.
+		for v := graph.NodeID(0); int(v) < o.g.NumNodes(); v++ {
+			if o.borderIdx[v] == -1 {
 				continue
 			}
-			var p, s float64
-			if m == ByObjective {
-				p, s = e.Objective, e.Budget
-			} else {
-				p, s = e.Budget, e.Objective
+			for _, e := range o.g.Out(v) {
+				if o.region[e.To] == o.region[v] || o.borderIdx[e.To] == -1 {
+					continue
+				}
+				p, s := e.Objective, e.Budget
+				if m == ByBudget {
+					p, s = e.Budget, e.Objective
+				}
+				add(graph.NodeID(o.borderIdx[v]), graph.NodeID(o.borderIdx[e.To]), p, s)
 			}
-			_ = bld.AddEdge(graph.NodeID(o.borderIdx[v]), graph.NodeID(o.borderIdx[e.To]), p, s)
 		}
-	}
-	return bld.MustBuild()
+	})
 }
 
 // best assembles the pair score of from ≠ to under metric m and names the

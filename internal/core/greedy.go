@@ -165,7 +165,9 @@ func (p *plan) greedyStep(st greedyOutcome, best *greedyOutcome) error {
 // bestCandidates picks what a scan of every keyword node picks. Each node's
 // tail is bounded the same way before it is read: on the target frontier
 // the head stands in for a tail not settled yet, so that frontier grows only
-// while a node could still make the cut. On a partitioned oracle out is a
+// while a node could still make the cut. Without a target frontier the tail
+// is read first and bounds the segment, which is then read only for a node
+// whose tail keeps it within the cut. On a partitioned oracle out is a
 // source slice (scores equal to the pair interface up to floating-point
 // association, see apsp.SourceSliced) and the tail a target slice; a scan
 // of every node assembled both whole.
@@ -182,24 +184,38 @@ func (p *plan) greedyCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vec
 			if m == cur || p.nodeMask[m].Intersect(uncovered).Empty() {
 				continue
 			}
-			segOS, segBS, ok := out.Scores(m)
-			if !ok {
-				continue
-			}
-			// On the target frontier the head lower-bounds the tail of every
-			// node not settled yet: grow it only while m could make the cut.
-			for p.tgt != nil && !p.tgt.Settled(m) {
-				if h := p.tgt.Head(); math.IsInf(h, 1) || eq.at(segOS, segBS, h, 0) > cut.best() {
-					continue nodes
+			var segOS, segBS, tailOS, tailBS float64
+			var ok bool
+			if p.tgt == nil {
+				// The tail is read off the target's column, the segment out
+				// of cur strides a column per node on the matrix: read the
+				// tail first, and skip m when it alone, the segment bounded
+				// by 0, puts m past the cut.
+				if tailOS, tailBS, ok = p.tauTo(m); !ok || eq.at(0, 0, tailOS, tailBS) > cut.best() {
+					continue
 				}
-				if err := p.checkCtx(); err != nil {
-					return nil, err
+				if segOS, segBS, ok = out.Scores(m); !ok {
+					continue
 				}
-				p.tgt.Next()
-			}
-			tailOS, tailBS, ok := p.tauTo(m)
-			if !ok {
-				continue
+			} else {
+				if segOS, segBS, ok = out.Scores(m); !ok {
+					continue
+				}
+				// On the target frontier the head lower-bounds the tail of
+				// every node not settled yet: grow it only while m could
+				// make the cut.
+				for !p.tgt.Settled(m) {
+					if h := p.tgt.Head(); math.IsInf(h, 1) || eq.at(segOS, segBS, h, 0) > cut.best() {
+						continue nodes
+					}
+					if err := p.checkCtx(); err != nil {
+						return nil, err
+					}
+					p.tgt.Next()
+				}
+				if tailOS, tailBS, ok = p.tauTo(m); !ok {
+					continue
+				}
 			}
 			if p.opts.BudgetPriority {
 				// §3.4 modification: only consider nodes that keep the route

@@ -128,7 +128,7 @@ const (
 	// large ones.
 	OracleAuto OracleKind = iota
 	// OracleDense materializes the full |V|² score tables (the paper's
-	// pre-processing).
+	// pre-processing), in the background.
 	OracleDense
 	// OracleLazy runs Dijkstra sweeps on demand, each query its own, and
 	// keeps none between queries.
@@ -141,7 +141,12 @@ const denseOracleLimit = 6000
 
 // EngineConfig customizes engine construction. The zero value is valid.
 type EngineConfig struct {
-	// Oracle selects the pre-processing implementation.
+	// Oracle selects the pre-processing implementation. A table oracle
+	// (OracleDense, or OracleAuto up to denseOracleLimit nodes) is built in
+	// the background: the engine answers at once from the exact lazy
+	// oracle, and the tables take over when they are filled
+	// (OracleStatus.Pending). Each Swap or Patch that changes an edge starts
+	// over for the new edges.
 	Oracle OracleKind
 	// DistIndexPath, when non-empty, loads a persistent distance oracle
 	// built by WriteDistIndex (kordata -build-index) instead of running the
@@ -154,8 +159,8 @@ type EngineConfig struct {
 	// installed again.
 	DistIndexPath string
 	// CacheSize, when positive, bounds a shard-locked LRU cache of query
-	// responses keyed by the request's canonical form and the graph's
-	// fingerprint. Repeated identical requests — the hot fraction of any
+	// responses keyed by the request's canonical form and the snapshot's
+	// generation. Repeated identical requests — the hot fraction of any
 	// live query stream — are answered from the cache without a search;
 	// hits are flagged on the Response and counted in CacheStats. 0
 	// disables caching.
@@ -168,8 +173,9 @@ type EngineConfig struct {
 	Metrics *metrics.Registry
 }
 
-// Engine answers KOR queries over a graph. Construction runs the
-// pre-processing; queries are then independent.
+// Engine answers KOR queries over a graph. It answers from the moment
+// NewEngine returns: a table oracle's pre-processing runs in the background
+// meanwhile (EngineConfig.Oracle), and queries are independent.
 //
 // An Engine is safe for concurrent use: the shared substrates (graph,
 // oracle, keyword index) are immutable or internally synchronized, and all
@@ -217,6 +223,14 @@ type Engine struct {
 	// restarting the clock.
 	degradedSince time.Time
 
+	// build is the latest background table build (snapshot.go), nil before
+	// the first; closed, set by Close, keeps later installs from starting
+	// one. Both are guarded by swapMu. buildHook, when set, runs at the
+	// start of every build's fill: tests hold a build there.
+	build     *tableBuild
+	closed    bool
+	buildHook func(*tableBuild)
+
 	// met holds the engine's instruments when EngineConfig.Metrics was set;
 	// nil otherwise (every update site nil-checks).
 	met *engineMetrics
@@ -250,15 +264,22 @@ func (e *Engine) Suggest(prefix string, limit int) []Suggestion {
 	return out
 }
 
-// NewEngine builds an engine over g. A nil config uses OracleAuto.
-func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
+// NewEngine returns an engine over g, ready to answer. A nil config uses
+// OracleAuto. When the configured oracle is a table, the engine answers from
+// the exact lazy oracle while one background build fills the tables, which
+// then take over (OracleStatus reports which oracle answers); a persistent
+// distance index is opened before NewEngine returns.
+func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) { return newEngine(g, cfg, nil) }
+
+// newEngine is NewEngine with a build hook (Engine.buildHook).
+func newEngine(g *Graph, cfg *EngineConfig, buildHook func(*tableBuild)) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("kor: nil graph")
 	}
 	if cfg == nil {
 		cfg = &EngineConfig{}
 	}
-	eng := &Engine{cfg: *cfg, results: newResults(cfg.CacheSize)}
+	eng := &Engine{cfg: *cfg, results: newResults(cfg.CacheSize), buildHook: buildHook}
 	if cfg.Metrics != nil {
 		// After the results so the cache instruments register too; before the
 		// first snapshot store is fine — the callback metrics only run at
@@ -280,10 +301,12 @@ func NewEngine(g *Graph, cfg *EngineConfig) (*Engine, error) {
 		eng.Close()
 		return nil, err
 	}
-	eng.generation = 1
-	//korvet:ignore snapshot-pin construction-time store: the engine has not escaped NewEngine yet, so no reader exists and swapMu is unnecessary
-	eng.snap.Store(sn)
-	eng.publishOracleStatus(sn.oracle)
+	eng.swapMu.Lock()
+	eng.publishLocked(sn)
+	if sn.oracle.Pending != "" {
+		eng.buildLocked(g)
+	}
+	eng.swapMu.Unlock()
 	return eng, nil
 }
 
@@ -304,27 +327,6 @@ func WriteDistIndex(path string, g *Graph, cellSize int) (apsp.IndexInfo, error)
 		info.Bytes = st.Size()
 	}
 	return info, nil
-}
-
-// buildOracle constructs the τ/σ oracle cfg selects for g, returning it with
-// its OracleStatus.Kind label.
-func buildOracle(g *Graph, cfg EngineConfig) (core.RouteOracle, string, error) {
-	kind := cfg.Oracle
-	if kind == OracleAuto {
-		if g.NumNodes() <= denseOracleLimit {
-			kind = OracleDense
-		} else {
-			kind = OracleLazy
-		}
-	}
-	switch kind {
-	case OracleDense:
-		return apsp.NewMatrixOracle(g), OracleKindMatrix, nil
-	case OracleLazy:
-		return apsp.NewLazyOracle(g), OracleKindLazy, nil
-	default:
-		return nil, "", fmt.Errorf("kor: unknown oracle kind %d", cfg.Oracle)
-	}
 }
 
 // CacheStats is a point-in-time snapshot of the response cache's counters.
@@ -355,9 +357,20 @@ func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
 	return e.results.stats(), true
 }
 
-// Close releases the engine's disk-backed resource: the mmap behind a
-// persistent distance oracle, when configured.
+// Close stops the background table build, if one is running, and waits for
+// it to end; then it releases the mmap behind a persistent distance oracle,
+// when configured. The engine must not be used afterwards.
 func (e *Engine) Close() error {
+	e.swapMu.Lock()
+	e.closed = true
+	b := e.build
+	if b != nil {
+		b.cancelLocked()
+	}
+	e.swapMu.Unlock()
+	if b != nil {
+		<-b.done
+	}
 	if e.distOracle == nil {
 		return nil
 	}

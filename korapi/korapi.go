@@ -292,8 +292,17 @@ type ReplicaAdmin struct {
 // /v1/stats.
 type OracleInfo struct {
 	// Kind is the active oracle implementation: "lazy", "matrix" or
-	// "partitioned-disk".
+	// "partitioned-disk". It is "lazy" while Pending is set.
 	Kind string `json:"kind"`
+	// Pending names the table oracle ("matrix") being built in the
+	// background for the serving graph's edges while the exact lazy oracle
+	// answers; absent when no build is pending. A server configured for
+	// the matrix boots, and takes an edge patch, this way.
+	Pending string `json:"pending,omitempty"`
+	// Since is when the active oracle began answering, RFC 3339 with
+	// nanoseconds, UTC: when its tables were published or its edges
+	// installed. A keyword-only patch keeps it.
+	Since string `json:"since,omitempty"`
 	// Degraded is true when the server was started with a persistent
 	// distance index (-dist-index) but the live graph no longer has the
 	// edges it was built from — after an admin patch or reload that changed

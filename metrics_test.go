@@ -34,6 +34,7 @@ func metricsTestEngine(t *testing.T) (*Engine, *metrics.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(eng) // the counts below are of one snapshot's cache
 	return eng, reg
 }
 
@@ -83,7 +84,8 @@ func TestEngineMetrics(t *testing.T) {
 		`kor_engine_cache_requests_total{result="hit"} 1`,
 		`kor_engine_cache_requests_total{result="miss"} 2`,
 		`kor_engine_cache_size 2`,
-		`kor_engine_snapshot_generation 1`,
+		// Boot, then the published tables.
+		`kor_engine_snapshot_generation 2`,
 		`kor_engine_request_seconds_count{algorithm="bucketbound"} 4`,
 		// The auto-selected matrix oracle computes nothing on demand.
 		`kor_engine_oracle_memo_hits_total 0`,
@@ -104,7 +106,7 @@ func TestEngineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = exposition(t, reg)
-	if !strings.Contains(out, "kor_engine_snapshot_generation 2\n") {
+	if !strings.Contains(out, "kor_engine_snapshot_generation 3\n") {
 		t.Errorf("generation gauge did not follow the patch:\n%s", out)
 	}
 	if !strings.Contains(out, "kor_engine_cache_size 0\n") {
@@ -314,6 +316,7 @@ func TestEngineMetricsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(eng)
 	req := Request{From: 0, To: 1, Keywords: []string{"x"}, Budget: 5}
 	for i := 0; i < 2; i++ { // second run exercises the cache-hit path
 		if _, err := eng.Run(context.Background(), req); err != nil {

@@ -43,6 +43,7 @@ func TestKeywordPatchKeepsOracle(t *testing.T) {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			defer eng.Close()
+			settle(eng) // the matrix row keeps the published tables
 			before := eng.snap.Load().searcher.Oracle()
 
 			// Node 1 no longer offers jazz: the best route now detours
@@ -171,6 +172,7 @@ func TestKeywordPatchesMatchRebuild(t *testing.T) {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			defer patched.Close()
+			settle(patched)
 			oracle := patched.snap.Load().searcher.Oracle()
 
 			// Three keywords new to the vocabulary and five frequent ones.
@@ -195,6 +197,7 @@ func TestKeywordPatchesMatchRebuild(t *testing.T) {
 				t.Fatalf("NewEngine on the patched graph: %v", err)
 			}
 			defer fresh.Close()
+			settle(fresh)
 			if fresh.Snapshot().Fingerprint != patched.Snapshot().Fingerprint {
 				t.Fatal("fresh and patched engines disagree on the graph")
 			}

@@ -165,7 +165,7 @@ func (e *Engine) run(ctx context.Context, req Request) (Response, error) {
 			graph:     sn.g,
 		}, err
 	}
-	key, ok := p.key(sn.info.Fingerprint)
+	key, ok := p.key(sn.info.Generation)
 	if !ok {
 		// A tracer observes side effects; the request can be neither cached
 		// nor shared with others, so it searches privately.

@@ -20,12 +20,15 @@ import (
 // (prepared.key) and answered by one component, results, which owns the
 // optional LRU storage, the single-flight table and the one counter block.
 //
-// The key folds in the snapshot's graph fingerprint, so an entry or a flight
-// is only ever shared between requests resolved against the exact same graph
-// content: a follower cannot join a flight computing on another graph version,
-// and a stored answer cannot outlive its graph. On top of that the engine
-// clears the storage on every swap (Engine.installLocked), since entries for
-// the old fingerprint are unreachable and would only squat LRU capacity.
+// The key folds in the snapshot's generation, so an entry or a flight is only
+// ever shared between requests resolved against the same snapshot: the same
+// graph content on the same oracle. A follower cannot join a flight computing
+// on another snapshot, and a stored answer cannot outlive its snapshot — not
+// even when a background table build replaces the lazy oracle under an
+// unchanged graph fingerprint (the two oracles may differ in a score's last
+// bits). On top of that the engine clears the storage on every publish
+// (Engine.publishLocked), since entries of an old generation are unreachable
+// and would only squat LRU capacity.
 //
 // Only definitive outcomes (definitiveOutcome) are stored or handed to
 // followers. A leader whose search ended otherwise — its own context fired, or
@@ -316,13 +319,13 @@ func (r *results) stats() CacheStats {
 }
 
 // key returns the canonical key of a request prepared against the snapshot
-// with fingerprint fp: the resolved core query (terms, not strings, so
+// of the given generation: the resolved core query (terms, not strings, so
 // spelling aliases of the same term sequence share a key), the canonical
 // algorithm and every option that can influence the result. Purely binary —
 // every field has fixed width except the term list, whose length is encoded.
 // ok is false when the request cannot be keyed: a Tracer observes per-request
 // side effects.
-func (p prepared) key(fp uint64) (key string, ok bool) {
+func (p prepared) key(generation uint64) (key string, ok bool) {
 	if p.opts.Tracer != nil {
 		return "", false
 	}
@@ -338,7 +341,7 @@ func (p prepared) key(fp uint64) (key string, ok bool) {
 		}
 	}
 
-	u64(fp)
+	u64(generation)
 	b = append(b, string(p.algo.Canonical())...)
 	b = append(b, 0)
 	u64(uint64(uint32(q.Source)))

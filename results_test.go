@@ -245,7 +245,7 @@ func TestKeyCoversEveryOption(t *testing.T) {
 		default:
 			t.Fatalf("Options.%s has kind %s: teach this test (and the key) about it", field.Name, v.Kind())
 		}
-		k, ok := p.key(sn.info.Fingerprint)
+		k, ok := p.key(sn.info.Generation)
 		if !ok || k == baseKey {
 			t.Errorf("perturbing Options.%s left the key unchanged", field.Name)
 		}
@@ -254,7 +254,7 @@ func TestKeyCoversEveryOption(t *testing.T) {
 	// The Tracer makes a request unkeyable instead.
 	p := base
 	p.opts.Tracer = countingTracer{new(atomic.Int32)}
-	if _, ok := p.key(sn.info.Fingerprint); ok {
+	if _, ok := p.key(sn.info.Generation); ok {
 		t.Error("a traced request was keyed")
 	}
 }
@@ -292,6 +292,7 @@ func cachedEngine(t testing.TB, size int) *Engine {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	settle(eng) // hits and misses are counted on one snapshot
 	return eng
 }
 

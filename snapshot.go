@@ -15,14 +15,22 @@ import (
 // derived from a graph — the graph itself, the τ/σ oracle, the in-memory
 // inverted index, the searcher and the memoized stats — lives in an
 // immutable snapshot behind an atomic pointer. The oracle depends on the
-// edges alone, so snapshots whose graphs have the same edges share it. Every engine follows live
-// updates. Engine.Swap installs a whole new graph, Engine.Patch applies an
-// incremental Delta to the current one; both build the new snapshot off the
-// query path and publish it with a single pointer store, so in-flight
-// queries finish against the snapshot they started on while new queries see
-// the new graph immediately. The result cache is keyed by the snapshot
-// fingerprint (stale entries can never be served) and is additionally
-// cleared on every swap so dead entries stop squatting LRU capacity.
+// edges alone, so snapshots whose graphs have the same edges share it. Every
+// engine follows live updates. Engine.Swap installs a whole new graph,
+// Engine.Patch applies an incremental Delta to the current one; both build
+// the new snapshot off the query path and publish it with a single pointer
+// store, so in-flight queries finish against the snapshot they started on
+// while new queries see the new graph immediately.
+//
+// A table oracle never delays a snapshot. A snapshot whose edges are new
+// goes in at once on the exact lazy oracle, and one background build per
+// engine fills the tables for its distance fingerprint (buildLocked); the
+// build publishes a further snapshot, on whatever graph is then current,
+// when that graph still has those edges. A newer edge change cancels the
+// build in flight. The result cache is keyed by the snapshot generation, so
+// no answer of an earlier snapshot — an older graph, or the lazy oracle the
+// tables replaced — is served, and it is cleared on every publish so dead
+// entries stop squatting LRU capacity.
 
 // ErrBadDelta wraps validation failures of a Patch delta: unknown nodes,
 // edges that do not exist, out-of-domain attributes.
@@ -52,12 +60,22 @@ const (
 	OracleKindPartitionedDisk = "partitioned-disk"
 )
 
-// OracleStatus reports which τ/σ oracle a snapshot is serving from, and the
-// identity of the persistent index behind it when there is one. Surfaced by
-// Engine.OracleStatus, /v1/stats and the kor_engine_oracle_* metrics.
+// OracleStatus reports which τ/σ oracle a snapshot is serving from, since
+// when, the table build pending for it, and the identity of the persistent
+// index behind it when there is one. Surfaced by Engine.OracleStatus,
+// /v1/stats and the kor_engine_oracle_* metrics.
 type OracleStatus struct {
-	// Kind is one of the OracleKind* labels.
+	// Kind is one of the OracleKind* labels: OracleKindLazy while Pending is
+	// set.
 	Kind string
+	// Pending names the table oracle (OracleKindMatrix) being built in the
+	// background for the snapshot's edges while the lazy oracle answers;
+	// empty when no build is pending.
+	Pending string
+	// Since is when the serving oracle began answering: when its tables
+	// were published, or when the snapshot that brought in its edges was
+	// installed. A keyword-only update keeps it.
+	Since time.Time
 	// Degraded reports that the engine was configured with a persistent
 	// distance index but the current snapshot's graph no longer has the
 	// edges the index was built from (a Swap or Patch changed an edge), so
@@ -129,42 +147,49 @@ func (e *Engine) newSnapshot(g *Graph, generation uint64, cur *snapshot) (*snaps
 }
 
 // pickOracle chooses the τ/σ oracle for g by its distance fingerprint, since
-// keywords never reach τ or σ. In order: the persistent distance index when
-// g has the edges it was opened with; else the current snapshot's oracle and
+// keywords never reach τ or σ. In order: the current snapshot's oracle and
 // status when g has the same edges as its graph — a keyword-only update does
-// no oracle work, and a degraded episode keeps its onset; else a fresh
-// build. With an index configured the fresh build is a lazy oracle flagged
+// no oracle work, and a pending build or a degraded episode carries on; the
+// persistent distance index when g has the edges it was opened with; else a
+// fresh lazy oracle. With an index configured that lazy oracle is flagged
 // Degraded: stale precomputed distances must never answer queries for
-// changed edges.
+// changed edges. Without one, a table configuration marks it Pending, and
+// the caller starts the build (buildLocked).
 func (e *Engine) pickOracle(g *Graph, cur *snapshot) (core.RouteOracle, OracleStatus, error) {
-	var status OracleStatus
+	fp := g.DistanceFingerprint()
+	if cur != nil && cur.g.DistanceFingerprint() == fp {
+		return cur.searcher.Oracle(), cur.oracle, nil
+	}
+	status := OracleStatus{Kind: OracleKindLazy, Since: time.Now()}
 	if e.distOracle != nil {
 		info := e.distOracle.IndexInfo()
-		status = OracleStatus{
-			IndexFingerprint: info.Fingerprint,
-			IndexBytes:       info.Bytes,
-			Mapped:           info.Mapped,
-			LoadTime:         e.distLoad,
-		}
-		if g.DistanceFingerprint() == e.distFP {
+		status.IndexFingerprint = info.Fingerprint
+		status.IndexBytes = info.Bytes
+		status.Mapped = info.Mapped
+		status.LoadTime = e.distLoad
+		if fp == e.distFP {
 			status.Kind = OracleKindPartitionedDisk
 			e.degradedSince = time.Time{}
 			return e.distOracle, status, nil
 		}
+		status.Degraded = true
+		if e.degradedSince.IsZero() {
+			e.degradedSince = status.Since
+		}
+		status.DegradedSince = e.degradedSince
+		return apsp.NewLazyOracle(g), status, nil
 	}
-	if cur != nil && cur.g.DistanceFingerprint() == g.DistanceFingerprint() {
-		return cur.searcher.Oracle(), cur.oracle, nil
+	switch e.cfg.Oracle {
+	case OracleAuto:
+		if g.NumNodes() <= denseOracleLimit {
+			status.Pending = OracleKindMatrix
+		}
+	case OracleDense:
+		status.Pending = OracleKindMatrix
+	case OracleLazy:
+	default:
+		return nil, OracleStatus{}, fmt.Errorf("kor: unknown oracle kind %d", e.cfg.Oracle)
 	}
-	if e.distOracle == nil {
-		oracle, kind, err := buildOracle(g, e.cfg)
-		return oracle, OracleStatus{Kind: kind}, err
-	}
-	status.Kind = OracleKindLazy
-	status.Degraded = true
-	if e.degradedSince.IsZero() {
-		e.degradedSince = time.Now()
-	}
-	status.DegradedSince = e.degradedSince
 	return apsp.NewLazyOracle(g), status, nil
 }
 
@@ -204,22 +229,118 @@ func (e *Engine) Patch(d Delta) (SnapshotInfo, error) {
 }
 
 // installLocked builds and publishes the snapshot for g. Callers hold
-// swapMu, which serializes generation numbering with the pointer store.
+// swapMu, which serializes generation numbering with the pointer store. New
+// edges cancel the table build in flight, whose tables are for edges no
+// longer current, and start the one the new snapshot's oracle is pending.
 func (e *Engine) installLocked(g *Graph) (SnapshotInfo, error) {
-	sn, err := e.newSnapshot(g, e.generation+1, e.snap.Load())
+	cur := e.snap.Load()
+	sn, err := e.newSnapshot(g, e.generation+1, cur)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	e.generation++
+	if g.DistanceFingerprint() != cur.g.DistanceFingerprint() {
+		if e.build != nil {
+			e.build.cancelLocked()
+		}
+		if sn.oracle.Pending != "" {
+			e.buildLocked(g)
+		}
+	}
+	e.publishLocked(sn)
+	return sn.info, nil
+}
+
+// publishLocked makes sn the engine's snapshot. Callers hold swapMu.
+func (e *Engine) publishLocked(sn *snapshot) {
+	e.generation = sn.info.Generation
 	e.snap.Store(sn)
 	e.publishOracleStatus(sn.oracle)
-	// Entries for the old fingerprint can never be hit again; free the
+	// Entries of the old generation can never be hit again; free the
 	// capacity now instead of waiting for LRU pressure. A query still in
 	// flight on the old snapshot may re-insert its entry afterwards; that is
-	// harmless — its key carries the old fingerprint, so it is unreachable
+	// harmless — its key carries the old generation, so it is unreachable
 	// and ages out like any cold entry.
 	e.results.clear()
-	return sn.info, nil
+}
+
+// tableBuild is one background fill of the table oracle for the edges with
+// distance fingerprint fp. stop closes to cancel it; done closes when its
+// goroutine has returned, its tables published or dropped.
+type tableBuild struct {
+	fp   uint64
+	stop chan struct{}
+	done chan struct{}
+}
+
+// cancelLocked closes b.stop unless it is closed already. Callers hold
+// swapMu, under which every close happens.
+func (b *tableBuild) cancelLocked() {
+	if !b.cancelled() {
+		close(b.stop)
+	}
+}
+
+// cancelled reports whether b.stop is closed.
+func (b *tableBuild) cancelled() bool {
+	select {
+	case <-b.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// buildLocked starts the table build for g's edges. Callers hold swapMu and
+// have cancelled the build in flight, if any: the new one waits for it to
+// end, so at most one fills tables at a time and at most two table oracles
+// are reachable, the one still answering old snapshots' queries and the one
+// being filled. No build starts once the engine is closed.
+func (e *Engine) buildLocked(g *Graph) {
+	if e.closed {
+		return
+	}
+	b := &tableBuild{fp: g.DistanceFingerprint(), stop: make(chan struct{}), done: make(chan struct{})}
+	prev := e.build
+	e.build = b
+	go e.fillAndSwap(b, g, prev)
+}
+
+// fillAndSwap runs build b over g once prev has ended, then publishes a
+// snapshot of the current graph on the new tables, provided b was not
+// cancelled meanwhile and that graph still has g's edges. The generation
+// moves, so no answer cached from the lazy oracle outlives it.
+func (e *Engine) fillAndSwap(b *tableBuild, g *Graph, prev *tableBuild) {
+	defer close(b.done)
+	if prev != nil {
+		<-prev.done
+	}
+	if b.cancelled() {
+		return
+	}
+	if e.buildHook != nil {
+		e.buildHook(b)
+	}
+	o := apsp.BuildMatrixOracle(b.stop, g)
+	if o == nil {
+		return
+	}
+	e.swapMu.Lock()
+	defer e.swapMu.Unlock()
+	cur := e.snap.Load()
+	if b.cancelled() || cur.g.DistanceFingerprint() != b.fp {
+		return
+	}
+	now := time.Now()
+	e.publishLocked(&snapshot{
+		g:        cur.g,
+		searcher: core.NewSearcher(cur.g, o, cur.searcher.Index()),
+		info: SnapshotInfo{
+			Fingerprint: cur.info.Fingerprint,
+			Generation:  e.generation + 1,
+			LoadedAt:    now,
+		},
+		oracle: OracleStatus{Kind: OracleKindMatrix, Since: now},
+	})
 }
 
 // Snapshot returns the identity of the engine's current snapshot.

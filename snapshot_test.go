@@ -54,7 +54,8 @@ func swapRequest() Request {
 
 func TestSwapServesNewGraph(t *testing.T) {
 	gA, gB := swapCity(t, 0.7), swapCity(t, 0.1)
-	eng, err := NewEngine(gA, nil)
+	// Lazy: no table swap moves the generations counted here.
+	eng, err := NewEngine(gA, &EngineConfig{Oracle: OracleLazy})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -95,7 +96,8 @@ func TestSwapServesNewGraph(t *testing.T) {
 }
 
 func TestPatchAppliesDelta(t *testing.T) {
-	eng, err := NewEngine(swapCity(t, 0.7), nil)
+	// Lazy: no table swap moves the snapshot compared below.
+	eng, err := NewEngine(swapCity(t, 0.7), &EngineConfig{Oracle: OracleLazy})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -213,7 +215,7 @@ func (bt *blockingTracer) Trace(core.TraceEvent) {
 }
 
 // TestSwapEvictsCache: a swap clears the result cache — the old entries are
-// unreachable (their keys carry the dead fingerprint) and must stop
+// unreachable (their keys carry a dead generation) and must stop
 // occupying LRU capacity — and the same request misses, recomputes on the
 // new graph, and re-caches.
 func TestSwapEvictsCache(t *testing.T) {
@@ -222,6 +224,9 @@ func TestSwapEvictsCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	// Each swap below is followed by its table swap, which clears the cache
+	// again; settling lets the hits counted here land on the tables.
+	settle(eng)
 	req := swapRequest()
 	if _, err := eng.Run(context.Background(), req); err != nil {
 		t.Fatalf("warm: %v", err)
@@ -234,6 +239,7 @@ func TestSwapEvictsCache(t *testing.T) {
 	if _, err := eng.Swap(gB); err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
+	settle(eng)
 	st, _ := eng.CacheStats()
 	if st.Size != 0 {
 		t.Fatalf("size = %d after swap, want 0 (evict-on-swap)", st.Size)
@@ -265,6 +271,7 @@ func TestSwapEvictsCache(t *testing.T) {
 	if _, err := eng.Swap(gA); err != nil {
 		t.Fatalf("swap back: %v", err)
 	}
+	settle(eng)
 	back, err := eng.Run(context.Background(), req)
 	if err != nil {
 		t.Fatalf("swap-back Run: %v", err)
@@ -352,7 +359,8 @@ func TestSwapUnderLoad(t *testing.T) {
 // swaps — the graph summary and the snapshot identity come from one
 // consistent read.
 func TestEngineStatsPerSnapshot(t *testing.T) {
-	eng, err := NewEngine(swapCity(t, 0.7), nil)
+	// Lazy: no table swap moves the generations counted here.
+	eng, err := NewEngine(swapCity(t, 0.7), &EngineConfig{Oracle: OracleLazy})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

@@ -503,6 +503,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Degraded:   ost.Degraded,
 		IndexBytes: ost.IndexBytes,
 		Mapped:     ost.Mapped,
+		TableBytes: kor.OracleTableBytes(),
 		LoadMillis: float64(ost.LoadTime) / float64(time.Millisecond),
 	}
 	if !ost.Since.IsZero() {

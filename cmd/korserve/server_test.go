@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -781,6 +782,17 @@ func TestServeStatsOracleDefault(t *testing.T) {
 	}
 	if _, err := time.Parse(time.RFC3339Nano, st.Oracle.Since); err != nil {
 		t.Errorf("since %q: %v", st.Oracle.Since, err)
+	}
+	// table_bytes counts the tables the process maps, a retired matrix's
+	// until the collector releases it: collect until only this one is left.
+	n := int64(eng.Graph().NumNodes())
+	for deadline := time.Now().Add(10 * time.Second); st.Oracle.TableBytes != 40*n*n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("table_bytes = %d, want %d (40 B per node pair)", st.Oracle.TableBytes, 40*n*n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		get(t, ts, "/v1/stats", &st)
 	}
 }
 

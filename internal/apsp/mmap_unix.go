@@ -21,3 +21,9 @@ func mmapFile(f *os.File, size int) ([]byte, error) {
 func munmapBytes(b []byte) error {
 	return syscall.Munmap(b)
 }
+
+// mapTables returns size zeroed bytes of private anonymous memory, outside
+// the Go heap: the collector neither scans it nor paces on it.
+func mapTables(size int) ([]byte, error) {
+	return syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+}

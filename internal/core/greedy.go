@@ -128,7 +128,7 @@ func (p *plan) greedyStep(st greedyOutcome, best *greedyOutcome) error {
 	}
 
 	out := p.waypointOut(cur)
-	candidates, err := p.greedyCandidates(st, cur, out, uncovered)
+	candidates, _, err := p.greedyCandidates(st, cur, out, uncovered)
 	if err != nil {
 		return err
 	}
@@ -141,7 +141,7 @@ func (p *plan) greedyStep(st greedyOutcome, best *greedyOutcome) error {
 		// Keyword mode: dead branch — some keyword is unreachable.
 		return nil
 	}
-	for _, c := range bestCandidates(candidates, p.opts.Width) {
+	for _, c := range candidates {
 		next := greedyOutcome{
 			waypoints: append(append([]graph.NodeID(nil), st.waypoints...), c.node),
 			legs:      append(append([]leg(nil), st.legs...), leg{out, c.node}),
@@ -156,28 +156,28 @@ func (p *plan) greedyStep(st greedyOutcome, best *greedyOutcome) error {
 	return nil
 }
 
-// greedyCandidates scores the keyword nodes carrying an uncovered keyword,
-// other than cur, as the next waypoint after cur: the segments off out, the
-// τ vector out of cur, the tails off the plan's τ tail. It reads out as the
-// lower-bound scan (scan.go), keyed by Equation 1 from st's scores with the
-// unknown terms replaced by lower bounds, and stops at the first group whose
-// key exceeds the width-th best score so far. The comparison being strict,
-// bestCandidates picks what a scan of every keyword node picks. Each node's
-// tail is bounded the same way before it is read: on the target frontier
-// the head stands in for a tail not settled yet, so that frontier grows only
-// while a node could still make the cut. Without a target frontier the tail
-// is read first and bounds the segment, which is then read only for a node
-// whose tail keeps it within the cut. On a partitioned oracle out is a
-// source slice (scores equal to the pair interface up to floating-point
-// association, see apsp.SourceSliced) and the tail a target slice; a scan
-// of every node assembled both whole.
-func (p *plan) greedyCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vector, uncovered bitset.Mask) ([]greedyCandidate, error) {
+// greedyCandidates returns the width best next waypoints after cur, best
+// first, and how many keyword nodes it scored: those carrying an uncovered
+// keyword, other than cur, with the segments off out, the τ vector out of
+// cur, the tails off the plan's τ tail. It reads out as the lower-bound scan
+// (scan.go), keyed by Equation 1 from st's scores with the unknown terms
+// replaced by lower bounds, and stops at the first group whose key exceeds
+// the width-th best score so far. The comparison being strict, the beam
+// holds what a scan of every keyword node would pick. Each node's tail is
+// bounded the same way before it is read: on the target frontier the head
+// stands in for a tail not settled yet, so that frontier grows only while a
+// node could still make the cut. Without a target frontier the tail is read
+// first and bounds the segment, which is then read only for a node whose
+// tail keeps it within the cut. On a partitioned oracle out is a source
+// slice (scores equal to the pair interface up to floating-point
+// association, see apsp.SourceSliced) and the tail a target slice; a scan of
+// every node assembled both whole.
+func (p *plan) greedyCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vector, uncovered bitset.Mask) (beam []greedyCandidate, scored int, err error) {
 	eq := equation1{p.opts.Alpha, st.os, st.bs}
 	cut := beamCut{width: p.opts.Width}
-	var candidates []greedyCandidate
 	for _, group := range (lowerBounds{out, p.tauTail(), apsp.ByObjective, eq, &p.keywords, cut.best}).groups {
 		if err := p.checkCtx(); err != nil {
-			return nil, err
+			return nil, scored, err
 		}
 	nodes:
 		for _, m := range group {
@@ -209,7 +209,7 @@ func (p *plan) greedyCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vec
 						continue nodes
 					}
 					if err := p.checkCtx(); err != nil {
-						return nil, err
+						return nil, scored, err
 					}
 					p.tgt.Next()
 				}
@@ -224,12 +224,11 @@ func (p *plan) greedyCandidates(st greedyOutcome, cur graph.NodeID, out apsp.Vec
 					continue
 				}
 			}
-			c := greedyCandidate{node: m, score: eq.at(segOS, segBS, tailOS, tailBS), os: segOS, bs: segBS}
-			candidates = append(candidates, c)
-			cut.add(c.score)
+			cut.add(greedyCandidate{node: m, score: eq.at(segOS, segBS, tailOS, tailBS), os: segOS, bs: segBS})
+			scored++
 		}
 	}
-	return candidates, nil
+	return cut.beam, scored, nil
 }
 
 // waypointOut returns τ out of waypoint cur: on an oracle that runs sweeps
@@ -273,27 +272,37 @@ func (w *waypointFrontier) Walk(v graph.NodeID) ([]graph.NodeID, bool) {
 	return w.Frontier.Walk(v)
 }
 
-// beamCut tracks the width lowest candidate scores seen so far.
+// beamCut keeps the width best candidates scored so far, best first: lowest
+// score, ties to the lower node. Nodes are distinct, so the order is total
+// and the beam is the prefix a sort of every candidate would produce.
 type beamCut struct {
-	width  int
-	scores []float64 // ascending, at most width
+	width int
+	beam  []greedyCandidate // at most width
 }
 
-// add records a candidate score.
-func (c *beamCut) add(s float64) {
-	i, _ := slices.BinarySearch(c.scores, s)
-	if c.scores = slices.Insert(c.scores, i, s); len(c.scores) > c.width {
-		c.scores = c.scores[:c.width]
+// add records a scored candidate.
+func (c *beamCut) add(g greedyCandidate) {
+	i, _ := slices.BinarySearchFunc(c.beam, g, func(a, b greedyCandidate) int {
+		return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.node, b.node))
+	})
+	if i >= c.width {
+		return
+	}
+	if c.beam == nil {
+		c.beam = make([]greedyCandidate, 0, c.width+1)
+	}
+	if c.beam = slices.Insert(c.beam, i, g); len(c.beam) > c.width {
+		c.beam = c.beam[:c.width]
 	}
 }
 
 // best returns the width-th lowest score so far: a node scoring above it
 // cannot make the cut. +Inf until width candidates have been scored.
 func (c *beamCut) best() float64 {
-	if len(c.scores) < c.width {
+	if len(c.beam) < c.width {
 		return math.Inf(1)
 	}
-	return c.scores[c.width-1]
+	return c.beam[c.width-1].score
 }
 
 // greedyCandidate is one scored next waypoint of a beam step.
@@ -301,26 +310,6 @@ type greedyCandidate struct {
 	node   graph.NodeID
 	score  float64 // Equation 1
 	os, bs float64 // τ(cur, node) scores
-}
-
-// bestCandidates moves the width best candidates — lowest score, ties to the
-// lower node; nodes are distinct, so the order is total — to the front of c,
-// best first, and returns them: the prefix a full sort would produce, in one
-// pass over c per beam slot (width is 1 or 2 in practice).
-func bestCandidates(c []greedyCandidate, width int) []greedyCandidate {
-	if width > len(c) {
-		width = len(c)
-	}
-	for i := 0; i < width; i++ {
-		best := i
-		for j := i + 1; j < len(c); j++ {
-			if c[j].score < c[best].score || (c[j].score == c[best].score && c[j].node < c[best].node) {
-				best = j
-			}
-		}
-		c[i], c[best] = c[best], c[i]
-	}
-	return c[:width]
 }
 
 // finishGreedy appends the final leg to the target (lines 12–13) and keeps

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -221,8 +222,8 @@ func TestGreedyAlphaExtremes(t *testing.T) {
 
 // TestBestCandidatesMatchesSortPrefix: for random candidate lists — scores
 // drawn from a handful of values, so ties abound — and any beam width, the
-// one-pass selection returns exactly the prefix of the full (score, node)
-// sort greedyStep used to run.
+// beam a scan keeps as it scores them is exactly the prefix of the full
+// (score, node) sort, and its cut the width-th lowest score.
 func TestBestCandidatesMatchesSortPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
@@ -239,9 +240,19 @@ func TestBestCandidatesMatchesSortPrefix(t *testing.T) {
 			return sorted[i].node < sorted[j].node
 		})
 		for _, width := range []int{1, 2, 3, n, n + 4} {
-			got := bestCandidates(append([]greedyCandidate(nil), cands...), width)
-			if want := sorted[:min(width, n)]; !slices.Equal(got, want) {
-				t.Fatalf("trial %d width %d: selected %v, sort prefix %v", trial, width, got, want)
+			cut := beamCut{width: width}
+			for _, c := range cands {
+				cut.add(c)
+			}
+			if want := sorted[:min(width, n)]; !slices.Equal(cut.beam, want) {
+				t.Fatalf("trial %d width %d: beam %v, sort prefix %v", trial, width, cut.beam, want)
+			}
+			wantCut := math.Inf(1)
+			if width <= n {
+				wantCut = sorted[width-1].score
+			}
+			if got := cut.best(); got != wantCut {
+				t.Fatalf("trial %d width %d: cut %v, want %v", trial, width, got, wantCut)
 			}
 		}
 	}

@@ -191,7 +191,7 @@ func checkScanRow(t *testing.T, row scanRow) {
 				if !row.arm(out) {
 					t.Fatalf("%s: the vector out of a waypoint is a %T", row.oracle, out)
 				}
-				got, err := p.greedyCandidates(st, cur, out, uncovered)
+				got, scored, err := p.greedyCandidates(st, cur, out, uncovered)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,15 +199,17 @@ func checkScanRow(t *testing.T, row scanRow) {
 				if hide {
 					refOut = fullScanVector{refOut}
 				}
-				want, err := ref.greedyCandidates(st, cur, refOut, uncovered)
+				want, all, err := ref.greedyCandidates(st, cur, refOut, uncovered)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) < len(want) {
+				if all != len(want) {
+					t.Fatalf("%s: the reference scored %d nodes and kept %d: its beam is not the full scan", row.oracle, all, len(want))
+				}
+				if scored < all {
 					short++
 				}
-				got, want = bestCandidates(got, opts.Width), bestCandidates(want, opts.Width)
-				if !slices.Equal(got, want) {
+				if want = want[:min(opts.Width, len(want))]; !slices.Equal(got, want) {
 					t.Fatalf("%s %s trial %d step %d (%+v, waypoint %d, state %+v): scan picks %v, full scan %v",
 						row.oracle, tc.name, trial, step, opts, cur, st, got, want)
 				}

@@ -136,7 +136,9 @@ const (
 )
 
 // denseOracleLimit is the node count up to which OracleAuto chooses dense
-// tables (5·n²·8 bytes ≈ 1.5 GiB at the limit, score and parent tables).
+// tables: 40·n² bytes ≈ 1.44 GB at the limit, score and parent tables, in a
+// mapping outside the Go heap. On the heap, as they were before, GOGC's
+// headroom let the process grow to about twice that.
 const denseOracleLimit = 6000
 
 // EngineConfig customizes engine construction. The zero value is valid.

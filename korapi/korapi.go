@@ -320,6 +320,11 @@ type OracleInfo struct {
 	// Mapped reports whether the index is served through an mmap rather
 	// than a decoded in-heap copy.
 	Mapped bool `json:"mapped,omitempty"`
+	// TableBytes is the bytes of matrix tables the server process holds
+	// outside the Go heap: 40 per node pair of the serving matrix, plus a
+	// background build's and a retired matrix's until it is released.
+	// Absent (0) on the lazy and disk-index oracles.
+	TableBytes int64 `json:"table_bytes,omitempty"`
 	// LoadMillis is how long the index took to open at server start.
 	LoadMillis float64 `json:"load_millis,omitempty"`
 	// DegradedSince is when the oracle entered the degraded fallback, RFC

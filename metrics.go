@@ -22,6 +22,7 @@ import (
 //	kor_engine_oracle_memo_misses_total           counter (likewise)
 //	kor_engine_oracle_memo_evictions_total        counter (likewise)
 //	kor_engine_oracle_memo_resident_bytes         gauge   (likewise)
+//	kor_engine_oracle_table_bytes                 gauge   (process-wide: matrix tables mapped outside the Go heap)
 //	kor_engine_oracle_kind{kind}                  gauge (1 for the active kind)
 //	kor_engine_oracle_degraded                    gauge
 //	kor_engine_index_load_seconds                 gauge
@@ -90,6 +91,9 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("kor_engine_oracle_memo_resident_bytes",
 		"Bytes the partitioned oracle's resident slices hold right now.",
 		func() float64 { return float64(e.oracleMemo().ResidentBytes) })
+	reg.GaugeFunc("kor_engine_oracle_table_bytes",
+		"Bytes of matrix tables mapped outside the Go heap in this process: the serving matrix's, a build's, and a retired one's until the collector releases it (0 on the lazy and disk-index oracles). Go's memory statistics do not include them.",
+		func() float64 { return float64(OracleTableBytes()) })
 	if e.results.stores() {
 		e.results.lookups = reg.CounterVec("kor_engine_cache_requests_total",
 			"Result-cache lookups by result (hit, miss, or coalesced onto an identical in-flight request).", "result")
@@ -110,6 +114,16 @@ func (e *Engine) oracleMemo() apsp.MemoStats {
 		return o.MemoStats()
 	}
 	return apsp.MemoStats{}
+}
+
+// OracleTableBytes reports the bytes of matrix tables mapped in the process,
+// 40 per node pair of each: the serving matrix of every engine, a background
+// build's from its start, and a retired matrix's until the collector has
+// released it. The tables live outside the Go heap, so runtime.MemStats
+// does not count them.
+func OracleTableBytes() int64 {
+	_, bytes := apsp.TableMemory()
+	return bytes
 }
 
 // publishOracleStatus flips the oracle-kind gauge series to the snapshot's

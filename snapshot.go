@@ -3,6 +3,7 @@ package kor
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -319,6 +320,13 @@ func (e *Engine) fillAndSwap(b *tableBuild, g *Graph, prev *tableBuild) {
 	}
 	if e.buildHook != nil {
 		e.buildHook(b)
+	}
+	// The tables live outside the Go heap, where the collector's pacing does
+	// not see them: the matrix an edge change retired may still be mapped,
+	// unreachable, with no collection due. Collect before mapping the next,
+	// so its cleanup releases it and at most two are mapped.
+	if n, _ := apsp.TableMemory(); n > 0 {
+		runtime.GC()
 	}
 	o := apsp.BuildMatrixOracle(b.stop, g)
 	if o == nil {

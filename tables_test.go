@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -386,5 +387,117 @@ func TestOracleMetricsFollowBuild(t *testing.T) {
 				t.Errorf("%s: exposition missing %q", c.stage, want)
 			}
 		}
+	}
+}
+
+// waitTables collects until the process holds count matrix table mappings
+// of bytes, failing at a deadline. A retired matrix is unmapped by a cleanup
+// after the collection that found it unreachable, on a goroutine of its own.
+func waitTables(t *testing.T, count int, bytes int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if c, b := apsp.TableMemory(); c == count && b == bytes {
+			return
+		}
+		if time.Now().After(deadline) {
+			c, b := apsp.TableMemory()
+			t.Fatalf("%d table mappings of %d bytes live, want %d of %d", c, b, count, bytes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEdgePatchesKeepTwoTableMappings: over a loop of edge patches, each
+// settled and queried, the process never holds more than two matrix table
+// mappings — the one answering and the one being filled — and once the
+// last matrix is published and the collector has run, exactly one.
+func TestEdgePatchesKeepTwoTableMappings(t *testing.T) {
+	waitTables(t, 0, 0)
+	g := SyntheticRoadNetwork(5, 150)
+	e := g.Out(0)[0]
+	eng, err := NewEngine(g, &EngineConfig{Oracle: OracleDense, CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	peak := 0
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if c, _ := apsp.TableMemory(); c > peak {
+				peak = c
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	pool := []string{"tag0000", "tag0001", "tag0002", "tag0003"}
+	rng := rand.New(rand.NewSource(49))
+	for i := 0; i < 8; i++ {
+		patch := EdgePatch{From: 0, To: e.To, Objective: e.Objective * float64(2+i%3), Budget: e.Budget}
+		if _, err := eng.Patch(Delta{UpdateEdges: []EdgePatch{patch}}); err != nil {
+			t.Fatalf("Patch: %v", err)
+		}
+		for j := 0; j < 10; j++ {
+			eng.Run(context.Background(), randomRequest(rng, g, pool))
+		}
+		settle(eng)
+		wantMatrix(t, eng)
+		for j := 0; j < 10; j++ {
+			eng.Run(context.Background(), randomRequest(rng, g, pool))
+		}
+	}
+	close(stop)
+	<-sampled
+	if peak > 2 {
+		t.Errorf("%d matrix table mappings live at once over the patches, want at most 2", peak)
+	}
+	n := g.NumNodes()
+	waitTables(t, 1, int64(40*n*n))
+}
+
+// TestTableBytesGauge: kor_engine_oracle_table_bytes reads the matrix's 40 B
+// per node pair once its tables are published, and 0 on the lazy and the
+// disk-index oracles.
+func TestTableBytesGauge(t *testing.T) {
+	g := SyntheticRoadNetwork(5, 150)
+	n := g.NumNodes()
+	path := filepath.Join(t.TempDir(), "dist.kori")
+	if _, err := WriteDistIndex(path, g, 32); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  EngineConfig
+		want int64
+	}{
+		{"lazy", EngineConfig{Oracle: OracleLazy}, 0},
+		{"disk index", EngineConfig{DistIndexPath: path}, 0},
+		{"matrix", EngineConfig{Oracle: OracleDense}, int64(40 * n * n)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			waitTables(t, 0, 0)
+			reg := metrics.NewRegistry()
+			c.cfg.Metrics = reg
+			eng, err := NewEngine(g, &c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			settle(eng)
+			if got := gaugeValue(t, exposition(t, reg), "kor_engine_oracle_table_bytes"); got != float64(c.want) {
+				t.Errorf("kor_engine_oracle_table_bytes = %v, want %d", got, c.want)
+			}
+			if got := OracleTableBytes(); got != c.want {
+				t.Errorf("OracleTableBytes = %d, want %d", got, c.want)
+			}
+		})
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
-	"kor/internal/gen"
 	"kor/internal/graph"
 )
 
@@ -17,7 +15,7 @@ import (
 // overlay score from the first cell's borders to the second's, on each score
 // apart, in Scores' order.
 func wantCellBound(ref *naiveScores, root graph.NodeID, outbound bool, c int) (os, bs float64) {
-	o, b := ref.o, len(ref.o.borders)
+	o := ref.o
 	rc := int(o.region[root])
 	if c == rc {
 		return 0, 0
@@ -33,17 +31,11 @@ func wantCellBound(ref *naiveScores, root graph.NodeID, outbound bool, c int) (o
 		}
 		rP, rS = math.Min(rP, tP[at]), math.Min(rS, tS[at])
 	}
-	from, to := &o.cells[c], cell
+	from, to := c, rc
 	if outbound {
 		from, to = to, from
 	}
-	cP, cS := math.Inf(1), math.Inf(1)
-	for _, u := range from.nodes[:from.nb] {
-		for _, w := range to.nodes[:to.nb] {
-			at := int(o.borderIdx[u])*b + int(o.borderIdx[w])
-			cP, cS = math.Min(cP, ref.ovP[at]), math.Min(cS, ref.ovS[at])
-		}
-	}
+	cP, cS := ref.blockMin(from, to)
 	if ref.m == ByBudget {
 		return rS + cS, rP + cP
 	}
@@ -97,86 +89,37 @@ func checkCellBounds(t *testing.T, where string, o *PartitionedOracle, roots []g
 	return unreachable
 }
 
-// TestCellBoundBelowScores: a slice's cell bound never exceeds the scores of
-// a node of the cell, on target and source slices, both metrics, memory- and
-// file-backed oracles, on graphs with ties, long paths and unreachable
-// pairs, and on road networks cut by bisection.
-func TestCellBoundBelowScores(t *testing.T) {
-	rng := rand.New(rand.NewSource(4012))
-	allRoots := func(g *graph.Graph) []graph.NodeID {
-		roots := make([]graph.NodeID, g.NumNodes())
-		for i := range roots {
-			roots[i] = graph.NodeID(i)
-		}
-		return roots
-	}
-	road := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 1500})
-	cases := []struct {
-		name     string
-		g        *graph.Graph
-		cellSize int
-		roots    int // 0: every node
-	}{
-		{"ring", ringTestGraph(rng, 40), 6, 0},
-		{"tied", tiedTestGraph(rng, 48), 7, 0},
-		{"disconnected", sparseTestGraph(rng, 50), 6, 0},
-		{"road 1500", road, DefaultCellSize, 12},
-	}
-	for _, tc := range cases {
-		mem, disk, _ := writeTestIndex(t, tc.g, tc.cellSize)
-		roots := allRoots(tc.g)
-		if tc.roots > 0 {
-			roots = sampleRoots(rng, tc.g, tc.roots)
-		}
-		for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-			inf := checkCellBounds(t, tc.name+" "+name, o, roots)
-			if tc.name == "disconnected" && inf == 0 {
-				t.Fatalf("%s %s: no cell bound is +Inf; the case no longer has unreachable cells", tc.name, name)
-			}
+// blockMin is the least primary and the least secondary of the overlay block
+// from cell i's borders to cell j's, +Inf for an empty block.
+func (ref *naiveScores) blockMin(i, j int) (prim, sec float64) {
+	o, b := ref.o, len(ref.o.borders)
+	prim, sec = math.Inf(1), math.Inf(1)
+	for _, u := range o.cells[i].nodes[:o.cells[i].nb] {
+		for _, w := range o.cells[j].nodes[:o.cells[j].nb] {
+			at := int(o.borderIdx[u])*b + int(o.borderIdx[w])
+			prim, sec = math.Min(prim, ref.ovP[at]), math.Min(sec, ref.ovS[at])
 		}
 	}
-
-	// The bench road network, in memory: its index file is about 190 MB.
-	bench := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 8000})
-	checkCellBounds(t, "bench road", NewPartitionedOracle(bench, DefaultCellSize), sampleRoots(rng, bench, 6))
+	return prim, sec
 }
 
-// TestPairMinMatchesBlockScan: the stored cell-pair minima equal, bit for
-// bit, a scan of every overlay block under both metrics, on oracles built in
-// memory and opened from their file, mapped and decoded.
-func TestPairMinMatchesBlockScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4014))
-	for _, tc := range []struct {
-		name     string
-		g        *graph.Graph
-		cellSize int
-	}{
-		{"tied", tiedTestGraph(rng, 48), 7},
-		{"disconnected", sparseTestGraph(rng, 50), 6},
-		{"road 1500", gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 1500}), DefaultCellSize},
-	} {
-		mem, mapped, path := writeTestIndex(t, tc.g, tc.cellSize)
-		for name, o := range map[string]*PartitionedOracle{"memory": mem, "mapped": mapped, "decoded": openDecoded(t, path, tc.g)} {
-			nc := len(o.cells)
-			for _, m := range []Metric{ByObjective, ByBudget} {
-				if len(o.pairMin[m]) != nc*nc {
-					t.Fatalf("%s %s metric %d: %d cell-pair minima for %d cells", tc.name, name, m, len(o.pairMin[m]), nc)
-				}
-				ref, b := newNaiveScores(o, m), len(o.borders)
-				for i := range o.cells {
-					for j := range o.cells {
-						want := scorePair{math.Inf(1), math.Inf(1)}
-						for _, u := range o.cells[i].nodes[:o.cells[i].nb] {
-							for _, w := range o.cells[j].nodes[:o.cells[j].nb] {
-								at := int(o.borderIdx[u])*b + int(o.borderIdx[w])
-								want.prim, want.sec = math.Min(want.prim, ref.ovP[at]), math.Min(want.sec, ref.ovS[at])
-							}
-						}
-						got := o.pairMin[m][i*nc+j]
-						if math.Float64bits(got.prim) != math.Float64bits(want.prim) || math.Float64bits(got.sec) != math.Float64bits(want.sec) {
-							t.Fatalf("%s %s metric %d cells (%d,%d): stored %v, block scan %v", tc.name, name, m, i, j, got, want)
-						}
-					}
+// checkPairMin checks that o's stored cell-pair minima equal, bit for bit,
+// a scan of every overlay block under both metrics.
+func checkPairMin(t *testing.T, where string, o *PartitionedOracle) {
+	t.Helper()
+	nc := len(o.cells)
+	for _, m := range []Metric{ByObjective, ByBudget} {
+		if len(o.pairMin[m]) != nc*nc {
+			t.Fatalf("%s metric %d: %d cell-pair minima for %d cells", where, m, len(o.pairMin[m]), nc)
+		}
+		ref := newNaiveScores(o, m)
+		for i := range o.cells {
+			for j := range o.cells {
+				var want scorePair
+				want.prim, want.sec = ref.blockMin(i, j)
+				got := o.pairMin[m][i*nc+j]
+				if math.Float64bits(got.prim) != math.Float64bits(want.prim) || math.Float64bits(got.sec) != math.Float64bits(want.sec) {
+					t.Fatalf("%s metric %d cells (%d,%d): stored %v, block scan %v", where, m, i, j, got, want)
 				}
 			}
 		}
@@ -191,45 +134,4 @@ func sampleRoots(rng *rand.Rand, g *graph.Graph, k int) []graph.NodeID {
 		roots[i] = graph.NodeID(v)
 	}
 	return roots
-}
-
-// TestCellBoundConcurrent: goroutines asking a fresh oracle for cell bounds
-// at once, each in its own order, all read the bounds of the definition
-// while they create and share the slices those bounds belong to. The
-// cell-pair table itself is built with the oracle and only read. Run with
-// -race.
-func TestCellBoundConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(4013))
-	g := tiedTestGraph(rng, 60)
-	mem, disk, _ := writeTestIndex(t, g, 6)
-	for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-		refs := []*naiveScores{newNaiveScores(o, ByObjective), newNaiveScores(o, ByBudget)}
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(order []int) {
-				defer wg.Done()
-				for _, i := range order {
-					root, m, outbound := graph.NodeID(i/4), Metric(i%2), i%4 >= 2
-					ts := o.TargetSlice(root, m)
-					if outbound {
-						ts = o.SourceSlice(root, m)
-					}
-					for c := range o.cells {
-						gotOS, gotBS := ts.CellBound(c)
-						if wantOS, wantBS := wantCellBound(refs[m], root, outbound, c); gotOS != wantOS || gotBS != wantBS {
-							errs <- fmt.Sprintf("root %d metric %d outbound %v cell %d: (%v,%v), want (%v,%v)", root, m, outbound, c, gotOS, gotBS, wantOS, wantBS)
-							return
-						}
-					}
-				}
-			}(rng.Perm(4 * g.NumNodes()))
-		}
-		wg.Wait()
-		close(errs)
-		for msg := range errs {
-			t.Fatalf("%s: %s", name, msg)
-		}
-	}
 }

@@ -103,65 +103,15 @@ func lessItem(a, b *dijkstraItem) bool {
 	return a.node < b.node
 }
 
-// itemHeap is a 4-ary min-heap of dijkstraItem under lessItem: half the
-// levels of a binary heap, direct comparisons, and sift loops that move the
-// hole instead of swapping.
-type itemHeap []dijkstraItem
-
-func (h *itemHeap) push(it dijkstraItem) {
-	*h = append(*h, it)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		up := (i - 1) / 4
-		if !lessItem(&it, &a[up]) {
-			break
-		}
-		a[i] = a[up]
-		i = up
-	}
-	a[i] = it
-}
-
-func (h *itemHeap) pop() dijkstraItem {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	last := a[n]
-	a = a[:n]
-	*h = a
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		child := 4*i + 1
-		if child >= n {
-			break
-		}
-		best := child
-		for j, end := child+1, min(child+4, n); j < end; j++ {
-			if lessItem(&a[j], &a[best]) {
-				best = j
-			}
-		}
-		if !lessItem(&a[best], &last) {
-			break
-		}
-		a[i] = a[best]
-		i = best
-	}
-	a[i] = last
-	return top
-}
-
 // sweepScratch is the working memory of one Dijkstra run: dense tentative
-// scores and parents, the settled marker, the queue, and the list of settled
-// nodes. It is reused across runs without clearing: primary[v] is +Inf and
-// done[v] false for every node the current run has not labelled, and a run
-// starts by putting that back for the nodes the previous one labelled — each
-// of them is in settled or still has an item queued — so a run costs what it
-// and its predecessor reached, never |V|. Scratches are pooled; a run checks
+// scores and parents, the settled marker, the queue — the table fill's
+// decrease-key heap (rowFill), so a node is queued once, under its live label
+// — and the list of settled nodes: 25 bytes per graph node. It is reused
+// across runs without clearing: primary[v] is +Inf, done[v] false and v's
+// queue slot empty for every node the current run has not labelled, and a
+// run starts by putting that back for the nodes the previous one labelled —
+// each of them is in settled or still queued — so a run costs what it and
+// its predecessor reached, never |V|. Scratches are pooled; a run checks
 // one out, and its result is copied out (or, for a Frontier, read in place)
 // before the scratch goes back.
 type sweepScratch struct {
@@ -170,7 +120,7 @@ type sweepScratch struct {
 	parent    []int32
 	done      []bool
 	settled   []graph.NodeID
-	heap      itemHeap
+	q         rowFill
 
 	// The run in progress: its graph, metric and direction, and the source
 	// frontier that restricts it, if any (see step).
@@ -194,6 +144,7 @@ func getScratch(n int) *sweepScratch {
 			secondary: make([]float64, n),
 			parent:    make([]int32, n),
 			done:      make([]bool, n),
+			q:         newRowFill(n),
 		}
 		for i := range sc.primary {
 			sc.primary[i] = math.Inf(1)
@@ -237,27 +188,25 @@ func (sc *sweepScratch) start(g *graph.Graph, root graph.NodeID, m Metric, rever
 		sc.primary[v] = math.Inf(1)
 		sc.done[v] = false
 	}
-	for _, it := range sc.heap { // labels a run left queued past where it stopped
+	for _, it := range sc.q.heap { // labels a run left queued past where it stopped
 		sc.primary[it.node] = math.Inf(1)
+		sc.q.slot[it.node] = -1
 	}
 	sc.settled = sc.settled[:0]
-	sc.heap = sc.heap[:0]
+	sc.q.heap = sc.q.heap[:0]
 	sc.g, sc.m, sc.reverse = g, m, reverse
 	sc.primary[root], sc.secondary[root], sc.parent[root] = 0, 0, noParent
-	sc.heap.push(dijkstraItem{node: root})
+	sc.q.update(dijkstraItem{node: root})
 }
 
 // head returns the primary score the next node to settle will carry, +Inf
 // once the queue is drained. Every node not yet settled ends at this score
 // or higher.
 func (sc *sweepScratch) head() float64 {
-	for len(sc.heap) > 0 {
-		if it := &sc.heap[0]; it.primary == sc.primary[it.node] && it.secondary == sc.secondary[it.node] {
-			return it.primary
-		}
-		sc.heap.pop() // a leftover of an improvement
+	if len(sc.q.heap) == 0 {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
+	return sc.q.heap[0].primary
 }
 
 // step is the one settle-and-relax step every run is made of: it settles the
@@ -268,14 +217,8 @@ func (sc *sweepScratch) head() float64 {
 // its head fits that. It reports false when no node is left within bound.
 func (sc *sweepScratch) step(bound float64) bool {
 	prim, secd, par, src := sc.primary, sc.secondary, sc.parent, sc.src
-	for len(sc.heap) > 0 && sc.heap[0].primary <= bound {
-		it := sc.heap.pop()
-		// A node's labels are pushed best last and popped best first: the
-		// item that still matches the node's scores settles it, any other is
-		// a leftover of an improvement.
-		if it.primary != prim[it.node] || it.secondary != secd[it.node] {
-			continue
-		}
+	if len(sc.q.heap) > 0 && sc.q.heap[0].primary <= bound {
+		it := sc.q.pop()
 		sc.done[it.node] = true
 		sc.settled = append(sc.settled, it.node)
 		edges := sc.g.Out(it.node)
@@ -299,7 +242,7 @@ func (sc *sweepScratch) step(bound float64) bool {
 					continue
 				}
 				prim[v], secd[v], par[v] = p, sec, int32(it.node)
-				sc.heap.push(dijkstraItem{node: v, primary: p, secondary: sec})
+				sc.q.update(dijkstraItem{node: v, primary: p, secondary: sec})
 			}
 		}
 		return true

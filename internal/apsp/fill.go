@@ -59,27 +59,30 @@ feed:
 	}
 }
 
-// rowFill is one fill worker's queue, the kernel every table row is swept
-// with: a 4-ary min-heap of dijkstraItem under lessItem, indexed by node, so
-// an improved label moves its node's one item up (decrease-key) instead of
-// queueing another copy beside the stale one. slot[v] is v's position in
-// heap, -1 while v is not queued; a finished row leaves the heap empty and
-// every slot -1, so rows run back to back with no reset.
+// rowFill is the one Dijkstra queue: each fill worker sweeps its table rows
+// with one, and each sweep scratch (sweepScratch) runs its sweeps and
+// frontiers on one. It is a 4-ary min-heap of dijkstraItem under lessItem —
+// half the levels of a binary heap, direct comparisons, and sift loops that
+// move the hole instead of swapping — indexed by node, so an improved label
+// moves its node's one item up (decrease-key) instead of queueing another
+// copy beside the stale one. slot[v] is v's position in heap, -1 while v is
+// not queued; a finished row leaves the heap empty and every slot -1, so
+// rows run back to back with no reset.
 //
-// It settles nodes in the order a lazy itemHeap run does. Labels improve
-// only strictly and edge weights are positive, so each node has one live
-// label, which a lazy heap holds among stale copies that its run skips; both
-// heaps therefore settle, step by step, the least (primary, secondary, node)
-// among the labelled, unsettled nodes, and every score and parent comes out
-// the same bits (TestTableFillMatchesDijkstra, TestRowFillPopOrder).
+// Labels improve only strictly and edge weights are positive, so a settled
+// node is never labelled again, and each pop settles the least (primary,
+// secondary, node) among the labelled, unsettled nodes: the order of the
+// textbook array scan, whose scores and parents every table and sweep
+// reproduces bit for bit (TestTableFillMatchesDijkstra,
+// TestFrontierMatchesSweep).
 type rowFill struct {
 	heap []dijkstraItem
 	slot []int32
 }
 
 // newRowFill returns a queue for graphs of up to n nodes.
-func newRowFill(n int) *rowFill {
-	f := &rowFill{heap: make([]dijkstraItem, 0, n), slot: make([]int32, n)}
+func newRowFill(n int) rowFill {
+	f := rowFill{slot: make([]int32, n)}
 	for i := range f.slot {
 		f.slot[i] = -1
 	}

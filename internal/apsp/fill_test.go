@@ -88,25 +88,23 @@ func noParents(n int) []int32 {
 	return s
 }
 
+// fillGraphs are the table fill tests' graphs, drawn from seed: two with many
+// exact ties, the paper's and a ring without.
+func fillGraphs(seed int64) []*confGraph {
+	rng := rand.New(rand.NewSource(seed))
+	return []*confGraph{{name: "tied", g: tiedGraph(rng, 70)}, {name: "ring", g: ringGraph(rng, 50, 0)},
+		{name: "tied, 40 nodes", g: tiedGraph(rng, 40)}, {name: "paper", g: buildPaperGraph()}}
+}
+
 // TestCellFillMatchesArrayScan: the cell fill's six tables equal the array
 // scan's entry for entry — scores bit for bit, parents exactly — on graphs
-// with many exact ties (tied, quantized random, the paper's) and without
+// with many exact ties (two tied ones, the paper's) and without
 // (ring), at cell sizes from 2 to one cell for the whole graph. None of these
 // graphs has positions, so their cells are grown breadth-first and a cell's
 // local order is not node-ID order: a fill that broke ties by node ID would
 // pick other parents.
 func TestCellFillMatchesArrayScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4601))
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"tied", tiedTestGraph(rng, 70)},
-		{"ring", ringTestGraph(rng, 50)},
-		{"random quantized", randomTestGraph(rng, 40, true)},
-		{"paper", buildPaperGraph(t)},
-	}
-	for _, tc := range graphs {
+	for _, tc := range fillGraphs(4601) {
 		for _, size := range []int{2, 3, 16, tc.g.NumNodes()} {
 			o := NewPartitionedOracle(tc.g, size)
 			ref := arrayScanCellTables(o)
@@ -129,74 +127,8 @@ func TestCellFillMatchesArrayScan(t *testing.T) {
 	}
 }
 
-// TestOneCellMatchesMatrix: a partitioned oracle whose one cell is the whole
-// graph answers every pair with the matrix's scores, bit for bit, and on a
-// graph with positions with the matrix's paths. Bisection lists the one cell
-// in ascending node ID and it has no borders, so local index is node ID and
-// the cell fill breaks exact ties as the matrix's Dijkstra does. A graph
-// without positions grows its cell breadth-first, whose local order is not
-// node-ID order, so among exactly tied paths the two may pick different ones:
-// there only the scores, which do not depend on tie order, must agree.
-func TestOneCellMatchesMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(4602))
-	road := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 150})
-	grid := gen.GridRoad(gen.GridConfig{Seed: 2012, Nodes: 140})
-	cases := []struct {
-		name      string
-		g         *graph.Graph
-		samePaths bool
-	}{
-		{"road", road, true},
-		{"grid", grid, true},
-		{"road, dyadic", rebuilt(road, road.Position, dyadic), true},
-		{"grid, dyadic", rebuilt(grid, grid.Position, dyadic), true},
-		{"tied, no positions", tiedTestGraph(rng, 60), false},
-		{"random quantized, no positions", randomTestGraph(rng, 60, true), false},
-	}
-	type answer struct {
-		os, bs float64
-		ok     bool
-		path   []graph.NodeID
-	}
-	ask := func(o interface {
-		Oracle
-		PathMaterializer
-	}, from, to graph.NodeID, m Metric, paths bool) answer {
-		var a answer
-		if m == ByObjective {
-			a.os, a.bs, a.ok = o.MinObjective(from, to)
-			if paths {
-				a.path, _ = o.MinObjectivePath(from, to)
-			}
-		} else {
-			a.os, a.bs, a.ok = o.MinBudget(from, to)
-			if paths {
-				a.path, _ = o.MinBudgetPath(from, to)
-			}
-		}
-		return a
-	}
-	for _, tc := range cases {
-		n := tc.g.NumNodes()
-		one, matrix := NewPartitionedOracle(tc.g, n), NewMatrixOracle(tc.g)
-		if len(one.cells) != 1 || len(one.borders) != 0 {
-			t.Fatalf("%s: %d cells and %d borders at cell size |V|", tc.name, len(one.cells), len(one.borders))
-		}
-		for from := graph.NodeID(0); int(from) < n; from++ {
-			for to := graph.NodeID(0); int(to) < n; to++ {
-				for _, m := range []Metric{ByObjective, ByBudget} {
-					got, want := ask(one, from, to, m, tc.samePaths), ask(matrix, from, to, m, tc.samePaths)
-					if got.os != want.os || got.bs != want.bs || got.ok != want.ok || !slices.Equal(got.path, want.path) {
-						t.Fatalf("%s metric %d %d→%d: one cell %+v, matrix %+v", tc.name, m, from, to, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// dijkstraMatrix is the reference for the matrix fill: every row two dense
-// dijkstra sweeps, one per metric, their parents copied into the parent
+// dijkstraMatrix is the reference for the matrix fill: every row two
+// array-scan sweeps (referenceSweep), one per metric, their parents copied into the parent
 // tables and their scores into the target-major score tables.
 func dijkstraMatrix(g *graph.Graph) *MatrixOracle {
 	n := g.NumNodes()
@@ -206,8 +138,8 @@ func dijkstraMatrix(g *graph.Graph) *MatrixOracle {
 		tauPar: make([]int32, n*n), sigPar: make([]int32, n*n),
 	}
 	for from := 0; from < n; from++ {
-		tau := dijkstra(g, graph.NodeID(from), ByObjective, false)
-		sig := dijkstra(g, graph.NodeID(from), ByBudget, false)
+		tau := referenceSweep(g, graph.NodeID(from), ByObjective, false)
+		sig := referenceSweep(g, graph.NodeID(from), ByBudget, false)
 		copy(ref.tauPar[from*n:], tau.parent)
 		copy(ref.sigPar[from*n:], sig.parent)
 		for to := 0; to < n; to++ {
@@ -219,7 +151,7 @@ func dijkstraMatrix(g *graph.Graph) *MatrixOracle {
 }
 
 // dijkstraOverlay is the reference for the overlay fill: every row of o's
-// border graph one dense dijkstra sweep per metric, its parents copied into
+// border graph one array-scan sweep per metric, its parents copied into
 // the parent table and its scores cut into the blocked score tables (the
 // border graph carries the sweep's primary in the Objective slot). The tables
 // come back as the overlay fields of an otherwise empty oracle.
@@ -233,7 +165,7 @@ func dijkstraOverlay(o *PartitionedOracle) *PartitionedOracle {
 		overlay := o.overlayGraph(m)
 		prim, sec, par := ref.overlayTables(m)
 		for from := 0; from < b; from++ {
-			s := dijkstra(overlay, graph.NodeID(from), ByObjective, false)
+			s := referenceSweep(overlay, graph.NodeID(from), ByObjective, false)
 			ci := &o.cells[o.region[o.borders[from]]]
 			for j := range o.cells {
 				cj := &o.cells[j]
@@ -266,21 +198,11 @@ func firstDiff[T float64 | int32](got, want []T) int {
 
 // TestTableFillMatchesDijkstra: the matrix's four tables and the overlay's
 // six, filled by the decrease-key kernel (rowFill), equal the tables the
-// lazy-heap dijkstra filled row by row — scores bit for bit, parents
-// exactly — on graphs with many exact ties (tied, quantized random, the
+// textbook array-scan Dijkstra filled row by row — scores bit for bit,
+// parents exactly — on graphs with many exact ties (two tied ones, the
 // paper's) and without (ring), the overlay at cell sizes 2, 3 and 16.
 func TestTableFillMatchesDijkstra(t *testing.T) {
-	rng := rand.New(rand.NewSource(4701))
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"tied", tiedTestGraph(rng, 70)},
-		{"ring", ringTestGraph(rng, 50)},
-		{"random quantized", randomTestGraph(rng, 40, true)},
-		{"paper", buildPaperGraph(t)},
-	}
-	for _, tc := range graphs {
+	for _, tc := range fillGraphs(4701) {
 		got, want := NewMatrixOracle(tc.g), dijkstraMatrix(tc.g)
 		n := tc.g.NumNodes()
 		for _, tab := range []struct {
@@ -316,66 +238,6 @@ func TestTableFillMatchesDijkstra(t *testing.T) {
 							tc.name, size, len(o.borders), m, tab.name, tab.i)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestRowFillPopOrder: under random inserts and decrease-keys over at most
-// 64 IDs, keys drawn from a few values so that exact (primary, secondary)
-// ties are common, the indexed heap pops the live items in the order a lazy
-// itemHeap fed the same pushes pops them, skipping its stale copies: lessItem
-// order, node ID last.
-func TestRowFillPopOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4702))
-	const unlabelled, queued, popped = 0, 1, 2
-	for trial := 0; trial < 500; trial++ {
-		ids := 1 + rng.Intn(64)
-		f := newRowFill(ids)
-		var lazy itemHeap
-		label := make([]dijkstraItem, ids)
-		state := make([]int, ids)
-		popBoth := func() {
-			got := f.pop()
-			for {
-				want := lazy.pop()
-				if state[want.node] != queued || want != label[want.node] {
-					continue // a stale copy
-				}
-				if got != want {
-					t.Fatalf("trial %d: indexed heap popped %+v, lazy heap %+v", trial, got, want)
-				}
-				state[want.node] = popped
-				return
-			}
-		}
-		for op := 0; op < 400; op++ {
-			if rng.Intn(3) == 0 {
-				if len(f.heap) > 0 {
-					popBoth()
-				}
-				continue
-			}
-			v := rng.Intn(ids)
-			it := dijkstraItem{node: graph.NodeID(v), primary: float64(rng.Intn(6)), secondary: float64(rng.Intn(3))}
-			if state[v] == popped || (state[v] == queued && !lessItem(&it, &label[v])) {
-				continue // keys only fall, and a popped node is settled
-			}
-			label[v], state[v] = it, queued
-			f.update(it)
-			lazy.push(it)
-		}
-		for len(f.heap) > 0 {
-			popBoth()
-		}
-		for len(lazy) > 0 {
-			if it := lazy.pop(); state[it.node] == queued && it == label[it.node] {
-				t.Fatalf("trial %d: the indexed heap drained with %+v live in the lazy heap", trial, it)
-			}
-		}
-		for v, s := range f.slot {
-			if s != -1 {
-				t.Fatalf("trial %d: node %d left at slot %d after the heap drained", trial, v, s)
 			}
 		}
 	}
@@ -428,7 +290,7 @@ func TestFillTablesStops(t *testing.T) {
 		t.Fatalf("fill after stop: complete %v, %d of %d jobs run", complete, jobs, blocks)
 	}
 
-	g := ringTestGraph(rand.New(rand.NewSource(7)), 40)
+	g := ringGraph(rand.New(rand.NewSource(7)), 40, 0)
 	if o := BuildMatrixOracle(stop, g); o != nil {
 		t.Fatal("a stopped build returned tables")
 	}

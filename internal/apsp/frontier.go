@@ -16,7 +16,7 @@ import (
 // nodes settle in the same (primary, secondary, node ID) order and each
 // settled node's scores and parent are bit for bit those of a full sweep. A
 // Frontier is a Vector whose reads settle what they need. It reads its pooled
-// scratch in place — 21 bytes per graph node, dense — and holds it until
+// scratch in place — 25 bytes per graph node, dense — and holds it until
 // Close; it is owned by one goroutine.
 type Frontier struct {
 	sc   *sweepScratch

@@ -1,12 +1,8 @@
 package apsp
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,7 +16,7 @@ import (
 // budget pays for. FIFO eviction drops exactly the oldest resident entry,
 // never below memoMinEntries, and a hit neither moves nor recharges an entry.
 func TestMemoBoundAndEviction(t *testing.T) {
-	po := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(29)), 300, false), 12)
+	po := NewPartitionedOracle(ringGraph(rand.New(rand.NewSource(29)), 300, 3*300), 12)
 	maxNB := 0
 	for i := range po.cells {
 		maxNB = max(maxNB, po.cells[i].nb)
@@ -124,7 +120,7 @@ func TestMemoPanickingLeader(t *testing.T) {
 // the oracle that used to break it: a slice build that panics (here: a node
 // outside the graph) must leave the key usable for well-formed requests.
 func TestPartitionedSlicePanicReleasesWaiters(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(5)), 30, false)
+	g := ringGraph(rand.New(rand.NewSource(5)), 30, 3*30)
 	o := NewPartitionedOracle(g, 8)
 	bad := graph.NodeID(g.NumNodes() + 7)
 	for i := 0; i < 2; i++ { // the second call would block forever on a leaked entry
@@ -140,76 +136,4 @@ func TestPartitionedSlicePanicReleasesWaiters(t *testing.T) {
 	if st := o.MemoStats(); st.Entries != 0 {
 		t.Fatalf("panicked builds left %d entries behind", st.Entries)
 	}
-}
-
-// TestMemoSweepProperty: whatever interleaving of concurrent requests the
-// lazy oracle serves — it keeps no memo, so they share only the scratch
-// pool — every sweep it hands out is indistinguishable from a private sweep
-// at the requested bound: same scores bit for bit, same paths. Run with
-// -race.
-func TestMemoSweepProperty(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(2012)), 40, true) // quantized weights: ties everywhere
-	n := g.NumNodes()
-	o := NewLazyOracle(g)
-	bounds := []float64{0, 1, 2, 3, 5, 8, 13, math.Inf(1)}
-
-	const workers, requests = 8, 150
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < requests; i++ {
-				// Few roots, so requests collide on roots at different bounds.
-				root := graph.NodeID(rng.Intn(6))
-				m := Metric(rng.Intn(2))
-				bound := bounds[rng.Intn(len(bounds))]
-				got := o.ReverseSweep(root, m, bound, nil)
-				want := ReverseBoundedSweep(g, root, m, bound)
-				if msg := sameInsideBound(got, want, m, bound, n); msg != "" {
-					errs <- fmt.Sprintf("root %d metric %d bound %v: %s", root, m, bound, msg)
-					return
-				}
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Error(msg)
-	}
-	if got := o.SweepCount(); got != workers*requests {
-		t.Errorf("%d requests ran %d sweeps: every request runs its own", workers*requests, got)
-	}
-}
-
-// sameInsideBound compares a served sweep against the reference sweep at the
-// requested bound, returning a description of the first difference.
-func sameInsideBound(got, want *Sweep, m Metric, bound float64, n int) string {
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		wantOS, wantBS, inside := want.Scores(v)
-		gotOS, gotBS, ok := got.Scores(v)
-		if !inside {
-			// Past the bound the served sweep may still have settled v — with
-			// a primary score the caller's own bound check will reject.
-			primary := gotOS
-			if m == ByBudget {
-				primary = gotBS
-			}
-			if ok && primary <= bound {
-				return fmt.Sprintf("node %d settled at %v inside the bound, reference says unreachable", v, primary)
-			}
-			continue
-		}
-		if !ok || gotOS != wantOS || gotBS != wantBS {
-			return fmt.Sprintf("node %d scores (%v,%v,%v), want (%v,%v,true)", v, gotOS, gotBS, ok, wantOS, wantBS)
-		}
-		wantPath, _ := want.Walk(v)
-		if gotPath, ok := got.Walk(v); !ok || !slices.Equal(gotPath, wantPath) {
-			return fmt.Sprintf("node %d path %v, want %v", v, gotPath, wantPath)
-		}
-	}
-	return ""
 }

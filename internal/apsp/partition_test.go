@@ -158,10 +158,10 @@ func dyadic(x float64) float64 { return math.Ceil(4*x) / 4 }
 // exceeds the cap.
 func TestPartitionNumbering(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ring := randomTestGraph(rng, 150, false)
+	ring := ringGraph(rng, 150, 3*150)
 	graphs := map[string]*graph.Graph{
-		"tied ring":    randomTestGraph(rng, 120, true),
-		"disconnected": sparseTestGraph(rng, 90),
+		"tied ring":    tiedGraph(rng, 120),
+		"disconnected": disconnectedGraph(rng, 90),
 		"barbell":      barbellTestGraph(rng, 8),
 		"road":         gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 1500}),
 		"grid":         gen.GridRoad(gen.GridConfig{Seed: 2012, Nodes: 1000}),

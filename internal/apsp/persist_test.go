@@ -7,13 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"kor/internal/gen"
@@ -53,178 +52,35 @@ func openDecoded(t *testing.T, path string, g *graph.Graph) *PartitionedOracle {
 	return o
 }
 
-// TestIndexRoundTrip is the durability property test: a disk-loaded index
-// answers every pair query, slice lookup and path materialization exactly
-// like the in-memory oracle it was written from, and agrees with the lazy
-// oracle on the primary scores (the partitioned tie-break contract) on both
-// metrics.
+// TestIndexRoundTrip is the durability row of the conformance table: every
+// partitioned form writes back the file it was written to or opened from,
+// byte for byte — every table, the counts block and the header — and each
+// opened form, mapped where the host maps and decoded, describes its file in
+// IndexInfo, has the shape of the memory build it was written from, and
+// answers every pair as that build does, bit for bit, and walks its paths
+// into eight nodes.
 func TestIndexRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 6; trial++ {
-		n := 10 + rng.Intn(30)
-		g := randomTestGraph(rng, n, trial%2 == 0)
-		mem, mapped, path := writeTestIndex(t, g, 4+rng.Intn(8))
-		lazy := NewLazyOracle(g)
-		if runtime.GOOS == "linux" && !mapped.IndexInfo().Mapped {
-			t.Fatalf("trial %d: OpenIndex did not alias the file on a host that maps", trial)
-		}
-
-		file, err := os.ReadFile(path)
+	conform(t, "partitioned", nil, func(t *testing.T, c *confCase) {
+		file, err := os.ReadFile(c.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Both load paths — tables aliasing the mapping, tables decoded into
-		// fresh slices — must serve what the in-memory build serves, and
-		// write back the file they were read from, byte for byte: every
-		// table, the counts block and the header.
-		for name, disk := range map[string]*PartitionedOracle{"mapped": mapped, "decoded": openDecoded(t, path, g)} {
-			info := disk.IndexInfo()
-			if info.Fingerprint != g.Fingerprint() || info.Bytes != int64(len(file)) {
-				t.Fatalf("trial %d %s: IndexInfo = %+v", trial, name, info)
-			}
-			var rewritten bytes.Buffer
-			if err := disk.WriteIndex(&rewritten); err != nil {
-				t.Fatalf("trial %d %s: WriteIndex: %v", trial, name, err)
-			}
-			if !bytes.Equal(rewritten.Bytes(), file) {
-				t.Fatalf("trial %d %s: re-written index differs from the file it was opened from", trial, name)
-			}
-			if info.Regions != mem.NumRegions() || info.Borders != mem.NumBorders() {
-				t.Fatalf("trial %d %s: disk shape %d/%d, memory %d/%d",
-					trial, name, info.Regions, info.Borders, mem.NumRegions(), mem.NumBorders())
-			}
-			if !HasIndexedPaths(disk) {
-				t.Fatalf("%s oracle does not report indexed paths", name)
-			}
-
-			for i := graph.NodeID(0); int(i) < n; i++ {
-				tauSliceM := mem.TargetSlice(i, ByObjective)
-				tauSliceD := disk.TargetSlice(i, ByObjective)
-				sigSliceM := mem.TargetSlice(i, ByBudget)
-				sigSliceD := disk.TargetSlice(i, ByBudget)
-				for j := graph.NodeID(0); int(j) < n; j++ {
-					// Disk answers must be bit-identical to the in-memory build.
-					mOS, mBS, mOK := mem.MinObjective(j, i)
-					dOS, dBS, dOK := disk.MinObjective(j, i)
-					if mOS != dOS || mBS != dBS || mOK != dOK {
-						t.Fatalf("trial %d: τ(%d,%d) %s (%v,%v,%v) != memory (%v,%v,%v)",
-							trial, j, i, name, dOS, dBS, dOK, mOS, mBS, mOK)
-					}
-					// Slice lookups must reproduce the pair queries, both ends.
-					sliceM, _ := primSec(tauSliceM, j)
-					sliceD, _ := primSec(tauSliceD, j)
-					if mOK {
-						if sliceM != mOS || sliceD != mOS {
-							t.Fatalf("trial %d %s: τ slice primary (%v,%v) != query %v", trial, name, sliceM, sliceD, mOS)
-						}
-					} else if !math.IsInf(sliceD, 1) {
-						t.Fatalf("trial %d %s: τ slice reaches unreachable pair (%d,%d)", trial, name, j, i)
-					}
-					// Lazy agreement: exact primary, secondary no worse.
-					lOS, lBS, lOK := lazy.MinObjective(j, i)
-					if mOK != lOK || (mOK && !feq(mOS, lOS)) {
-						t.Fatalf("trial %d: τ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
-							trial, j, i, mOS, mOK, lOS, lOK)
-					}
-					if mOK && mBS < lBS-1e-9 {
-						t.Fatalf("trial %d: τ(%d,%d) secondary %v below lazy optimum %v", trial, j, i, mBS, lBS)
-					}
-
-					mOS, mBS, mOK = mem.MinBudget(j, i)
-					dOS, dBS, dOK = disk.MinBudget(j, i)
-					if mOS != dOS || mBS != dBS || mOK != dOK {
-						t.Fatalf("trial %d: σ(%d,%d) %s (%v,%v,%v) != memory (%v,%v,%v)",
-							trial, j, i, name, dOS, dBS, dOK, mOS, mBS, mOK)
-					}
-					sliceM, _ = primSec(sigSliceM, j)
-					sliceD, _ = primSec(sigSliceD, j)
-					if mOK && (sliceM != mBS || sliceD != mBS) {
-						t.Fatalf("trial %d %s: σ slice primary (%v,%v) != query %v", trial, name, sliceM, sliceD, mBS)
-					}
-					lOS, lBS, lOK = lazy.MinBudget(j, i)
-					if mOK != lOK || (mOK && !feq(mBS, lBS)) {
-						t.Fatalf("trial %d: σ(%d,%d) indexed (%v,%v) vs lazy (%v,%v)",
-							trial, j, i, mBS, mOK, lBS, lOK)
-					}
-				}
-			}
+		var rewritten bytes.Buffer
+		if err := c.part.WriteIndex(&rewritten); err != nil || !bytes.Equal(rewritten.Bytes(), file) {
+			t.Fatalf("re-writing the index (error %v) does not give back its file", err)
 		}
-	}
-}
-
-// TestPartitionedIndexedPaths verifies that table-walk materialization
-// returns real graph walks whose summed attributes match the reported
-// scores, on both the in-memory and the disk-loaded oracle.
-func TestPartitionedIndexedPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := randomTestGraph(rng, 60, false)
-	mem, disk, _ := writeTestIndex(t, g, 9)
-	for trial := 0; trial < 300; trial++ {
-		from := graph.NodeID(rng.Intn(g.NumNodes()))
-		to := graph.NodeID(rng.Intn(g.NumNodes()))
-		for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-			wantOS, wantBS, ok := o.MinObjective(from, to)
-			path, pok := o.MinObjectivePath(from, to)
-			if ok != pok {
-				t.Fatalf("%s: τ(%d,%d) score ok=%v path ok=%v", name, from, to, ok, pok)
-			}
-			if ok {
-				gotOS, gotBS := pathScores(t, g, path, ByObjective)
-				if !feq(gotOS, wantOS) || !feq(gotBS, wantBS) {
-					t.Fatalf("%s: τ(%d,%d) path scores (%v,%v), reported (%v,%v)",
-						name, from, to, gotOS, gotBS, wantOS, wantBS)
-				}
-			}
-			wantOS, wantBS, ok = o.MinBudget(from, to)
-			path, pok = o.MinBudgetPath(from, to)
-			if ok != pok {
-				t.Fatalf("%s: σ(%d,%d) score ok=%v path ok=%v", name, from, to, ok, pok)
-			}
-			if ok {
-				gotOS, gotBS := pathScores(t, g, path, ByBudget)
-				if !feq(gotBS, wantBS) || !feq(gotOS, wantOS) {
-					t.Fatalf("%s: σ(%d,%d) path scores (%v,%v), reported (%v,%v)",
-						name, from, to, gotOS, gotBS, wantOS, wantBS)
-				}
-			}
+		if c.part == c.mem {
+			return
 		}
-	}
-}
-
-// TestTargetSliceConcurrency hammers the slice cache from many goroutines
-// (single-flight, eviction) — meaningful mainly under -race.
-func TestTargetSliceConcurrency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomTestGraph(rng, 40, false)
-	o := NewPartitionedOracle(g, 8)
-	o.slices.budget = 6 * o.slices.charge // force eviction churn
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for k := 0; k < 200; k++ {
-				to := graph.NodeID(r.Intn(g.NumNodes()))
-				m := Metric(r.Intn(2))
-				ts := o.TargetSlice(to, m)
-				from := graph.NodeID(r.Intn(g.NumNodes()))
-				p, s, ok := o.query(from, to, m)
-				gotP, gotS := primSec(ts, from)
-				if !ok {
-					if !math.IsInf(gotP, 1) {
-						t.Errorf("slice reaches unreachable pair (%d,%d)", from, to)
-					}
-					continue
-				}
-				if gotP != p || gotS != s {
-					t.Errorf("slice (%v,%v) != query (%v,%v) for (%d,%d,%v)", gotP, gotS, p, s, from, to, m)
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
+		info := c.part.IndexInfo()
+		if info.Fingerprint != c.g.Fingerprint() || info.Bytes != int64(len(file)) || info.Regions != c.mem.NumRegions() || info.Borders != c.mem.NumBorders() {
+			t.Fatalf("IndexInfo = %+v; the memory build has %d regions and %d borders", info, c.mem.NumRegions(), c.mem.NumBorders())
+		}
+		if strings.HasSuffix(c.label, "mapped") && runtime.GOOS == "linux" && !info.Mapped {
+			t.Fatal("OpenIndex did not alias the file on a host that maps")
+		}
+		sameAnswers(t, c.g, c.o, c.mem, 8)
+	})
 }
 
 // TestIndexLoadErrors exercises every typed load-failure path: damaged
@@ -232,7 +88,7 @@ func TestTargetSliceConcurrency(t *testing.T) {
 // ErrIndexVersion, and a mismatched graph with ErrIndexFingerprint — never
 // a panic, never a silently wrong oracle.
 func TestIndexLoadErrors(t *testing.T) {
-	g := buildPaperGraph(t)
+	g := buildPaperGraph()
 	mem := NewPartitionedOracle(g, 3)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good.kori")
@@ -342,7 +198,7 @@ func TestIndexLoadErrors(t *testing.T) {
 	}
 
 	// The right file for the wrong graph.
-	other := NewPartitionedOracle(randomTestGraph(rand.New(rand.NewSource(9)), 8, true), 3)
+	other := NewPartitionedOracle(tiedGraph(rand.New(rand.NewSource(9)), 8), 3)
 	otherPath := filepath.Join(dir, "other.kori")
 	if err := other.WriteIndexFile(otherPath); err != nil {
 		t.Fatal(err)
@@ -389,51 +245,12 @@ func withHeader(t *testing.T, b []byte, edit func(*indexHeader)) []byte {
 // round trip; this digest changes only together with indexVersion.
 func TestIndexBytesPinned(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewPartitionedOracle(buildPaperGraph(t), 3).WriteIndex(&buf); err != nil {
+	if err := NewPartitionedOracle(buildPaperGraph(), 3).WriteIndex(&buf); err != nil {
 		t.Fatalf("WriteIndex: %v", err)
 	}
 	const want = "4ed2934cd0d6f917dcdcd1b79b5b3f9cf4481d0e91b336c0c1ac33d17d0e6ced"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 4116 || got != want {
 		t.Fatalf("paper graph index: %d bytes, sha256 %s; want 4116 bytes, %s", buf.Len(), got, want)
-	}
-}
-
-// TestSourceSliceAgreement checks the outbound slices against the pair
-// interface on random graphs, both metrics, memory- and disk-backed:
-// identical reachability everywhere, and scores equal up to floating-point
-// association (source slices hoist the per-source half of the assembly).
-func TestSourceSliceAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 4; trial++ {
-		n := 12 + rng.Intn(25)
-		g := randomTestGraph(rng, n, trial%2 == 0)
-		_, disk, _ := writeTestIndex(t, g, 4+rng.Intn(8))
-		mem := NewPartitionedOracle(g, disk.CellSize())
-		for _, o := range []*PartitionedOracle{mem, disk} {
-			for from := 0; from < n; from++ {
-				tau := o.SourceSlice(graph.NodeID(from), ByObjective)
-				sig := o.SourceSlice(graph.NodeID(from), ByBudget)
-				for to := 0; to < n; to++ {
-					os, bs, ok := o.MinObjective(graph.NodeID(from), graph.NodeID(to))
-					prim, sec := primSec(tau, graph.NodeID(to))
-					if sOK := !math.IsInf(prim, 1); sOK != ok {
-						t.Fatalf("trial %d τ %d→%d: slice ok=%v, query ok=%v", trial, from, to, sOK, ok)
-					}
-					if ok && (!feq(prim, os) || !feq(sec, bs)) {
-						t.Fatalf("trial %d τ %d→%d: slice (%v,%v), query (%v,%v)", trial, from, to, prim, sec, os, bs)
-					}
-					os, bs, ok = o.MinBudget(graph.NodeID(from), graph.NodeID(to))
-					prim, sec = primSec(sig, graph.NodeID(to))
-					if sOK := !math.IsInf(prim, 1); sOK != ok {
-						t.Fatalf("trial %d σ %d→%d: slice ok=%v, query ok=%v", trial, from, to, sOK, ok)
-					}
-					// MinBudget reports (os, bs) = (secondary, primary).
-					if ok && (!feq(prim, bs) || !feq(sec, os)) {
-						t.Fatalf("trial %d σ %d→%d: slice (%v,%v), query (%v,%v)", trial, from, to, prim, sec, bs, os)
-					}
-				}
-			}
-		}
 	}
 }
 

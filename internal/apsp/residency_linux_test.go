@@ -64,7 +64,7 @@ func mappedRss(t *testing.T, path string) int64 {
 // border: 700 cells and a 1,400² overlay, a 94 MB file, whose border graph
 // has degree 2, so the overlay fill stays cheap under -race and coverage.
 func TestIndexResidency(t *testing.T) {
-	g := ringTestGraph(rand.New(rand.NewSource(1)), 1400)
+	g := ringGraph(rand.New(rand.NewSource(1)), 1400, 0)
 	_, disk, path := writeTestIndex(t, g, 2)
 	if !disk.IndexInfo().Mapped {
 		t.Fatal("OpenIndex did not map the file on linux")

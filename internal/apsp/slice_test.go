@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -12,33 +11,11 @@ import (
 	"kor/internal/graph"
 )
 
-// sparseTestGraph is a random directed graph with no connecting ring: plenty
-// of pairs have no path, which the ring of randomTestGraph rules out.
-func sparseTestGraph(rng *rand.Rand, n int) *graph.Graph {
-	b := graph.NewBuilder()
-	for i := 0; i < n; i++ {
-		b.AddNode()
-	}
-	seen := make(map[[2]int]bool)
-	for k := 0; k < 3*n/2; k++ {
-		from, to := rng.Intn(n), rng.Intn(n)
-		if from == to || seen[[2]int{from, to}] {
-			continue
-		}
-		seen[[2]int{from, to}] = true
-		_ = b.AddEdge(graph.NodeID(from), graph.NodeID(to), float64(1+rng.Intn(3)), float64(1+rng.Intn(3)))
-	}
-	return b.MustBuild()
-}
-
 // barbellTestGraph is two two-way rings of ring nodes each joined by one
 // two-way edge: partitioned at cell size ring, each ring is a cell with a
 // single border node.
 func barbellTestGraph(rng *rand.Rand, ring int) *graph.Graph {
-	b := graph.NewBuilder()
-	for i := 0; i < 2*ring; i++ {
-		b.AddNode()
-	}
+	b := withNodes(2 * ring)
 	both := func(u, v int) {
 		_ = b.AddEdge(graph.NodeID(u), graph.NodeID(v), 0.05+rng.Float64(), 0.05+rng.Float64())
 		_ = b.AddEdge(graph.NodeID(v), graph.NodeID(u), 0.05+rng.Float64(), 0.05+rng.Float64())
@@ -186,213 +163,65 @@ func (ref *naiveScores) sourcePair(from, to graph.NodeID) (float64, float64) {
 }
 
 // TestSliceScoresMatchNaiveAssembly checks every score the kernels serve —
-// pair queries and both slice directions, both metrics, memory- and
-// disk-backed — against the naive assembly bit for bit and against the
-// matrix oracle's primary to 1e-9, on graphs that exercise the layout's
-// corners: tied weights, continuous weights, disconnected parts, a graph
-// that fits one cell (no border, an empty overlay), cells with a single
-// border, and bisected partitions of a road and a grid with positions. The
-// positioned graphs carry dyadic weights: the kernels and the naive loop
-// group the sums and minima differently, which agrees to the last bit only
-// while every sum is exact (the unpositioned continuous case agrees by luck;
-// TestPositionedContinuousMatchesMatrix covers continuous weights on a
-// bisected partition).
+// pair queries and both slice directions, both metrics, into and out of
+// every root (48 on the larger generators) — against the naive assembly bit
+// for bit, on every partitioned form of the table's generators and on cells
+// with a single border. The
+// layout's corners: one cell (no border, an empty overlay), cells of two
+// nodes, tied and continuous weights, disconnected parts, and bisected
+// partitions of a road and a grid with positions. The positioned graphs
+// carry dyadic weights: the kernels and the naive loop group the sums and
+// minima differently, which agrees to the last bit only while every sum is
+// exact (the unpositioned continuous ring agrees by luck; the positioned
+// continuous road is held to the pair interface instead, see
+// TestPositionedContinuousMatchesMatrix).
 func TestSliceScoresMatchNaiveAssembly(t *testing.T) {
+	conform(t, "partitioned", func(c *confGraph) bool { return c.exactSums || !c.g.HasPositions() }, func(t *testing.T, c *confCase) {
+		checkNaive(t, c.part, c.roots(48))
+	})
 	rng := rand.New(rand.NewSource(2405))
-	bisected := func(o *PartitionedOracle) bool { return o.g.HasPositions() && len(o.cells) > 4 }
 	road := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 150})
-	grid := gen.GridRoad(gen.GridConfig{Seed: 2012, Nodes: 140})
-	cases := []struct {
-		name     string
-		g        *graph.Graph
-		cellSize int
-		check    func(*PartitionedOracle) bool // the corner the case is there for
-	}{
-		{"tied", randomTestGraph(rng, 48, true), 7, nil},
-		{"continuous", randomTestGraph(rng, 56, false), 9, nil},
-		{"disconnected", sparseTestGraph(rng, 50), 6, nil},
-		{"one cell", randomTestGraph(rng, 20, false), 32, func(o *PartitionedOracle) bool {
-			return len(o.cells) == 1 && len(o.borders) == 0
-		}},
-		{"single border", barbellTestGraph(rng, 8), 8, func(o *PartitionedOracle) bool {
-			return len(o.cells) == 2 && o.cells[0].nb == 1 && o.cells[1].nb == 1
-		}},
-		{"road, dyadic", rebuilt(road, road.Position, dyadic), 20, bisected},
-		{"grid, dyadic", rebuilt(grid, grid.Position, dyadic), 16, bisected},
+	barbell := NewPartitionedOracle(barbellTestGraph(rng, 8), 8)
+	if len(barbell.cells) != 2 || barbell.cells[0].nb != 1 || barbell.cells[1].nb != 1 {
+		t.Fatalf("the barbell's partition (%d cells, %d borders) has no single-border cells", len(barbell.cells), len(barbell.borders))
 	}
-	for _, tc := range cases {
-		n := tc.g.NumNodes()
-		mem, disk, _ := writeTestIndex(t, tc.g, tc.cellSize)
-		if tc.check != nil && !tc.check(mem) {
-			t.Fatalf("%s: the partition (%d cells, %d borders) misses the case's corner", tc.name, len(mem.cells), len(mem.borders))
-		}
-		matrix := NewMatrixOracle(tc.g)
-		for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-			unreachable := 0
-			for _, m := range []Metric{ByObjective, ByBudget} {
-				ref := newNaiveScores(o, m)
-				for root := graph.NodeID(0); int(root) < n; root++ {
-					into, outOf := o.TargetSlice(root, m), o.SourceSlice(root, m)
-					for v := graph.NodeID(0); int(v) < n; v++ {
-						where := fmt.Sprintf("%s %s metric %d %d→%d", tc.name, name, m, v, root)
-						wantP, wantS := ref.pair(v, root)
-						if gotP, gotS := primSec(into, v); gotP != wantP || gotS != wantS {
-							t.Fatalf("%s: target slice (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
-						}
-						gotP, gotS, ok := o.query(v, root, m)
-						if !ok {
-							gotP, gotS = math.Inf(1), math.Inf(1)
-							unreachable++
-						}
-						if gotP != wantP || gotS != wantS {
-							t.Fatalf("%s: query (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
-						}
-						// The pair interface reports (objective, budget) whatever it minimized.
-						mp, ms, mok := matrix.MinObjective(v, root)
-						if m == ByBudget {
-							ms, mp, mok = matrix.MinBudget(v, root)
-						}
-						if mok != ok || (ok && !feq(mp, gotP)) || (ok && ms > gotS+1e-9) {
-							t.Fatalf("%s: assembled (%v,%v,%v), matrix oracle (%v,%v,%v)", where, gotP, gotS, ok, mp, ms, mok)
-						}
-
-						wantP, wantS = ref.sourcePair(root, v)
-						if gotP, gotS := primSec(outOf, v); gotP != wantP || gotS != wantS {
-							t.Fatalf("%s reversed: source slice (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
-						}
-						flatP, flatS := ref.pair(root, v)
-						if reach := !math.IsInf(flatP, 1); reach == math.IsInf(wantP, 1) || (reach && (!feq(wantP, flatP) || !feq(wantS, flatS))) {
-							t.Fatalf("%s reversed: source association (%v,%v) strays from the pair query's (%v,%v)", where, wantP, wantS, flatP, flatS)
-						}
-					}
-				}
-			}
-			if tc.name == "disconnected" && unreachable == 0 {
-				t.Fatalf("%s %s: no unreachable pair", tc.name, name)
-			}
-		}
-	}
+	checkNaive(t, barbell, allNodes(barbell.g))
+	dyadicRoad := rebuilt(road, road.Position, dyadic)
+	checkNaive(t, NewPartitionedOracle(dyadicRoad, 20), allNodes(dyadicRoad))
 }
 
-// TestPositionedContinuousMatchesMatrix: on a bisected partition of a road
-// graph with continuous weights, memory- and disk-backed, both metrics and
-// every pair, the pair query agrees with the matrix oracle on reachability
-// and the primary to 1e-9 with a secondary no better than the matrix's;
-// target slices reproduce the pair query's primary bit for bit and its
-// secondary to 1e-9, source slices both to 1e-9. (A target slice takes the
-// minimum over the root cell's borders before adding the head; rounding is
-// monotone, so the primary cannot move, but among primaries that round equal
-// the two orders may keep secondaries a last bit apart.)
-func TestPositionedContinuousMatchesMatrix(t *testing.T) {
-	g := gen.RoadNetwork(gen.RoadConfig{Seed: 7, Nodes: 160})
-	n := g.NumNodes()
-	mem, disk, _ := writeTestIndex(t, g, 24)
-	if len(mem.cells) != 7 {
-		t.Fatalf("%d cells, want ⌈160/24⌉ = 7", len(mem.cells))
-	}
-	matrix := NewMatrixOracle(g)
-	for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-		for _, m := range []Metric{ByObjective, ByBudget} {
-			for root := graph.NodeID(0); int(root) < n; root++ {
-				into, outOf := o.TargetSlice(root, m), o.SourceSlice(root, m)
-				for v := graph.NodeID(0); int(v) < n; v++ {
-					where := fmt.Sprintf("%s metric %d %d→%d", name, m, v, root)
-					gotP, gotS, ok := o.query(v, root, m)
-					mp, ms, mok := matrix.MinObjective(v, root)
-					if m == ByBudget {
-						ms, mp, mok = matrix.MinBudget(v, root)
-					}
-					if mok != ok || (ok && (!feq(mp, gotP) || ms > gotS+1e-9)) {
-						t.Fatalf("%s: assembled (%v,%v,%v), matrix oracle (%v,%v,%v)", where, gotP, gotS, ok, mp, ms, mok)
-					}
-					if !ok {
-						gotP, gotS = math.Inf(1), math.Inf(1)
-					}
-					if sp, ss := primSec(into, v); sp != gotP || !(ss == gotS || feq(ss, gotS)) {
-						t.Fatalf("%s: target slice (%v,%v), query (%v,%v)", where, sp, ss, gotP, gotS)
-					}
-					wantP, wantS, wok := o.query(root, v, m)
-					sp, ss := primSec(outOf, v)
-					if math.IsInf(sp, 1) == wok || (wok && (!feq(sp, wantP) || !feq(ss, wantS))) {
-						t.Fatalf("%s reversed: source slice (%v,%v), query (%v,%v,%v)", where, sp, ss, wantP, wantS, wok)
-					}
+// checkNaive holds every score o serves into and out of roots to the naive
+// assembly: target slices and pair queries to the flat minimum, source
+// slices to the association they document, which in turn agrees with the
+// flat minimum on reachability and to 1e-9.
+func checkNaive(t *testing.T, o *PartitionedOracle, roots []graph.NodeID) {
+	t.Helper()
+	n := o.g.NumNodes()
+	for _, m := range metrics {
+		ref := newNaiveScores(o, m)
+		for _, root := range roots {
+			into, outOf := o.TargetSlice(root, m), o.SourceSlice(root, m)
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				where := fmt.Sprintf("metric %d %d→%d", m, v, root)
+				wantP, wantS := ref.pair(v, root)
+				if gotP, gotS := primSec(into, v); gotP != wantP || gotS != wantS {
+					t.Fatalf("%s: target slice (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
 				}
-			}
-		}
-	}
-}
-
-// TestSliceFirstTouchConcurrent is the view's publication contract: 8
-// goroutines read every node of one cold slice, each in its own random
-// order, so first touches of a cell and first lookups of a node race — and
-// every Scores(v) of a target slice still equals the pair query on primary
-// and secondary bit for bit, unreachable pairs included, while source slices
-// agree with the pair interface on reachability and up to floating-point
-// association (TestSourceSliceAgreement's contract). Random graphs (tied
-// weights, continuous weights, disconnected), both metrics, memory- and
-// disk-backed oracles. Run with -race.
-func TestSliceFirstTouchConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(2212))
-	for trial := 0; trial < 6; trial++ {
-		n := 24 + rng.Intn(40)
-		var g *graph.Graph
-		if trial%3 == 2 {
-			g = sparseTestGraph(rng, n)
-		} else {
-			g = randomTestGraph(rng, n, trial%3 == 0)
-		}
-		mem, disk, _ := writeTestIndex(t, g, 4+rng.Intn(8))
-		for name, o := range map[string]*PartitionedOracle{"memory": mem, "disk": disk} {
-			unreachable := 0
-			for _, m := range []Metric{ByObjective, ByBudget} {
-				for r := 0; r < 4; r++ {
-					root := graph.NodeID(rng.Intn(n))
-					into, outOf := o.TargetSlice(root, m), o.SourceSlice(root, m)
-					var wg sync.WaitGroup
-					errs := make(chan string, 8)
-					for w := 0; w < 8; w++ {
-						wg.Add(1)
-						go func(order []int) {
-							defer wg.Done()
-							for _, i := range order {
-								v := graph.NodeID(i)
-								wantP, wantS, ok := o.query(v, root, m)
-								if !ok {
-									wantP, wantS = math.Inf(1), math.Inf(1)
-								}
-								if gotP, gotS := primSec(into, v); gotP != wantP || gotS != wantS {
-									errs <- fmt.Sprintf("target slice (%v,%v) != query (%v,%v) at %d→%d", gotP, gotS, wantP, wantS, v, root)
-									return
-								}
-								wantP, wantS, ok = o.query(root, v, m)
-								gotP, gotS := primSec(outOf, v)
-								if math.IsInf(gotP, 1) == ok || (ok && (!feq(gotP, wantP) || !feq(gotS, wantS))) {
-									errs <- fmt.Sprintf("source slice (%v,%v) vs query (%v,%v,%v) at %d→%d", gotP, gotS, wantP, wantS, ok, root, v)
-									return
-								}
-							}
-						}(rng.Perm(n))
-					}
-					wg.Wait()
-					close(errs)
-					for msg := range errs {
-						t.Fatalf("trial %d %s metric %d: %s", trial, name, m, msg)
-					}
-					for _, ts := range []*TargetSlice{into, outOf} {
-						if blocks, computed := ts.touched(); blocks != len(o.cells) || computed != n-1 {
-							t.Fatalf("trial %d %s: %d of %d blocks and %d of %d scores published after reading every node",
-								trial, name, blocks, len(o.cells), computed, n-1)
-						}
-					}
-					for v := 0; v < n; v++ {
-						if p, _ := primSec(into, graph.NodeID(v)); math.IsInf(p, 1) {
-							unreachable++
-						}
-					}
+				gotP, gotS, ok := o.query(v, root, m)
+				if !ok {
+					gotP, gotS = math.Inf(1), math.Inf(1)
 				}
-			}
-			if trial%3 == 2 && unreachable == 0 {
-				t.Fatalf("trial %d %s: the disconnected graph produced no unreachable pair", trial, name)
+				if gotP != wantP || gotS != wantS {
+					t.Fatalf("%s: query (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
+				}
+				wantP, wantS = ref.sourcePair(root, v)
+				if gotP, gotS := primSec(outOf, v); gotP != wantP || gotS != wantS {
+					t.Fatalf("%s reversed: source slice (%v,%v), naive assembly (%v,%v)", where, gotP, gotS, wantP, wantS)
+				}
+				flatP, flatS := ref.pair(root, v)
+				if reach := !math.IsInf(flatP, 1); reach == math.IsInf(wantP, 1) || (reach && (!feq(wantP, flatP) || !feq(wantS, flatS))) {
+					t.Fatalf("%s reversed: source association (%v,%v) strays from the pair query's (%v,%v)", where, wantP, wantS, flatP, flatS)
+				}
 			}
 		}
 	}
@@ -405,7 +234,7 @@ func TestSliceFirstTouchConcurrent(t *testing.T) {
 // MemoStats reports — is the bookkeeping plus those, nothing for the rest.
 func TestSliceAssemblesOnlyTouchedCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := randomTestGraph(rng, 90, false)
+	g := ringGraph(rng, 90, 3*90)
 	o := NewPartitionedOracle(g, 8)
 	if len(o.cells) < 6 {
 		t.Fatalf("only %d cells", len(o.cells))

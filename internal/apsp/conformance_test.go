@@ -531,47 +531,110 @@ var roadIndex = sync.OnceValues(func() (map[string]*PartitionedOracle, error) {
 
 // TestOraclesAgreeWithFloydWarshall: every oracle answers every pair of
 // every generator (into confCase.targets), both metrics, as Floyd–Warshall
-// does (confCase.pair) — the diagonal at (0, 0), unreachable pairs with
-// ok=false. The scores make a table whose primaries respect the triangle
-// inequality, the property every pruning rule leans on (200 sampled
-// triples per metric), and which keeps the trade-off of the two families:
-// σ's budget is at most τ's, τ's objective at most σ's.
+// does (confCase.pair) — bit for bit where the sums are exact, to 1e-9
+// otherwise, with a partitioned secondary no better than the optimum.
 func TestOraclesAgreeWithFloydWarshall(t *testing.T) {
 	conform(t, "matrix lazy partitioned", nil, func(t *testing.T, c *confCase) {
-		n, targets := c.g.NumNodes(), c.targets(c.g.NumNodes(), 8)
-		var sc [2][]scorePair // [m][from*n+to], zero where not asked
-		unreachable := 0
-		for _, m := range metrics {
-			sc[m] = make([]scorePair, n*n)
-			for _, to := range targets {
-				for from := 0; from < n; from++ {
-					p, s, msg := c.pair(graph.NodeID(from), to, m)
-					if msg != "" {
+		for _, to := range c.targets(c.g.NumNodes(), 8) {
+			for from := graph.NodeID(0); int(from) < c.g.NumNodes(); from++ {
+				for _, m := range metrics {
+					if _, _, msg := c.pair(from, to, m); msg != "" {
 						t.Fatal(msg)
 					}
-					sc[m][from*n+int(to)] = scorePair{p, s}
-					if math.IsInf(p, 1) {
-						unreachable++
+				}
+			}
+		}
+	})
+}
+
+// TestSelfPair: every oracle scores every node to itself (0, 0) under both
+// metrics, and walks it as the one-node path.
+func TestSelfPair(t *testing.T) {
+	conform(t, "matrix lazy partitioned", nil, func(t *testing.T, c *confCase) {
+		for _, v := range c.targets(c.g.NumNodes(), 8) {
+			for _, m := range metrics {
+				pv := &pairVector{c.o, v, m, false}
+				os, bs, ok := pv.Scores(v)
+				path, pok := pv.Walk(v)
+				if !ok || os != 0 || bs != 0 || !pok || !slices.Equal(path, []graph.NodeID{v}) {
+					t.Fatalf("metric %d: %d→%d scores (%v, %v, %v) walking %v (ok %v)", m, v, v, os, bs, ok, path, pok)
+				}
+			}
+		}
+	})
+}
+
+// TestUnreachable: on the generators with pairs that have no path — one-way
+// edges of the paper's graph, the parts of the disconnected one — every
+// oracle reports ok=false for each such pair into confCase.targets, under
+// both metrics, and walks no path there.
+func TestUnreachable(t *testing.T) {
+	hasUnreachable := func(c *confGraph) bool { return c.name == "paper" || c.name == "disconnected" }
+	conform(t, "matrix lazy partitioned", hasUnreachable, func(t *testing.T, c *confCase) {
+		unreachable := 0
+		for _, to := range c.targets(c.g.NumNodes(), 8) {
+			for from := graph.NodeID(0); int(from) < c.g.NumNodes(); from++ {
+				for _, m := range metrics {
+					if _, _, wok := c.fw[m].at(from, to); wok {
+						continue
+					}
+					unreachable++
+					pv := &pairVector{c.o, to, m, false}
+					os, bs, ok := pv.Scores(from)
+					if path, pok := pv.Walk(from); ok || pok {
+						t.Fatalf("metric %d: %d→%d has no path, the oracle scores (%v, %v, %v) walking %v (ok %v)", m, from, to, os, bs, ok, path, pok)
 					}
 				}
 			}
 		}
-		if c.name == "disconnected" && unreachable == 0 {
-			t.Fatal("the disconnected graph has no unreachable pair")
+		if unreachable == 0 {
+			t.Fatal("no unreachable pair asked")
 		}
-		rng := rand.New(rand.NewSource(13))
+	})
+}
+
+// TestOracleTriangleInequality: every oracle's primary scores respect the
+// triangle inequality, the property every pruning rule in the search
+// algorithms leans on: on 200 sampled triples (i, k, j) per metric, k and j
+// among confCase.targets, a pair reachable via k is reachable, and its
+// score is at most the score via k.
+func TestOracleTriangleInequality(t *testing.T) {
+	conform(t, "matrix lazy partitioned", nil, func(t *testing.T, c *confCase) {
+		n, targets, rng := c.g.NumNodes(), c.targets(c.g.NumNodes(), 8), rand.New(rand.NewSource(13))
 		for _, m := range metrics {
 			for probe := 0; probe < 200; probe++ {
-				i, k, j := rng.Intn(n), int(targets[rng.Intn(len(targets))]), int(targets[rng.Intn(len(targets))])
-				if ij, via := sc[m][i*n+j].prim, sc[m][i*n+k].prim+sc[m][k*n+j].prim; ij > via+1e-9 {
-					t.Fatalf("metric %d: %d→%d scores %v, via %d %v", m, i, j, ij, k, via)
+				i, k, j := graph.NodeID(rng.Intn(n)), targets[rng.Intn(len(targets))], targets[rng.Intn(len(targets))]
+				ij, okIJ := primary(c.o, m, i, j)
+				ik, okIK := primary(c.o, m, i, k)
+				kj, okKJ := primary(c.o, m, k, j)
+				if okIK && okKJ && (!okIJ || ij > ik+kj+1e-9) {
+					t.Fatalf("metric %d: %d→%d scores (%v, ok %v), via %d %v", m, i, j, ij, okIJ, k, ik+kj)
 				}
 			}
 		}
-		for i, tau := range sc[ByObjective] {
-			sig := sc[ByBudget][i]
-			if math.IsInf(tau.prim, 1) != math.IsInf(sig.prim, 1) || sig.prim > tau.sec+1e-9 || tau.prim > sig.sec+1e-9 {
-				t.Fatalf("%d→%d: τ (%v, %v), σ (%v, %v)", i/n, i%n, tau.prim, tau.sec, sig.sec, sig.prim)
+	})
+}
+
+// primary is the m-optimal primary score from→to.
+func primary(o Oracle, m Metric, from, to graph.NodeID) (float64, bool) {
+	os, bs, ok := pairScores(o, m, from, to)
+	p, _ := ranked(m, os, bs)
+	return p, ok
+}
+
+// TestTauSigmaConsistency: every oracle keeps the trade-off of the two
+// families on every pair into up to 24 roots (8 lazy, confCase.targets):
+// both metrics reach it or neither, σ's budget is at most τ's and τ's
+// objective at most σ's.
+func TestTauSigmaConsistency(t *testing.T) {
+	conform(t, "matrix lazy partitioned", nil, func(t *testing.T, c *confCase) {
+		for _, to := range c.targets(24, 8) {
+			for from := graph.NodeID(0); int(from) < c.g.NumNodes(); from++ {
+				tauOS, tauBS, tauOK := c.o.MinObjective(from, to)
+				sigOS, sigBS, sigOK := c.o.MinBudget(from, to)
+				if tauOK != sigOK || tauOK && (sigBS > tauBS+1e-9 || tauOS > sigOS+1e-9) {
+					t.Fatalf("%d→%d: τ (%v, %v, %v), σ (%v, %v, %v)", from, to, tauOS, tauBS, tauOK, sigOS, sigBS, sigOK)
+				}
 			}
 		}
 	})

@@ -1,6 +1,6 @@
 // Roadtrip runs KOR on a synthetic road network — the paper's scalability
 // setting — and contrasts the oracle implementations: dense tables versus
-// lazy memoized sweeps on a graph where |V|² tables would be wasteful.
+// lazy per-query sweeps on a graph where |V|² tables would be wasteful.
 package main
 
 import (

@@ -90,13 +90,17 @@ type Searcher struct {
 
 	// scratch pools per-query planScratch values (label arenas and O(|V|)
 	// tables) across searches; see arena.go. sync.Pool is safe for the
-	// Searcher's concurrent queries.
-	scratch sync.Pool
+	// Searcher's concurrent queries. It is held by pointer: the runtime lists
+	// every pool in use until a collection has cleared it and keeps the
+	// cleared ones one collection more, and a pool inside the Searcher would
+	// keep the Searcher — its oracle and that oracle's tables included —
+	// reachable through both.
+	scratch *sync.Pool
 }
 
-// NewSearcher returns a Searcher over g. A nil oracle defaults to a lazy
-// memoized-Dijkstra oracle; a nil index defaults to an in-memory inverted
-// index.
+// NewSearcher returns a Searcher over g. A nil oracle defaults to the lazy
+// oracle, which runs Dijkstra sweeps per query and keeps none; a nil index
+// defaults to an in-memory inverted index.
 func NewSearcher(g *graph.Graph, oracle RouteOracle, index graph.PostingSource) *Searcher {
 	if oracle == nil {
 		oracle = apsp.NewLazyOracle(g)
@@ -104,7 +108,7 @@ func NewSearcher(g *graph.Graph, oracle RouteOracle, index graph.PostingSource) 
 	if index == nil {
 		index = graph.NewMemIndex(g)
 	}
-	return &Searcher{g: g, oracle: oracle, index: index}
+	return &Searcher{g: g, oracle: oracle, index: index, scratch: new(sync.Pool)}
 }
 
 // Graph returns the underlying graph.

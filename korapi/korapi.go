@@ -338,10 +338,14 @@ type OracleInfo struct {
 // /v1/stats and by the /v1/admin endpoints.
 type Snapshot struct {
 	// Fingerprint is the graph content digest as 16 lowercase hex digits.
-	// Two snapshots with the same fingerprint answer queries identically.
+	// Two snapshots with the same fingerprint hold the same graph; one may
+	// answer from the lazy oracle and the other from the tables a
+	// background build swapped in, whose answers can differ in the last
+	// bits.
 	Fingerprint string `json:"fingerprint"`
 	// Generation counts installed snapshots, starting at 1 for the graph
-	// the server booted with.
+	// the server booted with: one per admin update and one per table swap
+	// that publishes a finished background build.
 	Generation uint64 `json:"generation"`
 	// LoadedAt is when the snapshot was installed, RFC 3339 with
 	// nanoseconds, UTC.

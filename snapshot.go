@@ -40,10 +40,14 @@ var ErrBadDelta = errors.New("kor: bad delta")
 // SnapshotInfo identifies one graph snapshot of an engine.
 type SnapshotInfo struct {
 	// Fingerprint is the graph's content digest (Graph.Fingerprint): two
-	// snapshots with the same fingerprint answer every query identically.
+	// snapshots with the same fingerprint hold the same graph. They may
+	// answer from different oracles — the lazy one, then the tables a
+	// background build swaps in under the same fingerprint — whose scores
+	// can differ in the last bits, so an answer can too.
 	Fingerprint uint64
 	// Generation counts installed snapshots, starting at 1 for the engine's
-	// construction graph and incrementing on every Swap or Patch.
+	// construction graph and incrementing on every Swap or Patch, and on
+	// every table swap that publishes a finished background build.
 	Generation uint64
 	// LoadedAt is when this snapshot was installed.
 	LoadedAt time.Time

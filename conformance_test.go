@@ -159,8 +159,9 @@ func roadRequests(g *Graph) []confRequest {
 }
 
 // confGen is one generator of the table: its base graph, the requests every
-// check replays, the cell size of the disk index written for it, and the
-// keyword-only and edge deltas its updates apply.
+// check replays, the cell size of the disk index written for it, the
+// keyword-only and edge deltas its updates apply, and the edge the topology
+// updates add and remove.
 type confGen struct {
 	name     string
 	hand     bool // requests carry their expected outcomes; cityBest holds
@@ -170,6 +171,7 @@ type confGen struct {
 	requests func(g *Graph) []confRequest
 	keywords func(c *confCase) Delta
 	edges    func(c *confCase) Delta
+	newEdge  EdgePatch
 }
 
 var confGens = map[string]*confGen{
@@ -191,9 +193,11 @@ var confGens = map[string]*confGen{
 			c.obj = map[bool]float64{true: 0.2, false: 0.1}[c.obj == 0.1]
 			return Delta{UpdateEdges: []EdgePatch{{From: 0, To: 1, Objective: c.obj, Budget: 1.2}}}
 		},
+		// Park→cafe, too dear to move cityBest.
+		newEdge: EdgePatch{From: 2, To: 1, Objective: 0.9, Budget: 1},
 	},
 	"road": {
-		name: "road", rounds: 8, // cell size 0: apsp.DefaultCellSize
+		name: "road", cellSize: 24, rounds: 8, // seven cells
 		base:     func(testing.TB) *Graph { return SyntheticRoadNetwork(5, 150) },
 		requests: roadRequests,
 		keywords: func(c *confCase) Delta {
@@ -205,15 +209,32 @@ var confGens = map[string]*confGen{
 			c.edits++
 			return Delta{UpdateEdges: []EdgePatch{{From: 0, To: e.To, Objective: e.Objective * float64(2+c.edits%3), Budget: e.Budget}}}
 		},
+		newEdge: EdgePatch{From: 0, To: 149, Objective: 1, Budget: 4},
 	},
 }
 
 // confConfigs are the serving configurations, in the order "all" runs them.
 var confConfigs = []string{"lazy", "pending", "matrix", "disk", "disk-patched"}
 
+// requestClasses name classes of the hand city's requests, for entry points
+// that replay one class only.
+var requestClasses = map[string]func(confRequest) bool{
+	"default": func(r confRequest) bool {
+		return r.req.Algorithm == "" && r.req.K == 0 && r.req.Options == nil && r.err == nil
+	},
+	"algorithms": func(r confRequest) bool { return r.req.Algorithm != "" && r.err == nil },
+	"topk":       func(r confRequest) bool { return r.req.K > 0 },
+	"noroute":    func(r confRequest) bool { return r.err == ErrNoRoute },
+	"overbudget": func(r confRequest) bool { return r.err == ErrBudgetExceeded },
+	"limit":      func(r confRequest) bool { return r.err == ErrSearchLimit },
+	"unknown":    func(r confRequest) bool { return r.err == ErrUnknownKeyword },
+	"invalid":    func(r confRequest) bool { return r.err == ErrBadQuery },
+}
+
 // confCase is one cell of the table: an engine in one configuration over one
-// generator, with the cache on or off, and what the checks need to know of
-// the updates applied to it so far.
+// generator, with the cache on or off, the class of requests it replays (nil
+// for all), and what the checks need to know of the updates applied to it so
+// far.
 type confCase struct {
 	*Engine
 	gen        *confGen
@@ -224,6 +245,7 @@ type confCase struct {
 	refs       *confRefs
 	base       *Graph
 	reqs       []confRequest
+	class      func(confRequest) bool
 	index      *Graph    // the graph the disk index was written for
 	since      time.Time // the degraded episode's onset
 	obj        float64   // the hand city's hotel→cafe objective
@@ -235,7 +257,8 @@ type confCase struct {
 
 // conform runs row over the cells sel names: configuration names or "all",
 // "city" and "road" (city when neither), "cache" and "nocache" (both when
-// neither), and "bare" for engines without a metrics registry. An axis with
+// neither), "bare" for engines without a metrics registry, and a request
+// class (requestClasses) for the update rows to replay. An axis with
 // more than one value nests a level of subtests. The row runs in parallel
 // with the other entry points' unless sel says "serial": a row that counts
 // the process's table mappings or goroutines, or keeps every CPU busy while
@@ -243,6 +266,7 @@ type confCase struct {
 func conform(t *testing.T, sel string, row func(*testing.T, *confCase)) {
 	var configs, gens []string
 	var caches []int
+	var class func(confRequest) bool
 	bare := false
 	if !strings.Contains(sel, "serial") {
 		t.Parallel()
@@ -260,6 +284,8 @@ func conform(t *testing.T, sel string, row func(*testing.T, *confCase)) {
 			caches = append(caches, map[string]int{"cache": 64, "nocache": 0}[tok])
 		case tok == "bare":
 			bare = true
+		case requestClasses[tok] != nil:
+			class = requestClasses[tok]
 		default:
 			t.Fatalf("conform: unknown selector %q", tok)
 		}
@@ -285,7 +311,7 @@ func conform(t *testing.T, sel string, row func(*testing.T, *confCase)) {
 				level(t, len(configs) > 1, config, func(t *testing.T) {
 					for _, size := range caches {
 						level(t, len(caches) > 1, map[int]string{0: "nocache", 64: "cache"}[size], func(t *testing.T) {
-							c := &confCase{gen: confGens[gen], config: config, cacheSize: size, refs: refs, obj: 0.7, jazz: true, rng: rand.New(rand.NewSource(43))}
+							c := &confCase{gen: confGens[gen], config: config, cacheSize: size, class: class, refs: refs, obj: 0.7, jazz: true, rng: rand.New(rand.NewSource(43))}
 							if !bare {
 								c.reg = metrics.NewRegistry()
 							}
@@ -306,6 +332,12 @@ func (c *confCase) open(t *testing.T) {
 	c.goroutines = runtime.NumGoroutine()
 	c.base = c.gen.base(t)
 	c.reqs = c.gen.requests(c.base)
+	if c.class != nil {
+		c.reqs = slices.DeleteFunc(c.reqs, func(r confRequest) bool { return !c.class(r) })
+		if len(c.reqs) == 0 {
+			t.Fatal("no request of the selected class")
+		}
+	}
 	cfg := EngineConfig{CacheSize: c.cacheSize, Metrics: c.reg}
 	var hook func(*tableBuild)
 	switch c.config {
@@ -542,15 +574,17 @@ func (c *confCase) check(t *testing.T) {
 }
 
 // checkAnswers replays every request, twice when the cache is on, and holds
-// each answer to the fresh engine's, the snapshot it was computed on to the
-// current one, the repeat to a cache hit when the answer is definitive, and
-// on the hand city the outcome class, the route count and the approximation
-// bound to the exact optimum. It scribbles over every answer it reads: a
-// later answer, cached or not, must not show it. It returns the outcomes, in
-// order.
+// each answer to the fresh engine's, a keyed request's first to the
+// snapshot's core searcher on the prepared request, the snapshot it was
+// computed on to the current one, the repeat to a cache hit when the answer
+// is definitive, and on the hand city the outcome class, the route count and
+// the approximation bound to the exact optimum. It scribbles over every
+// answer it reads: a later answer, cached or not, must not show it. It
+// returns the outcomes, in order.
 func (c *confCase) checkAnswers(t *testing.T) []outcome {
 	t.Helper()
-	sn, g := c.Snapshot(), c.Graph()
+	snap := c.snap.Load()
+	sn, g := snap.info, snap.g
 	if _, ok := c.CacheStats(); ok != (c.cacheSize > 0) {
 		t.Fatalf("CacheStats enabled = %v with CacheSize %d", ok, c.cacheSize)
 	}
@@ -564,6 +598,12 @@ func (c *confCase) checkAnswers(t *testing.T) []outcome {
 			where := fmt.Sprintf("%s, %+v, run %d", c.state(), r.req, run+1)
 			if got := render(resp, err); got != want {
 				t.Fatalf("%s:\nengine %s\nfresh  %s", where, got, want)
+			}
+			if p, perr := snap.prepare(r.req); run == 0 && perr == nil && p.opts.Tracer == nil {
+				res, cerr := snap.searcher.Run(context.Background(), p.algo, p.q, p.opts)
+				if got, want := fmt.Sprintf("%+v %v", resp.Routes, err), fmt.Sprintf("%+v %v", res.Routes, cerr); got != want {
+					t.Fatalf("%s:\nengine %s\ncore   %s", where, got, want)
+				}
 			}
 			searched := definitiveOutcome(err)
 			if resp.Cached != (run == 1 && searched && c.keyed(r.req)) {
@@ -606,13 +646,13 @@ func (c *confCase) checkAnswers(t *testing.T) []outcome {
 			}
 		}
 	}
-	if feasible < len(outs)/3 {
+	if !c.gen.hand && feasible < len(outs)/3 {
 		t.Fatalf("%s: %d of %d answers feasible: the requests no longer exercise routes", c.state(), feasible, len(outs))
 	}
 	if got, want := fmt.Sprint(c.Suggest("", 1<<20)), fmt.Sprint(c.fresh(t).Suggest("", 1<<20)); got != want {
 		t.Fatalf("%s: Suggest = %s, fresh %s", c.state(), got, want)
 	}
-	if lazy, ok := c.oracle().(*apsp.LazyOracle); ok && lazy.SweepCount() == 0 && c.cacheSize == 0 {
+	if lazy, ok := c.oracle().(*apsp.LazyOracle); ok && lazy.SweepCount() == 0 && c.cacheSize == 0 && feasible > 0 {
 		t.Fatalf("%s: the lazy oracle answered without a sweep", c.state())
 	}
 	return outs
@@ -756,6 +796,13 @@ var (
 	}}
 	// edgePatch re-weights node 0's first edge.
 	edgePatch = confUpdate{"edge patch", true, false, func(c *confCase) (SnapshotInfo, error) { return c.Patch(c.gen.edges(c)) }}
+	// edgeAdded adds the generator's new edge; edgeRemoved removes it again.
+	edgeAdded = confUpdate{"edge added", true, false, func(c *confCase) (SnapshotInfo, error) {
+		return c.patchTopology(Delta{AddEdges: []EdgePatch{c.gen.newEdge}}, 1)
+	}}
+	edgeRemoved = confUpdate{"edge removed", true, false, func(c *confCase) (SnapshotInfo, error) {
+		return c.patchTopology(Delta{RemoveEdges: []EdgeRef{{From: c.gen.newEdge.From, To: c.gen.newEdge.To}}}, -1)
+	}}
 	// newEdgeSwap swaps in the current graph with node 0's first edge back at
 	// the base graph's weights, its keywords as they are: on a disk index,
 	// the index's own edges.
@@ -765,6 +812,17 @@ var (
 		return c.swapApplied(Delta{UpdateEdges: []EdgePatch{{From: 0, To: e.To, Objective: e.Objective, Budget: e.Budget}}})
 	}}
 )
+
+// patchTopology patches d and fails unless the graph then has delta edges
+// more.
+func (c *confCase) patchTopology(d Delta, delta int) (SnapshotInfo, error) {
+	m := c.Graph().NumEdges()
+	info, err := c.Patch(d)
+	if got := c.Graph().NumEdges(); err == nil && got != m+delta {
+		err = fmt.Errorf("%d edges after the patch, had %d", got, m)
+	}
+	return info, err
+}
 
 // swapApplied swaps in the current graph with d applied, and fails unless
 // the engine then holds that very graph.
@@ -899,7 +957,10 @@ func (c countingTracer) Trace(core.TraceEvent) { c.n.Add(1) }
 // rowInFlight parks a search and its follower, moves the engine on under
 // them — the pending cell publishes its tables, the others patch an edge —
 // and checks that both answer as the snapshot they started on, and that
-// everything after answers as the new one, searched afresh.
+// everything after answers as the new one, searched afresh. On the matrix
+// cell the parked search holds the boot matrix, so after one more edge patch
+// the build waits for it (awaitRetired), and a further patch cancels the
+// waiting build; the last build is published once the search ends.
 func rowInFlight(t *testing.T, c *confCase) {
 	req := c.searchable()
 	before, g := c.Snapshot(), c.Graph()
@@ -918,6 +979,23 @@ func rowInFlight(t *testing.T, c *confCase) {
 		}
 		c.settle()
 	}
+	if c.config == "matrix" {
+		if _, err := edgePatch.apply(c); err != nil {
+			t.Fatal(err)
+		}
+		c.swapMu.Lock()
+		waiting := c.build
+		c.swapMu.Unlock()
+		select {
+		case <-waiting.done:
+			t.Fatal("a build mapped its tables while a query held a matrix two builds old")
+		case <-time.After(100 * time.Millisecond):
+		}
+		if _, err := edgePatch.apply(c); err != nil {
+			t.Fatal(err)
+		}
+		<-waiting.done // cancelled while it waits
+	}
 	close(release)
 	for _, o := range []outcome{<-leader, <-follower} {
 		if got := render(o.resp, o.err); got != want || o.resp.Snapshot != before || o.resp.Graph() != g {
@@ -927,6 +1005,7 @@ func rowInFlight(t *testing.T, c *confCase) {
 	if searches.Load() != 1 {
 		t.Fatalf("%d searches for a leader and its follower, want 1", searches.Load())
 	}
+	c.settle()
 	c.check(t)
 }
 
@@ -1423,33 +1502,41 @@ func rowTableMappings(t *testing.T, c *confCase) {
 
 // Answers in every configuration, no update.
 
-func TestEngineSearch(t *testing.T)                     { conform(t, "all nocache", updates()) }
-func TestCacheHitReturnsSameAnswer(t *testing.T)        { conform(t, "all cache", updates()) }
-func TestTableBuildAnswers(t *testing.T)                { conform(t, "pending matrix city road nocache", updates()) }
-func TestOracleMetricsFollowBuild(t *testing.T)         { conform(t, "pending cache", updates()) }
-func TestEngineServesFromDistIndex(t *testing.T)        { conform(t, "disk", updates()) }
-func TestDegradedOracleIsByteBounded(t *testing.T)      { conform(t, "disk-patched", updates()) }
-func TestOracleStatusWithoutDistIndex(t *testing.T)     { conform(t, "lazy matrix nocache", updates()) }
-func TestRunMatchesCoreSearch(t *testing.T)             { conform(t, "lazy nocache", updates()) }
-func TestEngineAlgorithmsAgreeOnEasyQuery(t *testing.T) { conform(t, "matrix nocache", updates()) }
-func TestEngineTopK(t *testing.T)                       { conform(t, "disk nocache", updates()) }
-func TestRunTopK(t *testing.T)                          { conform(t, "pending nocache", updates()) }
-func TestRunDefaultAlgorithmAndBound(t *testing.T)      { conform(t, "disk-patched nocache", updates()) }
-func TestEngineUnknownKeyword(t *testing.T)             { conform(t, "lazy nocache", updates()) }
-func TestEngineNoRoute(t *testing.T)                    { conform(t, "matrix nocache", updates()) }
-func TestRunValidatesOptions(t *testing.T)              { conform(t, "lazy nocache", updates()) }
-func TestCacheDisabledByDefault(t *testing.T)           { conform(t, "matrix nocache", updates()) }
-func TestCachedRoutesImmune(t *testing.T)               { conform(t, "lazy cache", updates()) }
-func TestCacheKeyDistinguishesRequests(t *testing.T)    { conform(t, "matrix cache", updates()) }
-func TestCacheNegativeResult(t *testing.T)              { conform(t, "disk cache", updates()) }
-func TestCacheBudgetExceededResult(t *testing.T)        { conform(t, "disk-patched cache", updates()) }
-func TestCacheSkipsNonDefinitiveErrors(t *testing.T)    { conform(t, "pending cache", updates()) }
-func TestEngineMetricsDisabled(t *testing.T)            { conform(t, "lazy matrix cache bare", updates()) }
+func TestEngineSearch(t *testing.T)                { conform(t, "all nocache", updates()) }
+func TestCacheHitReturnsSameAnswer(t *testing.T)   { conform(t, "all cache", updates()) }
+func TestTableBuildAnswers(t *testing.T)           { conform(t, "pending matrix city road nocache", updates()) }
+func TestOracleMetricsFollowBuild(t *testing.T)    { conform(t, "pending cache", updates()) }
+func TestEngineServesFromDistIndex(t *testing.T)   { conform(t, "disk", updates()) }
+func TestDegradedOracleIsByteBounded(t *testing.T) { conform(t, "disk-patched", updates()) }
+func TestOracleStatusWithoutDistIndex(t *testing.T) {
+	conform(t, "lazy matrix nocache default", updates())
+}
+func TestRunMatchesCoreSearch(t *testing.T) { conform(t, "lazy nocache algorithms", updates()) }
+func TestEngineAlgorithmsAgreeOnEasyQuery(t *testing.T) {
+	conform(t, "matrix nocache algorithms", updates())
+}
+func TestEngineTopK(t *testing.T) { conform(t, "disk nocache topk", updates()) }
+func TestRunTopK(t *testing.T)    { conform(t, "pending nocache topk", updates()) }
+func TestRunDefaultAlgorithmAndBound(t *testing.T) {
+	conform(t, "disk-patched nocache default", updates())
+}
+func TestEngineUnknownKeyword(t *testing.T)          { conform(t, "lazy nocache unknown", updates()) }
+func TestEngineNoRoute(t *testing.T)                 { conform(t, "matrix nocache noroute", updates()) }
+func TestRunValidatesOptions(t *testing.T)           { conform(t, "lazy nocache invalid", updates()) }
+func TestCacheDisabledByDefault(t *testing.T)        { conform(t, "matrix nocache default", updates()) }
+func TestCachedRoutesImmune(t *testing.T)            { conform(t, "lazy cache", updates()) }
+func TestCacheKeyDistinguishesRequests(t *testing.T) { conform(t, "matrix cache", updates()) }
+func TestCacheNegativeResult(t *testing.T)           { conform(t, "disk cache noroute", updates()) }
+func TestCacheBudgetExceededResult(t *testing.T) {
+	conform(t, "disk-patched cache overbudget", updates())
+}
+func TestCacheSkipsNonDefinitiveErrors(t *testing.T) { conform(t, "pending cache limit", updates()) }
+func TestEngineMetricsDisabled(t *testing.T)         { conform(t, "lazy matrix cache bare", updates()) }
 
 // Live updates: keyword and edge patches, swaps to the same and to new
 // edges, during a pending build and in a degraded episode.
 
-var allUpdates = updates(keywordPatch, sameEdgeSwap, edgePatch, newEdgeSwap)
+var allUpdates = updates(keywordPatch, sameEdgeSwap, edgeAdded, edgeRemoved, edgePatch, newEdgeSwap)
 
 func TestSwapEvictsCache(t *testing.T)        { conform(t, "all cache", allUpdates) }
 func TestEngineStatsPerSnapshot(t *testing.T) { conform(t, "all nocache", allUpdates) }
@@ -1465,7 +1552,9 @@ func TestKeywordPatchKeepsDegradedEpisode(t *testing.T) {
 func TestSwapServesNewGraph(t *testing.T) {
 	conform(t, "lazy pending nocache", updates(edgePatch, newEdgeSwap))
 }
-func TestPatchAppliesDelta(t *testing.T) { conform(t, "lazy matrix nocache", updates(edgePatch)) }
+func TestPatchAppliesDelta(t *testing.T) {
+	conform(t, "lazy matrix disk city road nocache", updates(edgePatch, edgeAdded, edgeRemoved))
+}
 func TestEngineDegradesAfterGraphChange(t *testing.T) {
 	conform(t, "disk", updates(edgePatch, newEdgeSwap))
 }

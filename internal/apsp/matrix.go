@@ -45,6 +45,8 @@ type MatrixOracle struct {
 	// (noParent at to == from or unreachable).
 	tauPar []int32
 	sigPar []int32
+	// released closes once the tables' cleanup has run (Released).
+	released chan struct{}
 }
 
 // noCopy is embedded in structs that must not be copied after first use;
@@ -74,20 +76,22 @@ func TableMemory() (tables int, bytes int64) {
 // mapping outside the Go heap, or heap words where the platform has no mmap
 // or the kernel refuses the mapping.
 type tableMemory struct {
-	b      []byte
-	mapped bool
+	b        []byte
+	mapped   bool
+	released chan struct{}
 }
 
 // allocTables cuts o's four tables from fresh memory, counted in
 // liveTables, and returns that memory; none for an empty graph.
 func (o *MatrixOracle) allocTables() tableMemory {
+	o.released = make(chan struct{})
 	nn := o.n * o.n
 	if nn == 0 {
-		return tableMemory{}
+		return tableMemory{released: o.released}
 	}
 	size := matrixPairBytes * nn
 	b, err := mapTables(size)
-	mem := tableMemory{b, err == nil}
+	mem := tableMemory{b, err == nil, o.released}
 	if !mem.mapped {
 		words := make([]uint64, (size+7)/8) // 8-byte aligned, as the score pairs need
 		mem.b = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)
@@ -108,12 +112,11 @@ func carve[T any](b []byte, off, n int) []T {
 }
 
 // release unmaps m and uncounts it; heap words are left to the collector.
+// It closes m.released either way.
 func (m tableMemory) release() {
-	if m.b == nil {
-		return
-	}
-	if m.mapped && munmapBytes(m.b) != nil {
-		return // still mapped, still counted
+	defer close(m.released)
+	if m.b == nil || m.mapped && munmapBytes(m.b) != nil {
+		return // nothing to release, or still mapped and still counted
 	}
 	liveTables.count.Add(-1)
 	liveTables.bytes.Add(-int64(len(m.b)))
@@ -163,11 +166,14 @@ func BuildMatrixOracle(stop <-chan struct{}, g *graph.Graph) *MatrixOracle {
 		mem.release()
 		return nil
 	}
-	if mem.b != nil {
-		runtime.AddCleanup(o, tableMemory.release, mem)
-	}
+	runtime.AddCleanup(o, tableMemory.release, mem)
 	return o
 }
+
+// Released returns a channel that closes once o's cleanup has run, after a
+// collection found o unreachable: its tables are unmapped and uncounted,
+// unless the unmap failed. The channel does not keep o alive.
+func (o *MatrixOracle) Released() <-chan struct{} { return o.released }
 
 // at is the index of the (from, to) entry of a score table.
 func (o *MatrixOracle) at(from, to graph.NodeID) int { return int(to)*o.n + int(from) }

@@ -33,7 +33,7 @@ func waitTables(t *testing.T, count int, bytes int64) {
 // TestMatrixTablesOffHeap: a matrix's tables are one mapping outside the Go
 // heap. Building it on a positioned graph raises the live heap by less than
 // an eighth of its 40 B per pair and TableMemory by exactly them; once the
-// oracle is unreachable, its cleanup unmaps them.
+// oracle is unreachable, its cleanup unmaps them and closes Released.
 func TestMatrixTablesOffHeap(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Seed: 2012, Nodes: 300})
 	n := g.NumNodes()
@@ -55,9 +55,22 @@ func TestMatrixTablesOffHeap(t *testing.T) {
 	if os, _, ok := o.MinObjective(0, 0); !ok || os != 0 {
 		t.Fatalf("τ(0,0) = %v, %v; want 0", os, ok)
 	}
+	released := o.Released()
+	runtime.GC()
+	select {
+	case <-released:
+		t.Fatal("Released closed while the oracle is reachable")
+	default:
+	}
+	runtime.KeepAlive(o)
 
 	o = nil
 	waitTables(t, 0, 0)
+	select {
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Released still open after the cleanup unmapped the tables")
+	}
 }
 
 // TestCancelledMatrixUnmaps: a build that gives up unmaps its tables before

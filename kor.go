@@ -232,6 +232,14 @@ type Engine struct {
 	build     *tableBuild
 	closed    bool
 	buildHook func(*tableBuild)
+	// served and retired are the release signals (MatrixOracle.Released) of
+	// the tables the engine's builds mapped: served the last published,
+	// which queries on old snapshots may still read; retired every earlier
+	// one, and tables built but dropped, until a build sees them released.
+	// Only builds touch them, one at a time: each starts once its
+	// predecessor's done has closed.
+	served  <-chan struct{}
+	retired []<-chan struct{}
 
 	// met holds the engine's instruments when EngineConfig.Metrics was set;
 	// nil otherwise (every update site nil-checks).

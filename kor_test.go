@@ -3,10 +3,10 @@ package kor
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,8 +98,12 @@ func TestDescribeUsesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc := eng.Describe(resp.Best()); !strings.Contains(desc, "Grand Hotel → #1 → #2") || !strings.Contains(desc, "objective 1,") {
-		t.Errorf("Describe = %q, want node names where set and the scores", desc)
+	desc := eng.Describe(resp.Best())
+	if !strings.Contains(desc, "Grand Hotel → #1 → #2") {
+		t.Errorf("Describe lost the node names: %q", desc)
+	}
+	if !strings.Contains(desc, "objective 1,") {
+		t.Errorf("Describe lost the scores: %q", desc)
 	}
 }
 
@@ -110,8 +114,11 @@ func TestSaveLoadGraphFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded, err := LoadGraph(path)
-	if err != nil || loaded.Fingerprint() != g.Fingerprint() {
-		t.Fatalf("LoadGraph = %v, err %v; want the saved graph's content", loaded, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Fingerprint() != g.Fingerprint() {
+		t.Fatalf("LoadGraph = %v; want the saved graph's content", loaded)
 	}
 }
 
@@ -122,8 +129,11 @@ func smokeSynthetic(t *testing.T, g *Graph, nodes int) {
 	if testing.Short() {
 		t.Skip("synthetic datasets in -short mode")
 	}
-	if g.NumNodes() != nodes || !g.HasPositions() {
-		t.Fatalf("generated %d nodes (positions %v), want %d", g.NumNodes(), g.HasPositions(), nodes)
+	if g.NumNodes() != nodes {
+		t.Fatalf("generated %d nodes, want %d", g.NumNodes(), nodes)
+	}
+	if !g.HasPositions() {
+		t.Fatal("generated graph lost positions")
 	}
 	// Any frequent keyword works for a smoke query.
 	eng := newTestEngine(t, g, &EngineConfig{Oracle: OracleLazy})
@@ -137,8 +147,14 @@ func TestSyntheticGenerators(t *testing.T) {
 	t.Parallel()
 	smokeSynthetic(t, SyntheticRoadNetwork(3, 800), 800)
 	city, err := SyntheticCity(5)
-	if err != nil || city.NumNodes() < 100 || !city.HasPositions() {
-		t.Fatalf("SyntheticCity: %v nodes, positions %v, err %v", city.NumNodes(), city.HasPositions(), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if city.NumNodes() < 100 {
+		t.Fatalf("city has only %d nodes", city.NumNodes())
+	}
+	if !city.HasPositions() {
+		t.Fatal("city lost positions")
 	}
 }
 
@@ -149,14 +165,19 @@ func TestSyntheticGridEngine(t *testing.T) {
 
 func TestEngineSuggest(t *testing.T) {
 	eng := newTestEngine(t, handCity(t, 0.7), &EngineConfig{Oracle: OracleLazy})
-	if got := fmt.Sprint(eng.Suggest("", 100)); got != "[{cafe 1} {hotel 1} {jazz 2} {museum 1} {park 1}]" {
-		t.Fatalf("Suggest(\"\") = %s", got)
+	want := []Suggestion{{"cafe", 1}, {"hotel", 1}, {"jazz", 2}, {"museum", 1}, {"park", 1}}
+	if got := eng.Suggest("", 100); !slices.Equal(got, want) {
+		t.Fatalf("Suggest(\"\") = %v, want %v", got, want)
 	}
+	// Suggestions follow a live update.
 	if _, err := eng.Patch(Delta{AddKeywords: []KeywordPatch{{Node: 0, Keywords: []string{"cava"}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(eng.Suggest("ca", 10), eng.Suggest("", 1)); got != "[{cafe 1} {cava 1}] [{cafe 1}]" {
-		t.Fatalf("Suggest(ca), Suggest(\"\", 1) after the patch = %s", got)
+	if got := eng.Suggest("ca", 10); !slices.Equal(got, []Suggestion{{"cafe", 1}, {"cava", 1}}) {
+		t.Fatalf("Suggest(ca) after Patch = %v, want [{cafe 1} {cava 1}]", got)
+	}
+	if got := eng.Suggest("", 1); !slices.Equal(got, want[:1]) {
+		t.Fatalf("Suggest(\"\", 1) = %v, want %v", got, want[:1])
 	}
 }
 
@@ -170,7 +191,7 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 func TestEngineRejectsMismatchedDistIndex(t *testing.T) {
-	path := writeIndex(t, t.TempDir(), handCity(t, 0.7), 3)
+	path := writeIndex(t, t.TempDir(), handCity(t, 0.7), 0)
 	if _, err := NewEngine(handCity(t, 0.1), &EngineConfig{DistIndexPath: path}); !errors.Is(err, apsp.ErrIndexFingerprint) {
 		t.Fatalf("NewEngine err = %v, want ErrIndexFingerprint", err)
 	}
@@ -186,11 +207,17 @@ func TestLoadGraphTextFacades(t *testing.T) {
 		return path
 	}
 	g, err := LoadGraphCSV(write("n.csv", "1,0,0,cafe\n2,1,1,jazz\n"), write("e.csv", "1,2,1,2\n2,1,2,1\n"))
-	if err != nil || g.NumNodes() != 2 || g.NumEdges() != 2 {
-		t.Fatalf("CSV façade: %v, err %v", g, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 2 || g.NumEdges() != 2 {
+		t.Fatalf("CSV façade got %d/%d", g.NumNodes(), g.NumEdges())
 	}
 	g, err = LoadGraphOSM(write("x.tsv", "node\t1\t0\t0\tcafe\nnode\t2\t1\t1\nedge\t1\t2\t1.5\n"))
-	if err != nil || g.NumNodes() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("OSM façade: %v, err %v", g, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("OSM façade got %d/%d", g.NumNodes(), g.NumEdges())
 	}
 }

@@ -325,12 +325,8 @@ func (e *Engine) fillAndSwap(b *tableBuild, g *Graph, prev *tableBuild) {
 	if e.buildHook != nil {
 		e.buildHook(b)
 	}
-	// The tables live outside the Go heap, where the collector's pacing does
-	// not see them: the matrix an edge change retired may still be mapped,
-	// unreachable, with no collection due. Collect before mapping the next,
-	// so its cleanup releases it and at most two are mapped.
-	if n, _ := apsp.TableMemory(); n > 0 {
-		runtime.GC()
+	if !e.awaitRetired(b.stop) {
+		return
 	}
 	o := apsp.BuildMatrixOracle(b.stop, g)
 	if o == nil {
@@ -340,8 +336,13 @@ func (e *Engine) fillAndSwap(b *tableBuild, g *Graph, prev *tableBuild) {
 	defer e.swapMu.Unlock()
 	cur := e.snap.Load()
 	if b.cancelled() || cur.g.DistanceFingerprint() != b.fp {
+		e.retired = append(e.retired, o.Released())
 		return
 	}
+	if e.served != nil {
+		e.retired = append(e.retired, e.served)
+	}
+	e.served = o.Released()
 	now := time.Now()
 	e.publishLocked(&snapshot{
 		g:        cur.g,
@@ -353,6 +354,36 @@ func (e *Engine) fillAndSwap(b *tableBuild, g *Graph, prev *tableBuild) {
 		},
 		oracle: OracleStatus{Kind: OracleKindMatrix, Since: now},
 	})
+}
+
+// awaitRetired readies the engine for mapping a build's tables. They live
+// outside the Go heap, where the collector's pacing does not see them: the
+// matrix an edge change retired may still be mapped, unreachable, with no
+// collection due. It collects, so that matrix's cleanup releases it, and
+// waits until every matrix retired before it is released — a cleanup runs
+// on a goroutine of its own after the collection that found its oracle
+// unreachable — collecting again after a growing pause while a query on an
+// old snapshot still holds one. At most two are then mapped: the last
+// published and the one being filled. A boot build, with nothing mapped,
+// does neither. It gives up, reporting false, once stop closes.
+func (e *Engine) awaitRetired(stop <-chan struct{}) bool {
+	if e.served == nil && len(e.retired) == 0 {
+		return true
+	}
+	runtime.GC()
+	pause := time.Millisecond
+	for len(e.retired) > 0 {
+		select {
+		case <-e.retired[0]:
+			e.retired = e.retired[1:]
+		case <-stop:
+			return false
+		case <-time.After(pause):
+			runtime.GC()
+			pause = min(2*pause, time.Second)
+		}
+	}
+	return true
 }
 
 // Snapshot returns the identity of the engine's current snapshot.
